@@ -56,10 +56,22 @@ def _entry(args):
     return catalog[name]
 
 
+def _sigma(args, default=None):
+    """--sigma as an exact rational; bad text or a zero denominator is a config error."""
+    text = getattr(args, "sigma", None)
+    if text is None:
+        return default
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"--sigma must be a rational p/q with q != 0, got {text!r}") from exc
+
+
 def _params(entry, args) -> dict:
     params = dict(entry.params)
-    if getattr(args, "sigma", None) is not None:
-        params["sigma"] = Fraction(args.sigma)
+    sigma = _sigma(args)
+    if sigma is not None:
+        params["sigma"] = sigma
     if getattr(args, "mode", "exact") == "float":
         params = {k: float(v) for k, v in params.items()}
     return params
@@ -141,7 +153,10 @@ def cmd_curvature_report(args) -> int:
 def cmd_recursion_chain(args) -> int:
     if args.background not in ("flat", "st"):
         raise ConfigError("recursion-chain backgrounds: flat | st")
-    sigma = Fraction(args.sigma if args.sigma is not None else 1)
+    first = 1 if args.background == "st" else 0
+    if args.n < first:
+        raise ConfigError(f"--n must be at least {first} on {args.background}, got {args.n}")
+    sigma = _sigma(args, Fraction(1))
     exclusions = ["q_nonzero", "w_nonzero"]
     if args.mode == "float":
         exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
@@ -189,7 +204,7 @@ def cmd_recursion_chain(args) -> int:
 def cmd_twistor_series(args) -> int:
     if args.background not in ("flat", "st"):
         raise ConfigError("twistor-series backgrounds: flat | st")
-    sigma = Fraction(args.sigma if args.sigma is not None else 1)
+    sigma = _sigma(args, Fraction(1))
     exclusions = ["q_nonzero", "w_nonzero", "z_nonzero"]
     if args.mode == "float":
         exclusions.append("q_unit_scale")
@@ -252,20 +267,22 @@ def cmd_hierarchy_check(args) -> int:
     records = []
     worst_identity = Fraction(0)
     for p in pts:
+        point_worst = Fraction(0)
         res = hierarchy.lax_compat_residual(E, pairs, p)
         for rec in res["pairs"]:
             ident = max(_abs_max(rec["delta_delta"]), _abs_max(rec["mixed"]))
             equiv = _abs_max(a - b for a, b in
                              zip(rec["dd_commutator"], rec["residual_hamiltonian_field"]))
-            worst_identity = max(worst_identity, ident, equiv)
+            point_worst = max(point_worst, ident, equiv)
         sato = []
         for A in (0, 1):
             for j in range(1, n + 1):
                 test = _random_test_field(chart, rng)
                 r = hierarchy.summed_lax_identity_residual(E, A, j, test, p)
                 sato.extend(r.values())
-        worst_identity = max(worst_identity, _abs_max(sato))
-        records.append({"point": p, "identity_max_abs": worst_identity})
+        point_worst = max(point_worst, _abs_max(sato))
+        records.append({"point": p, "identity_max_abs": point_worst})
+        worst_identity = max(worst_identity, point_worst)
     rep = reports.build_report("hierarchy-check", config, records, worst_identity,
                                args.mode, args.tol)
     return _emit(rep, args.out)
@@ -411,6 +428,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for count in ("points", "pairs"):
+            if getattr(args, count, 1) < 1:
+                raise ConfigError(f"--{count} must be at least 1, got {getattr(args, count)}")
         return args.func(args)
     except (ConfigError, ParseError, EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

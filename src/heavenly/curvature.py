@@ -6,6 +6,12 @@ spinor pieces are extracted afterwards by projecting the Weyl tensor onto
 the null frame of a tetrad.  All arithmetic is jet arithmetic, so in exact
 mode a vanishing component is exactly zero.
 
+Each point is one pass: the order-2 metric jets are evaluated and inverted
+once, the Christoffel jets and Riemann follow once, the metric and inverse
+metric values are read off the same jets, and Ricci, the scalar curvature
+and W_abcd all come from that single Riemann.  Frame components are taken
+by successive single-index contractions.
+
 Conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb};  Ricci R_{bd} =
 R^a_{bad};  Weyl spinors from W_{abcd} = eps_{A'B'} eps_{C'D'} C_{ABCD} +
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetcore import Jet, Number, Point, chart_coords
+from .jetcore import Jet, Number, Point
 from .tetrads import EPS, MetricField, Tetrad
 
 _EPS_UP = EPS  # eps^{01} = eps_{01} = 1
@@ -30,6 +36,10 @@ class SingularMetricError(ValueError):
 
 def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
     return [[f.jet(p, order, params) for f in row] for row in g.components]
+
+
+def _values(m: list[list[Jet]]) -> list[list[Number]]:
+    return [[x.value for x in row] for row in m]
 
 
 def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
@@ -74,19 +84,21 @@ def _jet_partial(j: Jet, axis: int) -> Jet:
 
 @dataclass
 class Christoffel:
-    """Gamma^a_{bc} at a point, optionally with first-derivative jets."""
+    """Gamma^a_{bc} at a point."""
 
     chart: str
     symbols: list[list[list[Number]]]
-    jets: list[list[list[Jet]]] | None = None
 
 
-def _christoffel_jets(g: MetricField, p: Point, jet_order: int, params) -> list[list[list[Jet]]]:
-    n = len(chart_coords(g.chart))
-    gj = _metric_jets(g, p, jet_order + 1, params)
-    ginv = _invert_jet_matrix(gj)
+def _christoffel_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
+                      jet_order: int) -> list[list[list[Jet]]]:
+    """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher."""
+    n = len(gj)
     dg = [[[_jet_partial(gj[a][b], c) for c in range(n)] for b in range(n)] for a in range(n)]
     ginv_low = [[_truncate(ginv[a][b], jet_order) for b in range(n)] for a in range(n)]
+    # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
+    low = [[[dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for c in range(n)] for b in range(n)]
+           for d in range(n)]
     half = Fraction(1, 2)
     out = []
     for a in range(n):
@@ -96,8 +108,7 @@ def _christoffel_jets(g: MetricField, p: Point, jet_order: int, params) -> list[
             for c in range(n):
                 acc = None
                 for d in range(n):
-                    term = dg[d][c][b] + dg[d][b][c] - dg[b][c][d]
-                    contrib = ginv_low[a][d] * term
+                    contrib = ginv_low[a][d] * low[d][b][c]
                     acc = contrib if acc is None else acc + contrib
                 cols.append(acc.scale(half))
             rows.append(cols)
@@ -112,24 +123,22 @@ def _truncate(j: Jet, order: int) -> Jet:
     return Jet(j.center, order, coeffs, j.mode)
 
 
-def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None,
-                with_jets: bool = False) -> Christoffel:
+def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
     """Levi-Civita connection coefficients at p."""
-    order = 1 if with_jets else 0
-    jets = _christoffel_jets(g, p, order, params)
-    n = len(chart_coords(g.chart))
+    gj = _metric_jets(g, p, 1, params)
+    jets = _christoffel_jets(gj, _invert_jet_matrix(gj), 0)
+    n = len(gj)
     vals = [[[jets[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
-    return Christoffel(g.chart, vals, jets if with_jets else None)
+    return Christoffel(g.chart, vals)
 
 
-def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
-    """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
-    n = len(chart_coords(g.chart))
-    gamma = _christoffel_jets(g, p, 1, params)
-
-    def dGamma(a, b, c, axis):
-        return _jet_partial(gamma[a][b][c], axis).value
-
+def _riemann_values(gamma: list[list[list[Jet]]]):
+    """R^a_{bcd} values from order-1 Christoffel jets."""
+    n = len(gamma)
+    units = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
+    # dG[a][b][c][k] = d_k Gamma^a_{bc}: the order-1 Taylor coefficients
+    dG = [[[[gamma[a][b][c].coefficient(u) for u in units] for c in range(n)]
+           for b in range(n)] for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = []
     for a in range(n):
@@ -139,7 +148,7 @@ def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None
             for c in range(n):
                 rc = []
                 for d in range(n):
-                    s = dGamma(a, d, b, c) - dGamma(a, c, b, d)
+                    s = dG[a][d][b][c] - dG[a][c][b][d]
                     for e in range(n):
                         s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
                     rc.append(s)
@@ -149,21 +158,22 @@ def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None
     return out
 
 
-def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
-    """(R_ab, R) at p."""
-    n = len(chart_coords(g.chart))
-    rm = riemann(g, p, params)
-    ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
-    gj = _metric_jets(g, p, 0, params)
+def _riemann_at(g: MetricField, p: Point, params):
+    """One evaluation of g at p: order-2 metric jets, their inverse and R^a_{bcd}."""
+    gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix(gj)
-    scalar = sum(ginv[b][d].value * ric[b][d] for b in range(n) for d in range(n))
+    return gj, ginv, _riemann_values(_christoffel_jets(gj, ginv, 1))
+
+
+def _ricci_values(rm, ginv_values):
+    n = len(rm)
+    ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
+    scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
     return ric, scalar
 
 
-def lowered_riemann(g: MetricField, p: Point, params=None):
-    n = len(chart_coords(g.chart))
-    rm = riemann(g, p, params)
-    gv = g.matrix_values(p, params)
+def _lower(gv, rm):
+    n = len(rm)
     out = {}
     for a in range(n):
         for b in range(n):
@@ -173,12 +183,29 @@ def lowered_riemann(g: MetricField, p: Point, params=None):
     return out
 
 
-def weyl_tensor_values(g: MetricField, p: Point, params=None):
-    """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    n = len(chart_coords(g.chart))
-    rl = lowered_riemann(g, p, params)
-    ric, scalar = ricci(g, p, params)
-    gv = g.matrix_values(p, params)
+def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
+    """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
+    return _riemann_at(g, p, params)[2]
+
+
+def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
+    """(R_ab, R) at p."""
+    _, ginv, rm = _riemann_at(g, p, params)
+    return _ricci_values(rm, _values(ginv))
+
+
+def lowered_riemann(g: MetricField, p: Point, params=None):
+    gj, _, rm = _riemann_at(g, p, params)
+    return _lower(_values(gj), rm)
+
+
+def _weyl_at(g: MetricField, p: Point, params):
+    """W_{abcd}, Ricci, scalar and the metric values at p from a single Riemann."""
+    gj, ginv, rm = _riemann_at(g, p, params)
+    gv = _values(gj)
+    rl = _lower(gv, rm)
+    ric, scalar = _ricci_values(rm, _values(ginv))
+    n = len(gv)
     half = Fraction(1, 2)
     sixth = Fraction(1, 6)
     W = {}
@@ -191,7 +218,35 @@ def weyl_tensor_values(g: MetricField, p: Point, params=None):
                         - half * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
                                   - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
                         + sixth * scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
-    return W, ric, scalar
+    return W, ric, scalar, gv
+
+
+def weyl_tensor_values(g: MetricField, p: Point, params=None):
+    """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
+    return _weyl_at(g, p, params)[:3]
+
+
+def _frame_components(tensor: dict[tuple[int, ...], Number],
+                      frame: Mapping[tuple[int, int], Sequence[Number]]) -> dict:
+    """T(u_k1, ..., u_kr) for every tuple of frame keys.
+
+    Contracts one coordinate index at a time (O(r n^(r+1)) products rather
+    than the n^(2r) of the direct r-fold sum).  The keys of the intermediate
+    tensors are the remaining coordinate indices followed by the frame keys
+    already contracted.
+    """
+    n = len(next(iter(frame.values())))
+    first_key, first = next(iter(tensor.items()))
+    zero = type(first)(0)
+    t = tensor
+    for _ in range(len(first_key)):
+        nxt = {}
+        for tail in {key[1:] for key in t}:
+            col = [t[(a,) + tail] for a in range(n)]
+            for k, u in frame.items():
+                nxt[tail + (k,)] = sum((c * x for c, x in zip(col, u) if c and x), zero)
+        t = nxt
+    return t
 
 
 @dataclass
@@ -224,35 +279,18 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                  params: Mapping[str, Number] | None = None,
                  tol: float = 1e-9) -> CurvatureReport:
     """Project the Weyl tensor onto the tetrad frame and split into the two spinors."""
-    n = len(chart_coords(g.chart))
-    W, ric, scalar = weyl_tensor_values(g, p, params)
+    W, ric, scalar, gv = _weyl_at(g, p, params)
     fv = t.frame_values(p, params)
-    gv = g.matrix_values(p, params)
+    n = len(gv)
 
     # check the tetrad is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
-    dual_err = []
-    for (A, Ap), u in fv.items():
-        for (B, Bp), v in fv.items():
-            got = sum(gv[a][b] * u[a] * v[b] for a in range(n) for b in range(n))
-            dual_err.append(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)]))
-    duality_max = max(dual_err)
+    gf = _frame_components({(a, b): gv[a][b] for a in range(n) for b in range(n)}, fv)
+    duality_max = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)])
+                      for ((A, Ap), (B, Bp)), got in gf.items())
     if (p.mode == "exact" and duality_max != 0) or (p.mode == "float" and duality_max > tol):
         raise ValueError("tetrad is not dual to the metric at this point")
 
-    def Wf(AA, BB, CC, DD):
-        s = 0
-        u1, u2, u3, u4 = fv[AA], fv[BB], fv[CC], fv[DD]
-        for (a, b, c, d), val in W.items():
-            if val != 0:
-                s += val * u1[a] * u2[b] * u3[c] * u4[d]
-        return s
-
-    Wcache = {}
-    for k1 in fv:
-        for k2 in fv:
-            for k3 in fv:
-                for k4 in fv:
-                    Wcache[(k1, k2, k3, k4)] = Wf(k1, k2, k3, k4)
+    w_frame = _frame_components(W, fv)
 
     quarter = Fraction(1, 4)
     sd = {}
@@ -273,24 +311,19 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                                     e2 = _EPS_UP[(C, D)]
                                     if e2 == 0:
                                         continue
-                                    s_sd += e1 * e2 * Wcache[((A, i1), (B, i2), (C, i3), (D, i4))]
-                                    s_asd += e1 * e2 * Wcache[((i1, A), (i2, B), (i3, C), (i4, D))]
+                                    s_sd += e1 * e2 * w_frame[((A, i1), (B, i2), (C, i3), (D, i4))]
+                                    s_asd += e1 * e2 * w_frame[((i1, A), (i2, B), (i3, C), (i4, D))]
                     sd[(i1, i2, i3, i4)] = quarter * s_sd
                     asd[(i1, i2, i3, i4)] = quarter * s_asd
 
     # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2
-    phi = {}
-    for A in range(2):
-        for B in range(2):
-            for Ap in range(2):
-                for Bp in range(2):
-                    rf = sum(ric[a][b] * fv[(A, Ap)][a] * fv[(B, Bp)][b]
-                             for a in range(n) for b in range(n))
-                    phi[(A, B, Ap, Bp)] = -(rf - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
+    rf = _frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
+    phi = {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
+           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
 
     # reassembly: W == eps_{A'B'} eps_{C'D'} C_ABCD + eps_AB eps_CD C_{A'B'C'D'}
     re_err = []
-    for (k1, k2, k3, k4), val in Wcache.items():
+    for (k1, k2, k3, k4), val in w_frame.items():
         (A, Ap), (B, Bp), (C, Cp), (D, Dp) = k1, k2, k3, k4
         rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd[(A, B, C, D)]
                    + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])

@@ -147,17 +147,21 @@ class CoeffTable:
 
     Entries are polynomials in sigma; one table serves every numeric sigma,
     and the sigma=0 specialisation is exact.  Seeds: row 1 is (1, 0) for
-    both tables; out-of-range column indices mean zero.
+    both tables; out-of-range column indices mean zero.  Rows are built on
+    demand, so any row n >= 1 can be looked up.
     """
 
-    def __init__(self, max_n: int = 12):
-        self.max_n = max_n
+    def __init__(self):
+        self.rows = 1
         self._a: dict[tuple[int, int], SigmaPoly] = {(1, 0): _sp_const(1), (1, 1): _sp_zero()}
         self._b: dict[tuple[int, int], SigmaPoly] = {(1, 0): _sp_const(1), (1, 1): _sp_zero()}
-        for n in range(1, max_n):
+
+    def _extend(self, rows: int) -> None:
+        for n in range(self.rows, rows):
             for k in range(0, n + 2):
                 self._a[(n + 1, k)] = self._step(self._a, n, k, shift=1)
                 self._b[(n + 1, k)] = self._step(self._b, n, k, shift=2)
+            self.rows = n + 1
 
     @staticmethod
     def _step(table, n: int, k: int, shift: int) -> SigmaPoly:
@@ -171,8 +175,9 @@ class CoeffTable:
     def _lookup(self, table, n: int, k: int) -> SigmaPoly:
         if k == -1:
             return _sp_zero()
-        if n < 1 or n > self.max_n or k < 0 or k > n:
+        if n < 1 or k < 0 or k > n:
             raise IndexError(f"table entry ({n}, {k}) out of range")
+        self._extend(n)
         return table[(n, k)]
 
     def coeff_A(self, n: int, k: int) -> SigmaPoly:

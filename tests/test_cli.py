@@ -39,6 +39,29 @@ class TestExitCodes:
         code, _ = run(["penrose", "--f", "1/((mu0*mu1", "--pole=-w/y"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature-report", "--background", "sparling-tod", "--points", "0"],
+        ["verify-solution", "--background", "plane-wave", "--points", "-1"],
+        ["hierarchy-check", "--n", "2", "--points", "0"],
+        ["symplectic-check", "--pairs", "0"],
+        ["recursion-chain", "--background", "st", "--n", "0"],
+    ])
+    def test_no_evidence_is_two(self, argv, capsys):
+        code, out = run(argv)
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sigma", ["1/0", "abc"])
+    def test_bad_sigma_is_two(self, sigma, capsys):
+        for cmd in (["curvature-report", "--background", "sparling-tod"],
+                    ["recursion-chain", "--background", "st", "--n", "2"],
+                    ["twistor-series", "--background", "st", "--order", "2"]):
+            code, _ = run(cmd + ["--sigma", sigma, "--points", "1"])
+            assert code == 2, cmd
+            assert capsys.readouterr().err.startswith("error: --sigma")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -125,6 +148,36 @@ class TestOutputs:
         rep = json.loads(out)
         assert len(rep["records"]) == 8
         assert rep["exact_zero"]
+
+    def test_chain_past_twelve_members(self):
+        # the coefficient tables grow on demand; n <= 12 reports are unchanged
+        code, out = run(["recursion-chain", "--background", "st", "--n", "13",
+                         "--points", "1"])
+        assert code == 0
+        rep = json.loads(out)
+        assert [r["n"] for r in rep["records"]] == list(range(1, 14))
+        assert rep["verdict"] == "pass"
+
+    def test_hierarchy_records_each_points_own_residual(self, monkeypatch):
+        from fractions import Fraction
+
+        from heavenly import hierarchy
+        real = hierarchy.lax_compat_residual
+        seen = []
+
+        def first_point_off(E, pairs, p):
+            res = real(E, pairs, p)
+            if not seen:
+                res["pairs"][0]["delta_delta"] = [Fraction(3)]
+            seen.append(p)
+            return res
+
+        monkeypatch.setattr(hierarchy, "lax_compat_residual", first_point_off)
+        code, out = run(["hierarchy-check", "--n", "2", "--points", "3", "--seed", "7"])
+        rep = json.loads(out)
+        assert code == 1
+        assert [r["identity_max_abs"] for r in rep["records"]] == ["3", "0", "0"]
+        assert rep["max_abs_residual"] == "3"
 
     def test_twistor_flat(self):
         code, out = run(["twistor-series", "--background", "flat", "--order", "4",

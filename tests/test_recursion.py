@@ -185,11 +185,14 @@ class TestCurvedChain:
             for p in pts(seed=11, n=4):
                 assert psi.value(p, {"sigma": F(0)}) == phi.value(p)
 
-    def test_chain_index_out_of_table_range(self):
+    def test_chain_index_starts_at_one(self):
         with pytest.raises(IndexError):
             st_psi(0)
-        with pytest.raises(IndexError):
-            st_psi(13)
+
+    def test_members_past_twelve_solve_the_wave_equation(self):
+        # rows past the first twelve are built on demand by the same recurrence
+        sample = pts(seed=12, n=1)
+        assert st_wave_check(13, F(1, 2), sample) == 0
 
 
 class TestGauge:

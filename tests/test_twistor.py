@@ -78,12 +78,14 @@ class TestCurvedCurve:
                 assert c.mu1.coefficient(i).value(p, {"sigma": F(0)}) \
                     == flat_c.mu1.coefficient(i).value(p)
 
-    def test_order_out_of_table_range(self):
+    def test_order_starts_at_one(self):
         import pytest
-        with pytest.raises(IndexError):
-            st_twistor_curve(14)
         with pytest.raises(ValueError):
             st_twistor_curve(0)
+
+    def test_order_past_table_seed_rows(self):
+        # the B table grows on demand: order 14 needs rows up to 13
+        assert st_twistor_curve(14).order == 14
 
     def test_annihilation_through_order_five(self):
         c = st_twistor_curve(6)
