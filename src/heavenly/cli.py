@@ -35,9 +35,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _abs_max(values) -> object:
-    vals = list(values)
-    return max((abs(v) for v in vals), default=Fraction(0))
+def _zero(args):
+    """The mode's zero: maxima start here, so a float run whose residuals all vanish stays float."""
+    return 0.0 if args.mode == "float" else Fraction(0)
+
+
+def _abs_max(values, zero) -> object:
+    return max((abs(v) for v in values), default=zero)
 
 
 def _emit(report: dict, out: str | None) -> int:
@@ -100,7 +104,8 @@ def cmd_verify_solution(args) -> int:
         pts = _sample(entry.chart, args)
         result = curvature.verify_asd_vacuum(metric, tetrad, pts, params, args.tol)
         records = [{k: v for k, v in r.items()} for r in result["records"]]
-        worst = _abs_max(max(r["ricci_max_abs"], r["sd_weyl_max_abs"]) for r in records)
+        worst = _abs_max((max(r["ricci_max_abs"], r["sd_weyl_max_abs"]) for r in records),
+                         _zero(args))
         rep = reports.build_report("verify-solution", config, records, worst, args.mode, args.tol)
         return _emit(rep, args.out)
     pts = _sample(entry.chart, args, entry.exclusions)
@@ -118,8 +123,8 @@ def cmd_verify_solution(args) -> int:
             r = first_heavenly_residual(omega, p, params)
             residuals.append(r)
             records.append({"point": p, "residual": r})
-    rep = reports.build_report("verify-solution", config, records, _abs_max(residuals),
-                               args.mode, args.tol)
+    rep = reports.build_report("verify-solution", config, records,
+                               _abs_max(residuals, _zero(args)), args.mode, args.tol)
     return _emit(rep, args.out)
 
 
@@ -135,7 +140,7 @@ def cmd_curvature_report(args) -> int:
     if profile:
         config["f"] = profile
     records = []
-    worst = Fraction(0)
+    worst = _zero(args)
     for p in pts:
         rep = curvature.weyl_spinors(metric, tetrad, p, params, args.tol)
         records.append({
@@ -167,12 +172,12 @@ def cmd_recursion_chain(args) -> int:
     config = {"background": args.background, "n": args.n, "sigma": sigma,
               "seed": args.seed, "points": args.points, "mode": args.mode}
     records = []
-    worst = Fraction(0)
+    worst = zero = _zero(args)
     flat_theta = SecondPotential(ScalarField.constant(0, SECOND))
     if args.background == "flat":
         for n in range(0, args.n + 1):
             phi = recursion.flat_phi(n)
-            wave = _abs_max(recursion.wave_residual(flat_theta, phi, p) for p in pts)
+            wave = _abs_max((recursion.wave_residual(flat_theta, phi, p) for p in pts), zero)
             rec = {"n": n, "expression": str(phi), "wave_max_abs": wave}
             if n > 0:
                 prev = recursion.flat_phi(n - 1)
@@ -180,7 +185,7 @@ def cmd_recursion_chain(args) -> int:
                 for p in pts:
                     link.append(phi.diff("y").value(p) - prev.diff("w").value(p))
                     link.append(phi.diff("x").value(p) + prev.diff("z").value(p))
-                rec["link_max_abs"] = _abs_max(link)
+                rec["link_max_abs"] = _abs_max(link, zero)
                 worst = max(worst, rec["link_max_abs"])
             worst = max(worst, wave)
             records.append(rec)
@@ -189,7 +194,7 @@ def cmd_recursion_chain(args) -> int:
         theta = recursion.st_potential()
         for n in range(1, args.n + 1):
             psi = recursion.st_psi(n)
-            wave = _abs_max(recursion.wave_residual(theta, psi, p, params) for p in pts)
+            wave = _abs_max((recursion.wave_residual(theta, psi, p, params) for p in pts), zero)
             rec = {"n": n, "expression": str(psi), "wave_max_abs": wave}
             if n < args.n:
                 step = recursion.recursion_step_st(n, sigma, pts)
@@ -223,7 +228,7 @@ def cmd_twistor_series(args) -> int:
         theta = recursion.st_potential()
         params = {"sigma": sigma}
     records = []
-    worst = Fraction(0)
+    worst = _zero(args)
     for p in pts:
         res = twistor.lax_annihilation_residual(curve, theta, p, params)
         interior = {f"{k[0]}:{k[1]}": v for k, v in res["interior"].items()}
@@ -265,14 +270,14 @@ def cmd_hierarchy_check(args) -> int:
     pairs = [(0, i, 1, j) for i in range(n) for j in range(n)]
     config = {"n": n, "seed": args.seed, "points": args.points, "mode": args.mode}
     records = []
-    worst_identity = Fraction(0)
+    worst_identity = zero = _zero(args)
     for p in pts:
-        point_worst = Fraction(0)
+        point_worst = zero
         res = hierarchy.lax_compat_residual(E, pairs, p)
         for rec in res["pairs"]:
-            ident = max(_abs_max(rec["delta_delta"]), _abs_max(rec["mixed"]))
-            equiv = _abs_max(a - b for a, b in
-                             zip(rec["dd_commutator"], rec["residual_hamiltonian_field"]))
+            ident = max(_abs_max(rec["delta_delta"], zero), _abs_max(rec["mixed"], zero))
+            equiv = _abs_max((a - b for a, b in
+                              zip(rec["dd_commutator"], rec["residual_hamiltonian_field"])), zero)
             point_worst = max(point_worst, ident, equiv)
         sato = []
         for A in (0, 1):
@@ -280,7 +285,7 @@ def cmd_hierarchy_check(args) -> int:
                 test = _random_test_field(chart, rng)
                 r = hierarchy.summed_lax_identity_residual(E, A, j, test, p)
                 sato.extend(r.values())
-        point_worst = max(point_worst, _abs_max(sato))
+        point_worst = max(point_worst, _abs_max(sato, zero))
         records.append({"point": p, "identity_max_abs": point_worst})
         worst_identity = max(worst_identity, point_worst)
     rep = reports.build_report("hierarchy-check", config, records, worst_identity,

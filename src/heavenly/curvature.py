@@ -135,10 +135,8 @@ def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = 
 def _riemann_values(gamma: list[list[list[Jet]]]):
     """R^a_{bcd} values from order-1 Christoffel jets."""
     n = len(gamma)
-    units = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
-    # dG[a][b][c][k] = d_k Gamma^a_{bc}: the order-1 Taylor coefficients
-    dG = [[[[gamma[a][b][c].coefficient(u) for u in units] for c in range(n)]
-           for b in range(n)] for a in range(n)]
+    # dG[a][b][c][k] = d_k Gamma^a_{bc}
+    dG = [[[gamma[a][b][c].grad() for c in range(n)] for b in range(n)] for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = []
     for a in range(n):

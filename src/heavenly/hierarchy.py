@@ -106,14 +106,7 @@ def poisson_yx(f: ScalarField, g: ScalarField, p: Point,
     if f.chart != g.chart or f.chart != p.chart:
         raise ValueError("bracket arguments must share the point's chart")
     jf, jg = f.jet(p, 1, params), g.jet(p, 1, params)
-    coords = chart_coords(p.chart)
-    i00, i10 = coords.index("x00"), coords.index("x10")
-    n = len(coords)
-
-    def d(j, axis):
-        return j.derivative(tuple(1 if i == axis else 0 for i in range(n)))
-
-    return d(jf, i00) * d(jg, i10) - d(jf, i10) * d(jg, i00)
+    return jf.d("x00") * jg.d("x10") - jf.d("x10") * jg.d("x00")
 
 
 def _pb_expr(f: Expr, g: Expr) -> Expr:
@@ -248,18 +241,13 @@ def summed_lax_identity_residual(E: ExtendedPotential, A: int, j: int, test: Sca
     if not (1 <= j <= E.n):
         raise IndexError("truncation level out of range")
     coords = chart_coords(E.chart)
-    n = len(coords)
-    jet = test.jet(p, 1, params)
-
-    def dtest(axis: int) -> Number:
-        return jet.derivative(tuple(1 if k == axis else 0 for k in range(n)))
-
+    dtest = test.jet(p, 1, params).grad()
     # LHS per order: -sum_{i=0..j-1} lam^i (delta_{Ai} - lam D_{Ai+1}) (test)
     lhs: dict[int, Number] = {}
     for i in range(j):
-        dval = sum(c.value(p, params) * dtest(ax)
+        dval = sum(c.value(p, params) * dtest[ax]
                    for ax, c in enumerate(d_flow_field(E, A, i)) if not c.is_zero())
-        delv = dtest(coords.index(coord_name(A, i)))
+        delv = dtest[coords.index(coord_name(A, i))]
         lhs[i] = lhs.get(i, 0) - delv
         lhs[i + 1] = lhs.get(i + 1, 0) + dval
     # RHS per order
@@ -268,12 +256,9 @@ def summed_lax_identity_residual(E: ExtendedPotential, A: int, j: int, test: Sca
     rhs: dict[int, Number] = {}
     i00, i10 = coords.index("x00"), coords.index("x10")
     for m in range(0, j + 1):
-        cf = lowered.coefficient(m)
-        cj = cf.jet(p, 1, params)
-        d00 = cj.derivative(tuple(1 if k == i00 else 0 for k in range(n)))
-        d10 = cj.derivative(tuple(1 if k == i10 else 0 for k in range(n)))
-        rhs[m] = rhs.get(m, 0) + d00 * dtest(i10) - d10 * dtest(i00)
-    rhs[j] = rhs.get(j, 0) + dtest(coords.index(coord_name(A, j)))
+        cj = lowered.coefficient(m).jet(p, 1, params)
+        rhs[m] = rhs.get(m, 0) + cj.d("x00") * dtest[i10] - cj.d("x10") * dtest[i00]
+    rhs[j] = rhs.get(j, 0) + dtest[coords.index(coord_name(A, j))]
     return {m: lhs.get(m, 0) - rhs.get(m, 0) for m in range(0, j + 1)}
 
 
@@ -297,24 +282,19 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
         lowered_coeffs = list(truncated_omega(E, j)[0].coeffs)
     out = {}
     coords = chart_coords(E.chart)
-    n = len(coords)
     for Aname, series in (("omega0", om[0]), ("omega1", om[1])):
         orders: dict[int, Number] = {}
-        jets = [c.jet(p, 1, params) for c in series.coeffs]
-        low_jets = [c.jet(p, 1, params) for c in lowered_coeffs]
+        grads = [c.jet(p, 1, params).grad() for c in series.coeffs]
+        low_grads = [c.jet(p, 1, params).grad() for c in lowered_coeffs]
         i00, i10 = coords.index("x00"), coords.index("x10")
         iBj = coords.index(coord_name(B, j))
-
-        def dj(jet, axis):
-            return jet.derivative(tuple(1 if k == axis else 0 for k in range(n)))
-
         # term lam^j d_{Bj} omega^A: order r+j from coefficient r
-        for r, jet in enumerate(jets):
-            orders[r + j] = orders.get(r + j, 0) + dj(jet, iBj)
+        for r, g in enumerate(grads):
+            orders[r + j] = orders.get(r + j, 0) + g[iBj]
         # term {omega_{Bj}, omega^A}: order r+m from (m, r)
-        for m, lj in enumerate(low_jets):
-            for r, jet in enumerate(jets):
-                val = dj(lj, i00) * dj(jet, i10) - dj(lj, i10) * dj(jet, i00)
+        for m, lg in enumerate(low_grads):
+            for r, g in enumerate(grads):
+                val = lg[i00] * g[i10] - lg[i10] * g[i00]
                 orders[m + r] = orders.get(m + r, 0) + val
         # remove the inessential constant {-x_{B0}, -x^{A0}} at order zero
         A = 0 if Aname == "omega0" else 1

@@ -5,7 +5,9 @@ their partial derivatives at rational points.  Fields are rational-function
 expression trees over the coordinates of a chart (plus the free parameter
 ``sigma``); evaluation propagates truncated multivariate Taylor polynomials
 ("jets") through the tree, so derivatives come out exact when the inputs are
-exact rationals.  A second, independent route — symbolic differentiation of
+exact rationals.  The tree walk itself is :func:`fold`, which evaluates a tree
+in any ring (jets here, rational functions of the fibre coordinate in the
+residue transform).  A second, independent route — symbolic differentiation of
 the expression tree followed by plain evaluation — is provided by
 :func:`partial` and is used to cross-check the jet route.
 
@@ -25,9 +27,10 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Mapping, TypeVar, Union
 
 Number = Union[Fraction, float]
+_Ring = TypeVar("_Ring")
 
 DEFAULT_ORDER = 4
 MAX_ORDER = 6
@@ -480,20 +483,6 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # jets
 
-def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], order, nvars)
-    return out
-
-
 def _alpha_factorial(alpha: tuple[int, ...]) -> int:
     f = 1
     for a in alpha:
@@ -556,6 +545,20 @@ class Jet:
         if sum(alpha) > self.order:
             raise ValueError(f"jet of order {self.order} has no |alpha|={sum(alpha)} data")
         return self.coefficient(alpha) * _alpha_factorial(tuple(alpha))
+
+    def d(self, *names: str) -> Number:
+        """The derivative by coordinate names of the chart: ``d("x", "w")`` is d_x d_w f."""
+        coords = chart_coords(self.center.chart)
+        alpha = [0] * len(coords)
+        for name in names:
+            alpha[coords.index(name)] += 1
+        return self.derivative(tuple(alpha))
+
+    def grad(self) -> tuple[Number, ...]:
+        """The first partials at the center, in chart order."""
+        n = self.nvars
+        zeros = (0,) * n
+        return tuple(self.derivative(zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n))
 
     def shift(self, alpha: tuple[int, ...]) -> "Jet":
         """Jet of d^alpha f, of order ``self.order - |alpha|``."""
@@ -648,17 +651,42 @@ class Jet:
         return f"Jet(order={self.order}, value={self.value!r}, nterms={len(self.coeffs)})"
 
 
-def jet_arith(kind: str, a: Jet, b: Jet) -> Jet:
-    """Dispatch table form of the jet ring operations."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown jet operation {kind!r}")
+def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
+    """Evaluate an expression tree in any ring.
+
+    ``leaf`` maps each ``Const`` and ``Var`` node to a ring element; the
+    ring's own ``+ - * / **`` and unary minus combine them.  A divisor is
+    evaluated before its dividend, and a ``ZeroDivisionError`` at a ``Div``
+    or a negative ``Pow`` becomes a :class:`PoleError` naming the divisor.
+    """
+
+    def ev(e: Expr) -> _Ring:
+        if isinstance(e, (Const, Var)):
+            return leaf(e)
+        if isinstance(e, Add):
+            return ev(e.a) + ev(e.b)
+        if isinstance(e, Sub):
+            return ev(e.a) - ev(e.b)
+        if isinstance(e, Mul):
+            return ev(e.a) * ev(e.b)
+        if isinstance(e, Div):
+            den = ev(e.b)
+            num = ev(e.a)
+            try:
+                return num / den
+            except ZeroDivisionError:
+                raise PoleError(to_text(e.b)) from None
+        if isinstance(e, Pow):
+            base = ev(e.base)
+            try:
+                return base ** e.exponent
+            except ZeroDivisionError:
+                raise PoleError(to_text(e.base)) from None
+        if isinstance(e, Neg):
+            return -ev(e.a)
+        raise TypeError(type(e))
+
+    return ev(e)
 
 
 def jet_of(expr: Expr, p: Point, order: int = DEFAULT_ORDER,
@@ -668,45 +696,19 @@ def jet_of(expr: Expr, p: Point, order: int = DEFAULT_ORDER,
     ``params`` binds non-coordinate symbols (``sigma``) to values; they enter
     as constants, not as jet variables.
     """
-    coords = chart_coords(p.chart)
-    index = {name: i for i, name in enumerate(coords)}
+    index = {name: i for i, name in enumerate(chart_coords(p.chart))}
     params = params or {}
 
-    def ev(e: Expr) -> Jet:
+    def leaf(e: Expr) -> Jet:
         if isinstance(e, Const):
             return Jet.constant(e.value, p, order)
-        if isinstance(e, Var):
-            if e.name in index:
-                return Jet.coordinate(index[e.name], p, order)
-            if e.name in params:
-                return Jet.constant(params[e.name], p, order)
-            raise EvaluationError(f"unbound symbol {e.name!r} (missing parameter?)")
-        if isinstance(e, Add):
-            return ev(e.a) + ev(e.b)
-        if isinstance(e, Sub):
-            return ev(e.a) - ev(e.b)
-        if isinstance(e, Mul):
-            return ev(e.a) * ev(e.b)
-        if isinstance(e, Div):
-            den = ev(e.b)
-            if den.value == 0:
-                raise PoleError(to_text(e.b))
-            return ev(e.a) / den
-        if isinstance(e, Pow):
-            base = ev(e.base)
-            if e.exponent < 0 and base.value == 0:
-                raise PoleError(to_text(e.base))
-            return base ** e.exponent
-        if isinstance(e, Neg):
-            return -ev(e.a)
-        raise TypeError(type(e))
+        if e.name in index:
+            return Jet.coordinate(index[e.name], p, order)
+        if e.name in params:
+            return Jet.constant(params[e.name], p, order)
+        raise EvaluationError(f"unbound symbol {e.name!r} (missing parameter?)")
 
-    return ev(expr)
-
-
-def value_of(expr: Expr, p: Point, params: Mapping[str, Number] | None = None) -> Number:
-    """Plain evaluation (order-0 jet)."""
-    return jet_of(expr, p, 0, params).value
+    return fold(expr, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -764,24 +766,3 @@ def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:
         for _ in range(k):
             e = diff(e, var)
     return ScalarField(field.chart, e)
-
-
-def field_partials(field: ScalarField, p: Point, order: int,
-                   params: Mapping[str, Number] | None = None) -> Callable[..., Number]:
-    """Evaluate one jet and return a lookup ``d(name, name, ...) -> derivative value``."""
-    coords = chart_coords(field.chart)
-    index = {name: i for i, name in enumerate(coords)}
-    jet = field.jet(p, order, params)
-
-    def d(*names: str) -> Number:
-        alpha = [0] * len(coords)
-        for nm in names:
-            alpha[index[nm]] += 1
-        return jet.derivative(tuple(alpha))
-
-    return d
-
-
-def multi_indices(nvars: int, max_order: int) -> Iterator[tuple[int, ...]]:
-    for k in range(max_order + 1):
-        yield from _multi_indices(nvars, k)

@@ -1,9 +1,14 @@
-"""Exact multivariate polynomials over the rationals.
+"""Exact polynomials over the rationals.
 
 The recursion operator on the flat background, the twistor series solver and
 the boundary symplectic pairing all need ring operations, antiderivatives and
-box integrals that stay exact; this is a minimal dense-free (dict keyed by
-exponent tuples) implementation specialised to those needs.
+box integrals that stay exact; :class:`Poly` is a minimal dense-free (dict
+keyed by exponent tuples) implementation specialised to those needs.
+
+Univariate polynomials (the sigma-coefficient tables of the curved chain and
+the numerators and denominators of the residue transform) are plain tuples of
+rationals in ascending powers, trimmed of trailing zeros, with the ``uni_*``
+functions below as their arithmetic.
 """
 
 from __future__ import annotations
@@ -42,38 +47,6 @@ class Poly:
         i = coords.index(name)
         mon = tuple(1 if j == i else 0 for j in range(len(coords)))
         return Poly(chart, {mon: Fraction(1)})
-
-    @staticmethod
-    def from_expression(e: Expr, chart: str) -> "Poly":
-        """Convert an expression; raises ValueError on any non-polynomial part."""
-        coords = chart_coords(chart)
-        if isinstance(e, jetcore.Const):
-            return Poly.constant(e.value, chart)
-        if isinstance(e, jetcore.Var):
-            if e.name not in coords:
-                raise ValueError(f"symbol {e.name!r} is not polynomial data on {chart!r}")
-            return Poly.coordinate(e.name, chart)
-        if isinstance(e, jetcore.Add):
-            return Poly.from_expression(e.a, chart) + Poly.from_expression(e.b, chart)
-        if isinstance(e, jetcore.Sub):
-            return Poly.from_expression(e.a, chart) - Poly.from_expression(e.b, chart)
-        if isinstance(e, jetcore.Mul):
-            return Poly.from_expression(e.a, chart) * Poly.from_expression(e.b, chart)
-        if isinstance(e, jetcore.Div):
-            den = Poly.from_expression(e.b, chart)
-            if not den.is_constant():
-                raise ValueError("division by a non-constant is not polynomial")
-            return Poly.from_expression(e.a, chart).scale(Fraction(1) / den.constant_value())
-        if isinstance(e, jetcore.Pow):
-            if e.exponent < 0:
-                base = Poly.from_expression(e.base, chart)
-                if not base.is_constant():
-                    raise ValueError("negative power of a non-constant is not polynomial")
-                return Poly.constant(base.constant_value() ** e.exponent, chart)
-            return Poly.from_expression(e.base, chart) ** e.exponent
-        if isinstance(e, jetcore.Neg):
-            return -Poly.from_expression(e.a, chart)
-        raise TypeError(type(e))
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
@@ -163,9 +136,6 @@ class Poly:
         n = len(chart_coords(self.chart))
         return self.terms.get((0,) * n, Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def depends_on(self, name: str) -> bool:
         i = self._axis(name)
         return any(m[i] for m in self.terms)
@@ -194,3 +164,76 @@ class Poly:
 
     def __str__(self):
         return str(self.to_field())
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials
+
+UniPoly = tuple[Fraction, ...]  # coefficient of t^k at index k; the zero polynomial is ()
+
+
+def _trimmed(coeffs: list) -> UniPoly:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def uni(coeffs) -> UniPoly:
+    """A univariate polynomial from any coefficient sequence in ascending powers."""
+    return _trimmed([Fraction(c) for c in coeffs])
+
+
+def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
+    out = list(a) + [Fraction(0)] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trimmed(out)
+
+
+def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def uni_scale(a: UniPoly, c: Fraction) -> UniPoly:
+    return _trimmed([c * x for x in a])
+
+
+def uni_eval(a: UniPoly, x: Fraction) -> Fraction:
+    """Horner evaluation."""
+    v = Fraction(0)
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def uni_shift(a: UniPoly, c: Fraction) -> UniPoly:
+    """Coefficients of a(c + t) as a polynomial in t (Horner-style Taylor shift)."""
+    out: list[Fraction] = []
+    for coeff in reversed(a):
+        # out <- out * (c + t) + coeff
+        new = [Fraction(0)] * (len(out) + 1)
+        for i, v in enumerate(out):
+            new[i] += c * v
+            new[i + 1] += v
+        new[0] += coeff
+        out = new
+    return _trimmed(out)
+
+
+def uni_expr(a: UniPoly, var: str) -> Expr:
+    """The polynomial as an expression in the symbol ``var``."""
+    e: Expr = jetcore.ZERO
+    for k, c in enumerate(a):
+        if c == 0:
+            continue
+        term: Expr = jetcore.const(c)
+        if k:
+            term = jetcore.mul(term, jetcore.pow_(jetcore.Var(var), k))
+        e = jetcore.add(e, term)
+    return e

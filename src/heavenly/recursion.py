@@ -44,7 +44,7 @@ from .jetcore import (
     pow_,
     sub,
 )
-from .polynomials import Poly
+from .polynomials import Poly, UniPoly, uni, uni_add, uni_eval, uni_expr, uni_mul
 from .tetrads import SECOND, SecondPotential, linearized_second_residual
 
 W, Z, X, Y = Var("w"), Var("z"), Var("x"), Var("y")
@@ -92,69 +92,19 @@ def recursion_power_poly(phi: Poly, k: int) -> Poly:
 # ---------------------------------------------------------------------------
 # sigma-polynomial coefficient tables
 
-SigmaPoly = tuple[Fraction, ...]  # coefficient of sigma^k at index k
-
-
-def _sp_zero() -> SigmaPoly:
-    return ()
-
-
-def _sp_const(c) -> SigmaPoly:
-    c = Fraction(c)
-    return (c,) if c else ()
-
-
-def _sp_add(a: SigmaPoly, b: SigmaPoly) -> SigmaPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _sp_scale_sigma(a: SigmaPoly, c: Fraction) -> SigmaPoly:
-    """Multiply by c*sigma."""
-    if not a or c == 0:
-        return ()
-    return (Fraction(0),) + tuple(c * v for v in a)
-
-
-def _sp_eval(a: SigmaPoly, sigma: Fraction) -> Fraction:
-    v = Fraction(0)
-    for c in reversed(a):
-        v = v * sigma + c
-    return v
-
-
-def _sp_expr(a: SigmaPoly) -> Expr:
-    e: Expr = ZERO
-    for k, c in enumerate(a):
-        if c == 0:
-            continue
-        term: Expr = const(c)
-        if k:
-            term = mul(term, pow_(Var("sigma"), k))
-        e = add(e, term)
-    return e
-
-
 class CoeffTable:
     """Triangular tables for the curved chain and the curve coefficients.
 
-    Entries are polynomials in sigma; one table serves every numeric sigma,
-    and the sigma=0 specialisation is exact.  Seeds: row 1 is (1, 0) for
-    both tables; out-of-range column indices mean zero.  Rows are built on
-    demand, so any row n >= 1 can be looked up.
+    Entries are polynomials in sigma (``UniPoly`` tuples); one table serves
+    every numeric sigma, and the sigma=0 specialisation is exact.  Seeds: row
+    1 is (1, 0) for both tables; out-of-range column indices mean zero.  Rows
+    are built on demand, so any row n >= 1 can be looked up.
     """
 
     def __init__(self):
         self.rows = 1
-        self._a: dict[tuple[int, int], SigmaPoly] = {(1, 0): _sp_const(1), (1, 1): _sp_zero()}
-        self._b: dict[tuple[int, int], SigmaPoly] = {(1, 0): _sp_const(1), (1, 1): _sp_zero()}
+        self._a: dict[tuple[int, int], UniPoly] = {(1, 0): uni((1,)), (1, 1): ()}
+        self._b: dict[tuple[int, int], UniPoly] = {(1, 0): uni((1,)), (1, 1): ()}
 
     def _extend(self, rows: int) -> None:
         for n in range(self.rows, rows):
@@ -164,42 +114,41 @@ class CoeffTable:
             self.rows = n + 1
 
     @staticmethod
-    def _step(table, n: int, k: int, shift: int) -> SigmaPoly:
-        prev = table.get((n, k - 1), _sp_zero()) if k - 1 >= 0 else _sp_zero()
-        out = prev
+    def _step(table, n: int, k: int, shift: int) -> UniPoly:
+        out = table.get((n, k - 1), ()) if k - 1 >= 0 else ()
         if k + 1 <= n:
             factor = Fraction(-2 * (k + 1), n - k + shift)
-            out = _sp_add(out, _sp_scale_sigma(table[(n, k + 1)], factor))
+            out = uni_add(out, uni_mul(table[(n, k + 1)], (Fraction(0), factor)))
         return out
 
-    def _lookup(self, table, n: int, k: int) -> SigmaPoly:
+    def _lookup(self, table, n: int, k: int) -> UniPoly:
         if k == -1:
-            return _sp_zero()
+            return ()
         if n < 1 or k < 0 or k > n:
             raise IndexError(f"table entry ({n}, {k}) out of range")
         self._extend(n)
         return table[(n, k)]
 
-    def coeff_A(self, n: int, k: int) -> SigmaPoly:
+    def coeff_A(self, n: int, k: int) -> UniPoly:
         return self._lookup(self._a, n, k)
 
-    def coeff_B(self, n: int, k: int) -> SigmaPoly:
+    def coeff_B(self, n: int, k: int) -> UniPoly:
         return self._lookup(self._b, n, k)
 
 
 _TABLE = CoeffTable()
 
 
-def coeff_A(n: int, k: int) -> SigmaPoly:
+def coeff_A(n: int, k: int) -> UniPoly:
     return _TABLE.coeff_A(n, k)
 
 
-def coeff_B(n: int, k: int) -> SigmaPoly:
+def coeff_B(n: int, k: int) -> UniPoly:
     return _TABLE.coeff_B(n, k)
 
 
-def sigma_poly_eval(a: SigmaPoly, sigma) -> Fraction:
-    return _sp_eval(a, Fraction(sigma))
+def sigma_poly_eval(a: UniPoly, sigma) -> Fraction:
+    return uni_eval(a, Fraction(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +181,7 @@ def st_psi(n: int) -> ScalarField:
         a = coeff_A(n, k)
         if not a:
             continue
-        term = _sp_expr(a)
+        term = uni_expr(a, "sigma")
         if k:
             term = mul(term, pow_(div(neg(Y), W), k))
         term = mul(term, pow_(_Q, k - n))
@@ -266,7 +215,7 @@ def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
     params = {"sigma": Fraction(sigma)}
     psi_n, psi_n1 = st_psi(n), st_psi(n + 1)
     rhs_y, rhs_x = st_recursion_rhs(psi_n)
-    worst = Fraction(0)
+    residuals = []
     failures = []
     for p in points:
         r1 = psi_n1.diff("y").value(p, params) - rhs_y.value(p, params)
@@ -274,8 +223,10 @@ def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
         for tag, r in (("d_y relation", r1), ("d_x relation", r2)):
             if r != 0:
                 failures.append({"relation": tag, "point": p, "residual": r})
-            worst = max(worst, abs(r))
+            residuals.append(abs(r))
     mono = _monomial_action_check(sigma, points)
+    # the points' own zero when every residual vanishes (0.0 in float mode)
+    worst = max(residuals, default=Fraction(0))
     return {"n": n, "max_abs_residual": worst, "failures": failures + mono,
             "verdict": "pass" if not failures and not mono else "fail"}
 

@@ -29,7 +29,6 @@ from .jetcore import (
     Point,
     ScalarField,
     add,
-    chart_coords,
     const,
     diff,
     mul,
@@ -134,9 +133,7 @@ class ThreeFormField:
     def exterior_derivative_value(self, p: Point, params=None) -> Number:
         total = 0
         for k, comp in enumerate(self.components):
-            jet = comp.jet(p, 1, params)
-            alpha = tuple(1 if i == k else 0 for i in range(4))
-            term = jet.derivative(alpha)
+            term = comp.jet(p, 1, params).d(COORDS[k])
             total += term if k % 2 == 0 else -term
         return total
 
@@ -241,14 +238,7 @@ def lagrangian_density_second(theta: SecondPotential, p: Point,
                               params: Mapping[str, Number] | None = None) -> Number:
     """(1/3) T {T_x, T_y}_xy - (1/2)(T_x T_w + T_y T_z) evaluated at p."""
     jet = theta.field.jet(p, 2, params)
-    n = 4
-
-    def d(*names):
-        alpha = [0] * n
-        for nm in names:
-            alpha[COORDS.index(nm)] += 1
-        return jet.derivative(tuple(alpha))
-
+    d = jet.d
     t = jet.value
     bracket = d("x", "x") * d("y", "y") - d("x", "y") ** 2
     return (t * bracket) / 3 - (d("x") * d("w") + d("y") * d("z")) / 2
@@ -258,14 +248,7 @@ def lagrangian_density_first(omega: FirstPotential, p: Point,
                              params: Mapping[str, Number] | None = None) -> Number:
     """Omega (1 - (1/3){Omega_zt, Omega_wt}_wz) evaluated at p."""
     jet = omega.field.jet(p, 2, params)
-    coords = chart_coords("first")
-
-    def d(*names):
-        alpha = [0] * 4
-        for nm in names:
-            alpha[coords.index(nm)] += 1
-        return jet.derivative(tuple(alpha))
-
+    d = jet.d
     o = jet.value
     bracket = d("zt", "w") * d("wt", "z") - d("zt", "z") * d("wt", "w")
     return o * (1 - bracket / 3)

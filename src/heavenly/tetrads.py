@@ -98,10 +98,6 @@ SPIN_INDICES = ((0, 0), (0, 1), (1, 0), (1, 1))
 EPS = {(0, 0): 0, (0, 1): 1, (1, 0): -1, (1, 1): 0}
 
 
-def _zero(v: Number) -> bool:
-    return v == 0
-
-
 # ---------------------------------------------------------------------------
 # potentials and residuals
 
@@ -126,39 +122,25 @@ class FirstPotential:
 def second_heavenly_residual(theta: SecondPotential, p: Point,
                              params: Mapping[str, Number] | None = None) -> Number:
     """Theta_xw + Theta_yz + Theta_xx Theta_yy - Theta_xy^2 at p."""
-    d = _second_partials(theta.field, p, params)
+    d = theta.field.jet(p, 2, params).d
     return d("x", "w") + d("y", "z") + d("x", "x") * d("y", "y") - d("x", "y") ** 2
 
 
 def first_heavenly_residual(omega: FirstPotential, p: Point,
                             params: Mapping[str, Number] | None = None) -> Number:
     """Omega_{w zt} Omega_{z wt} - Omega_{w wt} Omega_{z zt} - 1 at p."""
-    d = _second_partials(omega.field, p, params)
+    d = omega.field.jet(p, 2, params).d
     return d("w", "zt") * d("z", "wt") - d("w", "wt") * d("z", "zt") - 1
 
 
 def linearized_second_residual(theta: SecondPotential, delta: ScalarField, p: Point,
                                params: Mapping[str, Number] | None = None) -> Number:
     """Background wave operator of the second equation applied to a perturbation."""
-    dT = _second_partials(theta.field, p, params)
-    dD = _second_partials(delta, p, params)
+    dT = theta.field.jet(p, 2, params).d
+    dD = delta.jet(p, 2, params).d
     return (dD("x", "w") + dD("y", "z")
             + dT("y", "y") * dD("x", "x") + dT("x", "x") * dD("y", "y")
             - 2 * dT("x", "y") * dD("x", "y"))
-
-
-def _second_partials(field: ScalarField, p: Point, params):
-    jet = field.jet(p, 2, params)
-    coords = chart_coords(field.chart)
-    index = {c: i for i, c in enumerate(coords)}
-
-    def d(*names: str) -> Number:
-        alpha = [0] * len(coords)
-        for nm in names:
-            alpha[index[nm]] += 1
-        return jet.derivative(tuple(alpha))
-
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +346,6 @@ def metric_from_tetrad(t: Tetrad) -> MetricField:
     return MetricField(t.chart, tuple(tuple(_sf(t.chart, e) for e in row) for row in comps))
 
 
-def flat_second_metric() -> MetricField:
-    return metric_from_tetrad(tetrad_from_theta(SecondPotential(ScalarField.constant(0, SECOND))))
-
-
 # ---------------------------------------------------------------------------
 # two-forms and the self-dual triple
 
@@ -413,17 +391,15 @@ class TwoForm:
     def exterior_derivative_values(self, p: Point, params=None) -> dict[tuple[int, int, int], Number]:
         """(d self)_{abc} for a<b<c, evaluated at p from component jets."""
         import itertools
-        coords = chart_coords(self.chart)
-        n = len(coords)
-        jets = {k: f.jet(p, 1, params) for k, f in self.components.items()}
+        n = len(chart_coords(self.chart))
+        grads = {k: f.jet(p, 1, params).grad() for k, f in self.components.items()}
 
         def dcomp(i: int, a: int, b: int) -> Number:
             if a == b:
                 return 0
             key = (a, b) if a < b else (b, a)
             sgn = 1 if a < b else -1
-            alpha = tuple(1 if j == i else 0 for j in range(n))
-            return sgn * jets[key].derivative(alpha)
+            return sgn * grads[key][i]
 
         out = {}
         for (a, b, c) in itertools.combinations(range(n), 3):
@@ -538,22 +514,18 @@ def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:
 def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, ...],
                              p: Point, params=None) -> tuple[Number, ...]:
     """[U, V]^a = U^b d_b V^a - V^b d_b U^a evaluated at p (order-1 jets)."""
-    chart = u[0].chart
-    n = len(chart_coords(chart))
     ju = [f.jet(p, 1, params) for f in u]
     jv = [f.jet(p, 1, params) for f in v]
     uval = [j.value for j in ju]
     vval = [j.value for j in jv]
-
-    def dpartial(j, b):
-        alpha = tuple(1 if i == b else 0 for i in range(n))
-        return j.derivative(alpha)
-
+    du = [j.grad() for j in ju]
+    dv = [j.grad() for j in jv]
+    n = len(ju)
     out = []
     for a in range(n):
         s = 0
         for b in range(n):
-            s += uval[b] * dpartial(jv[a], b) - vval[b] * dpartial(ju[a], b)
+            s += uval[b] * dv[a][b] - vval[b] * du[a][b]
         out.append(s)
     return tuple(out)
 

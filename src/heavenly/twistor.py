@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import jetcore
 from .jetcore import (
-    Div,
+    Const,
+    EvaluationError,
     Expr,
     Number,
     Point,
@@ -32,12 +32,13 @@ from .jetcore import (
     ZERO,
     add,
     div,
+    fold,
     mul,
     neg,
     pow_,
 )
-from .polynomials import Poly
-from .recursion import coeff_B, _sp_expr
+from .polynomials import Poly, uni, uni_add, uni_expr, uni_mul, uni_scale, uni_shift
+from .recursion import coeff_B
 from .tetrads import SECOND, SecondPotential, lax_pair_theta
 
 TWISTOR_CHART = "twistor-function"
@@ -105,7 +106,7 @@ def st_twistor_curve(order: int) -> TwistorCurve:
             b = coeff_B(n, k)
             if not b:
                 continue
-            term = mul(_sp_expr(b), mul(base, pow_(Q, k - n - 1)))
+            term = mul(uni_expr(b, "sigma"), mul(base, pow_(Q, k - n - 1)))
             if k:
                 term = mul(term, pow_(ratio, k))
             e = add(e, term)
@@ -155,15 +156,13 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
 
 
 def _apply_vf(components, field: ScalarField, p: Point, params) -> Number:
-    jet = field.jet(p, 1, params)
-    n = len(jetcore.chart_coords(field.chart))
+    grad = field.jet(p, 1, params).grad()
     total = 0
-    for i, comp in enumerate(components):
+    for comp, d in zip(components, grad):
         cv = comp.value(p, params)
         if cv == 0:
             continue
-        alpha = tuple(1 if j == i else 0 for j in range(n))
-        total += cv * jet.derivative(alpha)
+        total += cv * d
     return total
 
 
@@ -204,42 +203,41 @@ class RatLambda:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: list[Fraction], den: list[Fraction]):
-        self.num = _trim(num)
-        self.den = _trim(den)
+    def __init__(self, num, den):
+        self.num = uni(num)
+        self.den = uni(den)
         if not self.den:
             raise ZeroDivisionError("zero denominator")
 
     @staticmethod
     def constant(c) -> "RatLambda":
-        return RatLambda([Fraction(c)], [Fraction(1)])
+        return RatLambda((c,), (1,))
 
     @staticmethod
     def lam() -> "RatLambda":
-        return RatLambda([Fraction(0), Fraction(1)], [Fraction(1)])
+        return RatLambda((0, 1), (1,))
 
     def __add__(self, o):
-        return RatLambda(_padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-                         _pmul(self.den, o.den))
+        return RatLambda(uni_add(uni_mul(self.num, o.den), uni_mul(o.num, self.den)),
+                         uni_mul(self.den, o.den))
 
     def __sub__(self, o):
         return self + o.scale(-1)
 
     def __mul__(self, o):
-        return RatLambda(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        return RatLambda(uni_mul(self.num, o.num), uni_mul(self.den, o.den))
 
     def __truediv__(self, o):
         if not o.num:
             raise ZeroDivisionError("division by identically zero rational function")
-        return RatLambda(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        return RatLambda(uni_mul(self.num, o.den), uni_mul(self.den, o.num))
 
     def scale(self, c) -> "RatLambda":
-        c = Fraction(c)
-        return RatLambda([c * v for v in self.num], list(self.den))
+        return RatLambda(uni_scale(self.num, Fraction(c)), self.den)
 
     def __pow__(self, k: int):
         if k < 0:
-            return RatLambda(list(self.den), list(self.num)) ** (-k)
+            return RatLambda(self.den, self.num) ** (-k)
         out = RatLambda.constant(1)
         for _ in range(k):
             out = out * self
@@ -247,46 +245,6 @@ class RatLambda:
 
     def __neg__(self):
         return self.scale(-1)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    p = [Fraction(v) for v in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, va in enumerate(a):
-        for j, vb in enumerate(b):
-            out[i + j] += va * vb
-    return out
-
-
-def _peval_shift(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    """Coefficients of p(c + t) as a polynomial in t (Horner-style Taylor shift)."""
-    out: list[Fraction] = []
-    for coeff in reversed(p):
-        # out <- out * (c + t) + coeff
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i] += c * v
-            new[i + 1] += v
-        new[0] += coeff
-        out = new
-    return _trim(out)
 
 
 class PoleNotFoundError(ValueError):
@@ -299,8 +257,8 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     A regular point has residue zero (a small contour around it encloses
     nothing); callers that require an actual pole should check separately.
     """
-    num = _peval_shift(f.num, pole)
-    den = _peval_shift(f.den, pole)
+    num = uni_shift(f.num, pole)
+    den = uni_shift(f.den, pole)
     m = 0
     while m < len(den) and den[m] == 0:
         m += 1
@@ -331,29 +289,6 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     return res
 
 
-def _expr_to_ratlambda(e: Expr, env: dict[str, RatLambda]) -> RatLambda:
-    if isinstance(e, jetcore.Const):
-        return RatLambda.constant(e.value)
-    if isinstance(e, jetcore.Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise jetcore.EvaluationError(f"unbound symbol {e.name!r}") from None
-    if isinstance(e, jetcore.Add):
-        return _expr_to_ratlambda(e.a, env) + _expr_to_ratlambda(e.b, env)
-    if isinstance(e, jetcore.Sub):
-        return _expr_to_ratlambda(e.a, env) - _expr_to_ratlambda(e.b, env)
-    if isinstance(e, jetcore.Mul):
-        return _expr_to_ratlambda(e.a, env) * _expr_to_ratlambda(e.b, env)
-    if isinstance(e, Div):
-        return _expr_to_ratlambda(e.a, env) / _expr_to_ratlambda(e.b, env)
-    if isinstance(e, jetcore.Pow):
-        return _expr_to_ratlambda(e.base, env) ** e.exponent
-    if isinstance(e, jetcore.Neg):
-        return -_expr_to_ratlambda(e.a, env)
-    raise TypeError(type(e))
-
-
 def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
                               params: Mapping[str, Number] | None = None) -> Fraction:
     """Residue of f(lam, mu0, mu1) at the declared pole, on the flat curve at p.
@@ -364,15 +299,18 @@ def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
     if p.chart != SECOND:
         raise ValueError("evaluation point must live on the second-form chart")
     wv, zv, xv, yv = (Fraction(v) for v in p.values)
-    lam = RatLambda.lam()
-    env = {
-        "lam": lam,
-        "mu0": RatLambda([wv, yv], [Fraction(1)]),
-        "mu1": RatLambda([zv, -xv], [Fraction(1)]),
-    }
-    if params:
-        env.update({k: RatLambda.constant(v) for k, v in params.items()})
-    rat = _expr_to_ratlambda(f, env)
+    env = {"lam": RatLambda.lam(), "mu0": RatLambda((wv, yv), (1,)),
+           "mu1": RatLambda((zv, -xv), (1,))}
+    env.update({k: RatLambda.constant(v) for k, v in (params or {}).items()})
+
+    def leaf(e: Expr) -> RatLambda:
+        if isinstance(e, Const):
+            return RatLambda.constant(e.value)
+        if e.name not in env:
+            raise EvaluationError(f"unbound symbol {e.name!r}")
+        return env[e.name]
+
+    rat = fold(f, leaf)
     pole_value = Fraction(ScalarField(SECOND, pole).value(p, params))
     return residue_at(rat, pole_value)
 

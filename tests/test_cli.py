@@ -53,6 +53,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("f", ["1/(lam-lam)", "(lam-lam)^(-1)", "1/(mu0-mu0)"])
+    def test_identically_zero_denominator_is_two(self, f, capsys):
+        code, out = run(["penrose", "--f", f, "--pole=-w/y"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("sigma", ["1/0", "abc"])
     def test_bad_sigma_is_two(self, sigma, capsys):
         for cmd in (["curvature-report", "--background", "sparling-tod"],
@@ -195,3 +203,19 @@ class TestOutputs:
             code, out = run(argv + ["--mode", "float", "--tol", "1e-6"])
             assert code == 0, argv
             assert json.loads(out)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("argv,record_field", [
+        (["curvature-report", "--background", "flat-second", "--points", "1"], None),
+        (["twistor-series", "--background", "flat", "--order", "2", "--points", "1"], None),
+        (["hierarchy-check", "--n", "2", "--points", "2"], "identity_max_abs"),
+        (["recursion-chain", "--background", "st", "--n", "2", "--points", "1"], "step_max_abs"),
+    ])
+    def test_float_maxima_are_floats(self, argv, record_field):
+        # the residuals here vanish (up to rounding); their maxima must stay floats, not "0"
+        code, out = run(argv + ["--mode", "float"])
+        rep = json.loads(out)
+        assert code == 0
+        assert isinstance(rep["max_abs_residual"], float)
+        if record_field:
+            found = [r[record_field] for r in rep["records"] if record_field in r]
+            assert found and all(isinstance(v, float) for v in found)

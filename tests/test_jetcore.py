@@ -1,23 +1,36 @@
 """Expression parsing and jet arithmetic against independent oracles."""
 
+import operator
 from fractions import Fraction as F
+from itertools import product
+from math import factorial, prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
+from heavenly import twistor
 from heavenly.jetcore import (
+    Add,
     Const,
+    Div,
+    Mul,
+    Neg,
     ParseError,
     Point,
     PoleError,
+    Pow,
     ScalarField,
-    jet_arith,
+    Sub,
+    Var,
     jet_of,
     parse_expression,
     partial,
     point,
     to_text,
 )
+from heavenly.polynomials import uni_eval
 
 
 def P(*vals):
@@ -103,7 +116,7 @@ class TestJetArith:
         p = P(2, 1, 1, 3)
         a = jet_of(e, p, 4)
         b = jet_of(parse_expression("1/(w^2*x+z)", "second"), p, 4)
-        prod = jet_arith("mul", a, b)
+        prod = a * b
         assert prod.coeffs == {(0, 0, 0, 0): F(1)}
 
     def test_add_negate_is_zero(self):
@@ -122,16 +135,16 @@ class TestJetArith:
         a = jet_of(Const(F(1)), P(1, 1, 1, 1), 2)
         b = jet_of(Const(F(1)), P(1, 1, 1, 2), 2)
         with pytest.raises(ValueError):
-            jet_arith("add", a, b)
+            a + b
         c = jet_of(Const(F(1)), P(1, 1, 1, 1), 3)
         with pytest.raises(ValueError):
-            jet_arith("add", a, c)
+            a + c
 
     def test_division_by_zero_valued_jet(self):
         a = jet_of(parse_expression("w", "second"), P(1, 1, 1, 1), 2)
         b = jet_of(parse_expression("w-1", "second"), P(1, 1, 1, 1), 2)
         with pytest.raises(ZeroDivisionError):
-            jet_arith("div", a, b)
+            a / b
 
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
     @settings(max_examples=40, deadline=None)
@@ -148,6 +161,20 @@ class TestJetArith:
                 if all(g >= 0 for g in gamma):
                     conv += cb * b.coefficient(gamma)
             assert prod.coefficient(alpha) == conv
+
+
+class TestDerivativeReadout:
+    def test_d_by_names_and_grad(self):
+        j = jet_of(parse_expression("w^2*x/(z+y^2)", "second"), P(1, 2, 3, 1), 2)
+        assert j.d() == j.value
+        assert j.d("x", "w") == j.d("w", "x") == j.derivative((1, 0, 1, 0)) == F(2, 3)
+        assert j.d("y", "y") == j.derivative((0, 0, 0, 2))
+        assert j.grad() == tuple(j.d(name) for name in ("w", "z", "x", "y"))
+
+    def test_beyond_order_rejected(self):
+        j = jet_of(parse_expression("w*x", "second"), P(1, 2, 3, 1), 1)
+        with pytest.raises(ValueError):
+            j.d("w", "x")
 
 
 class TestPartials:
@@ -227,3 +254,79 @@ class TestOracleConsistency:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             jet_of(Const(F(1)), P(0, 0, 0, 0), 7)
+
+
+# ---------------------------------------------------------------------------
+# random expression trees against independent oracles
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def expr_trees(names, depth=4):
+    """Raw Const/Var/Add/Sub/Mul/Div/Pow/Neg trees of depth <= ``depth`` (no folding)."""
+    leaf = st.one_of(st.integers(-3, 3).map(lambda k: Const(F(k))), st.sampled_from(names).map(Var))
+    if depth == 0:
+        return leaf
+    sub = expr_trees(names, depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(list(_BINARY)), sub, sub).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(sub, st.integers(-2, 2)).map(lambda t: Pow(*t)),
+        sub.map(Neg),
+    )
+
+
+def _to_sympy(e, symbols):
+    if isinstance(e, Const):
+        return sp.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Var):
+        return symbols[e.name]
+    if isinstance(e, Pow):
+        return _to_sympy(e.base, symbols) ** e.exponent
+    if isinstance(e, Neg):
+        return -_to_sympy(e.a, symbols)
+    return _BINARY[type(e)](_to_sympy(e.a, symbols), _to_sympy(e.b, symbols))
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SECOND_NAMES = ("w", "z", "x", "y")
+
+
+class TestFoldOracles:
+    @given(expr_trees(SECOND_NAMES), st.tuples(rationals, rationals, rationals, rationals))
+    @settings(max_examples=60, deadline=None)
+    def test_jets_match_sympy_through_order_two(self, e, values):
+        try:
+            jet = jet_of(e, Point("second", values), 2)
+        except PoleError:
+            assume(False)
+        symbols = {name: sp.Symbol(name) for name in SECOND_NAMES}
+        sym = _to_sympy(e, symbols)
+        at = {symbols[name]: sp.Rational(v.numerator, v.denominator)
+              for name, v in zip(SECOND_NAMES, values)}
+        for alpha in product(range(3), repeat=4):
+            if sum(alpha) > 2:
+                continue
+            args = [a for name, k in zip(SECOND_NAMES, alpha) for a in (symbols[name], k)]
+            expect = F(str(sp.diff(sym, *args).subs(at))) / prod(factorial(k) for k in alpha)
+            assert jet.coefficient(alpha) == expect, (to_text(e), alpha)
+
+    @given(expr_trees(("lam", "mu0", "mu1")), st.tuples(rationals, rationals, rationals, rationals),
+           rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_residue_transform_folds_the_flat_curve(self, f, values, t):
+        w, z, x, y = values
+        seen = []
+        with mock.patch.object(twistor, "residue_at", lambda rat, pole: seen.append(rat) or F(0)):
+            try:
+                twistor.penrose_residue_transform(f, Const(F(0)), Point("second", values))
+            except PoleError:
+                assume(False)
+        (rat,) = seen
+        den = uni_eval(rat.den, t)
+        assume(den != 0)
+        try:
+            expect = jet_of(f, Point("twistor-function", (t, w + t * y, z - t * x)), 0).value
+        except PoleError:
+            assume(False)
+        assert uni_eval(rat.num, t) / den == expect
