@@ -7,6 +7,7 @@ parse or evaluation-domain errors.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,15 +18,18 @@ from .jetcore import (
     EvaluationError,
     ParseError,
     Point,
+    PoleError,
     ScalarField,
+    chart_coords,
     parse_expression,
 )
 from .polynomials import Poly
-from .sampling import float_points, sample_points
+from .sampling import SamplerExhausted, float_points, sample_points
 from .tetrads import (
     SECOND,
     SecondPotential,
     first_heavenly_residual,
+    lax_step_residual,
     metric_from_tetrad,
     second_heavenly_residual,
 )
@@ -88,6 +92,32 @@ def _sample(chart: str, args, exclusions=()) -> list[Point]:
     return pts
 
 
+def _entry_points(entry, profile: str | None, args, params) -> list[Point]:
+    """Sample off the entry's exclusions and, for a metric entry, off its profile's own poles.
+
+    A jet fails only where a divisor is zero-valued, so a point whose order-0
+    jet of the profile evaluates is regular at every order.
+    """
+    exclusions = list(entry.exclusions)
+    if entry.kind == "metric":
+        f = ScalarField.parse(profile, entry.chart)
+
+        def regular(p: Point) -> bool:
+            try:
+                f.jet(p, 0, params)
+            except PoleError:
+                return False
+            return True
+        exclusions.append(regular)
+    return _sample(entry.chart, args, exclusions)
+
+
+def _exact_only(args) -> None:
+    if args.mode == "float":
+        raise ConfigError(f"{args.command} is exact-rational by construction; "
+                          "--mode float is not supported")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -101,14 +131,14 @@ def cmd_verify_solution(args) -> int:
         config["f"] = profile
         tetrad = entry.tetrad(profile)
         metric = metric_from_tetrad(tetrad)
-        pts = _sample(entry.chart, args)
+        pts = _entry_points(entry, profile, args, params)
         result = curvature.verify_asd_vacuum(metric, tetrad, pts, params, args.tol)
         records = [{k: v for k, v in r.items()} for r in result["records"]]
         worst = _abs_max((max(r["ricci_max_abs"], r["sd_weyl_max_abs"]) for r in records),
                          _zero(args))
         rep = reports.build_report("verify-solution", config, records, worst, args.mode, args.tol)
         return _emit(rep, args.out)
-    pts = _sample(entry.chart, args, entry.exclusions)
+    pts = _entry_points(entry, None, args, params)
     records = []
     residuals = []
     if entry.kind == "potential-second":
@@ -133,8 +163,8 @@ def cmd_curvature_report(args) -> int:
     params = _params(entry, args)
     profile = args.f or (entry.expression if entry.kind == "metric" else None)
     tetrad = entry.tetrad(profile)
-    metric = metric_from_tetrad(tetrad) if entry.kind != "metric" else entry.metric(profile)
-    pts = _sample(entry.chart, args, entry.exclusions)
+    metric = metric_from_tetrad(tetrad)
+    pts = _entry_points(entry, profile, args, params)
     config = {"background": entry.name, "params": params, "seed": args.seed,
               "points": args.points, "mode": args.mode}
     if profile:
@@ -181,10 +211,7 @@ def cmd_recursion_chain(args) -> int:
             rec = {"n": n, "expression": str(phi), "wave_max_abs": wave}
             if n > 0:
                 prev = recursion.flat_phi(n - 1)
-                link = []
-                for p in pts:
-                    link.append(phi.diff("y").value(p) - prev.diff("w").value(p))
-                    link.append(phi.diff("x").value(p) + prev.diff("z").value(p))
+                link = [v for p in pts for v in lax_step_residual(flat_theta, prev, phi, p)]
                 rec["link_max_abs"] = _abs_max(link, zero)
                 worst = max(worst, rec["link_max_abs"])
             worst = max(worst, wave)
@@ -240,6 +267,7 @@ def cmd_twistor_series(args) -> int:
 
 
 def cmd_penrose(args) -> int:
+    _exact_only(args)
     try:
         f = parse_expression(args.f, "twistor-function")
         pole = parse_expression(args.pole, "second")
@@ -257,12 +285,11 @@ def cmd_penrose(args) -> int:
 
 
 def cmd_hierarchy_check(args) -> int:
-    import random as _random
     n = args.n
     if n < 1:
         raise ConfigError("hierarchy level must be >= 1")
     chart = hierarchy.extended_chart(n)
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     E = _random_extended_potential(n, rng)
     pts = sample_points(chart, args.seed + 1, args.points)
     if args.mode == "float":
@@ -308,9 +335,8 @@ def _random_extended_potential(n: int, rng) -> hierarchy.ExtendedPotential:
 
 
 def _random_test_field(chart: str, rng) -> ScalarField:
-    from .jetcore import chart_coords as _cc
     poly = Poly.zero(chart)
-    ncoords = len(_cc(chart))
+    ncoords = len(chart_coords(chart))
     for _ in range(5):
         exps = [0] * ncoords
         for _ in range(rng.randint(1, 2)):
@@ -322,8 +348,8 @@ def _random_test_field(chart: str, rng) -> ScalarField:
 
 
 def cmd_symplectic_check(args) -> int:
-    import random as _random
-    rng = _random.Random(args.seed)
+    _exact_only(args)
+    rng = random.Random(args.seed)
     box = symplectic.BoundaryBox.unit()
     big = symplectic.BoundaryBox(Fraction(0), Fraction(2))
     config = {"degree": args.degree, "pairs": args.pairs, "seed": args.seed, "mode": args.mode}
@@ -437,7 +463,7 @@ def main(argv=None) -> int:
             if getattr(args, count, 1) < 1:
                 raise ConfigError(f"--{count} must be at least 1, got {getattr(args, count)}")
         return args.func(args)
-    except (ConfigError, ParseError, EvaluationError, ValueError) as exc:
+    except (ConfigError, ParseError, EvaluationError, ValueError, SamplerExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

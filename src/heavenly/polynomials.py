@@ -129,9 +129,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
-
     def constant_value(self) -> Fraction:
         n = len(chart_coords(self.chart))
         return self.terms.get((0,) * n, Fraction(0))

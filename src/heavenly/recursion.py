@@ -38,6 +38,8 @@ from .jetcore import (
     ZERO,
     add,
     const,
+    diff,
+    div,
     free_vars,
     mul,
     neg,
@@ -45,7 +47,7 @@ from .jetcore import (
     sub,
 )
 from .polynomials import Poly, UniPoly, uni, uni_add, uni_eval, uni_expr, uni_mul
-from .tetrads import SECOND, SecondPotential, linearized_second_residual
+from .tetrads import SECOND, SecondPotential, lax_step_residual, linearized_second_residual
 
 W, Z, X, Y = Var("w"), Var("z"), Var("x"), Var("y")
 
@@ -70,14 +72,22 @@ def flat_wave_poly(phi: Poly) -> Poly:
     return phi.diff("x").diff("w") + phi.diff("y").diff("z")
 
 
-def recursion_step_poly(phi: Poly) -> Poly:
-    """R phi for polynomial phi on the flat background, zero (w,z)-only part."""
+def recursion_step_poly(phi: Poly, theta: Poly | None = None) -> Poly:
+    """R phi for polynomial phi: the zero-(w,z)-part solution of tetrads.lax_step_residual = 0.
+
+    The background is flat unless a polynomial potential ``theta`` is given.
+    """
     if phi.chart != SECOND:
-        raise ValueError("flat recursion acts on the second-form chart")
+        raise ValueError("recursion acts on the second-form chart")
     rhs_x = -phi.diff("z")
     rhs_y = phi.diff("w")
+    if theta is not None:
+        tx, ty = theta.diff("x"), theta.diff("y")
+        txx, tyy, txy = tx.diff("x"), ty.diff("y"), tx.diff("y")
+        rhs_x = rhs_x - txx * phi.diff("y") + txy * phi.diff("x")
+        rhs_y = rhs_y - txy * phi.diff("y") + tyy * phi.diff("x")
     if not (rhs_x.diff("y") - rhs_y.diff("x")).is_zero():
-        raise IntegrabilityError("input is not in the flat wave space")
+        raise IntegrabilityError("input is not in the wave space of the background")
     out = rhs_x.integrate("x") + rhs_y.without("x").integrate("y")
     # construction gives d_x out = rhs_x and d_y out = rhs_y exactly
     return out
@@ -160,20 +170,17 @@ _MYW = neg(Var("y"))
 
 def st_potential() -> SecondPotential:
     """The quadratic-pole potential sigma/(wx+zy) with symbolic sigma."""
-    from .jetcore import div
     return SecondPotential(ScalarField(SECOND, div(Var("sigma"), _Q)))
 
 
 def flat_phi(n: int) -> ScalarField:
     """(-y/w)^n / (wx+zy)."""
-    from .jetcore import div
     e = div(pow_(div(neg(Y), W), n), _Q) if n else div(const(1), _Q)
     return ScalarField(SECOND, e)
 
 
 def st_psi(n: int) -> ScalarField:
     """Chain member sum_k A(n,k) (-y/w)^k (wx+zy)^(k-n), sigma symbolic."""
-    from .jetcore import div
     if n < 1:
         raise IndexError("chain index starts at 1")
     e: Expr = ZERO
@@ -189,23 +196,6 @@ def st_psi(n: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def st_recursion_rhs(field: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """Right-hand sides (for d_y R psi and -d_x R psi) on the curved background."""
-    theta = st_potential().field
-    txx = theta.diff("x").diff("x").expr
-    tyy = theta.diff("y").diff("y").expr
-    txy = theta.diff("x").diff("y").expr
-    f = field.expr
-    rhs_y = add(sub(_d(f, "w"), mul(txy, _d(f, "y"))), mul(tyy, _d(f, "x")))
-    rhs_x = sub(add(_d(f, "z"), mul(txx, _d(f, "y"))), mul(txy, _d(f, "x")))
-    return ScalarField(SECOND, rhs_y), ScalarField(SECOND, rhs_x)
-
-
-def _d(e: Expr, v: str) -> Expr:
-    from .jetcore import diff
-    return diff(e, v)
-
-
 def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
     """Check both curved recursion relations between chain members n and n+1.
 
@@ -213,14 +203,12 @@ def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
     generate the table (for the exponents that occur in the chain).
     """
     params = {"sigma": Fraction(sigma)}
-    psi_n, psi_n1 = st_psi(n), st_psi(n + 1)
-    rhs_y, rhs_x = st_recursion_rhs(psi_n)
+    theta, psi_n, psi_n1 = st_potential(), st_psi(n), st_psi(n + 1)
     residuals = []
     failures = []
     for p in points:
-        r1 = psi_n1.diff("y").value(p, params) - rhs_y.value(p, params)
-        r2 = -psi_n1.diff("x").value(p, params) - rhs_x.value(p, params)
-        for tag, r in (("d_y relation", r1), ("d_x relation", r2)):
+        r1, r2 = lax_step_residual(theta, psi_n, psi_n1, p, params)
+        for tag, r in (("d_y relation", r1), ("d_x relation", -r2)):
             if r != 0:
                 failures.append({"relation": tag, "point": p, "residual": r})
             residuals.append(abs(r))
@@ -239,7 +227,6 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
     operator statement it only makes sense on the wave space, which the
     single monomials enter only for k in {0, 1} at j = -1.
     """
-    from .jetcore import div
     if j == 2:
         raise ValueError("tail coefficient undefined at j = 2")
     myw = div(neg(Y), W)
@@ -253,17 +240,15 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
 
 def _monomial_action_check(sigma, points: Sequence[Point]) -> list:
     """Differential check of the formal monomial image on its integrable cases."""
-    from .jetcore import div
     params = {"sigma": Fraction(sigma)}
+    theta = st_potential()
     failures = []
     for (k, j) in ((0, -1), (1, -1)):
         myw = div(neg(Y), W)
-        f = mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j)
-        rhs_y, rhs_x = st_recursion_rhs(ScalarField(SECOND, f))
+        f = ScalarField(SECOND, mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j))
         Rf_field = monomial_recursion_image(k, j)
         for p in points:
-            r1 = Rf_field.diff("y").value(p, params) - rhs_y.value(p, params)
-            r2 = -Rf_field.diff("x").value(p, params) - rhs_x.value(p, params)
+            r1, r2 = lax_step_residual(theta, f, Rf_field, p, params)
             if r1 != 0 or r2 != 0:
                 failures.append({"relation": f"monomial k={k} j={j}", "point": p,
                                  "residual": max(abs(r1), abs(r2))})
@@ -272,7 +257,6 @@ def _monomial_action_check(sigma, points: Sequence[Point]) -> list:
 
 def formal_step_consistency(n: int, sigma, points: Sequence[Point]) -> Fraction:
     """Max |termwise formal image of psi_n minus psi_{n+1}| over the points."""
-    from .jetcore import div
     params = {"sigma": Fraction(sigma)}
     worst = Fraction(0)
     for p in points:
@@ -321,11 +305,12 @@ def gauge_symmetry_perturbation(F: ScalarField, G0: ScalarField, G1: ScalarField
     for name, f in (("F", F), ("G0", G0), ("G1", G1), ("g", g), ("h", h)):
         _require_wz_only(name, f)
     T = theta.field.expr
-    gww, gwz, gzz = _d(_d(g.expr, "w"), "w"), _d(_d(g.expr, "w"), "z"), _d(_d(g.expr, "z"), "z")
-    hw, hz = _d(h.expr, "w"), _d(h.expr, "z")
-    hww, hwz, hzz = _d(hw, "w"), _d(hw, "z"), _d(hz, "z")
-    hwww, hwwz, hwzz, hzzz = _d(hww, "w"), _d(hww, "z"), _d(hwz, "z"), _d(hzz, "z")
-    Tx, Ty, Tw, Tz = _d(T, "x"), _d(T, "y"), _d(T, "w"), _d(T, "z")
+    gw, gz = diff(g.expr, "w"), diff(g.expr, "z")
+    gww, gwz, gzz = diff(gw, "w"), diff(gw, "z"), diff(gz, "z")
+    hw, hz = diff(h.expr, "w"), diff(h.expr, "z")
+    hww, hwz, hzz = diff(hw, "w"), diff(hw, "z"), diff(hz, "z")
+    hwww, hwwz, hwzz, hzzz = diff(hww, "w"), diff(hww, "z"), diff(hwz, "z"), diff(hzz, "z")
+    Tx, Ty, Tw, Tz = diff(T, "x"), diff(T, "y"), diff(T, "w"), diff(T, "z")
     half = const(Fraction(1, 2))
     sixth = const(Fraction(1, 6))
 
@@ -335,8 +320,8 @@ def gauge_symmetry_perturbation(F: ScalarField, G0: ScalarField, G1: ScalarField
     e = add(e, mul(half, mul(gzz, pow_(X, 2))))
     e = sub(e, mul(gwz, mul(X, Y)))
     e = add(e, mul(half, mul(gww, pow_(Y, 2))))
-    e = sub(e, mul(_d(g.expr, "w"), Tx))
-    e = sub(e, mul(_d(g.expr, "z"), Ty))
+    e = sub(e, mul(gw, Tx))
+    e = sub(e, mul(gz, Ty))
     # cubic tail and transport of the upper generator
     e = sub(e, mul(sixth, mul(hzzz, pow_(X, 3))))
     e = add(e, mul(half, mul(hwzz, mul(pow_(X, 2), Y))))

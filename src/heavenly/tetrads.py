@@ -70,6 +70,7 @@ Self-dual two-form triple, normalised so that omega ^ omega = -2 nu:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -84,6 +85,8 @@ from .jetcore import (
     chart_coords,
     const,
     diff,
+    div,
+    free_vars,
     mul,
     neg,
     sub,
@@ -188,7 +191,6 @@ _PERMUTATIONS4 = []
 
 
 def _init_permutations():
-    import itertools
     for perm in itertools.permutations(range(4)):
         sign = 1
         seen = [False] * 4
@@ -263,11 +265,10 @@ def tetrad_from_omega(omega: FirstPotential) -> Tetrad:
     b11, b12 = h[("w", "zt")], neg(h[("w", "wt")])
     b21, b22 = h[("z", "zt")], neg(h[("z", "wt")])
     blockdet = sub(mul(b11, b22), mul(b12, b21))  # = -det(Hessian block) up to sign
-    from .jetcore import div as ediv
     try:
         inv = {
-            (0, 0): ediv(b22, blockdet), (0, 1): ediv(neg(b21), blockdet),
-            (1, 0): ediv(neg(b12), blockdet), (1, 1): ediv(b11, blockdet),
+            (0, 0): div(b22, blockdet), (0, 1): div(neg(b21), blockdet),
+            (1, 0): div(neg(b12), blockdet), (1, 1): div(b11, blockdet),
         }
     except ZeroDivisionError:
         raise DegenerateHessianError("mixed Hessian block is identically singular") from None
@@ -286,7 +287,7 @@ def plane_wave_tetrad(f: ScalarField) -> Tetrad:
     """Tetrad for 2 dw dq + 2 dz dp + f(q, z) dz^2 on the chart (w, z, q, p)."""
     if f.chart != PLANE_WAVE:
         raise ValueError("profile must live on the plane-wave chart")
-    extra = {v for v in _free(f) if v not in ("q", "z")}
+    extra = {v for v in free_vars(f.expr) if v not in ("q", "z")}
     if extra:
         raise ValueError(f"profile must depend on (q, z) only, found {sorted(extra)}")
     c = PLANE_WAVE
@@ -307,11 +308,6 @@ def plane_wave_tetrad(f: ScalarField) -> Tetrad:
     return Tetrad(c,
                   {k: tuple(_sf(c, e) for e in v) for k, v in frame.items()},
                   {k: tuple(_sf(c, e) for e in v) for k, v in coframe.items()})
-
-
-def _free(f: ScalarField):
-    from .jetcore import free_vars
-    return free_vars(f.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +376,6 @@ class TwoForm:
         if n != 4:
             raise ValueError("wedge to a volume form needs a 4-coordinate chart")
         e = ZERO
-        import itertools
         for (a, b) in itertools.combinations(range(4), 2):
             c, d = tuple(i for i in range(4) if i not in (a, b))
             sign = _perm_sign((a, b, c, d))
@@ -390,7 +385,6 @@ class TwoForm:
 
     def exterior_derivative_values(self, p: Point, params=None) -> dict[tuple[int, int, int], Number]:
         """(d self)_{abc} for a<b<c, evaluated at p from component jets."""
-        import itertools
         n = len(chart_coords(self.chart))
         grads = {k: f.jet(p, 1, params).grad() for k, f in self.components.items()}
 
@@ -494,6 +488,22 @@ def lax_pair_theta(theta: SecondPotential, lam) -> LaxPair:
     return LaxPair(c, Fraction(lam),
                    (tuple(_sf(c, e) for e in const0), tuple(_sf(c, e) for e in const1)),
                    (tuple(_sf(c, e) for e in lin0), tuple(_sf(c, e) for e in lin1)))
+
+
+def lax_step_residual(theta: SecondPotential, phi: ScalarField, r_phi: ScalarField, p: Point,
+                      params: Mapping[str, Number] | None = None) -> tuple[Number, Number]:
+    """The recursion relation between phi and R phi at p, read off jets.
+
+    Returns (d_y Rphi - (d_w - T_xy d_y + T_yy d_x) phi,
+             d_x Rphi + (d_z + T_xx d_y - T_xy d_x) phi), the lam^1 coefficients
+    of L_0 and L_1 of lax_pair_theta applied to phi + lam R phi.
+    """
+    dT = theta.field.jet(p, 2, params).d
+    txx, tyy, txy = dT("x", "x"), dT("y", "y"), dT("x", "y")
+    f = phi.jet(p, 1, params).d
+    r = r_phi.jet(p, 1, params).d
+    return (r("y") - (f("w") - txy * f("y") + tyy * f("x")),
+            r("x") + (f("z") + txx * f("y") - txy * f("x")))
 
 
 def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:

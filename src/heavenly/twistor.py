@@ -38,8 +38,8 @@ from .jetcore import (
     pow_,
 )
 from .polynomials import Poly, uni, uni_add, uni_expr, uni_mul, uni_scale, uni_shift
-from .recursion import coeff_B
-from .tetrads import SECOND, SecondPotential, lax_pair_theta
+from .recursion import coeff_B, recursion_step_poly
+from .tetrads import SECOND, SecondPotential, lax_step_residual
 
 TWISTOR_CHART = "twistor-function"
 
@@ -127,43 +127,22 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
                               params: Mapping[str, Number] | None = None) -> dict:
     """Expand L_A(mu^B) in powers of lam at p.
 
+    The lam^r coefficient of L_A(mu^B) is recursion relation A of
+    tetrads.lax_step_residual between the curve coefficients r-1 and r.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
-    pair = lax_pair_theta(theta, 0)
-    # constant and linear parts of L_A as vector-field component tuples
-    out = {}
+    out: dict[tuple[int, str], dict[int, Number]] = {
+        (A, B): {} for A in (0, 1) for B in ("mu0", "mu1")}
     N = curve.order
-    for A in (0, 1):
-        cpart = pair.constant[A]
-        lpart = pair.linear[A]
-        for Bname, series in (("mu0", curve.mu0), ("mu1", curve.mu1)):
-            orders: dict[int, Number] = {}
-            for r in range(series.min_deg, series.max_deg + 2):
-                val = 0
-                cr = series.coefficient(r)
-                if not cr.is_zero():
-                    val = val + _apply_vf(cpart, cr, p, params)
-                cr1 = series.coefficient(r - 1)
-                if not cr1.is_zero():
-                    val = val + _apply_vf(lpart, cr1, p, params)
-                orders[r] = val
-            out[(A, Bname)] = orders
+    for B, series in (("mu0", curve.mu0), ("mu1", curve.mu1)):
+        for r in range(series.min_deg, series.max_deg + 2):
+            out[(0, B)][r], out[(1, B)][r] = lax_step_residual(
+                theta, series.coefficient(r - 1), series.coefficient(r), p, params)
     interior = {k: {r: v for r, v in d.items() if r <= N - 1} for k, d in out.items()}
     top = {k: {r: v for r, v in d.items() if r > N - 1} for k, d in out.items()}
     worst = max((abs(v) for d in interior.values() for v in d.values()), default=Fraction(0))
     return {"interior": interior, "top": top, "max_abs_interior": worst}
-
-
-def _apply_vf(components, field: ScalarField, p: Point, params) -> Number:
-    grad = field.jet(p, 1, params).grad()
-    total = 0
-    for comp, d in zip(components, grad):
-        cv = comp.value(p, params)
-        if cv == 0:
-            continue
-        total += cv * d
-    return total
 
 
 def series_solve_omega(theta_poly: Poly, order: int) -> TwistorCurve:
@@ -174,22 +153,11 @@ def series_solve_omega(theta_poly: Poly, order: int) -> TwistorCurve:
     """
     if theta_poly.chart != SECOND:
         raise ValueError("potential must live on the second-form chart")
-    txx = theta_poly.diff("x").diff("x")
-    tyy = theta_poly.diff("y").diff("y")
-    txy = theta_poly.diff("x").diff("y")
-
-    def curved_step(phi: Poly) -> Poly:
-        rhs_y = phi.diff("w") - txy * phi.diff("y") + tyy * phi.diff("x")
-        rhs_x = -(phi.diff("z") + txx * phi.diff("y") - txy * phi.diff("x"))
-        if not (rhs_x.diff("y") - rhs_y.diff("x")).is_zero():
-            raise ValueError("recursion relations are not integrable for this input")
-        return rhs_x.integrate("x") + rhs_y.without("x").integrate("y")
-
     rows = []
     for seed_name in ("w", "z"):
         coeffs = [Poly.coordinate(seed_name, SECOND)]
         for _ in range(order):
-            coeffs.append(curved_step(coeffs[-1]))
+            coeffs.append(recursion_step_poly(coeffs[-1], theta_poly))
         rows.append(tuple(c.to_field() for c in coeffs))
     return TwistorCurve("series", LambdaSeries(SECOND, 0, rows[0]),
                         LambdaSeries(SECOND, 0, rows[1]))
@@ -245,10 +213,6 @@ class RatLambda:
 
     def __neg__(self):
         return self.scale(-1)
-
-
-class PoleNotFoundError(ValueError):
-    pass
 
 
 def residue_at(f: RatLambda, pole: Fraction) -> Fraction:

@@ -61,6 +61,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["penrose", "--f", "1/(lam*mu0)", "--pole=-w/y", "--points", "1"],
+        ["symplectic-check", "--pairs", "1", "--degree", "2"],
+    ])
+    def test_exact_only_suites_reject_float(self, argv, capsys):
+        code, out = run(argv + ["--mode", "float"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out = run(argv)
+        assert code == 0
+        assert json.loads(out)["config"]["mode"] == "exact"
+
+    @pytest.mark.parametrize("cmd", ["verify-solution", "curvature-report"])
+    def test_profile_singular_everywhere_is_two(self, cmd, capsys):
+        code, out = run([cmd, "--background", "plane-wave", "--f", "1/(q-q)"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("sigma", ["1/0", "abc"])
     def test_bad_sigma_is_two(self, sigma, capsys):
         for cmd in (["curvature-report", "--background", "sparling-tod"],
@@ -166,6 +188,25 @@ class TestOutputs:
         assert [r["n"] for r in rep["records"]] == list(range(1, 14))
         assert rep["verdict"] == "pass"
 
+    @pytest.mark.parametrize("cmd", ["verify-solution", "curvature-report"])
+    def test_profile_poles_are_not_sampled(self, cmd):
+        # seed 1 draws q = 0 among its first ten points; those are skipped
+        code, out = run([cmd, "--background", "plane-wave", "--f", "1/q"])
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert len(records) == 10
+        assert all(r["point"]["values"][2] != "0" for r in records)
+
+    def test_curvature_report_builds_the_tetrad_once(self, monkeypatch):
+        from heavenly import catalog
+        real = catalog.plane_wave_tetrad
+        calls = []
+        monkeypatch.setattr(catalog, "plane_wave_tetrad", lambda f: calls.append(f) or real(f))
+        code, _ = run(["curvature-report", "--background", "plane-wave", "--f", "q^2",
+                       "--points", "1"])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_hierarchy_records_each_points_own_residual(self, monkeypatch):
         from fractions import Fraction
 
@@ -219,3 +260,61 @@ class TestOutputs:
         if record_field:
             found = [r[record_field] for r in rep["records"] if record_field in r]
             assert found and all(isinstance(v, float) for v in found)
+
+    @pytest.mark.parametrize("mode,zero", [("exact", "0"), ("float", 0.0)])
+    def test_twistor_orders_print_the_modes_zero(self, mode, zero):
+        # every flat coefficient past lam^1 is the zero field; its orders are still numbers
+        code, out = run(["twistor-series", "--background", "flat", "--order", "4",
+                         "--points", "1", "--mode", mode])
+        assert code == 0
+        orders = json.loads(out)["records"][0]["interior_orders"]
+        values = [v for per_order in orders.values() for v in per_order.values()]
+        assert len(values) == 16
+        assert all(type(v) is type(zero) and v == zero for v in values)
+
+
+def _leaves(node, key=None):
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaves(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _leaves(v, key)
+    else:
+        yield key, node
+
+
+# record fields that are labels, not numbers of the point's mode
+_LABELS = {"chart", "expression", "n", "pair", "pass"}
+
+_EVERY_SUBCOMMAND = [
+    ["verify-solution", "--background", "sparling-tod", "--points", "2"],
+    ["verify-solution", "--background", "flat-first", "--points", "2"],
+    ["verify-solution", "--background", "plane-wave", "--f", "q^3", "--points", "2"],
+    ["curvature-report", "--background", "phi2-eguchi-hanson", "--points", "1"],
+    ["curvature-report", "--background", "flat-second", "--points", "1"],
+    ["recursion-chain", "--background", "st", "--n", "3", "--points", "2"],
+    ["recursion-chain", "--background", "flat", "--n", "3", "--points", "2"],
+    ["twistor-series", "--background", "st", "--order", "3", "--points", "2"],
+    ["twistor-series", "--background", "flat", "--order", "4", "--points", "1"],
+    ["hierarchy-check", "--n", "2", "--points", "1"],
+]
+_EXACT_ONLY = [
+    ["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--points", "2"],
+    ["symplectic-check", "--degree", "2", "--pairs", "2"],
+]
+
+
+class TestReportTypes:
+    @pytest.mark.parametrize("argv,mode", [(a, "exact") for a in _EVERY_SUBCOMMAND + _EXACT_ONLY]
+                             + [(a, "float") for a in _EVERY_SUBCOMMAND])
+    def test_residual_leaves_follow_the_mode(self, argv, mode):
+        code, out = run(argv + ["--mode", mode])
+        assert code in (0, 1)
+        rep = json.loads(out)
+        leaves = [(k, v) for k, v in _leaves({"records": rep["records"],
+                                              "max_abs_residual": rep["max_abs_residual"]})
+                  if k not in _LABELS]
+        assert leaves
+        kind = str if mode == "exact" else float
+        assert [(k, v) for k, v in leaves if type(v) is not kind] == []

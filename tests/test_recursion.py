@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from heavenly.jetcore import ScalarField, point
 from heavenly.polynomials import Poly
@@ -27,7 +28,7 @@ from heavenly.recursion import (
     DependencyError,
 )
 from heavenly.sampling import sample_points
-from heavenly.tetrads import SecondPotential, linearized_second_residual
+from heavenly.tetrads import SecondPotential, lax_step_residual, linearized_second_residual
 
 SIGMA = {"sigma": F(1)}
 
@@ -193,6 +194,42 @@ class TestCurvedChain:
         # rows past the first twelve are built on demand by the same recurrence
         sample = pts(seed=12, n=1)
         assert st_wave_check(13, F(1, 2), sample) == 0
+
+
+def symbolic_step_residual(theta, phi, r_phi, p, params):
+    """The recursion relation by symbolic derivatives of the background and both fields."""
+    t, f, r = theta.field, phi, r_phi
+    txx, tyy, txy = t.diff("x").diff("x"), t.diff("y").diff("y"), t.diff("x").diff("y")
+
+    def v(field):
+        return field.value(p, params)
+
+    return (v(r.diff("y")) - (v(f.diff("w")) - v(txy) * v(f.diff("y")) + v(tyy) * v(f.diff("x"))),
+            v(r.diff("x")) + (v(f.diff("z")) + v(txx) * v(f.diff("y")) - v(txy) * v(f.diff("x"))))
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+class TestLaxStepResidual:
+    @given(st.integers(1, 6), st.integers(1, 7), RATIONALS,
+           st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS))
+    @settings(max_examples=30, deadline=None)
+    def test_jets_match_symbolic_route(self, n, m, sigma, values):
+        # psi_m stands in for R psi_n: m = n + 1 is the chain step (both values
+        # vanish), any other m gives nonzero values that each term must match
+        w, z, x, y = values
+        assume(w != 0 and w * x + z * y != 0)
+        p = point("second", *values)
+        params = {"sigma": sigma}
+        theta, phi, r_phi = st_potential(), st_psi(n), st_psi(m)
+        assert lax_step_residual(theta, phi, r_phi, p, params) \
+            == symbolic_step_residual(theta, phi, r_phi, p, params)
+
+    def test_chain_step_vanishes(self):
+        theta = st_potential()
+        for p in pts(seed=17, n=3):
+            assert lax_step_residual(theta, st_psi(2), st_psi(3), p, {"sigma": F(1, 3)}) == (0, 0)
 
 
 class TestGauge:
