@@ -31,6 +31,7 @@ from .tetrads import (
     lax_commutator_residual,
     lax_pair_omega,
     lax_pair_theta,
+    lax_step_from_jets,
     lax_step_residual,
     linearized_second_residual,
     metric_from_tetrad,

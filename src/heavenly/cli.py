@@ -95,21 +95,32 @@ def _sample(chart: str, args, exclusions=()) -> list[Point]:
 def _entry_points(entry, profile: str | None, args, params) -> list[Point]:
     """Sample off the entry's exclusions and, for a metric entry, off its profile's own poles.
 
-    A jet fails only where a divisor is zero-valued, so a point whose order-0
-    jet of the profile evaluates is regular at every order.
+    A jet fails only where a divisor is zero-valued, so a point where the
+    profile's value evaluates is regular at every order.
     """
     exclusions = list(entry.exclusions)
-    if entry.kind == "metric":
-        f = ScalarField.parse(profile, entry.chart)
+    if entry.kind != "metric":
+        return _sample(entry.chart, args, exclusions)
+    f = ScalarField.parse(profile, entry.chart)
+    tried, found = 0, False
 
-        def regular(p: Point) -> bool:
-            try:
-                f.jet(p, 0, params)
-            except PoleError:
-                return False
-            return True
-        exclusions.append(regular)
-    return _sample(entry.chart, args, exclusions)
+    def regular(p: Point) -> bool:
+        nonlocal tried, found
+        tried += 1
+        try:
+            f.value(p, params)
+        except PoleError:
+            return False
+        found = True
+        return True
+    exclusions.append(regular)
+    try:
+        return _sample(entry.chart, args, exclusions)
+    except SamplerExhausted:
+        if tried and not found:
+            raise ConfigError(f"profile {profile!r} has a pole at every sampled point "
+                              f"({tried} tried)") from None
+        raise
 
 
 def _exact_only(args) -> None:

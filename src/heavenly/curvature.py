@@ -70,7 +70,7 @@ def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
             if r == col:
                 continue
             factor = a[r][col]
-            if not factor.coeffs:
+            if factor.is_zero():
                 continue
             a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
             inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
@@ -95,7 +95,7 @@ def _christoffel_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
     """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher."""
     n = len(gj)
     dg = [[[_jet_partial(gj[a][b], c) for c in range(n)] for b in range(n)] for a in range(n)]
-    ginv_low = [[_truncate(ginv[a][b], jet_order) for b in range(n)] for a in range(n)]
+    ginv_low = [[ginv[a][b].truncate(jet_order) for b in range(n)] for a in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
     low = [[[dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for c in range(n)] for b in range(n)]
            for d in range(n)]
@@ -114,13 +114,6 @@ def _christoffel_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
             rows.append(cols)
         out.append(rows)
     return out
-
-
-def _truncate(j: Jet, order: int) -> Jet:
-    if j.order == order:
-        return j
-    coeffs = {a: c for a, c in j.coeffs.items() if sum(a) <= order}
-    return Jet(j.center, order, coeffs, j.mode)
 
 
 def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:

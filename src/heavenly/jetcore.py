@@ -26,7 +26,8 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from types import MappingProxyType
 from typing import Callable, Mapping, TypeVar, Union
 
 Number = Union[Fraction, float]
@@ -94,12 +95,14 @@ class Point:
             raise ValueError(
                 f"chart {self.chart!r} needs {len(coords)} coordinates, got {len(self.values)}"
             )
-        if any(isinstance(v, float) for v in self.values):
+        mode = "float" if any(isinstance(v, float) for v in self.values) else "exact"
+        if mode == "float":
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "_mode", mode)   # not a field: equality ignores it
 
     @property
     def mode(self) -> str:
-        return "float" if any(isinstance(v, float) for v in self.values) else "exact"
+        return self._mode
 
     def env(self) -> dict[str, Number]:
         return dict(zip(chart_coords(self.chart), self.values))
@@ -490,41 +493,150 @@ def _alpha_factorial(alpha: tuple[int, ...]) -> int:
     return f
 
 
+def _of_degree(nvars: int, degree: int):
+    """Every multi-index of ``nvars`` entries summing to ``degree``, lexicographically descending."""
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree, -1, -1):
+        for rest in _of_degree(nvars - 1, degree - first):
+            yield (first,) + rest
+
+
+class _Layout:
+    """Where each Taylor coefficient of a jet in ``nvars`` variables through ``order`` lives.
+
+    Monomials are in graded order: position 0 is the constant term, positions
+    1..nvars the first partials in chart order, then degree 2, and so on.  A
+    lower order's monomials are a prefix of a higher order's, so truncation
+    is a slice.  ``rows[i][k]`` is the position of alpha_i + alpha_k for every
+    k with |alpha_i| + |alpha_k| <= order, so a product needs no tuple
+    arithmetic.
+    """
+
+    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named", "shifts")
+
+    def __init__(self, nvars: int, order: int):
+        monomials: list[tuple[int, ...]] = []
+        ends = []
+        for k in range(order + 1):
+            monomials.extend(_of_degree(nvars, k))
+            ends.append(len(monomials))
+        index = {alpha: i for i, alpha in enumerate(monomials)}
+        self.monomials = monomials
+        self.index = index
+        self.degree = [sum(alpha) for alpha in monomials]
+        self.weights = [_alpha_factorial(alpha) for alpha in monomials]
+        self.rows = [[index[tuple(x + y for x, y in zip(a, b))] for b in monomials[:ends[order - k]]]
+                     for a, k in zip(monomials, self.degree)]
+        self.named: dict[tuple[str, tuple[str, ...]], int] = {}   # (chart, names) -> position
+        self.shifts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+
+
+_LAYOUTS: dict[tuple[int, int], _Layout] = {}
+
+
+def _layout(nvars: int, order: int) -> _Layout:
+    layout = _LAYOUTS.get((nvars, order))
+    if layout is None:
+        if order < 0 or order > MAX_ORDER:
+            raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        layout = _LAYOUTS[(nvars, order)] = _Layout(nvars, order)
+    return layout
+
+
 class Jet:
     """Truncated Taylor expansion of a scalar field at a point.
 
-    ``coeffs`` maps a multi-index alpha (one exponent per chart coordinate)
-    to the Taylor coefficient d^alpha f / alpha!.  Missing entries are zero.
-    Mixed-partial symmetry is structural: there is one slot per multi-index.
+    The Taylor coefficients d^alpha f / alpha! are stored densely in the graded
+    order of :class:`_Layout`.  In exact mode they are integer numerators over
+    one positive integer denominator, kept coprime to them after every
+    operation; in float mode they are floats over denominator 1.  ``coeffs``
+    reads them back as a mapping from multi-index to ``Fraction`` (exact) or
+    ``float``, nonzero entries only.  Mixed-partial symmetry is structural:
+    there is one slot per multi-index.
     """
 
-    __slots__ = ("center", "order", "coeffs", "mode")
+    __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map")
 
-    def __init__(self, center: Point, order: int, coeffs: dict[tuple[int, ...], Number],
+    def __init__(self, center: Point, order: int, coeffs: Mapping[tuple[int, ...], Number],
                  mode: str | None = None):
-        if order < 0 or order > MAX_ORDER:
-            raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        mode = mode if mode is not None else center.mode
+        layout = _layout(len(center.values), order)
+        where = []
+        for alpha, c in coeffs.items():
+            i = layout.index.get(tuple(alpha))
+            if i is None:
+                raise ValueError(f"multi-index {tuple(alpha)} is not in a jet of order {order} "
+                                 f"in {len(center.values)} variables")
+            where.append((i, c))
+        if mode == "float":
+            c = [0.0] * len(layout.monomials)
+            for i, v in where:
+                c[i] = float(v)
+            den = 1
+        else:
+            where = [(i, Fraction(v)) for i, v in where]
+            den = lcm(*(v.denominator for _, v in where))
+            c = [0] * len(layout.monomials)
+            for i, v in where:
+                c[i] = v.numerator * (den // v.denominator)
+        self._set(center, order, mode, layout, c, den)
+
+    def _set(self, center, order, mode, layout, c, den):
         self.center = center
         self.order = order
-        self.coeffs = {a: c for a, c in coeffs.items() if c != 0}
-        self.mode = mode if mode is not None else center.mode
+        self.mode = mode
+        self._layout = layout
+        self._c = c
+        self._den = den
+
+    def _like(self, c: list, den: int, layout: _Layout | None = None, order: int | None = None
+              ) -> "Jet":
+        """A jet at the same center and mode; exact numerators are reduced against ``den``."""
+        if self.mode == "exact":
+            g = gcd(*c, den)
+            if g != 1:
+                c = [x // g for x in c]
+                den //= g
+        out = object.__new__(Jet)
+        out._set(self.center, self.order if order is None else order, self.mode,
+                 layout or self._layout, c, den)
+        return out
+
+    def _number(self, x) -> Number:
+        """A stored numerator as a readout: a ``Fraction`` in exact mode, a ``float`` otherwise."""
+        if self.mode == "exact":
+            return Fraction(x, self._den)
+        return x + 0.0   # also turns an int 0 or -0.0 into 0.0
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def constant(value: Number, center: Point, order: int) -> "Jet":
-        mode = center.mode
-        v = float(value) if mode == "float" else Fraction(value)
-        return Jet(center, order, {(0,) * len(center.values): v} if v != 0 else {}, mode)
+        return Jet._affine(value, None, center, order)
 
     @staticmethod
     def coordinate(index: int, center: Point, order: int) -> "Jet":
-        n = len(center.values)
-        coeffs: dict[tuple[int, ...], Number] = {(0,) * n: center.values[index]}
-        if order >= 1:
-            one = 1.0 if center.mode == "float" else Fraction(1)
-            unit = tuple(1 if i == index else 0 for i in range(n))
-            coeffs[unit] = one
-        return Jet(center, order, coeffs, center.mode)
+        return Jet._affine(center.values[index], index, center, order)
+
+    @staticmethod
+    def _affine(value: Number, index: int | None, center: Point, order: int) -> "Jet":
+        """The jet of ``value``, plus the coordinate offset x_index - center[index] if given."""
+        layout = _layout(len(center.values), order)
+        if center.mode == "float":
+            c = [0.0] * len(layout.monomials)
+            c[0] = float(value)
+            unit, den = 1.0, 1
+        else:
+            v = value if isinstance(value, (int, Fraction)) else Fraction(value)
+            c = [0] * len(layout.monomials)
+            c[0] = v.numerator
+            unit = den = v.denominator
+        if index is not None and order >= 1:
+            c[1 + index] = unit
+        out = object.__new__(Jet)
+        out._set(center, order, center.mode, layout, c, den)
+        return out
 
     # -- access ------------------------------------------------------------
     @property
@@ -532,103 +644,177 @@ class Jet:
         return len(self.center.values)
 
     @property
+    def coeffs(self) -> Mapping[tuple[int, ...], Number]:
+        """Read-only multi-index -> Taylor coefficient mapping of the nonzero coefficients."""
+        try:
+            return self._map
+        except AttributeError:
+            monomials = self._layout.monomials
+            self._map = MappingProxyType(
+                {monomials[i]: self._number(x) for i, x in enumerate(self._c) if x})
+            return self._map
+
+    @property
     def value(self) -> Number:
-        zero = 0.0 if self.mode == "float" else Fraction(0)
-        return self.coeffs.get((0,) * self.nvars, zero)
+        return self._number(self._c[0])
 
     def coefficient(self, alpha: tuple[int, ...]) -> Number:
-        zero = 0.0 if self.mode == "float" else Fraction(0)
-        return self.coeffs.get(tuple(alpha), zero)
+        i = self._layout.index.get(tuple(alpha))
+        return self._number(0 if i is None else self._c[i])
 
     def derivative(self, alpha: tuple[int, ...]) -> Number:
         """d^alpha f at the center (Taylor coefficient times alpha!)."""
+        alpha = tuple(alpha)
         if sum(alpha) > self.order:
             raise ValueError(f"jet of order {self.order} has no |alpha|={sum(alpha)} data")
-        return self.coefficient(alpha) * _alpha_factorial(tuple(alpha))
+        layout = self._layout
+        i = layout.index.get(alpha)
+        return self._number(0 if i is None else self._c[i] * layout.weights[i])
 
     def d(self, *names: str) -> Number:
         """The derivative by coordinate names of the chart: ``d("x", "w")`` is d_x d_w f."""
-        coords = chart_coords(self.center.chart)
-        alpha = [0] * len(coords)
-        for name in names:
-            alpha[coords.index(name)] += 1
-        return self.derivative(tuple(alpha))
+        layout = self._layout
+        key = (self.center.chart, names)
+        i = layout.named.get(key)
+        if i is None:
+            coords = chart_coords(self.center.chart)
+            alpha = [0] * len(coords)
+            for name in names:
+                alpha[coords.index(name)] += 1
+            if len(names) > self.order:
+                raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
+            i = layout.named[key] = layout.index[tuple(alpha)]
+        return self._number(self._c[i] * layout.weights[i])
 
     def grad(self) -> tuple[Number, ...]:
         """The first partials at the center, in chart order."""
-        n = self.nvars
-        zeros = (0,) * n
-        return tuple(self.derivative(zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n))
+        if self.order < 1:
+            raise ValueError(f"jet of order {self.order} has no |alpha|=1 data")
+        return tuple(self._number(x) for x in self._c[1:1 + self.nvars])
+
+    def is_zero(self) -> bool:
+        return not any(self._c)
 
     def shift(self, alpha: tuple[int, ...]) -> "Jet":
         """Jet of d^alpha f, of order ``self.order - |alpha|``."""
+        alpha = tuple(alpha)
         k = sum(alpha)
         if k > self.order:
             raise ValueError("not enough jet order to differentiate")
-        out: dict[tuple[int, ...], Number] = {}
-        for beta, c in self.coeffs.items():
-            gamma = tuple(b - a for b, a in zip(beta, alpha))
-            if any(g < 0 for g in gamma):
-                continue
-            ratio = Fraction(_alpha_factorial(beta), _alpha_factorial(gamma) * _alpha_factorial(alpha))
-            scale: Number = float(ratio) if self.mode == "float" else ratio
-            out[gamma] = c * scale * _alpha_factorial(alpha)
-        # out now holds Taylor coefficients of the derivative field
-        return Jet(self.center, self.order - k, out, self.mode)
+        layout = self._layout
+        low = _layout(self.nvars, self.order - k)
+        plan = layout.shifts.get(alpha)
+        if plan is None:
+            # d^alpha x^beta / beta! = x^gamma / gamma! * (beta! / gamma!) with beta = gamma + alpha
+            sources = [layout.index[tuple(g + a for g, a in zip(gamma, alpha))]
+                       for gamma in low.monomials]
+            factors = [layout.weights[s] // w for s, w in zip(sources, low.weights)]
+            plan = layout.shifts[alpha] = (sources, factors)
+        c = self._c
+        return self._like([c[s] * f for s, f in zip(*plan)], self._den, low, self.order - k)
+
+    def truncate(self, order: int) -> "Jet":
+        """The same expansion through a lower ``order`` (a prefix of the coefficients)."""
+        if order == self.order:
+            return self
+        if not 0 <= order < self.order:
+            raise ValueError(f"cannot truncate a jet of order {self.order} to order {order}")
+        low = _layout(self.nvars, order)
+        return self._like(self._c[:len(low.monomials)], self._den, low, order)
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Jet"):
-        if self.center != other.center or self.order != other.order or self.mode != other.mode:
+        if (self.order != other.order or self.mode != other.mode
+                or (self.center is not other.center and self.center != other.center)):
             raise ValueError("jet center/order/mode mismatch")
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) + c
-        return Jet(self.center, self.order, out, self.mode)
+        a, b, da, db = self._c, other._c, self._den, other._den
+        if da == db:
+            return self._like([x + y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return self._like([x * ma + y * mb for x, y in zip(a, b)], da * ma)
 
     def __sub__(self, other: "Jet") -> "Jet":
         self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) - c
-        return Jet(self.center, self.order, out, self.mode)
+        a, b, da, db = self._c, other._c, self._den, other._den
+        if da == db:
+            return self._like([x - y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        return self._like([x * ma - y * mb for x, y in zip(a, b)], da * ma)
 
     def __neg__(self) -> "Jet":
-        return Jet(self.center, self.order, {a: -c for a, c in self.coeffs.items()}, self.mode)
+        return self._like([-x for x in self._c], self._den)
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check(other)
-        order = self.order
-        out: dict[tuple[int, ...], Number] = {}
-        for a, ca in self.coeffs.items():
-            da = sum(a)
-            for b, cb in other.coeffs.items():
-                if da + sum(b) > order:
-                    continue
-                g = tuple(i + j for i, j in zip(a, b))
-                out[g] = out.get(g, 0) + ca * cb
-        return Jet(self.center, order, out, self.mode)
+        a, b = self._c, other._c
+        outer = [(i, x) for i, x in enumerate(a) if x]
+        inner = [(k, y) for k, y in enumerate(b) if y]
+        if len(inner) < len(outer):
+            outer, inner = inner, outer
+        rows = self._layout.rows
+        out = [0.0 if self.mode == "float" else 0] * len(a)
+        # the sparser factor drives the outer loop; a row ends where the degrees exceed the order
+        for i, x in outer:
+            row = rows[i]
+            end = len(row)
+            for k, y in inner:
+                if k >= end:
+                    break
+                out[row[k]] += x * y
+        return self._like(out, self._den * other._den)
 
     def scale(self, k: Number) -> "Jet":
-        return Jet(self.center, self.order, {a: c * k for a, c in self.coeffs.items()}, self.mode)
+        if self.mode == "float":
+            k = float(k)
+            return self._like([x * k for x in self._c], 1)
+        k = Fraction(k)
+        num = k.numerator
+        return self._like([x * num for x in self._c], self._den * k.denominator)
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0:
+        """1/f by the recurrence of f * (1/f) = 1, solved in graded order.
+
+        The coefficient h_g of 1/f is -(1/f_0) sum f_b h_(g-b) over b != 0.
+        Each h_m is final once every lower position has been pushed through
+        its row, so h_m is then pushed on to the positions m + b.
+        """
+        c, order, degree = self._c, self.order, self._layout.degree
+        c0 = c[0]
+        if not c0:
             raise ZeroDivisionError("division by zero-valued jet")
-        inv = 1.0 / v if self.mode == "float" else Fraction(1) / v
-        # u = 1 - f/v is nilpotent to order+1; 1/f = (1/v) sum u^k
-        u = Jet.constant(1, self.center, self.order) - self.scale(inv)
-        acc = Jet.constant(1, self.center, self.order)
-        power = Jet.constant(1, self.center, self.order)
-        for _ in range(self.order):
-            power = power * u
-            if not power.coeffs:
-                break
-            acc = acc + power
-        return acc.scale(inv)
+        if self.mode == "float":
+            inv = 1.0 / c0
+            terms = [(k, x) for k, x in enumerate(c) if k and x]
+            h = [0.0] * len(c)
+        else:
+            # with f = c/D, write 1/c as H_g / c0^(|g|+1): then H_0 = 1 and
+            # H_g = -sum c_b c0^(|b|-1) H_(g-b) are integers, and 1/f = D/c
+            powers = [c0 ** k for k in range(order + 2)]
+            inv = 1
+            terms = [(k, x * powers[degree[k] - 1]) for k, x in enumerate(c) if k and x]
+            h = [0] * len(c)
+        rows = self._layout.rows
+        for m in range(len(c)):
+            hm = h[m] = -h[m] * inv if m else inv
+            if not hm:
+                continue
+            row = rows[m]
+            end = len(row)
+            for k, x in terms:
+                if k >= end:
+                    break
+                h[row[k]] += x * hm
+        if self.mode == "float":
+            return self._like(h, 1)
+        den = powers[order + 1]
+        scale = self._den if den > 0 else -self._den
+        return self._like([x * scale * powers[order - degree[m]] for m, x in enumerate(h)],
+                          abs(den))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         self._check(other)
@@ -648,7 +834,9 @@ class Jet:
         return acc
 
     def __repr__(self):
-        return f"Jet(order={self.order}, value={self.value!r}, nterms={len(self.coeffs)})"
+        nterms = sum(1 for x in self._c if x)
+        return f"Jet(order={self.order}, value={self.value!r}, nterms={nterms})"
+
 
 
 def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
@@ -696,19 +884,28 @@ def jet_of(expr: Expr, p: Point, order: int = DEFAULT_ORDER,
     ``params`` binds non-coordinate symbols (``sigma``) to values; they enter
     as constants, not as jet variables.
     """
+    return fold(expr, _point_leaf(p, params, lambda v: Jet.constant(v, p, order),
+                                  lambda i: Jet.coordinate(i, p, order)))
+
+
+def _point_leaf(p: Point, params: Mapping[str, Number] | None,
+                constant: Callable[[Number], _Ring], coordinate: Callable[[int], _Ring]
+                ) -> Callable[[Expr], _Ring]:
+    """The ``fold`` leaf at ``p``: constants and parameters through ``constant``,
+    chart coordinates (which shadow parameters) through ``coordinate`` by index."""
     index = {name: i for i, name in enumerate(chart_coords(p.chart))}
     params = params or {}
 
-    def leaf(e: Expr) -> Jet:
+    def leaf(e: Expr) -> _Ring:
         if isinstance(e, Const):
-            return Jet.constant(e.value, p, order)
+            return constant(e.value)
         if e.name in index:
-            return Jet.coordinate(index[e.name], p, order)
+            return coordinate(index[e.name])
         if e.name in params:
-            return Jet.constant(params[e.name], p, order)
+            return constant(params[e.name])
         raise EvaluationError(f"unbound symbol {e.name!r} (missing parameter?)")
 
-    return fold(expr, leaf)
+    return leaf
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +939,16 @@ class ScalarField:
         return jet_of(self.expr, p, order, params)
 
     def value(self, p: Point, params: Mapping[str, Number] | None = None) -> Number:
-        return self.jet(p, 0, params).value
+        """The field's value at ``p``, folded over plain numbers (no jets).
+
+        Equal to ``self.jet(p, 0, params).value`` in exact mode, and raises the
+        same errors; leaves are ``Fraction`` in exact mode and ``float`` in float mode.
+        """
+        if p.chart != self.chart:
+            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
+        number = float if p.mode == "float" else Fraction
+        values = tuple(map(number, p.values))
+        return fold(self.expr, _point_leaf(p, params, number, values.__getitem__))
 
     def diff(self, var: str) -> "ScalarField":
         if var not in chart_coords(self.chart):

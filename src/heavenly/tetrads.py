@@ -77,6 +77,7 @@ from typing import Mapping
 
 from .jetcore import (
     Expr,
+    Jet,
     Number,
     Point,
     ScalarField,
@@ -498,10 +499,19 @@ def lax_step_residual(theta: SecondPotential, phi: ScalarField, r_phi: ScalarFie
              d_x Rphi + (d_z + T_xx d_y - T_xy d_x) phi), the lam^1 coefficients
     of L_0 and L_1 of lax_pair_theta applied to phi + lam R phi.
     """
-    dT = theta.field.jet(p, 2, params).d
+    return lax_step_from_jets(theta.field.jet(p, 2, params), phi.jet(p, 1, params),
+                              r_phi.jet(p, 1, params))
+
+
+def lax_step_from_jets(theta_jet: Jet, phi_jet: Jet, r_phi_jet: Jet) -> tuple[Number, Number]:
+    """lax_step_residual from an order-2 jet of the potential and order-1 jets of phi and R phi.
+
+    Callers that relate many pairs at one point evaluate each jet once and share it.
+    """
+    dT = theta_jet.d
     txx, tyy, txy = dT("x", "x"), dT("y", "y"), dT("x", "y")
-    f = phi.jet(p, 1, params).d
-    r = r_phi.jet(p, 1, params).d
+    f = phi_jet.d
+    r = r_phi_jet.d
     return (r("y") - (f("w") - txy * f("y") + tyy * f("x")),
             r("x") + (f("z") + txx * f("y") - txy * f("x")))
 

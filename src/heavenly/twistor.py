@@ -25,6 +25,7 @@ from .jetcore import (
     Const,
     EvaluationError,
     Expr,
+    Jet,
     Number,
     Point,
     ScalarField,
@@ -39,7 +40,7 @@ from .jetcore import (
 )
 from .polynomials import Poly, uni, uni_add, uni_expr, uni_mul, uni_scale, uni_shift
 from .recursion import coeff_B, recursion_step_poly
-from .tetrads import SECOND, SecondPotential, lax_step_residual
+from .tetrads import SECOND, SecondPotential, lax_step_from_jets
 
 TWISTOR_CHART = "twistor-function"
 
@@ -128,17 +129,23 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
     """Expand L_A(mu^B) in powers of lam at p.
 
     The lam^r coefficient of L_A(mu^B) is recursion relation A of
-    tetrads.lax_step_residual between the curve coefficients r-1 and r.
+    tetrads.lax_step_residual between the curve coefficients r-1 and r, computed
+    by tetrads.lax_step_from_jets from one jet of the potential and one of each
+    coefficient.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
     out: dict[tuple[int, str], dict[int, Number]] = {
         (A, B): {} for A in (0, 1) for B in ("mu0", "mu1")}
     N = curve.order
+    theta_jet = theta.field.jet(p, 2, params)
+    zero = Jet.constant(0, p, 1)
     for B, series in (("mu0", curve.mu0), ("mu1", curve.mu1)):
+        # each coefficient's jet is evaluated once and serves orders r and r + 1
+        jets = dict(enumerate((c.jet(p, 1, params) for c in series.coeffs), series.min_deg))
         for r in range(series.min_deg, series.max_deg + 2):
-            out[(0, B)][r], out[(1, B)][r] = lax_step_residual(
-                theta, series.coefficient(r - 1), series.coefficient(r), p, params)
+            out[(0, B)][r], out[(1, B)][r] = lax_step_from_jets(
+                theta_jet, jets.get(r - 1, zero), jets.get(r, zero))
     interior = {k: {r: v for r, v in d.items() if r <= N - 1} for k, d in out.items()}
     top = {k: {r: v for r, v in d.items() if r > N - 1} for k, d in out.items()}
     worst = max((abs(v) for d in interior.values() for v in d.values()), default=Fraction(0))

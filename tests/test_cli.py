@@ -82,6 +82,7 @@ class TestExitCodes:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "profile '1/(q-q)' has a pole at every sampled point" in err
 
     @pytest.mark.parametrize("sigma", ["1/0", "abc"])
     def test_bad_sigma_is_two(self, sigma, capsys):

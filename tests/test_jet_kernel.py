@@ -1,0 +1,140 @@
+"""The dense jet kernel against the dictionary-of-Fractions kernel it replaced."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dict_jet import DictJet
+from heavenly.jetcore import CHARTS, MAX_ORDER, Jet, Point, jet_of, parse_expression, point
+
+# charts of every size from 1 to 10 variables, so jets of any arity can be centred
+ORACLE_CHARTS = {n: f"oracle-{n}" for n in range(1, 11)}
+for _n, _name in ORACLE_CHARTS.items():
+    CHARTS.setdefault(_name, tuple(f"v{i}" for i in range(_n)))
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def jet_pairs(draw, mode):
+    """Two random sparse jets of one center and order, as (dense, dict) kernel pairs."""
+    nvars = draw(st.integers(1, 10))
+    order = draw(st.integers(0, MAX_ORDER))
+    values = tuple(draw(st.lists(RATIONALS, min_size=nvars, max_size=nvars)))
+    center = Point(ORACLE_CHARTS[nvars], values)
+    if mode == "float":
+        center = center.as_float()
+
+    def alpha():
+        axes = draw(st.lists(st.integers(0, nvars - 1), max_size=order))
+        return tuple(axes.count(i) for i in range(nvars))
+
+    out = []
+    for _ in range(2):
+        coeffs = {alpha(): draw(RATIONALS) for _ in range(draw(st.integers(0, 5)))}
+        if mode == "float":
+            coeffs = {a: float(c) for a, c in coeffs.items()}
+        out.append((Jet(center, order, coeffs), DictJet(center, order, coeffs)))
+    return out, alpha(), draw(RATIONALS)
+
+
+def _agree(new, old):
+    assert (new.center, new.order, new.mode) == (old.center, old.order, old.mode)
+    if new.mode == "exact":
+        assert new.coeffs == old.coeffs
+        return
+    scale = max((abs(c) for c in old.coeffs.values()), default=0.0)
+    for alpha in set(new.coeffs) | set(old.coeffs):
+        assert abs(new.coefficient(alpha) - old.coefficient(alpha)) <= 1e-12 * max(1.0, scale)
+
+
+def _both(op, new, old):
+    """Apply ``op`` in both kernels; either both raise ZeroDivisionError or both agree."""
+    try:
+        expect = op(old)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(new)
+        return
+    _agree(op(new), expect)
+
+
+def _check_kernels(data):
+    ((a, a0), (b, b0)), alpha, k = data
+    _agree(a, a0)
+    _agree(a + b, a0 + b0)
+    _agree(a - b, a0 - b0)
+    _agree(a * b, a0 * b0)
+    _agree(-a, -a0)
+    _agree(a.scale(k), a0.scale(k if a.mode == "exact" else float(k)))
+    _both(lambda j: j.reciprocal(), a, a0)
+    _both(lambda j: j[0] / j[1], (a, b), (a0, b0))
+    for n in (-2, -1, 0, 1, 2, 3):
+        _both(lambda j: j ** n, a, a0)
+    _agree(a.shift(alpha), a0.shift(alpha))
+    close = (lambda x, y: x == y) if a.mode == "exact" else \
+        (lambda x, y: abs(x - y) <= 1e-12 * max(1.0, abs(y)))
+    assert close(a.derivative(alpha), a0.derivative(alpha))
+    if a.order >= 1:
+        assert all(map(close, a.grad(), a0.grad()))
+
+
+class TestDictKernelOracle:
+    @given(jet_pairs("exact"))
+    @settings(max_examples=80, deadline=None)
+    def test_exact_kernels_agree_coefficient_for_coefficient(self, data):
+        _check_kernels(data)
+
+    @given(jet_pairs("float"))
+    @settings(max_examples=80, deadline=None)
+    def test_float_kernels_agree_to_relative_1e12(self, data):
+        _check_kernels(data)
+
+
+def _readouts(j):
+    n = j.nvars
+    names = CHARTS[j.center.chart]
+    out = [j.value, j.coefficient((0,) * n), j.coefficient((1,) + (0,) * (n - 1)),
+           j.derivative((0,) * n), j.d(), *j.coeffs.values()]
+    if j.order >= 1:
+        out += [*j.grad(), j.d(names[0]), j.derivative((0,) * (n - 1) + (1,))]
+    if j.order >= 2:
+        out += [j.d(names[0], names[-1]), j.coefficient((2,) + (0,) * (n - 1))]
+    return out
+
+
+class TestReadoutTypes:
+    P = point("second", 1, F(1, 2), -3, 2)
+
+    def jets(self, p):
+        e = parse_expression("w^2*x/(z+y^2)-3", "second")
+        yield jet_of(e, p, 2)
+        yield jet_of(parse_expression("w-w", "second"), p, 2)   # the zero jet
+        ones = point("second", 1, 1, 1, 1)   # integer coefficients: denominator 1
+        yield jet_of(parse_expression("2*x^2+y", "second"), ones if p.mode == "exact"
+                     else ones.as_float(), 2)
+        yield jet_of(parse_expression("7", "second"), p, 0)
+        yield Jet(p, 1, {})
+        j = jet_of(e, p, 3)
+        yield j * j - j.reciprocal()
+        yield j.shift((1, 0, 0, 1))
+        yield j.truncate(1)
+
+    def test_exact_readouts_are_fractions_never_ints(self):
+        for j in self.jets(self.P):
+            for x in _readouts(j):
+                assert type(x) is F, (j, x)
+
+    def test_float_readouts_are_floats(self):
+        for j in self.jets(self.P.as_float()):
+            for x in _readouts(j):
+                assert type(x) is float, (j, x)
+
+    def test_denominator_one_and_zero_still_read_as_fractions(self):
+        j = jet_of(parse_expression("2*x^2+y", "second"), point("second", 1, 1, 1, 1), 2)
+        assert j.value == 3 and type(j.value) is F
+        assert j.coeffs == {(0, 0, 0, 0): F(3), (0, 0, 1, 0): F(4), (0, 0, 0, 1): F(1),
+                            (0, 0, 2, 0): F(2)}
+        zero = j - j
+        assert zero.is_zero() and not zero.coeffs and type(zero.value) is F

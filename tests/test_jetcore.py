@@ -15,6 +15,7 @@ from heavenly.jetcore import (
     Add,
     Const,
     Div,
+    EvaluationError,
     Mul,
     Neg,
     ParseError,
@@ -310,6 +311,32 @@ class TestFoldOracles:
             args = [a for name, k in zip(SECOND_NAMES, alpha) for a in (symbols[name], k)]
             expect = F(str(sp.diff(sym, *args).subs(at))) / prod(factorial(k) for k in alpha)
             assert jet.coefficient(alpha) == expect, (to_text(e), alpha)
+
+    @given(expr_trees(SECOND_NAMES), st.tuples(rationals, rationals, rationals, rationals))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_value_matches_order_zero_jet(self, e, values):
+        p = Point("second", values)
+        field = ScalarField("second", e)
+        try:
+            expect = jet_of(e, p, 0).value
+        except PoleError:
+            with pytest.raises(PoleError):
+                field.value(p)
+            return
+        got = field.value(p)
+        assert got == expect and type(got) is F
+
+    def test_plain_value_errors_match_the_jet_route(self):
+        field = ScalarField.parse("sigma*w", "second")
+        p = P(1, 2, 3, 4)
+        for route in (lambda: field.value(p), lambda: jet_of(field.expr, p, 0)):
+            with pytest.raises(EvaluationError, match="unbound symbol 'sigma'"):
+                route()
+        with pytest.raises(ValueError, match="evaluated at 'first' point"):
+            field.value(point("first", 1, 2, 3, 4), {"sigma": 1})
+        assert field.value(p, {"sigma": 2}) == 2 and type(field.value(p, {"sigma": 2})) is F
+        half = field.value(p.as_float(), {"sigma": F(1, 2)})
+        assert half == 0.5 and type(half) is float
 
     @given(expr_trees(("lam", "mu0", "mu1")), st.tuples(rationals, rationals, rationals, rationals),
            rationals)

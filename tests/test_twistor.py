@@ -2,11 +2,12 @@
 
 from fractions import Fraction as F
 
+from heavenly import jetcore
 from heavenly.jetcore import ScalarField, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import sample_points
-from heavenly.tetrads import SecondPotential
+from heavenly.tetrads import SecondPotential, lax_step_residual
 from heavenly.twistor import (
     RatLambda,
     flat_twistor_curve,
@@ -93,6 +94,25 @@ class TestCurvedCurve:
         for p in pts(seed=5, n=10):
             res = lax_annihilation_residual(c, theta, p, SIGMA)
             assert res["max_abs_interior"] == 0
+
+    def test_each_jet_evaluated_once_per_point(self, monkeypatch):
+        c = st_twistor_curve(10)
+        theta = st_potential()
+        p = pts(seed=7)[0]
+        calls = []
+        original = jetcore.jet_of
+        monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: calls.append(a) or original(*a, **k))
+        res = lax_annihilation_residual(c, theta, p, SIGMA)
+        # the potential's jet plus one per curve coefficient (11 in each of mu0, mu1)
+        assert len(calls) == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
+        monkeypatch.undo()
+        for A, B in res["interior"]:
+            series = getattr(c, B)
+            for r in range(series.min_deg, series.max_deg + 2):
+                public = lax_step_residual(theta, series.coefficient(r - 1),
+                                           series.coefficient(r), p, SIGMA)
+                table = res["interior"] if r <= c.order - 1 else res["top"]
+                assert table[(A, B)][r] == public[A]
 
     def test_fault_injection_locates_order(self):
         c = st_twistor_curve(5)
