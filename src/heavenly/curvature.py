@@ -3,14 +3,20 @@
 Curvature is computed from metric components by the coordinate method
 (Levi-Civita connection, then the Riemann tensor from connection jets);
 spinor pieces are extracted afterwards by projecting the Weyl tensor onto
-the null frame of a tetrad.  All arithmetic is jet arithmetic, so in exact
-mode a vanishing component is exactly zero.
+the null frame of a tetrad.  The metric inverse and the Christoffel symbols
+are jet arithmetic.  Every sum after them runs on integer numerators over
+one common denominator per quantity (float mode: floats over 1), and each
+reported number is divided once, so in exact mode a vanishing component is
+exactly zero.
 
 Each point is one pass: the order-2 metric jets are evaluated and inverted
-once, the Christoffel jets and Riemann follow once, the metric and inverse
-metric values are read off the same jets, and Ricci, the scalar curvature
-and W_abcd all come from that single Riemann.  Frame components are taken
-by successive single-index contractions.
+once and the Christoffel jets follow.  Their values and gradients go over one
+common denominator D, so Riemann sits over D^2; the metric and inverse metric
+values each get their own, and Ricci, the scalar curvature and W_abcd all
+come from that single Riemann, with W's 1/2 and 1/6 as integer multiples of
+one final denominator.  Frame components are taken by successive
+single-index contractions on numerators, the frame over its own common
+denominator.
 
 Conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb};  Ricci R_{bd} =
@@ -24,10 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetcore import Jet, Number, Point
+from .jetcore import Jet, Number, Point, common_denominator, divider
 from .tetrads import EPS, MetricField, Tetrad
-
-_EPS_UP = EPS  # eps^{01} = eps_{01} = 1
 
 
 class SingularMetricError(ValueError):
@@ -36,10 +40,6 @@ class SingularMetricError(ValueError):
 
 def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
     return [[f.jet(p, order, params) for f in row] for row in g.components]
-
-
-def _values(m: list[list[Jet]]) -> list[list[Number]]:
-    return [[x.value for x in row] for row in m]
 
 
 def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
@@ -125,38 +125,46 @@ def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = 
     return Christoffel(g.chart, vals)
 
 
+def _value_matrix(m: list[list[Jet]]) -> tuple[list[list[Number]], int]:
+    """The values of a matrix of jets as numerators over one common denominator."""
+    n = len(m)
+    flat, den = common_denominator([x for row in m for x in row])
+    return [[flat[a * n + b][0] for b in range(n)] for a in range(n)], den
+
+
 def _riemann_values(gamma: list[list[list[Jet]]]):
-    """R^a_{bcd} values from order-1 Christoffel jets."""
+    """R^a_{bcd} numerators over D^2 from order-1 Christoffel jets over one common D."""
     n = len(gamma)
-    # dG[a][b][c][k] = d_k Gamma^a_{bc}
-    dG = [[[gamma[a][b][c].grad() for c in range(n)] for b in range(n)] for a in range(n)]
-    gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
-    out = []
+    flat, D = common_denominator([x for ga in gamma for gb in ga for x in gb], 1 + n)
+    # G[a][b][c]: numerators of Gamma^a_{bc}, the value then d_0 .. d_{n-1}
+    G = [[flat[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+    gv = [[[x[0] for x in gb] for gb in ga] for ga in G]
+    out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        ra = []
+        Ga, gva = G[a], gv[a]
         for b in range(n):
-            rb = []
+            rb = out[a][b]
             for c in range(n):
-                rc = []
-                for d in range(n):
-                    s = dG[a][d][b][c] - dG[a][c][b][d]
+                for d in range(c + 1, n):   # antisymmetric in c, d
+                    s = D * (Ga[d][b][1 + c] - Ga[c][b][1 + d])
                     for e in range(n):
-                        s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
-                    rc.append(s)
-                rb.append(rc)
-            ra.append(rb)
-        out.append(ra)
-    return out
+                        s += gva[c][e] * gv[e][d][b] - gva[d][e] * gv[e][c][b]
+                    rb[c][d] = s
+                    rb[d][c] = -s
+    return out, D * D
 
 
 def _riemann_at(g: MetricField, p: Point, params):
-    """One evaluation of g at p: order-2 metric jets, their inverse and R^a_{bcd}."""
+    """One evaluation of g at p: R^a_{bcd}, the metric values and the inverse
+    metric values, each as numerators with their own common denominator."""
     gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix(gj)
-    return gj, ginv, _riemann_values(_christoffel_jets(gj, ginv, 1))
+    return _riemann_values(_christoffel_jets(gj, ginv, 1)), _value_matrix(gj), _value_matrix(ginv)
 
 
 def _ricci_values(rm, ginv_values):
+    """Ricci numerators over Riemann's denominator; the scalar's over the inverse
+    metric's denominator times Riemann's."""
     n = len(rm)
     ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
     scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
@@ -164,57 +172,72 @@ def _ricci_values(rm, ginv_values):
 
 
 def _lower(gv, rm):
+    """R_{abcd} = g_ae R^e_{bcd} numerators over the metric's denominator times Riemann's."""
     n = len(rm)
     out = {}
     for a in range(n):
+        ga = gv[a]
         for b in range(n):
             for c in range(n):
                 for d in range(n):
-                    out[(a, b, c, d)] = sum(gv[a][e] * rm[e][b][c][d] for e in range(n))
+                    out[(a, b, c, d)] = sum(ga[e] * rm[e][b][c][d] for e in range(n))
     return out
 
 
 def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
-    return _riemann_at(g, p, params)[2]
+    (rm, d2), _, _ = _riemann_at(g, p, params)
+    q = divider(p.mode)
+    return [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm]
 
 
 def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """(R_ab, R) at p."""
-    _, ginv, rm = _riemann_at(g, p, params)
-    return _ricci_values(rm, _values(ginv))
+    (rm, d2), _, (ginv, di) = _riemann_at(g, p, params)
+    ric, scalar = _ricci_values(rm, ginv)
+    q = divider(p.mode)
+    return [[q(x, d2) for x in row] for row in ric], q(scalar, di * d2)
 
 
 def lowered_riemann(g: MetricField, p: Point, params=None):
-    gj, _, rm = _riemann_at(g, p, params)
-    return _lower(_values(gj), rm)
+    (rm, d2), (gv, dg), _ = _riemann_at(g, p, params)
+    q = divider(p.mode)
+    return {k: q(x, dg * d2) for k, x in _lower(gv, rm).items()}
 
 
 def _weyl_at(g: MetricField, p: Point, params):
-    """W_{abcd}, Ricci, scalar and the metric values at p from a single Riemann."""
-    gj, ginv, rm = _riemann_at(g, p, params)
-    gv = _values(gj)
+    """W_{abcd}, Ricci, scalar and metric-value numerators at p from a single Riemann.
+
+    Returns ``(W, dw), (ric, d2), (scalar, ds), (gv, dg)``, each numerators
+    with their denominator: Ricci is over Riemann's d2 and the scalar over
+    ds = di d2, di the inverse metric's.  With R_abcd over dg d2, W's 1/2 and
+    1/6 terms share dw = 6 dg^2 di d2.
+    """
+    (rm, d2), (gv, dg), (ginv, di) = _riemann_at(g, p, params)
     rl = _lower(gv, rm)
-    ric, scalar = _ricci_values(rm, _values(ginv))
+    ric, scalar = _ricci_values(rm, ginv)
     n = len(gv)
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
+    m_rl = 6 * dg * di
+    m_ric = 3 * dg * di
     W = {}
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(n):
                     W[(a, b, c, d)] = (
-                        rl[(a, b, c, d)]
-                        - half * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
-                                  - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
-                        + sixth * scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
-    return W, ric, scalar, gv
+                        m_rl * rl[(a, b, c, d)]
+                        - m_ric * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
+                                   - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
+                        + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
+    return (W, 6 * dg * dg * di * d2), (ric, d2), (scalar, di * d2), (gv, dg)
 
 
 def weyl_tensor_values(g: MetricField, p: Point, params=None):
     """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    return _weyl_at(g, p, params)[:3]
+    (W, dw), (ric, d2), (scalar, ds), _ = _weyl_at(g, p, params)
+    q = divider(p.mode)
+    return ({k: q(x, dw) for k, x in W.items()}, [[q(x, d2) for x in row] for row in ric],
+            q(scalar, ds))
 
 
 def _frame_components(tensor: dict[tuple[int, ...], Number],
@@ -238,6 +261,13 @@ def _frame_components(tensor: dict[tuple[int, ...], Number],
                 nxt[tail + (k,)] = sum((c * x for c, x in zip(col, u) if c and x), zero)
         t = nxt
     return t
+
+
+def _frame_numerators(fv: Mapping[tuple[int, int], Sequence[Number]]):
+    """The frame vectors' components as numerators over one common denominator."""
+    n = len(next(iter(fv.values())))
+    flat, den = common_denominator([x for u in fv.values() for x in u])
+    return {k: tuple(flat[i * n:(i + 1) * n]) for i, k in enumerate(fv)}, den
 
 
 @dataclass
@@ -269,23 +299,31 @@ class CurvatureReport:
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                  params: Mapping[str, Number] | None = None,
                  tol: float = 1e-9) -> CurvatureReport:
-    """Project the Weyl tensor onto the tetrad frame and split into the two spinors."""
-    W, ric, scalar, gv = _weyl_at(g, p, params)
-    fv = t.frame_values(p, params)
+    """Project the Weyl tensor onto the tetrad frame and split into the two spinors.
+
+    Every sum runs on numerators: a frame contraction of a rank-r tensor over
+    D lands over D df^r, df the frame's common denominator, and each reported
+    number is divided once.
+    """
+    (W, dw), (ric, d2), (scalar, ds), (gv, dg) = _weyl_at(g, p, params)
+    fv, df = _frame_numerators(t.frame_values(p, params))
+    q = divider(p.mode)
     n = len(gv)
 
     # check the tetrad is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
+    den = dg * df * df
     gf = _frame_components({(a, b): gv[a][b] for a in range(n) for b in range(n)}, fv)
-    duality_max = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)])
-                      for ((A, Ap), (B, Bp)), got in gf.items())
-    if (p.mode == "exact" and duality_max != 0) or (p.mode == "float" and duality_max > tol):
+    worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
+                for ((A, Ap), (B, Bp)), got in gf.items())
+    duality_max = q(worst, den)
+    if (p.mode == "exact" and worst != 0) or (p.mode == "float" and duality_max > tol):
         raise ValueError("tetrad is not dual to the metric at this point")
 
     w_frame = _frame_components(W, fv)
 
-    quarter = Fraction(1, 4)
-    sd = {}
-    asd = {}
+    # C = (1/4) eps eps W_frame, numerators over 4 dw df^4
+    sd_num = {}
+    asd_num = {}
     for i1 in range(2):
         for i2 in range(2):
             for i3 in range(2):
@@ -294,32 +332,40 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                     s_asd = 0
                     for A in range(2):
                         for B in range(2):
-                            e1 = _EPS_UP[(A, B)]
+                            e1 = EPS[(A, B)]
                             if e1 == 0:
                                 continue
                             for C in range(2):
                                 for D in range(2):
-                                    e2 = _EPS_UP[(C, D)]
+                                    e2 = EPS[(C, D)]
                                     if e2 == 0:
                                         continue
                                     s_sd += e1 * e2 * w_frame[((A, i1), (B, i2), (C, i3), (D, i4))]
                                     s_asd += e1 * e2 * w_frame[((i1, A), (i2, B), (i3, C), (i4, D))]
-                    sd[(i1, i2, i3, i4)] = quarter * s_sd
-                    asd[(i1, i2, i3, i4)] = quarter * s_asd
-
-    # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2
-    rf = _frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
-    phi = {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
-           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+                    sd_num[(i1, i2, i3, i4)] = s_sd
+                    asd_num[(i1, i2, i3, i4)] = s_asd
+    d_spin = 4 * dw * df ** 4
+    sd = {k: q(x, d_spin) for k, x in sd_num.items()}
+    asd = {k: q(x, d_spin) for k, x in asd_num.items()}
 
     # reassembly: W == eps_{A'B'} eps_{C'D'} C_ABCD + eps_AB eps_CD C_{A'B'C'D'}
-    re_err = []
+    re_err = 0
     for (k1, k2, k3, k4), val in w_frame.items():
         (A, Ap), (B, Bp), (C, Cp), (D, Dp) = k1, k2, k3, k4
-        rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd[(A, B, C, D)]
-                   + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])
-        re_err.append(abs(val - rebuilt))
-    return CurvatureReport(p, ric, scalar, asd, sd, phi, max(re_err), duality_max)
+        rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd_num[(A, B, C, D)]
+                   + EPS[(A, B)] * EPS[(C, D)] * sd_num[(Ap, Bp, Cp, Dp)])
+        re_err = max(re_err, abs(4 * val - rebuilt))
+
+    # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
+    # is over d2 df^2 and R over ds (a multiple of d2), so Phi is over 8 ds df^2
+    rf = _frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
+    m_rf, m_r, d_phi = 4 * (ds // d2), df * df, 8 * ds * df * df
+    phi = {(A, B, Ap, Bp): q(-(m_rf * rf[((A, Ap), (B, Bp))]
+                               - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)]), d_phi)
+           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+
+    return CurvatureReport(p, [[q(x, d2) for x in row] for row in ric], q(scalar, ds), asd, sd,
+                           phi, q(re_err, d_spin), duality_max)
 
 
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points: Sequence[Point],

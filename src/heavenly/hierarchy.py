@@ -37,7 +37,7 @@ from .jetcore import (
     neg,
     substitute,
 )
-from .tetrads import MetricField
+from .tetrads import MetricField, vector_commutator_values
 from .twistor import LambdaSeries
 
 
@@ -168,12 +168,6 @@ def lax_field(E: ExtendedPotential, A: int, i: int) -> ExtendedVectorField:
     return ExtendedVectorField(E.chart, deltapart, linear)
 
 
-def _commutator_values(u: Sequence[ScalarField], v: Sequence[ScalarField], p: Point,
-                       params) -> tuple[Number, ...]:
-    from .tetrads import vector_commutator_values
-    return vector_commutator_values(tuple(u), tuple(v), p, params)
-
-
 def lax_compat_residual(E: ExtendedPotential, pairs: Sequence[tuple[int, int, int, int]],
                         p: Point, params: Mapping[str, Number] | None = None) -> dict:
     """Compatibility commutators for the listed flow pairs (A, i, B, j).
@@ -186,13 +180,13 @@ def lax_compat_residual(E: ExtendedPotential, pairs: Sequence[tuple[int, int, in
     for (A, i, B, j) in pairs:
         DA, DB = d_flow_field(E, A, i), d_flow_field(E, B, j)
         dA, dB = delta_flow_field(E, A, i), delta_flow_field(E, B, j)
-        one = _commutator_values(DA, DB, p, params)
+        one = vector_commutator_values(DA, DB, p, params)
         res_field = hierarchy_residual_field(E, A, i + 1, B, j + 1)
         ham = _hamiltonian_vf(E, res_field.expr)
         ham_vals = tuple(ScalarField(E.chart, e).value(p, params) for e in ham)
-        two = _commutator_values(dA, dB, p, params)
-        three_a = _commutator_values(DA, dB, p, params)
-        three_b = _commutator_values(DB, dA, p, params)
+        two = vector_commutator_values(dA, dB, p, params)
+        three_a = vector_commutator_values(DA, dB, p, params)
+        three_b = vector_commutator_values(DB, dA, p, params)
         three = tuple(a - b for a, b in zip(three_a, three_b))
         out.append({
             "pair": (A, i, B, j),

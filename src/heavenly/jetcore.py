@@ -27,8 +27,9 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import truediv
 from types import MappingProxyType
-from typing import Callable, Mapping, TypeVar, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 Number = Union[Fraction, float]
 _Ring = TypeVar("_Ring")
@@ -692,6 +693,16 @@ class Jet:
             raise ValueError(f"jet of order {self.order} has no |alpha|=1 data")
         return tuple(self._number(x) for x in self._c[1:1 + self.nvars])
 
+    def numerators(self, upto: int) -> tuple[list, int]:
+        """The stored numerators at positions ``0..upto-1`` and their shared denominator.
+
+        Positions are graded (see :class:`_Layout`): 0 is the value and
+        1..nvars the first partials, whose factorial weights are 1, so through
+        position nvars a numerator over the denominator is the derivative
+        itself.  In float mode the numerators are floats over 1.
+        """
+        return self._c[:upto], self._den
+
     def is_zero(self) -> bool:
         return not any(self._c)
 
@@ -837,6 +848,33 @@ class Jet:
         nterms = sum(1 for x in self._c if x)
         return f"Jet(order={self.order}, value={self.value!r}, nterms={nterms})"
 
+
+def common_denominator(items: Sequence[Union[Jet, Number]], upto: int = 1) -> tuple[list, int]:
+    """Numerators of jets or numbers over one shared positive denominator D.
+
+    A jet contributes the list of its first ``upto`` numerators (see
+    :meth:`Jet.numerators`), a number its numerator; each is scaled to D, the
+    lcm of the items' denominators.  In float mode the values come back over 1.
+    Sums of products of such numerators stay integers, and a result is
+    divided once, by :func:`divider`.
+    """
+    parts = [x.numerators(upto) if isinstance(x, Jet)
+             else (x, 1) if isinstance(x, float) else (x.numerator, x.denominator)
+             for x in items]
+    den = lcm(*(d for _, d in parts))
+    out = []
+    for num, d in parts:
+        m = den // d
+        if m != 1:
+            num = [x * m for x in num] if isinstance(num, list) else num * m
+        out.append(num)
+    return out, den
+
+
+def divider(mode: str) -> Callable[[Number, int], Number]:
+    """How a numerator over a common denominator is read out: ``Fraction(num, den)``
+    in exact mode, ``num / den`` (a float) in float mode."""
+    return Fraction if mode == "exact" else truediv
 
 
 def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:

@@ -84,9 +84,11 @@ from .jetcore import (
     ZERO,
     add,
     chart_coords,
+    common_denominator,
     const,
     diff,
     div,
+    divider,
     free_vars,
     mul,
     neg,
@@ -533,21 +535,17 @@ def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:
 
 def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, ...],
                              p: Point, params=None) -> tuple[Number, ...]:
-    """[U, V]^a = U^b d_b V^a - V^b d_b U^a evaluated at p (order-1 jets)."""
-    ju = [f.jet(p, 1, params) for f in u]
-    jv = [f.jet(p, 1, params) for f in v]
-    uval = [j.value for j in ju]
-    vval = [j.value for j in jv]
-    du = [j.grad() for j in ju]
-    dv = [j.grad() for j in jv]
-    n = len(ju)
-    out = []
-    for a in range(n):
-        s = 0
-        for b in range(n):
-            s += uval[b] * dv[a][b] - vval[b] * du[a][b]
-        out.append(s)
-    return tuple(out)
+    """[U, V]^a = U^b d_b V^a - V^b d_b U^a evaluated at p (order-1 jets).
+
+    U's values and gradients go over one common denominator Du and V's over
+    Dv, so each component is an integer sum over Du Dv, divided once.
+    """
+    n = len(u)
+    U, du = common_denominator([f.jet(p, 1, params) for f in u], 1 + n)
+    V, dv = common_denominator([f.jet(p, 1, params) for f in v], 1 + n)
+    q = divider(p.mode)
+    return tuple(q(sum(U[b][0] * V[a][1 + b] - V[b][0] * U[a][1 + b] for b in range(n)), du * dv)
+                 for a in range(n))
 
 
 def lax_commutator_residual(lp: LaxPair, p: Point,

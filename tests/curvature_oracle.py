@@ -1,0 +1,146 @@
+"""The value-by-value curvature formulas, kept as a test oracle for ``heavenly.curvature``.
+
+This is how the package summed curvature before its integer value sums:
+Riemann from the Christoffel jets' values and gradients, its lowering, Ricci,
+the scalar curvature, W_abcd, the frame contractions and the spinor split,
+each a sum of ``Fraction`` (exact) or ``float`` values read off the jets one
+at a time.  It is slow and obviously correct, which is what an oracle should
+be.  It shares the metric jets, their inverse and the Christoffel jets with
+the package, which stay jet arithmetic there.  Nothing in ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from heavenly.curvature import _christoffel_jets, _invert_jet_matrix, _metric_jets
+from heavenly.tetrads import EPS
+
+
+def riemann(g, p, params):
+    """(R^a_{bcd} values [a][b][c][d], metric values, inverse metric values) at p."""
+    gj = _metric_jets(g, p, 2, params)
+    ginv = _invert_jet_matrix(gj)
+    gamma = _christoffel_jets(gj, ginv, 1)
+    n = len(gamma)
+    # dG[a][b][c][k] = d_k Gamma^a_{bc}
+    dG = [[[gamma[a][b][c].grad() for c in range(n)] for b in range(n)] for a in range(n)]
+    gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
+    out = []
+    for a in range(n):
+        ra = []
+        for b in range(n):
+            rb = []
+            for c in range(n):
+                rc = []
+                for d in range(n):
+                    s = dG[a][d][b][c] - dG[a][c][b][d]
+                    for e in range(n):
+                        s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
+                    rc.append(s)
+                rb.append(rc)
+            ra.append(rb)
+        out.append(ra)
+    return out, _values(gj), _values(ginv)
+
+
+def _values(m):
+    return [[x.value for x in row] for row in m]
+
+
+def ricci(rm, ginv_values):
+    n = len(rm)
+    ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
+    scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
+    return ric, scalar
+
+
+def lower(gv, rm):
+    n = len(rm)
+    return {(a, b, c, d): sum(gv[a][e] * rm[e][b][c][d] for e in range(n))
+            for a in range(n) for b in range(n) for c in range(n) for d in range(n)}
+
+
+def weyl(gv, rl, ric, scalar):
+    n = len(gv)
+    half = Fraction(1, 2)
+    sixth = Fraction(1, 6)
+    W = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    W[(a, b, c, d)] = (
+                        rl[(a, b, c, d)]
+                        - half * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
+                                  - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
+                        + sixth * scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
+    return W
+
+
+def frame_components(tensor, frame):
+    """T(u_k1, ..., u_kr) for every tuple of frame keys, one index at a time."""
+    n = len(next(iter(frame.values())))
+    first_key, first = next(iter(tensor.items()))
+    zero = type(first)(0)
+    t = tensor
+    for _ in range(len(first_key)):
+        nxt = {}
+        for tail in {key[1:] for key in t}:
+            col = [t[(a,) + tail] for a in range(n)]
+            for k, u in frame.items():
+                nxt[tail + (k,)] = sum((c * x for c, x in zip(col, u) if c and x), zero)
+        t = nxt
+    return t
+
+
+def curvature(g, t, p, params):
+    """Every quantity of the curvature pipeline at p, by value-by-value sums.
+
+    Returns a dict with ``riemann``, ``ricci``, ``scalar``, ``lowered``, ``W``
+    and the :class:`heavenly.curvature.CurvatureReport` fields ``weyl_asd``,
+    ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and ``duality_max_abs``.
+    """
+    rm, gv, ginv = riemann(g, p, params)
+    ric, scalar = ricci(rm, ginv)
+    rl = lower(gv, rm)
+    W = weyl(gv, rl, ric, scalar)
+    fv = t.frame_values(p, params)
+    n = len(gv)
+
+    gf = frame_components({(a, b): gv[a][b] for a in range(n) for b in range(n)}, fv)
+    duality_max = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)])
+                      for ((A, Ap), (B, Bp)), got in gf.items())
+
+    w_frame = frame_components(W, fv)
+    quarter = Fraction(1, 4)
+    sd = {}
+    asd = {}
+    for i1 in range(2):
+        for i2 in range(2):
+            for i3 in range(2):
+                for i4 in range(2):
+                    s_sd = 0
+                    s_asd = 0
+                    for A in range(2):
+                        for B in range(2):
+                            for C in range(2):
+                                for D in range(2):
+                                    e = EPS[(A, B)] * EPS[(C, D)]
+                                    s_sd += e * w_frame[((A, i1), (B, i2), (C, i3), (D, i4))]
+                                    s_asd += e * w_frame[((i1, A), (i2, B), (i3, C), (i4, D))]
+                    sd[(i1, i2, i3, i4)] = quarter * s_sd
+                    asd[(i1, i2, i3, i4)] = quarter * s_asd
+
+    rf = frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
+    phi = {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
+           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+
+    re_err = []
+    for ((A, Ap), (B, Bp), (C, Cp), (D, Dp)), val in w_frame.items():
+        rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd[(A, B, C, D)]
+                   + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])
+        re_err.append(abs(val - rebuilt))
+    return {"riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl, "W": W,
+            "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
+            "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max}
