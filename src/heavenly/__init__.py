@@ -33,6 +33,7 @@ from .tetrads import (
     lax_pair_theta,
     lax_step_from_jets,
     lax_step_residual,
+    linearized_from_jets,
     linearized_second_residual,
     metric_from_tetrad,
     plane_wave_tetrad,
@@ -52,6 +53,7 @@ from .curvature import (
 from .recursion import (
     CoeffTable,
     KillingChain,
+    chain_residual_maxima,
     coeff_A,
     coeff_B,
     flat_phi,

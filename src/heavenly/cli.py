@@ -29,7 +29,6 @@ from .tetrads import (
     SECOND,
     SecondPotential,
     first_heavenly_residual,
-    lax_step_residual,
     metric_from_tetrad,
     second_heavenly_residual,
 )
@@ -212,34 +211,27 @@ def cmd_recursion_chain(args) -> int:
         sigma = float(sigma)
     config = {"background": args.background, "n": args.n, "sigma": sigma,
               "seed": args.seed, "points": args.points, "mode": args.mode}
-    records = []
-    worst = zero = _zero(args)
-    flat_theta = SecondPotential(ScalarField.constant(0, SECOND))
     if args.background == "flat":
-        for n in range(0, args.n + 1):
-            phi = recursion.flat_phi(n)
-            wave = _abs_max((recursion.wave_residual(flat_theta, phi, p) for p in pts), zero)
-            rec = {"n": n, "expression": str(phi), "wave_max_abs": wave}
-            if n > 0:
-                prev = recursion.flat_phi(n - 1)
-                link = [v for p in pts for v in lax_step_residual(flat_theta, prev, phi, p)]
-                rec["link_max_abs"] = _abs_max(link, zero)
-                worst = max(worst, rec["link_max_abs"])
-            worst = max(worst, wave)
-            records.append(rec)
+        theta, params = SecondPotential(ScalarField.constant(0, SECOND)), None
+        members = [recursion.flat_phi(n) for n in range(first, args.n + 1)]
+        key, offset = "link_max_abs", -1   # link (n-1, n) is reported on member n
     else:
-        params = {"sigma": sigma}
-        theta = recursion.st_potential()
-        for n in range(1, args.n + 1):
-            psi = recursion.st_psi(n)
-            wave = _abs_max((recursion.wave_residual(theta, psi, p, params) for p in pts), zero)
-            rec = {"n": n, "expression": str(psi), "wave_max_abs": wave}
-            if n < args.n:
-                step = recursion.recursion_step_st(n, sigma, pts)
-                rec["step_max_abs"] = step["max_abs_residual"]
-                worst = max(worst, step["max_abs_residual"])
-            worst = max(worst, wave)
-            records.append(rec)
+        theta, params = recursion.st_potential(), {"sigma": sigma}
+        members = [recursion.st_psi(n) for n in range(first, args.n + 1)]
+        key, offset = "step_max_abs", 0    # step (n, n+1) is reported on member n
+        if args.n >= 2:
+            # depends only on sigma and the points; its failures do not reach the verdict
+            recursion.monomial_action_check(sigma, pts)
+    waves, links = recursion.chain_residual_maxima(theta, members, pts, params)
+    records = []
+    worst = _zero(args)
+    for i, (psi, wave) in enumerate(zip(members, waves)):
+        rec = {"n": first + i, "expression": str(psi), "wave_max_abs": wave}
+        if 0 <= i + offset < len(links):
+            rec[key] = links[i + offset]
+            worst = max(worst, rec[key])
+        worst = max(worst, wave)
+        records.append(rec)
     rep = reports.build_report("recursion-chain", config, records, worst, args.mode, args.tol)
     return _emit(rep, args.out)
 

@@ -39,7 +39,14 @@ class SingularMetricError(ValueError):
 
 
 def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
-    return [[f.jet(p, order, params) for f in row] for row in g.components]
+    """Jets of g_ab for a <= b, mirrored onto g_ba (the metric is symmetric)."""
+    rows = g.components
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            out[a][b] = out[b][a] = rows[a][b].jet(p, order, params)
+    return out
 
 
 def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
@@ -92,27 +99,29 @@ class Christoffel:
 
 def _christoffel_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
                       jet_order: int) -> list[list[list[Jet]]]:
-    """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher."""
+    """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher.
+
+    The metric jets are symmetric (see :func:`_metric_jets`), so Gamma^a_{bc}
+    is built for b <= c and mirrored onto Gamma^a_{cb}.
+    """
     n = len(gj)
-    dg = [[[_jet_partial(gj[a][b], c) for c in range(n)] for b in range(n)] for a in range(n)]
+    upper = [(b, c) for b in range(n) for c in range(b, n)]
+    dg = [[None] * n for _ in range(n)]
+    for a, b in upper:
+        dg[a][b] = dg[b][a] = [_jet_partial(gj[a][b], c) for c in range(n)]
     ginv_low = [[ginv[a][b].truncate(jet_order) for b in range(n)] for a in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
-    low = [[[dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for c in range(n)] for b in range(n)]
-           for d in range(n)]
+    low = {(b, c): [dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for d in range(n)]
+           for b, c in upper}
     half = Fraction(1, 2)
-    out = []
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        rows = []
-        for b in range(n):
-            cols = []
-            for c in range(n):
-                acc = None
-                for d in range(n):
-                    contrib = ginv_low[a][d] * low[d][b][c]
-                    acc = contrib if acc is None else acc + contrib
-                cols.append(acc.scale(half))
-            rows.append(cols)
-        out.append(rows)
+        for b, c in upper:
+            acc = None
+            for d in range(n):
+                contrib = ginv_low[a][d] * low[(b, c)][d]
+                acc = contrib if acc is None else acc + contrib
+            out[a][b][c] = out[a][c][b] = acc.scale(half)
     return out
 
 

@@ -47,7 +47,14 @@ from .jetcore import (
     sub,
 )
 from .polynomials import Poly, UniPoly, uni, uni_add, uni_eval, uni_expr, uni_mul
-from .tetrads import SECOND, SecondPotential, lax_step_residual, linearized_second_residual
+from .tetrads import (
+    SECOND,
+    SecondPotential,
+    lax_step_from_jets,
+    lax_step_residual,
+    linearized_from_jets,
+    linearized_second_residual,
+)
 
 W, Z, X, Y = Var("w"), Var("z"), Var("x"), Var("y")
 
@@ -212,7 +219,7 @@ def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
             if r != 0:
                 failures.append({"relation": tag, "point": p, "residual": r})
             residuals.append(abs(r))
-    mono = _monomial_action_check(sigma, points)
+    mono = monomial_action_check(sigma, points)
     # the points' own zero when every residual vanishes (0.0 in float mode)
     worst = max(residuals, default=Fraction(0))
     return {"n": n, "max_abs_residual": worst, "failures": failures + mono,
@@ -238,7 +245,7 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def _monomial_action_check(sigma, points: Sequence[Point]) -> list:
+def monomial_action_check(sigma, points: Sequence[Point]) -> list:
     """Differential check of the formal monomial image on its integrable cases."""
     params = {"sigma": Fraction(sigma)}
     theta = st_potential()
@@ -277,6 +284,31 @@ def st_wave_check(n: int, sigma, points: Sequence[Point]) -> Fraction:
     theta = st_potential()
     psi = st_psi(n)
     return max(abs(wave_residual(theta, psi, p, params)) for p in points)
+
+
+def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField],
+                          points: Sequence[Point], params: Mapping[str, Number] | None = None
+                          ) -> tuple[list, list]:
+    """Wave maxima of every chain member and link maxima of every consecutive pair.
+
+    Each point evaluates the potential's order-2 jet and each member's order-2
+    jet once; the wave residual (wave_residual) and both recursion relations
+    between members i and i+1 (lax_step_residual) are read off those jets.
+    Returns ``(wave, link)``: wave[i] is max |box members[i]| and link[i] the
+    max of |relation| over both relations for the pair (i, i+1), each maximum
+    over the points, or the points' zero (0.0 in float mode) when there are none.
+    """
+    waves: list[list] = [[] for _ in members]
+    links: list[list] = [[] for _ in members[1:]]
+    for p in points:
+        theta_jet = theta.field.jet(p, 2, params)
+        jets = [m.jet(p, 2, params) for m in members]
+        for i, jet in enumerate(jets):
+            waves[i].append(abs(2 * linearized_from_jets(theta_jet, jet)))
+        for i, values in enumerate(links):
+            values.extend(abs(r) for r in lax_step_from_jets(theta_jet, jets[i], jets[i + 1]))
+    zero = 0.0 if points and points[0].mode == "float" else Fraction(0)
+    return ([max(v, default=zero) for v in waves], [max(v, default=zero) for v in links])
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,17 @@ def first_heavenly_residual(omega: FirstPotential, p: Point,
 def linearized_second_residual(theta: SecondPotential, delta: ScalarField, p: Point,
                                params: Mapping[str, Number] | None = None) -> Number:
     """Background wave operator of the second equation applied to a perturbation."""
-    dT = theta.field.jet(p, 2, params).d
-    dD = delta.jet(p, 2, params).d
+    return linearized_from_jets(theta.field.jet(p, 2, params), delta.jet(p, 2, params))
+
+
+def linearized_from_jets(theta_jet: Jet, delta_jet: Jet) -> Number:
+    """linearized_second_residual from order-2 jets of the potential and the perturbation.
+
+    Callers that apply the operator to many perturbations at one point share
+    the potential's jet.
+    """
+    dT = theta_jet.d
+    dD = delta_jet.d
     return (dD("x", "w") + dD("y", "z")
             + dT("y", "y") * dD("x", "x") + dT("x", "x") * dD("y", "y")
             - 2 * dT("x", "y") * dD("x", "y"))
@@ -506,9 +515,11 @@ def lax_step_residual(theta: SecondPotential, phi: ScalarField, r_phi: ScalarFie
 
 
 def lax_step_from_jets(theta_jet: Jet, phi_jet: Jet, r_phi_jet: Jet) -> tuple[Number, Number]:
-    """lax_step_residual from an order-2 jet of the potential and order-1 jets of phi and R phi.
+    """lax_step_residual from an order-2 jet of the potential and jets of phi and R phi.
 
-    Callers that relate many pairs at one point evaluate each jet once and share it.
+    The jets of phi and R phi need order 1 or more; only their first partials
+    are read.  Callers that relate many pairs at one point evaluate each jet
+    once and share it.
     """
     dT = theta_jet.d
     txx, tyy, txy = dT("x", "x"), dT("y", "y"), dT("x", "y")

@@ -2,12 +2,19 @@
 
 import io
 import json
+from fractions import Fraction
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heavenly import jetcore
 from heavenly.cli import main
+from heavenly.jetcore import ScalarField
+from heavenly.recursion import flat_phi, st_potential, st_psi, wave_residual
+from heavenly.sampling import float_points, sample_points
+from heavenly.tetrads import SecondPotential, lax_step_residual
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,6 +139,11 @@ class TestGolden:
           "--points", "3", "--seed", "3"]),
         ("penrose-phi0.json",
          ["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--points", "3", "--seed", "3"]),
+        ("recursion-chain-flat.json",
+         ["recursion-chain", "--background", "flat", "--n", "4", "--points", "3", "--seed", "3"]),
+        ("recursion-chain-st-float.json",
+         ["recursion-chain", "--background", "st", "--n", "4", "--sigma", "1/2",
+          "--points", "3", "--mode", "float", "--seed", "3"]),
     ])
     def test_matches_golden_bytes(self, name, argv):
         code, out = run(argv)
@@ -272,6 +284,81 @@ class TestOutputs:
         values = [v for per_order in orders.values() for v in per_order.values()]
         assert len(values) == 16
         assert all(type(v) is type(zero) and v == zero for v in values)
+
+
+def _per_call_chain(background, n, sigma, seed, points, mode):
+    """Wave and link maxima of the chain by one wave_residual and one
+    lax_step_residual call per point, members keyed by their index n."""
+    exclusions = ["q_nonzero", "w_nonzero"] + (["q_unit_scale"] if mode == "float" else [])
+    pts = sample_points("second", seed, points, exclusions)
+    if mode == "float":
+        pts, sigma = float_points(pts), float(sigma)
+    if background == "flat":
+        theta, params = SecondPotential(ScalarField.constant(0, "second")), None
+        members = {k: flat_phi(k) for k in range(n + 1)}
+    else:
+        theta, params = st_potential(), {"sigma": sigma}
+        members = {k: st_psi(k) for k in range(1, n + 1)}
+    wave = {k: max(abs(wave_residual(theta, m, p, params)) for p in pts)
+            for k, m in members.items()}
+    link = {k: max(abs(r) for p in pts
+                   for r in lax_step_residual(theta, members[k], members[k + 1], p, params))
+            for k in members if k + 1 in members}
+    return wave, link
+
+
+def _jet_of_calls(monkeypatch) -> list:
+    calls = []
+    original = jetcore.jet_of
+    monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: calls.append(a) or original(*a, **k))
+    return calls
+
+
+class TestRecursionChainSharedJets:
+    @settings(max_examples=30, deadline=None)
+    @given(background=st.sampled_from(["flat", "st"]), mode=st.sampled_from(["exact", "float"]),
+           n=st.integers(1, 6), seed=st.integers(0, 500), points=st.integers(1, 3),
+           sigma=st.fractions(-3, 3, max_denominator=4))
+    def test_matches_per_call_route(self, background, mode, n, seed, points, sigma):
+        argv = ["recursion-chain", "--background", background, "--n", str(n),
+                "--seed", str(seed), "--points", str(points), "--mode", mode]
+        if background == "st":
+            argv.append(f"--sigma={sigma}")
+        code, out = run(argv)
+        assert code in (0, 1)
+        records = {r["n"]: r for r in json.loads(out)["records"]}
+        wave, link = _per_call_chain(background, n, sigma if background == "st" else 1,
+                                     seed, points, mode)
+        # flat reports link (n-1, n) on member n, st reports step (n, n+1) on member n
+        if background == "flat":
+            want = {(k + 1, "link_max_abs"): v for k, v in link.items()}
+        else:
+            want = {(k, "step_max_abs"): v for k, v in link.items()}
+        want.update({(k, "wave_max_abs"): v for k, v in wave.items()})
+        got = {(k, field): value for k, r in records.items()
+               for field, value in r.items() if field.endswith("_max_abs")}
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if mode == "exact":
+                # every member solves the wave equation and every link holds exactly
+                assert Fraction(got[key]) == value == 0, key
+            else:
+                assert got[key].hex() == value.hex(), key
+
+    def test_st_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
+        calls = _jet_of_calls(monkeypatch)
+        code, _ = run(["recursion-chain", "--background", "st", "--n", "10", "--sigma", "1/2",
+                       "--points", "1"])
+        assert code == 0
+        # the potential, the ten members and the once-per-run monomial check (two
+        # pairs, three jets each)
+        assert len(calls) <= 1 + 10 + 6
+
+    def test_flat_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
+        calls = _jet_of_calls(monkeypatch)
+        code, _ = run(["recursion-chain", "--background", "flat", "--n", "6", "--points", "1"])
+        assert code == 0
+        assert len(calls) <= 1 + 7
 
 
 def _leaves(node, key=None):

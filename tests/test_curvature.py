@@ -329,3 +329,18 @@ class TestSinglePass:
             rep = weyl_spinors(g, t, p, params)
             assert (rep.ricci, rep.scalar) == (ric, scalar)
             assert rep.reassembly_max_abs == 0 and rep.duality_max_abs == 0
+
+    def test_symmetric_jets_built_once(self, monkeypatch):
+        # g_ab and Gamma^a_bc are built for a <= b and b <= c only and mirrored:
+        # 10 metric jets instead of 16, 160 Christoffel products instead of 256
+        from heavenly import jetcore
+        from heavenly.jetcore import Jet
+        g, t, params, points = catalog_setup("sparling-tod")
+        jets, products = [], []
+        jet_of, mul = jetcore.jet_of, Jet.__mul__
+        monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: jets.append(a) or jet_of(*a, **k))
+        monkeypatch.setattr(Jet, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+        weyl_spinors(g, t, points[0], params)
+        monkeypatch.undo()
+        assert len(jets) <= 10
+        assert len(products) <= 360
