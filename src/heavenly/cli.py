@@ -1,12 +1,23 @@
 """Command-line front end: verification subcommands with JSON reports.
 
-Exit codes: 0 = all checks passed, 1 = a verdict failed, 2 = configuration,
-parse or evaluation-domain errors.
+Each subcommand checks one claim of the paper through one driver, `_check`.
+The subcommand turns its options into a list of items (sample points, chain
+members or symplectic pairs) and an `evaluate` that maps an item to its
+report record and its labelled residuals.  A label is a tuple: the
+residual's component and, where there is one, its lam-order.  The driver
+folds the largest |residual| into the schema-1 report and writes it.
+
+Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
+line naming the worst residual's item, label and value; 2 = bad input (an
+option out of range, an unparsable or off-chart expression, an unknown
+background, no admissible sample point, or a float evaluation that cannot
+meet --tol), with one `error:` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -43,16 +54,50 @@ def _zero(args):
     return 0.0 if args.mode == "float" else Fraction(0)
 
 
-def _abs_max(values, zero) -> object:
-    return max((abs(v) for v in values), default=zero)
+def _check(args, config: dict, items, evaluate) -> int:
+    """Evaluate every item, fold the largest |residual| and emit the report.
 
-
-def _emit(report: dict, out: str | None) -> int:
+    ``evaluate(item)`` returns the item's record and a mapping from label to
+    residual.  On a failing verdict one stderr line names the residual that
+    first reached the maximum: its item, label and value.
+    """
+    worst, culprit = _zero(args), None
+    records = []
+    for item in items:
+        record, residuals = evaluate(item)
+        records.append(record)
+        for label, value in residuals.items():
+            if abs(value) > worst:
+                worst, culprit = abs(value), (record, label, value)
+    config = {**config, "seed": args.seed, "mode": args.mode}
+    report = reports.build_report(args.command, config, records, worst, args.mode, args.tol)
     text = reports.dumps(report)
     sys.stdout.write(text)
-    if out:
-        Path(out).write_text(text)
-    return 0 if report["verdict"] == "pass" else 1
+    if args.out:
+        Path(args.out).write_text(text)
+    if report["verdict"] == "pass":
+        return 0
+    record, label, value = culprit
+    print(f"verdict failed: {_label_text(label)} = {value} at {_item_text(record)}",
+          file=sys.stderr)
+    return 1
+
+
+def _point_text(p: Point) -> str:
+    return "point " + ", ".join(f"{c}={v}" for c, v in zip(chart_coords(p.chart), p.values))
+
+
+def _item_text(record: dict) -> str:
+    if "point" in record:
+        return _point_text(record["point"])
+    return f"chain member n={record['n']}" if "n" in record else f"pair {record['pair']}"
+
+
+def _label_text(label: tuple) -> str:
+    """The component, then its lam-order or the point it was checked at."""
+    component, *where = label
+    return " at ".join([component] + [f"lam^{w}" if isinstance(w, int) else _point_text(w)
+                                      for w in where])
 
 
 def _entry(args):
@@ -65,7 +110,7 @@ def _entry(args):
 
 def _sigma(args, default=None):
     """--sigma as an exact rational; bad text or a zero denominator is a config error."""
-    text = getattr(args, "sigma", None)
+    text = args.sigma
     if text is None:
         return default
     try:
@@ -79,16 +124,12 @@ def _params(entry, args) -> dict:
     sigma = _sigma(args)
     if sigma is not None:
         params["sigma"] = sigma
-    if getattr(args, "mode", "exact") == "float":
-        params = {k: float(v) for k, v in params.items()}
-    return params
+    return {k: float(v) for k, v in params.items()} if args.mode == "float" else params
 
 
-def _sample(chart: str, args, exclusions=()) -> list[Point]:
-    pts = sample_points(chart, args.seed, args.points, exclusions)
-    if getattr(args, "mode", "exact") == "float":
-        pts = float_points(pts)
-    return pts
+def _sample(chart: str, args, exclusions=(), seed=None) -> list[Point]:
+    pts = sample_points(chart, args.seed if seed is None else seed, args.points, exclusions)
+    return float_points(pts) if args.mode == "float" else pts
 
 
 def _entry_points(entry, profile: str | None, args, params) -> list[Point]:
@@ -128,226 +169,168 @@ def _exact_only(args) -> None:
                           "--mode float is not supported")
 
 
+def _background(args, *exclusions):
+    """Potential, parameters, sigma and sample points of the flat or st background."""
+    sigma = _sigma(args, Fraction(1))
+    exclusions = ["q_nonzero", "w_nonzero", *exclusions]
+    if args.mode == "float":
+        sigma = float(sigma)
+        exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
+    pts = _sample(SECOND, args, exclusions)
+    if args.background == "flat":
+        return SecondPotential(ScalarField.constant(0, SECOND)), None, sigma, pts
+    return recursion.st_potential(), {"sigma": sigma}, sigma, pts
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_verify_solution(args) -> int:
     entry = _entry(args)
-    params = _params(entry, args)
-    config = {"background": entry.name, "params": params, "seed": args.seed,
-              "points": args.points, "mode": args.mode}
     if entry.kind == "metric":
-        profile = args.f or entry.expression
-        config["f"] = profile
-        tetrad = entry.tetrad(profile)
-        metric = metric_from_tetrad(tetrad)
-        pts = _entry_points(entry, profile, args, params)
-        result = curvature.verify_asd_vacuum(metric, tetrad, pts, params, args.tol)
-        records = [{k: v for k, v in r.items()} for r in result["records"]]
-        worst = _abs_max((max(r["ricci_max_abs"], r["sd_weyl_max_abs"]) for r in records),
-                         _zero(args))
-        rep = reports.build_report("verify-solution", config, records, worst, args.mode, args.tol)
-        return _emit(rep, args.out)
-    pts = _entry_points(entry, None, args, params)
-    records = []
-    residuals = []
+        return _curvature_check(args, entry)
+    params = _params(entry, args)
     if entry.kind == "potential-second":
-        theta = entry.second_potential()
-        for p in pts:
-            r = second_heavenly_residual(theta, p, params)
-            residuals.append(r)
-            records.append({"point": p, "residual": r})
+        residual, potential = second_heavenly_residual, entry.second_potential()
     else:
-        omega = entry.first_potential()
-        for p in pts:
-            r = first_heavenly_residual(omega, p, params)
-            residuals.append(r)
-            records.append({"point": p, "residual": r})
-    rep = reports.build_report("verify-solution", config, records,
-                               _abs_max(residuals, _zero(args)), args.mode, args.tol)
-    return _emit(rep, args.out)
+        residual, potential = first_heavenly_residual, entry.first_potential()
+
+    def evaluate(p):
+        r = residual(potential, p, params)
+        return {"point": p, "residual": r}, {("residual",): r}
+    config = {"background": entry.name, "params": params, "points": args.points}
+    return _check(args, config, _entry_points(entry, None, args, params), evaluate)
 
 
 def cmd_curvature_report(args) -> int:
-    entry = _entry(args)
+    return _curvature_check(args, _entry(args))
+
+
+def _curvature_check(args, entry) -> int:
+    """Ricci and self-dual Weyl maxima of the entry's metric at each point.
+
+    verify-solution keeps each point's own pass flag in its records;
+    curvature-report does not.
+    """
     params = _params(entry, args)
     profile = args.f or (entry.expression if entry.kind == "metric" else None)
-    tetrad = entry.tetrad(profile)
+    try:
+        tetrad = entry.tetrad(profile)
+    except ValueError as exc:  # a profile that is not a function of (q, z)
+        raise ConfigError(str(exc)) from exc
     metric = metric_from_tetrad(tetrad)
     pts = _entry_points(entry, profile, args, params)
-    config = {"background": entry.name, "params": params, "seed": args.seed,
-              "points": args.points, "mode": args.mode}
+    config = {"background": entry.name, "params": params, "points": args.points}
     if profile:
         config["f"] = profile
-    records = []
-    worst = _zero(args)
-    for p in pts:
-        rep = curvature.weyl_spinors(metric, tetrad, p, params, args.tol)
-        records.append({
-            "point": p,
-            "ricci_max_abs": rep.ricci_max_abs,
-            "sd_weyl_max_abs": rep.sd_weyl_max_abs,
-            "asd_weyl_max_abs": rep.asd_weyl_max_abs,
-            "scalar_R": rep.scalar,
-        })
-        worst = max(worst, rep.ricci_max_abs, rep.sd_weyl_max_abs)
-    rep = reports.build_report("curvature-report", config, records, worst, args.mode, args.tol)
-    return _emit(rep, args.out)
+    records = curvature.verify_asd_vacuum(metric, tetrad, pts, params, args.tol)["records"]
+    if args.command == "curvature-report":
+        records = [{k: v for k, v in r.items() if k != "pass"} for r in records]
+    return _check(args, config, records, lambda r: (r, {
+        ("ricci_max_abs",): r["ricci_max_abs"], ("sd_weyl_max_abs",): r["sd_weyl_max_abs"]}))
 
 
 def cmd_recursion_chain(args) -> int:
-    if args.background not in ("flat", "st"):
-        raise ConfigError("recursion-chain backgrounds: flat | st")
     first = 1 if args.background == "st" else 0
     if args.n < first:
         raise ConfigError(f"--n must be at least {first} on {args.background}, got {args.n}")
-    sigma = _sigma(args, Fraction(1))
-    exclusions = ["q_nonzero", "w_nonzero"]
-    if args.mode == "float":
-        exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
-    pts = sample_points("second", args.seed, args.points, exclusions)
-    if args.mode == "float":
-        pts = float_points(pts)
-        sigma = float(sigma)
-    config = {"background": args.background, "n": args.n, "sigma": sigma,
-              "seed": args.seed, "points": args.points, "mode": args.mode}
+    theta, params, sigma, pts = _background(args)
     if args.background == "flat":
-        theta, params = SecondPotential(ScalarField.constant(0, SECOND)), None
         members = [recursion.flat_phi(n) for n in range(first, args.n + 1)]
         key, offset = "link_max_abs", -1   # link (n-1, n) is reported on member n
+        monomials = {}
     else:
-        theta, params = recursion.st_potential(), {"sigma": sigma}
         members = [recursion.st_psi(n) for n in range(first, args.n + 1)]
         key, offset = "step_max_abs", 0    # step (n, n+1) is reported on member n
-        if args.n >= 2:
-            # depends only on sigma and the points; its failures do not reach the verdict
-            recursion.monomial_action_check(sigma, pts)
+        # depends only on sigma and the points; its residuals join the first member's
+        monomials = recursion.monomial_action_check(sigma, pts) if args.n >= 2 else {}
     waves, links = recursion.chain_residual_maxima(theta, members, pts, params)
-    records = []
-    worst = _zero(args)
-    for i, (psi, wave) in enumerate(zip(members, waves)):
-        rec = {"n": first + i, "expression": str(psi), "wave_max_abs": wave}
+
+    def evaluate(i):
+        record = {"n": first + i, "expression": str(members[i]), "wave_max_abs": waves[i]}
+        residuals = {}
         if 0 <= i + offset < len(links):
-            rec[key] = links[i + offset]
-            worst = max(worst, rec[key])
-        worst = max(worst, wave)
-        records.append(rec)
-    rep = reports.build_report("recursion-chain", config, records, worst, args.mode, args.tol)
-    return _emit(rep, args.out)
+            record[key] = residuals[(key,)] = links[i + offset]
+        residuals[("wave_max_abs",)] = waves[i]
+        if i == 0:
+            residuals.update(monomials)
+        return record, residuals
+    config = {"background": args.background, "n": args.n, "sigma": sigma, "points": args.points}
+    return _check(args, config, range(len(members)), evaluate)
 
 
 def cmd_twistor_series(args) -> int:
-    if args.background not in ("flat", "st"):
-        raise ConfigError("twistor-series backgrounds: flat | st")
-    sigma = _sigma(args, Fraction(1))
-    exclusions = ["q_nonzero", "w_nonzero", "z_nonzero"]
-    if args.mode == "float":
-        exclusions.append("q_unit_scale")
-    pts = sample_points("second", args.seed, args.points, exclusions)
-    if args.mode == "float":
-        pts = float_points(pts)
-        sigma = float(sigma)
-    config = {"background": args.background, "order": args.order, "sigma": sigma,
-              "seed": args.seed, "points": args.points, "mode": args.mode}
-    if args.background == "flat":
-        curve = twistor.flat_twistor_curve(args.order)
-        theta = SecondPotential(ScalarField.constant(0, SECOND))
-        params = None
-    else:
-        curve = twistor.st_twistor_curve(args.order)
-        theta = recursion.st_potential()
-        params = {"sigma": sigma}
-    records = []
-    worst = _zero(args)
-    for p in pts:
+    theta, params, sigma, pts = _background(args, "z_nonzero")
+    curve = (twistor.flat_twistor_curve if args.background == "flat"
+             else twistor.st_twistor_curve)(args.order)
+
+    def evaluate(p):
         res = twistor.lax_annihilation_residual(curve, theta, p, params)
-        interior = {f"{k[0]}:{k[1]}": v for k, v in res["interior"].items()}
-        records.append({"point": p, "interior_orders": interior,
-                        "max_abs_interior": res["max_abs_interior"]})
-        worst = max(worst, res["max_abs_interior"])
-    rep = reports.build_report("twistor-series", config, records, worst, args.mode, args.tol)
-    return _emit(rep, args.out)
+        interior = {f"{A}:{B}": orders for (A, B), orders in res["interior"].items()}
+        record = {"point": p, "interior_orders": interior,
+                  "max_abs_interior": res["max_abs_interior"]}
+        return record, {(component, r): v for component, orders in interior.items()
+                        for r, v in orders.items()}
+    config = {"background": args.background, "order": args.order, "sigma": sigma,
+              "points": args.points}
+    return _check(args, config, pts, evaluate)
 
 
 def cmd_penrose(args) -> int:
     _exact_only(args)
-    try:
-        f = parse_expression(args.f, "twistor-function")
-        pole = parse_expression(args.pole, "second")
-    except ParseError as exc:
-        raise ConfigError(str(exc)) from exc
-    pts = sample_points("second", args.seed, args.points, ("q_nonzero", "w_nonzero", "y_nonzero"))
-    config = {"f": args.f, "pole": args.pole, "seed": args.seed,
-              "points": args.points, "mode": args.mode}
-    records = []
-    for p in pts:
-        value = twistor.penrose_residue_transform(f, pole, p)
-        records.append({"point": p, "value": value})
-    rep = reports.build_report("penrose", config, records, Fraction(0), args.mode, args.tol)
-    return _emit(rep, args.out)
+    f = parse_expression(args.f, "twistor-function")
+    pole = parse_expression(args.pole, SECOND)
+    pts = _sample(SECOND, args, ("q_nonzero", "w_nonzero", "y_nonzero"))
+    config = {"f": args.f, "pole": args.pole, "points": args.points}
+    # the transform's value is reported, not checked: no residuals
+    return _check(args, config, pts, lambda p: (
+        {"point": p, "value": twistor.penrose_residue_transform(f, pole, p)}, {}))
 
 
 def cmd_hierarchy_check(args) -> int:
     n = args.n
-    if n < 1:
-        raise ConfigError("hierarchy level must be >= 1")
+    if not 1 <= n <= 9:
+        raise ConfigError(f"--n must be in 1..9, got {n}")
     chart = hierarchy.extended_chart(n)
+    coords = chart_coords(chart)
     rng = random.Random(args.seed)
-    E = _random_extended_potential(n, rng)
-    pts = sample_points(chart, args.seed + 1, args.points)
-    if args.mode == "float":
-        pts = float_points(pts)
+    E = hierarchy.ExtendedPotential(n, _random_poly(chart, rng, 8, 3).to_field())
     pairs = [(0, i, 1, j) for i in range(n) for j in range(n)]
-    config = {"n": n, "seed": args.seed, "points": args.points, "mode": args.mode}
-    records = []
-    worst_identity = zero = _zero(args)
-    for p in pts:
-        point_worst = zero
-        res = hierarchy.lax_compat_residual(E, pairs, p)
-        for rec in res["pairs"]:
-            ident = max(_abs_max(rec["delta_delta"], zero), _abs_max(rec["mixed"], zero))
-            equiv = _abs_max((a - b for a, b in
-                              zip(rec["dd_commutator"], rec["residual_hamiltonian_field"])), zero)
-            point_worst = max(point_worst, ident, equiv)
-        sato = []
+    zero = _zero(args)
+
+    def evaluate(p):
+        residuals = {}
+        for rec in hierarchy.lax_compat_residual(E, pairs, p)["pairs"]:
+            A, i, B, j = rec["pair"]
+            equiv = (a - b for a, b in
+                     zip(rec["dd_commutator"], rec["residual_hamiltonian_field"]))
+            for name, values in ((f"[delta_{A}{i}, delta_{B}{j}]", rec["delta_delta"]),
+                                 (f"mixed ({A}{i}, {B}{j})", rec["mixed"]),
+                                 (f"[D_{A}{i}, D_{B}{j}] - X_H", equiv)):
+                residuals.update({(f"{name}^{c}",): v for c, v in zip(coords, values)})
         for A in (0, 1):
             for j in range(1, n + 1):
-                test = _random_test_field(chart, rng)
+                test = (_random_poly(chart, rng, 5, 2) + Poly.constant(1, chart)).to_field()
                 r = hierarchy.summed_lax_identity_residual(E, A, j, test, p)
-                sato.extend(r.values())
-        point_worst = max(point_worst, _abs_max(sato, zero))
-        records.append({"point": p, "identity_max_abs": point_worst})
-        worst_identity = max(worst_identity, point_worst)
-    rep = reports.build_report("hierarchy-check", config, records, worst_identity,
-                               args.mode, args.tol)
-    return _emit(rep, args.out)
+                residuals.update({(f"Sato A={A} j={j}", m): v for m, v in r.items()})
+        record = {"point": p, "identity_max_abs": max([zero, *map(abs, residuals.values())])}
+        return record, residuals
+    config = {"n": n, "points": args.points}
+    return _check(args, config, _sample(chart, args, seed=args.seed + 1), evaluate)
 
 
-def _random_extended_potential(n: int, rng) -> hierarchy.ExtendedPotential:
-    chart = hierarchy.extended_chart(n)
-    coords = list(range(2 * (n + 1)))
-    poly = Poly.zero(chart)
-    for _ in range(8):
-        exps = [0] * len(coords)
-        for _ in range(rng.randint(1, 3)):
-            exps[rng.randrange(len(coords))] += 1
-        c = Fraction(rng.randint(-2, 2))
-        if c:
-            poly = poly + Poly(chart, {tuple(exps): c})
-    return hierarchy.ExtendedPotential(n, poly.to_field())
-
-
-def _random_test_field(chart: str, rng) -> ScalarField:
+def _random_poly(chart: str, rng, terms: int, degree: int) -> Poly:
+    """Sum of up to ``terms`` monomials of degree 1..degree, coefficients in -2..2."""
     poly = Poly.zero(chart)
     ncoords = len(chart_coords(chart))
-    for _ in range(5):
+    for _ in range(terms):
         exps = [0] * ncoords
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(rng.randint(1, degree)):
             exps[rng.randrange(ncoords)] += 1
         c = Fraction(rng.randint(-2, 2))
         if c:
             poly = poly + Poly(chart, {tuple(exps): c})
-    return (poly + Poly.constant(1, chart)).to_field()
+    return poly
 
 
 def cmd_symplectic_check(args) -> int:
@@ -355,28 +338,18 @@ def cmd_symplectic_check(args) -> int:
     rng = random.Random(args.seed)
     box = symplectic.BoundaryBox.unit()
     big = symplectic.BoundaryBox(Fraction(0), Fraction(2))
-    config = {"degree": args.degree, "pairs": args.pairs, "seed": args.seed, "mode": args.mode}
-    records = []
-    worst = Fraction(0)
-    for k in range(args.pairs):
+    pair, step = symplectic.symplectic_pair, recursion.recursion_step_poly
+
+    def evaluate(k):
         p1 = _random_wave_poly(rng, args.degree)
         p2 = _random_wave_poly(rng, args.degree)
-        v12 = symplectic.symplectic_pair(p1, p2, box)
-        v21 = symplectic.symplectic_pair(p2, p1, box)
-        r1 = symplectic.symplectic_pair(recursion.recursion_step_poly(p1), p2, box)
-        r2 = symplectic.symplectic_pair(p1, recursion.recursion_step_poly(p2), box)
-        conserved = symplectic.symplectic_pair(p1, p2, big) - v12
-        rec = {
-            "pair": k,
-            "value": v12,
-            "antisymmetry": v12 + v21,
-            "r_compat": r1 - r2,
-            "conservation": conserved,
-        }
-        worst = max(worst, abs(rec["antisymmetry"]), abs(rec["r_compat"]), abs(rec["conservation"]))
-        records.append(rec)
-    rep = reports.build_report("symplectic-check", config, records, worst, args.mode, args.tol)
-    return _emit(rep, args.out)
+        v12 = pair(p1, p2, box)
+        residuals = {("antisymmetry",): v12 + pair(p2, p1, box),
+                     ("r_compat",): pair(step(p1), p2, box) - pair(p1, step(p2), box),
+                     ("conservation",): pair(p1, p2, big) - v12}
+        return {"pair": k, "value": v12, **{c: v for (c,), v in residuals.items()}}, residuals
+    config = {"degree": args.degree, "pairs": args.pairs}
+    return _check(args, config, range(args.pairs), evaluate)
 
 
 def _random_wave_poly(rng, degree: int) -> Poly:
@@ -405,38 +378,38 @@ def _add_common(sp, points_default=10):
     sp.add_argument("--out", type=str, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input like any other: one `error:` line and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="heavenly",
-                                 description="verification suite for heavenly structures")
+    ap = _Parser(prog="heavenly", description="verification suite for heavenly structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    vs = sub.add_parser("verify-solution", help="residual / vacuum check for a catalog entry")
-    vs.add_argument("--background", required=True)
-    vs.add_argument("--sigma", type=str, default=None)
-    vs.add_argument("--f", type=str, default=None)
-    _add_common(vs)
-    vs.set_defaults(func=cmd_verify_solution)
+    for name, func, about in (
+            ("verify-solution", cmd_verify_solution, "residual / vacuum check for a catalog entry"),
+            ("curvature-report", cmd_curvature_report, "per-point curvature invariants")):
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("--background", required=True)
+        sp.add_argument("--sigma", type=str, default=None)
+        sp.add_argument("--f", type=str, default=None)
+        _add_common(sp)
+        sp.set_defaults(func=func)
 
-    cr = sub.add_parser("curvature-report", help="per-point curvature invariants")
-    cr.add_argument("--background", required=True)
-    cr.add_argument("--sigma", type=str, default=None)
-    cr.add_argument("--f", type=str, default=None)
-    _add_common(cr)
-    cr.set_defaults(func=cmd_curvature_report)
-
-    rc = sub.add_parser("recursion-chain", help="chain expressions and residual summary")
-    rc.add_argument("--background", required=True, choices=("flat", "st"))
-    rc.add_argument("--n", type=int, required=True)
-    rc.add_argument("--sigma", type=str, default=None)
-    _add_common(rc)
-    rc.set_defaults(func=cmd_recursion_chain)
-
-    ts = sub.add_parser("twistor-series", help="per-order annihilation residual table")
-    ts.add_argument("--background", required=True, choices=("flat", "st"))
-    ts.add_argument("--order", type=int, required=True)
-    ts.add_argument("--sigma", type=str, default=None)
-    _add_common(ts)
-    ts.set_defaults(func=cmd_twistor_series)
+    for name, func, size, about in (
+            ("recursion-chain", cmd_recursion_chain, "--n",
+             "chain expressions and residual summary"),
+            ("twistor-series", cmd_twistor_series, "--order",
+             "per-order annihilation residual table")):
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("--background", required=True, choices=("flat", "st"))
+        sp.add_argument(size, type=int, required=True)
+        sp.add_argument("--sigma", type=str, default=None)
+        _add_common(sp)
+        sp.set_defaults(func=func)
 
     pz = sub.add_parser("penrose", help="residue transform values at sample points")
     pz.add_argument("--f", required=True)
@@ -459,14 +432,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
-        for count in ("points", "pairs"):
-            if getattr(args, count, 1) < 1:
-                raise ConfigError(f"--{count} must be at least 1, got {getattr(args, count)}")
+        args = build_parser().parse_args(argv)
+        for name, low in (("points", 1), ("pairs", 1), ("order", 1), ("degree", 0)):
+            if getattr(args, name, low) < low:
+                raise ConfigError(f"--{name} must be at least {low}, got {getattr(args, name)}")
+        if not (args.tol > 0 and math.isfinite(args.tol)):
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         return args.func(args)
-    except (ConfigError, ParseError, EvaluationError, ValueError, SamplerExhausted) as exc:
+    except (ConfigError, ParseError, EvaluationError, SamplerExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

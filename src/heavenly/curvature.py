@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetcore import Jet, Number, Point, common_denominator, divider
+from .jetcore import EvaluationError, Jet, Number, Point, common_denominator, divider
 from .tetrads import EPS, MetricField, Tetrad
 
 
@@ -325,8 +325,11 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
     worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
                 for ((A, Ap), (B, Bp)), got in gf.items())
     duality_max = q(worst, den)
-    if (p.mode == "exact" and worst != 0) or (p.mode == "float" and duality_max > tol):
+    if p.mode == "exact" and worst != 0:
         raise ValueError("tetrad is not dual to the metric at this point")
+    if p.mode == "float" and duality_max > tol:
+        raise EvaluationError(f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
+                              "at this point")
 
     w_frame = _frame_components(W, fv)
 

@@ -3,7 +3,7 @@
 import io
 import json
 from fractions import Fraction
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -100,6 +100,90 @@ class TestExitCodes:
             assert code == 2, cmd
             assert capsys.readouterr().err.startswith("error: --sigma")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["hierarchy-check", "--n", "10"], "--n must be in 1..9"),
+        (["hierarchy-check", "--n", "0"], "--n must be in 1..9"),
+        (["symplectic-check", "--degree", "-1"], "--degree must be at least 0"),
+        (["twistor-series", "--background", "st", "--order", "0"], "--order must be at least 1"),
+        (["twistor-series", "--background", "flat", "--order", "0"], "--order must be at least 1"),
+        (["verify-solution", "--background", "plane-wave", "--f", "w"],
+         "profile must depend on (q, z) only"),
+        (["curvature-report", "--background", "plane-wave", "--f", "sigma*q"],
+         "profile must depend on (q, z) only"),
+        (["curvature-report", "--background", "sparling-tod", "--mode", "float", "--tol", "0"],
+         "--tol must be positive and finite"),
+        (["recursion-chain", "--background", "st", "--n", "2", "--tol=-1e-9"],
+         "--tol must be positive and finite"),
+        (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--tol", "nan"],
+         "--tol must be positive and finite"),
+        (["curvature-report", "--background", "sparling-tod", "--tol", "inf"],
+         "--tol must be positive and finite"),
+        (["recursion-chain", "--background", "bogus", "--n", "2"], "invalid choice: 'bogus'"),
+        (["hierarchy-check"], "required: --n"),
+    ])
+    def test_bad_input_is_one_error_line(self, argv, message, capsys):
+        code, out = run(argv + ["--points", "1"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_float_duality_beyond_tol_is_two(self, capsys):
+        code, out = run(["curvature-report", "--background", "sparling-tod", "--points", "1",
+                         "--mode", "float", "--tol", "1e-300"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: tetrad duality residual ") and "exceeds tol 1e-300" in err
+
+    def test_exact_non_dual_tetrad_is_a_bug(self, monkeypatch):
+        # a metric that does not belong to the tetrad is a program fault, not bad input
+        from heavenly import catalog, cli
+        other = cli.metric_from_tetrad(catalog.plane_wave_tetrad(ScalarField.parse("q^3",
+                                                                                   "plane-wave")))
+        monkeypatch.setattr(cli, "metric_from_tetrad", lambda tetrad: other)
+        with pytest.raises(ValueError, match="not dual"):
+            main(["curvature-report", "--background", "plane-wave", "--points", "1"])
+
+    def test_failing_verdict_names_the_worst_residual(self, capsys):
+        code, out = run(["verify-solution", "--background", "poly-witness", "--points", "3",
+                         "--seed", "3"])
+        assert code == 1
+        rep = json.loads(out)
+        worst = max(rep["records"], key=lambda r: abs(Fraction(r["residual"])))
+        assert Fraction(rep["max_abs_residual"]) == abs(Fraction(worst["residual"]))
+        values = ", ".join(f"{c}={v}" for c, v in zip("wzxy", worst["point"]["values"]))
+        assert capsys.readouterr().err == (
+            f"verdict failed: residual = {worst['residual']} at point {values}\n")
+
+    def test_first_of_tied_residuals_is_named(self, monkeypatch, capsys):
+        from heavenly import hierarchy
+        real = hierarchy.lax_compat_residual
+
+        def off_twice(E, pairs, p):
+            res = real(E, pairs, p)
+            res["pairs"][0]["mixed"] = (Fraction(-2),)
+            res["pairs"][1]["delta_delta"] = (Fraction(2),)
+            return res
+        monkeypatch.setattr(hierarchy, "lax_compat_residual", off_twice)
+        code, _ = run(["hierarchy-check", "--n", "2", "--points", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "verdict failed: mixed (00, 10)^x00 = -2 at point x00=")
+
+    def test_monomial_check_reaches_the_verdict(self, monkeypatch, capsys):
+        from heavenly import recursion
+        real = recursion.monomial_recursion_image
+        monkeypatch.setattr(recursion, "monomial_recursion_image",
+                            lambda k, j: real(k, j - 1))  # the image of the wrong monomial
+        code, out = run(["recursion-chain", "--background", "st", "--n", "2", "--points", "1"])
+        assert code == 1
+        assert json.loads(out)["verdict"] == "fail"
+        err = capsys.readouterr().err
+        assert err.startswith("verdict failed: monomial k=") and err.count("\n") == 1
+        assert "at chain member n=1" in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -126,28 +210,44 @@ class TestDeterminism:
         assert out1 != out2
 
 
+# name, argv, exit code; the poly-witness report is a failing verdict
+_GOLDENS = [
+    ("verify-solution-sparling-tod.json",
+     ["verify-solution", "--background", "sparling-tod", "--sigma", "1",
+      "--points", "5", "--seed", "3"], 0),
+    ("curvature-plane-wave.json",
+     ["curvature-report", "--background", "plane-wave", "--f", "q^2",
+      "--points", "3", "--seed", "3"], 0),
+    ("recursion-chain-st.json",
+     ["recursion-chain", "--background", "st", "--n", "3", "--sigma", "1/2",
+      "--points", "3", "--seed", "3"], 0),
+    ("penrose-phi0.json",
+     ["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--points", "3", "--seed", "3"], 0),
+    ("recursion-chain-flat.json",
+     ["recursion-chain", "--background", "flat", "--n", "4", "--points", "3", "--seed", "3"], 0),
+    ("recursion-chain-st-float.json",
+     ["recursion-chain", "--background", "st", "--n", "4", "--sigma", "1/2",
+      "--points", "3", "--mode", "float", "--seed", "3"], 0),
+    ("twistor-series-flat.json",
+     ["twistor-series", "--background", "flat", "--order", "4", "--points", "3",
+      "--seed", "3"], 0),
+    ("twistor-series-st.json",
+     ["twistor-series", "--background", "st", "--order", "3", "--sigma", "1/2",
+      "--points", "3", "--seed", "3"], 0),
+    ("hierarchy-check-n2.json", ["hierarchy-check", "--n", "2", "--seed", "3"], 0),
+    ("symplectic-check.json",
+     ["symplectic-check", "--degree", "4", "--pairs", "3", "--seed", "3"], 0),
+    ("verify-solution-poly-witness.json",
+     ["verify-solution", "--background", "poly-witness", "--points", "3", "--seed", "3"], 1),
+]
+
+
 class TestGolden:
-    @pytest.mark.parametrize("name,argv", [
-        ("verify-solution-sparling-tod.json",
-         ["verify-solution", "--background", "sparling-tod", "--sigma", "1",
-          "--points", "5", "--seed", "3"]),
-        ("curvature-plane-wave.json",
-         ["curvature-report", "--background", "plane-wave", "--f", "q^2",
-          "--points", "3", "--seed", "3"]),
-        ("recursion-chain-st.json",
-         ["recursion-chain", "--background", "st", "--n", "3", "--sigma", "1/2",
-          "--points", "3", "--seed", "3"]),
-        ("penrose-phi0.json",
-         ["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--points", "3", "--seed", "3"]),
-        ("recursion-chain-flat.json",
-         ["recursion-chain", "--background", "flat", "--n", "4", "--points", "3", "--seed", "3"]),
-        ("recursion-chain-st-float.json",
-         ["recursion-chain", "--background", "st", "--n", "4", "--sigma", "1/2",
-          "--points", "3", "--mode", "float", "--seed", "3"]),
-    ])
-    def test_matches_golden_bytes(self, name, argv):
-        code, out = run(argv)
-        assert code == 0
+    @pytest.mark.parametrize("name,argv,code", _GOLDENS,
+                             ids=[f"{g[0]}-argv{i}" for i, g in enumerate(_GOLDENS)])
+    def test_matches_golden_bytes(self, name, argv, code):
+        got, out = run(argv)
+        assert got == code
         assert out == (GOLDEN / name).read_text()
 
     def test_schema_pinned(self):
@@ -406,3 +506,57 @@ class TestReportTypes:
         assert leaves
         kind = str if mode == "exact" else float
         assert [(k, v) for k, v in leaves if type(v) is not kind] == []
+
+
+def _options(required=(), **pools):
+    """Each named option drawn from its pool; one not required may be left out."""
+    return st.tuples(*[(st.sampled_from(values) if name in required
+                        else st.one_of(st.none(), st.sampled_from(values))).map(
+        lambda v, name=name: [] if v is None else [f"--{name}={v}"])
+        for name, values in pools.items()]).map(lambda parts: sum(parts, []))
+
+
+_CATALOG = ["sparling-tod", "flat-first", "flat-second", "plane-wave", "poly-witness",
+            "no-such-entry"]
+_PROFILES = ["q^2", "q*z", "1/q", "q^", "w", "foo", "sigma*q"]
+_SIGMAS = ["1", "1/2", "-2/3", "0", "1/0", "abc"]
+_SUBCOMMAND_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["verify-solution", "curvature-report"]),
+              _options(["background"], background=_CATALOG, f=_PROFILES, sigma=_SIGMAS)),
+    st.tuples(st.just("recursion-chain"),
+              _options(["background", "n"], background=["flat", "st", "bogus"],
+                       n=["-1", "0", "1", "3"], sigma=_SIGMAS)),
+    st.tuples(st.just("twistor-series"),
+              _options(["background", "order"], background=["flat", "st", "bogus"],
+                       order=["-1", "0", "1", "3"], sigma=_SIGMAS)),
+    st.tuples(st.just("penrose"),
+              _options(["f", "pole"],
+                       f=["1/(mu0*mu1)", "1/(lam*mu0)", "1/((mu0", "foo", "1/(lam-lam)"],
+                       pole=["-w/y", "w", "foo", "1/0"])),
+    st.tuples(st.just("hierarchy-check"), _options(["n"], n=["-1", "0", "1", "2", "10"])),
+    st.tuples(st.just("symplectic-check"),
+              _options(degree=["-2", "-1", "0", "2"], pairs=["-1", "0", "1", "2"])),
+).map(lambda t: [t[0], *t[1]])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_SUBCOMMAND_ARGV,
+           common=_options(mode=["exact", "float"], seed=["1", "5"], points=["-1", "0", "1", "2"],
+                           tol=["1e-9", "1e-6", "1e-300", "0", "-1", "nan", "inf"]))
+    def test_exit_code_contract(self, argv, common):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + common)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        if code == 2:
+            # bad input: no report, one error line
+            assert out.getvalue() == ""
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        elif code == 1:
+            assert json.loads(out.getvalue())["verdict"] == "fail"
+            assert len(lines) == 1 and lines[0].startswith("verdict failed: ")
+        else:
+            assert json.loads(out.getvalue())["verdict"] == "pass"
+            assert lines == []
