@@ -105,7 +105,10 @@ def _entry(args):
     name = args.background
     if name not in catalog:
         raise ConfigError(f"unknown background {name!r}; catalog has {sorted(catalog)}")
-    return catalog[name]
+    entry = catalog[name]
+    if args.f is not None and entry.kind != "metric":
+        raise ConfigError(f"--f sets a metric entry's profile; {name!r} is a {entry.kind} entry")
+    return entry
 
 
 def _sigma(args, default=None):
@@ -308,10 +311,11 @@ def cmd_hierarchy_check(args) -> int:
                                  (f"mixed ({A}{i}, {B}{j})", rec["mixed"]),
                                  (f"[D_{A}{i}, D_{B}{j}] - X_H", equiv)):
                 residuals.update({(f"{name}^{c}",): v for c, v in zip(coords, values)})
+        theta_jet = E.field.jet(p, 2)   # shared by every Sato check at this point
         for A in (0, 1):
             for j in range(1, n + 1):
                 test = (_random_poly(chart, rng, 5, 2) + Poly.constant(1, chart)).to_field()
-                r = hierarchy.summed_lax_identity_residual(E, A, j, test, p)
+                r = hierarchy.summed_lax_identity_residual(E, A, j, test, p, theta_jet=theta_jet)
                 residuals.update({(f"Sato A={A} j={j}", m): v for m, v in r.items()})
         record = {"point": p, "identity_max_abs": max([zero, *map(abs, residuals.values())])}
         return record, residuals

@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 
 from .jetcore import (
     Expr,
+    Jet,
     Number,
     Point,
     ScalarField,
@@ -30,14 +31,16 @@ from .jetcore import (
     ZERO,
     add,
     chart_coords,
+    common_denominator,
     const,
     diff,
+    divider,
     extended_chart,
     mul,
     neg,
     substitute,
 )
-from .tetrads import MetricField, vector_commutator_values
+from .tetrads import MetricField
 from .twistor import LambdaSeries
 
 
@@ -109,26 +112,18 @@ def poisson_yx(f: ScalarField, g: ScalarField, p: Point,
     return jf.d("x00") * jg.d("x10") - jf.d("x10") * jg.d("x00")
 
 
-def _pb_expr(f: Expr, g: Expr) -> Expr:
-    a00, a10 = coord_name(0, 0), coord_name(1, 0)
-    return add(mul(diff(f, a00), diff(g, a10)), neg(mul(diff(f, a10), diff(g, a00))))
-
-
 def hierarchy_residual(E: ExtendedPotential, A: int, i: int, B: int, j: int,
                        p: Point, params: Mapping[str, Number] | None = None) -> Number:
-    """d_{Ai} d_{Bj-1} Theta - d_{Bj} d_{Ai-1} Theta + {d_{Ai-1} Theta, d_{Bj-1} Theta}."""
+    """d_{Ai} d_{Bj-1} Theta - d_{Bj} d_{Ai-1} Theta + {d_{Ai-1} Theta, d_{Bj-1} Theta}.
+
+    Read off one order-2 jet of the potential at p.
+    """
     if not (1 <= i <= E.n and 1 <= j <= E.n):
         raise IndexError("flow indices must lie in 1..n")
-    return hierarchy_residual_field(E, A, i, B, j).value(p, params)
-
-
-def hierarchy_residual_field(E: ExtendedPotential, A: int, i: int, B: int, j: int) -> ScalarField:
-    T = E.field.expr
-    d = lambda AA, ii, e: diff(e, coord_name(AA, ii))
-    first = d(A, i, d(B, j - 1, T))
-    second = d(B, j, d(A, i - 1, T))
-    bracket = _pb_expr(d(A, i - 1, T), d(B, j - 1, T))
-    return ScalarField(E.chart, add(add(first, neg(second)), bracket))
+    d = E.field.jet(p, 2, params).d
+    a, b = coord_name(A, i - 1), coord_name(B, j - 1)
+    return (d(coord_name(A, i), b) - d(coord_name(B, j), a)
+            + d(a, "x00") * d(b, "x10") - d(a, "x10") * d(b, "x00"))
 
 
 def _hamiltonian_vf(E: ExtendedPotential, f: Expr) -> list[Expr]:
@@ -168,33 +163,104 @@ def lax_field(E: ExtendedPotential, A: int, i: int) -> ExtendedVectorField:
     return ExtendedVectorField(E.chart, deltapart, linear)
 
 
+def _axes(chart: str) -> dict[str, int]:
+    return {name: k for k, name in enumerate(chart_coords(chart))}
+
+
+def _multi_index(nvars: int, *axes: int) -> tuple[int, ...]:
+    alpha = [0] * nvars
+    for k in axes:
+        alpha[k] += 1
+    return tuple(alpha)
+
+
+def _bracket(u: dict, v: dict, nvars: int) -> list:
+    """[U, V]^a = U^b d_b V^a - V^b d_b U^a as numerators over D^2.
+
+    A field maps an axis to its component's numerators [value, d_0, d_1, ...]
+    over one denominator D; absent components are zero.
+    """
+    out = [0] * nvars
+    for a in {**u, **v}:
+        s = 0
+        if a in v:
+            s += sum(ub[0] * v[a][1 + b] for b, ub in u.items())
+        if a in u:
+            s -= sum(vb[0] * u[a][1 + b] for b, vb in v.items())
+        out[a] = s
+    return out
+
+
 def lax_compat_residual(E: ExtendedPotential, pairs: Sequence[tuple[int, int, int, int]],
                         p: Point, params: Mapping[str, Number] | None = None) -> dict:
     """Compatibility commutators for the listed flow pairs (A, i, B, j).
 
     Returns, per pair: the [D, D] commutator components next to the matched
     Hamiltonian field of the corresponding flow residual, the [delta, delta]
-    components, and the mixed-bracket combination (identically zero).
+    components, and the mixed-bracket combination (identically zero).  Every
+    value is read off one order-3 jet of the potential at p.
     """
+    return lax_compat_from_jet(E.field.jet(p, 3, params), pairs)
+
+
+def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int]]) -> dict:
+    """lax_compat_residual from an order-3 (or higher) jet of the potential at the point.
+
+    D_{Ai+1} has the components -Theta_{Ai,10} along x00, Theta_{Ai,00} along
+    x10 and 1 along x_{Ai+1}; delta_{Ai} is the unit field along x_{Ai}.  The
+    order-1 jets of Theta_{Ai,00} and Theta_{Ai,10}, shifts of the one jet,
+    hold every value and gradient that the brackets and the Hamiltonian field
+    of the flow residual need.  They go over one denominator D, so each
+    component is an integer sum over D^2, divided once.
+    """
+    ax = _axes(theta_jet.center.chart)
+    nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
+    flows = sorted({pair[:2] for pair in pairs} | {pair[2:] for pair in pairs})
+    if any(not 0 <= i < nvars // 2 - 1 for _, i in flows):
+        raise IndexError("flow index out of range")
+    nums, den = common_denominator([theta_jet.shift(_multi_index(nvars, ax[coord_name(A, i)], c))
+                                    for A, i in flows for c in (x00, x10)], 1 + nvars)
+    P = dict(zip(flows, nums[0::2]))   # Theta_{Ai,00}
+    Q = dict(zip(flows, nums[1::2]))   # Theta_{Ai,10}
+    one = [den] + [0] * nvars
+
+    def up(k):
+        A, i = k
+        return ax[coord_name(A, i + 1)]
+
+    def D(k):
+        return {x00: [-x for x in Q[k]], x10: P[k], up(k): one}
+
+    def delta(k):
+        return {ax[coord_name(*k)]: one}
+
+    q, den2 = divider(theta_jet.mode), den * den
+
+    def values(xs):
+        return tuple(q(x, den2) for x in xs)
+
+    def d_residual(k, l, c, G):
+        """d_c of the flow residual R = Theta_{k+,l} - Theta_{l+,k} + {Theta_k, Theta_l}, where
+        k+ = (A, i+1) for k = (A, i); d_c Theta_{k+,l} is the x_{k+} partial of Theta_{l,c}."""
+        return (den * (G[l][1 + up(k)] - G[k][1 + up(l)])
+                + P[k][1 + c] * Q[l][0] + P[k][0] * Q[l][1 + c]
+                - Q[k][1 + c] * P[l][0] - Q[k][0] * P[l][1 + c])
+
     out = []
     for (A, i, B, j) in pairs:
-        DA, DB = d_flow_field(E, A, i), d_flow_field(E, B, j)
-        dA, dB = delta_flow_field(E, A, i), delta_flow_field(E, B, j)
-        one = vector_commutator_values(DA, DB, p, params)
-        res_field = hierarchy_residual_field(E, A, i + 1, B, j + 1)
-        ham = _hamiltonian_vf(E, res_field.expr)
-        ham_vals = tuple(ScalarField(E.chart, e).value(p, params) for e in ham)
-        two = vector_commutator_values(dA, dB, p, params)
-        three_a = vector_commutator_values(DA, dB, p, params)
-        three_b = vector_commutator_values(DB, dA, p, params)
-        three = tuple(a - b for a, b in zip(three_a, three_b))
+        k, l = (A, i), (B, j)
+        ham = [0] * nvars
+        ham[x00], ham[x10] = -d_residual(k, l, x10, Q), d_residual(k, l, x00, P)
+        dd, ham_vals = values(_bracket(D(k), D(l), nvars)), values(ham)
+        mixed = [a - b for a, b in zip(_bracket(D(k), delta(l), nvars),
+                                        _bracket(D(l), delta(k), nvars))]
         out.append({
             "pair": (A, i, B, j),
-            "dd_commutator": one,
+            "dd_commutator": dd,
             "residual_hamiltonian_field": ham_vals,
-            "dd_matches_residual": all(a == b for a, b in zip(one, ham_vals)),
-            "delta_delta": two,
-            "mixed": three,
+            "dd_matches_residual": all(a == b for a, b in zip(dd, ham_vals)),
+            "delta_delta": values(_bracket(delta(k), delta(l), nvars)),
+            "mixed": values(mixed),
         })
     return {"pairs": out}
 
@@ -224,36 +290,62 @@ def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaS
 
 
 def summed_lax_identity_residual(E: ExtendedPotential, A: int, j: int, test: ScalarField,
-                                 p: Point, params: Mapping[str, Number] | None = None
-                                 ) -> dict[int, Number]:
+                                 p: Point, params: Mapping[str, Number] | None = None, *,
+                                 theta_jet: Jet | None = None) -> dict[int, Number]:
     """Per-lam-order residual of  -sum_i lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}.
 
     Applied to an arbitrary test field; an operator identity, zero for every
     potential.  omega_{Aj} is the eps-lowered series (omega_{0j} = -omega^1_j,
-    omega_{1j} = omega^0_j).
+    omega_{1j} = omega^0_j).  ``theta_jet``, a jet of the potential at p of
+    order 2 or more, lets a caller that checks several (A, j) at one point
+    evaluate it once.
     """
-    if not (1 <= j <= E.n):
+    if theta_jet is None:
+        theta_jet = E.field.jet(p, 2, params)
+    return summed_lax_from_jets(theta_jet, A, j, test.jet(p, 1, params))
+
+
+def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[int, Number]:
+    """summed_lax_identity_residual from jets of the potential (order 2) and the test field (order 1).
+
+    The values of D_{Ai+1} and the gradients of the omega coefficients are
+    second partials of Theta: first partials of order-1 jets of Theta_{Ci},
+    shifts of the one jet.  Each side names the partials it reads by its own
+    indices.  Those jets and the test field's gradient go over one
+    denominator D; each order is an integer sum over D^2, divided once.
+    """
+    ax = _axes(theta_jet.center.chart)
+    nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
+    if not (1 <= j <= nvars // 2 - 1):
         raise IndexError("truncation level out of range")
-    coords = chart_coords(E.chart)
-    dtest = test.jet(p, 1, params).grad()
+    # omega_{Aj} = eps_{AB} omega^B_j (omega_{0j} = -omega^1_j, omega_{1j} = omega^0_j), and
+    # omega^B_j = -x^{B0} + sum_m lam^m d^{Bm-1} Theta with d^{0i} = d_{1i}, d^{1i} = -d_{0i}
+    B, lower = (1, -1) if A == 0 else (0, 1)
+    C, dual = (1, 1) if B == 0 else (0, -1)
+    lhs_axes = [ax[coord_name(A, i)] for i in range(j)]
+    rhs_axes = [ax[coord_name(C, m - 1)] for m in range(1, j + 1)]
+    axes = sorted(set(lhs_axes + rhs_axes))
+    (*nums, t), den = common_denominator(
+        [theta_jet.shift(_multi_index(nvars, a)) for a in axes] + [test_jet], 1 + nvars)
+    first = dict(zip(axes, nums))   # axis a -> [Theta_a, d Theta_a] numerators
+
+    def dtest(*flow):
+        return t[1 + ax[coord_name(*flow)]]
     # LHS per order: -sum_{i=0..j-1} lam^i (delta_{Ai} - lam D_{Ai+1}) (test)
-    lhs: dict[int, Number] = {}
-    for i in range(j):
-        dval = sum(c.value(p, params) * dtest[ax]
-                   for ax, c in enumerate(d_flow_field(E, A, i)) if not c.is_zero())
-        delv = dtest[coords.index(coord_name(A, i))]
-        lhs[i] = lhs.get(i, 0) - delv
-        lhs[i + 1] = lhs.get(i + 1, 0) + dval
-    # RHS per order
-    om0, om1 = truncated_omega(E, j)
-    lowered = om1.map_coeffs(lambda f: ScalarField(E.chart, neg(f.expr))) if A == 0 else om0
-    rhs: dict[int, Number] = {}
-    i00, i10 = coords.index("x00"), coords.index("x10")
-    for m in range(0, j + 1):
-        cj = lowered.coefficient(m).jet(p, 1, params)
-        rhs[m] = rhs.get(m, 0) + cj.d("x00") * dtest[i10] - cj.d("x10") * dtest[i00]
-    rhs[j] = rhs.get(j, 0) + dtest[coords.index(coord_name(A, j))]
-    return {m: lhs.get(m, 0) - rhs.get(m, 0) for m in range(0, j + 1)}
+    lhs = [0] * (j + 1)
+    for i, a in enumerate(lhs_axes):
+        f = first[a]
+        lhs[i] -= den * dtest(A, i)
+        lhs[i + 1] += -f[1 + x10] * dtest(0, 0) + f[1 + x00] * dtest(1, 0) + den * dtest(A, i + 1)
+    # RHS per order: {c, test} = c_00 test_10 - c_10 test_00 for the lam^m coefficient c of
+    # omega_{Aj}, whose gradient is -lower e_{B0} at m = 0; then lam^j d_{Aj} test
+    grads = [(-lower * den if B == 0 else 0, -lower * den if B == 1 else 0)]
+    grads += [(lower * dual * first[a][1 + x00], lower * dual * first[a][1 + x10])
+              for a in rhs_axes]
+    rhs = [c00 * dtest(1, 0) - c10 * dtest(0, 0) for c00, c10 in grads]
+    rhs[j] += den * dtest(A, j)
+    q, den2 = divider(theta_jet.mode), den * den
+    return {m: q(a - b, den2) for m, (a, b) in enumerate(zip(lhs, rhs))}
 
 
 def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,

@@ -1,0 +1,91 @@
+"""The symbolic route through the flow hierarchy, kept as a test oracle for ``heavenly.hierarchy``.
+
+This is how the package evaluated the compatibility commutators and the
+summed-Lax identity before it read them off one jet of the potential: every
+vector field component and every flow residual is a symbolically
+differentiated expression tree (``jetcore.diff``), folded into its own jet at
+the point.  It is slow and obviously correct, which is what an oracle should
+be.  It shares the tree-building functions that stay public in the package
+(``d_flow_field``, ``truncated_omega``) and ``tetrads.vector_commutator_values``.
+Nothing in ``src/`` imports it.
+"""
+
+from __future__ import annotations
+
+from heavenly.hierarchy import (
+    _hamiltonian_vf,
+    coord_name,
+    d_flow_field,
+    delta_flow_field,
+    truncated_omega,
+)
+from heavenly.jetcore import ScalarField, add, chart_coords, diff, mul, neg
+from heavenly.tetrads import vector_commutator_values
+
+
+def _pb_expr(f, g):
+    a00, a10 = coord_name(0, 0), coord_name(1, 0)
+    return add(mul(diff(f, a00), diff(g, a10)), neg(mul(diff(f, a10), diff(g, a00))))
+
+
+def hierarchy_residual_field(E, A, i, B, j) -> ScalarField:
+    """d_{Ai} d_{Bj-1} Theta - d_{Bj} d_{Ai-1} Theta + {d_{Ai-1} Theta, d_{Bj-1} Theta} as a tree."""
+    T = E.field.expr
+    d = lambda AA, ii, e: diff(e, coord_name(AA, ii))
+    first = d(A, i, d(B, j - 1, T))
+    second = d(B, j, d(A, i - 1, T))
+    bracket = _pb_expr(d(A, i - 1, T), d(B, j - 1, T))
+    return ScalarField(E.chart, add(add(first, neg(second)), bracket))
+
+
+def hierarchy_residual(E, A, i, B, j, p, params=None):
+    if not (1 <= i <= E.n and 1 <= j <= E.n):
+        raise IndexError("flow indices must lie in 1..n")
+    return hierarchy_residual_field(E, A, i, B, j).value(p, params)
+
+
+def lax_compat_residual(E, pairs, p, params=None) -> dict:
+    out = []
+    for (A, i, B, j) in pairs:
+        DA, DB = d_flow_field(E, A, i), d_flow_field(E, B, j)
+        dA, dB = delta_flow_field(E, A, i), delta_flow_field(E, B, j)
+        one = vector_commutator_values(DA, DB, p, params)
+        res_field = hierarchy_residual_field(E, A, i + 1, B, j + 1)
+        ham = _hamiltonian_vf(E, res_field.expr)
+        ham_vals = tuple(ScalarField(E.chart, e).value(p, params) for e in ham)
+        two = vector_commutator_values(dA, dB, p, params)
+        three_a = vector_commutator_values(DA, dB, p, params)
+        three_b = vector_commutator_values(DB, dA, p, params)
+        three = tuple(a - b for a, b in zip(three_a, three_b))
+        out.append({
+            "pair": (A, i, B, j),
+            "dd_commutator": one,
+            "residual_hamiltonian_field": ham_vals,
+            "dd_matches_residual": all(a == b for a, b in zip(one, ham_vals)),
+            "delta_delta": two,
+            "mixed": three,
+        })
+    return {"pairs": out}
+
+
+def summed_lax_identity_residual(E, A, j, test, p, params=None) -> dict:
+    if not (1 <= j <= E.n):
+        raise IndexError("truncation level out of range")
+    coords = chart_coords(E.chart)
+    dtest = test.jet(p, 1, params).grad()
+    lhs = {}
+    for i in range(j):
+        dval = sum(c.value(p, params) * dtest[ax]
+                   for ax, c in enumerate(d_flow_field(E, A, i)) if not c.is_zero())
+        delv = dtest[coords.index(coord_name(A, i))]
+        lhs[i] = lhs.get(i, 0) - delv
+        lhs[i + 1] = lhs.get(i + 1, 0) + dval
+    om0, om1 = truncated_omega(E, j)
+    lowered = om1.map_coeffs(lambda f: ScalarField(E.chart, neg(f.expr))) if A == 0 else om0
+    rhs = {}
+    i00, i10 = coords.index("x00"), coords.index("x10")
+    for m in range(0, j + 1):
+        cj = lowered.coefficient(m).jet(p, 1, params)
+        rhs[m] = rhs.get(m, 0) + cj.d("x00") * dtest[i10] - cj.d("x10") * dtest[i00]
+    rhs[j] = rhs.get(j, 0) + dtest[coords.index(coord_name(A, j))]
+    return {m: lhs.get(m, 0) - rhs.get(m, 0) for m in range(0, j + 1)}

@@ -120,6 +120,10 @@ class TestExitCodes:
          "--tol must be positive and finite"),
         (["recursion-chain", "--background", "bogus", "--n", "2"], "invalid choice: 'bogus'"),
         (["hierarchy-check"], "required: --n"),
+        (["verify-solution", "--background", "sparling-tod", "--f", "zz^"],
+         "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
+        (["curvature-report", "--background", "sparling-tod", "--f", "q"],
+         "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -239,6 +243,9 @@ _GOLDENS = [
      ["symplectic-check", "--degree", "4", "--pairs", "3", "--seed", "3"], 0),
     ("verify-solution-poly-witness.json",
      ["verify-solution", "--background", "poly-witness", "--points", "3", "--seed", "3"], 1),
+    ("hierarchy-check-n3.json", ["hierarchy-check", "--n", "3", "--seed", "14"], 0),
+    ("hierarchy-check-n4.json",
+     ["hierarchy-check", "--n", "4", "--points", "1", "--seed", "9"], 0),
 ]
 
 
@@ -459,6 +466,24 @@ class TestRecursionChainSharedJets:
         code, _ = run(["recursion-chain", "--background", "flat", "--n", "6", "--points", "1"])
         assert code == 0
         assert len(calls) <= 1 + 7
+
+
+class TestHierarchyCheckSharedJets:
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_one_point_reads_jets_of_the_potential(self, n, monkeypatch):
+        from heavenly import hierarchy
+        calls = _jet_of_calls(monkeypatch)
+        diffs = []
+        for module in (hierarchy, jetcore):
+            real = module.diff
+            monkeypatch.setattr(module, "diff",
+                                lambda *a, real=real: diffs.append(a) or real(*a))
+        code, _ = run(["hierarchy-check", "--n", str(n), "--points", "1"])
+        assert code == 0
+        # the potential's order-3 jet (compatibility), its order-2 jet (Sato) and the
+        # order-1 jet of each of the 2n test fields; no derivative trees
+        assert len(calls) <= 2 + 2 * n
+        assert diffs == []
 
 
 def _leaves(node, key=None):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heavenly.hierarchy import (
     ExtendedPotential,
@@ -26,7 +27,7 @@ from heavenly.hierarchy import (
 from heavenly.jetcore import Point, ScalarField, extended_chart, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
-from heavenly.sampling import sample_points
+from heavenly.sampling import float_points, sample_points
 from heavenly.tetrads import (
     SecondPotential,
     lax_pair_theta,
@@ -34,6 +35,8 @@ from heavenly.tetrads import (
     second_heavenly_residual,
     tetrad_from_theta,
 )
+
+import hierarchy_oracle as oracle
 
 SIGMA = {"sigma": F(1)}
 
@@ -196,6 +199,67 @@ class TestCompatibility:
         out = lax_compat_residual(E, [(0, 0, 1, 0)], p)
         assert any(v != 0 for v in out["pairs"][0]["dd_commutator"])
         assert out["pairs"][0]["dd_matches_residual"]
+
+
+def _st_or_random_potential(kind, n, seed, degree):
+    """The potential, its parameters and one sample point off its poles."""
+    if kind == "random":
+        E = random_potential(n, seed, degree=degree)
+        return E, None, sample_points(E.chart, seed, 1)[0]
+    E = embed_second_form(st_potential().field, n)
+    # the quadratic pole wx + zy is x01 x10 - x11 x00 on the extended chart
+    off_pole = lambda p: p.values[2] * p.values[1] - p.values[3] * p.values[0] != 0
+    return E, {"sigma": F(seed % 7 - 3, 1 + seed % 4) or F(1)}, \
+        sample_points(E.chart, seed, 1, [off_pole])[0]
+
+
+def _scale(*jets):
+    return 1 + max(abs(float(c)) for jet in jets for c in [0, *jet.coeffs.values()])
+
+
+class TestJetRouteMatchesOracle:
+    """The jet route against the symbolic tree route of tests/hierarchy_oracle.py."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["random", "st"]), n=st.integers(1, 4),
+           seed=st.integers(0, 10_000), degree=st.integers(1, 4),
+           picks=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3),
+                                    st.integers(0, 1), st.integers(0, 3)), min_size=1, max_size=3))
+    def test_compat_and_sato(self, kind, n, seed, degree, picks):
+        E, params, p = _st_or_random_potential(kind, n, seed, degree)
+        pairs = [(A, i % n, B, j % n) for A, i, B, j in picks]
+        rng = random.Random(seed)
+        test = Poly(E.chart, {tuple(rng.randint(0, 2) for _ in range(2 * n + 2)):
+                              F(rng.randint(-2, 2)) for _ in range(4)}).to_field()
+        checks = [(lax_compat_residual, oracle.lax_compat_residual, (pairs,))]
+        checks += [(summed_lax_identity_residual, oracle.summed_lax_identity_residual, (A, j, test))
+                   for A in (0, 1) for j in range(1, n + 1)]
+        # exact mode: the routes agree exactly
+        for jet_route, tree_route, args in checks:
+            assert jet_route(E, *args, p, params) == tree_route(E, *args, p, params)
+        for A, i, B, j in pairs:
+            assert hierarchy_residual(E, A, i + 1, B, j + 1, p, params) \
+                == oracle.hierarchy_residual(E, A, i + 1, B, j + 1, p, params)
+        # float mode: the values agree to rounding, on the scale of products of jet
+        # coefficients (the dd_matches_residual flag compares floats, so it is not compared)
+        fp = float_points([p])[0]
+        fparams = params and {k: float(v) for k, v in params.items()}
+        tol = 1e-12 * _scale(E.field.jet(p, 3, params), test.jet(p, 1)) ** 2
+        for jet_route, tree_route, args in checks:
+            got = _values(jet_route(E, *args, fp, fparams))
+            want = _values(tree_route(E, *args, fp, fparams))
+            assert len(got) == len(want) and all(type(x) is float for x in got)
+            assert all(abs(x - y) <= tol for x, y in zip(got, want))
+
+
+def _values(node):
+    """The residual dict's float values in order: its flags and pair labels left out."""
+    if isinstance(node, dict):
+        return [x for k, v in node.items() if k not in ("pair", "dd_matches_residual")
+                for x in _values(v)]
+    if isinstance(node, (list, tuple)):
+        return [x for v in node for x in _values(v)]
+    return [node]
 
 
 class TestSato:
