@@ -14,7 +14,9 @@ from .jetcore import (
     Point,
     PoleError,
     ScalarField,
+    field_jets,
     jet_of,
+    jets_of,
     parse_expression,
     partial,
     point,

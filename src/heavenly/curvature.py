@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .jetcore import EvaluationError, Jet, Number, Point, common_denominator, divider
+from .jetcore import EvaluationError, Jet, Number, Point, common_denominator, divider, field_jets
 from .tetrads import EPS, MetricField, Tetrad
 
 
@@ -39,13 +39,17 @@ class SingularMetricError(ValueError):
 
 
 def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
-    """Jets of g_ab for a <= b, mirrored onto g_ba (the metric is symmetric)."""
+    """Jets of g_ab for a <= b, mirrored onto g_ba (the metric is symmetric).
+
+    The components are folded in one field_jets call, so subtrees they share
+    (the potential's derivatives, a common denominator) are evaluated once.
+    """
     rows = g.components
     n = len(rows)
+    upper = [(a, b) for a in range(n) for b in range(a, n)]
     out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            out[a][b] = out[b][a] = rows[a][b].jet(p, order, params)
+    for (a, b), jet in zip(upper, field_jets([rows[a][b] for a, b in upper], p, order, params)):
+        out[a][b] = out[b][a] = jet
     return out
 
 

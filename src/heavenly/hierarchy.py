@@ -258,7 +258,6 @@ def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int
             "pair": (A, i, B, j),
             "dd_commutator": dd,
             "residual_hamiltonian_field": ham_vals,
-            "dd_matches_residual": all(a == b for a, b in zip(dd, ham_vals)),
             "delta_delta": values(_bracket(delta(k), delta(l), nvars)),
             "mixed": values(mixed),
         })

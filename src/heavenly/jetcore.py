@@ -7,7 +7,8 @@ expression trees over the coordinates of a chart (plus the free parameter
 ("jets") through the tree, so derivatives come out exact when the inputs are
 exact rationals.  The tree walk itself is :func:`fold`, which evaluates a tree
 in any ring (jets here, rational functions of the fibre coordinate in the
-residue transform).  A second, independent route — symbolic differentiation of
+residue transform) and evaluates each structurally equal subtree once;
+:func:`jets_of` folds several trees at one point through one such memo.  A second, independent route — symbolic differentiation of
 the expression tree followed by plain evaluation — is provided by
 :func:`partial` and is used to cross-check the jet route.
 
@@ -174,6 +175,29 @@ class Pow(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     a: Expr
+
+
+def _cached_hash(structural: Callable[[Expr], int]) -> Callable[[Expr], int]:
+    """A node's structural hash, computed once and kept on the node.
+
+    The generated dataclass hash re-hashes every child on each call, so a
+    lookup of a deep tree would walk the whole subtree; here each child's hash
+    is itself cached, and a node's costs one tuple hash the first time.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self).__name__, structural(self)))
+            object.__setattr__(self, "_hash", h)   # not a field: equality ignores it
+            return h
+
+    return __hash__
+
+
+for _node in (Const, Var, Add, Sub, Mul, Div, Pow, Neg):
+    _node.__hash__ = _cached_hash(_node.__hash__)
 
 
 ZERO = Const(Fraction(0))
@@ -884,46 +908,75 @@ def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
     ring's own ``+ - * / **`` and unary minus combine them.  A divisor is
     evaluated before its dividend, and a ``ZeroDivisionError`` at a ``Div``
     or a negative ``Pow`` becomes a :class:`PoleError` naming the divisor.
+    Structurally equal subtrees are evaluated once (see :func:`_folder`).
     """
+    return _folder(leaf)(e)
+
+
+def _folder(leaf: Callable[[Expr], _Ring]) -> Callable[[Expr], _Ring]:
+    """The tree walk of :func:`fold`, memoised by subtree for as long as it is held.
+
+    The first occurrence of a node is evaluated in the same order and by the
+    same ring operations as without the memo, and every later structurally
+    equal node reuses that ring element, so results (float bits included) and
+    the first error raised are those of the plain walk.
+    """
+    memo: dict[Expr, _Ring] = {}
+    seen = memo.get
 
     def ev(e: Expr) -> _Ring:
+        r = seen(e, memo)   # the memo itself marks a miss: it is never a ring element
+        if r is not memo:
+            return r
         if isinstance(e, (Const, Var)):
-            return leaf(e)
-        if isinstance(e, Add):
-            return ev(e.a) + ev(e.b)
-        if isinstance(e, Sub):
-            return ev(e.a) - ev(e.b)
-        if isinstance(e, Mul):
-            return ev(e.a) * ev(e.b)
-        if isinstance(e, Div):
+            r = leaf(e)
+        elif isinstance(e, Add):
+            r = ev(e.a) + ev(e.b)
+        elif isinstance(e, Sub):
+            r = ev(e.a) - ev(e.b)
+        elif isinstance(e, Mul):
+            r = ev(e.a) * ev(e.b)
+        elif isinstance(e, Div):
             den = ev(e.b)
             num = ev(e.a)
             try:
-                return num / den
+                r = num / den
             except ZeroDivisionError:
                 raise PoleError(to_text(e.b)) from None
-        if isinstance(e, Pow):
+        elif isinstance(e, Pow):
             base = ev(e.base)
             try:
-                return base ** e.exponent
+                r = base ** e.exponent
             except ZeroDivisionError:
                 raise PoleError(to_text(e.base)) from None
-        if isinstance(e, Neg):
-            return -ev(e.a)
-        raise TypeError(type(e))
+        elif isinstance(e, Neg):
+            r = -ev(e.a)
+        else:
+            raise TypeError(type(e))
+        memo[e] = r
+        return r
 
-    return ev(e)
+    return ev
+
+
+def jets_of(exprs: Sequence[Expr], p: Point, order: int = DEFAULT_ORDER,
+            params: Mapping[str, Number] | None = None) -> list[Jet]:
+    """Jets of several expressions at ``p`` through one order, in the given order.
+
+    The trees share one memo for the length of the call, so a subtree that
+    occurs in several of them (or several times in one) is folded once.
+    ``params`` binds non-coordinate symbols (``sigma``) to values; they enter
+    as constants, not as jet variables.
+    """
+    ev = _folder(_point_leaf(p, params, lambda v: Jet.constant(v, p, order),
+                             lambda i: Jet.coordinate(i, p, order)))
+    return [ev(e) for e in exprs]
 
 
 def jet_of(expr: Expr, p: Point, order: int = DEFAULT_ORDER,
            params: Mapping[str, Number] | None = None) -> Jet:
-    """Jet of the expression at ``p`` through the given order.
-
-    ``params`` binds non-coordinate symbols (``sigma``) to values; they enter
-    as constants, not as jet variables.
-    """
-    return fold(expr, _point_leaf(p, params, lambda v: Jet.constant(v, p, order),
-                                  lambda i: Jet.coordinate(i, p, order)))
+    """Jet of the expression at ``p`` through the given order (see :func:`jets_of`)."""
+    return jets_of([expr], p, order, params)[0]
 
 
 def _point_leaf(p: Point, params: Mapping[str, Number] | None,
@@ -972,8 +1025,7 @@ class ScalarField:
 
     def jet(self, p: Point, order: int = DEFAULT_ORDER,
             params: Mapping[str, Number] | None = None) -> Jet:
-        if p.chart != self.chart:
-            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
+        self._require_chart(p)
         return jet_of(self.expr, p, order, params)
 
     def value(self, p: Point, params: Mapping[str, Number] | None = None) -> Number:
@@ -982,11 +1034,14 @@ class ScalarField:
         Equal to ``self.jet(p, 0, params).value`` in exact mode, and raises the
         same errors; leaves are ``Fraction`` in exact mode and ``float`` in float mode.
         """
-        if p.chart != self.chart:
-            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
+        self._require_chart(p)
         number = float if p.mode == "float" else Fraction
         values = tuple(map(number, p.values))
         return fold(self.expr, _point_leaf(p, params, number, values.__getitem__))
+
+    def _require_chart(self, p: Point):
+        if p.chart != self.chart:
+            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
 
     def diff(self, var: str) -> "ScalarField":
         if var not in chart_coords(self.chart):
@@ -998,6 +1053,15 @@ class ScalarField:
 
     def __str__(self):
         return to_text(self.expr)
+
+
+def field_jets(fields: Sequence[ScalarField], p: Point, order: int = DEFAULT_ORDER,
+               params: Mapping[str, Number] | None = None) -> list[Jet]:
+    """``[f.jet(p, order, params) for f in fields]`` through one :func:`jets_of` call,
+    so a subtree the fields share is folded once."""
+    for f in fields:
+        f._require_chart(p)
+    return jets_of([f.expr for f in fields], p, order, params)
 
 
 def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:

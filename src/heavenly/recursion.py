@@ -40,6 +40,7 @@ from .jetcore import (
     const,
     diff,
     div,
+    field_jets,
     free_vars,
     mul,
     neg,
@@ -294,9 +295,11 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
                           ) -> tuple[list, list]:
     """Wave maxima of every chain member and link maxima of every consecutive pair.
 
-    Each point evaluates the potential's order-2 jet and each member's order-2
-    jet once; the wave residual (wave_residual) and both recursion relations
-    between members i and i+1 (lax_step_residual) are read off those jets.
+    Each point evaluates the order-2 jets of the potential and every member in
+    one field_jets call, so the subtrees they share (the powers of -y/w and of
+    wx+zy) are folded once; the wave residual (wave_residual) and both
+    recursion relations between members i and i+1 (lax_step_residual) are read
+    off those jets.
     Returns ``(wave, link)``: wave[i] is max |box members[i]| and link[i] the
     max of |relation| over both relations for the pair (i, i+1), each maximum
     over the points, or the points' zero (0.0 in float mode) when there are none.
@@ -304,8 +307,7 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
     waves: list[list] = [[] for _ in members]
     links: list[list] = [[] for _ in members[1:]]
     for p in points:
-        theta_jet = theta.field.jet(p, 2, params)
-        jets = [m.jet(p, 2, params) for m in members]
+        theta_jet, *jets = field_jets([theta.field, *members], p, 2, params)
         for i, jet in enumerate(jets):
             waves[i].append(abs(2 * linearized_from_jets(theta_jet, jet)))
         for i, values in enumerate(links):

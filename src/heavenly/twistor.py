@@ -33,6 +33,7 @@ from .jetcore import (
     ZERO,
     add,
     div,
+    field_jets,
     fold,
     mul,
     neg,
@@ -131,7 +132,8 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
     The lam^r coefficient of L_A(mu^B) is recursion relation A of
     tetrads.lax_step_residual between the curve coefficients r-1 and r, computed
     by tetrads.lax_step_from_jets from one jet of the potential and one of each
-    coefficient.
+    coefficient; the coefficients' jets come from one field_jets call, so the
+    powers of Q, -y/w and x/z they share are folded once.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
@@ -140,9 +142,12 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
     N = curve.order
     theta_jet = theta.field.jet(p, 2, params)
     zero = Jet.constant(0, p, 1)
-    for B, series in (("mu0", curve.mu0), ("mu1", curve.mu1)):
-        # each coefficient's jet is evaluated once and serves orders r and r + 1
-        jets = dict(enumerate((c.jet(p, 1, params) for c in series.coeffs), series.min_deg))
+    coeff_jets = field_jets(curve.mu0.coeffs + curve.mu1.coeffs, p, 1, params)
+    split = len(curve.mu0.coeffs)
+    for B, series, own in (("mu0", curve.mu0, coeff_jets[:split]),
+                           ("mu1", curve.mu1, coeff_jets[split:])):
+        # each coefficient's jet serves orders r and r + 1
+        jets = dict(enumerate(own, series.min_deg))
         for r in range(series.min_deg, series.max_deg + 2):
             out[(0, B)][r], out[(1, B)][r] = lax_step_from_jets(
                 theta_jet, jets.get(r - 1, zero), jets.get(r, zero))

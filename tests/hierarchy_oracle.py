@@ -61,7 +61,6 @@ def lax_compat_residual(E, pairs, p, params=None) -> dict:
             "pair": (A, i, B, j),
             "dd_commutator": one,
             "residual_hamiltonian_field": ham_vals,
-            "dd_matches_residual": all(a == b for a, b in zip(one, ham_vals)),
             "delta_delta": two,
             "mixed": three,
         })

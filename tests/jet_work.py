@@ -1,0 +1,55 @@
+"""Count the jet work a call does: trees folded, jet products and reciprocals.
+
+The jet-count guards bound these counts for one point.  Every jet the package
+builds from a tree goes through ``heavenly.jetcore.jets_of`` (``jet_of``,
+``ScalarField.jet`` and ``field_jets`` all call it), so wrapping it at each
+binding site sees every fold, whichever name the caller imported.  Products
+and reciprocals are counted on ``Jet`` itself, so they include the ring
+operations of the folds and of everything done with the jets afterwards.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+from heavenly import jetcore
+from heavenly.jetcore import Jet
+
+
+class JetWork:
+    def __init__(self, monkeypatch):
+        # (point, tree, order) -> number of jets_of calls that folded it; equal
+        # trees in one call share its memo, so they count once
+        self.folds: Counter = Counter()
+        self.products = 0
+        self.reciprocals = 0
+        real_jets_of, real_mul, real_reciprocal = jetcore.jets_of, Jet.__mul__, Jet.reciprocal
+
+        def jets_of(exprs, p, order=jetcore.DEFAULT_ORDER, params=None):
+            self.folds.update({(p, e, order) for e in exprs})
+            return real_jets_of(exprs, p, order, params)
+
+        def mul(a, b):
+            self.products += 1
+            return real_mul(a, b)
+
+        def reciprocal(a):
+            self.reciprocals += 1
+            return real_reciprocal(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "heavenly" and getattr(module, "jets_of", None) is real_jets_of:
+                monkeypatch.setattr(module, "jets_of", jets_of)
+        monkeypatch.setattr(Jet, "__mul__", mul)
+        monkeypatch.setattr(Jet, "reciprocal", reciprocal)
+
+    @property
+    def fold_count(self) -> int:
+        """Distinct trees folded, summed over the jets_of calls."""
+        return sum(self.folds.values())
+
+    @property
+    def most_folds_of_one_tree(self) -> int:
+        """The largest number of jets_of calls that folded one (point, tree, order)."""
+        return max(self.folds.values(), default=0)

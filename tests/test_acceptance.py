@@ -234,7 +234,7 @@ def test_criterion_10_hierarchy_identities():
             for rec in out["pairs"]:
                 assert all(v == 0 for v in rec["delta_delta"])
                 assert all(v == 0 for v in rec["mixed"])
-                assert rec["dd_matches_residual"]
+                assert rec["dd_commutator"] == rec["residual_hamiltonian_field"]
     # level-1 reduction: flow residual is the second-equation residual and the
     # Lax fields are the displayed pair, componentwise
     theta = ScalarField.parse("sigma/(w*x+z*y)", "second")

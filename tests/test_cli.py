@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavenly import jetcore
 from heavenly.cli import main
 from heavenly.jetcore import ScalarField
 from heavenly.recursion import flat_phi, st_potential, st_psi, wave_residual
 from heavenly.sampling import float_points, sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual
+
+from jet_work import JetWork
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -246,6 +247,9 @@ _GOLDENS = [
     ("hierarchy-check-n3.json", ["hierarchy-check", "--n", "3", "--seed", "14"], 0),
     ("hierarchy-check-n4.json",
      ["hierarchy-check", "--n", "4", "--points", "1", "--seed", "9"], 0),
+    ("twistor-series-st-float.json",
+     ["twistor-series", "--background", "st", "--order", "10", "--points", "3",
+      "--mode", "float", "--seed", "23"], 0),
 ]
 
 
@@ -414,13 +418,6 @@ def _per_call_chain(background, n, sigma, seed, points, mode):
     return wave, link
 
 
-def _jet_of_calls(monkeypatch) -> list:
-    calls = []
-    original = jetcore.jet_of
-    monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: calls.append(a) or original(*a, **k))
-    return calls
-
-
 class TestRecursionChainSharedJets:
     @settings(max_examples=30, deadline=None)
     @given(background=st.sampled_from(["flat", "st"]), mode=st.sampled_from(["exact", "float"]),
@@ -453,26 +450,35 @@ class TestRecursionChainSharedJets:
                 assert got[key].hex() == value.hex(), key
 
     def test_st_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
-        calls = _jet_of_calls(monkeypatch)
+        work = JetWork(monkeypatch)
         code, _ = run(["recursion-chain", "--background", "st", "--n", "10", "--sigma", "1/2",
                        "--points", "1"])
         assert code == 0
         # the potential, the ten members and the once-per-run monomial check (two
-        # pairs, three jets each)
-        assert len(calls) <= 1 + 10 + 6
+        # pairs, three jets each; the potential's jet is the chain's again)
+        assert work.fold_count <= 1 + 10 + 6
+        assert work.most_folds_of_one_tree <= 3
+        # the members share their powers of -y/w and of 1/(wx+zy): folded one at
+        # a time they took 440 products and 66 reciprocals
+        assert work.products <= 178
+        assert work.reciprocals <= 17
 
     def test_flat_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
-        calls = _jet_of_calls(monkeypatch)
+        work = JetWork(monkeypatch)
         code, _ = run(["recursion-chain", "--background", "flat", "--n", "6", "--points", "1"])
         assert code == 0
-        assert len(calls) <= 1 + 7
+        assert work.fold_count <= 1 + 7
+        assert work.most_folds_of_one_tree == 1
+        # 48 products and 13 reciprocals with each member folded on its own
+        assert work.products <= 31
+        assert work.reciprocals <= 8
 
 
 class TestHierarchyCheckSharedJets:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_one_point_reads_jets_of_the_potential(self, n, monkeypatch):
-        from heavenly import hierarchy
-        calls = _jet_of_calls(monkeypatch)
+        from heavenly import hierarchy, jetcore
+        work = JetWork(monkeypatch)
         diffs = []
         for module in (hierarchy, jetcore):
             real = module.diff
@@ -482,8 +488,12 @@ class TestHierarchyCheckSharedJets:
         assert code == 0
         # the potential's order-3 jet (compatibility), its order-2 jet (Sato) and the
         # order-1 jet of each of the 2n test fields; no derivative trees
-        assert len(calls) <= 2 + 2 * n
+        assert work.fold_count <= 2 + 2 * n
+        assert work.most_folds_of_one_tree == 1
         assert diffs == []
+        # the potential and the test fields are polynomials: no reciprocals
+        assert work.products <= {1: 32, 3: 52, 4: 68}[n]
+        assert work.reciprocals == 0
 
 
 def _leaves(node, key=None):

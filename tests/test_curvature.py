@@ -30,6 +30,8 @@ from heavenly.tetrads import (
     tetrad_from_theta,
 )
 
+from jet_work import JetWork
+
 SIGMA1 = {"sigma": F(1)}
 
 
@@ -332,15 +334,14 @@ class TestSinglePass:
 
     def test_symmetric_jets_built_once(self, monkeypatch):
         # g_ab and Gamma^a_bc are built for a <= b and b <= c only and mirrored:
-        # 10 metric jets instead of 16, 160 Christoffel products instead of 256
-        from heavenly import jetcore
-        from heavenly.jetcore import Jet
+        # 10 metric jets instead of 16, 160 Christoffel products instead of 256;
+        # the 10 g_ab fold their shared subtrees once (folded one at a time they
+        # took 349 products and 10 reciprocals)
         g, t, params, points = catalog_setup("sparling-tod")
-        jets, products = [], []
-        jet_of, mul = jetcore.jet_of, Jet.__mul__
-        monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: jets.append(a) or jet_of(*a, **k))
-        monkeypatch.setattr(Jet, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+        work = JetWork(monkeypatch)
         weyl_spinors(g, t, points[0], params)
         monkeypatch.undo()
-        assert len(jets) <= 10
-        assert len(products) <= 360
+        assert work.fold_count <= 10
+        assert work.most_folds_of_one_tree == 1
+        assert work.products <= 280
+        assert work.reciprocals <= 7

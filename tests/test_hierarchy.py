@@ -189,7 +189,7 @@ class TestCompatibility:
             for rec in out["pairs"]:
                 assert all(v == 0 for v in rec["delta_delta"])
                 assert all(v == 0 for v in rec["mixed"])
-                assert rec["dd_matches_residual"]
+                assert rec["dd_commutator"] == rec["residual_hamiltonian_field"]
 
     def test_dd_commutator_nonzero_generically(self):
         chart = extended_chart(2)
@@ -198,7 +198,7 @@ class TestCompatibility:
         p = point(chart, 1, 1, 1, 1, 1, 1)
         out = lax_compat_residual(E, [(0, 0, 1, 0)], p)
         assert any(v != 0 for v in out["pairs"][0]["dd_commutator"])
-        assert out["pairs"][0]["dd_matches_residual"]
+        assert out["pairs"][0]["dd_commutator"] == out["pairs"][0]["residual_hamiltonian_field"]
 
 
 def _st_or_random_potential(kind, n, seed, degree):
@@ -241,7 +241,7 @@ class TestJetRouteMatchesOracle:
             assert hierarchy_residual(E, A, i + 1, B, j + 1, p, params) \
                 == oracle.hierarchy_residual(E, A, i + 1, B, j + 1, p, params)
         # float mode: the values agree to rounding, on the scale of products of jet
-        # coefficients (the dd_matches_residual flag compares floats, so it is not compared)
+        # coefficients
         fp = float_points([p])[0]
         fparams = params and {k: float(v) for k, v in params.items()}
         tol = 1e-12 * _scale(E.field.jet(p, 3, params), test.jet(p, 1)) ** 2
@@ -253,10 +253,9 @@ class TestJetRouteMatchesOracle:
 
 
 def _values(node):
-    """The residual dict's float values in order: its flags and pair labels left out."""
+    """The residual dict's float values in order: its pair labels left out."""
     if isinstance(node, dict):
-        return [x for k, v in node.items() if k not in ("pair", "dd_matches_residual")
-                for x in _values(v)]
+        return [x for k, v in node.items() if k != "pair" for x in _values(v)]
     if isinstance(node, (list, tuple)):
         return [x for v in node for x in _values(v)]
     return [node]

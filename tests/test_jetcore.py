@@ -3,7 +3,7 @@
 import operator
 from fractions import Fraction as F
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 from unittest import mock
 
 import pytest
@@ -16,6 +16,7 @@ from heavenly.jetcore import (
     Const,
     Div,
     EvaluationError,
+    Jet,
     Mul,
     Neg,
     ParseError,
@@ -26,12 +27,15 @@ from heavenly.jetcore import (
     Sub,
     Var,
     jet_of,
+    jets_of,
     parse_expression,
     partial,
     point,
     to_text,
 )
 from heavenly.polynomials import uni_eval
+
+import fold_oracle
 
 
 def P(*vals):
@@ -357,3 +361,90 @@ class TestFoldOracles:
         except PoleError:
             assume(False)
         assert uni_eval(rat.num, t) / den == expect
+
+
+def rebuilt(e):
+    """A structurally equal copy of the tree that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Pow):
+        return Pow(rebuilt(e.base), e.exponent)
+    if isinstance(e, Neg):
+        return Neg(rebuilt(e.a))
+    return type(e)(rebuilt(e.a), rebuilt(e.b))
+
+
+@st.composite
+def trees_sharing_subtrees(draw):
+    """One to three trees built over a small pool of subtrees, so that subtrees
+    repeat within and across the trees, both as the same node and as separately
+    built equal copies."""
+    pool = draw(st.lists(expr_trees(SECOND_NAMES, depth=2), min_size=1, max_size=3))
+    share = st.sampled_from(pool)
+    part = st.one_of(share, share.map(rebuilt), expr_trees(SECOND_NAMES, depth=1))
+
+    def grow(depth):
+        if depth == 0:
+            return part
+        sub = grow(depth - 1)
+        return st.one_of(
+            part,
+            st.tuples(st.sampled_from(list(_BINARY)), sub, sub).map(lambda t: t[0](t[1], t[2])),
+            st.tuples(sub, st.integers(-2, 2)).map(lambda t: Pow(*t)),
+            sub.map(Neg),
+        )
+
+    return draw(st.lists(grow(2), min_size=1, max_size=3))
+
+
+def _bits(jet):
+    """Every stored coefficient of the jet and its denominator, float bits as hex."""
+    nums, den = jet.numerators(comb(jet.nvars + jet.order, jet.order))
+    return jet.order, den, [(type(x), float(x).hex() if isinstance(x, float) else x) for x in nums]
+
+
+class TestMemoisedFold:
+    """jets_of shares one memo over its trees; the memo-free walk of
+    tests/fold_oracle.py is the oracle."""
+
+    @given(trees_sharing_subtrees(), st.tuples(rationals, rationals, rationals, rationals),
+           st.integers(0, 2), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_memo_free_fold(self, exprs, values, order, mode):
+        p = Point("second", values if mode == "exact" else tuple(map(float, values)))
+        try:
+            expect = [fold_oracle.jet_of(e, p, order) for e in exprs]
+        except PoleError as err:
+            # the same first pole, named by the same divisor
+            with pytest.raises(PoleError) as got:
+                jets_of(exprs, p, order)
+            assert str(got.value) == str(err)
+            return
+        got = jets_of(exprs, p, order)
+        # exact numerators over a reduced denominator are equal iff the jets are;
+        # in float mode every coefficient has the oracle's bits
+        assert [_bits(j) for j in got] == [_bits(j) for j in expect]
+        assert [_bits(jet_of(e, p, order)) for e in exprs] == [_bits(j) for j in expect]
+
+    @given(trees_sharing_subtrees())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_trees_built_separately_hash_equal(self, exprs):
+        for e in exprs:
+            copy = rebuilt(e)
+            assert copy is not e
+            assert copy == e and hash(copy) == hash(e)
+            assert {e: 1}[copy] == 1
+
+    def test_shared_subtree_is_folded_once(self):
+        q = parse_expression("1/(w*x+z*y)", "second")
+        p = P(1, 2, 3, 4)
+        sums = []
+        real = Jet.__add__
+        with mock.patch.object(Jet, "__add__", lambda j, k: sums.append(j) or real(j, k)):
+            a, b = jets_of([q, parse_expression("w/(w*x+z*y)", "second")], p, 2)
+        # the divisor w*x+z*y is folded once for both trees
+        assert len(sums) == 1
+        assert _bits(a) == _bits(fold_oracle.jet_of(q, p, 2))
+        assert b.coeffs == (a * jet_of(Var("w"), p, 2)).coeffs

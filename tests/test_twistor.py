@@ -2,7 +2,6 @@
 
 from fractions import Fraction as F
 
-from heavenly import jetcore
 from heavenly.jetcore import ScalarField, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
@@ -18,6 +17,8 @@ from heavenly.twistor import (
     series_solve_omega,
     st_twistor_curve,
 )
+
+from jet_work import JetWork
 
 SIGMA = {"sigma": F(1)}
 
@@ -99,12 +100,15 @@ class TestCurvedCurve:
         c = st_twistor_curve(10)
         theta = st_potential()
         p = pts(seed=7)[0]
-        calls = []
-        original = jetcore.jet_of
-        monkeypatch.setattr(jetcore, "jet_of", lambda *a, **k: calls.append(a) or original(*a, **k))
+        work = JetWork(monkeypatch)
         res = lax_annihilation_residual(c, theta, p, SIGMA)
         # the potential's jet plus one per curve coefficient (11 in each of mu0, mu1)
-        assert len(calls) == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
+        assert work.fold_count == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
+        assert work.most_folds_of_one_tree == 1
+        # the coefficients share their powers of Q, -y/w and x/z: folded one at a
+        # time they took 713 products and 91 reciprocals
+        assert work.products <= 221
+        assert work.reciprocals <= 8
         monkeypatch.undo()
         for A, B in res["interior"]:
             series = getattr(c, B)
