@@ -11,10 +11,8 @@ from pathlib import Path
 from .jetcore import ScalarField
 from .tetrads import (
     FirstPotential,
-    MetricField,
     SecondPotential,
     Tetrad,
-    metric_from_tetrad,
     plane_wave_tetrad,
     tetrad_from_omega,
     tetrad_from_theta,
@@ -47,9 +45,6 @@ class CatalogEntry:
         if self.kind == "potential-first":
             return tetrad_from_omega(self.first_potential())
         return plane_wave_tetrad(ScalarField.parse(profile or self.expression, "plane-wave"))
-
-    def metric(self, profile: str | None = None) -> MetricField:
-        return metric_from_tetrad(self.tetrad(profile))
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .jetcore import (
@@ -40,7 +41,7 @@ from .jetcore import (
     neg,
     substitute,
 )
-from .tetrads import MetricField
+from .tetrads import EPS, MetricField
 from .twistor import LambdaSeries
 
 
@@ -289,23 +290,20 @@ def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaS
 
 
 def summed_lax_identity_residual(E: ExtendedPotential, A: int, j: int, test: ScalarField,
-                                 p: Point, params: Mapping[str, Number] | None = None, *,
-                                 theta_jet: Jet | None = None) -> dict[int, Number]:
+                                 p: Point, params: Mapping[str, Number] | None = None
+                                 ) -> dict[int, Number]:
     """Per-lam-order residual of  -sum_i lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}.
 
     Applied to an arbitrary test field; an operator identity, zero for every
     potential.  omega_{Aj} is the eps-lowered series (omega_{0j} = -omega^1_j,
-    omega_{1j} = omega^0_j).  ``theta_jet``, a jet of the potential at p of
-    order 2 or more, lets a caller that checks several (A, j) at one point
-    evaluate it once.
+    omega_{1j} = omega^0_j).
     """
-    if theta_jet is None:
-        theta_jet = E.field.jet(p, 2, params)
-    return summed_lax_from_jets(theta_jet, A, j, test.jet(p, 1, params))
+    return summed_lax_from_jets(E.field.jet(p, 2, params), A, j, test.jet(p, 1, params))
 
 
 def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[int, Number]:
-    """summed_lax_identity_residual from jets of the potential (order 2) and the test field (order 1).
+    """summed_lax_identity_residual from jets of the potential (order 2 or more) and the test
+    field (order 1).
 
     The values of D_{Ai+1} and the gradients of the omega coefficients are
     second partials of Theta: first partials of order-1 jets of Theta_{Ci},
@@ -440,12 +438,10 @@ def paraconformal_eval(U: SpinorVector, W: SpinorVector) -> Number:
     if U.n != W.n:
         raise ValueError("rank mismatch")
     n = U.n
-    from itertools import product
-    eps = {(0, 1): 1, (1, 0): -1, (0, 0): 0, (1, 1): 0}
     total = 0
     for A in (0, 1):
         for B in (0, 1):
-            eab = eps[(A, B)]
+            eab = EPS[(A, B)]
             if eab == 0:
                 continue
             for primedU in product((0, 1), repeat=n):
@@ -455,7 +451,7 @@ def paraconformal_eval(U: SpinorVector, W: SpinorVector) -> Number:
                 for primedW in product((0, 1), repeat=n):
                     factor = eab
                     for a, b in zip(primedU, primedW):
-                        factor *= eps[(a, b)]
+                        factor *= EPS[(a, b)]
                         if factor == 0:
                             break
                     if factor == 0:

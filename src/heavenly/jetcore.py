@@ -106,9 +106,6 @@ class Point:
     def mode(self) -> str:
         return self._mode
 
-    def env(self) -> dict[str, Number]:
-        return dict(zip(chart_coords(self.chart), self.values))
-
     def as_float(self) -> "Point":
         return Point(self.chart, tuple(float(v) for v in self.values))
 
@@ -584,9 +581,8 @@ class Jet:
 
     __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map")
 
-    def __init__(self, center: Point, order: int, coeffs: Mapping[tuple[int, ...], Number],
-                 mode: str | None = None):
-        mode = mode if mode is not None else center.mode
+    def __init__(self, center: Point, order: int, coeffs: Mapping[tuple[int, ...], Number]):
+        mode = center.mode
         layout = _layout(len(center.values), order)
         where = []
         for alpha, c in coeffs.items():

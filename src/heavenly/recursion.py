@@ -165,10 +165,6 @@ def coeff_B(n: int, k: int) -> UniPoly:
     return _TABLE.coeff_B(n, k)
 
 
-def sigma_poly_eval(a: UniPoly, sigma) -> Fraction:
-    return uni_eval(a, Fraction(sigma))
-
-
 # ---------------------------------------------------------------------------
 # the curved chain
 
@@ -202,30 +198,6 @@ def st_psi(n: int) -> ScalarField:
         term = mul(term, pow_(_Q, k - n))
         e = add(e, term)
     return ScalarField(SECOND, e)
-
-
-def recursion_step_st(n: int, sigma, points: Sequence[Point]) -> dict:
-    """Check both curved recursion relations between chain members n and n+1.
-
-    Also checks the closed-form action of R on monomials (-y/w)^k Q^j used to
-    generate the table (for the exponents that occur in the chain).
-    """
-    params = {"sigma": Fraction(sigma)}
-    theta, psi_n, psi_n1 = st_potential(), st_psi(n), st_psi(n + 1)
-    residuals = []
-    failures = []
-    for p in points:
-        r1, r2 = lax_step_residual(theta, psi_n, psi_n1, p, params)
-        for tag, r in (("d_y relation", r1), ("d_x relation", -r2)):
-            if r != 0:
-                failures.append({"relation": tag, "point": p, "residual": r})
-            residuals.append(abs(r))
-    mono = [{"relation": relation, "point": p, "residual": r}
-            for (relation, p), r in monomial_action_check(sigma, points).items() if r != 0]
-    # the points' own zero when every residual vanishes (0.0 in float mode)
-    worst = max(residuals, default=Fraction(0))
-    return {"n": n, "max_abs_residual": worst, "failures": failures + mono,
-            "verdict": "pass" if not failures and not mono else "fail"}
 
 
 def monomial_recursion_image(k: int, j: int) -> ScalarField:
@@ -277,17 +249,9 @@ def formal_step_consistency(n: int, sigma, points: Sequence[Point]) -> Fraction:
             if not a:
                 continue
             img = monomial_recursion_image(k, k - n)
-            total += sigma_poly_eval(a, sigma) * img.value(p, params)
+            total += uni_eval(a, params["sigma"]) * img.value(p, params)
         worst = max(worst, abs(total - st_psi(n + 1).value(p, params)))
     return worst
-
-
-def st_wave_check(n: int, sigma, points: Sequence[Point]) -> Fraction:
-    """Max |box psi_n| over the points (exactly zero for every chain member)."""
-    params = {"sigma": Fraction(sigma)}
-    theta = st_potential()
-    psi = st_psi(n)
-    return max(abs(wave_residual(theta, psi, p, params)) for p in points)
 
 
 def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField],

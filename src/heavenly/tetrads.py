@@ -199,30 +199,6 @@ class Tetrad:
         return tuple(out)  # type: ignore[return-value]
 
 
-_PERMUTATIONS4 = []
-
-
-def _init_permutations():
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        seen = [False] * 4
-        for i in range(4):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        _PERMUTATIONS4.append((perm, sign))
-
-
-_init_permutations()
-
-
 def _sf(chart: str, e: Expr) -> ScalarField:
     return ScalarField(chart, e)
 
@@ -421,6 +397,9 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
             if p[i] > p[j]:
                 sign = -sign
     return sign
+
+
+_PERMUTATIONS4 = [(perm, _perm_sign(perm)) for perm in itertools.permutations(range(4))]
 
 
 def _wedge(chart: str, u: tuple[Expr, ...], v: tuple[Expr, ...]) -> TwoForm:

@@ -24,15 +24,15 @@ from heavenly.hierarchy import (
 from heavenly.jetcore import ScalarField, extended_chart, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import (
+    chain_residual_maxima,
     coeff_A,
     flat_phi,
     gauge_symmetry_perturbation,
     killing_chain_flat,
+    monomial_action_check,
     recursion_step_poly,
-    recursion_step_st,
     st_potential,
     st_psi,
-    st_wave_check,
     wave_residual,
 )
 from heavenly.sampling import sample_points
@@ -146,10 +146,11 @@ def test_criterion_05_curved_chain():
         assert st_psi(2).value(p0, {"sigma": sigma}) == -1 / q
         assert st_psi(3).value(p0, {"sigma": sigma}) == -F(2, 3) * sigma / q ** 3 + 1 / q
     sample = spts(107, 5, ("q_nonzero", "w_nonzero", "y_nonzero"))
-    for n in range(1, 9):
-        assert st_wave_check(n, F(1), sample) == 0
-    for n in range(1, 8):
-        assert recursion_step_st(n, F(1), sample)["verdict"] == "pass"
+    waves, links = chain_residual_maxima(st_potential(), [st_psi(n) for n in range(1, 9)],
+                                         sample, {"sigma": F(1)})
+    assert waves == [0] * 8
+    assert links == [0] * 7
+    assert all(r == 0 for r in monomial_action_check(F(1), sample).values())
     for n in range(1, 9):
         psi = st_psi(n)
         phi = flat_phi(n - 1)

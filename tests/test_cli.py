@@ -164,14 +164,14 @@ class TestExitCodes:
 
     def test_first_of_tied_residuals_is_named(self, monkeypatch, capsys):
         from heavenly import hierarchy
-        real = hierarchy.lax_compat_residual
+        real = hierarchy.lax_compat_from_jet
 
-        def off_twice(E, pairs, p):
-            res = real(E, pairs, p)
+        def off_twice(theta_jet, pairs):
+            res = real(theta_jet, pairs)
             res["pairs"][0]["mixed"] = (Fraction(-2),)
             res["pairs"][1]["delta_delta"] = (Fraction(2),)
             return res
-        monkeypatch.setattr(hierarchy, "lax_compat_residual", off_twice)
+        monkeypatch.setattr(hierarchy, "lax_compat_from_jet", off_twice)
         code, _ = run(["hierarchy-check", "--n", "2", "--points", "2"])
         assert code == 1
         assert capsys.readouterr().err.startswith(
@@ -335,17 +335,17 @@ class TestOutputs:
         from fractions import Fraction
 
         from heavenly import hierarchy
-        real = hierarchy.lax_compat_residual
+        real = hierarchy.lax_compat_from_jet
         seen = []
 
-        def first_point_off(E, pairs, p):
-            res = real(E, pairs, p)
+        def first_point_off(theta_jet, pairs):
+            res = real(theta_jet, pairs)
             if not seen:
                 res["pairs"][0]["delta_delta"] = [Fraction(3)]
-            seen.append(p)
+            seen.append(theta_jet.center)
             return res
 
-        monkeypatch.setattr(hierarchy, "lax_compat_residual", first_point_off)
+        monkeypatch.setattr(hierarchy, "lax_compat_from_jet", first_point_off)
         code, out = run(["hierarchy-check", "--n", "2", "--points", "3", "--seed", "7"])
         rep = json.loads(out)
         assert code == 1
@@ -486,13 +486,15 @@ class TestHierarchyCheckSharedJets:
                                 lambda *a, real=real: diffs.append(a) or real(*a))
         code, _ = run(["hierarchy-check", "--n", str(n), "--points", "1"])
         assert code == 0
-        # the potential's order-3 jet (compatibility), its order-2 jet (Sato) and the
-        # order-1 jet of each of the 2n test fields; no derivative trees
-        assert work.fold_count <= 2 + 2 * n
+        # the potential's order-3 jet, read by the compatibility and the Sato checks,
+        # and the order-1 jets of the 2n test fields in one fold; no derivative trees
+        assert work.fold_count <= 1 + 2 * n
         assert work.most_folds_of_one_tree == 1
         assert diffs == []
-        # the potential and the test fields are polynomials: no reciprocals
-        assert work.products <= {1: 32, 3: 52, 4: 68}[n]
+        # the potential and the test fields are polynomials: no reciprocals.  With a
+        # second, order-2 fold of the potential and one fold per test field they took
+        # 32, 52 and 68 products
+        assert work.products <= {1: 18, 3: 38, 4: 47}[n]
         assert work.reciprocals == 0
 
 

@@ -275,8 +275,8 @@ def catalog_setup(name):
     entry = load_catalog()[name]
     profile = entry.expression if entry.kind == "metric" else None
     t = entry.tetrad(profile)
-    g = metric_from_tetrad(t) if entry.kind != "metric" else entry.metric(profile)
-    return g, t, dict(entry.params), sample_points(entry.chart, 21, 2, entry.exclusions)
+    points = sample_points(entry.chart, 21, 2, entry.exclusions)
+    return metric_from_tetrad(t), t, dict(entry.params), points
 
 
 def witness_setup():

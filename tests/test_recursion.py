@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heavenly.jetcore import ScalarField, point
-from heavenly.polynomials import Poly
+from heavenly.polynomials import Poly, uni_eval
 from heavenly.recursion import (
     IntegrabilityError,
     TerminationError,
+    chain_residual_maxima,
     coeff_A,
     coeff_B,
     flat_phi,
@@ -17,12 +18,10 @@ from heavenly.recursion import (
     formal_step_consistency,
     gauge_symmetry_perturbation,
     killing_chain_flat,
+    monomial_action_check,
     recursion_step_poly,
-    recursion_step_st,
-    sigma_poly_eval,
     st_potential,
     st_psi,
-    st_wave_check,
     wave_residual,
     zrm_recursion,
     DependencyError,
@@ -124,24 +123,24 @@ class TestFlatRecursion:
 
 class TestCoeffTables:
     def test_seeds(self):
-        assert sigma_poly_eval(coeff_A(1, 0), 1) == 1
-        assert sigma_poly_eval(coeff_A(1, 1), 1) == 0
+        assert uni_eval(coeff_A(1, 0), 1) == 1
+        assert uni_eval(coeff_A(1, 1), 1) == 0
         assert coeff_A(2, -1) == ()
 
     def test_displayed_third_member_coefficient(self):
         # A(3, 0) = -2 sigma / 3
         a = coeff_A(3, 0)
-        assert sigma_poly_eval(a, F(1)) == F(-2, 3)
-        assert sigma_poly_eval(a, F(3, 2)) == -1
+        assert uni_eval(a, F(1)) == F(-2, 3)
+        assert uni_eval(a, F(3, 2)) == -1
 
     def test_one_step_by_hand(self):
         # A(2,1) = A(1,0) - 2 sigma (2/1) A(1,2) = 1
-        assert sigma_poly_eval(coeff_A(2, 1), F(5)) == 1
+        assert uni_eval(coeff_A(2, 1), F(5)) == 1
 
     def test_b_table_seeds_and_step(self):
-        assert sigma_poly_eval(coeff_B(1, 0), F(2)) == 1
+        assert uni_eval(coeff_B(1, 0), F(2)) == 1
         # B(3,0) = -2 sigma (1/4) B(2,1), B(2,1) = 1
-        assert sigma_poly_eval(coeff_B(3, 0), F(1)) == F(-1, 2)
+        assert uni_eval(coeff_B(3, 0), F(1)) == F(-1, 2)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -164,15 +163,19 @@ class TestCurvedChain:
 
     def test_wave_equation_through_eight(self):
         sample = pts(seed=8, n=4)
-        for n in range(1, 9):
-            assert st_wave_check(n, F(1), sample) == 0
-            assert st_wave_check(n, F(-3), sample) == 0
+        members = [st_psi(n) for n in range(1, 9)]
+        for sigma in (F(1), F(-3)):
+            waves, _ = chain_residual_maxima(st_potential(), members, sample, {"sigma": sigma})
+            assert waves == [0] * 8
 
     def test_differential_steps_through_eight(self):
         sample = pts(seed=9, n=3)
-        for n in range(1, 8):
-            out = recursion_step_st(n, F(1, 2), sample)
-            assert out["verdict"] == "pass", out["failures"][:2]
+        members = [st_psi(n) for n in range(1, 9)]
+        _, links = chain_residual_maxima(st_potential(), members, sample, {"sigma": F(1, 2)})
+        assert links == [0] * 7
+        monomials = monomial_action_check(F(1, 2), sample)
+        assert len(monomials) == 2 * len(sample)
+        assert [label for label, r in monomials.items() if r != 0] == []
 
     def test_formal_termwise_step_matches_table(self):
         sample = pts(seed=10, n=3)
@@ -193,7 +196,8 @@ class TestCurvedChain:
     def test_members_past_twelve_solve_the_wave_equation(self):
         # rows past the first twelve are built on demand by the same recurrence
         sample = pts(seed=12, n=1)
-        assert st_wave_check(13, F(1, 2), sample) == 0
+        waves, _ = chain_residual_maxima(st_potential(), [st_psi(13)], sample, {"sigma": F(1, 2)})
+        assert waves == [0]
 
 
 def symbolic_step_residual(theta, phi, r_phi, p, params):
