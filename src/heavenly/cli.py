@@ -21,6 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import curvature, hierarchy, recursion, reports, symplectic, twistor
@@ -391,48 +392,48 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing keeps no state in the parser: each call returns a fresh namespace,
+    and a usage error raises rather than exits.  The parser holds no command
+    function; :func:`main` looks each one up by name when it runs.
+    """
     ap = _Parser(prog="heavenly", description="verification suite for heavenly structures")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, func, about in (
-            ("verify-solution", cmd_verify_solution, "residual / vacuum check for a catalog entry"),
-            ("curvature-report", cmd_curvature_report, "per-point curvature invariants")):
+    for name, about in (
+            ("verify-solution", "residual / vacuum check for a catalog entry"),
+            ("curvature-report", "per-point curvature invariants")):
         sp = sub.add_parser(name, help=about)
         sp.add_argument("--background", required=True)
         sp.add_argument("--sigma", type=str, default=None)
         sp.add_argument("--f", type=str, default=None)
         _add_common(sp)
-        sp.set_defaults(func=func)
 
-    for name, func, size, about in (
-            ("recursion-chain", cmd_recursion_chain, "--n",
-             "chain expressions and residual summary"),
-            ("twistor-series", cmd_twistor_series, "--order",
-             "per-order annihilation residual table")):
+    for name, size, about in (
+            ("recursion-chain", "--n", "chain expressions and residual summary"),
+            ("twistor-series", "--order", "per-order annihilation residual table")):
         sp = sub.add_parser(name, help=about)
         sp.add_argument("--background", required=True, choices=("flat", "st"))
         sp.add_argument(size, type=int, required=True)
         sp.add_argument("--sigma", type=str, default=None)
         _add_common(sp)
-        sp.set_defaults(func=func)
 
     pz = sub.add_parser("penrose", help="residue transform values at sample points")
     pz.add_argument("--f", required=True)
     pz.add_argument("--pole", required=True)
     _add_common(pz)
-    pz.set_defaults(func=cmd_penrose)
 
     hc = sub.add_parser("hierarchy-check", help="identity and equivalence residuals")
     hc.add_argument("--n", type=int, required=True)
     _add_common(hc, points_default=3)
-    hc.set_defaults(func=cmd_hierarchy_check)
 
     sc = sub.add_parser("symplectic-check", help="pairing equality/skewness table")
     sc.add_argument("--degree", type=int, default=4)
     sc.add_argument("--pairs", type=int, default=10)
     _add_common(sc)
-    sc.set_defaults(func=cmd_symplectic_check)
 
     return ap
 
@@ -445,7 +446,9 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{name} must be at least {low}, got {getattr(args, name)}")
         if not (args.tol > 0 and math.isfinite(args.tol)):
             raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-        return args.func(args)
+        # subcommand a-b runs cmd_a_b, read from the module at call time, so a
+        # rebinding of cmd_a_b (a tracer, a test double) is what runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, ParseError, EvaluationError, SamplerExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

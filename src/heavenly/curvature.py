@@ -1,20 +1,21 @@
 """Metric to curvature pipeline with spinor decomposition.
 
 Curvature is computed from metric components by the coordinate method
-(Levi-Civita connection, then the Riemann tensor from connection jets);
-spinor pieces are extracted afterwards by projecting the Weyl tensor onto
-the null frame of a tetrad.  The metric inverse and the Christoffel symbols
-are jet arithmetic.  Every sum after them runs on integer numerators over
-one common denominator per quantity (float mode: floats over 1), and each
+(Levi-Civita connection, then the Riemann tensor from its values and
+gradients); spinor pieces are extracted afterwards by projecting the Weyl
+tensor onto the null frame of a tetrad.  The metric inverse is jet
+arithmetic.  Every sum after it runs on integer numerators over one common
+denominator per quantity (float mode: floats over small integers), and each
 reported number is divided once, so in exact mode a vanishing component is
 exactly zero.
 
-Each point is one pass: the order-2 metric jets are evaluated and inverted
-once and the Christoffel jets follow.  Their values and gradients go over one
-common denominator D, so Riemann sits over D^2; the metric and inverse metric
-values each get their own, and Ricci, the scalar curvature and W_abcd all
-come from that single Riemann, with W's 1/2 and 1/6 as integer multiples of
-one final denominator.  Frame components are taken by successive
+Each point is one pass: the order-2 metric jets are evaluated once and
+inverted through order 1 (the connection needs the inverse's values and
+gradients only).  The Christoffel values and gradients are integer sums over
+one common denominator D, so Riemann sits over D^2; the metric and inverse
+metric values each get their own, and Ricci, the scalar curvature and W_abcd
+all come from that single Riemann, with W's 1/2 and 1/6 as integer multiples
+of one final denominator.  Frame components are taken by successive
 single-index contractions on numerators, the frame over its own common
 denominator.
 
@@ -27,10 +28,19 @@ eps_{AB} eps_{CD} C_{A'B'C'D'} by eps-contraction over frame indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
-from .jetcore import EvaluationError, Jet, Number, Point, common_denominator, divider, field_jets
+from .jetcore import (
+    EvaluationError,
+    Jet,
+    Number,
+    Point,
+    common_denominator,
+    divider,
+    field_jets,
+    hessian_positions,
+)
 from .tetrads import EPS, MetricField, Tetrad
 
 
@@ -88,11 +98,6 @@ def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
     return inv
 
 
-def _jet_partial(j: Jet, axis: int) -> Jet:
-    n = j.nvars
-    return j.shift(tuple(1 if i == axis else 0 for i in range(n)))
-
-
 @dataclass
 class Christoffel:
     """Gamma^a_{bc} at a point."""
@@ -101,41 +106,61 @@ class Christoffel:
     symbols: list[list[list[Number]]]
 
 
-def _christoffel_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
-                      jet_order: int) -> list[list[list[Jet]]]:
-    """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher.
+def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
+    """Gamma^a_{bc} and its first partials as numerators over one common D.
 
-    The metric jets are symmetric (see :func:`_metric_jets`), so Gamma^a_{bc}
-    is built for b <= c and mirrored onto Gamma^a_{cb}.
+    ``gj`` are the order-2 metric jets and ``ginv`` their inverse through
+    order 1.  The metric's first and second partials go over one denominator
+    Dg (a pure second partial d_c d_c g_ab is twice its Taylor coefficient),
+    the inverse's values and gradients over one Di, and D = 2 Di Dg.
+    ``G[a][b][c]`` is one list, the value numerator then the n gradient
+    numerators; it is built for b <= c (the metric jets are symmetric, see
+    :func:`_metric_jets`) and mirrored onto ``G[a][c][b]``.
+
+    In float mode D is 2 and each operation is the one the order-1 jet
+    product g^ad * (2 Gamma_dbc) does, in the same order, so the symbols,
+    once divided by D, are bit for bit the jet route's.
     """
     n = len(gj)
     upper = [(b, c) for b in range(n) for c in range(b, n)]
+    hess = hessian_positions(n)
+    nums, Dg = common_denominator([gj[a][b] for a, b in upper], 1 + max(map(max, hess)))
+    # dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
     dg = [[None] * n for _ in range(n)]
-    for a, b in upper:
-        dg[a][b] = dg[b][a] = [_jet_partial(gj[a][b], c) for c in range(n)]
-    ginv_low = [[ginv[a][b].truncate(jet_order) for b in range(n)] for a in range(n)]
+    for (a, b), num in zip(upper, nums):
+        dg[a][b] = dg[b][a] = [[num[1 + c]] + [num[hess[c][e]] * (2 if c == e else 1)
+                                               for e in range(n)] for c in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
-    low = {(b, c): [dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for d in range(n)]
-           for b, c in upper}
-    half = Fraction(1, 2)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
+                    for d in range(n)] for b, c in upper}
+    inv, Di = common_denominator([x for row in ginv for x in row], 1 + n)
+    zero = 0.0 if gj[0][0].mode == "float" else 0
+    G = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
+        row = inv[a * n:(a + 1) * n]
         for b, c in upper:
-            acc = None
-            for d in range(n):
-                contrib = ginv_low[a][d] * low[(b, c)][d]
-                acc = contrib if acc is None else acc + contrib
-            out[a][b][c] = out[a][c][b] = acc.scale(half)
-    return out
+            val, grad = zero, [zero] * n
+            for h, t in zip(row, low[(b, c)]):   # g^ad and 2 Gamma_dbc, each with its gradient
+                h0, t0 = h[0], t[0]
+                val += h0 * t0
+                grad = [s + (h0 * te + he * t0) for s, te, he in zip(grad, t[1:], h[1:])]
+            G[a][b][c] = G[a][c][b] = [val, *grad]
+    return G, 2 * Di * Dg
+
+
+def _connection(g: MetricField, p: Point, params):
+    """The order-2 metric jets, their inverse through order 1, and the Christoffel
+    numerators over their D (see :func:`_christoffel_numerators`)."""
+    gj = _metric_jets(g, p, 2, params)
+    ginv = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+    return gj, ginv, _christoffel_numerators(gj, ginv)
 
 
 def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
     """Levi-Civita connection coefficients at p."""
-    gj = _metric_jets(g, p, 1, params)
-    jets = _christoffel_jets(gj, _invert_jet_matrix(gj), 0)
-    n = len(gj)
-    vals = [[[jets[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
-    return Christoffel(g.chart, vals)
+    _, _, (G, D) = _connection(g, p, params)
+    q = divider(p.mode)
+    return Christoffel(g.chart, [[[q(x[0], D) for x in gb] for gb in ga] for ga in G])
 
 
 def _value_matrix(m: list[list[Jet]]) -> tuple[list[list[Number]], int]:
@@ -145,12 +170,9 @@ def _value_matrix(m: list[list[Jet]]) -> tuple[list[list[Number]], int]:
     return [[flat[a * n + b][0] for b in range(n)] for a in range(n)], den
 
 
-def _riemann_values(gamma: list[list[list[Jet]]]):
-    """R^a_{bcd} numerators over D^2 from order-1 Christoffel jets over one common D."""
-    n = len(gamma)
-    flat, D = common_denominator([x for ga in gamma for gb in ga for x in gb], 1 + n)
-    # G[a][b][c]: numerators of Gamma^a_{bc}, the value then d_0 .. d_{n-1}
-    G = [[flat[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+def _riemann_values(G, D):
+    """R^a_{bcd} numerators over D^2 from the Christoffel numerators over D."""
+    n = len(G)
     gv = [[[x[0] for x in gb] for gb in ga] for ga in G]
     out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -170,9 +192,8 @@ def _riemann_values(gamma: list[list[list[Jet]]]):
 def _riemann_at(g: MetricField, p: Point, params):
     """One evaluation of g at p: R^a_{bcd}, the metric values and the inverse
     metric values, each as numerators with their own common denominator."""
-    gj = _metric_jets(g, p, 2, params)
-    ginv = _invert_jet_matrix(gj)
-    return _riemann_values(_christoffel_jets(gj, ginv, 1)), _value_matrix(gj), _value_matrix(ginv)
+    gj, ginv, (G, D) = _connection(g, p, params)
+    return _riemann_values(G, D), _value_matrix(gj), _value_matrix(ginv)
 
 
 def _ricci_values(rm, ginv_values):
@@ -185,16 +206,16 @@ def _ricci_values(rm, ginv_values):
 
 
 def _lower(gv, rm):
-    """R_{abcd} = g_ae R^e_{bcd} numerators over the metric's denominator times Riemann's."""
+    """R_{abcd} = g_ae R^e_{bcd} numerators over the metric's denominator times
+    Riemann's, as a row-major list in (a, b, c, d)."""
     n = len(rm)
-    out = {}
-    for a in range(n):
-        ga = gv[a]
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    out[(a, b, c, d)] = sum(ga[e] * rm[e][b][c][d] for e in range(n))
-    return out
+    return [sum(ga[e] * rm[e][b][c][d] for e in range(n))
+            for ga in gv for b in range(n) for c in range(n) for d in range(n)]
+
+
+def _index_keys(values, n: int, q, den) -> dict:
+    """A row-major list of rank-4 numerators as ``{(a, b, c, d): value}``, each divided by den."""
+    return {k: q(x, den) for k, x in zip(product(range(n), repeat=4), values)}
 
 
 def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
@@ -214,66 +235,59 @@ def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
 
 def lowered_riemann(g: MetricField, p: Point, params=None):
     (rm, d2), (gv, dg), _ = _riemann_at(g, p, params)
-    q = divider(p.mode)
-    return {k: q(x, dg * d2) for k, x in _lower(gv, rm).items()}
+    return _index_keys(_lower(gv, rm), len(gv), divider(p.mode), dg * d2)
 
 
 def _weyl_at(g: MetricField, p: Point, params):
     """W_{abcd}, Ricci, scalar and metric-value numerators at p from a single Riemann.
 
     Returns ``(W, dw), (ric, d2), (scalar, ds), (gv, dg)``, each numerators
-    with their denominator: Ricci is over Riemann's d2 and the scalar over
-    ds = di d2, di the inverse metric's.  With R_abcd over dg d2, W's 1/2 and
-    1/6 terms share dw = 6 dg^2 di d2.
+    with their denominator, W as a row-major list in (a, b, c, d): Ricci is
+    over Riemann's d2 and the scalar over ds = di d2, di the inverse metric's.
+    With R_abcd over dg d2, W's 1/2 and 1/6 terms share dw = 6 dg^2 di d2.
     """
     (rm, d2), (gv, dg), (ginv, di) = _riemann_at(g, p, params)
-    rl = _lower(gv, rm)
     ric, scalar = _ricci_values(rm, ginv)
     n = len(gv)
     m_rl = 6 * dg * di
     m_ric = 3 * dg * di
-    W = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    W[(a, b, c, d)] = (
-                        m_rl * rl[(a, b, c, d)]
-                        - m_ric * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
-                                   - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
-                        + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
+    W = [m_rl * r
+         - m_ric * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
+                    - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
+         + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c])
+         for r, (a, b, c, d) in zip(_lower(gv, rm), product(range(n), repeat=4))]
     return (W, 6 * dg * dg * di * d2), (ric, d2), (scalar, di * d2), (gv, dg)
 
 
 def weyl_tensor_values(g: MetricField, p: Point, params=None):
     """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    (W, dw), (ric, d2), (scalar, ds), _ = _weyl_at(g, p, params)
+    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(g, p, params)
     q = divider(p.mode)
-    return ({k: q(x, dw) for k, x in W.items()}, [[q(x, d2) for x in row] for row in ric],
+    return (_index_keys(W, len(gv), q, dw), [[q(x, d2) for x in row] for row in ric],
             q(scalar, ds))
 
 
-def _frame_components(tensor: dict[tuple[int, ...], Number],
+def _frame_components(tensor: Sequence[Number], rank: int,
                       frame: Mapping[tuple[int, int], Sequence[Number]]) -> dict:
-    """T(u_k1, ..., u_kr) for every tuple of frame keys.
+    """T(u_k1, ..., u_kr) for every tuple of frame keys, from T's n^r coordinate
+    components in row-major order.
 
-    Contracts one coordinate index at a time (O(r n^(r+1)) products rather
-    than the n^(2r) of the direct r-fold sum).  The keys of the intermediate
-    tensors are the remaining coordinate indices followed by the frame keys
-    already contracted.
+    Contracts the leading coordinate index one at a time (O(r n^(r+1))
+    products rather than the n^(2r) of the direct r-fold sum) and appends the
+    frame index, so after r steps the list is row-major in the frame keys.
+    Each sum runs over a ascending and skips zero factors: a frame vector is
+    read as its nonzero (index, component) pairs, and a zero component of T
+    is passed over.
     """
     n = len(next(iter(frame.values())))
-    first_key, first = next(iter(tensor.items()))
-    zero = type(first)(0)
+    vectors = [[(a, x) for a, x in enumerate(u) if x] for u in frame.values()]
+    zero = type(tensor[0])(0)
     t = tensor
-    for _ in range(len(first_key)):
-        nxt = {}
-        for tail in {key[1:] for key in t}:
-            col = [t[(a,) + tail] for a in range(n)]
-            for k, u in frame.items():
-                nxt[tail + (k,)] = sum((c * x for c, x in zip(col, u) if c and x), zero)
-        t = nxt
-    return t
+    for _ in range(rank):
+        stride = len(t) // n
+        t = [sum([c * x for a, x in u if (c := col[a])], zero)
+             for col in (t[rest::stride] for rest in range(stride)) for u in vectors]
+    return dict(zip(product(frame, repeat=rank), t))
 
 
 def _frame_numerators(fv: Mapping[tuple[int, int], Sequence[Number]]):
@@ -321,11 +335,10 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
     (W, dw), (ric, d2), (scalar, ds), (gv, dg) = _weyl_at(g, p, params)
     fv, df = _frame_numerators(t.frame_values(p, params))
     q = divider(p.mode)
-    n = len(gv)
 
     # check the tetrad is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
     den = dg * df * df
-    gf = _frame_components({(a, b): gv[a][b] for a in range(n) for b in range(n)}, fv)
+    gf = _frame_components([x for row in gv for x in row], 2, fv)
     worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
                 for ((A, Ap), (B, Bp)), got in gf.items())
     duality_max = q(worst, den)
@@ -335,7 +348,7 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
         raise EvaluationError(f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
                               "at this point")
 
-    w_frame = _frame_components(W, fv)
+    w_frame = _frame_components(W, 4, fv)
 
     # C = (1/4) eps eps W_frame, numerators over 4 dw df^4
     sd_num = {}
@@ -374,7 +387,7 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
 
     # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
     # is over d2 df^2 and R over ds (a multiple of d2), so Phi is over 8 ds df^2
-    rf = _frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
+    rf = _frame_components([x for row in ric for x in row], 2, fv)
     m_rf, m_r, d_phi = 4 * (ds // d2), df * df, 8 * ds * df * df
     phi = {(A, B, Ap, Bp): q(-(m_rf * rf[((A, Ap), (B, Bp))]
                                - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)]), d_phi)

@@ -192,20 +192,13 @@ def _bracket(u: dict, v: dict, nvars: int) -> list:
     return out
 
 
-def lax_compat_residual(E: ExtendedPotential, pairs: Sequence[tuple[int, int, int, int]],
-                        p: Point, params: Mapping[str, Number] | None = None) -> dict:
-    """Compatibility commutators for the listed flow pairs (A, i, B, j).
+def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int]]) -> dict:
+    """Compatibility commutators for the listed flow pairs (A, i, B, j) at the
+    center of an order-3 (or higher) jet of the potential.
 
     Returns, per pair: the [D, D] commutator components next to the matched
     Hamiltonian field of the corresponding flow residual, the [delta, delta]
-    components, and the mixed-bracket combination (identically zero).  Every
-    value is read off one order-3 jet of the potential at p.
-    """
-    return lax_compat_from_jet(E.field.jet(p, 3, params), pairs)
-
-
-def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int]]) -> dict:
-    """lax_compat_residual from an order-3 (or higher) jet of the potential at the point.
+    components, and the mixed-bracket combination (identically zero).
 
     D_{Ai+1} has the components -Theta_{Ai,10} along x00, Theta_{Ai,00} along
     x10 and 1 along x_{Ai+1}; delta_{Ai} is the unit field along x_{Ai}.  The
@@ -289,21 +282,13 @@ def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaS
     return series[0], series[1]
 
 
-def summed_lax_identity_residual(E: ExtendedPotential, A: int, j: int, test: ScalarField,
-                                 p: Point, params: Mapping[str, Number] | None = None
-                                 ) -> dict[int, Number]:
-    """Per-lam-order residual of  -sum_i lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}.
+def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[int, Number]:
+    """Per-lam-order residual of  -sum_i lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}
+    from jets of the potential (order 2 or more) and the test field (order 1).
 
     Applied to an arbitrary test field; an operator identity, zero for every
     potential.  omega_{Aj} is the eps-lowered series (omega_{0j} = -omega^1_j,
     omega_{1j} = omega^0_j).
-    """
-    return summed_lax_from_jets(E.field.jet(p, 2, params), A, j, test.jet(p, 1, params))
-
-
-def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[int, Number]:
-    """summed_lax_identity_residual from jets of the potential (order 2 or more) and the test
-    field (order 1).
 
     The values of D_{Ai+1} and the gradients of the omega coefficients are
     second partials of Theta: first partials of order-1 jets of Theta_{Ci},

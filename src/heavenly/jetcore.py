@@ -891,6 +891,18 @@ def common_denominator(items: Sequence[Union[Jet, Number]], upto: int = 1) -> tu
     return out, den
 
 
+def hessian_positions(nvars: int) -> list[list[int]]:
+    """``[c][e]``: where the Taylor coefficient of x_c x_e sits among the numerators
+    of a jet of order 2 or more (see :meth:`Jet.numerators`).
+
+    That coefficient is d_c d_e f / alpha!, so d_c d_e f is twice it when
+    c == e and equal to it otherwise.
+    """
+    index = _layout(nvars, 2).index
+    return [[index[tuple((i == c) + (i == e) for i in range(nvars))] for e in range(nvars)]
+            for c in range(nvars)]
+
+
 def divider(mode: str) -> Callable[[Number, int], Number]:
     """How a numerator over a common denominator is read out: ``Fraction(num, den)``
     in exact mode, ``num / den`` (a float) in float mode."""

@@ -1,47 +1,81 @@
 """The value-by-value curvature formulas, kept as a test oracle for ``heavenly.curvature``.
 
-This is how the package summed curvature before its integer value sums:
-Riemann from the Christoffel jets' values and gradients, its lowering, Ricci,
-the scalar curvature, W_abcd, the frame contractions and the spinor split,
-each a sum of ``Fraction`` (exact) or ``float`` values read off the jets one
-at a time.  It is slow and obviously correct, which is what an oracle should
-be.  It shares the metric jets, their inverse and the Christoffel jets with
-the package, which stay jet arithmetic there.  Nothing in ``src/`` imports it.
+This is how the package computed curvature before its integer sums: the
+Christoffel symbols as order-1 jets (products of the inverse metric's jets
+with the lowered symbols' jets), then Riemann from their values and
+gradients, its lowering, Ricci, the scalar curvature, W_abcd, the frame
+contractions and the spinor split, each a sum of ``Fraction`` (exact) or
+``float`` values read off the jets one at a time.  It is slow and obviously
+correct, which is what an oracle should be.  It shares only the metric jets
+and the Gauss-Jordan inverse with the package, and inverts the full order-2
+jets where the package stops at order 1.  Nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from heavenly.curvature import _christoffel_jets, _invert_jet_matrix, _metric_jets
+from heavenly.curvature import _invert_jet_matrix, _metric_jets
 from heavenly.tetrads import EPS
 
 
+def _jet_partial(j, axis):
+    return j.shift(tuple(1 if i == axis else 0 for i in range(j.nvars)))
+
+
+def christoffel_jets(gj, ginv, jet_order):
+    """Gamma^a_{bc} jets of order ``jet_order`` from metric jets one order higher.
+
+    The metric jets are symmetric, so Gamma^a_{bc} is built for b <= c and
+    mirrored onto Gamma^a_{cb}.
+    """
+    n = len(gj)
+    upper = [(b, c) for b in range(n) for c in range(b, n)]
+    dg = [[None] * n for _ in range(n)]
+    for a, b in upper:
+        dg[a][b] = dg[b][a] = [_jet_partial(gj[a][b], c) for c in range(n)]
+    ginv_low = [[ginv[a][b].truncate(jet_order) for b in range(n)] for a in range(n)]
+    # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
+    low = {(b, c): [dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for d in range(n)]
+           for b, c in upper}
+    half = Fraction(1, 2)
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b, c in upper:
+            acc = None
+            for d in range(n):
+                contrib = ginv_low[a][d] * low[(b, c)][d]
+                acc = contrib if acc is None else acc + contrib
+            out[a][b][c] = out[a][c][b] = acc.scale(half)
+    return out
+
+
 def riemann(g, p, params):
-    """(R^a_{bcd} values [a][b][c][d], metric values, inverse metric values) at p."""
+    """(R^a_{bcd} values [a][b][c][d], metric values, inverse metric values,
+    Christoffel values [a][b][c]) at p.
+
+    R^a_{bcd} is summed for c <= d and R^a_{bdc} is its negation, as the
+    package fills it, so even the sign of a float zero matches.
+    """
     gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix(gj)
-    gamma = _christoffel_jets(gj, ginv, 1)
+    gamma = christoffel_jets(gj, ginv, 1)
     n = len(gamma)
     # dG[a][b][c][k] = d_k Gamma^a_{bc}
     dG = [[[gamma[a][b][c].grad() for c in range(n)] for b in range(n)] for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
-    out = []
+    out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        ra = []
         for b in range(n):
-            rb = []
             for c in range(n):
-                rc = []
-                for d in range(n):
+                for d in range(c, n):
                     s = dG[a][d][b][c] - dG[a][c][b][d]
                     for e in range(n):
                         s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
-                    rc.append(s)
-                rb.append(rc)
-            ra.append(rb)
-        out.append(ra)
-    return out, _values(gj), _values(ginv)
+                    out[a][b][c][d] = s
+                    if d != c:
+                        out[a][b][d][c] = -s
+    return out, _values(gj), _values(ginv), gval
 
 
 def _values(m):
@@ -97,11 +131,12 @@ def frame_components(tensor, frame):
 def curvature(g, t, p, params):
     """Every quantity of the curvature pipeline at p, by value-by-value sums.
 
-    Returns a dict with ``riemann``, ``ricci``, ``scalar``, ``lowered``, ``W``
-    and the :class:`heavenly.curvature.CurvatureReport` fields ``weyl_asd``,
-    ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and ``duality_max_abs``.
+    Returns a dict with ``christoffel``, ``riemann``, ``ricci``, ``scalar``,
+    ``lowered``, ``W`` and the :class:`heavenly.curvature.CurvatureReport`
+    fields ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
+    ``duality_max_abs``.
     """
-    rm, gv, ginv = riemann(g, p, params)
+    rm, gv, ginv, gamma = riemann(g, p, params)
     ric, scalar = ricci(rm, ginv)
     rl = lower(gv, rm)
     W = weyl(gv, rl, ric, scalar)
@@ -141,6 +176,6 @@ def curvature(g, t, p, params):
         rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd[(A, B, C, D)]
                    + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])
         re_err.append(abs(val - rebuilt))
-    return {"riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl, "W": W,
-            "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
+    return {"christoffel": gamma, "riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl,
+            "W": W, "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
             "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max}

@@ -19,15 +19,15 @@ from heavenly.jetcore import Jet
 
 class JetWork:
     def __init__(self, monkeypatch):
-        # (point, tree, order) -> number of jets_of calls that folded it; equal
-        # trees in one call share its memo, so they count once
+        # (point, tree) -> number of jets_of calls that folded it, at any order;
+        # equal trees in one call share its memo, so they count once
         self.folds: Counter = Counter()
         self.products = 0
         self.reciprocals = 0
         real_jets_of, real_mul, real_reciprocal = jetcore.jets_of, Jet.__mul__, Jet.reciprocal
 
         def jets_of(exprs, p, order=jetcore.DEFAULT_ORDER, params=None):
-            self.folds.update({(p, e, order) for e in exprs})
+            self.folds.update({(p, e) for e in exprs})
             return real_jets_of(exprs, p, order, params)
 
         def mul(a, b):
@@ -51,5 +51,9 @@ class JetWork:
 
     @property
     def most_folds_of_one_tree(self) -> int:
-        """The largest number of jets_of calls that folded one (point, tree, order)."""
+        """The largest number of jets_of calls that folded one tree at one point.
+
+        The order is not part of the key: a tree folded at order 3 and again at
+        order 2 counts twice, though the order-3 jet holds the order-2 one.
+        """
         return max(self.folds.values(), default=0)

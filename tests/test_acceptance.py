@@ -16,12 +16,12 @@ from heavenly.hierarchy import (
     ExtendedPotential,
     embed_second_form,
     extended1_point_of_second,
-    lax_compat_residual,
+    lax_compat_from_jet,
     lax_field,
     sato_flow_residual,
-    summed_lax_identity_residual,
+    summed_lax_from_jets,
 )
-from heavenly.jetcore import ScalarField, extended_chart, parse_expression, point
+from heavenly.jetcore import ScalarField, extended_chart, jet_of, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import (
     chain_residual_maxima,
@@ -231,7 +231,7 @@ def test_criterion_10_hierarchy_identities():
         pairs = [(A, i, B, j) for A in (0, 1) for B in (0, 1)
                  for i in range(n) for j in range(n)]
         for p in sample_points(E.chart, seed, 2):
-            out = lax_compat_residual(E, pairs, p)
+            out = lax_compat_from_jet(jet_of(E.field.expr, p, 3), pairs)
             for rec in out["pairs"]:
                 assert all(v == 0 for v in rec["delta_delta"])
                 assert all(v == 0 for v in rec["mixed"])
@@ -266,7 +266,8 @@ def test_criterion_11_sato_identity():
                                 F(rng.randint(-2, 2)) for _ in range(5)}).to_field()
             for A in (0, 1):
                 for j in range(1, n + 1):
-                    res = summed_lax_identity_residual(E, A, j, test, p)
+                    res = summed_lax_from_jets(jet_of(E.field.expr, p, 2), A, j,
+                                               jet_of(test.expr, p, 1))
                     assert all(v == 0 for v in res.values())
     # truncated flow form: interior orders vanish on an embedded solution
     theta = ScalarField.parse("sigma/(w*x+z*y)", "second")

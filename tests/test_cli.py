@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavenly.cli import main
+from heavenly.cli import build_parser, main
 from heavenly.jetcore import ScalarField
 from heavenly.recursion import flat_phi, st_potential, st_psi, wave_residual
 from heavenly.sampling import float_points, sample_points
@@ -18,6 +21,7 @@ from heavenly.tetrads import SecondPotential, lax_step_residual
 from jet_work import JetWork
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -213,6 +217,32 @@ class TestDeterminism:
         _, out2 = run(["verify-solution", "--background", "sparling-tod", "--seed", "2",
                        "--points", "3"])
         assert out1 != out2
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_leaks_nothing_between_calls(self, capsys):
+        # each argv in one process, through the one parser, against the same
+        # argv alone in a fresh interpreter: stdout bytes, exit code and stderr
+        good = ["curvature-report", "--background", "sparling-tod", "--points", "1"]
+        sequence = [(good, 0),
+                    (["curvature-report", "--points", "1"], 2),   # usage: no --background
+                    (["curvature-report", "--background", "no-such-entry", "--points", "1"], 2),
+                    (["hierarchy-check", "--n", "2"], 0),
+                    (good, 0)]
+        for argv, expect in sequence:
+            code, out = run(argv)
+            err = capsys.readouterr().err
+            alone = subprocess.run([sys.executable, "-m", "heavenly.cli", *argv],
+                                   capture_output=True, text=True, timeout=120,
+                                   env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert (code, out.encode(), err) == (alone.returncode, alone.stdout.encode(),
+                                                 alone.stderr)
+            assert code == expect
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # name, argv, exit code; the poly-witness report is a failing verdict

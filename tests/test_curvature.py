@@ -295,7 +295,7 @@ class TestFrameProjection:
                                      min_size=4, max_size=4))
         tensor = dict(zip(idx, entries))
         frame = dict(zip(FRAME_KEYS, map(tuple, vectors)))
-        got = _frame_components(tensor, frame)
+        got = _frame_components(entries, rank, frame)   # idx is row-major
         assert set(got) == set(itertools.product(FRAME_KEYS, repeat=rank))
         for keys, value in got.items():
             assert value == direct_frame_component(tensor, frame, keys)
@@ -333,15 +333,16 @@ class TestSinglePass:
             assert rep.reassembly_max_abs == 0 and rep.duality_max_abs == 0
 
     def test_symmetric_jets_built_once(self, monkeypatch):
-        # g_ab and Gamma^a_bc are built for a <= b and b <= c only and mirrored:
-        # 10 metric jets instead of 16, 160 Christoffel products instead of 256;
-        # the 10 g_ab fold their shared subtrees once (folded one at a time they
-        # took 349 products and 10 reciprocals)
+        # g_ab is built for a <= b only and mirrored, so the 10 metric jets fold
+        # their shared subtrees once (folded one at a time they took 349
+        # products and 10 reciprocals).  Past the folds, only the Gauss-Jordan
+        # inverse multiplies jets, on order-1 truncations; Christoffel and every
+        # sum after it run on numerators (its order-1 jets took 160 products)
         g, t, params, points = catalog_setup("sparling-tod")
         work = JetWork(monkeypatch)
         weyl_spinors(g, t, points[0], params)
         monkeypatch.undo()
         assert work.fold_count <= 10
         assert work.most_folds_of_one_tree == 1
-        assert work.products <= 280
+        assert work.products <= 117
         assert work.reciprocals <= 7

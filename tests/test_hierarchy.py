@@ -14,17 +14,17 @@ from heavenly.hierarchy import (
     embed_second_form,
     extended1_point_of_second,
     hierarchy_residual,
-    lax_compat_residual,
+    lax_compat_from_jet,
     lax_field,
     paraconformal_eval,
     poisson_yx,
     sato_flow_residual,
     slice_metric,
-    summed_lax_identity_residual,
+    summed_lax_from_jets,
     truncated_omega,
     vector_to_spinor_level1,
 )
-from heavenly.jetcore import Point, ScalarField, extended_chart, point
+from heavenly.jetcore import Point, ScalarField, extended_chart, jet_of, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import float_points, sample_points
@@ -185,7 +185,7 @@ class TestCompatibility:
         pairs = [(A, i, B, j) for A in (0, 1) for B in (0, 1)
                  for i in range(n) for j in range(n) if (A, i) < (B, j)]
         for p in sample_points(E.chart, seed, 2):
-            out = lax_compat_residual(E, pairs, p)
+            out = lax_compat_from_jet(jet_of(E.field.expr, p, 3), pairs)
             for rec in out["pairs"]:
                 assert all(v == 0 for v in rec["delta_delta"])
                 assert all(v == 0 for v in rec["mixed"])
@@ -196,7 +196,7 @@ class TestCompatibility:
         T = Poly(chart, {(2, 2, 0, 0, 0, 0): F(1)})  # (x00 x10)^2: bracket-active
         E = ExtendedPotential(2, T.to_field())
         p = point(chart, 1, 1, 1, 1, 1, 1)
-        out = lax_compat_residual(E, [(0, 0, 1, 0)], p)
+        out = lax_compat_from_jet(jet_of(E.field.expr, p, 3), [(0, 0, 1, 0)])
         assert any(v != 0 for v in out["pairs"][0]["dd_commutator"])
         assert out["pairs"][0]["dd_commutator"] == out["pairs"][0]["residual_hamiltonian_field"]
 
@@ -231,8 +231,8 @@ class TestJetRouteMatchesOracle:
         rng = random.Random(seed)
         test = Poly(E.chart, {tuple(rng.randint(0, 2) for _ in range(2 * n + 2)):
                               F(rng.randint(-2, 2)) for _ in range(4)}).to_field()
-        checks = [(lax_compat_residual, oracle.lax_compat_residual, (pairs,))]
-        checks += [(summed_lax_identity_residual, oracle.summed_lax_identity_residual, (A, j, test))
+        checks = [(_compat_route, oracle.lax_compat_residual, (pairs,))]
+        checks += [(_sato_route, oracle.summed_lax_identity_residual, (A, j, test))
                    for A in (0, 1) for j in range(1, n + 1)]
         # exact mode: the routes agree exactly
         for jet_route, tree_route, args in checks:
@@ -250,6 +250,15 @@ class TestJetRouteMatchesOracle:
             want = _values(tree_route(E, *args, fp, fparams))
             assert len(got) == len(want) and all(type(x) is float for x in got)
             assert all(abs(x - y) <= tol for x, y in zip(got, want))
+
+
+def _compat_route(E, pairs, p, params):
+    return lax_compat_from_jet(jet_of(E.field.expr, p, 3, params), pairs)
+
+
+def _sato_route(E, A, j, test, p, params):
+    return summed_lax_from_jets(jet_of(E.field.expr, p, 2, params), A, j,
+                                jet_of(test.expr, p, 1, params))
 
 
 def _values(node):
@@ -286,7 +295,8 @@ class TestSato:
             test = Poly(chart, test_terms).to_field()
             for A in (0, 1):
                 for j in range(1, n + 1):
-                    res = summed_lax_identity_residual(E, A, j, test, p)
+                    res = summed_lax_from_jets(jet_of(E.field.expr, p, 2), A, j,
+                                               jet_of(test.expr, p, 1))
                     assert all(v == 0 for v in res.values())
 
     def test_flow_form_on_embedded_solution(self):

@@ -7,6 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 from heavenly.catalog import load_catalog
 from heavenly.curvature import (
     SingularMetricError,
+    christoffel,
     lowered_riemann,
     ricci,
     riemann,
@@ -146,6 +147,10 @@ def _leaves(x):
     return [x]
 
 
+def _hexes(x):
+    return [v.hex() for v in _leaves(x)]
+
+
 COORDINATE = ("riemann", "lowered", "W", "ricci", "scalar")
 
 
@@ -163,11 +168,15 @@ class TestCurvatureAgainstOracle:
         for name, value in got.items():
             assert value == want[name], name
             assert all(type(v) is F for v in _leaves(value)), name
+        assert christoffel(g, p, params).symbols == want["christoffel"]
 
         fp = p.as_float()
         want = curvature_oracle.curvature(g, t, fp, params)
         got, (ric, scalar), _ = _public_quantities(g, t, fp, params)
         assert (ric, scalar) == (want["ricci"], want["scalar"])
+        # the connection and Riemann do the jet route's float operations in its order
+        assert _hexes(christoffel(g, fp, params).symbols) == _hexes(want["christoffel"])
+        assert _hexes(got["riemann"]) == _hexes(want["riemann"])
         # relative to the size of the summed terms: the largest coordinate entry,
         # and for frame quantities the largest contraction of |W| or |Ricci| with
         # the |frame| (a spinor can cancel far below the terms it sums)

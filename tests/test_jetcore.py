@@ -26,6 +26,7 @@ from heavenly.jetcore import (
     ScalarField,
     Sub,
     Var,
+    hessian_positions,
     jet_of,
     jets_of,
     parse_expression,
@@ -36,6 +37,7 @@ from heavenly.jetcore import (
 from heavenly.polynomials import uni_eval
 
 import fold_oracle
+from jet_work import JetWork
 
 
 def P(*vals):
@@ -180,6 +182,17 @@ class TestDerivativeReadout:
         j = jet_of(parse_expression("w*x", "second"), P(1, 2, 3, 1), 1)
         with pytest.raises(ValueError):
             j.d("w", "x")
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_hessian_positions_read_second_partials(self, order):
+        j = jet_of(parse_expression("w^2*x/(z+y^2)+z^3*y/7", "second"), P(1, 2, 3, 1), order)
+        positions = hessian_positions(4)
+        nums, den = j.numerators(1 + max(map(max, positions)))
+        for c in range(4):
+            for e in range(4):
+                alpha = tuple((i == c) + (i == e) for i in range(4))
+                weight = 2 if c == e else 1
+                assert F(weight * nums[positions[c][e]], den) == j.derivative(alpha)
 
 
 class TestPartials:
@@ -436,6 +449,17 @@ class TestMemoisedFold:
             assert copy is not e
             assert copy == e and hash(copy) == hash(e)
             assert {e: 1}[copy] == 1
+
+    def test_jet_work_counts_a_tree_folded_at_two_orders(self, monkeypatch):
+        # the order-3 jet holds the order-2 one, so a second fold is waste
+        q = parse_expression("1/(w*x+z*y)", "second")
+        p = P(1, 2, 3, 4)
+        work = JetWork(monkeypatch)
+        jet_of(q, p, 3)
+        jet_of(q, p, 2)
+        monkeypatch.undo()
+        assert work.fold_count == 2
+        assert work.most_folds_of_one_tree == 2
 
     def test_shared_subtree_is_folded_once(self):
         q = parse_expression("1/(w*x+z*y)", "second")
