@@ -243,13 +243,14 @@ def cmd_recursion_chain(args) -> int:
     if args.background == "flat":
         members = [recursion.flat_phi(n) for n in range(first, args.n + 1)]
         key, offset = "link_max_abs", -1   # link (n-1, n) is reported on member n
-        monomials = {}
+        pairs = {}
     else:
         members = [recursion.st_psi(n) for n in range(first, args.n + 1)]
         key, offset = "step_max_abs", 0    # step (n, n+1) is reported on member n
-        # depends only on sigma and the points; its residuals join the first member's
-        monomials = recursion.monomial_action_check(sigma, pts) if args.n >= 2 else {}
-    waves, links = recursion.chain_residual_maxima(theta, members, pts, params)
+        # the formal monomial image, checked in the chain's fold; its residuals
+        # join the first member's
+        pairs = recursion.monomial_action_pairs() if args.n >= 2 else {}
+    waves, links, monomials = recursion.chain_residual_maxima(theta, members, pts, params, pairs)
 
     def evaluate(i):
         record = {"n": first + i, "expression": str(members[i]), "wave_max_abs": waves[i]}

@@ -18,8 +18,10 @@ Float mode runs the same algorithms in double precision and is only used for
 tolerance-based reporting.  A mode never changes silently inside one
 computation: it is fixed by the evaluation point.
 
-Expressions, points, fields and jets are immutable after construction and
-evaluation is pure, so independent points may be evaluated concurrently.
+Expressions, points, fields and jets are immutable after construction (what
+a jet caches on first use, such as its reciprocal, is a pure function of it,
+and no jet is shared between points) and evaluation is pure, so independent
+points may be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -576,10 +578,12 @@ class Jet:
     operation; in float mode they are floats over denominator 1.  ``coeffs``
     reads them back as a mapping from multi-index to ``Fraction`` (exact) or
     ``float``, nonzero entries only.  Mixed-partial symmetry is structural:
-    there is one slot per multi-index.
+    there is one slot per multi-index.  A jet keeps what it derives from
+    itself, as ``coeffs`` keeps its mapping: its reciprocal and its repeated
+    squarings f^2, f^4, ... are computed on first use and live as long as it.
     """
 
-    __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map")
+    __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map", "_inv", "_squares")
 
     def __init__(self, center: Point, order: int, coeffs: Mapping[tuple[int, ...], Number]):
         mode = center.mode
@@ -694,6 +698,24 @@ class Jet:
 
     def d(self, *names: str) -> Number:
         """The derivative by coordinate names of the chart: ``d("x", "w")`` is d_x d_w f."""
+        i = self._position(names)
+        return self._number(self._c[i] * self._layout.weights[i])
+
+    def d_numerators(self, *partials: tuple[str, ...]) -> tuple[list, int]:
+        """Numerators of several named derivatives over the jet's denominator.
+
+        ``d_numerators(("x", "x"), ("y",))`` gives ``([nxx, ny], den)`` with
+        d_x d_x f = nxx/den and d_y f = ny/den: integers in exact mode, floats
+        over 1 in float mode (a zero is 0.0, never -0.0, as for ``d``).  Sums of
+        products of them stay integers, and a result is divided once, by
+        :func:`divider`.
+        """
+        c, weights = self._c, self._layout.weights
+        zero = 0.0 if self.mode == "float" else 0
+        return [c[i] * weights[i] + zero for i in map(self._position, partials)], self._den
+
+    def _position(self, names: tuple[str, ...]) -> int:
+        """Where d_names f sits in the layout, looked up once per chart and names."""
         layout = self._layout
         key = (self.center.chart, names)
         i = layout.named.get(key)
@@ -705,7 +727,7 @@ class Jet:
             if len(names) > self.order:
                 raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
             i = layout.named[key] = layout.index[tuple(alpha)]
-        return self._number(self._c[i] * layout.weights[i])
+        return i
 
     def grad(self) -> tuple[Number, ...]:
         """The first partials at the center, in chart order."""
@@ -808,6 +830,14 @@ class Jet:
         return self._like([x * num for x in self._c], self._den * k.denominator)
 
     def reciprocal(self) -> "Jet":
+        """1/f, inverted once per jet (see :meth:`_invert`) and kept on it."""
+        try:
+            return self._inv
+        except AttributeError:
+            self._inv = self._invert()
+            return self._inv
+
+    def _invert(self) -> "Jet":
         """1/f by the recurrence of f * (1/f) = 1, solved in graded order.
 
         The coefficient h_g of 1/f is -(1/f_0) sum f_b h_(g-b) over b != 0.
@@ -852,17 +882,34 @@ class Jet:
         return self * other.reciprocal()
 
     def __pow__(self, n: int) -> "Jet":
+        """f^n by square-and-multiply, f^-n as (1/f)^n.
+
+        The product combines the squarings f, f^2, f^4, ... in bit order,
+        starting from the lowest one used; no squaring past the top bit is
+        taken.  The squarings are kept on the jet, so every power of one jet
+        shares them.
+        """
         if n < 0:
             return self.reciprocal() ** (-n)
-        acc = Jet.constant(1, self.center, self.order)
+        if n == 0:
+            return Jet.constant(1, self.center, self.order)
+        try:
+            higher = self._squares   # f^2, f^4, ...; f itself is not stored (no cycle)
+        except AttributeError:
+            higher = self._squares = []
+        acc = None
         base = self
-        k = n
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        i = 0
+        while True:
+            if n & 1:
+                acc = base if acc is None else acc * base
+            n >>= 1
+            if not n:
+                return acc
+            if i == len(higher):
+                higher.append(base * base)
+            base = higher[i]
+            i += 1
 
     def __repr__(self):
         nterms = sum(1 for x in self._c if x)
@@ -1042,10 +1089,7 @@ class ScalarField:
         Equal to ``self.jet(p, 0, params).value`` in exact mode, and raises the
         same errors; leaves are ``Fraction`` in exact mode and ``float`` in float mode.
         """
-        self._require_chart(p)
-        number = float if p.mode == "float" else Fraction
-        values = tuple(map(number, p.values))
-        return fold(self.expr, _point_leaf(p, params, number, values.__getitem__))
+        return field_values([self], p, params)[0]
 
     def _require_chart(self, p: Point):
         if p.chart != self.chart:
@@ -1070,6 +1114,18 @@ def field_jets(fields: Sequence[ScalarField], p: Point, order: int = DEFAULT_ORD
     for f in fields:
         f._require_chart(p)
     return jets_of([f.expr for f in fields], p, order, params)
+
+
+def field_values(fields: Sequence[ScalarField], p: Point,
+                 params: Mapping[str, Number] | None = None) -> list[Number]:
+    """``[f.value(p, params) for f in fields]`` through one memo, so a subtree the
+    fields share is evaluated once."""
+    for f in fields:
+        f._require_chart(p)
+    number = float if p.mode == "float" else Fraction
+    values = tuple(map(number, p.values))
+    ev = _folder(_point_leaf(p, params, number, values.__getitem__))
+    return [ev(f.expr) for f in fields]
 
 
 def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:

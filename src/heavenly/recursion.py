@@ -52,7 +52,6 @@ from .tetrads import (
     SECOND,
     SecondPotential,
     lax_step_from_jets,
-    lax_step_residual,
     linearized_from_jets,
     linearized_second_residual,
 )
@@ -219,23 +218,16 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def monomial_action_check(sigma, points: Sequence[Point]) -> dict:
-    """Differential check of the formal monomial image on its integrable cases.
+def monomial_action_pairs() -> dict[str, tuple[ScalarField, ScalarField]]:
+    """The integrable cases of the formal monomial image, labelled: each maps to
+    the pair (f, image of f) that the recursion relations must link.
 
-    Returns labelled residuals: ``("monomial k=.. j=..", p)`` maps to the larger
-    |relation| of lax_step_residual between the monomial and its image at p.
+    Checked by chain_residual_maxima, at the chain's points and in its fold.
     """
-    params = {"sigma": Fraction(sigma)}
-    theta = st_potential()
-    residuals = {}
-    for (k, j) in ((0, -1), (1, -1)):
-        myw = div(neg(Y), W)
-        f = ScalarField(SECOND, mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j))
-        Rf_field = monomial_recursion_image(k, j)
-        for p in points:
-            r1, r2 = lax_step_residual(theta, f, Rf_field, p, params)
-            residuals[(f"monomial k={k} j={j}", p)] = max(abs(r1), abs(r2))
-    return residuals
+    myw = div(neg(Y), W)
+    return {f"monomial k={k} j={j}": (
+        ScalarField(SECOND, mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j)),
+        monomial_recursion_image(k, j)) for (k, j) in ((0, -1), (1, -1))}
 
 
 def formal_step_consistency(n: int, sigma, points: Sequence[Point]) -> Fraction:
@@ -255,29 +247,41 @@ def formal_step_consistency(n: int, sigma, points: Sequence[Point]) -> Fraction:
 
 
 def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField],
-                          points: Sequence[Point], params: Mapping[str, Number] | None = None
-                          ) -> tuple[list, list]:
-    """Wave maxima of every chain member and link maxima of every consecutive pair.
+                          points: Sequence[Point], params: Mapping[str, Number] | None = None,
+                          pairs: Mapping[str, tuple[ScalarField, ScalarField]] | None = None
+                          ) -> tuple[list, list, dict]:
+    """Wave maxima of every chain member, link maxima of every consecutive pair,
+    and the relation residuals of labelled extra pairs (phi, R phi) at each point.
 
-    Each point evaluates the order-2 jets of the potential and every member in
-    one field_jets call, so the subtrees they share (the powers of -y/w and of
-    wx+zy) are folded once; the wave residual (wave_residual) and both
-    recursion relations between members i and i+1 (lax_step_residual) are read
-    off those jets.
-    Returns ``(wave, link)``: wave[i] is max |box members[i]| and link[i] the
-    max of |relation| over both relations for the pair (i, i+1), each maximum
-    over the points, or the points' zero (0.0 in float mode) when there are none.
+    Each point evaluates the order-2 jets of the potential, every member and
+    both fields of every pair in one field_jets call, so the subtrees they
+    share (the powers of -y/w and of wx+zy) are folded once; the wave residual
+    (wave_residual) and both recursion relations between members i and i+1, or
+    between the fields of a pair (lax_step_residual), are read off those jets.
+    Returns ``(wave, link, paired)``: wave[i] is max |box members[i]| and
+    link[i] the max of |relation| over both relations for the pair (i, i+1),
+    each maximum over the points, or the points' zero (0.0 in float mode) when
+    there are none; ``paired`` maps ``(label, p)`` to the larger |relation| of
+    that pair at p, by label and then point.
     """
+    pairs = pairs or {}
     waves: list[list] = [[] for _ in members]
     links: list[list] = [[] for _ in members[1:]]
+    paired: dict[str, list] = {label: [] for label in pairs}
+    fields = [theta.field, *members, *(f for pair in pairs.values() for f in pair)]
     for p in points:
-        theta_jet, *jets = field_jets([theta.field, *members], p, 2, params)
-        for i, jet in enumerate(jets):
-            waves[i].append(abs(2 * linearized_from_jets(theta_jet, jet)))
+        theta_jet, *jets = field_jets(fields, p, 2, params)
+        for i, values in enumerate(waves):
+            values.append(abs(2 * linearized_from_jets(theta_jet, jets[i])))
         for i, values in enumerate(links):
             values.extend(abs(r) for r in lax_step_from_jets(theta_jet, jets[i], jets[i + 1]))
+        pair_jets = jets[len(members):]
+        for values, phi, r_phi in zip(paired.values(), pair_jets[::2], pair_jets[1::2]):
+            r1, r2 = lax_step_from_jets(theta_jet, phi, r_phi)
+            values.append(max(abs(r1), abs(r2)))
     zero = 0.0 if points and points[0].mode == "float" else Fraction(0)
-    return ([max(v, default=zero) for v in waves], [max(v, default=zero) for v in links])
+    return ([max(v, default=zero) for v in waves], [max(v, default=zero) for v in links],
+            {(label, p): r for label, values in paired.items() for p, r in zip(points, values)})
 
 
 # ---------------------------------------------------------------------------

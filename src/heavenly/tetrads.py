@@ -89,6 +89,7 @@ from .jetcore import (
     diff,
     div,
     divider,
+    field_values,
     free_vars,
     mul,
     neg,
@@ -139,6 +140,11 @@ def first_heavenly_residual(omega: FirstPotential, p: Point,
     return d("w", "zt") * d("z", "wt") - d("w", "wt") * d("z", "zt") - 1
 
 
+# the named partials the Lax and wave read-outs take (see Jet.d_numerators)
+_W, _Z, _X, _Y = ("w",), ("z",), ("x",), ("y",)
+_XX, _YY, _XY, _XW, _YZ = ("x", "x"), ("y", "y"), ("x", "y"), ("x", "w"), ("y", "z")
+
+
 def linearized_second_residual(theta: SecondPotential, delta: ScalarField, p: Point,
                                params: Mapping[str, Number] | None = None) -> Number:
     """Background wave operator of the second equation applied to a perturbation."""
@@ -151,11 +157,10 @@ def linearized_from_jets(theta_jet: Jet, delta_jet: Jet) -> Number:
     Callers that apply the operator to many perturbations at one point share
     the potential's jet.
     """
-    dT = theta_jet.d
-    dD = delta_jet.d
-    return (dD("x", "w") + dD("y", "z")
-            + dT("y", "y") * dD("x", "x") + dT("x", "x") * dD("y", "y")
-            - 2 * dT("x", "y") * dD("x", "y"))
+    (tyy, txx, txy), dt = theta_jet.d_numerators(_YY, _XX, _XY)
+    (dxw, dyz, dxx, dyy, dxy), dd = delta_jet.d_numerators(_XW, _YZ, _XX, _YY, _XY)
+    return divider(theta_jet.mode)(
+        dxw * dt + dyz * dt + tyy * dxx + txx * dyy - 2 * txy * dxy, dt * dd)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +175,10 @@ class Tetrad:
     coframe: dict[tuple[int, int], tuple[ScalarField, ...]]
 
     def frame_values(self, p: Point, params=None) -> dict[tuple[int, int], tuple[Number, ...]]:
-        return {k: tuple(f.value(p, params) for f in v) for k, v in self.frame.items()}
+        return dict(zip(self.frame, _row_values(self.frame.values(), p, params)))
 
     def coframe_values(self, p: Point, params=None) -> dict[tuple[int, int], tuple[Number, ...]]:
-        return {k: tuple(f.value(p, params) for f in v) for k, v in self.coframe.items()}
+        return dict(zip(self.coframe, _row_values(self.coframe.values(), p, params)))
 
     def volume_component(self) -> ScalarField:
         """Coefficient of the coordinate volume form in e^{01'}^e^{10'}^e^{11'}^e^{00'}."""
@@ -197,6 +202,12 @@ class Tetrad:
                 comps.append(ScalarField(self.chart, e))
             out.append(tuple(comps))
         return tuple(out)  # type: ignore[return-value]
+
+
+def _row_values(rows, p: Point, params) -> list[tuple[Number, ...]]:
+    """The values at p of every row of fields, folded through one memo."""
+    values = iter(field_values([f for row in rows for f in row], p, params))
+    return [tuple(next(values) for _ in row) for row in rows]
 
 
 def _sf(chart: str, e: Expr) -> ScalarField:
@@ -309,7 +320,7 @@ class MetricField:
     components: tuple[tuple[ScalarField, ...], ...]
 
     def matrix_values(self, p: Point, params=None) -> list[list[Number]]:
-        return [[f.value(p, params) for f in row] for row in self.components]
+        return [list(row) for row in _row_values(self.components, p, params)]
 
 
 def metric_from_tetrad(t: Tetrad) -> MetricField:
@@ -500,12 +511,12 @@ def lax_step_from_jets(theta_jet: Jet, phi_jet: Jet, r_phi_jet: Jet) -> tuple[Nu
     are read.  Callers that relate many pairs at one point evaluate each jet
     once and share it.
     """
-    dT = theta_jet.d
-    txx, tyy, txy = dT("x", "x"), dT("y", "y"), dT("x", "y")
-    f = phi_jet.d
-    r = r_phi_jet.d
-    return (r("y") - (f("w") - txy * f("y") + tyy * f("x")),
-            r("x") + (f("z") + txx * f("y") - txy * f("x")))
+    (txx, tyy, txy), dt = theta_jet.d_numerators(_XX, _YY, _XY)
+    (fw, fz, fx, fy), df = phi_jet.d_numerators(_W, _Z, _X, _Y)
+    (rx, ry), dr = r_phi_jet.d_numerators(_X, _Y)
+    q, tf = divider(theta_jet.mode), dt * df
+    return (q(ry * tf - dr * (fw * dt - txy * fy + tyy * fx), dr * tf),
+            q(rx * tf + dr * (fz * dt + txx * fy - txy * fx), dr * tf))
 
 
 def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:

@@ -1,11 +1,13 @@
-"""Count the jet work a call does: trees folded, jet products and reciprocals.
+"""Count the jet work a call does: trees folded, jet products and inversions.
 
 The jet-count guards bound these counts for one point.  Every jet the package
 builds from a tree goes through ``heavenly.jetcore.jets_of`` (``jet_of``,
 ``ScalarField.jet`` and ``field_jets`` all call it), so wrapping it at each
 binding site sees every fold, whichever name the caller imported.  Products
-and reciprocals are counted on ``Jet`` itself, so they include the ring
+and inversions are counted on ``Jet`` itself, so they include the ring
 operations of the folds and of everything done with the jets afterwards.
+A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
+the inversions counted are those computed (``Jet._invert``).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ class JetWork:
         # equal trees in one call share its memo, so they count once
         self.folds: Counter = Counter()
         self.products = 0
-        self.reciprocals = 0
-        real_jets_of, real_mul, real_reciprocal = jetcore.jets_of, Jet.__mul__, Jet.reciprocal
+        self.inversions = 0
+        real_jets_of, real_mul, real_invert = jetcore.jets_of, Jet.__mul__, Jet._invert
 
         def jets_of(exprs, p, order=jetcore.DEFAULT_ORDER, params=None):
             self.folds.update({(p, e) for e in exprs})
@@ -34,15 +36,15 @@ class JetWork:
             self.products += 1
             return real_mul(a, b)
 
-        def reciprocal(a):
-            self.reciprocals += 1
-            return real_reciprocal(a)
+        def invert(a):
+            self.inversions += 1
+            return real_invert(a)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "heavenly" and getattr(module, "jets_of", None) is real_jets_of:
                 monkeypatch.setattr(module, "jets_of", jets_of)
         monkeypatch.setattr(Jet, "__mul__", mul)
-        monkeypatch.setattr(Jet, "reciprocal", reciprocal)
+        monkeypatch.setattr(Jet, "_invert", invert)
 
     @property
     def fold_count(self) -> int:

@@ -29,7 +29,7 @@ from heavenly.recursion import (
     flat_phi,
     gauge_symmetry_perturbation,
     killing_chain_flat,
-    monomial_action_check,
+    monomial_action_pairs,
     recursion_step_poly,
     st_potential,
     st_psi,
@@ -146,11 +146,12 @@ def test_criterion_05_curved_chain():
         assert st_psi(2).value(p0, {"sigma": sigma}) == -1 / q
         assert st_psi(3).value(p0, {"sigma": sigma}) == -F(2, 3) * sigma / q ** 3 + 1 / q
     sample = spts(107, 5, ("q_nonzero", "w_nonzero", "y_nonzero"))
-    waves, links = chain_residual_maxima(st_potential(), [st_psi(n) for n in range(1, 9)],
-                                         sample, {"sigma": F(1)})
+    waves, links, monomials = chain_residual_maxima(
+        st_potential(), [st_psi(n) for n in range(1, 9)], sample, {"sigma": F(1)},
+        monomial_action_pairs())
     assert waves == [0] * 8
     assert links == [0] * 7
-    assert all(r == 0 for r in monomial_action_check(F(1), sample).values())
+    assert all(r == 0 for r in monomials.values())
     for n in range(1, 9):
         psi = st_psi(n)
         phi = flat_phi(n - 1)

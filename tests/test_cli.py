@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from heavenly.cli import build_parser, main
 from heavenly.jetcore import ScalarField
-from heavenly.recursion import flat_phi, st_potential, st_psi, wave_residual
+from heavenly.recursion import (
+    flat_phi,
+    monomial_action_pairs,
+    st_potential,
+    st_psi,
+    wave_residual,
+)
 from heavenly.sampling import float_points, sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual
 
@@ -280,6 +286,10 @@ _GOLDENS = [
     ("twistor-series-st-float.json",
      ["twistor-series", "--background", "st", "--order", "10", "--points", "3",
       "--mode", "float", "--seed", "23"], 0),
+    # signed per-order float residuals: pins the sign of each zero
+    ("twistor-series-st-float-seed1.json",
+     ["twistor-series", "--background", "st", "--order", "10", "--points", "3",
+      "--mode", "float", "--seed", "1"], 0),
 ]
 
 
@@ -429,7 +439,9 @@ class TestOutputs:
 
 def _per_call_chain(background, n, sigma, seed, points, mode):
     """Wave and link maxima of the chain by one wave_residual and one
-    lax_step_residual call per point, members keyed by their index n."""
+    lax_step_residual call per point, members keyed by their index n, and the
+    monomial check's residuals by one lax_step_residual call (order-1 jets of
+    its two fields) per pair and point."""
     exclusions = ["q_nonzero", "w_nonzero"] + (["q_unit_scale"] if mode == "float" else [])
     pts = sample_points("second", seed, points, exclusions)
     if mode == "float":
@@ -445,7 +457,10 @@ def _per_call_chain(background, n, sigma, seed, points, mode):
     link = {k: max(abs(r) for p in pts
                    for r in lax_step_residual(theta, members[k], members[k + 1], p, params))
             for k in members if k + 1 in members}
-    return wave, link
+    pairs = monomial_action_pairs().values() if background == "st" and n >= 2 else ()
+    monomial = [max(map(abs, lax_step_residual(theta, f, r_f, p, params)))
+                for f, r_f in pairs for p in pts]
+    return wave, link, monomial
 
 
 class TestRecursionChainSharedJets:
@@ -460,9 +475,10 @@ class TestRecursionChainSharedJets:
             argv.append(f"--sigma={sigma}")
         code, out = run(argv)
         assert code in (0, 1)
-        records = {r["n"]: r for r in json.loads(out)["records"]}
-        wave, link = _per_call_chain(background, n, sigma if background == "st" else 1,
-                                     seed, points, mode)
+        report = json.loads(out)
+        records = {r["n"]: r for r in report["records"]}
+        wave, link, monomial = _per_call_chain(background, n, sigma if background == "st" else 1,
+                                               seed, points, mode)
         # flat reports link (n-1, n) on member n, st reports step (n, n+1) on member n
         if background == "flat":
             want = {(k + 1, "link_max_abs"): v for k, v in link.items()}
@@ -478,20 +494,28 @@ class TestRecursionChainSharedJets:
                 assert Fraction(got[key]) == value == 0, key
             else:
                 assert got[key].hex() == value.hex(), key
+        # the monomial pairs, folded with the chain at order 2, give the bits of
+        # their own order-1 folds
+        worst = max([*wave.values(), *link.values(), *monomial])
+        if mode == "exact":
+            assert Fraction(report["max_abs_residual"]) == worst == 0
+        else:
+            assert report["max_abs_residual"].hex() == worst.hex()
 
     def test_st_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
         work = JetWork(monkeypatch)
         code, _ = run(["recursion-chain", "--background", "st", "--n", "10", "--sigma", "1/2",
                        "--points", "1"])
         assert code == 0
-        # the potential, the ten members and the once-per-run monomial check (two
-        # pairs, three jets each; the potential's jet is the chain's again)
-        assert work.fold_count <= 1 + 10 + 6
-        assert work.most_folds_of_one_tree <= 3
-        # the members share their powers of -y/w and of 1/(wx+zy): folded one at
-        # a time they took 440 products and 66 reciprocals
-        assert work.products <= 178
-        assert work.reciprocals <= 17
+        # the potential, the ten members and the four monomial-check fields, all
+        # in one fold (a field equal to a member's tree is folded once)
+        assert work.fold_count <= 1 + 10 + 4
+        assert work.most_folds_of_one_tree == 1
+        # the members share their powers of -y/w and of 1/(wx+zy), and each jet
+        # keeps its reciprocal and squarings: folded one at a time they took 440
+        # products and 66 inversions, with the memo alone 178 and 17
+        assert work.products <= 91
+        assert work.inversions <= 2
 
     def test_flat_chain_evaluates_each_jet_once_per_point(self, monkeypatch):
         work = JetWork(monkeypatch)
@@ -499,9 +523,10 @@ class TestRecursionChainSharedJets:
         assert code == 0
         assert work.fold_count <= 1 + 7
         assert work.most_folds_of_one_tree == 1
-        # 48 products and 13 reciprocals with each member folded on its own
-        assert work.products <= 31
-        assert work.reciprocals <= 8
+        # 48 products and 13 inversions with each member folded on its own, 31 and 8
+        # with the memo alone
+        assert work.products <= 15
+        assert work.inversions <= 2
 
 
 class TestHierarchyCheckSharedJets:
@@ -521,11 +546,11 @@ class TestHierarchyCheckSharedJets:
         assert work.fold_count <= 1 + 2 * n
         assert work.most_folds_of_one_tree == 1
         assert diffs == []
-        # the potential and the test fields are polynomials: no reciprocals.  With a
+        # the potential and the test fields are polynomials: no inversions.  With a
         # second, order-2 fold of the potential and one fold per test field they took
-        # 32, 52 and 68 products
-        assert work.products <= {1: 18, 3: 38, 4: 47}[n]
-        assert work.reciprocals == 0
+        # 32, 52 and 68 products, and 18, 38 and 47 with powers by the constant 1
+        assert work.products <= {1: 16, 3: 36, 4: 45}[n]
+        assert work.inversions == 0
 
 
 def _leaves(node, key=None):

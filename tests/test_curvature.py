@@ -335,14 +335,16 @@ class TestSinglePass:
     def test_symmetric_jets_built_once(self, monkeypatch):
         # g_ab is built for a <= b only and mirrored, so the 10 metric jets fold
         # their shared subtrees once (folded one at a time they took 349
-        # products and 10 reciprocals).  Past the folds, only the Gauss-Jordan
-        # inverse multiplies jets, on order-1 truncations; Christoffel and every
-        # sum after it run on numerators (its order-1 jets took 160 products)
+        # products and 10 inversions), and each jet keeps its reciprocal and
+        # squarings (117 products and 7 inversions without).  Past the folds,
+        # only the Gauss-Jordan inverse multiplies jets, on order-1 truncations;
+        # Christoffel and every sum after it run on numerators (its order-1 jets
+        # took 160 products)
         g, t, params, points = catalog_setup("sparling-tod")
         work = JetWork(monkeypatch)
         weyl_spinors(g, t, points[0], params)
         monkeypatch.undo()
         assert work.fold_count <= 10
         assert work.most_folds_of_one_tree == 1
-        assert work.products <= 117
-        assert work.reciprocals <= 7
+        assert work.products <= 113
+        assert work.inversions <= 5

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import power_oracle
 from dict_jet import DictJet
 from heavenly.jetcore import CHARTS, MAX_ORDER, Jet, Point, jet_of, parse_expression, point
 
@@ -90,6 +91,79 @@ class TestDictKernelOracle:
     @settings(max_examples=80, deadline=None)
     def test_float_kernels_agree_to_relative_1e12(self, data):
         _check_kernels(data)
+
+
+@st.composite
+def signed_jets(draw, mode):
+    """A random sparse jet in up to 4 variables through order 4, negated or
+    inverted half the time, so float jets carry stored -0.0 coefficients as
+    ``Neg`` and ``reciprocal`` leave them.  Float coefficients use the whole
+    mantissa, so a product taken in another association shows in the last bits."""
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 4))
+    center = Point(ORACLE_CHARTS[nvars], tuple(draw(st.lists(RATIONALS, min_size=nvars,
+                                                             max_size=nvars))))
+    number = RATIONALS
+    if mode == "float":
+        center = center.as_float()
+        number = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    alphas = st.lists(st.integers(0, nvars - 1), max_size=order).map(
+        lambda axes: tuple(axes.count(i) for i in range(nvars)))
+    a = Jet(center, order, draw(st.dictionaries(alphas, number, max_size=5)))
+    if draw(st.booleans()):
+        a = -a
+    if draw(st.booleans()) and a.value:
+        a = a.reciprocal()
+    return a
+
+
+def _stored(j):
+    """The stored numerators (floats as hex, so the sign of zero counts) and the denominator."""
+    nums, den = j.numerators(len(j._layout.monomials))
+    return den, [x.hex() if isinstance(x, float) else x for x in nums]
+
+
+def _float_readouts(j):
+    """Every coefficient and every named derivative, as float.hex text."""
+    names = CHARTS[j.center.chart]
+    derivatives = [j.d(*(n for n, k in zip(names, alpha) for _ in range(k)))
+                   for alpha in j._layout.monomials]
+    return {a: c.hex() for a, c in j.coeffs.items()}, [x.hex() for x in derivatives]
+
+
+class TestPowerOracle:
+    """Jet.__pow__ (squarings in bit order from the lowest one used, kept on the
+    jet with its reciprocal) against the old square-and-multiply from the constant
+    1 in tests/power_oracle.py."""
+
+    @given(st.sampled_from(["exact", "float"]).flatmap(signed_jets), st.integers(-12, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_square_and_multiply_from_one(self, x, n):
+        try:
+            expect = power_oracle.power(x, n)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                x ** n
+            return
+        got = x ** n
+        if x.mode == "exact":
+            assert (got.coeffs, got.value) == (expect.coeffs, expect.value)
+        else:
+            assert _float_readouts(got) == _float_readouts(expect)
+        assert (x ** 0).coeffs == {(0,) * x.nvars: 1}
+        # a second power of the same jet reuses its reciprocal and squarings
+        assert (x ** n).coeffs == got.coeffs
+
+    @given(st.sampled_from(["exact", "float"]).flatmap(signed_jets))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_reciprocal_equals_a_fresh_one(self, x):
+        if not x.value:
+            return
+        cached = x.reciprocal()
+        assert x.reciprocal() is cached
+        fresh = x._invert()
+        assert fresh is not cached
+        assert _stored(cached) == _stored(fresh)
 
 
 def _readouts(j):

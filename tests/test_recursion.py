@@ -18,7 +18,7 @@ from heavenly.recursion import (
     formal_step_consistency,
     gauge_symmetry_perturbation,
     killing_chain_flat,
-    monomial_action_check,
+    monomial_action_pairs,
     recursion_step_poly,
     st_potential,
     st_psi,
@@ -165,15 +165,15 @@ class TestCurvedChain:
         sample = pts(seed=8, n=4)
         members = [st_psi(n) for n in range(1, 9)]
         for sigma in (F(1), F(-3)):
-            waves, _ = chain_residual_maxima(st_potential(), members, sample, {"sigma": sigma})
+            waves, _, _ = chain_residual_maxima(st_potential(), members, sample, {"sigma": sigma})
             assert waves == [0] * 8
 
     def test_differential_steps_through_eight(self):
         sample = pts(seed=9, n=3)
         members = [st_psi(n) for n in range(1, 9)]
-        _, links = chain_residual_maxima(st_potential(), members, sample, {"sigma": F(1, 2)})
+        _, links, monomials = chain_residual_maxima(st_potential(), members, sample,
+                                                    {"sigma": F(1, 2)}, monomial_action_pairs())
         assert links == [0] * 7
-        monomials = monomial_action_check(F(1, 2), sample)
         assert len(monomials) == 2 * len(sample)
         assert [label for label, r in monomials.items() if r != 0] == []
 
@@ -196,7 +196,8 @@ class TestCurvedChain:
     def test_members_past_twelve_solve_the_wave_equation(self):
         # rows past the first twelve are built on demand by the same recurrence
         sample = pts(seed=12, n=1)
-        waves, _ = chain_residual_maxima(st_potential(), [st_psi(13)], sample, {"sigma": F(1, 2)})
+        waves, _, _ = chain_residual_maxima(st_potential(), [st_psi(13)], sample,
+                                            {"sigma": F(1, 2)})
         assert waves == [0]
 
 

@@ -3,8 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heavenly.jetcore import ScalarField, point
+import lax_oracle
+from heavenly.jetcore import Jet, Point, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
     FirstPotential,
@@ -13,6 +15,8 @@ from heavenly.tetrads import (
     lax_commutator_residual,
     lax_pair_omega,
     lax_pair_theta,
+    lax_step_from_jets,
+    linearized_from_jets,
     linearized_second_residual,
     metric_from_tetrad,
     plane_wave_tetrad,
@@ -341,3 +345,55 @@ class TestVectorCommutator:
         v = (zero, zero, zero, ScalarField.parse("x", "second"))
         p = point("second", 3, 1, 5, 1)
         assert vector_commutator_values(u, v, p) == (0, 0, 0, 3)
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+# multi-indices of degree <= 2 in (w, z, x, y)
+_UPTO2 = [tuple((i == a) + (i == b) for i in range(4)) for a in range(-1, 4) for b in range(a, 4)]
+
+
+@st.composite
+def second_jets(draw, mode, orders):
+    """Random jets at one point of the second chart, the i-th of order
+    ``orders[i]`` (1 or 2 where None); each is negated half the time, so float
+    jets carry stored -0.0 coefficients."""
+    center = Point("second", tuple(draw(st.lists(RATIONALS, min_size=4, max_size=4))))
+    if mode == "float":
+        center = center.as_float()
+    out = []
+    for order in orders:
+        order = order or draw(st.integers(1, 2))
+        alphas = [a for a in _UPTO2 if sum(a) <= order]
+        coeffs = draw(st.dictionaries(st.sampled_from(alphas), RATIONALS, max_size=6))
+        jet = Jet(center, order, coeffs)
+        out.append(-jet if draw(st.booleans()) else jet)
+    return out
+
+
+def _same(got, want):
+    """Equal exact values; in float mode equal bits, the sign of zero included."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+class TestNumeratorReadouts:
+    """lax_step_from_jets and linearized_from_jets read integer numerators and
+    divide once; the Jet.d formulas of tests/lax_oracle.py are the oracle."""
+
+    @given(st.sampled_from(["exact", "float"]).flatmap(
+        lambda m: second_jets(m, (2, None, None))))
+    @settings(max_examples=150, deadline=None)
+    def test_lax_step_matches_d_readouts(self, jets):
+        theta, phi, r_phi = jets
+        for got, want in zip(lax_step_from_jets(theta, phi, r_phi),
+                             lax_oracle.lax_step_from_jets(theta, phi, r_phi)):
+            _same(got, want)
+
+    @given(st.sampled_from(["exact", "float"]).flatmap(lambda m: second_jets(m, (2, 2))))
+    @settings(max_examples=150, deadline=None)
+    def test_wave_operator_matches_d_readouts(self, jets):
+        theta, delta = jets
+        _same(linearized_from_jets(theta, delta), lax_oracle.linearized_from_jets(theta, delta))

@@ -105,10 +105,11 @@ class TestCurvedCurve:
         # the potential's jet plus one per curve coefficient (11 in each of mu0, mu1)
         assert work.fold_count == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
         assert work.most_folds_of_one_tree == 1
-        # the coefficients share their powers of Q, -y/w and x/z: folded one at a
-        # time they took 713 products and 91 reciprocals
-        assert work.products <= 221
-        assert work.reciprocals <= 8
+        # the coefficients share their powers of Q, -y/w and x/z, and each jet keeps
+        # its reciprocal and squarings: folded one at a time they took 713 products
+        # and 91 inversions, with the memo alone 221 and 8
+        assert work.products <= 147
+        assert work.inversions <= 4
         monkeypatch.undo()
         for A, B in res["interior"]:
             series = getattr(c, B)
