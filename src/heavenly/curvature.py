@@ -36,10 +36,10 @@ from .jetcore import (
     Jet,
     Number,
     Point,
+    chart_coords,
     common_denominator,
     divider,
     field_jets,
-    hessian_positions,
 )
 from .tetrads import EPS, MetricField, Tetrad
 
@@ -111,8 +111,7 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
 
     ``gj`` are the order-2 metric jets and ``ginv`` their inverse through
     order 1.  The metric's first and second partials go over one denominator
-    Dg (a pure second partial d_c d_c g_ab is twice its Taylor coefficient),
-    the inverse's values and gradients over one Di, and D = 2 Di Dg.
+    Dg, the inverse's values and gradients over one Di, and D = 2 Di Dg.
     ``G[a][b][c]`` is one list, the value numerator then the n gradient
     numerators; it is built for b <= c (the metric jets are symmetric, see
     :func:`_metric_jets`) and mirrored onto ``G[a][c][b]``.
@@ -123,17 +122,18 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     """
     n = len(gj)
     upper = [(b, c) for b in range(n) for c in range(b, n)]
-    hess = hessian_positions(n)
-    nums, Dg = common_denominator([gj[a][b] for a, b in upper], 1 + max(map(max, hess)))
+    coords = chart_coords(gj[0][0].center.chart)
+    first = [(c,) for c in coords]
+    second = [(c, e) for c in coords for e in coords]
+    nums, Dg = common_denominator([gj[a][b].d_numerators(*first, *second) for a, b in upper])
     # dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
     dg = [[None] * n for _ in range(n)]
     for (a, b), num in zip(upper, nums):
-        dg[a][b] = dg[b][a] = [[num[1 + c]] + [num[hess[c][e]] * (2 if c == e else 1)
-                                               for e in range(n)] for c in range(n)]
+        dg[a][b] = dg[b][a] = [[num[c], *num[n * (c + 1):n * (c + 2)]] for c in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
     low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
                     for d in range(n)] for b, c in upper}
-    inv, Di = common_denominator([x for row in ginv for x in row], 1 + n)
+    inv, Di = common_denominator([x.d_numerators((), *first) for row in ginv for x in row])
     zero = 0.0 if gj[0][0].mode == "float" else 0
     G = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -166,7 +166,7 @@ def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = 
 def _value_matrix(m: list[list[Jet]]) -> tuple[list[list[Number]], int]:
     """The values of a matrix of jets as numerators over one common denominator."""
     n = len(m)
-    flat, den = common_denominator([x for row in m for x in row])
+    flat, den = common_denominator([x.d_numerators(()) for row in m for x in row])
     return [[flat[a * n + b][0] for b in range(n)] for a in range(n)], den
 
 

@@ -168,13 +168,6 @@ def _axes(chart: str) -> dict[str, int]:
     return {name: k for k, name in enumerate(chart_coords(chart))}
 
 
-def _multi_index(nvars: int, *axes: int) -> tuple[int, ...]:
-    alpha = [0] * nvars
-    for k in axes:
-        alpha[k] += 1
-    return tuple(alpha)
-
-
 def _bracket(u: dict, v: dict, nvars: int) -> list:
     """[U, V]^a = U^b d_b V^a - V^b d_b U^a as numerators over D^2.
 
@@ -202,18 +195,19 @@ def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int
 
     D_{Ai+1} has the components -Theta_{Ai,10} along x00, Theta_{Ai,00} along
     x10 and 1 along x_{Ai+1}; delta_{Ai} is the unit field along x_{Ai}.  The
-    order-1 jets of Theta_{Ai,00} and Theta_{Ai,10}, shifts of the one jet,
-    hold every value and gradient that the brackets and the Hamiltonian field
-    of the flow residual need.  They go over one denominator D, so each
-    component is an integer sum over D^2, divided once.
+    values and gradients of Theta_{Ai,00} and Theta_{Ai,10}, read off the one
+    jet by name, are all that the brackets and the Hamiltonian field of the
+    flow residual need.  They go over one denominator D, so each component is
+    an integer sum over D^2, divided once.
     """
     ax = _axes(theta_jet.center.chart)
     nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
     flows = sorted({pair[:2] for pair in pairs} | {pair[2:] for pair in pairs})
     if any(not 0 <= i < nvars // 2 - 1 for _, i in flows):
         raise IndexError("flow index out of range")
-    nums, den = common_denominator([theta_jet.shift(_multi_index(nvars, ax[coord_name(A, i)], c))
-                                    for A, i in flows for c in (x00, x10)], 1 + nvars)
+    nums, den = common_denominator([theta_jet.d_numerators((f, c), *((f, c, e) for e in ax))
+                                    for f in (coord_name(*k) for k in flows)
+                                    for c in ("x00", "x10")])
     P = dict(zip(flows, nums[0::2]))   # Theta_{Ai,00}
     Q = dict(zip(flows, nums[1::2]))   # Theta_{Ai,10}
     one = [den] + [0] * nvars
@@ -291,10 +285,10 @@ def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[
     omega_{1j} = omega^0_j).
 
     The values of D_{Ai+1} and the gradients of the omega coefficients are
-    second partials of Theta: first partials of order-1 jets of Theta_{Ci},
-    shifts of the one jet.  Each side names the partials it reads by its own
-    indices.  Those jets and the test field's gradient go over one
-    denominator D; each order is an integer sum over D^2, divided once.
+    second partials of Theta: the gradients of Theta_{Ci}, read off the one
+    jet by name.  Each side names the partials it reads by its own indices.
+    Those values and gradients and the test field's go over one denominator
+    D; each order is an integer sum over D^2, divided once.
     """
     ax = _axes(theta_jet.center.chart)
     nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
@@ -307,8 +301,10 @@ def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[
     lhs_axes = [ax[coord_name(A, i)] for i in range(j)]
     rhs_axes = [ax[coord_name(C, m - 1)] for m in range(1, j + 1)]
     axes = sorted(set(lhs_axes + rhs_axes))
+    names = tuple(ax)
     (*nums, t), den = common_denominator(
-        [theta_jet.shift(_multi_index(nvars, a)) for a in axes] + [test_jet], 1 + nvars)
+        [theta_jet.d_numerators((names[a],), *((names[a], e) for e in names)) for a in axes]
+        + [test_jet.d_numerators((), *((e,) for e in names))])
     first = dict(zip(axes, nums))   # axis a -> [Theta_a, d Theta_a] numerators
 
     def dtest(*flow):
@@ -348,21 +344,25 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
         lowered_coeffs = [ScalarField(E.chart, neg(c.expr)) for c in src.coeffs]
     else:
         lowered_coeffs = list(truncated_omega(E, j)[0].coeffs)
+    flow = coord_name(B, j)
+
+    def grad(c: ScalarField) -> tuple[Number, Number, Number]:
+        """d_00, d_10 and d_{Bj} of a coefficient at p."""
+        d = c.jet(p, 1, params).d
+        return d("x00"), d("x10"), d(flow)
+
     out = {}
-    coords = chart_coords(E.chart)
     for Aname, series in (("omega0", om[0]), ("omega1", om[1])):
         orders: dict[int, Number] = {}
-        grads = [c.jet(p, 1, params).grad() for c in series.coeffs]
-        low_grads = [c.jet(p, 1, params).grad() for c in lowered_coeffs]
-        i00, i10 = coords.index("x00"), coords.index("x10")
-        iBj = coords.index(coord_name(B, j))
+        grads = [grad(c) for c in series.coeffs]
+        low_grads = [grad(c) for c in lowered_coeffs]
         # term lam^j d_{Bj} omega^A: order r+j from coefficient r
         for r, g in enumerate(grads):
-            orders[r + j] = orders.get(r + j, 0) + g[iBj]
+            orders[r + j] = orders.get(r + j, 0) + g[2]
         # term {omega_{Bj}, omega^A}: order r+m from (m, r)
         for m, lg in enumerate(low_grads):
             for r, g in enumerate(grads):
-                val = lg[i00] * g[i10] - lg[i10] * g[i00]
+                val = lg[0] * g[1] - lg[1] * g[0]
                 orders[m + r] = orders.get(m + r, 0) + val
         # remove the inessential constant {-x_{B0}, -x^{A0}} at order zero
         A = 0 if Aname == "omega0" else 1

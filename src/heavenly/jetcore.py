@@ -538,7 +538,7 @@ class _Layout:
     arithmetic.
     """
 
-    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named", "shifts")
+    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named")
 
     def __init__(self, nvars: int, order: int):
         monomials: list[tuple[int, ...]] = []
@@ -553,8 +553,8 @@ class _Layout:
         self.weights = [_alpha_factorial(alpha) for alpha in monomials]
         self.rows = [[index[tuple(x + y for x, y in zip(a, b))] for b in monomials[:ends[order - k]]]
                      for a, k in zip(monomials, self.degree)]
-        self.named: dict[tuple[str, tuple[str, ...]], int] = {}   # (chart, names) -> position
-        self.shifts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+        # (chart, partials) -> the (position, weight) of each named partial
+        self.named: dict[tuple[str, tuple[tuple[str, ...], ...]], list[tuple[int, int]]] = {}
 
 
 _LAYOUTS: dict[tuple[int, int], _Layout] = {}
@@ -577,7 +577,9 @@ class Jet:
     one positive integer denominator, kept coprime to them after every
     operation; in float mode they are floats over denominator 1.  ``coeffs``
     reads them back as a mapping from multi-index to ``Fraction`` (exact) or
-    ``float``, nonzero entries only.  Mixed-partial symmetry is structural:
+    ``float``, nonzero entries only; a derivative is read by coordinate names
+    through :meth:`d_numerators` (or :meth:`d`), so no other module knows the
+    layout.  Mixed-partial symmetry is structural:
     there is one slot per multi-index.  A jet keeps what it derives from
     itself, as ``coeffs`` keeps its mapping: its reciprocal and its repeated
     squarings f^2, f^4, ... are computed on first use and live as long as it.
@@ -683,88 +685,42 @@ class Jet:
     def value(self) -> Number:
         return self._number(self._c[0])
 
-    def coefficient(self, alpha: tuple[int, ...]) -> Number:
-        i = self._layout.index.get(tuple(alpha))
-        return self._number(0 if i is None else self._c[i])
-
-    def derivative(self, alpha: tuple[int, ...]) -> Number:
-        """d^alpha f at the center (Taylor coefficient times alpha!)."""
-        alpha = tuple(alpha)
-        if sum(alpha) > self.order:
-            raise ValueError(f"jet of order {self.order} has no |alpha|={sum(alpha)} data")
-        layout = self._layout
-        i = layout.index.get(alpha)
-        return self._number(0 if i is None else self._c[i] * layout.weights[i])
-
     def d(self, *names: str) -> Number:
         """The derivative by coordinate names of the chart: ``d("x", "w")`` is d_x d_w f."""
-        i = self._position(names)
-        return self._number(self._c[i] * self._layout.weights[i])
+        (num,), den = self.d_numerators(names)
+        return divider(self.mode)(num, den)
 
     def d_numerators(self, *partials: tuple[str, ...]) -> tuple[list, int]:
         """Numerators of several named derivatives over the jet's denominator.
 
-        ``d_numerators(("x", "x"), ("y",))`` gives ``([nxx, ny], den)`` with
-        d_x d_x f = nxx/den and d_y f = ny/den: integers in exact mode, floats
-        over 1 in float mode (a zero is 0.0, never -0.0, as for ``d``).  Sums of
-        products of them stay integers, and a result is divided once, by
-        :func:`divider`.
+        ``d_numerators(("x", "x"), ("y",), ())`` gives ``([nxx, ny, n], den)``
+        with d_x d_x f = nxx/den, d_y f = ny/den and f = n/den: integers in
+        exact mode, floats over 1 in float mode (a zero is 0.0, never -0.0).
+        Sums of products of them stay integers, and a result is divided once,
+        by :func:`divider`.  A partial of more names than the jet's order
+        raises ``ValueError``.
         """
-        c, weights = self._c, self._layout.weights
-        zero = 0.0 if self.mode == "float" else 0
-        return [c[i] * weights[i] + zero for i in map(self._position, partials)], self._den
-
-    def _position(self, names: tuple[str, ...]) -> int:
-        """Where d_names f sits in the layout, looked up once per chart and names."""
         layout = self._layout
-        key = (self.center.chart, names)
-        i = layout.named.get(key)
-        if i is None:
+        key = (self.center.chart, partials)
+        plan = layout.named.get(key)
+        if plan is None:
             coords = chart_coords(self.center.chart)
-            alpha = [0] * len(coords)
-            for name in names:
-                alpha[coords.index(name)] += 1
-            if len(names) > self.order:
-                raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
-            i = layout.named[key] = layout.index[tuple(alpha)]
-        return i
-
-    def grad(self) -> tuple[Number, ...]:
-        """The first partials at the center, in chart order."""
-        if self.order < 1:
-            raise ValueError(f"jet of order {self.order} has no |alpha|=1 data")
-        return tuple(self._number(x) for x in self._c[1:1 + self.nvars])
-
-    def numerators(self, upto: int) -> tuple[list, int]:
-        """The stored numerators at positions ``0..upto-1`` and their shared denominator.
-
-        Positions are graded (see :class:`_Layout`): 0 is the value and
-        1..nvars the first partials, whose factorial weights are 1, so through
-        position nvars a numerator over the denominator is the derivative
-        itself.  In float mode the numerators are floats over 1.
-        """
-        return self._c[:upto], self._den
+            plan = []
+            for names in partials:
+                if len(names) > self.order:
+                    raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
+                alpha = [0] * len(coords)
+                for name in names:
+                    alpha[coords.index(name)] += 1
+                i = layout.index[tuple(alpha)]
+                plan.append((i, layout.weights[i]))
+            layout.named[key] = plan
+        c = self._c
+        zero = 0.0 if self.mode == "float" else 0
+        return [c[i] * w + zero for i, w in plan], self._den
 
     def is_zero(self) -> bool:
         return not any(self._c)
-
-    def shift(self, alpha: tuple[int, ...]) -> "Jet":
-        """Jet of d^alpha f, of order ``self.order - |alpha|``."""
-        alpha = tuple(alpha)
-        k = sum(alpha)
-        if k > self.order:
-            raise ValueError("not enough jet order to differentiate")
-        layout = self._layout
-        low = _layout(self.nvars, self.order - k)
-        plan = layout.shifts.get(alpha)
-        if plan is None:
-            # d^alpha x^beta / beta! = x^gamma / gamma! * (beta! / gamma!) with beta = gamma + alpha
-            sources = [layout.index[tuple(g + a for g, a in zip(gamma, alpha))]
-                       for gamma in low.monomials]
-            factors = [layout.weights[s] // w for s, w in zip(sources, low.weights)]
-            plan = layout.shifts[alpha] = (sources, factors)
-        c = self._c
-        return self._like([c[s] * f for s, f in zip(*plan)], self._den, low, self.order - k)
 
     def truncate(self, order: int) -> "Jet":
         """The same expansion through a lower ``order`` (a prefix of the coefficients)."""
@@ -820,14 +776,6 @@ class Jet:
                     break
                 out[row[k]] += x * y
         return self._like(out, self._den * other._den)
-
-    def scale(self, k: Number) -> "Jet":
-        if self.mode == "float":
-            k = float(k)
-            return self._like([x * k for x in self._c], 1)
-        k = Fraction(k)
-        num = k.numerator
-        return self._like([x * num for x in self._c], self._den * k.denominator)
 
     def reciprocal(self) -> "Jet":
         """1/f, inverted once per jet (see :meth:`_invert`) and kept on it."""
@@ -916,16 +864,16 @@ class Jet:
         return f"Jet(order={self.order}, value={self.value!r}, nterms={nterms})"
 
 
-def common_denominator(items: Sequence[Union[Jet, Number]], upto: int = 1) -> tuple[list, int]:
-    """Numerators of jets or numbers over one shared positive denominator D.
+def common_denominator(items: Sequence[Union[tuple[list, int], Number]]) -> tuple[list, int]:
+    """Read-outs and numbers as numerators over one shared positive denominator D.
 
-    A jet contributes the list of its first ``upto`` numerators (see
-    :meth:`Jet.numerators`), a number its numerator; each is scaled to D, the
-    lcm of the items' denominators.  In float mode the values come back over 1.
-    Sums of products of such numerators stay integers, and a result is
-    divided once, by :func:`divider`.
+    A read-out ``(numerators, den)`` (see :meth:`Jet.d_numerators`) contributes
+    its list, a number its numerator; each is scaled to D, the lcm of the
+    items' denominators.  In float mode the values come back over 1.  Sums of
+    products of such numerators stay integers, and a result is divided once,
+    by :func:`divider`.
     """
-    parts = [x.numerators(upto) if isinstance(x, Jet)
+    parts = [x if isinstance(x, tuple)
              else (x, 1) if isinstance(x, float) else (x.numerator, x.denominator)
              for x in items]
     den = lcm(*(d for _, d in parts))
@@ -936,18 +884,6 @@ def common_denominator(items: Sequence[Union[Jet, Number]], upto: int = 1) -> tu
             num = [x * m for x in num] if isinstance(num, list) else num * m
         out.append(num)
     return out, den
-
-
-def hessian_positions(nvars: int) -> list[list[int]]:
-    """``[c][e]``: where the Taylor coefficient of x_c x_e sits among the numerators
-    of a jet of order 2 or more (see :meth:`Jet.numerators`).
-
-    That coefficient is d_c d_e f / alpha!, so d_c d_e f is twice it when
-    c == e and equal to it otherwise.
-    """
-    index = _layout(nvars, 2).index
-    return [[index[tuple((i == c) + (i == e) for i in range(nvars))] for e in range(nvars)]
-            for c in range(nvars)]
 
 
 def divider(mode: str) -> Callable[[Number, int], Number]:

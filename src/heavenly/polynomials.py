@@ -1,8 +1,8 @@
 """Exact polynomials over the rationals.
 
 The recursion operator on the flat background, the twistor series solver and
-the boundary symplectic pairing all need ring operations, antiderivatives and
-box integrals that stay exact; :class:`Poly` is a minimal dense-free (dict
+the boundary symplectic pairing all need ring operations and antiderivatives
+that stay exact; :class:`Poly` is a minimal dense-free (dict
 keyed by exponent tuples) implementation specialised to those needs.
 
 Univariate polynomials (the sigma-coefficient tables of the curved chain and
@@ -112,26 +112,9 @@ class Poly:
         i = self._axis(name)
         return Poly(self.chart, {m: c for m, c in self.terms.items() if m[i] == 0})
 
-    def definite_integral(self, name: str, a, b) -> "Poly":
-        anti = self.integrate(name)
-        return anti.substitute_value(name, b) - anti.substitute_value(name, a)
-
-    def substitute_value(self, name: str, v) -> "Poly":
-        i = self._axis(name)
-        v = Fraction(v)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms.items():
-            m2 = m[:i] + (0,) + m[i + 1:]
-            out[m2] = out.get(m2, Fraction(0)) + c * v ** m[i]
-        return Poly(self.chart, out)
-
     # -- queries --------------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> Fraction:
-        n = len(chart_coords(self.chart))
-        return self.terms.get((0,) * n, Fraction(0))
 
     def depends_on(self, name: str) -> bool:
         i = self._axis(name)

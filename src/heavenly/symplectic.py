@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
 from .jetcore import (
@@ -73,29 +74,34 @@ class ThreeForm:
         return total
 
 
-def _integrate_over_cube(poly: Poly, axes: Sequence[str], a: Fraction, b: Fraction) -> Poly:
-    out = poly
-    for name in axes:
-        out = out.definite_integral(name, a, b)
-    return out
+def _box_moments(polys: Sequence[Poly], box: BoundaryBox) -> tuple[list, list]:
+    """For every exponent k in the polys: the integral of t^k over [a, b], and b^k - a^k."""
+    top = max((e for poly in polys for m in poly.terms for e in m), default=0)
+    a, b = Fraction(box.a), Fraction(box.b)
+    ends = [b ** k - a ** k for k in range(top + 2)]
+    return [ends[k + 1] / (k + 1) for k in range(top + 1)], ends
 
 
 def boundary_integral(eta: ThreeForm, box: BoundaryBox) -> Fraction:
-    """Exact integral of the 3-form over the outward-oriented boundary of the box."""
+    """Exact integral of the 3-form over the outward-oriented boundary of the box.
+
+    A monomial c x^m of eta_k integrates over the faces x_k = b minus x_k = a
+    to c (b^m_k - a^m_k) times the moments of its other exponents over [a, b].
+    """
+    moments, ends = _box_moments(eta.components, box)
     total = Fraction(0)
-    for k in range(4):
-        others = [c for i, c in enumerate(COORDS) if i != k]
-        comp = eta.components[k]
-        sign = 1 if k % 2 == 0 else -1
-        top = _integrate_over_cube(comp.substitute_value(COORDS[k], box.b), others, box.a, box.b)
-        bottom = _integrate_over_cube(comp.substitute_value(COORDS[k], box.a), others, box.a, box.b)
-        total += sign * (top.constant_value() - bottom.constant_value())
+    for k, comp in enumerate(eta.components):
+        face = sum((c * ends[m[k]] * prod(moments[e] for i, e in enumerate(m) if i != k)
+                    for m, c in comp.terms.items()), Fraction(0))
+        total += face if k % 2 == 0 else -face
     return total
 
 
 def volume_integral(poly: Poly, box: BoundaryBox) -> Fraction:
-    """Exact integral of a density over the solid box."""
-    return _integrate_over_cube(poly, COORDS, box.a, box.b).constant_value()
+    """Exact integral of a density over the solid box: each monomial c x^m gives
+    c times the moments of its exponents over [a, b]."""
+    moments, _ = _box_moments([poly], box)
+    return sum((c * prod(moments[e] for e in m) for m, c in poly.terms.items()), Fraction(0))
 
 
 def boundary_of_boundary_residual(tf_components: dict[tuple[int, int], Poly],

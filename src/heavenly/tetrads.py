@@ -384,8 +384,9 @@ class TwoForm:
 
     def exterior_derivative_values(self, p: Point, params=None) -> dict[tuple[int, int, int], Number]:
         """(d self)_{abc} for a<b<c, evaluated at p from component jets."""
-        n = len(chart_coords(self.chart))
-        grads = {k: f.jet(p, 1, params).grad() for k, f in self.components.items()}
+        coords = chart_coords(self.chart)
+        n = len(coords)
+        grads = {k: [*map(f.jet(p, 1, params).d, coords)] for k, f in self.components.items()}
 
         def dcomp(i: int, a: int, b: int) -> Number:
             if a == b:
@@ -542,8 +543,9 @@ def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, .
     Dv, so each component is an integer sum over Du Dv, divided once.
     """
     n = len(u)
-    U, du = common_denominator([f.jet(p, 1, params) for f in u], 1 + n)
-    V, dv = common_denominator([f.jet(p, 1, params) for f in v], 1 + n)
+    first = [(c,) for c in chart_coords(p.chart)]
+    U, du = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in u])
+    V, dv = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in v])
     q = divider(p.mode)
     return tuple(q(sum(U[b][0] * V[a][1 + b] - V[b][0] * U[a][1 + b] for b in range(n)), du * dv)
                  for a in range(n))

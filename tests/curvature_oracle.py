@@ -16,11 +16,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 from heavenly.curvature import _invert_jet_matrix, _metric_jets
+from heavenly.jetcore import Jet, chart_coords
 from heavenly.tetrads import EPS
 
 
 def _jet_partial(j, axis):
-    return j.shift(tuple(1 if i == axis else 0 for i in range(j.nvars)))
+    """The jet of d_axis f, one order lower, from the Taylor coefficients of f's jet."""
+    coeffs = {}
+    for beta, c in j.coeffs.items():
+        if beta[axis]:
+            gamma = beta[:axis] + (beta[axis] - 1,) + beta[axis + 1:]
+            coeffs[gamma] = c * beta[axis]
+    return Jet(j.center, j.order - 1, coeffs)
 
 
 def christoffel_jets(gj, ginv, jet_order):
@@ -38,7 +45,7 @@ def christoffel_jets(gj, ginv, jet_order):
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
     low = {(b, c): [dg[d][c][b] + dg[d][b][c] - dg[b][c][d] for d in range(n)]
            for b, c in upper}
-    half = Fraction(1, 2)
+    half = Jet.constant(Fraction(1, 2), gj[0][0].center, jet_order)
     out = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b, c in upper:
@@ -46,7 +53,7 @@ def christoffel_jets(gj, ginv, jet_order):
             for d in range(n):
                 contrib = ginv_low[a][d] * low[(b, c)][d]
                 acc = contrib if acc is None else acc + contrib
-            out[a][b][c] = out[a][c][b] = acc.scale(half)
+            out[a][b][c] = out[a][c][b] = acc * half
     return out
 
 
@@ -62,7 +69,9 @@ def riemann(g, p, params):
     gamma = christoffel_jets(gj, ginv, 1)
     n = len(gamma)
     # dG[a][b][c][k] = d_k Gamma^a_{bc}
-    dG = [[[gamma[a][b][c].grad() for c in range(n)] for b in range(n)] for a in range(n)]
+    coords = chart_coords(p.chart)
+    dG = [[[[gamma[a][b][c].d(k) for k in coords] for c in range(n)] for b in range(n)]
+          for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):

@@ -9,9 +9,15 @@ which is what an oracle should be.  Nothing in ``src/`` imports it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 from heavenly.jetcore import MAX_ORDER, Number, Point, chart_coords
+
+
+def partials(names: tuple[str, ...], order: int) -> list[tuple[str, ...]]:
+    """Every partial through ``order`` as a sorted tuple of coordinate names, lowest degree first."""
+    return [p for k in range(order + 1) for p in combinations_with_replacement(names, k)]
 
 
 def _alpha_factorial(alpha: tuple[int, ...]) -> int:
@@ -90,22 +96,6 @@ class DictJet:
         n = self.nvars
         zeros = (0,) * n
         return tuple(self.derivative(zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n))
-
-    def shift(self, alpha: tuple[int, ...]) -> "DictJet":
-        """Jet of d^alpha f, of order ``self.order - |alpha|``."""
-        k = sum(alpha)
-        if k > self.order:
-            raise ValueError("not enough jet order to differentiate")
-        out: dict[tuple[int, ...], Number] = {}
-        for beta, c in self.coeffs.items():
-            gamma = tuple(b - a for b, a in zip(beta, alpha))
-            if any(g < 0 for g in gamma):
-                continue
-            ratio = Fraction(_alpha_factorial(beta), _alpha_factorial(gamma) * _alpha_factorial(alpha))
-            scale: Number = float(ratio) if self.mode == "float" else ratio
-            out[gamma] = c * scale * _alpha_factorial(alpha)
-        # out now holds Taylor coefficients of the derivative field
-        return DictJet(self.center, self.order - k, out, self.mode)
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "DictJet"):

@@ -71,7 +71,7 @@ def summed_lax_identity_residual(E, A, j, test, p, params=None) -> dict:
     if not (1 <= j <= E.n):
         raise IndexError("truncation level out of range")
     coords = chart_coords(E.chart)
-    dtest = test.jet(p, 1, params).grad()
+    dtest = [*map(test.jet(p, 1, params).d, coords)]
     lhs = {}
     for i in range(j):
         dval = sum(c.value(p, params) * dtest[ax]

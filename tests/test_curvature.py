@@ -70,9 +70,8 @@ class TestChristoffel:
             c = christoffel(g, p, params)
             for a in range(4):
                 for b in range(4):
-                    for k in range(4):
-                        alpha = tuple(1 if i == k else 0 for i in range(4))
-                        dg = gj[a][b].derivative(alpha)
+                    for k, name in enumerate(("w", "z", "x", "y")):
+                        dg = gj[a][b].d(name)
                         corr = sum(c.symbols[e][k][a] * gj[e][b].value
                                    + c.symbols[e][k][b] * gj[a][e].value for e in range(4))
                         assert dg - corr == 0

@@ -41,6 +41,7 @@ import curvature_oracle
 SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 NONZERO = SMALL.filter(bool)
 COORDS = chart_coords("second")
+FIRST = [(name,) for name in COORDS]
 REPORT_FIELDS = ("weyl_asd", "weyl_sd", "phi", "reassembly_max_abs", "duality_max_abs")
 
 
@@ -48,15 +49,15 @@ class TestReadout:
     def test_numerators_are_value_and_gradient_over_the_denominator(self):
         p = point("second", F(1, 2), 2, F(-1, 3), 5)
         j = ScalarField.parse("w^2*x/(3+y)", "second").jet(p, 2)
-        nums, den = j.numerators(5)
-        assert [F(x, den) for x in nums] == [j.value, *j.grad()]
+        nums, den = j.d_numerators((), *FIRST)
+        assert [F(x, den) for x in nums] == [j.value, *(j.d(name) for name in COORDS)]
 
     def test_common_denominator_jets_and_numbers(self):
         p = point("second", F(1, 2), 2, F(-1, 3), 5)
         jets = [ScalarField.parse(t, "second").jet(p, 1) for t in ("w/7", "x^2", "1/(y+z)")]
-        nums, den = common_denominator(jets, 5)
+        nums, den = common_denominator([j.d_numerators((), *FIRST) for j in jets])
         for j, row in zip(jets, nums):
-            assert [F(x, den) for x in row] == [j.value, *j.grad()]
+            assert [F(x, den) for x in row] == [j.value, *(j.d(name) for name in COORDS)]
         values = [F(1, 6), F(-3, 4), 2]
         nums, den = common_denominator(values)
         assert den == 12 and [F(x, den) for x in nums] == values
@@ -64,8 +65,8 @@ class TestReadout:
     def test_float_mode_is_over_one(self):
         p = point("second", 0.5, 2.0, -0.25, 5.0)
         j = ScalarField.parse("w^2*x/(3+y)", "second").jet(p, 1)
-        nums, den = common_denominator([j, 0.75], 5)
-        assert den == 1 and nums == [j.numerators(5)[0], 0.75]
+        nums, den = common_denominator([j.d_numerators((), *FIRST), 0.75])
+        assert den == 1 and nums == [j.d_numerators((), *FIRST)[0], 0.75]
         assert divider("float")(3, 4) == 0.75 and divider("exact")(3, 6) == F(1, 2)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import power_oracle
-from dict_jet import DictJet
+from dict_jet import DictJet, partials
 from heavenly.jetcore import CHARTS, MAX_ORDER, Jet, Point, jet_of, parse_expression, point
 
 # charts of every size from 1 to 10 variables, so jets of any arity can be centred
@@ -37,7 +37,7 @@ def jet_pairs(draw, mode):
         if mode == "float":
             coeffs = {a: float(c) for a, c in coeffs.items()}
         out.append((Jet(center, order, coeffs), DictJet(center, order, coeffs)))
-    return out, alpha(), draw(RATIONALS)
+    return out, alpha()
 
 
 def _agree(new, old):
@@ -47,7 +47,7 @@ def _agree(new, old):
         return
     scale = max((abs(c) for c in old.coeffs.values()), default=0.0)
     for alpha in set(new.coeffs) | set(old.coeffs):
-        assert abs(new.coefficient(alpha) - old.coefficient(alpha)) <= 1e-12 * max(1.0, scale)
+        assert abs(new.coeffs.get(alpha, 0.0) - old.coefficient(alpha)) <= 1e-12 * max(1.0, scale)
 
 
 def _both(op, new, old):
@@ -62,23 +62,22 @@ def _both(op, new, old):
 
 
 def _check_kernels(data):
-    ((a, a0), (b, b0)), alpha, k = data
+    ((a, a0), (b, b0)), alpha = data
     _agree(a, a0)
     _agree(a + b, a0 + b0)
     _agree(a - b, a0 - b0)
     _agree(a * b, a0 * b0)
     _agree(-a, -a0)
-    _agree(a.scale(k), a0.scale(k if a.mode == "exact" else float(k)))
     _both(lambda j: j.reciprocal(), a, a0)
     _both(lambda j: j[0] / j[1], (a, b), (a0, b0))
     for n in (-2, -1, 0, 1, 2, 3):
         _both(lambda j: j ** n, a, a0)
-    _agree(a.shift(alpha), a0.shift(alpha))
     close = (lambda x, y: x == y) if a.mode == "exact" else \
         (lambda x, y: abs(x - y) <= 1e-12 * max(1.0, abs(y)))
-    assert close(a.derivative(alpha), a0.derivative(alpha))
+    names = CHARTS[a.center.chart]
+    assert close(a.d(*(n for n, k in zip(names, alpha) for _ in range(k))), a0.derivative(alpha))
     if a.order >= 1:
-        assert all(map(close, a.grad(), a0.grad()))
+        assert all(map(close, (a.d(n) for n in names), a0.grad()))
 
 
 class TestDictKernelOracle:
@@ -119,15 +118,12 @@ def signed_jets(draw, mode):
 
 def _stored(j):
     """The stored numerators (floats as hex, so the sign of zero counts) and the denominator."""
-    nums, den = j.numerators(len(j._layout.monomials))
-    return den, [x.hex() if isinstance(x, float) else x for x in nums]
+    return j._den, [x.hex() if isinstance(x, float) else x for x in j._c]
 
 
 def _float_readouts(j):
     """Every coefficient and every named derivative, as float.hex text."""
-    names = CHARTS[j.center.chart]
-    derivatives = [j.d(*(n for n, k in zip(names, alpha) for _ in range(k)))
-                   for alpha in j._layout.monomials]
+    derivatives = [j.d(*names) for names in partials(CHARTS[j.center.chart], j.order)]
     return {a: c.hex() for a, c in j.coeffs.items()}, [x.hex() for x in derivatives]
 
 
@@ -167,14 +163,12 @@ class TestPowerOracle:
 
 
 def _readouts(j):
-    n = j.nvars
     names = CHARTS[j.center.chart]
-    out = [j.value, j.coefficient((0,) * n), j.coefficient((1,) + (0,) * (n - 1)),
-           j.derivative((0,) * n), j.d(), *j.coeffs.values()]
+    out = [j.value, j.d(), *j.coeffs.values()]
     if j.order >= 1:
-        out += [*j.grad(), j.d(names[0]), j.derivative((0,) * (n - 1) + (1,))]
+        out += [j.d(name) for name in names]
     if j.order >= 2:
-        out += [j.d(names[0], names[-1]), j.coefficient((2,) + (0,) * (n - 1))]
+        out += [j.d(names[0], names[-1]), j.d(names[0], names[0])]
     return out
 
 
@@ -192,7 +186,6 @@ class TestReadoutTypes:
         yield Jet(p, 1, {})
         j = jet_of(e, p, 3)
         yield j * j - j.reciprocal()
-        yield j.shift((1, 0, 0, 1))
         yield j.truncate(1)
 
     def test_exact_readouts_are_fractions_never_ints(self):

@@ -3,12 +3,12 @@
 import operator
 from fractions import Fraction as F
 from itertools import product
-from math import comb, factorial, prod
+from math import factorial, prod
 from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from heavenly import twistor
 from heavenly.jetcore import (
@@ -26,7 +26,9 @@ from heavenly.jetcore import (
     ScalarField,
     Sub,
     Var,
-    hessian_positions,
+    _point_leaf,
+    chart_coords,
+    common_denominator,
     jet_of,
     jets_of,
     parse_expression,
@@ -37,6 +39,7 @@ from heavenly.jetcore import (
 from heavenly.polynomials import uni_eval
 
 import fold_oracle
+from dict_jet import DictJet, partials
 from jet_work import JetWork
 
 
@@ -92,14 +95,14 @@ class TestJetOf:
         e = parse_expression("w*x+z*y", "second")
         j = jet_of(e, P(1, 1, 1, 1), 1)
         assert j.value == 2
-        grads = [j.coefficient(tuple(1 if i == k else 0 for i in range(4))) for k in range(4)]
+        grads = [j.d(name) for name in ("w", "z", "x", "y")]
         assert grads == [1, 1, 1, 1]
 
     def test_reciprocal_jet(self):
         e = parse_expression("1/(w*x+z*y)", "second")
         j = jet_of(e, P(1, 1, 1, 1), 1)
         assert j.value == F(1, 2)
-        assert j.coefficient((0, 0, 1, 0)) == F(-1, 4)
+        assert j.d("x") == F(-1, 4)
 
     def test_constant_jet_has_single_coefficient(self):
         j = jet_of(Const(F(5, 3)), P(1, 2, 3, 4), 4)
@@ -136,7 +139,7 @@ class TestJetArith:
         p = P(0, 0, 1, 2)
         a = jet_of(parse_expression("x-1", "second"), p, 2)
         b = jet_of(parse_expression("y-2", "second"), p, 2)
-        assert (a * b).coefficient((0, 0, 1, 1)) == 1
+        assert (a * b).d("x", "y") == 1
 
     def test_mismatch_rejected(self):
         a = jet_of(Const(F(1)), P(1, 1, 1, 1), 2)
@@ -166,33 +169,23 @@ class TestJetArith:
             for beta, cb in a.coeffs.items():
                 gamma = tuple(x - y for x, y in zip(alpha, beta))
                 if all(g >= 0 for g in gamma):
-                    conv += cb * b.coefficient(gamma)
-            assert prod.coefficient(alpha) == conv
+                    conv += cb * b.coeffs.get(gamma, 0)
+            assert prod.coeffs.get(alpha, 0) == conv
 
 
 class TestDerivativeReadout:
     def test_d_by_names_and_grad(self):
         j = jet_of(parse_expression("w^2*x/(z+y^2)", "second"), P(1, 2, 3, 1), 2)
         assert j.d() == j.value
-        assert j.d("x", "w") == j.d("w", "x") == j.derivative((1, 0, 1, 0)) == F(2, 3)
-        assert j.d("y", "y") == j.derivative((0, 0, 0, 2))
-        assert j.grad() == tuple(j.d(name) for name in ("w", "z", "x", "y"))
+        assert j.d("x", "w") == j.d("w", "x") == j.coeffs[(1, 0, 1, 0)] == F(2, 3)
+        assert j.d("y", "y") == 2 * j.coeffs[(0, 0, 0, 2)]
+        nums, den = j.d_numerators(("w",), ("z",), ("x",), ("y",))
+        assert [F(x, den) for x in nums] == [j.d(name) for name in ("w", "z", "x", "y")]
 
     def test_beyond_order_rejected(self):
         j = jet_of(parse_expression("w*x", "second"), P(1, 2, 3, 1), 1)
         with pytest.raises(ValueError):
             j.d("w", "x")
-
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_hessian_positions_read_second_partials(self, order):
-        j = jet_of(parse_expression("w^2*x/(z+y^2)+z^3*y/7", "second"), P(1, 2, 3, 1), order)
-        positions = hessian_positions(4)
-        nums, den = j.numerators(1 + max(map(max, positions)))
-        for c in range(4):
-            for e in range(4):
-                alpha = tuple((i == c) + (i == e) for i in range(4))
-                weight = 2 if c == e else 1
-                assert F(weight * nums[positions[c][e]], den) == j.derivative(alpha)
 
 
 class TestPartials:
@@ -222,9 +215,9 @@ class TestPartials:
         p = P(1, 2, 1, -1)
         alpha = (1, 0, 1, 0)
         via_partial = partial(f, alpha).jet(p, 2)
-        via_jet = f.jet(p, 4).shift(alpha)
-        for a, c in via_partial.coeffs.items():
-            assert via_jet.coefficient(a) == c
+        via_jet = f.jet(p, 4)
+        for names in partials(SECOND_NAMES, 2):
+            assert via_jet.d("w", "x", *names) == via_partial.d(*names)
 
 
 class TestOracleConsistency:
@@ -257,7 +250,8 @@ class TestOracleConsistency:
                 for alpha in indices:
                     expect = sp.diff(sym, ws, alpha[0], zs, alpha[1], xs, alpha[2], ys, alpha[3])
                     expect = expect.subs(subs)
-                    assert F(str(expect)) == jet.derivative(alpha), (text, alpha)
+                    names = [n for n, k in zip(SECOND_NAMES, alpha) for _ in range(k)]
+                    assert F(str(expect)) == jet.d(*names), (text, alpha)
 
     def test_float_mode_matches_exact(self):
         f = ScalarField.parse("(w+z)^3/(x*y+4)", "second")
@@ -267,7 +261,7 @@ class TestOracleConsistency:
         jf = f.jet(pf, 3)
         assert jf.mode == "float"
         for alpha, c in je.coeffs.items():
-            assert abs(jf.coefficient(alpha) - float(c)) <= 1e-12 * max(1.0, abs(float(c)))
+            assert abs(jf.coeffs.get(alpha, 0.0) - float(c)) <= 1e-12 * max(1.0, abs(float(c)))
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -327,7 +321,7 @@ class TestFoldOracles:
                 continue
             args = [a for name, k in zip(SECOND_NAMES, alpha) for a in (symbols[name], k)]
             expect = F(str(sp.diff(sym, *args).subs(at))) / prod(factorial(k) for k in alpha)
-            assert jet.coefficient(alpha) == expect, (to_text(e), alpha)
+            assert jet.coeffs.get(alpha, 0) == expect, (to_text(e), alpha)
 
     @given(expr_trees(SECOND_NAMES), st.tuples(rationals, rationals, rationals, rationals))
     @settings(max_examples=100, deadline=None)
@@ -413,8 +407,8 @@ def trees_sharing_subtrees(draw):
 
 
 def _bits(jet):
-    """Every stored coefficient of the jet and its denominator, float bits as hex."""
-    nums, den = jet.numerators(comb(jet.nvars + jet.order, jet.order))
+    """Every derivative numerator of the jet and its denominator, float bits as hex."""
+    nums, den = jet.d_numerators(*partials(chart_coords(jet.center.chart), jet.order))
     return jet.order, den, [(type(x), float(x).hex() if isinstance(x, float) else x) for x in nums]
 
 
@@ -472,3 +466,126 @@ class TestMemoisedFold:
         assert len(sums) == 1
         assert _bits(a) == _bits(fold_oracle.jet_of(q, p, 2))
         assert b.coeffs == (a * jet_of(Var("w"), p, 2)).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the one read-out: Jet.d_numerators, and Jet.d through it
+
+READOUT_CHARTS = ("second", "first", "extended-2")
+
+
+@st.composite
+def folded_jets(draw):
+    """A jet folded from a random tree at a random point of a random chart and
+    mode, through order 0-4, with the dict-kernel oracle of its derivatives.
+
+    In exact mode the oracle folds the same tree in the dict kernel; in float
+    mode it holds the jet's own Taylor coefficients, so a derivative is the
+    same float product in both and its bits can be compared."""
+    chart = draw(st.sampled_from(READOUT_CHARTS))
+    names = chart_coords(chart)
+    mode = draw(st.sampled_from(["exact", "float"]))
+    order = draw(st.integers(0, 4))
+    e = draw(expr_trees(names, depth=3))
+    values = tuple(draw(st.lists(rationals, min_size=len(names), max_size=len(names))))
+    p = Point(chart, values if mode == "exact" else tuple(map(float, values)))
+    try:
+        jet = jet_of(e, p, order)
+        if mode == "float":
+            return jet, DictJet(p, order, jet.coeffs)
+        return jet, fold_oracle.fold(e, _point_leaf(p, None,
+                                                    lambda v: DictJet.constant(v, p, order),
+                                                    lambda i: DictJet.coordinate(i, p, order)))
+    except PoleError:
+        reject()
+
+
+def reads(mode):
+    """Float values as hex text, so the sign of a zero counts; exact values as they are."""
+    return (lambda x: x) if mode == "exact" else (lambda x: x.hex())
+
+
+def oracle_d(oracle, names):
+    """The oracle's derivative, a float zero read as 0.0 as the jet reads it."""
+    return oracle.d(*names) + (0.0 if oracle.mode == "float" else 0)
+
+
+class TestOneReadout:
+    @given(folded_jets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_numerators_over_the_denominator_are_the_oracle_derivatives(self, pair, data):
+        jet, oracle = pair
+        names = chart_coords(jet.center.chart)
+        partial_names = st.lists(st.sampled_from(names), max_size=jet.order).map(tuple)
+        wanted = data.draw(st.lists(partial_names, max_size=8))
+        wanted += data.draw(st.lists(st.sampled_from(wanted), max_size=3)) if wanted else []
+        nums, den = jet.d_numerators(*wanted)
+        assert len(nums) == len(wanted)
+        show = reads(jet.mode)
+        if jet.mode == "exact":
+            assert den > 0 and all(type(x) is int for x in nums)
+            got = [F(x, den) for x in nums]
+        else:
+            assert den == 1
+            got = [x / den for x in nums]
+        expect = [oracle_d(oracle, n) for n in wanted]
+        assert list(map(show, got)) == list(map(show, expect))
+        assert [show(jet.d(*n)) for n in wanted] == list(map(show, expect))
+
+    @given(folded_jets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_partial_above_the_order_is_rejected(self, pair, data):
+        jet, _ = pair
+        names = chart_coords(jet.center.chart)
+        high = tuple(data.draw(st.lists(st.sampled_from(names), min_size=jet.order + 1,
+                                        max_size=jet.order + 2)))
+        with pytest.raises(ValueError):
+            jet.d_numerators((), high)
+        with pytest.raises(ValueError):
+            jet.d(*high)
+
+    @given(st.sampled_from(["exact", "float"]), st.integers(1, 3),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_layout_two_charts_each_read_their_own(self, mode, order, terms, data):
+        # second and first have 4 coordinates each, so their jets share one layout;
+        # the same names read on both must resolve in each jet's own chart
+        coeffs = {tuple((i == a) + (i == b) for i in range(4)): F(a - b, 1 + a * b)
+                  for a, b in terms}
+        coeffs = {alpha: c for alpha, c in coeffs.items() if sum(alpha) <= order}
+        jets = {}
+        for chart in ("second", "first"):
+            p = Point(chart, (F(1), F(2), F(3), F(4)))
+            p = p if mode == "exact" else p.as_float()
+            jets[chart] = (Jet(p, order, coeffs), DictJet(p, order, coeffs))
+        names = sorted(set(chart_coords("second")) | set(chart_coords("first")))
+        wanted = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=order).map(tuple),
+                                    min_size=1, max_size=4))
+        show = reads(mode)
+        for chart in ("second", "first", "second"):
+            jet, oracle = jets[chart]
+            if all(n in chart_coords(chart) for names_ in wanted for n in names_):
+                got = [show(jet.d(*n)) for n in wanted]
+                assert got == [show(oracle_d(oracle, n)) for n in wanted]
+            else:
+                with pytest.raises(ValueError):
+                    jet.d_numerators(*wanted)
+
+    @given(folded_jets(), st.lists(rationals, max_size=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_common_denominator_of_readouts_and_numbers(self, pair, numbers, data):
+        jet, _ = pair
+        names = chart_coords(jet.center.chart)
+        wanted = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=jet.order)
+                                    .map(tuple), max_size=4))
+        readout = jet.d_numerators(*wanted)
+        if jet.mode == "float":
+            numbers = [float(x) for x in numbers]
+        out, den = common_denominator([readout, *numbers, readout])
+        if jet.mode == "float":
+            assert den == 1 and out == [readout[0], *numbers, readout[0]]
+            return
+        assert den > 0
+        assert [F(x, den) for x in out[0]] == [F(x, readout[1]) for x in readout[0]]
+        assert [F(x, den) for x in out[1:-1]] == numbers
+        assert out[-1] == out[0]

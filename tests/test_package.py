@@ -57,3 +57,36 @@ def test_the_unused_import_check_sees_one(tmp_path):
                       "def f(x: F) -> int:\n"
                       "    return os.path.sep\n")
     assert _unused_imports(module) == ["mod.py:4: gcd"]
+
+
+PRIVATE_JET_ATTRIBUTES = {"_c", "_den", "_layout"}
+PRIVATE_JETCORE_NAMES = {"_layout", "_LAYOUTS"}
+
+
+def _layout_reads(path: Path) -> list[str]:
+    """Where a module reads a jet's stored numerators, denominator or layout, or
+    imports jetcore's layout table."""
+    tree = ast.parse(path.read_text(), str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_JET_ATTRIBUTES:
+            out.append(f"{path.name}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom):
+            out += [f"{path.name}:{node.lineno}: import {alias.name}"
+                    for alias in node.names if alias.name in PRIVATE_JETCORE_NAMES]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "jetcore.py"],
+                         ids=[p.name for p in MODULES if p.name != "jetcore.py"])
+def test_only_jetcore_knows_the_jet_layout(path):
+    assert _layout_reads(path) == []
+
+
+def test_the_layout_check_sees_each_read(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .jetcore import Jet, _LAYOUTS\n"
+                      "def f(j: Jet):\n"
+                      "    return j._c[0], j._den, j._layout.weights, j.d_numerators(())\n")
+    assert _layout_reads(module) == ["mod.py:1: import _LAYOUTS", "mod.py:3: ._c",
+                                     "mod.py:3: ._den", "mod.py:3: ._layout"]

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import box_oracle
 from heavenly.jetcore import ScalarField, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import recursion_step_poly, st_potential, wave_residual
@@ -342,3 +344,29 @@ class TestFirstOrderForm:
         assert first_order_flow_residual(sol).is_zero()
         not_sol = Poly("second", {(0, 0, 2, 2): F(1)})  # x^2 y^2
         assert not first_order_flow_residual(not_sol).is_zero()
+
+
+# random polynomials in (w, z, x, y) of degree <= 3 per coordinate, and boxes [a, b]
+EXPONENTS = st.tuples(*[st.integers(0, 3)] * 4)
+COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+POLYS = st.dictionaries(EXPONENTS, COEFFS, max_size=6).map(lambda t: Poly("second", t))
+ENDS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+BOXES = st.tuples(ENDS, ENDS).filter(lambda e: e[0] != e[1]).map(
+    lambda e: BoundaryBox(min(e), max(e)))
+
+
+class TestClosedFormBoxIntegrals:
+    """The closed-form moments against iterated antiderivatives (tests/box_oracle.py)."""
+
+    @given(POLYS, BOXES)
+    @settings(max_examples=100, deadline=None)
+    def test_volume_integral_matches_iterated_antiderivatives(self, poly, box):
+        got = volume_integral(poly, box)
+        assert type(got) is F and got == box_oracle.volume_integral(poly, box)
+
+    @given(st.tuples(POLYS, POLYS, POLYS, POLYS), BOXES)
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_integral_matches_iterated_antiderivatives(self, comps, box):
+        eta = ThreeForm(comps)
+        got = boundary_integral(eta, box)
+        assert type(got) is F and got == box_oracle.boundary_integral(eta, box)
