@@ -10,9 +10,13 @@ from pathlib import Path
 
 from .jetcore import ScalarField
 from .tetrads import (
+    FieldGeometry,
     FirstPotential,
     SecondPotential,
     Tetrad,
+    geometry_from_omega,
+    geometry_from_theta,
+    plane_wave_geometry,
     plane_wave_tetrad,
     tetrad_from_omega,
     tetrad_from_theta,
@@ -45,6 +49,15 @@ class CatalogEntry:
         if self.kind == "potential-first":
             return tetrad_from_omega(self.first_potential())
         return plane_wave_tetrad(ScalarField.parse(profile or self.expression, "plane-wave"))
+
+    def geometry(self, profile: str | None = None) -> FieldGeometry:
+        """The metric jets and frame values of :meth:`tetrad`'s metric, read off one
+        jet of the entry's potential or profile per point."""
+        if self.kind == "potential-second":
+            return geometry_from_theta(self.second_potential())
+        if self.kind == "potential-first":
+            return geometry_from_omega(self.first_potential())
+        return plane_wave_geometry(ScalarField.parse(profile or self.expression, "plane-wave"))
 
 
 def _parse_entry(raw: dict) -> CatalogEntry:

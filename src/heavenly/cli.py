@@ -42,7 +42,6 @@ from .tetrads import (
     SECOND,
     SecondPotential,
     first_heavenly_residual,
-    metric_from_tetrad,
     second_heavenly_residual,
 )
 
@@ -220,15 +219,16 @@ def _curvature_check(args, entry) -> int:
     params = _params(entry, args)
     profile = args.f or (entry.expression if entry.kind == "metric" else None)
     try:
-        tetrad = entry.tetrad(profile)
+        geometry = entry.geometry(profile)
     except ValueError as exc:  # a profile that is not a function of (q, z)
         raise ConfigError(str(exc)) from exc
-    metric = metric_from_tetrad(tetrad)
     pts = _entry_points(entry, profile, args, params)
     config = {"background": entry.name, "params": params, "points": args.points}
     if profile:
         config["f"] = profile
-    records = curvature.verify_asd_vacuum(metric, tetrad, pts, params, args.tol)["records"]
+    # each point's metric jets and frame values come from one jet of the primary field
+    inputs = (geometry.at(p, params) for p in pts)
+    records = curvature.asd_vacuum_verdict(inputs, args.tol)["records"]
     if args.command == "curvature-report":
         records = [{k: v for k, v in r.items() if k != "pass"} for r in records]
     return _check(args, config, records, lambda r: (r, {

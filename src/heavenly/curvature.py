@@ -9,9 +9,13 @@ denominator per quantity (float mode: floats over small integers), and each
 reported number is divided once, so in exact mode a vanishing component is
 exactly zero.
 
-Each point is one pass: the order-2 metric jets are evaluated once and
-inverted through order 1 (the connection needs the inverse's values and
-gradients only).  The Christoffel values and gradients are integer sums over
+A point's inputs are its order-2 metric jets and the frame's values
+(:func:`spinors_from_jets`); the CLI reads both off one jet of the metric's
+primary field (``tetrads.FieldGeometry``), and the ``MetricField`` wrappers
+fold the metric's and the tetrad's trees for them.  Each point is one pass:
+the order-2 metric jets are inverted once, through order 1 (the connection
+needs the inverse's values and gradients only).  The Christoffel values and
+gradients are integer sums over
 one common denominator D, so Riemann sits over D^2; the metric and inverse
 metric values each get their own, and Ricci, the scalar curvature and W_abcd
 all come from that single Riemann, with W's 1/2 and 1/6 as integer multiples
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
     EvaluationError,
@@ -64,7 +68,13 @@ def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]
 
 
 def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan inverse of a matrix of jets (pivot by nonzero value part)."""
+    """Gauss-Jordan inverse of a matrix of jets (pivot by nonzero value part).
+
+    A product with a zero jet is zero, so it is not taken: a zero entry stays
+    as it is when its row is scaled, and an entry minus a zero is kept.  Only
+    the sign of a float zero can differ from taking them, and a read-out
+    (``Jet.d_numerators``) gives every zero as 0.0.
+    """
     n = len(m)
     center, order, mode = m[0][0].center, m[0][0].order, m[0][0].mode
     a = [row[:] for row in m]
@@ -85,16 +95,16 @@ def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
         a[col], a[pivot] = a[pivot], a[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         piv = a[col][col].reciprocal()
-        a[col] = [x * piv for x in a[col]]
-        inv[col] = [x * piv for x in inv[col]]
+        a[col] = [x if x.is_zero() else x * piv for x in a[col]]
+        inv[col] = [x if x.is_zero() else x * piv for x in inv[col]]
         for r in range(n):
             if r == col:
                 continue
             factor = a[r][col]
             if factor.is_zero():
                 continue
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
+            a[r] = [x if y.is_zero() else x - factor * y for x, y in zip(a[r], a[col])]
+            inv[r] = [x if y.is_zero() else x - factor * y for x, y in zip(inv[r], inv[col])]
     return inv
 
 
@@ -124,12 +134,15 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     upper = [(b, c) for b in range(n) for c in range(b, n)]
     coords = chart_coords(gj[0][0].center.chart)
     first = [(c,) for c in coords]
-    second = [(c, e) for c in coords for e in coords]
+    second = [(coords[c], coords[e]) for c, e in upper]   # d_c d_e = d_e d_c: read once
+    at = {}   # (c, e) -> where d_c d_e sits in a component's read-out
+    for k, (c, e) in enumerate(upper):
+        at[(c, e)] = at[(e, c)] = n + k
     nums, Dg = common_denominator([gj[a][b].d_numerators(*first, *second) for a, b in upper])
     # dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
     dg = [[None] * n for _ in range(n)]
     for (a, b), num in zip(upper, nums):
-        dg[a][b] = dg[b][a] = [[num[c], *num[n * (c + 1):n * (c + 2)]] for c in range(n)]
+        dg[a][b] = dg[b][a] = [[num[c], *(num[at[(c, e)]] for e in range(n))] for c in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
     low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
                     for d in range(n)] for b, c in upper}
@@ -148,17 +161,16 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     return G, 2 * Di * Dg
 
 
-def _connection(g: MetricField, p: Point, params):
-    """The order-2 metric jets, their inverse through order 1, and the Christoffel
+def _connection(gj: list[list[Jet]]):
+    """The inverse of the order-2 metric jets through order 1, and the Christoffel
     numerators over their D (see :func:`_christoffel_numerators`)."""
-    gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
-    return gj, ginv, _christoffel_numerators(gj, ginv)
+    return ginv, _christoffel_numerators(gj, ginv)
 
 
 def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
     """Levi-Civita connection coefficients at p."""
-    _, _, (G, D) = _connection(g, p, params)
+    _, (G, D) = _connection(_metric_jets(g, p, 2, params))
     q = divider(p.mode)
     return Christoffel(g.chart, [[[q(x[0], D) for x in gb] for gb in ga] for ga in G])
 
@@ -189,10 +201,10 @@ def _riemann_values(G, D):
     return out, D * D
 
 
-def _riemann_at(g: MetricField, p: Point, params):
-    """One evaluation of g at p: R^a_{bcd}, the metric values and the inverse
-    metric values, each as numerators with their own common denominator."""
-    gj, ginv, (G, D) = _connection(g, p, params)
+def _riemann_at(gj: list[list[Jet]]):
+    """From the order-2 metric jets at a point: R^a_{bcd}, the metric values and
+    the inverse metric values, each as numerators with their own common denominator."""
+    ginv, (G, D) = _connection(gj)
     return _riemann_values(G, D), _value_matrix(gj), _value_matrix(ginv)
 
 
@@ -220,33 +232,34 @@ def _index_keys(values, n: int, q, den) -> dict:
 
 def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
-    (rm, d2), _, _ = _riemann_at(g, p, params)
+    (rm, d2), _, _ = _riemann_at(_metric_jets(g, p, 2, params))
     q = divider(p.mode)
     return [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm]
 
 
 def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """(R_ab, R) at p."""
-    (rm, d2), _, (ginv, di) = _riemann_at(g, p, params)
+    (rm, d2), _, (ginv, di) = _riemann_at(_metric_jets(g, p, 2, params))
     ric, scalar = _ricci_values(rm, ginv)
     q = divider(p.mode)
     return [[q(x, d2) for x in row] for row in ric], q(scalar, di * d2)
 
 
 def lowered_riemann(g: MetricField, p: Point, params=None):
-    (rm, d2), (gv, dg), _ = _riemann_at(g, p, params)
+    (rm, d2), (gv, dg), _ = _riemann_at(_metric_jets(g, p, 2, params))
     return _index_keys(_lower(gv, rm), len(gv), divider(p.mode), dg * d2)
 
 
-def _weyl_at(g: MetricField, p: Point, params):
-    """W_{abcd}, Ricci, scalar and metric-value numerators at p from a single Riemann.
+def _weyl_at(gj: list[list[Jet]]):
+    """W_{abcd}, Ricci, scalar and metric-value numerators from a single Riemann
+    of the order-2 metric jets ``gj``.
 
     Returns ``(W, dw), (ric, d2), (scalar, ds), (gv, dg)``, each numerators
     with their denominator, W as a row-major list in (a, b, c, d): Ricci is
     over Riemann's d2 and the scalar over ds = di d2, di the inverse metric's.
     With R_abcd over dg d2, W's 1/2 and 1/6 terms share dw = 6 dg^2 di d2.
     """
-    (rm, d2), (gv, dg), (ginv, di) = _riemann_at(g, p, params)
+    (rm, d2), (gv, dg), (ginv, di) = _riemann_at(gj)
     ric, scalar = _ricci_values(rm, ginv)
     n = len(gv)
     m_rl = 6 * dg * di
@@ -261,7 +274,7 @@ def _weyl_at(g: MetricField, p: Point, params):
 
 def weyl_tensor_values(g: MetricField, p: Point, params=None):
     """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(g, p, params)
+    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(_metric_jets(g, p, 2, params))
     q = divider(p.mode)
     return (_index_keys(W, len(gv), q, dw), [[q(x, d2) for x in row] for row in ric],
             q(scalar, ds))
@@ -326,17 +339,26 @@ class CurvatureReport:
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                  params: Mapping[str, Number] | None = None,
                  tol: float = 1e-9) -> CurvatureReport:
-    """Project the Weyl tensor onto the tetrad frame and split into the two spinors.
+    """:func:`spinors_from_jets` of g's order-2 jets and t's frame values at p."""
+    return spinors_from_jets(_metric_jets(g, p, 2, params), t.frame_values(p, params), tol)
 
-    Every sum runs on numerators: a frame contraction of a rank-r tensor over
-    D lands over D df^r, df the frame's common denominator, and each reported
-    number is divided once.
+
+def spinors_from_jets(gj: list[list[Jet]], frame: Mapping[tuple[int, int], Sequence[Number]],
+                      tol: float = 1e-9) -> CurvatureReport:
+    """Project the Weyl tensor onto the frame and split into the two spinors.
+
+    ``gj`` are the order-2 metric jets at a point (their center) and
+    ``frame`` the null frame's values there, keyed by (A, A').  Every sum
+    runs on numerators: a frame contraction of a rank-r tensor over D lands
+    over D df^r, df the frame's common denominator, and each reported number
+    is divided once.
     """
-    (W, dw), (ric, d2), (scalar, ds), (gv, dg) = _weyl_at(g, p, params)
-    fv, df = _frame_numerators(t.frame_values(p, params))
+    p = gj[0][0].center
+    (W, dw), (ric, d2), (scalar, ds), (gv, dg) = _weyl_at(gj)
+    fv, df = _frame_numerators(frame)
     q = divider(p.mode)
 
-    # check the tetrad is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
+    # check the frame is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
     den = dg * df * df
     gf = _frame_components([x for row in gv for x in row], 2, fv)
     worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
@@ -378,12 +400,9 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
     asd = {k: q(x, d_spin) for k, x in asd_num.items()}
 
     # reassembly: W == eps_{A'B'} eps_{C'D'} C_ABCD + eps_AB eps_CD C_{A'B'C'D'}
-    re_err = 0
-    for (k1, k2, k3, k4), val in w_frame.items():
-        (A, Ap), (B, Bp), (C, Cp), (D, Dp) = k1, k2, k3, k4
-        rebuilt = (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd_num[(A, B, C, D)]
-                   + EPS[(A, B)] * EPS[(C, D)] * sd_num[(Ap, Bp, Cp, Dp)])
-        re_err = max(re_err, abs(4 * val - rebuilt))
+    re_err = max(abs(4 * val - (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd_num[(A, B, C, D)]
+                                + EPS[(A, B)] * EPS[(C, D)] * sd_num[(Ap, Bp, Cp, Dp)]))
+                 for ((A, Ap), (B, Bp), (C, Cp), (D, Dp)), val in w_frame.items())
 
     # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
     # is over d2 df^2 and R over ds (a multiple of d2), so Phi is over 8 ds df^2
@@ -400,19 +419,31 @@ def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points: Sequence[Point],
                       params: Mapping[str, Number] | None = None,
                       tol: float = 1e-9) -> dict:
-    """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points."""
+    """:func:`asd_vacuum_verdict` of g's order-2 jets and t's frame values at each point."""
+    return asd_vacuum_verdict(((_metric_jets(g, p, 2, params), t.frame_values(p, params))
+                               for p in points), tol)
+
+
+def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], Mapping]],
+                       tol: float = 1e-9) -> dict:
+    """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points.
+
+    ``inputs`` gives each point's order-2 metric jets and frame values (see
+    :func:`spinors_from_jets`); it is read one point at a time.
+    """
     records = []
     ok = True
-    for p in points:
-        rep = weyl_spinors(g, t, p, params, tol)
-        exact = p.mode == "exact"
-        point_ok = ((rep.ricci_max_abs == 0 and rep.sd_weyl_max_abs == 0) if exact
-                    else (rep.ricci_max_abs < tol and rep.sd_weyl_max_abs < tol))
+    for gj, frame in inputs:
+        rep = spinors_from_jets(gj, frame, tol)
+        p = rep.point
+        ricci_max, sd_max = rep.ricci_max_abs, rep.sd_weyl_max_abs
+        point_ok = ((ricci_max == 0 and sd_max == 0) if p.mode == "exact"
+                    else (ricci_max < tol and sd_max < tol))
         ok = ok and point_ok
         records.append({
             "point": p,
-            "ricci_max_abs": rep.ricci_max_abs,
-            "sd_weyl_max_abs": rep.sd_weyl_max_abs,
+            "ricci_max_abs": ricci_max,
+            "sd_weyl_max_abs": sd_max,
             "asd_weyl_max_abs": rep.asd_weyl_max_abs,
             "scalar_R": rep.scalar,
             "pass": point_ok,

@@ -538,7 +538,7 @@ class _Layout:
     arithmetic.
     """
 
-    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named")
+    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named", "shifted")
 
     def __init__(self, nvars: int, order: int):
         monomials: list[tuple[int, ...]] = []
@@ -555,6 +555,8 @@ class _Layout:
                      for a, k in zip(monomials, self.degree)]
         # (chart, partials) -> the (position, weight) of each named partial
         self.named: dict[tuple[str, tuple[tuple[str, ...], ...]], list[tuple[int, int]]] = {}
+        # (chart, names) -> the (position, multiplier) of each coefficient of that partial's jet
+        self.shifted: dict[tuple[str, tuple[str, ...]], list[tuple[int, int]]] = {}
 
 
 _LAYOUTS: dict[tuple[int, int], _Layout] = {}
@@ -578,11 +580,12 @@ class Jet:
     operation; in float mode they are floats over denominator 1.  ``coeffs``
     reads them back as a mapping from multi-index to ``Fraction`` (exact) or
     ``float``, nonzero entries only; a derivative is read by coordinate names
-    through :meth:`d_numerators` (or :meth:`d`), so no other module knows the
-    layout.  Mixed-partial symmetry is structural:
-    there is one slot per multi-index.  A jet keeps what it derives from
-    itself, as ``coeffs`` keeps its mapping: its reciprocal and its repeated
-    squarings f^2, f^4, ... are computed on first use and live as long as it.
+    through :meth:`d_numerators` (or :meth:`d`), and the jet of a derivative
+    by :meth:`d_jet`, so no other module knows the layout.  Mixed-partial
+    symmetry is structural: there is one slot per multi-index.  A jet keeps
+    what it derives from itself, as ``coeffs`` keeps its mapping: its
+    reciprocal and its repeated squarings f^2, f^4, ... are computed on first
+    use and live as long as it.
     """
 
     __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map", "_inv", "_squares")
@@ -718,6 +721,35 @@ class Jet:
         c = self._c
         zero = 0.0 if self.mode == "float" else 0
         return [c[i] * w + zero for i, w in plan], self._den
+
+    def d_jet(self, *names: str) -> "Jet":
+        """The jet of a derivative by coordinate names, through ``order - len(names)``.
+
+        ``f.d_jet("x", "y")`` is the jet of d_x d_y f at the same center: its
+        Taylor coefficient at gamma is f's at beta + gamma times
+        (beta + gamma)!/gamma!, beta the names' multi-index, over f's
+        denominator.  So an order-4 jet of a potential gives its second
+        partials as order-2 jets, and no tree is differentiated.  More names
+        than the jet's order raise ``ValueError``.
+        """
+        order = self.order - len(names)
+        if order < 0:
+            raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
+        layout, low = self._layout, _layout(self.nvars, order)
+        key = (self.center.chart, names)
+        plan = layout.shifted.get(key)
+        if plan is None:
+            coords = chart_coords(self.center.chart)
+            beta = [0] * len(coords)
+            for name in names:
+                beta[coords.index(name)] += 1
+            plan = []
+            for gamma, weight in zip(low.monomials, low.weights):
+                i = layout.index[tuple(b + g for b, g in zip(beta, gamma))]
+                plan.append((i, layout.weights[i] // weight))
+            layout.shifted[key] = plan
+        c = self._c
+        return self._like([c[i] * m for i, m in plan], self._den, low, order)
 
     def is_zero(self) -> bool:
         return not any(self._c)

@@ -73,13 +73,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .jetcore import (
     Expr,
     Jet,
     Number,
     Point,
+    PoleError,
     ScalarField,
     ZERO,
     add,
@@ -282,13 +283,18 @@ def tetrad_from_omega(omega: FirstPotential) -> Tetrad:
                   {k: tuple(_sf(c, e) for e in v) for k, v in coframe.items()})
 
 
-def plane_wave_tetrad(f: ScalarField) -> Tetrad:
-    """Tetrad for 2 dw dq + 2 dz dp + f(q, z) dz^2 on the chart (w, z, q, p)."""
+def _require_profile(f: ScalarField) -> None:
+    """A plane-wave profile lives on the plane-wave chart and depends on (q, z) only."""
     if f.chart != PLANE_WAVE:
         raise ValueError("profile must live on the plane-wave chart")
     extra = {v for v in free_vars(f.expr) if v not in ("q", "z")}
     if extra:
         raise ValueError(f"profile must depend on (q, z) only, found {sorted(extra)}")
+
+
+def plane_wave_tetrad(f: ScalarField) -> Tetrad:
+    """Tetrad for 2 dw dq + 2 dz dp + f(q, z) dz^2 on the chart (w, z, q, p)."""
+    _require_profile(f)
     c = PLANE_WAVE
     zero, one, m_one = ZERO, const(1), const(-1)
     half_f = mul(const(Fraction(1, 2)), f.expr)
@@ -339,6 +345,112 @@ def metric_from_tetrad(t: Tetrad) -> MetricField:
                     s = neg(s)
                 comps[a][b] = add(comps[a][b], s)
     return MetricField(t.chart, tuple(tuple(_sf(t.chart, e) for e in row) for row in comps))
+
+
+# ---------------------------------------------------------------------------
+# metric jets and frame values from one jet of the primary field
+
+FrameValues = dict[tuple[int, int], tuple[Number, ...]]
+
+
+class FieldGeometry(NamedTuple):
+    """A metric and its null frame, read off one jet of one scalar field per point.
+
+    ``field`` is the primary field (Theta, Omega or a plane-wave profile) and
+    ``order`` the order of its jet that holds the metric's order-2 jets: 4
+    for a potential, whose metric and frame components are its second
+    partials, 2 for a profile, which is a metric component itself.  ``read``
+    maps that jet to the order-2 metric jets g_ab (nested lists, a symmetric
+    pair sharing one jet) and the frame values as ``Tetrad.frame_values``
+    gives them.  Both equal those of the entry's tetrad and
+    ``metric_from_tetrad`` exactly, with no symbolic derivative.
+    """
+
+    field: ScalarField
+    order: int
+    read: Callable[[Jet], tuple[list[list[Jet]], FrameValues]]
+
+    def at(self, p: Point, params=None) -> tuple[list[list[Jet]], FrameValues]:
+        return self.read(self.field.jet(p, self.order, params))
+
+
+def _numbers(jet: Jet):
+    """The mode's 0, 1 and -1 as frame values, and the constant order-2 jets 0 and 1."""
+    number = float if jet.mode == "float" else Fraction
+    zero, one = (Jet.constant(v, jet.center, 2) for v in (0, 1))
+    return number(0), number(1), number(-1), zero, one
+
+
+def _second_form_geometry(theta_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
+    """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz
+    and the frame of tetrad_from_theta, from an order-4 jet of Theta."""
+    txx, txy, tyy = (theta_jet.d_jet(*names) for names in (_XX, _XY, _YY))
+    n0, n1, m1, zero, one = _numbers(theta_jet)
+    ww, wz, zz = tyy + tyy, -(txy + txy), txx + txx
+    g = [[ww, wz, one, zero],
+         [wz, zz, zero, one],
+         [one, zero, zero, zero],
+         [zero, one, zero, zero]]
+    xx, xy, yy = txx.value, txy.value, tyy.value
+    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, -xy, xx),
+             (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, -yy, xy)}
+    return g, frame
+
+
+def _first_form_geometry(omega_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
+    """The metric and frame of tetrad_from_omega from an order-4 jet of Omega.
+
+    With H the mixed Hessian block Omega_{w^A wt^B} and s = -1/det H (one
+    inversion), g_{w^A wt^B} = s H_AB; on a solution det H = -1, so g = H.
+    """
+    h = {(a, b): omega_jet.d_jet(a, b) for a in ("w", "z") for b in ("wt", "zt")}
+    det = h[("w", "wt")] * h[("z", "zt")] - h[("w", "zt")] * h[("z", "wt")]
+    if not det.value:
+        raise PoleError("det of the mixed Hessian block")
+    s = -det.reciprocal()
+    n0, n1, _, zero, _ = _numbers(omega_jet)
+    w_wt, w_zt, z_wt, z_zt = (x * s for x in h.values())
+    g = [[zero, zero, w_wt, w_zt],
+         [zero, zero, z_wt, z_zt],
+         [w_wt, z_wt, zero, zero],
+         [w_zt, z_zt, zero, zero]]
+    v = {k: x.value for k, x in h.items()}
+    frame = {(0, 0): (n0, n0, v[("w", "zt")], -v[("w", "wt")]),
+             (1, 0): (n0, n0, v[("z", "zt")], -v[("z", "wt")]),
+             (0, 1): (n1, n0, n0, n0), (1, 1): (n0, n1, n0, n0)}
+    return g, frame
+
+
+def _plane_wave_geometry(f_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
+    """2 dw dq + 2 dz dp + f dz^2 and the frame of plane_wave_tetrad, from an
+    order-2 jet of f."""
+    n0, n1, m1, zero, one = _numbers(f_jet)
+    g = [[zero, zero, one, zero],
+         [zero, f_jet, zero, one],
+         [one, zero, zero, zero],
+         [zero, one, zero, zero]]
+    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, n0, f_jet.value / 2),
+             (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, n0, n0)}
+    return g, frame
+
+
+def geometry_from_theta(theta: SecondPotential) -> FieldGeometry:
+    """The second-form metric and frame (as tetrad_from_theta) off Theta's order-4 jet."""
+    return FieldGeometry(theta.field, 4, _second_form_geometry)
+
+
+def geometry_from_omega(omega: FirstPotential) -> FieldGeometry:
+    """The first-form metric and frame (as tetrad_from_omega) off Omega's order-4 jet.
+
+    A point where the mixed Hessian block is singular raises ``PoleError``.
+    """
+    return FieldGeometry(omega.field, 4, _first_form_geometry)
+
+
+def plane_wave_geometry(f: ScalarField) -> FieldGeometry:
+    """The plane-wave metric and frame (as plane_wave_tetrad) off f's order-2 jet."""
+    _require_profile(f)
+    return FieldGeometry(f, 2, _plane_wave_geometry)
 
 
 # ---------------------------------------------------------------------------

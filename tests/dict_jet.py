@@ -97,6 +97,23 @@ class DictJet:
         zeros = (0,) * n
         return tuple(self.derivative(zeros[:k] + (1,) + zeros[k + 1:]) for k in range(n))
 
+    def partial(self, *names: str) -> "DictJet":
+        """The jet of the derivative by coordinate names, through ``order - len(names)``:
+        its coefficient at gamma is this jet's at alpha = beta + gamma times
+        alpha!/gamma!, beta the names' multi-index."""
+        if len(names) > self.order:
+            raise ValueError(f"jet of order {self.order} has no |alpha|={len(names)} data")
+        coords = chart_coords(self.center.chart)
+        beta = [0] * len(coords)
+        for name in names:
+            beta[coords.index(name)] += 1
+        out = {}
+        for alpha, c in self.coeffs.items():
+            gamma = tuple(a - b for a, b in zip(alpha, beta))
+            if min(gamma) >= 0:
+                out[gamma] = c * (_alpha_factorial(alpha) // _alpha_factorial(gamma))
+        return DictJet(self.center, self.order - len(names), out, self.mode)
+
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "DictJet"):
         if self.center != other.center or self.order != other.order or self.mode != other.mode:

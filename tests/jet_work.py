@@ -1,4 +1,4 @@
-"""Count the jet work a call does: trees folded, jet products and inversions.
+"""Count the jet work a call does: trees folded, jet products, inversions, diff calls.
 
 The jet-count guards bound these counts for one point.  Every jet the package
 builds from a tree goes through ``heavenly.jetcore.jets_of`` (``jet_of``,
@@ -7,7 +7,10 @@ binding site sees every fold, whichever name the caller imported.  Products
 and inversions are counted on ``Jet`` itself, so they include the ring
 operations of the folds and of everything done with the jets afterwards.
 A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
-the inversions counted are those computed (``Jet._invert``).
+the inversions counted are those computed (``Jet._invert``).  Symbolic
+differentiation is counted as ``jetcore.diff`` calls, wrapped at every
+binding site in the same way; ``diff`` recurses through its module's name,
+so each node it differentiates counts.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ class JetWork:
         self.folds: Counter = Counter()
         self.products = 0
         self.inversions = 0
+        self.diff_calls = 0
         real_jets_of, real_mul, real_invert = jetcore.jets_of, Jet.__mul__, Jet._invert
+        real_diff = jetcore.diff
 
         def jets_of(exprs, p, order=jetcore.DEFAULT_ORDER, params=None):
             self.folds.update({(p, e) for e in exprs})
@@ -40,9 +45,17 @@ class JetWork:
             self.inversions += 1
             return real_invert(a)
 
+        def diff(e, var):
+            self.diff_calls += 1
+            return real_diff(e, var)
+
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "heavenly" and getattr(module, "jets_of", None) is real_jets_of:
-                monkeypatch.setattr(module, "jets_of", jets_of)
+            if name.split(".")[0] != "heavenly":
+                continue
+            for attr, real, counted in (("jets_of", real_jets_of, jets_of),
+                                        ("diff", real_diff, diff)):
+                if getattr(module, attr, None) is real:
+                    monkeypatch.setattr(module, attr, counted)
         monkeypatch.setattr(Jet, "__mul__", mul)
         monkeypatch.setattr(Jet, "_invert", invert)
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,12 @@ from heavenly.recursion import (
     wave_residual,
 )
 from heavenly.sampling import float_points, sample_points
-from heavenly.tetrads import SecondPotential, lax_step_residual
+from heavenly.tetrads import (
+    FieldGeometry,
+    SecondPotential,
+    lax_step_residual,
+    plane_wave_geometry,
+)
 
 from jet_work import JetWork
 
@@ -144,7 +150,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
-    def test_float_duality_beyond_tol_is_two(self, capsys):
+    def test_float_duality_beyond_tol_is_two(self, monkeypatch, capsys):
+        # the metric jets and the frame come from one jet of Theta, so a second-form
+        # frame is dual to its metric to the last bit; a frame component one ulp
+        # off stands for a float frame that misses its metric
+        real = FieldGeometry.at
+
+        def one_ulp_off(self, p, params=None):
+            gj, frame = real(self, p, params)
+            w, z, x, y = frame[(0, 0)]
+            return gj, {**frame, (0, 0): (w, z, math.nextafter(x, math.inf), y)}
+        monkeypatch.setattr(FieldGeometry, "at", one_ulp_off)
         code, out = run(["curvature-report", "--background", "sparling-tod", "--points", "1",
                          "--mode", "float", "--tol", "1e-300"])
         assert code == 2
@@ -153,11 +169,11 @@ class TestExitCodes:
         assert err.startswith("error: tetrad duality residual ") and "exceeds tol 1e-300" in err
 
     def test_exact_non_dual_tetrad_is_a_bug(self, monkeypatch):
-        # a metric that does not belong to the tetrad is a program fault, not bad input
-        from heavenly import catalog, cli
-        other = cli.metric_from_tetrad(catalog.plane_wave_tetrad(ScalarField.parse("q^3",
-                                                                                   "plane-wave")))
-        monkeypatch.setattr(cli, "metric_from_tetrad", lambda tetrad: other)
+        # a metric that does not belong to the frame is a program fault, not bad input
+        other = plane_wave_geometry(ScalarField.parse("q^3", "plane-wave"))
+        real = FieldGeometry.at
+        monkeypatch.setattr(FieldGeometry, "at", lambda self, p, params=None: (
+            real(other, p, params)[0], real(self, p, params)[1]))
         with pytest.raises(ValueError, match="not dual"):
             main(["curvature-report", "--background", "plane-wave", "--points", "1"])
 
@@ -290,6 +306,11 @@ _GOLDENS = [
     ("twistor-series-st-float-seed1.json",
      ["twistor-series", "--background", "st", "--order", "10", "--points", "3",
       "--mode", "float", "--seed", "1"], 0),
+    ("curvature-phi2-eguchi-hanson.json",
+     ["curvature-report", "--background", "phi2-eguchi-hanson", "--points", "3", "--seed", "3"],
+     0),
+    ("curvature-flat-first.json",
+     ["curvature-report", "--background", "flat-first", "--points", "3", "--seed", "3"], 0),
 ]
 
 
@@ -362,12 +383,14 @@ class TestOutputs:
         assert all(r["point"]["values"][2] != "0" for r in records)
 
     def test_curvature_report_builds_the_tetrad_once(self, monkeypatch):
+        # the frame's route (the profile's geometry) is built once per run; what
+        # each point then folds is bounded by TestCurvatureJetWork
         from heavenly import catalog
-        real = catalog.plane_wave_tetrad
+        real = catalog.plane_wave_geometry
         calls = []
-        monkeypatch.setattr(catalog, "plane_wave_tetrad", lambda f: calls.append(f) or real(f))
+        monkeypatch.setattr(catalog, "plane_wave_geometry", lambda f: calls.append(f) or real(f))
         code, _ = run(["curvature-report", "--background", "plane-wave", "--f", "q^2",
-                       "--points", "1"])
+                       "--points", "2"])
         assert code == 0
         assert len(calls) == 1
 
@@ -532,25 +555,44 @@ class TestRecursionChainSharedJets:
 class TestHierarchyCheckSharedJets:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_one_point_reads_jets_of_the_potential(self, n, monkeypatch):
-        from heavenly import hierarchy, jetcore
         work = JetWork(monkeypatch)
-        diffs = []
-        for module in (hierarchy, jetcore):
-            real = module.diff
-            monkeypatch.setattr(module, "diff",
-                                lambda *a, real=real: diffs.append(a) or real(*a))
         code, _ = run(["hierarchy-check", "--n", str(n), "--points", "1"])
         assert code == 0
         # the potential's order-3 jet, read by the compatibility and the Sato checks,
         # and the order-1 jets of the 2n test fields in one fold; no derivative trees
         assert work.fold_count <= 1 + 2 * n
         assert work.most_folds_of_one_tree == 1
-        assert diffs == []
+        assert work.diff_calls == 0
         # the potential and the test fields are polynomials: no inversions.  With a
         # second, order-2 fold of the potential and one fold per test field they took
         # 32, 52 and 68 products, and 18, 38 and 47 with powers by the constant 1
         assert work.products <= {1: 16, 3: 36, 4: 45}[n]
         assert work.inversions == 0
+
+
+class TestCurvatureJetWork:
+    # background -> (products, inversions) of one point.  Folding the metric trees
+    # of the symbolic tetrad, the same points took 113/5, 128/7, 51/4 and 32/4,
+    # with 66, 111, 0 and 32 diff calls; on the jet route with every product by
+    # a zero jet taken in the Gauss-Jordan inverse, 99/5, 101/6, 49/4 and 40/5
+    BOUNDS = {"sparling-tod": (51, 5), "phi2-eguchi-hanson": (53, 6), "plane-wave": (17, 4),
+              "flat-first": (16, 5)}
+
+    @pytest.mark.parametrize("background", sorted(BOUNDS))
+    def test_one_point_folds_only_the_primary_field(self, background, monkeypatch):
+        from heavenly.catalog import load_catalog
+        entry = load_catalog()[background]
+        work = JetWork(monkeypatch)
+        code, _ = run(["curvature-report", "--background", background, "--points", "1"])
+        assert code == 0
+        # one jet of the potential (order 4) or the profile (order 2) holds every
+        # metric jet and frame value; no derivative tree is built
+        assert {e for _, e in work.folds} == {entry.geometry().field.expr}
+        assert work.fold_count == 1
+        assert work.diff_calls == 0
+        products, inversions = self.BOUNDS[background]
+        assert work.products <= products
+        assert work.inversions <= inversions
 
 
 def _leaves(node, key=None):

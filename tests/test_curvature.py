@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from heavenly.catalog import load_catalog
 from heavenly.curvature import (
@@ -16,21 +16,28 @@ from heavenly.curvature import (
     lowered_riemann,
     ricci,
     riemann,
+    spinors_from_jets,
     verify_asd_vacuum,
     weyl_spinors,
     weyl_tensor_values,
 )
-from heavenly.jetcore import ScalarField, point
+from heavenly.jetcore import EvaluationError, Point, PoleError, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
+    FirstPotential,
     SecondPotential,
+    geometry_from_omega,
+    geometry_from_theta,
     metric_from_tetrad,
+    plane_wave_geometry,
     plane_wave_tetrad,
     second_heavenly_residual,
+    tetrad_from_omega,
     tetrad_from_theta,
 )
 
 from jet_work import JetWork
+from test_integer_sums import profiles
 
 SIGMA1 = {"sigma": F(1)}
 
@@ -336,7 +343,8 @@ class TestSinglePass:
         # their shared subtrees once (folded one at a time they took 349
         # products and 10 inversions), and each jet keeps its reciprocal and
         # squarings (117 products and 7 inversions without).  Past the folds,
-        # only the Gauss-Jordan inverse multiplies jets, on order-1 truncations;
+        # only the Gauss-Jordan inverse multiplies jets, on order-1 truncations,
+        # and it takes no product by a zero jet (113 products with them);
         # Christoffel and every sum after it run on numerators (its order-1 jets
         # took 160 products)
         g, t, params, points = catalog_setup("sparling-tod")
@@ -345,5 +353,97 @@ class TestSinglePass:
         monkeypatch.undo()
         assert work.fold_count <= 10
         assert work.most_folds_of_one_tree == 1
-        assert work.products <= 113
+        assert work.products <= 65
         assert work.inversions <= 5
+
+
+# ---------------------------------------------------------------------------
+# the jet route: metric jets and frame values off one jet of the primary field
+
+# c * u^a * v^b * s^c * t^d over a chart's four coordinates
+MONOMIAL = st.tuples(st.fractions(-3, 3, max_denominator=4).filter(bool), *[st.integers(0, 2)] * 4)
+
+
+def _poly_text(terms, names) -> str:
+    return "+".join(f"({c})*" + "*".join(f"{v}^{k}" for v, k in zip(names, ks))
+                    for c, *ks in terms)
+
+
+@st.composite
+def geometry_routes(draw):
+    """A random primary field with its tree route (tetrad, metric) and its jet route.
+
+    Second-form potentials are polynomials or polynomials over a polynomial,
+    plane-wave profiles come from ``test_integer_sums.profiles``, and
+    first-form potentials are w zt + z wt plus a polynomial, so the mixed
+    Hessian block is invertible near the origin (points where it is not are
+    rejected).
+    """
+    kind = draw(st.sampled_from(["second", "first", "plane-wave"]))
+    if kind == "plane-wave":
+        f = ScalarField.parse(draw(profiles()), "plane-wave")
+        t, geometry = plane_wave_tetrad(f), plane_wave_geometry(f)
+    else:
+        names = ("w", "z", "x", "y") if kind == "second" else ("w", "z", "wt", "zt")
+        text = _poly_text(draw(st.lists(MONOMIAL, min_size=1, max_size=4)), names)
+        if kind == "second" and draw(st.booleans()):
+            below = _poly_text(draw(st.lists(MONOMIAL, min_size=1, max_size=2)), names)
+            text = f"({text})/(1+{below})"
+        if kind == "second":
+            theta = SecondPotential(ScalarField.parse(text, "second"))
+            t, geometry = tetrad_from_theta(theta), geometry_from_theta(theta)
+        else:
+            omega = FirstPotential(ScalarField.parse(f"w*zt+z*wt+{text}", "first"))
+            t, geometry = tetrad_from_omega(omega), geometry_from_omega(omega)
+    values = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 4))
+    return t, geometry, Point(t.chart, values)
+
+
+class TestJetRoute:
+    @given(geometry_routes())
+    @settings(max_examples=60, deadline=None)
+    def test_jet_route_equals_tree_route(self, routes):
+        t, geometry, p = routes
+        try:
+            gj, frame = geometry.at(p)
+            g = metric_from_tetrad(t)
+            tree_jets, tree_frame = _metric_jets(g, p, 2, None), t.frame_values(p)
+        except EvaluationError:
+            reject()
+        assert [[x.order for x in row] for row in gj] == [[2] * 4] * 4
+        assert [[x.coeffs for x in row] for row in gj] == [[x.coeffs for x in row]
+                                                           for row in tree_jets]
+        assert list(frame) == list(tree_frame)
+        assert frame == tree_frame
+        assert all(type(v) is F for u in frame.values() for v in u)
+        assert spinors_from_jets(gj, frame) == weyl_spinors(g, t, p)
+
+    def test_cli_route_is_the_catalog_entrys(self):
+        # the per-point inputs of curvature-report equal those of the entry's tetrad
+        cat = load_catalog()
+        for entry in cat.values():
+            t = entry.tetrad()
+            g = metric_from_tetrad(t)
+            params = dict(entry.params)
+            for p in sample_points(entry.chart, 4, 2, entry.exclusions):
+                gj, frame = entry.geometry().at(p, params)
+                assert [[x.coeffs for x in row] for row in gj] == [
+                    [x.coeffs for x in row] for row in _metric_jets(g, p, 2, params)]
+                assert frame == t.frame_values(p, params)
+
+    def test_profile_is_checked_as_the_tetrad_checks_it(self):
+        f = ScalarField.parse("q*p", "plane-wave")
+        for route in (plane_wave_tetrad, plane_wave_geometry):
+            with pytest.raises(ValueError, match=r"depend on \(q, z\) only, found \['p'\]"):
+                route(f)
+            with pytest.raises(ValueError, match="plane-wave chart"):
+                route(ScalarField.parse("x", "second"))
+
+    def test_singular_mixed_hessian_is_a_pole(self):
+        # Omega = wt (w zt + z wt): the block Omega_{w^A wt^B} = [[zt, wt], [2 wt, 0]]
+        # has determinant -2 wt^2
+        omega = FirstPotential(ScalarField.parse("wt*(w*zt+z*wt)", "first"))
+        with pytest.raises(PoleError):
+            geometry_from_omega(omega).at(point("first", 1, 2, 0, 0))
+        gj, _ = geometry_from_omega(omega).at(point("first", 1, 2, 3, 4))
+        assert all(x.order == 2 for row in gj for x in row)

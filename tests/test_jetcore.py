@@ -571,6 +571,25 @@ class TestOneReadout:
                 with pytest.raises(ValueError):
                     jet.d_numerators(*wanted)
 
+    @given(folded_jets(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_partial_jet_is_the_oracle_partial(self, pair, data):
+        jet, oracle = pair
+        names = chart_coords(jet.center.chart)
+        wanted = tuple(data.draw(st.lists(st.sampled_from(names), max_size=jet.order)))
+        got, want = jet.d_jet(*wanted), oracle.partial(*wanted)
+        assert got.order == want.order == jet.order - len(wanted)
+        assert got.center == jet.center and got.mode == jet.mode
+        show = reads(jet.mode)
+        assert {k: show(v) for k, v in got.coeffs.items()} == {
+            k: show(v) for k, v in want.coeffs.items()}
+        if jet.mode == "exact":
+            # a partial of the partial is the partial of the whole
+            rest = tuple(data.draw(st.lists(st.sampled_from(names), max_size=got.order)))
+            assert got.d(*rest) == jet.d(*wanted, *rest)
+        with pytest.raises(ValueError):
+            jet.d_jet(*wanted, *names[:1] * (got.order + 1))
+
     @given(folded_jets(), st.lists(rationals, max_size=4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_common_denominator_of_readouts_and_numbers(self, pair, numbers, data):
