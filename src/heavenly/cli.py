@@ -226,7 +226,8 @@ def _curvature_check(args, entry) -> int:
     config = {"background": entry.name, "params": params, "points": args.points}
     if profile:
         config["f"] = profile
-    # each point's metric jets and frame values come from one jet of the primary field
+    # each point's metric jets, their inverse and the frame values come from one jet
+    # of the primary field
     inputs = (geometry.at(p, params) for p in pts)
     records = curvature.asd_vacuum_verdict(inputs, args.tol)["records"]
     if args.command == "curvature-report":

@@ -2,37 +2,39 @@
 
 Curvature is computed from metric components by the coordinate method
 (Levi-Civita connection, then the Riemann tensor from its values and
-gradients); spinor pieces are extracted afterwards by projecting the Weyl
-tensor onto the null frame of a tetrad.  The metric inverse is jet
-arithmetic.  Every sum after it runs on integer numerators over one common
-denominator per quantity (float mode: floats over small integers), and each
-reported number is divided once, so in exact mode a vanishing component is
-exactly zero.
+gradients).  A point's inputs are its order-2 metric jets, their inverse
+through order 1 (the connection reads only its values and gradients) and the
+null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
+off one jet of the metric's primary field (``tetrads.FieldGeometry``, the
+inverse in closed form); the ``MetricField`` wrappers fold the metric's and
+the tetrad's trees and invert by Gauss-Jordan.  Past the inverse every sum
+runs on integer numerators over one common denominator per quantity (float
+mode: floats over small integers), and each reported number is divided
+once, so in exact mode a vanishing component is exactly zero.  Christoffel
+sits over one D, Riemann over D^2, and Ricci and the scalar R come from it.
 
-A point's inputs are its order-2 metric jets and the frame's values
-(:func:`spinors_from_jets`); the CLI reads both off one jet of the metric's
-primary field (``tetrads.FieldGeometry``), and the ``MetricField`` wrappers
-fold the metric's and the tetrad's trees for them.  Each point is one pass:
-the order-2 metric jets are inverted once, through order 1 (the connection
-needs the inverse's values and gradients only).  The Christoffel values and
-gradients are integer sums over
-one common denominator D, so Riemann sits over D^2; the metric and inverse
-metric values each get their own, and Ricci, the scalar curvature and W_abcd
-all come from that single Riemann, with W's 1/2 and 1/6 as integer multiples
-of one final denominator.  Frame components are taken by successive
-single-index contractions on numerators, the frame over its own common
-denominator.
+The spinors come from Riemann's blocks on 2-forms, R(B, B') = B^ab R_abcd
+B'^cd, lowered on the pairs a < b, c < d only.  Take the bivectors X_ij =
+V_0i ^ V_1j - V_1i ^ V_0j (SD, primed i j) and Y_ij (ASD, the same with the
+unprimed index).  In a frame dual to g, g(V_AA', V_BB') = eps_AB eps_A'B'
+(checked at each point), G_abcd = g_ac g_bd - g_ad g_bc has G(X_i1i2, X_i3i4)
+= 2 (eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3), the same on Y and 0 across.  On
+like bivectors W = R - (R/12) G, so psi_i1i2i3i4 = (R(X_i1i2, X_i3i4) -
+(R/6)(eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3)) / 4, and R(X_ij, Y_kl) =
+4 Phi_klij (Penrose & Rindler, Spinors and Space-Time I, 4.6).
 
 Conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb};  Ricci R_{bd} =
-R^a_{bad};  Weyl spinors from W_{abcd} = eps_{A'B'} eps_{C'D'} C_{ABCD} +
-eps_{AB} eps_{CD} C_{A'B'C'D'} by eps-contraction over frame indices.
+R^a_{bad};  the spinors are those of W_{abcd} = eps_{A'B'} eps_{C'D'} C_{ABCD}
++ eps_{AB} eps_{CD} C_{A'B'C'D'}: C_ABCD (``weyl_asd``) on Y, C_A'B'C'D'
+(``weyl_sd``) on X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
@@ -127,8 +129,9 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     :func:`_metric_jets`) and mirrored onto ``G[a][c][b]``.
 
     In float mode D is 2 and each operation is the one the order-1 jet
-    product g^ad * (2 Gamma_dbc) does, in the same order, so the symbols,
-    once divided by D, are bit for bit the jet route's.
+    product g^ad * (2 Gamma_dbc) does, in the same order, a zero g^ad
+    skipped as the product skips a zero factor, so the symbols, once divided
+    by D, are bit for bit the jet route's.
     """
     n = len(gj)
     upper = [(b, c) for b in range(n) for c in range(b, n)]
@@ -150,10 +153,11 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     zero = 0.0 if gj[0][0].mode == "float" else 0
     G = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
-        row = inv[a * n:(a + 1) * n]
+        row = [(d, h) for d, h in enumerate(inv[a * n:(a + 1) * n]) if any(h)]   # g^ad != 0
         for b, c in upper:
-            val, grad = zero, [zero] * n
-            for h, t in zip(row, low[(b, c)]):   # g^ad and 2 Gamma_dbc, each with its gradient
+            val, grad, lbc = zero, [zero] * n, low[(b, c)]
+            for d, h in row:   # g^ad and 2 Gamma_dbc, each with its gradient
+                t = lbc[d]
                 h0, t0 = h[0], t[0]
                 val += h0 * t0
                 grad = [s + (h0 * te + he * t0) for s, te, he in zip(grad, t[1:], h[1:])]
@@ -161,16 +165,17 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     return G, 2 * Di * Dg
 
 
-def _connection(gj: list[list[Jet]]):
-    """The inverse of the order-2 metric jets through order 1, and the Christoffel
-    numerators over their D (see :func:`_christoffel_numerators`)."""
-    ginv = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
-    return ginv, _christoffel_numerators(gj, ginv)
+def _tree_jets(g: MetricField, p: Point, params) -> tuple[list[list[Jet]], list[list[Jet]]]:
+    """g's order-2 jets at p and their Gauss-Jordan inverse through order 1 (the
+    ``MetricField`` adapters' inputs; ``tetrads.FieldGeometry`` gives the same
+    pair with the inverse in closed form)."""
+    gj = _metric_jets(g, p, 2, params)
+    return gj, _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
 
 
 def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
     """Levi-Civita connection coefficients at p."""
-    _, (G, D) = _connection(_metric_jets(g, p, 2, params))
+    G, D = _christoffel_numerators(*_tree_jets(g, p, params))
     q = divider(p.mode)
     return Christoffel(g.chart, [[[q(x[0], D) for x in gb] for gb in ga] for ga in G])
 
@@ -201,11 +206,12 @@ def _riemann_values(G, D):
     return out, D * D
 
 
-def _riemann_at(gj: list[list[Jet]]):
-    """From the order-2 metric jets at a point: R^a_{bcd}, the metric values and
-    the inverse metric values, each as numerators with their own common denominator."""
-    ginv, (G, D) = _connection(gj)
-    return _riemann_values(G, D), _value_matrix(gj), _value_matrix(ginv)
+def _riemann_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
+    """From the order-2 metric jets at a point and their inverse through order 1:
+    R^a_{bcd}, the metric values and the inverse metric values, each as
+    numerators with their own common denominator."""
+    return (_riemann_values(*_christoffel_numerators(gj, ginv)), _value_matrix(gj),
+            _value_matrix(ginv))
 
 
 def _ricci_values(rm, ginv_values):
@@ -232,35 +238,35 @@ def _index_keys(values, n: int, q, den) -> dict:
 
 def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
-    (rm, d2), _, _ = _riemann_at(_metric_jets(g, p, 2, params))
+    (rm, d2), _, _ = _riemann_at(*_tree_jets(g, p, params))
     q = divider(p.mode)
     return [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm]
 
 
 def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
     """(R_ab, R) at p."""
-    (rm, d2), _, (ginv, di) = _riemann_at(_metric_jets(g, p, 2, params))
+    (rm, d2), _, (ginv, di) = _riemann_at(*_tree_jets(g, p, params))
     ric, scalar = _ricci_values(rm, ginv)
     q = divider(p.mode)
     return [[q(x, d2) for x in row] for row in ric], q(scalar, di * d2)
 
 
 def lowered_riemann(g: MetricField, p: Point, params=None):
-    (rm, d2), (gv, dg), _ = _riemann_at(_metric_jets(g, p, 2, params))
+    (rm, d2), (gv, dg), _ = _riemann_at(*_tree_jets(g, p, params))
     return _index_keys(_lower(gv, rm), len(gv), divider(p.mode), dg * d2)
 
 
-def _weyl_at(gj: list[list[Jet]]):
+def _weyl_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
     """W_{abcd}, Ricci, scalar and metric-value numerators from a single Riemann
-    of the order-2 metric jets ``gj``.
+    of the order-2 metric jets ``gj`` (``ginv`` their inverse through order 1).
 
     Returns ``(W, dw), (ric, d2), (scalar, ds), (gv, dg)``, each numerators
     with their denominator, W as a row-major list in (a, b, c, d): Ricci is
     over Riemann's d2 and the scalar over ds = di d2, di the inverse metric's.
     With R_abcd over dg d2, W's 1/2 and 1/6 terms share dw = 6 dg^2 di d2.
     """
-    (rm, d2), (gv, dg), (ginv, di) = _riemann_at(gj)
-    ric, scalar = _ricci_values(rm, ginv)
+    (rm, d2), (gv, dg), (giv, di) = _riemann_at(gj, ginv)
+    ric, scalar = _ricci_values(rm, giv)
     n = len(gv)
     m_rl = 6 * dg * di
     m_ric = 3 * dg * di
@@ -274,7 +280,7 @@ def _weyl_at(gj: list[list[Jet]]):
 
 def weyl_tensor_values(g: MetricField, p: Point, params=None):
     """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(_metric_jets(g, p, 2, params))
+    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(*_tree_jets(g, p, params))
     q = divider(p.mode)
     return (_index_keys(W, len(gv), q, dw), [[q(x, d2) for x in row] for row in ric],
             q(scalar, ds))
@@ -339,22 +345,24 @@ class CurvatureReport:
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
                  params: Mapping[str, Number] | None = None,
                  tol: float = 1e-9) -> CurvatureReport:
-    """:func:`spinors_from_jets` of g's order-2 jets and t's frame values at p."""
-    return spinors_from_jets(_metric_jets(g, p, 2, params), t.frame_values(p, params), tol)
+    """:func:`spinors_from_jets` of g's order-2 jets, their inverse and t's frame values at p."""
+    return spinors_from_jets(*_tree_jets(g, p, params), t.frame_values(p, params), tol)
 
 
-def spinors_from_jets(gj: list[list[Jet]], frame: Mapping[tuple[int, int], Sequence[Number]],
+def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
+                      frame: Mapping[tuple[int, int], Sequence[Number]],
                       tol: float = 1e-9) -> CurvatureReport:
-    """Project the Weyl tensor onto the frame and split into the two spinors.
+    """Split the Riemann tensor's bivector blocks into the two Weyl spinors and Phi.
 
-    ``gj`` are the order-2 metric jets at a point (their center) and
-    ``frame`` the null frame's values there, keyed by (A, A').  Every sum
-    runs on numerators: a frame contraction of a rank-r tensor over D lands
-    over D df^r, df the frame's common denominator, and each reported number
-    is divided once.
+    ``gj`` are the order-2 metric jets at a point (their center), ``ginv``
+    their inverse through order 1 and ``frame`` the null frame's values there,
+    keyed by (A, A').  Every sum runs on numerators, each over its own
+    denominator, and each reported number is divided once.
     """
     p = gj[0][0].center
-    (W, dw), (ric, d2), (scalar, ds), (gv, dg) = _weyl_at(gj)
+    (rm, d2), (gv, dg), (giv, di) = _riemann_at(gj, ginv)
+    ric, scalar = _ricci_values(rm, giv)
+    ds = di * d2
     fv, df = _frame_numerators(frame)
     q = divider(p.mode)
 
@@ -370,71 +378,78 @@ def spinors_from_jets(gj: list[list[Jet]], frame: Mapping[tuple[int, int], Seque
         raise EvaluationError(f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
                               "at this point")
 
-    w_frame = _frame_components(W, 4, fv)
+    # R_abcd on the coordinate pairs a < b, c < d (over dg d2), and rb = R(B, B') =
+    # B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij (over dg d2 df^4)
+    n = len(gv)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rows = [[(e, x) for e, x in enumerate(row) if x] for row in gv]
+    M = [[sum(x * rm[e][b][c][d] for e, x in rows[a]) for c, d in pairs] for a, b in pairs]
 
-    # C = (1/4) eps eps W_frame, numerators over 4 dw df^4
-    sd_num = {}
-    asd_num = {}
-    for i1 in range(2):
-        for i2 in range(2):
-            for i3 in range(2):
-                for i4 in range(2):
-                    s_sd = 0
-                    s_asd = 0
-                    for A in range(2):
-                        for B in range(2):
-                            e1 = EPS[(A, B)]
-                            if e1 == 0:
-                                continue
-                            for C in range(2):
-                                for D in range(2):
-                                    e2 = EPS[(C, D)]
-                                    if e2 == 0:
-                                        continue
-                                    s_sd += e1 * e2 * w_frame[((A, i1), (B, i2), (C, i3), (D, i4))]
-                                    s_asd += e1 * e2 * w_frame[((i1, A), (i2, B), (i3, C), (i4, D))]
-                    sd_num[(i1, i2, i3, i4)] = s_sd
-                    asd_num[(i1, i2, i3, i4)] = s_asd
-    d_spin = 4 * dw * df ** 4
-    sd = {k: q(x, d_spin) for k, x in sd_num.items()}
-    asd = {k: q(x, d_spin) for k, x in asd_num.items()}
+    def bivector(u0, u1, v0, v1):   # u0 ^ v1 - u1 ^ v0
+        return [u0[a] * v1[b] - u0[b] * v1[a] - u1[a] * v0[b] + u1[b] * v0[a] for a, b in pairs]
+    sym = ((0, 0), (0, 1), (1, 1))
+    bivectors = ([bivector(fv[(0, i)], fv[(1, i)], fv[(0, j)], fv[(1, j)]) for i, j in sym]
+                 + [bivector(fv[(i, 0)], fv[(i, 1)], fv[(j, 0)], fv[(j, 1)]) for i, j in sym])
+    Mb = [[sum(map(mul, row, b)) for row in M] for b in bivectors]
+    rb = [[sum(map(mul, u, v)) for v in Mb] for u in bivectors]
 
-    # reassembly: W == eps_{A'B'} eps_{C'D'} C_ABCD + eps_AB eps_CD C_{A'B'C'D'}
-    re_err = max(abs(4 * val - (EPS[(Ap, Bp)] * EPS[(Cp, Dp)] * asd_num[(A, B, C, D)]
-                                + EPS[(A, B)] * EPS[(C, D)] * sd_num[(Ap, Bp, Cp, Dp)]))
-                 for ((A, Ap), (B, Bp), (C, Cp), (D, Dp)), val in w_frame.items())
+    # psi_{i1i2i3i4} = (R(B_i1i2, B_i3i4) - (scalar/6)(eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3)) / 4
+    # on like bivectors (X: the SD spinor, Y: the ASD one), over d_spin
+    keys = list(product(range(2), repeat=4))
+    slot = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    m_b, m_s, d_spin = 6 * di, dg * df ** 4, 24 * dg * di * d2 * df ** 4
+
+    def spinor(off):
+        return {(i1, i2, i3, i4): m_b * rb[off + slot[i1, i2]][off + slot[i3, i4]]
+                - m_s * scalar * (EPS[(i1, i3)] * EPS[(i2, i4)] + EPS[(i1, i4)] * EPS[(i2, i3)])
+                for i1, i2, i3, i4 in keys}
+    sd_num, asd_num = spinor(0), spinor(3)
 
     # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
     # is over d2 df^2 and R over ds (a multiple of d2), so Phi is over 8 ds df^2
     rf = _frame_components([x for row in ric for x in row], 2, fv)
-    m_rf, m_r, d_phi = 4 * (ds // d2), df * df, 8 * ds * df * df
-    phi = {(A, B, Ap, Bp): q(-(m_rf * rf[((A, Ap), (B, Bp))]
-                               - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)]), d_phi)
-           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+    m_rf, m_r, d_phi = 4 * di, df * df, 8 * ds * df * df
+    phi_num = {(A, B, Ap, Bp): -(m_rf * rf[((A, Ap), (B, Bp))]
+                                 - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)])
+               for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
 
-    return CurvatureReport(p, [[q(x, d2) for x in row] for row in ric], q(scalar, ds), asd, sd,
-                           phi, q(re_err, d_spin), duality_max)
+    # reassembly, over d_spin: each spinor is symmetric in i2, i3 (the first Bianchi
+    # identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl) is 4 Phi_klij
+    re_err = max(
+        *(abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)])
+          for s in (sd_num, asd_num) for i1, i2, i3, i4 in keys),
+        *(4 * m_b * abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)),
+        *(abs(4 * m_b * rb[k][3 + l] - 12 * dg * df * df * phi_num[(*sym[l], *sym[k])])
+          for k in range(3) for l in range(3)))
+
+    return CurvatureReport(p, [[q(x, d2) for x in row] for row in ric], q(scalar, ds),
+                           {k: q(x, d_spin) for k, x in asd_num.items()},
+                           {k: q(x, d_spin) for k, x in sd_num.items()},
+                           {k: q(x, d_phi) for k, x in phi_num.items()},
+                           q(re_err, d_spin), duality_max)
 
 
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points: Sequence[Point],
                       params: Mapping[str, Number] | None = None,
                       tol: float = 1e-9) -> dict:
-    """:func:`asd_vacuum_verdict` of g's order-2 jets and t's frame values at each point."""
-    return asd_vacuum_verdict(((_metric_jets(g, p, 2, params), t.frame_values(p, params))
+    """:func:`asd_vacuum_verdict` of g's order-2 jets, their inverse and t's frame
+    values at each point."""
+    return asd_vacuum_verdict(((*_tree_jets(g, p, params), t.frame_values(p, params))
                                for p in points), tol)
 
 
-def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], Mapping]],
+def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Jet]], Mapping]],
                        tol: float = 1e-9) -> dict:
     """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points.
 
-    ``inputs`` gives each point's order-2 metric jets and frame values (see
-    :func:`spinors_from_jets`); it is read one point at a time.
+    ``inputs`` gives each point's order-2 metric jets, their inverse through
+    order 1 and the frame values (see :func:`spinors_from_jets`); it is read
+    one point at a time.
     """
     records = []
     ok = True
-    for gj, frame in inputs:
-        rep = spinors_from_jets(gj, frame, tol)
+    for gj, ginv, frame in inputs:
+        rep = spinors_from_jets(gj, ginv, frame, tol)
         p = rep.point
         ricci_max, sd_max = rep.ricci_max_abs, rep.sd_weyl_max_abs
         point_ok = ((ricci_max == 0 and sd_max == 0) if p.mode == "exact"

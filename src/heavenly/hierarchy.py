@@ -37,6 +37,7 @@ from .jetcore import (
     diff,
     divider,
     extended_chart,
+    field_jets,
     mul,
     neg,
     substitute,
@@ -345,17 +346,15 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
     else:
         lowered_coeffs = list(truncated_omega(E, j)[0].coeffs)
     flow = coord_name(B, j)
-
-    def grad(c: ScalarField) -> tuple[Number, Number, Number]:
-        """d_00, d_10 and d_{Bj} of a coefficient at p."""
-        d = c.jet(p, 1, params).d
-        return d("x00"), d("x10"), d(flow)
+    # d_00, d_10 and d_{Bj} of every coefficient at p, all folded in one call
+    n0, n1 = len(om[0].coeffs), len(om[0].coeffs) + len(om[1].coeffs)
+    jets = field_jets([*om[0].coeffs, *om[1].coeffs, *lowered_coeffs], p, 1, params)
+    all_grads = [(x.d("x00"), x.d("x10"), x.d(flow)) for x in jets]
+    low_grads = all_grads[n1:]
 
     out = {}
-    for Aname, series in (("omega0", om[0]), ("omega1", om[1])):
+    for Aname, grads in (("omega0", all_grads[:n0]), ("omega1", all_grads[n0:n1])):
         orders: dict[int, Number] = {}
-        grads = [grad(c) for c in series.coeffs]
-        low_grads = [grad(c) for c in lowered_coeffs]
         # term lam^j d_{Bj} omega^A: order r+j from coefficient r
         for r, g in enumerate(grads):
             orders[r + j] = orders.get(r + j, 0) + g[2]

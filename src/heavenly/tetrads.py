@@ -351,6 +351,7 @@ def metric_from_tetrad(t: Tetrad) -> MetricField:
 # metric jets and frame values from one jet of the primary field
 
 FrameValues = dict[tuple[int, int], tuple[Number, ...]]
+JetMatrix = list[list[Jet]]
 
 
 class FieldGeometry(NamedTuple):
@@ -361,16 +362,17 @@ class FieldGeometry(NamedTuple):
     for a potential, whose metric and frame components are its second
     partials, 2 for a profile, which is a metric component itself.  ``read``
     maps that jet to the order-2 metric jets g_ab (nested lists, a symmetric
-    pair sharing one jet) and the frame values as ``Tetrad.frame_values``
-    gives them.  Both equal those of the entry's tetrad and
-    ``metric_from_tetrad`` exactly, with no symbolic derivative.
+    pair sharing one jet), their inverse through order 1 in closed form, and
+    the frame values as ``Tetrad.frame_values`` gives them.  All three equal
+    those of the entry's tetrad, ``metric_from_tetrad`` and a matrix inverse
+    exactly, with no symbolic derivative and no elimination.
     """
 
     field: ScalarField
     order: int
-    read: Callable[[Jet], tuple[list[list[Jet]], FrameValues]]
+    read: Callable[[Jet], tuple[JetMatrix, JetMatrix, FrameValues]]
 
-    def at(self, p: Point, params=None) -> tuple[list[list[Jet]], FrameValues]:
+    def at(self, p: Point, params=None) -> tuple[JetMatrix, JetMatrix, FrameValues]:
         return self.read(self.field.jet(p, self.order, params))
 
 
@@ -381,27 +383,34 @@ def _numbers(jet: Jet):
     return number(0), number(1), number(-1), zero, one
 
 
-def _second_form_geometry(theta_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
-    """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz
-    and the frame of tetrad_from_theta, from an order-4 jet of Theta."""
+def _paired_form(ww: Jet, wz: Jet, zz: Jet, zero: Jet, one: Jet) -> tuple[JetMatrix, JetMatrix]:
+    """g = [[P, I], [I, 0]] in (w, z | x, y) with P = [[ww, wz], [wz, zz]], and its
+    inverse [[0, I], [I, -P]] through order 1: linear in P, with no product."""
+    g = [[ww, wz, one, zero], [wz, zz, zero, one], [one, zero, zero, zero], [zero, one, zero, zero]]
+    o, i = zero.truncate(1), one.truncate(1)
+    mww, mwz, mzz = (-x.truncate(1) for x in (ww, wz, zz))
+    return g, [[o, o, i, o], [o, o, o, i], [i, o, mww, mwz], [o, i, mwz, mzz]]
+
+
+def _second_form_geometry(theta_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+    """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz,
+    its inverse and the frame of tetrad_from_theta, from an order-4 jet of Theta."""
     txx, txy, tyy = (theta_jet.d_jet(*names) for names in (_XX, _XY, _YY))
     n0, n1, m1, zero, one = _numbers(theta_jet)
-    ww, wz, zz = tyy + tyy, -(txy + txy), txx + txx
-    g = [[ww, wz, one, zero],
-         [wz, zz, zero, one],
-         [one, zero, zero, zero],
-         [zero, one, zero, zero]]
+    g, ginv = _paired_form(tyy + tyy, -(txy + txy), txx + txx, zero, one)
     xx, xy, yy = txx.value, txy.value, tyy.value
     frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, -xy, xx),
              (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, -yy, xy)}
-    return g, frame
+    return g, ginv, frame
 
 
-def _first_form_geometry(omega_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
-    """The metric and frame of tetrad_from_omega from an order-4 jet of Omega.
+def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+    """The metric, its inverse and the frame of tetrad_from_omega from an order-4
+    jet of Omega.
 
     With H the mixed Hessian block Omega_{w^A wt^B} and s = -1/det H (one
-    inversion), g_{w^A wt^B} = s H_AB; on a solution det H = -1, so g = H.
+    inversion), g = [[0, M], [M^T, 0]] with M = s H; on a solution det H = -1,
+    so g = H.  Its inverse is [[0, M^-T], [M^-1, 0]] with M^-1 = -adj H.
     """
     h = {(a, b): omega_jet.d_jet(a, b) for a in ("w", "z") for b in ("wt", "zt")}
     det = h[("w", "wt")] * h[("z", "zt")] - h[("w", "zt")] * h[("z", "wt")]
@@ -414,24 +423,24 @@ def _first_form_geometry(omega_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
          [zero, zero, z_wt, z_zt],
          [w_wt, z_wt, zero, zero],
          [w_zt, z_zt, zero, zero]]
+    o = zero.truncate(1)
+    h00, h01, h10, h11 = (x.truncate(1) for x in h.values())
+    ginv = [[o, o, -h11, h10], [o, o, h01, -h00], [-h11, h01, o, o], [h10, -h00, o, o]]
     v = {k: x.value for k, x in h.items()}
     frame = {(0, 0): (n0, n0, v[("w", "zt")], -v[("w", "wt")]),
              (1, 0): (n0, n0, v[("z", "zt")], -v[("z", "wt")]),
              (0, 1): (n1, n0, n0, n0), (1, 1): (n0, n1, n0, n0)}
-    return g, frame
+    return g, ginv, frame
 
 
-def _plane_wave_geometry(f_jet: Jet) -> tuple[list[list[Jet]], FrameValues]:
-    """2 dw dq + 2 dz dp + f dz^2 and the frame of plane_wave_tetrad, from an
-    order-2 jet of f."""
+def _plane_wave_geometry(f_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+    """2 dw dq + 2 dz dp + f dz^2, its inverse and the frame of plane_wave_tetrad,
+    from an order-2 jet of f."""
     n0, n1, m1, zero, one = _numbers(f_jet)
-    g = [[zero, zero, one, zero],
-         [zero, f_jet, zero, one],
-         [one, zero, zero, zero],
-         [zero, one, zero, zero]]
+    g, ginv = _paired_form(zero, zero, f_jet, zero, one)
     frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, n0, f_jet.value / 2),
              (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, n0, n0)}
-    return g, frame
+    return g, ginv, frame
 
 
 def geometry_from_theta(theta: SecondPotential) -> FieldGeometry:

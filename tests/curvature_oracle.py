@@ -5,10 +5,13 @@ Christoffel symbols as order-1 jets (products of the inverse metric's jets
 with the lowered symbols' jets), then Riemann from their values and
 gradients, its lowering, Ricci, the scalar curvature, W_abcd, the frame
 contractions and the spinor split, each a sum of ``Fraction`` (exact) or
-``float`` values read off the jets one at a time.  It is slow and obviously
-correct, which is what an oracle should be.  It shares only the metric jets
-and the Gauss-Jordan inverse with the package, and inverts the full order-2
-jets where the package stops at order 1.  Nothing in ``src/`` imports it.
+``float`` values read off the jets one at a time.  The spinors come from the
+full W projected onto the frame, and the reassembly residual compares W with
+its spinors, where the package reads both off Riemann's bivector blocks.  It
+is slow and obviously correct, which is what an oracle should be.  It shares
+only the metric jets and the Gauss-Jordan inverse with the package, and
+inverts the full order-2 jets where the package stops at order 1.  Nothing
+in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ def christoffel_jets(gj, ginv, jet_order):
 
 def riemann(g, p, params):
     """(R^a_{bcd} values [a][b][c][d], metric values, inverse metric values,
-    Christoffel values [a][b][c]) at p.
+    Christoffel values [a][b][c], term sizes [a][b][c][d]) at p.
 
     R^a_{bcd} is summed for c <= d and R^a_{bdc} is its negation, as the
-    package fills it, so even the sign of a float zero matches.
+    package fills it, so even the sign of a float zero matches.  Its term
+    size is the sum of the absolute values of the terms it sums, the scale of
+    its rounding error in float mode.
     """
     gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix(gj)
@@ -74,17 +79,21 @@ def riemann(g, p, params):
           for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    size = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(c, n):
                     s = dG[a][d][b][c] - dG[a][c][b][d]
+                    t = abs(dG[a][d][b][c]) + abs(dG[a][c][b][d])
                     for e in range(n):
                         s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
+                        t += abs(gval[a][c][e] * gval[e][d][b]) + abs(gval[a][d][e] * gval[e][c][b])
                     out[a][b][c][d] = s
+                    size[a][b][c][d] = size[a][b][d][c] = t
                     if d != c:
                         out[a][b][d][c] = -s
-    return out, _values(gj), _values(ginv), gval
+    return out, _values(gj), _values(ginv), gval, size
 
 
 def _values(m):
@@ -141,11 +150,12 @@ def curvature(g, t, p, params):
     """Every quantity of the curvature pipeline at p, by value-by-value sums.
 
     Returns a dict with ``christoffel``, ``riemann``, ``ricci``, ``scalar``,
-    ``lowered``, ``W`` and the :class:`heavenly.curvature.CurvatureReport`
-    fields ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
+    ``lowered``, ``W``, ``lowered_size`` (the term sizes of R^e_bcd lowered
+    by |g_ae|) and the :class:`heavenly.curvature.CurvatureReport` fields
+    ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
     ``duality_max_abs``.
     """
-    rm, gv, ginv, gamma = riemann(g, p, params)
+    rm, gv, ginv, gamma, size = riemann(g, p, params)
     ric, scalar = ricci(rm, ginv)
     rl = lower(gv, rm)
     W = weyl(gv, rl, ric, scalar)
@@ -186,5 +196,5 @@ def curvature(g, t, p, params):
                    + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])
         re_err.append(abs(val - rebuilt))
     return {"christoffel": gamma, "riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl,
-            "W": W, "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
+            "W": W, "lowered_size": lower([[abs(x) for x in row] for row in gv], size), "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
             "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max}

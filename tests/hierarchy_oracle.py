@@ -88,3 +88,31 @@ def summed_lax_identity_residual(E, A, j, test, p, params=None) -> dict:
         rhs[m] = rhs.get(m, 0) + cj.d("x00") * dtest[i10] - cj.d("x10") * dtest[i00]
     rhs[j] = rhs.get(j, 0) + dtest[coords.index(coord_name(A, j))]
     return {m: lhs.get(m, 0) - rhs.get(m, 0) for m in range(0, j + 1)}
+
+
+def sato_flow_residual(E, B, j, p, params=None):
+    """``hierarchy.sato_flow_residual`` with each coefficient folded into its own jet,
+    the lowered coefficients once per curve component."""
+    om = truncated_omega(E, E.n)
+    if B == 0:
+        lowered = [ScalarField(E.chart, neg(c.expr)) for c in truncated_omega(E, j)[1].coeffs]
+    else:
+        lowered = list(truncated_omega(E, j)[0].coeffs)
+    flow = coord_name(B, j)
+
+    def grad(c):
+        d = c.jet(p, 1, params).d
+        return d("x00"), d("x10"), d(flow)
+
+    out = {}
+    for A, series in enumerate(om):
+        grads = [grad(c) for c in series.coeffs]
+        orders = {}
+        for r, g in enumerate(grads):
+            orders[r + j] = orders.get(r + j, 0) + g[2]
+        for m, lg in enumerate([grad(c) for c in lowered]):
+            for r, g in enumerate(grads):
+                orders[m + r] = orders.get(m + r, 0) + (lg[0] * g[1] - lg[1] * g[0])
+        orders[0] = orders.get(0, 0) - (1 if A == B else 0)
+        out[f"omega{A}"] = orders
+    return out

@@ -343,10 +343,10 @@ class TestSinglePass:
         # their shared subtrees once (folded one at a time they took 349
         # products and 10 inversions), and each jet keeps its reciprocal and
         # squarings (117 products and 7 inversions without).  Past the folds,
-        # only the Gauss-Jordan inverse multiplies jets, on order-1 truncations,
-        # and it takes no product by a zero jet (113 products with them);
-        # Christoffel and every sum after it run on numerators (its order-1 jets
-        # took 160 products)
+        # only the tree adapter's Gauss-Jordan inverse multiplies jets, on
+        # order-1 truncations, and it takes no product by a zero jet (113
+        # products with them); Christoffel and every sum after it run on
+        # numerators (its order-1 jets took 160 products)
         g, t, params, points = catalog_setup("sparling-tod")
         work = JetWork(monkeypatch)
         weyl_spinors(g, t, points[0], params)
@@ -355,6 +355,16 @@ class TestSinglePass:
         assert work.most_folds_of_one_tree == 1
         assert work.products <= 65
         assert work.inversions <= 5
+        # the geometry's route folds Theta alone and takes the inverse in closed
+        # form: 3 products and 1 inversion, all in Theta's fold (51 and 5 with
+        # the Gauss-Jordan inverse)
+        work = JetWork(monkeypatch)
+        rep = spinors_from_jets(*load_catalog()["sparling-tod"].geometry().at(points[0], params))
+        monkeypatch.undo()
+        assert rep == weyl_spinors(g, t, points[0], params)
+        assert work.fold_count == 1
+        assert work.products <= 3
+        assert work.inversions <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +415,7 @@ class TestJetRoute:
     def test_jet_route_equals_tree_route(self, routes):
         t, geometry, p = routes
         try:
-            gj, frame = geometry.at(p)
+            gj, ginv, frame = geometry.at(p)
             g = metric_from_tetrad(t)
             tree_jets, tree_frame = _metric_jets(g, p, 2, None), t.frame_values(p)
         except EvaluationError:
@@ -416,7 +426,45 @@ class TestJetRoute:
         assert list(frame) == list(tree_frame)
         assert frame == tree_frame
         assert all(type(v) is F for u in frame.values() for v in u)
-        assert spinors_from_jets(gj, frame) == weyl_spinors(g, t, p)
+        assert spinors_from_jets(gj, ginv, frame) == weyl_spinors(g, t, p)
+
+    @given(geometry_routes())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_in_closed_form(self, routes):
+        # the geometry's inverse is the Gauss-Jordan inverse of the order-1
+        # truncated metric jets, coefficient for coefficient in exact mode.  In
+        # float mode it is within a relative 1e-12 (of its largest coefficient) of
+        # the exact inverse at the same point; Gauss-Jordan need not be, as it
+        # eliminates through the rounded s H on the first form
+        _, geometry, p = routes
+        fp = p.as_float()
+        try:
+            gj, ginv, _ = geometry.at(p)
+            want = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+            exact_at_fp = geometry.at(Point(p.chart, tuple(map(F, fp.values))))[1]
+            float_ginv = geometry.at(fp)[1]
+        except (EvaluationError, SingularMetricError):
+            reject()
+        assert [[x.order for x in row] for row in ginv] == [[1] * 4] * 4
+        assert [[x.coeffs for x in row] for row in ginv] == [[x.coeffs for x in row]
+                                                             for row in want]
+        exact_c = [x.coeffs for row in exact_at_fp for x in row]
+        scale = max(abs(v) for c in exact_c for v in c.values())
+        for got, wanted in zip((x.coeffs for row in float_ginv for x in row), exact_c):
+            assert all(type(v) is float for v in got.values())
+            for k in {*got, *wanted}:
+                assert abs(got.get(k, 0.0) - wanted.get(k, 0)) <= 1e-12 * scale
+
+    def test_first_form_inverse_off_the_solutions(self):
+        # det H = -1 on a solution, where g = H; here det H is not constant
+        omega = FirstPotential(ScalarField.parse("2*w*zt+z*wt+w^2*wt^2-z*zt^3/3", "first"))
+        for p in sample_points("first", 5, 3):
+            gj, ginv, _ = geometry_from_omega(omega).at(p)
+            h = [[omega.field.jet(p, 2).d(a, b) for b in ("wt", "zt")] for a in ("w", "z")]
+            assert h[0][0] * h[1][1] - h[0][1] * h[1][0] != -1
+            want = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+            assert [[x.coeffs for x in row] for row in ginv] == [[x.coeffs for x in row]
+                                                                 for row in want]
 
     def test_cli_route_is_the_catalog_entrys(self):
         # the per-point inputs of curvature-report equal those of the entry's tetrad
@@ -426,7 +474,7 @@ class TestJetRoute:
             g = metric_from_tetrad(t)
             params = dict(entry.params)
             for p in sample_points(entry.chart, 4, 2, entry.exclusions):
-                gj, frame = entry.geometry().at(p, params)
+                gj, _, frame = entry.geometry().at(p, params)
                 assert [[x.coeffs for x in row] for row in gj] == [
                     [x.coeffs for x in row] for row in _metric_jets(g, p, 2, params)]
                 assert frame == t.frame_values(p, params)
@@ -445,5 +493,5 @@ class TestJetRoute:
         omega = FirstPotential(ScalarField.parse("wt*(w*zt+z*wt)", "first"))
         with pytest.raises(PoleError):
             geometry_from_omega(omega).at(point("first", 1, 2, 0, 0))
-        gj, _ = geometry_from_omega(omega).at(point("first", 1, 2, 3, 4))
+        gj, _, _ = geometry_from_omega(omega).at(point("first", 1, 2, 3, 4))
         assert all(x.order == 2 for row in gj for x in row)

@@ -37,6 +37,7 @@ from heavenly.tetrads import (
 )
 
 import hierarchy_oracle as oracle
+from jet_work import JetWork
 
 SIGMA = {"sigma": F(1)}
 
@@ -298,6 +299,26 @@ class TestSato:
                     res = summed_lax_from_jets(jet_of(E.field.expr, p, 2), A, j,
                                                jet_of(test.expr, p, 1))
                     assert all(v == 0 for v in res.values())
+
+    def test_flow_form_folds_each_coefficient_once(self, monkeypatch):
+        # the two curve components and the lowered coefficients are folded in one
+        # call, so no coefficient tree is folded twice (the lowered ones were folded
+        # once per curve component), and every order's value is the one of folding
+        # each coefficient on its own
+        embedded = embed_second_form(ScalarField.parse("sigma/(w*x+z*y)", "second"))
+        pe = extended1_point_of_second(sample_points("second", 19, 1, ("q_nonzero",))[0])
+        level2 = random_potential(2, 17)
+        p2 = sample_points(level2.chart, 17, 1)[0]
+        for E, p, params, flows in ((embedded, pe, SIGMA, (1,)),
+                                    (embedded, pe.as_float(), {"sigma": 1.0}, (1,)),
+                                    (level2, p2, None, (1, 2))):
+            for B in (0, 1):
+                for j in flows:
+                    work = JetWork(monkeypatch)
+                    res = sato_flow_residual(E, B, j, p, params)
+                    monkeypatch.undo()
+                    assert work.most_folds_of_one_tree == 1
+                    assert res == oracle.sato_flow_residual(E, B, j, p, params)
 
     def test_flow_form_on_embedded_solution(self):
         # level-1 embedding of the quadratic-pole solution: interior orders of

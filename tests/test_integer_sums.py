@@ -1,9 +1,13 @@
 """Integer value sums in curvature and Lie brackets, against value-by-value oracles."""
 
+import copy
+import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from heavenly import curvature
 from heavenly.catalog import load_catalog
 from heavenly.curvature import (
     SingularMetricError,
@@ -92,6 +96,11 @@ def _conformally_flat_setup(text):
     return metric_from_tetrad(t), t, {}, "second"
 
 
+def _plane_wave_setup(text):
+    t = plane_wave_tetrad(ScalarField.parse(text, "plane-wave"))
+    return metric_from_tetrad(t), t, {}, "plane-wave"
+
+
 def _polynomial(draw, min_degree, max_degree):
     """A sum of up to three monomials c * x^k over the second chart."""
     terms = draw(st.lists(st.tuples(NONZERO, st.sampled_from(COORDS),
@@ -124,8 +133,7 @@ def curvature_inputs(draw):
     elif kind == "conformally-flat":
         g, t, params, chart = _conformally_flat_setup(f"1+{_polynomial(draw, 1, 2)}")
     else:
-        t = plane_wave_tetrad(ScalarField.parse(draw(profiles()), "plane-wave"))
-        g, params, chart = metric_from_tetrad(t), {}, "plane-wave"
+        g, t, params, chart = _plane_wave_setup(draw(profiles()))
     values = draw(st.tuples(*[NONZERO] * len(chart_coords(chart))))
     return g, t, params, Point(chart, values)
 
@@ -179,12 +187,15 @@ class TestCurvatureAgainstOracle:
         assert _hexes(christoffel(g, fp, params).symbols) == _hexes(want["christoffel"])
         assert _hexes(got["riemann"]) == _hexes(want["riemann"])
         # relative to the size of the summed terms: the largest coordinate entry,
-        # and for frame quantities the largest contraction of |W| or |Ricci| with
-        # the |frame| (a spinor can cancel far below the terms it sums)
+        # and for frame quantities the largest contraction with the |frame| of |W|,
+        # |Ricci| or the lowered Riemann's term sizes (a spinor can cancel far below
+        # the terms it sums, and the package sums it from Riemann's bivector blocks,
+        # which agree with W's only up to Riemann's own rounding)
         frame = {k: tuple(map(abs, u)) for k, u in t.frame_values(fp, params).items()}
         terms = [curvature_oracle.frame_components({k: abs(v) for k, v in tensor.items()}, frame)
-                 for tensor in (want["W"], {(a, b): abs(v) for a, row in enumerate(want["ricci"])
-                                            for b, v in enumerate(row)})]
+                 for tensor in (want["W"], want["lowered_size"],
+                                {(a, b): abs(v) for a, row in enumerate(want["ricci"])
+                                 for b, v in enumerate(row)})]
         scales = {"coordinate": max(abs(v) for name in COORDINATE for v in _leaves(want[name])),
                   "frame": max(abs(want["scalar"]), *(v for c in terms for v in c.values()))}
         for name, value in got.items():
@@ -212,6 +223,100 @@ class TestCurvatureAgainstOracle:
         weyl_spinors(g, t, p, dict(entry.params))
         monkeypatch.undo()
         assert 0 < count[0] <= 100
+
+
+def _raised(change):
+    """A mutation of R^e_bcd that adds ``change`` (a dict over lowered (a, b, c, d))
+    to R_abcd, raised by the inverse metric values; ``unit`` is 1 in rm's scale."""
+    def mutate(rm, unit, ginv):
+        out = copy.deepcopy(rm)
+        for (a, b, c, d), v in change.items():
+            for e in range(4):
+                out[e][b][c][d] += unit * v * ginv[e][a]
+        return out
+    return mutate
+
+
+def _sign(perm):
+    return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+
+
+# R_0123 one unit up, with its partners under a <-> b and c <-> d but not R_2301:
+# pair symmetry and so the first Bianchi identity break
+PAIR_ASYMMETRIC = _raised({(0, 1, 2, 3): 1, (1, 0, 2, 3): -1, (0, 1, 3, 2): -1, (1, 0, 3, 2): 1})
+# plus eps_abcd: pair symmetric, but the first Bianchi identity breaks
+TOTALLY_ANTISYMMETRIC = _raised({perm: _sign(perm) for perm in itertools.permutations(range(4))})
+
+
+def _not_metric(rm, unit, ginv):
+    """R^0_{123} one unit up (R^0_{132} down): R_abcd loses its antisymmetry in a, b.
+
+    The bivector blocks read R_abcd on a < b only, so they see this only where
+    it also breaks pair symmetry there (not on the conformally flat and
+    plane-wave setups below, whose g_a0 is nonzero only for a > 1)."""
+    out = copy.deepcopy(rm)
+    out[0][1][2][3] += unit
+    out[0][1][3][2] -= unit
+    return out
+
+
+SETUPS = {"sparling-tod": lambda: _theta_setup("sigma/(w*x+z*y)", {"sigma": F(2, 3)}),
+          "witness": lambda: _theta_setup("x^2*y^2", {}),
+          "conformally-flat": lambda: _conformally_flat_setup("1+w^2-x*z/3"),
+          "plane-wave": lambda: _plane_wave_setup("q^3*z-2*q")}
+
+
+def _reassembly_before_and_after(name, mutate, monkeypatch):
+    """The package's and the oracle's reassembly residuals on a setup, before and
+    after a mutation of R^a_bcd."""
+    g, t, params, chart = SETUPS[name]()
+    p = point(chart, F(1, 2), 2, F(-1, 3), 5)
+
+    def residuals():
+        return (weyl_spinors(g, t, p, params).reassembly_max_abs,
+                curvature_oracle.curvature(g, t, p, params)["reassembly_max_abs"])
+    before = residuals()
+    ginv = [[F(x.value) for x in row] for row in
+            curvature._invert_jet_matrix(curvature._metric_jets(g, p, 0, params))]
+    real, real_oracle = curvature._riemann_values, curvature_oracle.riemann
+
+    def broken(G, D):
+        rm, d2 = real(G, D)
+        return mutate(rm, d2, ginv), d2
+
+    def broken_oracle(*args):
+        rm, *rest = real_oracle(*args)
+        return (mutate(rm, 1, ginv), *rest)
+    monkeypatch.setattr(curvature, "_riemann_values", broken)
+    monkeypatch.setattr(curvature_oracle, "riemann", broken_oracle)
+    return before, residuals()
+
+
+class TestReassemblyCatchesBrokenRiemann:
+    @pytest.mark.parametrize("name,mutate", [
+        *(pytest.param(name, PAIR_ASYMMETRIC, id=f"{name}-pair-asymmetric")
+          for name in ("sparling-tod", "witness", "plane-wave")),
+        *(pytest.param(name, _not_metric, id=f"{name}-not-metric")
+          for name in ("sparling-tod", "witness")),
+    ])
+    def test_both_reassemblies_see_it(self, name, mutate, monkeypatch):
+        before, after = _reassembly_before_and_after(name, mutate, monkeypatch)
+        assert before == (0, 0)
+        assert after[0] != 0 and after[1] != 0
+
+    @pytest.mark.parametrize("name,mutate", [
+        pytest.param("conformally-flat", PAIR_ASYMMETRIC, id="conformally-flat-pair-asymmetric"),
+        *(pytest.param(name, TOTALLY_ANTISYMMETRIC, id=f"{name}-eps") for name in SETUPS),
+    ])
+    def test_blocks_see_what_the_full_w_rebuilds(self, name, mutate, monkeypatch):
+        # the full-W reassembly compares W with eps eps C + eps eps C', C and C' its
+        # own eps-contractions, so it rebuilds exactly whatever has that form: a
+        # pair-asymmetric part inside the SD or ASD block (as here on the
+        # conformally flat frame) and eps_abcd.  The bivector blocks still see both,
+        # as R(B, B') asymmetry and as spinors that are not symmetric in i2, i3
+        before, after = _reassembly_before_and_after(name, mutate, monkeypatch)
+        assert before == (0, 0)
+        assert after[0] != 0
 
 
 # ---------------------------------------------------------------------------
