@@ -7,7 +7,8 @@ through order 1 (the connection reads only its values and gradients) and the
 null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
 off one jet of the metric's primary field (``tetrads.FieldGeometry``, the
 inverse in closed form); the ``MetricField`` wrappers fold the metric's and
-the tetrad's trees and invert by Gauss-Jordan.  Past the inverse every sum
+the tetrad's trees and invert by Gauss-Jordan.  The connection first checks
+the inverse: g ginv = 1 and d(g ginv) = 0.  Past the inverse every sum
 runs on integer numerators over one common denominator per quantity (float
 mode: floats over small integers), and each reported number is divided
 once, so in exact mode a vanishing component is exactly zero.  Christoffel
@@ -119,11 +120,13 @@ class Christoffel:
 
 
 def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
-    """Gamma^a_{bc} and its first partials as numerators over one common D.
+    """Gamma^a_{bc} and its first partials as numerators over one common D, and
+    the metric's and the inverse's values, ``(G, D, (gv, Dg), (giv, Di))``.
 
     ``gj`` are the order-2 metric jets and ``ginv`` their inverse through
-    order 1.  The metric's first and second partials go over one denominator
-    Dg, the inverse's values and gradients over one Di, and D = 2 Di Dg.
+    order 1.  The metric's values and first and second partials go over one
+    denominator Dg, the inverse's values and gradients over one Di, and
+    D = 2 Di Dg.
     ``G[a][b][c]`` is one list, the value numerator then the n gradient
     numerators; it is built for b <= c (the metric jets are symmetric, see
     :func:`_metric_jets`) and mirrored onto ``G[a][c][b]``.
@@ -140,17 +143,34 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     second = [(coords[c], coords[e]) for c, e in upper]   # d_c d_e = d_e d_c: read once
     at = {}   # (c, e) -> where d_c d_e sits in a component's read-out
     for k, (c, e) in enumerate(upper):
-        at[(c, e)] = at[(e, c)] = n + k
-    nums, Dg = common_denominator([gj[a][b].d_numerators(*first, *second) for a, b in upper])
-    # dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
+        at[(c, e)] = at[(e, c)] = 1 + n + k
+    nums, Dg = common_denominator([gj[a][b].d_numerators((), *first, *second) for a, b in upper])
+    # g1[a][b]: g_ab, then its gradient; dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
+    g1 = [[None] * n for _ in range(n)]
     dg = [[None] * n for _ in range(n)]
     for (a, b), num in zip(upper, nums):
-        dg[a][b] = dg[b][a] = [[num[c], *(num[at[(c, e)]] for e in range(n))] for c in range(n)]
+        g1[a][b] = g1[b][a] = num[:1 + n]
+        dg[a][b] = dg[b][a] = [[num[1 + c], *(num[at[(c, e)]] for e in range(n))] for c in range(n)]
     # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
     low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
                     for d in range(n)] for b, c in upper}
     inv, Di = common_denominator([x.d_numerators((), *first) for row in ginv for x in row])
-    zero = 0.0 if gj[0][0].mode == "float" else 0
+    # ginv must be g's inverse through order 1 (g ginv = 1, d(g ginv) = 0) or the connection
+    # is not g's.  r is [2 (g ginv)_ab, d_1 (g ginv)_ab, ...]; a float r may be 1e-9 of
+    # |g| |ginv|, their summed |values and gradients| (elimination leaves noise where 0 is due)
+    exact = gj[0][0].mode == "exact"
+    size = 0 if exact else (sum(abs(v) for x in nums for v in x[:1 + n])
+                            * sum(abs(v) for y in inv for v in y))
+    for a, b in product(range(n), repeat=2):
+        r = [0] * (n + 1)
+        for x, y in zip(g1[a], inv[b::n]):
+            if any(x) and any(y):
+                r = [rk + xk * y[0] + x[0] * yk for rk, xk, yk in zip(r, x, y)]
+        r[0] -= 2 * Dg * Di * (a == b)
+        if any(abs(rk) > 1e-9 * size for rk in r):
+            raise (ValueError if exact else EvaluationError)(
+                "ginv is not the metric's inverse through order 1 at this point")
+    zero = 0 if exact else 0.0
     G = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         row = [(d, h) for d, h in enumerate(inv[a * n:(a + 1) * n]) if any(h)]   # g^ad != 0
@@ -162,7 +182,8 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
                 val += h0 * t0
                 grad = [s + (h0 * te + he * t0) for s, te, he in zip(grad, t[1:], h[1:])]
             G[a][b][c] = G[a][c][b] = [val, *grad]
-    return G, 2 * Di * Dg
+    return (G, 2 * Di * Dg, ([[x[0] for x in row] for row in g1], Dg),
+            ([[inv[a * n + b][0] for b in range(n)] for a in range(n)], Di))
 
 
 def _tree_jets(g: MetricField, p: Point, params) -> tuple[list[list[Jet]], list[list[Jet]]]:
@@ -175,16 +196,9 @@ def _tree_jets(g: MetricField, p: Point, params) -> tuple[list[list[Jet]], list[
 
 def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
     """Levi-Civita connection coefficients at p."""
-    G, D = _christoffel_numerators(*_tree_jets(g, p, params))
+    G, D, _, _ = _christoffel_numerators(*_tree_jets(g, p, params))
     q = divider(p.mode)
     return Christoffel(g.chart, [[[q(x[0], D) for x in gb] for gb in ga] for ga in G])
-
-
-def _value_matrix(m: list[list[Jet]]) -> tuple[list[list[Number]], int]:
-    """The values of a matrix of jets as numerators over one common denominator."""
-    n = len(m)
-    flat, den = common_denominator([x.d_numerators(()) for row in m for x in row])
-    return [[flat[a * n + b][0] for b in range(n)] for a in range(n)], den
 
 
 def _riemann_values(G, D):
@@ -210,8 +224,8 @@ def _riemann_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
     """From the order-2 metric jets at a point and their inverse through order 1:
     R^a_{bcd}, the metric values and the inverse metric values, each as
     numerators with their own common denominator."""
-    return (_riemann_values(*_christoffel_numerators(gj, ginv)), _value_matrix(gj),
-            _value_matrix(ginv))
+    G, D, gv, giv = _christoffel_numerators(gj, ginv)
+    return _riemann_values(G, D), gv, giv
 
 
 def _ricci_values(rm, ginv_values):
@@ -256,16 +270,14 @@ def lowered_riemann(g: MetricField, p: Point, params=None):
     return _index_keys(_lower(gv, rm), len(gv), divider(p.mode), dg * d2)
 
 
-def _weyl_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
-    """W_{abcd}, Ricci, scalar and metric-value numerators from a single Riemann
-    of the order-2 metric jets ``gj`` (``ginv`` their inverse through order 1).
+def weyl_tensor_values(g: MetricField, p: Point, params=None):
+    """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar).
 
-    Returns ``(W, dw), (ric, d2), (scalar, ds), (gv, dg)``, each numerators
-    with their denominator, W as a row-major list in (a, b, c, d): Ricci is
-    over Riemann's d2 and the scalar over ds = di d2, di the inverse metric's.
-    With R_abcd over dg d2, W's 1/2 and 1/6 terms share dw = 6 dg^2 di d2.
+    With R_abcd over dg d2 (dg the metric values' denominator, d2 Riemann's)
+    and the scalar over di d2 (di the inverse metric's), W's 1/2 and 1/6
+    terms share the denominator 6 dg^2 di d2.
     """
-    (rm, d2), (gv, dg), (giv, di) = _riemann_at(gj, ginv)
+    (rm, d2), (gv, dg), (giv, di) = _riemann_at(*_tree_jets(g, p, params))
     ric, scalar = _ricci_values(rm, giv)
     n = len(gv)
     m_rl = 6 * dg * di
@@ -275,15 +287,9 @@ def _weyl_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
                     - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
          + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c])
          for r, (a, b, c, d) in zip(_lower(gv, rm), product(range(n), repeat=4))]
-    return (W, 6 * dg * dg * di * d2), (ric, d2), (scalar, di * d2), (gv, dg)
-
-
-def weyl_tensor_values(g: MetricField, p: Point, params=None):
-    """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar)."""
-    (W, dw), (ric, d2), (scalar, ds), (gv, _) = _weyl_at(*_tree_jets(g, p, params))
     q = divider(p.mode)
-    return (_index_keys(W, len(gv), q, dw), [[q(x, d2) for x in row] for row in ric],
-            q(scalar, ds))
+    return (_index_keys(W, n, q, 6 * dg * dg * di * d2), [[q(x, d2) for x in row] for row in ric],
+            q(scalar, di * d2))
 
 
 def _frame_components(tensor: Sequence[Number], rank: int,

@@ -7,8 +7,10 @@ gradients, its lowering, Ricci, the scalar curvature, W_abcd, the frame
 contractions and the spinor split, each a sum of ``Fraction`` (exact) or
 ``float`` values read off the jets one at a time.  The spinors come from the
 full W projected onto the frame, and the reassembly residual compares W with
-its spinors, where the package reads both off Riemann's bivector blocks.  It
-is slow and obviously correct, which is what an oracle should be.  It shares
+its spinors.  The package reads both off Riemann's bivector blocks instead;
+:func:`blocks` is that route summed value by value, the float reference for
+its integer sums, and equal to the full-W route in exact mode.  It is slow
+and obviously correct, which is what an oracle should be.  It shares
 only the metric jets and the Gauss-Jordan inverse with the package, and
 inverts the full order-2 jets where the package stops at order 1.  Nothing
 in ``src/`` imports it.
@@ -62,12 +64,10 @@ def christoffel_jets(gj, ginv, jet_order):
 
 def riemann(g, p, params):
     """(R^a_{bcd} values [a][b][c][d], metric values, inverse metric values,
-    Christoffel values [a][b][c], term sizes [a][b][c][d]) at p.
+    Christoffel values [a][b][c]) at p.
 
     R^a_{bcd} is summed for c <= d and R^a_{bdc} is its negation, as the
-    package fills it, so even the sign of a float zero matches.  Its term
-    size is the sum of the absolute values of the terms it sums, the scale of
-    its rounding error in float mode.
+    package fills it, so even the sign of a float zero matches.
     """
     gj = _metric_jets(g, p, 2, params)
     ginv = _invert_jet_matrix(gj)
@@ -79,21 +79,17 @@ def riemann(g, p, params):
           for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    size = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 for d in range(c, n):
                     s = dG[a][d][b][c] - dG[a][c][b][d]
-                    t = abs(dG[a][d][b][c]) + abs(dG[a][c][b][d])
                     for e in range(n):
                         s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
-                        t += abs(gval[a][c][e] * gval[e][d][b]) + abs(gval[a][d][e] * gval[e][c][b])
                     out[a][b][c][d] = s
-                    size[a][b][c][d] = size[a][b][d][c] = t
                     if d != c:
                         out[a][b][d][c] = -s
-    return out, _values(gj), _values(ginv), gval, size
+    return out, _values(gj), _values(ginv), gval
 
 
 def _values(m):
@@ -146,16 +142,58 @@ def frame_components(tensor, frame):
     return t
 
 
+SYM = ((0, 0), (0, 1), (1, 1))
+SLOT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+
+
+def blocks(rl, fv, scalar, phi):
+    """``weyl_asd``, ``weyl_sd`` and ``reassembly_max_abs`` from Riemann's blocks.
+
+    R(B, B') sums B^ab R_abcd B'^cd over a < b, c < d, on the SD bivectors
+    X_ij = V_0i ^ V_1j - V_1i ^ V_0j (primed i, j) and the ASD Y_ij (the
+    unprimed index); psi_i1i2i3i4 = (R(B_i1i2, B_i3i4) - (R/6)(eps_i1i3
+    eps_i2i4 + eps_i1i4 eps_i2i3)) / 4 on like bivectors.  The residual is the
+    largest of each spinor's asymmetry in i2, i3, the asymmetry of R(B, B')
+    and |R(X_ij, Y_kl) - 4 Phi_klij|.
+    """
+    n = len(next(iter(fv.values())))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+    def wedge(u, v):
+        return {(a, b): u[a] * v[b] - u[b] * v[a] for a, b in pairs}
+
+    bivectors = []
+    for vector in (lambda A, i: fv[(A, i)], lambda A, i: fv[(i, A)]):   # X, then Y
+        for i, j in SYM:
+            left, right = wedge(vector(0, i), vector(1, j)), wedge(vector(1, i), vector(0, j))
+            bivectors.append({k: left[k] - right[k] for k in pairs})
+    rb = [[sum(u[(a, b)] * rl[(a, b, c, d)] * v[(c, d)] for a, b in pairs for c, d in pairs)
+           for v in bivectors] for u in bivectors]
+    spinors = []
+    for off in (0, 3):
+        spinors.append({(i1, i2, i3, i4): Fraction(1, 4) * (
+                            rb[off + SLOT[(i1, i2)]][off + SLOT[(i3, i4)]]
+                            - Fraction(1, 6) * scalar * (EPS[(i1, i3)] * EPS[(i2, i4)]
+                                                         + EPS[(i1, i4)] * EPS[(i2, i3)]))
+                        for i1 in range(2) for i2 in range(2) for i3 in range(2) for i4 in range(2)})
+    sd, asd = spinors
+    errors = [abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)]) for s in spinors
+              for (i1, i2, i3, i4) in s]
+    errors += [abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)]
+    errors += [abs(rb[k][3 + l] - 4 * phi[(*SYM[l], *SYM[k])]) for k in range(3) for l in range(3)]
+    return {"weyl_asd": asd, "weyl_sd": sd, "reassembly_max_abs": max(errors)}
+
+
 def curvature(g, t, p, params):
     """Every quantity of the curvature pipeline at p, by value-by-value sums.
 
     Returns a dict with ``christoffel``, ``riemann``, ``ricci``, ``scalar``,
-    ``lowered``, ``W``, ``lowered_size`` (the term sizes of R^e_bcd lowered
-    by |g_ae|) and the :class:`heavenly.curvature.CurvatureReport` fields
-    ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
-    ``duality_max_abs``.
+    ``lowered``, ``W``, the :class:`heavenly.curvature.CurvatureReport`
+    fields ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
+    ``duality_max_abs`` of the full-W route, and ``blocks``, the :func:`blocks`
+    route's spinors and residual.
     """
-    rm, gv, ginv, gamma, size = riemann(g, p, params)
+    rm, gv, ginv, gamma = riemann(g, p, params)
     ric, scalar = ricci(rm, ginv)
     rl = lower(gv, rm)
     W = weyl(gv, rl, ric, scalar)
@@ -196,5 +234,6 @@ def curvature(g, t, p, params):
                    + EPS[(A, B)] * EPS[(C, D)] * sd[(Ap, Bp, Cp, Dp)])
         re_err.append(abs(val - rebuilt))
     return {"christoffel": gamma, "riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl,
-            "W": W, "lowered_size": lower([[abs(x) for x in row] for row in gv], size), "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
-            "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max}
+            "W": W, "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
+            "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max,
+            "blocks": blocks(rl, fv, scalar, phi)}

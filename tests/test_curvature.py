@@ -21,7 +21,7 @@ from heavenly.curvature import (
     weyl_spinors,
     weyl_tensor_values,
 )
-from heavenly.jetcore import EvaluationError, Point, PoleError, ScalarField, point
+from heavenly.jetcore import EvaluationError, Jet, Point, PoleError, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
     FirstPotential,
@@ -454,6 +454,25 @@ class TestJetRoute:
             assert all(type(v) is float for v in got.values())
             for k in {*got, *wanted}:
                 assert abs(got.get(k, 0.0) - wanted.get(k, 0)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("part", ["value", "gradient"])
+    def test_an_inverse_that_is_not_gs_is_refused(self, mode, part):
+        # the caller's inverse is checked through order 1: g^{w x} off by 1/10 in
+        # its value, or by x - x0 in its gradient only, would give a connection
+        # that is not g's
+        entry = load_catalog()["sparling-tod"]
+        p = sample_points(entry.chart, 3, 1, entry.exclusions)[0]
+        p = p.as_float() if mode == "float" else p
+        gj, ginv, frame = entry.geometry().at(p, dict(entry.params))
+        spinors_from_jets(gj, ginv, frame)
+        off = (Jet.constant(F(1, 10), p, 1) if part == "value"
+               else Jet.coordinate(2, p, 1) - Jet.constant(p.values[2], p, 1))
+        ginv = [row[:] for row in ginv]
+        ginv[0][2] = ginv[0][2] + off
+        with pytest.raises(ValueError if mode == "exact" else EvaluationError,
+                           match="not the metric's inverse"):
+            spinors_from_jets(gj, ginv, frame)
 
     def test_first_form_inverse_off_the_solutions(self):
         # det H = -1 on a solution, where g = H; here det H is not constant

@@ -177,6 +177,8 @@ class TestCurvatureAgainstOracle:
         for name, value in got.items():
             assert value == want[name], name
             assert all(type(v) is F for v in _leaves(value)), name
+        # the bivector blocks summed value by value are the full W's spinors
+        assert want["blocks"] == {name: want[name] for name in want["blocks"]}
         assert christoffel(g, p, params).symbols == want["christoffel"]
 
         fp = p.as_float()
@@ -187,17 +189,17 @@ class TestCurvatureAgainstOracle:
         assert _hexes(christoffel(g, fp, params).symbols) == _hexes(want["christoffel"])
         assert _hexes(got["riemann"]) == _hexes(want["riemann"])
         # relative to the size of the summed terms: the largest coordinate entry,
-        # and for frame quantities the largest contraction with the |frame| of |W|,
-        # |Ricci| or the lowered Riemann's term sizes (a spinor can cancel far below
-        # the terms it sums, and the package sums it from Riemann's bivector blocks,
-        # which agree with W's only up to Riemann's own rounding)
+        # and for frame quantities the largest contraction of |W| or |Ricci| with
+        # the |frame| (a spinor can cancel far below the terms it sums).  The
+        # spinors and their residual are compared with the bivector-block route
+        # summed value by value, the route the package sums in integers
         frame = {k: tuple(map(abs, u)) for k, u in t.frame_values(fp, params).items()}
         terms = [curvature_oracle.frame_components({k: abs(v) for k, v in tensor.items()}, frame)
-                 for tensor in (want["W"], want["lowered_size"],
-                                {(a, b): abs(v) for a, row in enumerate(want["ricci"])
-                                 for b, v in enumerate(row)})]
+                 for tensor in (want["W"], {(a, b): abs(v) for a, row in enumerate(want["ricci"])
+                                            for b, v in enumerate(row)})]
         scales = {"coordinate": max(abs(v) for name in COORDINATE for v in _leaves(want[name])),
                   "frame": max(abs(want["scalar"]), *(v for c in terms for v in c.values()))}
+        want.update(want["blocks"])
         for name, value in got.items():
             scale = scales["coordinate" if name in COORDINATE else "frame"]
             for x, y in zip(_leaves(value), _leaves(want[name]), strict=True):
