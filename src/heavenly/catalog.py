@@ -13,13 +13,9 @@ from .tetrads import (
     FieldGeometry,
     FirstPotential,
     SecondPotential,
-    Tetrad,
     geometry_from_omega,
     geometry_from_theta,
     plane_wave_geometry,
-    plane_wave_tetrad,
-    tetrad_from_omega,
-    tetrad_from_theta,
 )
 
 
@@ -43,16 +39,9 @@ class CatalogEntry:
             raise ValueError(f"{self.name} is not a first-form potential")
         return FirstPotential(ScalarField.parse(self.expression, "first"))
 
-    def tetrad(self, profile: str | None = None) -> Tetrad:
-        if self.kind == "potential-second":
-            return tetrad_from_theta(self.second_potential())
-        if self.kind == "potential-first":
-            return tetrad_from_omega(self.first_potential())
-        return plane_wave_tetrad(ScalarField.parse(profile or self.expression, "plane-wave"))
-
     def geometry(self, profile: str | None = None) -> FieldGeometry:
-        """The metric jets and frame values of :meth:`tetrad`'s metric, read off one
-        jet of the entry's potential or profile per point."""
+        """The entry's metric jets, their inverse and its frame values, read off one
+        jet of the entry's potential or profile (``profile`` for a metric entry) per point."""
         if self.kind == "potential-second":
             return geometry_from_theta(self.second_potential())
         if self.kind == "potential-first":

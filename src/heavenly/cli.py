@@ -9,9 +9,10 @@ folds the largest |residual| into the schema-1 report and writes it.
 
 Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
 line naming the worst residual's item, label and value; 2 = bad input (an
-option out of range, an unparsable or off-chart expression, an unknown
-background, no admissible sample point, or a float evaluation that cannot
-meet --tol), with one `error:` line on stderr and nothing on stdout.
+option out of range, an option the background does not read, an unparsable
+or off-chart expression, an unknown background, no admissible sample point,
+or a float evaluation that cannot meet --tol), with one `error:` line on
+stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -112,11 +113,14 @@ def _entry(args):
     return entry
 
 
-def _sigma(args, default=None):
-    """--sigma as an exact rational; bad text or a zero denominator is a config error."""
+def _sigma(args, background: str, used: bool, default=None):
+    """--sigma as an exact rational.  Bad text, a zero denominator, or a sigma the
+    background does not read (``used`` false) is a config error."""
     text = args.sigma
     if text is None:
         return default
+    if not used:
+        raise ConfigError(f"--sigma sets the sigma parameter; {background!r} has none")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -125,7 +129,7 @@ def _sigma(args, default=None):
 
 def _params(entry, args) -> dict:
     params = dict(entry.params)
-    sigma = _sigma(args)
+    sigma = _sigma(args, entry.name, "sigma" in params)
     if sigma is not None:
         params["sigma"] = sigma
     return {k: float(v) for k, v in params.items()} if args.mode == "float" else params
@@ -175,7 +179,7 @@ def _exact_only(args) -> None:
 
 def _background(args, *exclusions):
     """Potential, parameters, sigma and sample points of the flat or st background."""
-    sigma = _sigma(args, Fraction(1))
+    sigma = _sigma(args, args.background, args.background != "flat", Fraction(1))
     exclusions = ["q_nonzero", "w_nonzero", *exclusions]
     if args.mode == "float":
         sigma = float(sigma)

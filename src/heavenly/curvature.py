@@ -6,12 +6,13 @@ gradients).  A point's inputs are its order-2 metric jets, their inverse
 through order 1 (the connection reads only its values and gradients) and the
 null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
 off one jet of the metric's primary field (``tetrads.FieldGeometry``, the
-inverse in closed form); the ``MetricField`` wrappers fold the metric's and
-the tetrad's trees and invert by Gauss-Jordan.  The connection first checks
-the inverse: g ginv = 1 and d(g ginv) = 0.  Past the inverse every sum
-runs on integer numerators over one common denominator per quantity (float
-mode: floats over small integers), and each reported number is divided
-once, so in exact mode a vanishing component is exactly zero.  Christoffel
+inverse in closed form).  ``tests/geometry_oracle.py`` builds the same three
+from the symbolic tetrad and metric trees, with a Gauss-Jordan inverse, as
+the test reference.  The connection first checks the inverse: g ginv = 1
+and d(g ginv) = 0.  Past the inverse every sum runs on integer numerators
+over one common denominator per quantity (float mode: floats over small
+integers), and each reported number is divided once, so in exact mode a
+vanishing component is exactly zero.  Christoffel
 sits over one D, Riemann over D^2, and Ricci and the scalar R come from it.
 
 The spinors come from Riemann's blocks on 2-forms, R(B, B') = B^ab R_abcd
@@ -46,77 +47,8 @@ from .jetcore import (
     chart_coords,
     common_denominator,
     divider,
-    field_jets,
 )
-from .tetrads import EPS, MetricField, Tetrad
-
-
-class SingularMetricError(ValueError):
-    pass
-
-
-def _metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
-    """Jets of g_ab for a <= b, mirrored onto g_ba (the metric is symmetric).
-
-    The components are folded in one field_jets call, so subtrees they share
-    (the potential's derivatives, a common denominator) are evaluated once.
-    """
-    rows = g.components
-    n = len(rows)
-    upper = [(a, b) for a in range(n) for b in range(a, n)]
-    out = [[None] * n for _ in range(n)]
-    for (a, b), jet in zip(upper, field_jets([rows[a][b] for a, b in upper], p, order, params)):
-        out[a][b] = out[b][a] = jet
-    return out
-
-
-def _invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan inverse of a matrix of jets (pivot by nonzero value part).
-
-    A product with a zero jet is zero, so it is not taken: a zero entry stays
-    as it is when its row is scaled, and an entry minus a zero is kept.  Only
-    the sign of a float zero can differ from taking them, and a read-out
-    (``Jet.d_numerators``) gives every zero as 0.0.
-    """
-    n = len(m)
-    center, order, mode = m[0][0].center, m[0][0].order, m[0][0].mode
-    a = [row[:] for row in m]
-    inv = [[Jet.constant(1 if i == j else 0, center, order) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            v = a[r][col].value
-            if v != 0:
-                if mode == "exact":
-                    pivot = r
-                    break
-                if best is None or abs(v) > best:
-                    best, pivot = abs(v), r
-        if pivot is None:
-            raise SingularMetricError("metric is singular at the evaluation point")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        piv = a[col][col].reciprocal()
-        a[col] = [x if x.is_zero() else x * piv for x in a[col]]
-        inv[col] = [x if x.is_zero() else x * piv for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = a[r][col]
-            if factor.is_zero():
-                continue
-            a[r] = [x if y.is_zero() else x - factor * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x if y.is_zero() else x - factor * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
-@dataclass
-class Christoffel:
-    """Gamma^a_{bc} at a point."""
-
-    chart: str
-    symbols: list[list[list[Number]]]
+from .tetrads import EPS
 
 
 def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
@@ -128,8 +60,8 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     denominator Dg, the inverse's values and gradients over one Di, and
     D = 2 Di Dg.
     ``G[a][b][c]`` is one list, the value numerator then the n gradient
-    numerators; it is built for b <= c (the metric jets are symmetric, see
-    :func:`_metric_jets`) and mirrored onto ``G[a][c][b]``.
+    numerators; it is built for b <= c (the metric jets are symmetric: g_ab and
+    g_ba are one jet) and mirrored onto ``G[a][c][b]``.
 
     In float mode D is 2 and each operation is the one the order-1 jet
     product g^ad * (2 Gamma_dbc) does, in the same order, a zero g^ad
@@ -186,21 +118,6 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
             ([[inv[a * n + b][0] for b in range(n)] for a in range(n)], Di))
 
 
-def _tree_jets(g: MetricField, p: Point, params) -> tuple[list[list[Jet]], list[list[Jet]]]:
-    """g's order-2 jets at p and their Gauss-Jordan inverse through order 1 (the
-    ``MetricField`` adapters' inputs; ``tetrads.FieldGeometry`` gives the same
-    pair with the inverse in closed form)."""
-    gj = _metric_jets(g, p, 2, params)
-    return gj, _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
-
-
-def christoffel(g: MetricField, p: Point, params: Mapping[str, Number] | None = None) -> Christoffel:
-    """Levi-Civita connection coefficients at p."""
-    G, D, _, _ = _christoffel_numerators(*_tree_jets(g, p, params))
-    q = divider(p.mode)
-    return Christoffel(g.chart, [[[q(x[0], D) for x in gb] for gb in ga] for ga in G])
-
-
 def _riemann_values(G, D):
     """R^a_{bcd} numerators over D^2 from the Christoffel numerators over D."""
     n = len(G)
@@ -235,61 +152,6 @@ def _ricci_values(rm, ginv_values):
     ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
     scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
     return ric, scalar
-
-
-def _lower(gv, rm):
-    """R_{abcd} = g_ae R^e_{bcd} numerators over the metric's denominator times
-    Riemann's, as a row-major list in (a, b, c, d)."""
-    n = len(rm)
-    return [sum(ga[e] * rm[e][b][c][d] for e in range(n))
-            for ga in gv for b in range(n) for c in range(n) for d in range(n)]
-
-
-def _index_keys(values, n: int, q, den) -> dict:
-    """A row-major list of rank-4 numerators as ``{(a, b, c, d): value}``, each divided by den."""
-    return {k: q(x, den) for k, x in zip(product(range(n), repeat=4), values)}
-
-
-def riemann(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
-    """R^a_{bcd} values at p (nested lists indexed [a][b][c][d])."""
-    (rm, d2), _, _ = _riemann_at(*_tree_jets(g, p, params))
-    q = divider(p.mode)
-    return [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm]
-
-
-def ricci(g: MetricField, p: Point, params: Mapping[str, Number] | None = None):
-    """(R_ab, R) at p."""
-    (rm, d2), _, (ginv, di) = _riemann_at(*_tree_jets(g, p, params))
-    ric, scalar = _ricci_values(rm, ginv)
-    q = divider(p.mode)
-    return [[q(x, d2) for x in row] for row in ric], q(scalar, di * d2)
-
-
-def lowered_riemann(g: MetricField, p: Point, params=None):
-    (rm, d2), (gv, dg), _ = _riemann_at(*_tree_jets(g, p, params))
-    return _index_keys(_lower(gv, rm), len(gv), divider(p.mode), dg * d2)
-
-
-def weyl_tensor_values(g: MetricField, p: Point, params=None):
-    """Fully lowered Weyl tensor W_{abcd} at p, plus (Ricci, scalar).
-
-    With R_abcd over dg d2 (dg the metric values' denominator, d2 Riemann's)
-    and the scalar over di d2 (di the inverse metric's), W's 1/2 and 1/6
-    terms share the denominator 6 dg^2 di d2.
-    """
-    (rm, d2), (gv, dg), (giv, di) = _riemann_at(*_tree_jets(g, p, params))
-    ric, scalar = _ricci_values(rm, giv)
-    n = len(gv)
-    m_rl = 6 * dg * di
-    m_ric = 3 * dg * di
-    W = [m_rl * r
-         - m_ric * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
-                    - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
-         + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c])
-         for r, (a, b, c, d) in zip(_lower(gv, rm), product(range(n), repeat=4))]
-    q = divider(p.mode)
-    return (_index_keys(W, n, q, 6 * dg * dg * di * d2), [[q(x, d2) for x in row] for row in ric],
-            q(scalar, di * d2))
 
 
 def _frame_components(tensor: Sequence[Number], rank: int,
@@ -346,13 +208,6 @@ class CurvatureReport:
     @property
     def asd_weyl_max_abs(self):
         return max(abs(v) for v in self.weyl_asd.values())
-
-
-def weyl_spinors(g: MetricField, t: Tetrad, p: Point,
-                 params: Mapping[str, Number] | None = None,
-                 tol: float = 1e-9) -> CurvatureReport:
-    """:func:`spinors_from_jets` of g's order-2 jets, their inverse and t's frame values at p."""
-    return spinors_from_jets(*_tree_jets(g, p, params), t.frame_values(p, params), tol)
 
 
 def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
@@ -433,15 +288,6 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
                            {k: q(x, d_spin) for k, x in sd_num.items()},
                            {k: q(x, d_phi) for k, x in phi_num.items()},
                            q(re_err, d_spin), duality_max)
-
-
-def verify_asd_vacuum(g: MetricField, t: Tetrad, points: Sequence[Point],
-                      params: Mapping[str, Number] | None = None,
-                      tol: float = 1e-9) -> dict:
-    """:func:`asd_vacuum_verdict` of g's order-2 jets, their inverse and t's frame
-    values at each point."""
-    return asd_vacuum_verdict(((*_tree_jets(g, p, params), t.frame_values(p, params))
-                               for p in points), tol)
 
 
 def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Jet]], Mapping]],

@@ -1,4 +1,4 @@
-"""Truncated flows on extended space: residuals, Lax distribution, slice metrics.
+"""Truncated flows on extended space: residuals, Lax distribution, paraconformal pairing.
 
 Coordinates are x^{Ai} (A = 0,1; i = 0..n) on the chart ``extended-n``; the
 coordinate ordering is i-major, (x00, x10, x01, x11, ...).  The level-1 chart
@@ -42,7 +42,7 @@ from .jetcore import (
     neg,
     substitute,
 )
-from .tetrads import EPS, MetricField
+from .tetrads import EPS
 from .twistor import LambdaSeries
 
 
@@ -371,37 +371,7 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
 
 
 # ---------------------------------------------------------------------------
-# slice metric and the paraconformal pairing
-
-def slice_metric(E: ExtendedPotential) -> MetricField:
-    """2 eps_AB dx^{A1} dx^{B0} + 2 Theta_{A0 B0} dx^{A1} dx^{B1} on the full chart.
-
-    Only the four slice coordinates x^{A0}, x^{A1} carry nonzero components;
-    remaining flow coordinates are spectators, so evaluating at a point fixes
-    the slice.
-    """
-    coords = chart_coords(E.chart)
-    n = len(coords)
-    T = E.field.expr
-    comps: list[list[Expr]] = [[ZERO] * n for _ in range(n)]
-
-    def idx(A, i):
-        return coords.index(coord_name(A, i))
-
-    # 2 eps_AB dx^{A1} dx^{B0}: eps_{01} = 1
-    for (A, B, sgn) in ((0, 1, 1), (1, 0, -1)):
-        a, b = idx(A, 1), idx(B, 0)
-        comps[a][b] = add(comps[a][b], const(sgn))
-        comps[b][a] = add(comps[b][a], const(sgn))
-    # 2 Theta_{A0 B0} dx^{A1} dx^{B1}: entry 2 Theta at (A1, B1) for each ordered pair
-    for A in (0, 1):
-        for B in (0, 1):
-            second = diff(diff(T, coord_name(A, 0)), coord_name(B, 0))
-            a, b = idx(A, 1), idx(B, 1)
-            comps[a][b] = add(comps[a][b], mul(const(2), second))
-    chart = E.chart
-    return MetricField(chart, tuple(tuple(ScalarField(chart, e) for e in row) for row in comps))
-
+# the paraconformal pairing
 
 @dataclass(frozen=True)
 class SpinorVector:
@@ -445,15 +415,3 @@ def paraconformal_eval(U: SpinorVector, W: SpinorVector) -> Number:
                         continue
                     total += factor * uval * wval
     return total
-
-
-def vector_to_spinor_level1(t, vec: tuple[Number, ...], p: Point, params=None) -> SpinorVector:
-    """Spinor components of a level-1 tangent vector via a tetrad's coframe.
-
-    U^{AA'} = e^{AA'}(U); with the rank-1 key convention k = A' index.
-    """
-    cov = t.coframe_values(p, params)
-    comps = {}
-    for (A, Ap), row in cov.items():
-        comps[(A, Ap)] = sum(r * v for r, v in zip(row, vec))
-    return SpinorVector(1, comps)

@@ -19,8 +19,8 @@ agree and every member is annihilated by the background wave operator
     box = 2 (d_x d_w + d_y d_z + T_xx d_y^2 + T_yy d_x^2 - 2 T_xy d_x d_y),
 
 which is twice the linearisation of the second equation.  Note box is paired
-with the displayed Lax/recursion structure, not with metric_from_tetrad's
-display convention; see the tetrads module docstring.
+with the displayed Lax/recursion structure, not with the metric's display
+convention; see the tetrads module docstring.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .jetcore import (
     pow_,
     sub,
 )
-from .polynomials import Poly, UniPoly, uni, uni_add, uni_eval, uni_expr, uni_mul
+from .polynomials import Poly, UniPoly, uni, uni_add, uni_expr, uni_mul
 from .tetrads import (
     SECOND,
     SecondPotential,
@@ -73,10 +73,6 @@ def wave_residual(theta: SecondPotential, phi: ScalarField, p: Point,
 
 class IntegrabilityError(ValueError):
     """The recursion relations are inconsistent for this input (not a wave solution)."""
-
-
-def flat_wave_poly(phi: Poly) -> Poly:
-    return phi.diff("x").diff("w") + phi.diff("y").diff("z")
 
 
 def recursion_step_poly(phi: Poly, theta: Poly | None = None) -> Poly:
@@ -228,22 +224,6 @@ def monomial_action_pairs() -> dict[str, tuple[ScalarField, ScalarField]]:
     return {f"monomial k={k} j={j}": (
         ScalarField(SECOND, mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j)),
         monomial_recursion_image(k, j)) for (k, j) in ((0, -1), (1, -1))}
-
-
-def formal_step_consistency(n: int, sigma, points: Sequence[Point]) -> Fraction:
-    """Max |termwise formal image of psi_n minus psi_{n+1}| over the points."""
-    params = {"sigma": Fraction(sigma)}
-    worst = Fraction(0)
-    for p in points:
-        total = 0
-        for k in range(n + 1):
-            a = coeff_A(n, k)
-            if not a:
-                continue
-            img = monomial_recursion_image(k, k - n)
-            total += uni_eval(a, params["sigma"]) * img.value(p, params)
-        worst = max(worst, abs(total - st_psi(n + 1).value(p, params)))
-    return worst
 
 
 def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField],

@@ -104,24 +104,6 @@ def volume_integral(poly: Poly, box: BoundaryBox) -> Fraction:
     return sum((c * prod(moments[e] for e in m) for m, c in poly.terms.items()), Fraction(0))
 
 
-def boundary_of_boundary_residual(tf_components: dict[tuple[int, int], Poly],
-                                  box: BoundaryBox) -> Fraction:
-    """Integral of d(two-form) over the box boundary; zero by exact face cancellation."""
-    deta = [Poly.zero(SECOND) for _ in range(4)]
-    # (d tf) 3-form components against (vol without k): for k missing, sum over pairs
-    for k in range(4):
-        rest = [i for i in range(4) if i != k]
-        a, b, c = rest
-        # component of d tf on dx^a ^ dx^b ^ dx^c (increasing): standard antisymmetrised sum
-        def get(i, j):
-            if i == j:
-                return Poly.zero(SECOND)
-            return tf_components[(i, j)] if i < j else -tf_components[(j, i)]
-        deta[k] = (get(b, c).diff(COORDS[a]) - get(a, c).diff(COORDS[b])
-                   + get(a, b).diff(COORDS[c]))
-    return boundary_integral(ThreeForm(tuple(deta)), box)
-
-
 # ---------------------------------------------------------------------------
 # star of d(phi)
 
@@ -177,59 +159,6 @@ def symplectic_pair(d1: Poly, d2: Poly, box: BoundaryBox) -> Fraction:
     s2 = star_d_flat(d1)
     eta = ThreeForm(tuple(d1 * c1 - d2 * c2 for c1, c2 in zip(s1.components, s2.components)))
     return Fraction(2, 3) * boundary_integral(eta, box)
-
-
-# 8-point Gauss-Legendre rule on [-1, 1]
-_GL8 = (
-    (-0.9602898564975363, 0.1012285362903763),
-    (-0.7966664774136267, 0.2223810344533745),
-    (-0.5255324099163290, 0.3137066458778873),
-    (-0.1834346424956498, 0.3626837833783620),
-    (0.1834346424956498, 0.3626837833783620),
-    (0.5255324099163290, 0.3137066458778873),
-    (0.7966664774136267, 0.2223810344533745),
-    (0.9602898564975363, 0.1012285362903763),
-)
-
-
-def symplectic_pair_curved(theta: SecondPotential, d1: ScalarField, d2: ScalarField,
-                           box: BoundaryBox, params: Mapping[str, Number] | None = None
-                           ) -> float:
-    """Float-quadrature boundary pairing on a curved background.
-
-    Gauss quadrature (8 nodes per axis, exact for polynomial integrands of
-    degree <= 15 per axis) of the same boundary 3-form with the curved star
-    operator.  No exactness guarantee: intended for rational-function
-    backgrounds where face integrals have no closed polynomial form.  The
-    box must avoid the background's singular locus.
-    """
-    s1 = hodge_star_d(theta, d2, params)
-    s2 = hodge_star_d(theta, d1, params)
-    a, b = float(box.a), float(box.b)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    nodes = [(mid + half * x, half * w) for x, w in _GL8]
-    fparams = {k: float(v) for k, v in (params or {}).items()}
-    total = 0.0
-    for k in range(4):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        others = [i for i in range(4) if i != k]
-        c1k, c2k = s1.components[k], s2.components[k]
-        for side, ssign in ((b, 1.0), (a, -1.0)):
-            acc = 0.0
-            for x1, w1 in nodes:
-                for x2, w2 in nodes:
-                    for x3, w3 in nodes:
-                        vals = [0.0] * 4
-                        vals[k] = side
-                        vals[others[0]] = x1
-                        vals[others[1]] = x2
-                        vals[others[2]] = x3
-                        p = Point("second", tuple(vals))
-                        eta = (d1.value(p, fparams) * c1k.value(p, fparams)
-                               - d2.value(p, fparams) * c2k.value(p, fparams))
-                        acc += w1 * w2 * w3 * eta
-            total += sign * ssign * acc
-    return 2.0 / 3.0 * total
 
 
 def omega_k(phi: Poly, phi_prime: Poly, k: int, box: BoundaryBox) -> Fraction:

@@ -10,19 +10,22 @@ full W projected onto the frame, and the reassembly residual compares W with
 its spinors.  The package reads both off Riemann's bivector blocks instead;
 :func:`blocks` is that route summed value by value, the float reference for
 its integer sums, and equal to the full-W route in exact mode.  It is slow
-and obviously correct, which is what an oracle should be.  It shares
-only the metric jets and the Gauss-Jordan inverse with the package, and
-inverts the full order-2 jets where the package stops at order 1.  Nothing
-in ``src/`` imports it.
+and obviously correct, which is what an oracle should be.  It takes the
+metric's tree jets and their Gauss-Jordan inverse from
+``tests/geometry_oracle.py``, the inputs the package's curvature core is
+compared on there, and inverts the full order-2 jets where the core stops at
+order 1.  Nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from heavenly.curvature import _invert_jet_matrix, _metric_jets
 from heavenly.jetcore import Jet, chart_coords
 from heavenly.tetrads import EPS
+
+from geometry_oracle import invert_jet_matrix, metric_jets
 
 
 def _jet_partial(j, axis):
@@ -69,8 +72,8 @@ def riemann(g, p, params):
     R^a_{bcd} is summed for c <= d and R^a_{bdc} is its negation, as the
     package fills it, so even the sign of a float zero matches.
     """
-    gj = _metric_jets(g, p, 2, params)
-    ginv = _invert_jet_matrix(gj)
+    gj = metric_jets(g, p, 2, params)
+    ginv = invert_jet_matrix(gj)
     gamma = christoffel_jets(gj, ginv, 1)
     n = len(gamma)
     # dG[a][b][c][k] = d_k Gamma^a_{bc}
@@ -79,16 +82,14 @@ def riemann(g, p, params):
           for a in range(n)]
     gval = [[[gamma[a][b][c].value for c in range(n)] for b in range(n)] for a in range(n)]
     out = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(c, n):
-                    s = dG[a][d][b][c] - dG[a][c][b][d]
-                    for e in range(n):
-                        s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
-                    out[a][b][c][d] = s
-                    if d != c:
-                        out[a][b][d][c] = -s
+    for a, b, c in product(range(n), repeat=3):
+        for d in range(c, n):
+            s = dG[a][d][b][c] - dG[a][c][b][d]
+            for e in range(n):
+                s += gval[a][c][e] * gval[e][d][b] - gval[a][d][e] * gval[e][c][b]
+            out[a][b][c][d] = s
+            if d != c:
+                out[a][b][d][c] = -s
     return out, _values(gj), _values(ginv), gval
 
 
@@ -106,24 +107,16 @@ def ricci(rm, ginv_values):
 def lower(gv, rm):
     n = len(rm)
     return {(a, b, c, d): sum(gv[a][e] * rm[e][b][c][d] for e in range(n))
-            for a in range(n) for b in range(n) for c in range(n) for d in range(n)}
+            for a, b, c, d in product(range(n), repeat=4)}
 
 
 def weyl(gv, rl, ric, scalar):
-    n = len(gv)
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    W = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    W[(a, b, c, d)] = (
-                        rl[(a, b, c, d)]
-                        - half * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
-                                  - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
-                        + sixth * scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
-    return W
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    return {(a, b, c, d): (rl[(a, b, c, d)]
+                           - half * (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
+                                     - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c])
+                           + sixth * scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]))
+            for a, b, c, d in product(range(len(gv)), repeat=4)}
 
 
 def frame_components(tensor, frame):
@@ -205,24 +198,14 @@ def curvature(g, t, p, params):
                       for ((A, Ap), (B, Bp)), got in gf.items())
 
     w_frame = frame_components(W, fv)
-    quarter = Fraction(1, 4)
-    sd = {}
-    asd = {}
-    for i1 in range(2):
-        for i2 in range(2):
-            for i3 in range(2):
-                for i4 in range(2):
-                    s_sd = 0
-                    s_asd = 0
-                    for A in range(2):
-                        for B in range(2):
-                            for C in range(2):
-                                for D in range(2):
-                                    e = EPS[(A, B)] * EPS[(C, D)]
-                                    s_sd += e * w_frame[((A, i1), (B, i2), (C, i3), (D, i4))]
-                                    s_asd += e * w_frame[((i1, A), (i2, B), (i3, C), (i4, D))]
-                    sd[(i1, i2, i3, i4)] = quarter * s_sd
-                    asd[(i1, i2, i3, i4)] = quarter * s_asd
+    keys = list(product(range(2), repeat=4))
+
+    def spinor(frame_key):
+        """Per i, (1/4) eps_AB eps_CD W(frame_key(u, i)) summed over u = (A, B, C, D)."""
+        return {i: Fraction(1, 4) * sum(EPS[u[:2]] * EPS[u[2:]] * w_frame[frame_key(u, i)]
+                                        for u in keys) for i in keys}
+    sd = spinor(lambda u, i: tuple(zip(u, i)))    # eps on the unprimed indices: V_{A i1}, ...
+    asd = spinor(lambda u, i: tuple(zip(i, u)))   # eps on the primed indices: V_{i1 A}, ...
 
     rf = frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
     phi = {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2

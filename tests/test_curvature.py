@@ -7,35 +7,35 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from heavenly.catalog import load_catalog
-from heavenly.curvature import (
-    SingularMetricError,
-    _frame_components,
-    _invert_jet_matrix,
-    _metric_jets,
-    christoffel,
-    lowered_riemann,
-    ricci,
-    riemann,
-    spinors_from_jets,
-    verify_asd_vacuum,
-    weyl_spinors,
-    weyl_tensor_values,
-)
+from heavenly.curvature import _frame_components, spinors_from_jets
 from heavenly.jetcore import EvaluationError, Jet, Point, PoleError, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
+    EPS,
     FirstPotential,
     SecondPotential,
     geometry_from_omega,
     geometry_from_theta,
-    metric_from_tetrad,
     plane_wave_geometry,
-    plane_wave_tetrad,
     second_heavenly_residual,
-    tetrad_from_omega,
-    tetrad_from_theta,
 )
 
+import curvature_oracle
+from geometry_oracle import (
+    DegenerateHessianError,
+    MetricField,
+    SingularMetricError,
+    catalog_tetrad,
+    curvature_at,
+    invert_jet_matrix,
+    metric_from_tetrad,
+    metric_jets,
+    plane_wave_tetrad,
+    tetrad_from_omega,
+    tetrad_from_theta,
+    verify_asd_vacuum,
+    weyl_spinors,
+)
 from jet_work import JetWork
 from test_integer_sums import profiles
 
@@ -66,22 +66,19 @@ def pts(seed=1, n=10):
 class TestChristoffel:
     def test_flat_all_zero(self):
         g, _ = flat_setup()
-        c = christoffel(g, point("second", 1, 2, 3, 4))
-        assert all(v == 0 for a in c.symbols for b in a for v in b)
+        c = curvature_at(g, point("second", 1, 2, 3, 4))[0]
+        assert all(v == 0 for a in c for b in a for v in b)
 
     def test_metric_compatibility_reconstructed(self):
         # nabla_c g_ab = d_c g_ab - G^e_ca g_eb - G^e_cb g_ae = 0, from jets
         g, _, params = st_setup()
         for p in pts(seed=2, n=3):
             gj = [[f.jet(p, 1, params) for f in row] for row in g.components]
-            c = christoffel(g, p, params)
-            for a in range(4):
-                for b in range(4):
-                    for k, name in enumerate(("w", "z", "x", "y")):
-                        dg = gj[a][b].d(name)
-                        corr = sum(c.symbols[e][k][a] * gj[e][b].value
-                                   + c.symbols[e][k][b] * gj[a][e].value for e in range(4))
-                        assert dg - corr == 0
+            c = curvature_at(g, p, params)[0]
+            for a, b, (k, name) in itertools.product(range(4), range(4), enumerate("wzxy")):
+                corr = sum(c[e][k][a] * gj[e][b].value + c[e][k][b] * gj[a][e].value
+                           for e in range(4))
+                assert gj[a][b].d(name) - corr == 0
 
     def test_plane_wave_pattern(self):
         # nonzero symbols for 2dwdq+2dzdp+f dz^2 are exactly
@@ -91,7 +88,7 @@ class TestChristoffel:
             g, _ = pw_setup(profile)
             for p in sample_points("plane-wave", 3, 3):
                 w_, z_, q_, p_ = (F(v) for v in p.values)
-                c = christoffel(g, p).symbols
+                c = curvature_at(g, p)[0]
                 expect = {}
                 if fq(q_, z_):
                     expect[(0, 1, 1)] = -fq(q_, z_) / 2
@@ -105,32 +102,30 @@ class TestChristoffel:
 
     def test_symmetry_in_lower_indices(self):
         g, _, params = st_setup(F(1, 2))
-        c = christoffel(g, pts(seed=4)[0], {"sigma": F(1, 2)}).symbols
-        for a in range(4):
-            for b in range(4):
-                for k in range(4):
-                    assert c[a][b][k] == c[a][k][b]
+        c = curvature_at(g, pts(seed=4)[0], {"sigma": F(1, 2)})[0]
+        for a, b, k in itertools.product(range(4), repeat=3):
+            assert c[a][b][k] == c[a][k][b]
 
     def test_singular_metric_rejected(self):
-        from heavenly.tetrads import MetricField
         zero = ScalarField.constant(0, "second")
         one = ScalarField.constant(1, "second")
         g = MetricField("second", ((one, zero, zero, zero),) + ((zero,) * 4,) * 3)
         with pytest.raises(SingularMetricError):
-            christoffel(g, point("second", 1, 1, 1, 1))
+            curvature_at(g, point("second", 1, 1, 1, 1))
 
 
 class TestRiemann:
     def test_flat_zero(self):
         g, _ = flat_setup()
-        rm = riemann(g, point("second", 1, 2, 3, 4))
+        rm = curvature_at(g, point("second", 1, 2, 3, 4))[1]
         assert all(rm[a][b][c][d] == 0 for a in range(4) for b in range(4)
                    for c in range(4) for d in range(4))
 
     def test_antisymmetries_exact(self):
+        # R^a_bcd lowered by the metric values (the oracle's lowering)
         g, _, params = st_setup()
         p = pts(seed=5)[0]
-        rl = lowered_riemann(g, p, params)
+        rl = curvature_oracle.lower(g.matrix_values(p, params), curvature_at(g, p, params)[1])
         for (a, b, c, d), v in rl.items():
             assert v == -rl[(b, a, c, d)]
             assert v == -rl[(a, b, d, c)]
@@ -138,26 +133,23 @@ class TestRiemann:
     def test_first_bianchi_exact(self):
         g, _, params = st_setup()
         p = pts(seed=6)[0]
-        rm = riemann(g, p, params)
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    for d in range(4):
-                        assert rm[a][b][c][d] + rm[a][c][d][b] + rm[a][d][b][c] == 0
+        rm = curvature_at(g, p, params)[1]
+        for a, b, c, d in itertools.product(range(4), repeat=4):
+            assert rm[a][b][c][d] + rm[a][c][d][b] + rm[a][d][b][c] == 0
 
 
 class TestRicci:
     def test_quadratic_pole_vacuum_ten_points(self):
         g, _, params = st_setup()
         for p in pts(seed=7, n=10):
-            ric, scalar = ricci(g, p, params)
+            ric, scalar = curvature_at(g, p, params)[2:]
             assert all(v == 0 for row in ric for v in row)
             assert scalar == 0
 
     def test_plane_wave_vacuum(self):
         g, _ = pw_setup("q^2")
         for p in sample_points("plane-wave", 8, 5):
-            ric, _ = ricci(g, p)
+            ric = curvature_at(g, p)[2]
             assert all(v == 0 for row in ric for v in row)
 
     def test_non_solution_witness_not_vacuum(self):
@@ -167,7 +159,7 @@ class TestRicci:
         theta = SecondPotential(ScalarField.parse("x^2*y^2", "second"))
         assert second_heavenly_residual(theta, point("second", 1, 1, 1, 1)) != 0
         g = metric_from_tetrad(tetrad_from_theta(theta))
-        ric, _ = ricci(g, point("second", 1, 1, 1, 1))
+        ric = curvature_at(g, point("second", 1, 1, 1, 1))[2]
         assert any(v != 0 for row in ric for v in row)
 
 
@@ -192,7 +184,6 @@ class TestWeylSpinors:
         assert nontrivial
 
     def test_weyl_spinors_totally_symmetric(self):
-        import itertools
         g, t, params = st_setup(F(-3))
         rep = weyl_spinors(g, t, pts(seed=10)[0], {"sigma": F(-3)})
         for spinor in (rep.weyl_asd, rep.weyl_sd):
@@ -205,8 +196,7 @@ class TestWeylSpinors:
         t = tetrad_from_theta(theta)
         g = metric_from_tetrad(t)
         rep = weyl_spinors(g, t, point("second", 1, 1, 1, 1))
-        eps = {(0, 1): 1, (1, 0): -1, (0, 0): 0, (1, 1): 0}
-        trace = sum(eps[(a, b)] * eps[(ap, bp)] * rep.phi[(a, b, ap, bp)]
+        trace = sum(EPS[(a, b)] * EPS[(ap, bp)] * rep.phi[(a, b, ap, bp)]
                     for a in range(2) for b in range(2) for ap in range(2) for bp in range(2))
         assert trace == 0
 
@@ -280,7 +270,7 @@ def direct_frame_component(tensor, frame, keys):
 def catalog_setup(name):
     entry = load_catalog()[name]
     profile = entry.expression if entry.kind == "metric" else None
-    t = entry.tetrad(profile)
+    t = catalog_tetrad(entry, profile)
     points = sample_points(entry.chart, 21, 2, entry.exclusions)
     return metric_from_tetrad(t), t, dict(entry.params), points
 
@@ -317,23 +307,12 @@ class TestSinglePass:
     def test_single_riemann_matches_public_routes(self, setup):
         g, t, params, points = setup()
         for p in points:
-            rm = riemann(g, p, params)
-            ric, scalar = ricci(g, p, params)
+            _, rm, ric, scalar = curvature_at(g, p, params)
             assert ric == [[sum(rm[a][b][a][d] for a in range(4)) for d in range(4)]
                            for b in range(4)]
             # scalar against an inverse of the order-0 metric, independent of the pipeline
-            ginv = _invert_jet_matrix(_metric_jets(g, p, 0, params))
+            ginv = invert_jet_matrix(metric_jets(g, p, 0, params))
             assert scalar == sum(ginv[b][d].value * ric[b][d] for b in range(4) for d in range(4))
-            # W from the lowered Riemann, Ricci and the order-0 metric values
-            rl = lowered_riemann(g, p, params)
-            gv = g.matrix_values(p, params)
-            W, ric_w, scalar_w = weyl_tensor_values(g, p, params)
-            assert (ric_w, scalar_w) == (ric, scalar)
-            for (a, b, c, d), v in W.items():
-                assert v == (rl[(a, b, c, d)]
-                             - (gv[a][c] * ric[b][d] - gv[a][d] * ric[b][c]
-                                - gv[b][c] * ric[a][d] + gv[b][d] * ric[a][c]) / 2
-                             + scalar * (gv[a][c] * gv[b][d] - gv[a][d] * gv[b][c]) / 6)
             rep = weyl_spinors(g, t, p, params)
             assert (rep.ricci, rep.scalar) == (ric, scalar)
             assert rep.reassembly_max_abs == 0 and rep.duality_max_abs == 0
@@ -387,7 +366,8 @@ def geometry_routes(draw):
     plane-wave profiles come from ``test_integer_sums.profiles``, and
     first-form potentials are w zt + z wt plus a polynomial, so the mixed
     Hessian block is invertible near the origin (points where it is not are
-    rejected).
+    rejected).  A polynomial that cancels w zt or z wt makes the block singular
+    everywhere; the tree route refuses it and the tetrad is None.
     """
     kind = draw(st.sampled_from(["second", "first", "plane-wave"]))
     if kind == "plane-wave":
@@ -404,9 +384,13 @@ def geometry_routes(draw):
             t, geometry = tetrad_from_theta(theta), geometry_from_theta(theta)
         else:
             omega = FirstPotential(ScalarField.parse(f"w*zt+z*wt+{text}", "first"))
-            t, geometry = tetrad_from_omega(omega), geometry_from_omega(omega)
+            geometry = geometry_from_omega(omega)
+            try:
+                t = tetrad_from_omega(omega)
+            except DegenerateHessianError:
+                t = None
     values = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 4))
-    return t, geometry, Point(t.chart, values)
+    return t, geometry, Point(geometry.field.chart, values)
 
 
 class TestJetRoute:
@@ -414,10 +398,15 @@ class TestJetRoute:
     @settings(max_examples=60, deadline=None)
     def test_jet_route_equals_tree_route(self, routes):
         t, geometry, p = routes
+        if t is None:
+            # an identically singular mixed Hessian block: det H is 0 at every point
+            with pytest.raises(PoleError):
+                geometry.at(p)
+            return
         try:
             gj, ginv, frame = geometry.at(p)
             g = metric_from_tetrad(t)
-            tree_jets, tree_frame = _metric_jets(g, p, 2, None), t.frame_values(p)
+            tree_jets, tree_frame = metric_jets(g, p, 2, None), t.frame_values(p)
         except EvaluationError:
             reject()
         assert [[x.order for x in row] for row in gj] == [[2] * 4] * 4
@@ -440,7 +429,7 @@ class TestJetRoute:
         fp = p.as_float()
         try:
             gj, ginv, _ = geometry.at(p)
-            want = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+            want = invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
             exact_at_fp = geometry.at(Point(p.chart, tuple(map(F, fp.values))))[1]
             float_ginv = geometry.at(fp)[1]
         except (EvaluationError, SingularMetricError):
@@ -481,7 +470,7 @@ class TestJetRoute:
             gj, ginv, _ = geometry_from_omega(omega).at(p)
             h = [[omega.field.jet(p, 2).d(a, b) for b in ("wt", "zt")] for a in ("w", "z")]
             assert h[0][0] * h[1][1] - h[0][1] * h[1][0] != -1
-            want = _invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+            want = invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
             assert [[x.coeffs for x in row] for row in ginv] == [[x.coeffs for x in row]
                                                                  for row in want]
 
@@ -489,13 +478,13 @@ class TestJetRoute:
         # the per-point inputs of curvature-report equal those of the entry's tetrad
         cat = load_catalog()
         for entry in cat.values():
-            t = entry.tetrad()
+            t = catalog_tetrad(entry)
             g = metric_from_tetrad(t)
             params = dict(entry.params)
             for p in sample_points(entry.chart, 4, 2, entry.exclusions):
                 gj, _, frame = entry.geometry().at(p, params)
                 assert [[x.coeffs for x in row] for row in gj] == [
-                    [x.coeffs for x in row] for row in _metric_jets(g, p, 2, params)]
+                    [x.coeffs for x in row] for row in metric_jets(g, p, 2, params)]
                 assert frame == t.frame_values(p, params)
 
     def test_profile_is_checked_as_the_tetrad_checks_it(self):
@@ -505,6 +494,16 @@ class TestJetRoute:
                 route(f)
             with pytest.raises(ValueError, match="plane-wave chart"):
                 route(ScalarField.parse("x", "second"))
+
+    def test_cancelled_mixed_hessian_is_refused_by_both_routes(self):
+        # w zt + z wt - z wt, which geometry_routes can draw: the block Omega_{w^A wt^B}
+        # = [[0, 1], [0, 0]] is singular everywhere, so both routes refuse it
+        omega = FirstPotential(ScalarField.parse("w*zt+z*wt+(-1)*z*wt", "first"))
+        with pytest.raises(DegenerateHessianError):
+            tetrad_from_omega(omega)
+        for p in sample_points("first", 5, 3):
+            with pytest.raises(PoleError):
+                geometry_from_omega(omega).at(p)
 
     def test_singular_mixed_hessian_is_a_pole(self):
         # Omega = wt (w zt + z wt): the block Omega_{w^A wt^B} = [[zt, wt], [2 wt, 0]]

