@@ -69,7 +69,8 @@ def _check(args, config: dict, items, evaluate) -> int:
         record, residuals = evaluate(item)
         records.append(record)
         for label, value in residuals.items():
-            if abs(value) > worst:
+            # a zero residual is never the maximum, so it is not worth an abs
+            if value and abs(value) > worst:
                 worst, culprit = abs(value), (record, label, value)
     config = {**config, "seed": args.seed, "mode": args.mode}
     report = reports.build_report(args.command, config, records, worst, args.mode, args.tol)
@@ -326,7 +327,8 @@ def cmd_hierarchy_check(args) -> int:
         for (A, j), test_jet in zip(checks, field_jets(tests, p, 1)):
             r = hierarchy.summed_lax_from_jets(theta_jet, A, j, test_jet)
             residuals.update({(f"Sato A={A} j={j}", m): v for m, v in r.items()})
-        record = {"point": p, "identity_max_abs": max([zero, *map(abs, residuals.values())])}
+        record = {"point": p,
+                  "identity_max_abs": max([zero, *(abs(v) for v in residuals.values() if v)])}
         return record, residuals
     config = {"n": n, "points": args.points}
     return _check(args, config, _sample(chart, args, seed=args.seed + 1), evaluate)

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Mapping
 
 from .jetcore import (
     Number,
@@ -74,12 +74,21 @@ class ThreeForm:
         return total
 
 
-def _box_moments(polys: Sequence[Poly], box: BoundaryBox) -> tuple[list, list]:
-    """For every exponent k in the polys: the integral of t^k over [a, b], and b^k - a^k."""
-    top = max((e for poly in polys for m in poly.terms for e in m), default=0)
+def _box_moments(numerators: list[Mapping[tuple[int, ...], int]], box: BoundaryBox
+                 ) -> tuple[list[int], list[int], int]:
+    """Integers over one denominator D for the top exponent in the numerators' monomials:
+    the integral of t^k over [a, b] for k <= top, and b^k - a^k for k <= top + 1, each times D.
+
+    With a = lo/q and b = hi/q, the moment is (hi^(k+1) - lo^(k+1)) / ((k+1) q^(k+1)) and
+    the end difference (hi^k - lo^k) / q^k, so D = lcm(1..top+1) q^(top+1) clears both.
+    """
+    top = max((e for nums in numerators for m in nums for e in m), default=0)
     a, b = Fraction(box.a), Fraction(box.b)
-    ends = [b ** k - a ** k for k in range(top + 2)]
-    return [ends[k + 1] / (k + 1) for k in range(top + 1)], ends
+    q = lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    n = lcm(*range(1, top + 2))
+    ends = [(hi ** k - lo ** k) * n * q ** (top + 1 - k) for k in range(top + 2)]
+    return [ends[k + 1] // (k + 1) for k in range(top + 1)], ends, n * q ** (top + 1)
 
 
 def boundary_integral(eta: ThreeForm, box: BoundaryBox) -> Fraction:
@@ -87,21 +96,27 @@ def boundary_integral(eta: ThreeForm, box: BoundaryBox) -> Fraction:
 
     A monomial c x^m of eta_k integrates over the faces x_k = b minus x_k = a
     to c (b^m_k - a^m_k) times the moments of its other exponents over [a, b].
+    Every face sums integer numerators over one denominator, divided once.
     """
-    moments, ends = _box_moments(eta.components, box)
-    total = Fraction(0)
-    for k, comp in enumerate(eta.components):
-        face = sum((c * ends[m[k]] * prod(moments[e] for i, e in enumerate(m) if i != k)
-                    for m, c in comp.terms.items()), Fraction(0))
-        total += face if k % 2 == 0 else -face
-    return total
+    reads = [comp.numerators() for comp in eta.components]
+    moments, ends, scale = _box_moments([nums for nums, _ in reads], box)
+    den = lcm(*(d for _, d in reads))
+    total = 0
+    for k, (nums, d) in enumerate(reads):
+        i1, i2, i3 = (i for i in range(4) if i != k)
+        face = sum(c * ends[m[k]] * moments[m[i1]] * moments[m[i2]] * moments[m[i3]]
+                   for m, c in nums.items())
+        total += (face if k % 2 == 0 else -face) * (den // d)
+    return Fraction(total, den * scale ** 4)
 
 
 def volume_integral(poly: Poly, box: BoundaryBox) -> Fraction:
     """Exact integral of a density over the solid box: each monomial c x^m gives
-    c times the moments of its exponents over [a, b]."""
-    moments, _ = _box_moments([poly], box)
-    return sum((c * prod(moments[e] for e in m) for m, c in poly.terms.items()), Fraction(0))
+    c times the moments of its exponents over [a, b], summed in integers."""
+    nums, den = poly.numerators()
+    moments, _, scale = _box_moments([nums], box)
+    return Fraction(sum(c * moments[w] * moments[z] * moments[x] * moments[y]
+                        for (w, z, x, y), c in nums.items()), den * scale ** 4)
 
 
 # ---------------------------------------------------------------------------

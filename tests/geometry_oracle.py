@@ -45,10 +45,12 @@ from heavenly.jetcore import (
     neg,
     sub,
 )
-from heavenly.polynomials import Poly, uni_eval
+from heavenly.polynomials import Poly
 from heavenly.recursion import coeff_A, monomial_recursion_image, st_psi
 from heavenly.symplectic import COORDS, ThreeForm, boundary_integral, hodge_star_d
 from heavenly.tetrads import FirstPotential, SecondPotential, _require_profile
+
+from poly_oracle import uni_eval
 
 
 # ---------------------------------------------------------------------------

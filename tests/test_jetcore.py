@@ -36,11 +36,11 @@ from heavenly.jetcore import (
     point,
     to_text,
 )
-from heavenly.polynomials import uni_eval
 
 import fold_oracle
 from dict_jet import DictJet, partials
 from jet_work import JetWork
+from poly_oracle import uni_eval
 
 
 def P(*vals):

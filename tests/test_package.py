@@ -92,6 +92,31 @@ def test_the_layout_check_sees_each_read(tmp_path):
                                      "mod.py:3: ._den", "mod.py:3: ._layout"]
 
 
+PRIVATE_POLY_ATTRIBUTES = {"_nums", "_denom", "_view"}
+
+
+def _poly_reads(path: Path) -> list[str]:
+    """Where a module reads a polynomial's stored numerators, denominator or terms view."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted(f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in PRIVATE_POLY_ATTRIBUTES)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "polynomials.py"],
+                         ids=[p.name for p in MODULES if p.name != "polynomials.py"])
+def test_only_polynomials_knows_the_poly_layout(path):
+    assert _poly_reads(path) == []
+
+
+def test_the_poly_layout_check_sees_each_read(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .polynomials import Poly\n"
+                      "def f(p: Poly):\n"
+                      "    nums, den = p._nums, p._denom\n"
+                      "    return p._view, p.numerators(), p.terms, nums, den\n")
+    assert _poly_reads(module) == ["mod.py:3: ._denom", "mod.py:3: ._nums", "mod.py:4: ._view"]
+
+
 
 # The symbolic tetrad and metric trees, their Gauss-Jordan inverse and the curvature
 # wrappers fed from them live in tests/geometry_oracle.py (the integer full lowering

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from heavenly.jetcore import ScalarField, point
-from heavenly.polynomials import Poly, uni_eval
+from heavenly.polynomials import Poly
 from heavenly.recursion import (
     IntegrabilityError,
     TerminationError,
@@ -28,6 +28,7 @@ from heavenly.sampling import sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual, linearized_second_residual
 
 from geometry_oracle import flat_wave_poly, formal_step_consistency
+from poly_oracle import uni_eval
 
 SIGMA = {"sigma": F(1)}
 

@@ -368,3 +368,43 @@ class TestClosedFormBoxIntegrals:
         eta = ThreeForm(comps)
         got = boundary_integral(eta, box)
         assert type(got) is F and got == box_oracle.boundary_integral(eta, box)
+
+
+# boxes whose ends are both non-integers, so the moments carry powers of a common q
+FRACTIONAL_ENDS = ENDS.filter(lambda e: e.denominator > 1)
+FRACTIONAL_BOXES = st.tuples(FRACTIONAL_ENDS, FRACTIONAL_ENDS).filter(lambda e: e[0] != e[1]).map(
+    lambda e: BoundaryBox(min(e), max(e)))
+# exponents up to 5, so lcm(1..top+1) reaches 2^2 * 3 * 5
+HIGH_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 5)] * 4), COEFFS, max_size=4).map(
+    lambda t: Poly("second", t))
+
+
+class TestFractionalBoxes:
+    """The integer moments over one denominator, on boxes with non-integer ends."""
+
+    BOX = BoundaryBox(F(1, 3), F(5, 2))
+
+    def test_pinned_box(self):
+        poly = Poly("second", {(5, 0, 2, 1): F(3, 7), (0, 4, 0, 3): F(-2), (0, 0, 0, 0): F(1, 5)})
+        assert volume_integral(poly, self.BOX) == box_oracle.volume_integral(poly, self.BOX)
+        eta = ThreeForm((poly, poly.diff("w"), poly.integrate("x"), -poly))
+        assert boundary_integral(eta, self.BOX) == box_oracle.boundary_integral(eta, self.BOX)
+        # the integral of w^k over [1/3, 5/2] times the other three sides
+        side = F(5, 2) - F(1, 3)
+        for k in range(6):
+            mono = Poly("second", {(k, 0, 0, 0): F(1)})
+            expect = (F(5, 2) ** (k + 1) - F(1, 3) ** (k + 1)) / (k + 1) * side ** 3
+            assert volume_integral(mono, self.BOX) == expect
+
+    @given(HIGH_POLYS, FRACTIONAL_BOXES)
+    @settings(max_examples=60, deadline=None)
+    def test_volume_integral(self, poly, box):
+        got = volume_integral(poly, box)
+        assert type(got) is F and got == box_oracle.volume_integral(poly, box)
+
+    @given(st.tuples(HIGH_POLYS, POLYS, HIGH_POLYS, POLYS), FRACTIONAL_BOXES)
+    @settings(max_examples=40, deadline=None)
+    def test_boundary_integral(self, comps, box):
+        eta = ThreeForm(comps)
+        got = boundary_integral(eta, box)
+        assert type(got) is F and got == box_oracle.boundary_integral(eta, box)
