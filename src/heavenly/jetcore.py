@@ -5,11 +5,14 @@ their partial derivatives at rational points.  Fields are rational-function
 expression trees over the coordinates of a chart (plus the free parameter
 ``sigma``); evaluation propagates truncated multivariate Taylor polynomials
 ("jets") through the tree, so derivatives come out exact when the inputs are
-exact rationals.  The tree walk itself is :func:`fold`, which evaluates a tree
-in any ring (jets here, rational functions of the fibre coordinate in the
-residue transform) and evaluates each structurally equal subtree once;
-:func:`jets_of` folds several trees at one point through one such memo.  A second, independent route — symbolic differentiation of
-the expression tree followed by plain evaluation — is provided by
+exact rationals.  Trees are evaluated by one :class:`Program`: the trees are
+compiled once into a program and replayed at each point, in any ring (jets
+here, rational functions of the fibre coordinate in the residue transform),
+with each structurally equal subtree evaluated once per point; :func:`fold`,
+:func:`jets_of`, :func:`field_jets` and :func:`field_values` are one
+program and one run, and a :class:`ScalarField` keeps its program from
+first use.  A second, independent route — symbolic differentiation of the
+expression tree followed by plain evaluation — is provided by
 :func:`partial` and is used to cross-check the jet route.
 
 Two numeric modes exist.  In exact mode all coefficients are
@@ -18,19 +21,20 @@ Float mode runs the same algorithms in double precision and is only used for
 tolerance-based reporting.  A mode never changes silently inside one
 computation: it is fixed by the evaluation point.
 
-Expressions, points, fields and jets are immutable after construction (what
-a jet caches on first use, such as its reciprocal, is a pure function of it,
-and no jet is shared between points) and evaluation is pure, so independent
-points may be evaluated concurrently.
+Expressions, points, fields, programs and jets are immutable after
+construction (what a field or a jet caches on first use, such as its program
+or its reciprocal, is a pure function of it, and no jet is shared between
+points) and evaluation is pure, so independent points may be evaluated
+concurrently.
 """
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import truediv
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
@@ -185,12 +189,11 @@ def _cached_hash(structural: Callable[[Expr], int]) -> Callable[[Expr], int]:
     """
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__, structural(self)))
-            object.__setattr__(self, "_hash", h)   # not a field: equality ignores it
-            return h
+        kept = self.__dict__   # the hash is kept beside the fields: equality ignores it
+        h = kept.get("_hash")
+        if h is None:
+            h = kept["_hash"] = hash((type(self).__name__, structural(self)))
+        return h
 
     return __hash__
 
@@ -793,9 +796,14 @@ class Jet:
     def __mul__(self, other: "Jet") -> "Jet":
         self._check(other)
         a, b = self._c, other._c
+        den = self._den * other._den
         outer = [(i, x) for i, x in enumerate(a) if x]
+        if len(outer) == 1 and not outer[0][0]:
+            return self._like(self._scaled(outer[0][1], b), den)
         inner = [(k, y) for k, y in enumerate(b) if y]
         if len(inner) < len(outer):
+            if len(inner) == 1 and not inner[0][0]:
+                return self._like(self._scaled(inner[0][1], a), den)
             outer, inner = inner, outer
         rows = self._layout.rows
         out = [0.0 if self.mode == "float" else 0] * len(a)
@@ -807,7 +815,17 @@ class Jet:
                 if k >= end:
                     break
                 out[row[k]] += x * y
-        return self._like(out, self._den * other._den)
+        return self._like(out, den)
+
+    def _scaled(self, x: Number, c: list) -> list:
+        """The numerators x * c of a product whose sparser factor is the constant x.
+
+        The sum over rows would add each x * y to a zero and leave zeros alone,
+        which only turns a float -0.0 into 0.0; so does this, without the rows.
+        """
+        if self.mode == "float":
+            return [0.0 + x * y if y else 0.0 for y in c]
+        return [x * y for y in c]
 
     def reciprocal(self) -> "Jet":
         """1/f, inverted once per jet (see :meth:`_invert`) and kept on it."""
@@ -921,79 +939,128 @@ def common_denominator(items: Sequence[Union[tuple[list, int], Number]]) -> tupl
 def divider(mode: str) -> Callable[[Number, int], Number]:
     """How a numerator over a common denominator is read out: ``Fraction(num, den)``
     in exact mode, ``num / den`` (a float) in float mode."""
-    return Fraction if mode == "exact" else truediv
+    return Fraction if mode == "exact" else operator.truediv
 
 
 def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
-    """Evaluate an expression tree in any ring.
+    """Evaluate an expression tree in any ring: ``Program([e]).run(leaf)[0]``.
 
     ``leaf`` maps each ``Const`` and ``Var`` node to a ring element; the
     ring's own ``+ - * / **`` and unary minus combine them.  A divisor is
     evaluated before its dividend, and a ``ZeroDivisionError`` at a ``Div``
     or a negative ``Pow`` becomes a :class:`PoleError` naming the divisor.
-    Structurally equal subtrees are evaluated once (see :func:`_folder`).
+    Structurally equal subtrees are evaluated once (see :class:`Program`).
     """
-    return _folder(leaf)(e)
+    return Program([e]).run(leaf)[0]
 
 
-def _folder(leaf: Callable[[Expr], _Ring]) -> Callable[[Expr], _Ring]:
-    """The tree walk of :func:`fold`, memoised by subtree for as long as it is held.
+class Program:
+    """Several expression trees compiled into one straight-line list of ring operations.
 
-    The first occurrence of a node is evaluated in the same order and by the
-    same ring operations as without the memo, and every later structurally
-    equal node reuses that ring element, so results (float bits included) and
-    the first error raised are those of the plain walk.
+    Compiling walks the trees once, in the order :func:`fold` evaluates them,
+    and records one instruction per distinct subtree: a leaf (``Const`` or
+    ``Var``), or a ring operation on earlier results.  A subtree structurally
+    equal to one already recorded reuses its result.  :meth:`run` replays the
+    list at one point, so a job compiles its trees once and runs them at each
+    of its points.  Every operation keeps its order and operands, so results
+    (float bits included) and the first error raised are those of walking
+    each tree anew.  ``chart``, if given, is the one chart whose points
+    :meth:`jets` and :meth:`values` accept.
     """
-    memo: dict[Expr, _Ring] = {}
-    seen = memo.get
 
-    def ev(e: Expr) -> _Ring:
-        r = seen(e, memo)   # the memo itself marks a miss: it is never a ring element
-        if r is not memo:
-            return r
-        if isinstance(e, (Const, Var)):
-            r = leaf(e)
-        elif isinstance(e, Add):
-            r = ev(e.a) + ev(e.b)
-        elif isinstance(e, Sub):
-            r = ev(e.a) - ev(e.b)
-        elif isinstance(e, Mul):
-            r = ev(e.a) * ev(e.b)
-        elif isinstance(e, Div):
-            den = ev(e.b)
-            num = ev(e.a)
-            try:
-                r = num / den
-            except ZeroDivisionError:
-                raise PoleError(to_text(e.b)) from None
-        elif isinstance(e, Pow):
-            base = ev(e.base)
-            try:
-                r = base ** e.exponent
-            except ZeroDivisionError:
-                raise PoleError(to_text(e.base)) from None
-        elif isinstance(e, Neg):
-            r = -ev(e.a)
-        else:
-            raise TypeError(type(e))
-        memo[e] = r
-        return r
+    __slots__ = ("exprs", "chart", "_code", "_nodes", "_outputs")
 
-    return ev
+    def __init__(self, exprs: Sequence[Expr], chart: str | None = None):
+        self.exprs = tuple(exprs)
+        self.chart = chart
+        code: list[tuple] = []
+        nodes: list[Expr] = []
+        slot: dict[Expr, int] = {}
+
+        def emit(e: Expr) -> int:
+            s = slot.get(e)
+            if s is not None:
+                return s
+            if isinstance(e, (Const, Var)):
+                instr = (None, e, None)
+            elif isinstance(e, Add):
+                instr = (operator.add, emit(e.a), emit(e.b))
+            elif isinstance(e, Sub):
+                instr = (operator.sub, emit(e.a), emit(e.b))
+            elif isinstance(e, Mul):
+                instr = (operator.mul, emit(e.a), emit(e.b))
+            elif isinstance(e, Div):
+                den = emit(e.b)
+                instr = (operator.truediv, emit(e.a), den)
+            elif isinstance(e, Pow):
+                instr = (operator.pow, emit(e.base), e.exponent)
+            elif isinstance(e, Neg):
+                instr = (operator.neg, emit(e.a), None)
+            else:
+                raise TypeError(type(e))
+            s = slot[e] = len(code)
+            code.append(instr)
+            nodes.append(e)
+            return s
+
+        self._outputs = [emit(e) for e in self.exprs]
+        self._code = code
+        self._nodes = nodes
+
+    def run(self, leaf: Callable[[Expr], _Ring]) -> list[_Ring]:
+        """The trees' values at one point, in the given order; ``leaf`` as for :func:`fold`."""
+        r: list = []   # r[s] is the result of instruction s
+        push = r.append
+        op = None
+        try:
+            for op, a, b in self._code:
+                if op is None:
+                    push(leaf(a))
+                elif op is operator.pow:
+                    push(r[a] ** b)
+                elif b is None:
+                    push(-r[a])
+                else:
+                    push(op(r[a], r[b]))
+        except ZeroDivisionError:
+            if op is operator.truediv:
+                raise PoleError(to_text(self._nodes[b])) from None
+            if op is operator.pow:
+                raise PoleError(to_text(self._nodes[a])) from None
+            raise
+        return [r[s] for s in self._outputs]
+
+    def jets(self, p: Point, order: int = DEFAULT_ORDER,
+             params: Mapping[str, Number] | None = None) -> list[Jet]:
+        """The trees' jets at ``p`` through one order (see :func:`jets_of`)."""
+        self._require_chart(p)
+        return self.run(_point_leaf(p, params, lambda v: Jet.constant(v, p, order),
+                                    lambda i: Jet.coordinate(i, p, order)))
+
+    def values(self, p: Point, params: Mapping[str, Number] | None = None) -> list[Number]:
+        """The trees' values at ``p`` over plain numbers: ``Fraction`` in exact mode,
+        ``float`` in float mode (see :meth:`ScalarField.value`)."""
+        self._require_chart(p)
+        number = float if p.mode == "float" else Fraction
+        coords = tuple(map(number, p.values))
+        return self.run(_point_leaf(p, params, number, coords.__getitem__))
+
+    def _require_chart(self, p: Point):
+        if self.chart is not None and p.chart != self.chart:
+            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
 
 
 def jets_of(exprs: Sequence[Expr], p: Point, order: int = DEFAULT_ORDER,
             params: Mapping[str, Number] | None = None) -> list[Jet]:
     """Jets of several expressions at ``p`` through one order, in the given order.
 
-    The trees share one memo for the length of the call, so a subtree that
-    occurs in several of them (or several times in one) is folded once.
-    ``params`` binds non-coordinate symbols (``sigma``) to values; they enter
-    as constants, not as jet variables.
+    The trees are compiled into one :class:`Program`, so a subtree that occurs
+    in several of them (or several times in one) is folded once.  ``params``
+    binds non-coordinate symbols (``sigma``) to values; they enter as
+    constants, not as jet variables.  A caller that evaluates the same trees
+    at several points compiles them once and calls :meth:`Program.jets`.
     """
-    ev = _folder(_point_leaf(p, params, lambda v: Jet.constant(v, p, order),
-                             lambda i: Jet.coordinate(i, p, order)))
-    return [ev(e) for e in exprs]
+    return Program(exprs).jets(p, order, params)
 
 
 def jet_of(expr: Expr, p: Point, order: int = DEFAULT_ORDER,
@@ -1046,10 +1113,18 @@ class ScalarField:
     def constant(v, chart: str) -> "ScalarField":
         return ScalarField(chart, const(v))
 
+    def program(self) -> Program:
+        """The field's tree compiled on first use and kept, as a jet keeps its reciprocal."""
+        try:
+            return self._program
+        except AttributeError:
+            program = Program([self.expr], self.chart)
+            object.__setattr__(self, "_program", program)   # not a field: equality ignores it
+            return program
+
     def jet(self, p: Point, order: int = DEFAULT_ORDER,
             params: Mapping[str, Number] | None = None) -> Jet:
-        self._require_chart(p)
-        return jet_of(self.expr, p, order, params)
+        return self.program().jets(p, order, params)[0]
 
     def value(self, p: Point, params: Mapping[str, Number] | None = None) -> Number:
         """The field's value at ``p``, folded over plain numbers (no jets).
@@ -1057,11 +1132,7 @@ class ScalarField:
         Equal to ``self.jet(p, 0, params).value`` in exact mode, and raises the
         same errors; leaves are ``Fraction`` in exact mode and ``float`` in float mode.
         """
-        return field_values([self], p, params)[0]
-
-    def _require_chart(self, p: Point):
-        if p.chart != self.chart:
-            raise ValueError(f"field on chart {self.chart!r} evaluated at {p.chart!r} point")
+        return self.program().values(p, params)[0]
 
     def diff(self, var: str) -> "ScalarField":
         if var not in chart_coords(self.chart):
@@ -1075,25 +1146,25 @@ class ScalarField:
         return to_text(self.expr)
 
 
+def field_program(fields: Sequence[ScalarField]) -> Program:
+    """The fields' trees compiled into one :class:`Program` on their one chart, so a
+    subtree they share is folded once; its runs refuse a point of another chart."""
+    charts = {f.chart for f in fields}
+    if len(charts) > 1:
+        raise ValueError(f"fields on several charts {sorted(charts)} in one program")
+    return Program([f.expr for f in fields], charts.pop() if charts else None)
+
+
 def field_jets(fields: Sequence[ScalarField], p: Point, order: int = DEFAULT_ORDER,
                params: Mapping[str, Number] | None = None) -> list[Jet]:
-    """``[f.jet(p, order, params) for f in fields]`` through one :func:`jets_of` call,
-    so a subtree the fields share is folded once."""
-    for f in fields:
-        f._require_chart(p)
-    return jets_of([f.expr for f in fields], p, order, params)
+    """``[f.jet(p, order, params) for f in fields]`` through one :func:`field_program`."""
+    return field_program(fields).jets(p, order, params)
 
 
 def field_values(fields: Sequence[ScalarField], p: Point,
                  params: Mapping[str, Number] | None = None) -> list[Number]:
-    """``[f.value(p, params) for f in fields]`` through one memo, so a subtree the
-    fields share is evaluated once."""
-    for f in fields:
-        f._require_chart(p)
-    number = float if p.mode == "float" else Fraction
-    values = tuple(map(number, p.values))
-    ev = _folder(_point_leaf(p, params, number, values.__getitem__))
-    return [ev(f.expr) for f in fields]
+    """``[f.value(p, params) for f in fields]`` through one :func:`field_program`."""
+    return field_program(fields).values(p, params)
 
 
 def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:

@@ -40,7 +40,7 @@ from .jetcore import (
     const,
     diff,
     div,
-    field_jets,
+    field_program,
     free_vars,
     mul,
     neg,
@@ -233,11 +233,12 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
     """Wave maxima of every chain member, link maxima of every consecutive pair,
     and the relation residuals of labelled extra pairs (phi, R phi) at each point.
 
-    Each point evaluates the order-2 jets of the potential, every member and
-    both fields of every pair in one field_jets call, so the subtrees they
-    share (the powers of -y/w and of wx+zy) are folded once; the wave residual
-    (wave_residual) and both recursion relations between members i and i+1, or
-    between the fields of a pair (lax_step_residual), are read off those jets.
+    The potential, every member and both fields of every pair are compiled
+    once into one program (field_program), so the subtrees they share (the
+    powers of -y/w and of wx+zy) are folded once, and each point runs it for
+    their order-2 jets; the wave residual (wave_residual) and both recursion
+    relations between members i and i+1, or between the fields of a pair
+    (lax_step_residual), are read off those jets.
     Returns ``(wave, link, paired)``: wave[i] is max |box members[i]| and
     link[i] the max of |relation| over both relations for the pair (i, i+1),
     each maximum over the points, or the points' zero (0.0 in float mode) when
@@ -248,9 +249,9 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
     waves: list[list] = [[] for _ in members]
     links: list[list] = [[] for _ in members[1:]]
     paired: dict[str, list] = {label: [] for label in pairs}
-    fields = [theta.field, *members, *(f for pair in pairs.values() for f in pair)]
+    program = field_program([theta.field, *members, *(f for pair in pairs.values() for f in pair)])
     for p in points:
-        theta_jet, *jets = field_jets(fields, p, 2, params)
+        theta_jet, *jets = program.jets(p, 2, params)
         for i, values in enumerate(waves):
             values.append(abs(2 * linearized_from_jets(theta_jet, jets[i])))
         for i, values in enumerate(links):

@@ -12,10 +12,12 @@ increasing coordinate order); with that convention d eta = sum_k (-1)^k
 (d_k eta_k) vol, and the outward-oriented boundary integral over [a, b]^4 is
 sum_k (-1)^k (top_k - bottom_k).
 
-On a curved second-form background the star operator uses the inverse metric
-paired with the displayed wave operator (see the tetrads module docstring on
-the two display conventions), which makes d(star d phi) = box phi * vol an
-exact identity, not just an on-shell one.
+No subcommand pairs on a curved background.  The curved star operator, on
+symbolic trees, is the test reference ``hodge_star_d`` in
+``tests/geometry_oracle.py``: it uses the inverse metric paired with the
+displayed wave operator (see the tetrads module docstring on the two display
+conventions), which makes d(star d phi) = box phi * vol an exact identity,
+not just an on-shell one.
 """
 
 from __future__ import annotations
@@ -25,17 +27,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .jetcore import (
-    Number,
-    Point,
-    ScalarField,
-    add,
-    const,
-    diff,
-    mul,
-    neg,
-    sub,
-)
+from .jetcore import Number, Point
 from .polynomials import Poly
 from .recursion import recursion_power_poly
 from .tetrads import SECOND, FirstPotential, SecondPotential
@@ -125,44 +117,6 @@ def volume_integral(poly: Poly, box: BoundaryBox) -> Fraction:
 def star_d_flat(phi: Poly) -> ThreeForm:
     """star d phi for the flat second-form metric; components per the module convention."""
     return ThreeForm((phi.diff("x"), -phi.diff("y"), phi.diff("w"), -phi.diff("z")))
-
-
-@dataclass(frozen=True)
-class ThreeFormField:
-    """Three-form with scalar-field components (curved backgrounds)."""
-
-    components: tuple[ScalarField, ScalarField, ScalarField, ScalarField]
-
-    def exterior_derivative_value(self, p: Point, params=None) -> Number:
-        total = 0
-        for k, comp in enumerate(self.components):
-            term = comp.jet(p, 1, params).d(COORDS[k])
-            total += term if k % 2 == 0 else -term
-        return total
-
-
-def hodge_star_d(theta: SecondPotential, phi: ScalarField,
-                 params: Mapping[str, Number] | None = None) -> ThreeFormField:
-    """star d phi on the background, with the wave-operator-compatible inverse metric.
-
-    Inverse metric components: g^{wx} = g^{zy} = 1, g^{xx} = 2 T_yy,
-    g^{yy} = 2 T_xx, g^{xy} = -2 T_xy; volume dw^dz^dx^dy.
-    """
-    T = theta.field.expr
-    txx = diff(diff(T, "x"), "x")
-    tyy = diff(diff(T, "y"), "y")
-    txy = diff(diff(T, "x"), "y")
-    f = phi.expr
-    fw, fz, fx, fy = (diff(f, v) for v in COORDS)
-    two = const(2)
-    # raised gradient components (d phi)^a
-    vw = fx
-    vz = fy
-    vx = add(fw, sub(mul(mul(two, tyy), fx), mul(mul(two, txy), fy)))
-    vy = add(fz, sub(mul(mul(two, txx), fy), mul(mul(two, txy), fx)))
-    # interior product with dw^dz^dx^dy
-    comps = (vw, neg(vz), vx, neg(vy))
-    return ThreeFormField(tuple(ScalarField(SECOND, e) for e in comps))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from .jetcore import (
     Jet,
     Number,
     Point,
+    Program,
     ScalarField,
     Var,
     ZERO,
     add,
     div,
-    field_jets,
+    field_program,
     fold,
     mul,
     neg,
@@ -78,6 +79,17 @@ class TwistorCurve:
     @property
     def order(self) -> int:
         return max(self.mu0.max_deg, self.mu1.max_deg)
+
+    def program(self) -> Program:
+        """The coefficients of mu0 then mu1, compiled into one program on first use
+        and kept with the curve, so the powers of Q, -y/w and x/z they share are
+        folded once at each point."""
+        try:
+            return self._program
+        except AttributeError:
+            program = field_program(self.mu0.coeffs + self.mu1.coeffs)
+            object.__setattr__(self, "_program", program)   # not a field: equality ignores it
+            return program
 
 
 def flat_twistor_curve(order: int = 1) -> TwistorCurve:
@@ -132,8 +144,8 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
     The lam^r coefficient of L_A(mu^B) is recursion relation A of
     tetrads.lax_step_residual between the curve coefficients r-1 and r, computed
     by tetrads.lax_step_from_jets from one jet of the potential and one of each
-    coefficient; the coefficients' jets come from one field_jets call, so the
-    powers of Q, -y/w and x/z they share are folded once.
+    coefficient; the coefficients' jets come from one run of the curve's
+    program (TwistorCurve.program), compiled once per curve.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
@@ -142,7 +154,7 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
     N = curve.order
     theta_jet = theta.field.jet(p, 2, params)
     zero = Jet.constant(0, p, 1)
-    coeff_jets = field_jets(curve.mu0.coeffs + curve.mu1.coeffs, p, 1, params)
+    coeff_jets = curve.program().jets(p, 1, params)
     split = len(curve.mu0.coeffs)
     for B, series, own in (("mu0", curve.mu0, coeff_jets[:split]),
                            ("mu1", curve.mu1, coeff_jets[split:])):

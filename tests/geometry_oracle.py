@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from heavenly.catalog import CatalogEntry
 from heavenly.curvature import (
@@ -47,8 +48,8 @@ from heavenly.jetcore import (
 )
 from heavenly.polynomials import Poly
 from heavenly.recursion import coeff_A, monomial_recursion_image, st_psi
-from heavenly.symplectic import COORDS, ThreeForm, boundary_integral, hodge_star_d
-from heavenly.tetrads import FirstPotential, SecondPotential, _require_profile
+from heavenly.symplectic import COORDS, ThreeForm, boundary_integral
+from heavenly.tetrads import SECOND, FirstPotential, SecondPotential, _require_profile
 
 from poly_oracle import uni_eval
 
@@ -90,7 +91,7 @@ class Tetrad:
 
 
 def _row_values(rows, p: Point, params) -> list[tuple[Number, ...]]:
-    """The values at p of every row of fields, folded through one memo."""
+    """The values at p of every row of fields, folded by one program run."""
     values = iter(field_values([f for row in rows for f in row], p, params))
     return [tuple(next(values) for _ in row) for row in rows]
 
@@ -470,6 +471,44 @@ def formal_step_consistency(n: int, sigma, points) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # symplectic
+
+@dataclass(frozen=True)
+class ThreeFormField:
+    """Three-form with scalar-field components (curved backgrounds)."""
+
+    components: tuple[ScalarField, ScalarField, ScalarField, ScalarField]
+
+    def exterior_derivative_value(self, p: Point, params=None) -> Number:
+        total = 0
+        for k, comp in enumerate(self.components):
+            term = comp.jet(p, 1, params).d(COORDS[k])
+            total += term if k % 2 == 0 else -term
+        return total
+
+
+def hodge_star_d(theta: SecondPotential, phi: ScalarField,
+                 params: Mapping[str, Number] | None = None) -> ThreeFormField:
+    """star d phi on the background, with the wave-operator-compatible inverse metric.
+
+    Inverse metric components: g^{wx} = g^{zy} = 1, g^{xx} = 2 T_yy,
+    g^{yy} = 2 T_xx, g^{xy} = -2 T_xy; volume dw^dz^dx^dy.
+    """
+    T = theta.field.expr
+    txx = diff(diff(T, "x"), "x")
+    tyy = diff(diff(T, "y"), "y")
+    txy = diff(diff(T, "x"), "y")
+    f = phi.expr
+    fw, fz, fx, fy = (diff(f, v) for v in COORDS)
+    two = const(2)
+    # raised gradient components (d phi)^a
+    vw = fx
+    vz = fy
+    vx = add(fw, sub(mul(mul(two, tyy), fx), mul(mul(two, txy), fy)))
+    vy = add(fz, sub(mul(mul(two, txx), fy), mul(mul(two, txy), fx)))
+    # interior product with dw^dz^dx^dy
+    comps = (vw, neg(vz), vx, neg(vy))
+    return ThreeFormField(tuple(ScalarField(SECOND, e) for e in comps))
+
 
 def boundary_of_boundary_residual(tf_components: dict[tuple[int, int], Poly], box) -> Fraction:
     """Integral of d(two-form) over the box boundary; zero by exact face cancellation.

@@ -564,6 +564,24 @@ class TestRecursionChainSharedJets:
         assert work.inversions <= 2
 
 
+class TestCompiledOncePerJob:
+    @pytest.mark.parametrize("argv, points, compiles", [
+        # one program for the potential, the members and the monomial-check fields
+        (["recursion-chain", "--background", "st", "--n", "10", "--sigma", "1/2"], 3, 1),
+        (["recursion-chain", "--background", "flat", "--n", "6"], 3, 1),
+        # the potential's program, kept on its field, and the curve's, kept on the curve
+        (["twistor-series", "--background", "st", "--order", "10"], 3, 2),
+    ])
+    def test_a_job_compiles_its_trees_once(self, argv, points, compiles, monkeypatch):
+        work = JetWork(monkeypatch)
+        code, _ = run([*argv, "--points", str(points)])
+        assert code == 0
+        # compiled once for the job and run at each point, never compiled per point
+        assert work.compiles == compiles
+        assert work.points == points
+        assert work.most_folds_of_one_tree == 1
+
+
 class TestHierarchyCheckSharedJets:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_one_point_reads_jets_of_the_potential(self, n, monkeypatch):

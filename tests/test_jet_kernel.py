@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import power_oracle
 from dict_jet import DictJet, partials
@@ -116,6 +116,13 @@ def signed_jets(draw, mode):
     return a
 
 
+def _overflowing_jet():
+    """A float order-3 jet of value 8.1e108 whose higher coefficients overflowed to
+    +-inf, so its negative powers hold nan: the power test's failing example."""
+    tiny = Jet(Point(ORACLE_CHARTS[1], (0.5,)), 3, {(0,): 1.234e-109, (1,): 1.0})
+    return tiny.reciprocal()
+
+
 def _stored(j):
     """The stored numerators (floats as hex, so the sign of zero counts) and the denominator."""
     return j._den, [x.hex() if isinstance(x, float) else x for x in j._c]
@@ -133,6 +140,7 @@ class TestPowerOracle:
     1 in tests/power_oracle.py."""
 
     @given(st.sampled_from(["exact", "float"]).flatmap(signed_jets), st.integers(-12, 12))
+    @example(_overflowing_jet(), -3)
     @settings(max_examples=150, deadline=None)
     def test_matches_square_and_multiply_from_one(self, x, n):
         try:
@@ -147,8 +155,15 @@ class TestPowerOracle:
         else:
             assert _float_readouts(got) == _float_readouts(expect)
         assert (x ** 0).coeffs == {(0,) * x.nvars: 1}
-        # a second power of the same jet reuses its reciprocal and squarings
-        assert (x ** n).coeffs == got.coeffs
+        # a second power of the same jet reuses its reciprocal and squarings; stored
+        # numerators are compared as hex text, so a nan equals itself and -0.0 != 0.0
+        assert _stored(x ** n) == _stored(got)
+
+    def test_a_power_holding_nan_compares_by_its_bits(self):
+        x = _overflowing_jet()
+        got = x ** -3
+        assert any(c != c for c in got.coeffs.values())   # a nan, never equal to itself
+        assert _stored(x ** -3) == _stored(got) == _stored(power_oracle.power(x, -3))
 
     @given(st.sampled_from(["exact", "float"]).flatmap(signed_jets))
     @settings(max_examples=60, deadline=None)

@@ -23,6 +23,7 @@ from heavenly.jetcore import (
     Point,
     PoleError,
     Pow,
+    Program,
     ScalarField,
     Sub,
     Var,
@@ -38,6 +39,7 @@ from heavenly.jetcore import (
 )
 
 import fold_oracle
+import mul_oracle
 from dict_jet import DictJet, partials
 from jet_work import JetWork
 from poly_oracle import uni_eval
@@ -413,8 +415,8 @@ def _bits(jet):
 
 
 class TestMemoisedFold:
-    """jets_of shares one memo over its trees; the memo-free walk of
-    tests/fold_oracle.py is the oracle."""
+    """jets_of compiles its trees into one program, so a subtree they share is
+    folded once; the memo-free walk of tests/fold_oracle.py is the oracle."""
 
     @given(trees_sharing_subtrees(), st.tuples(rationals, rationals, rationals, rationals),
            st.integers(0, 2), st.sampled_from(["exact", "float"]))
@@ -466,6 +468,115 @@ class TestMemoisedFold:
         assert len(sums) == 1
         assert _bits(a) == _bits(fold_oracle.jet_of(q, p, 2))
         assert b.coeffs == (a * jet_of(Var("w"), p, 2)).coeffs
+
+
+class TestProgram:
+    """A program compiled once and run at several points: each run equals the
+    memo-free walk of tests/fold_oracle.py at its point."""
+
+    @given(trees_sharing_subtrees(),
+           st.lists(st.tuples(rationals, rationals, rationals, rationals), min_size=2, max_size=4),
+           st.integers(0, 2), st.sampled_from(["exact", "float"]))
+    @settings(max_examples=150, deadline=None)
+    def test_one_program_runs_at_several_points(self, exprs, points, order, mode):
+        program = Program(exprs)
+        for values in points:
+            p = Point("second", values if mode == "exact" else tuple(map(float, values)))
+            try:
+                expect = [fold_oracle.jet_of(e, p, order) for e in exprs]
+            except PoleError as err:
+                # the same first pole, named by the same divisor; the program stays usable
+                with pytest.raises(PoleError) as got:
+                    program.jets(p, order)
+                assert str(got.value) == str(err)
+                continue
+            assert [_bits(j) for j in program.jets(p, order)] == [_bits(j) for j in expect]
+
+    def test_a_later_point_on_the_pole(self):
+        q = parse_expression("w/(w*x+z*y)", "second")
+        program = Program([q, parse_expression("1/(w*x+z*y)", "second")])
+        for p in (P(1, 2, 3, 4), P(1, 1, 1, -1), P(2, 1, 3, 4).as_float(), P(1, -1, 1, 1)):
+            if p.values[0] * p.values[2] + p.values[1] * p.values[3]:
+                got = program.jets(p, 2)
+                assert [_bits(j) for j in got] == [_bits(fold_oracle.jet_of(e, p, 2))
+                                                   for e in program.exprs]
+            else:
+                with pytest.raises(PoleError, match="'w\\*x\\+z\\*y'"):
+                    program.jets(p, 2)
+
+    def test_the_divisor_runs_before_the_dividend(self):
+        # both have a pole where w = x = 0: the divisor's is the one named, as in the walk
+        e = parse_expression("(1/w)/(1/x)", "second")
+        p = P(0, 1, 0, 1)
+        with pytest.raises(PoleError) as expect:
+            fold_oracle.jet_of(e, p, 1)
+        with pytest.raises(PoleError) as got:
+            Program([e]).jets(p, 1)
+        assert str(got.value) == str(expect.value) == "denominator 'x' vanishes at the point"
+
+    def test_a_field_keeps_its_program(self):
+        f = ScalarField.parse("w/(w*x+z*y)", "second")
+        assert f.program() is f.program()
+        assert f.program().exprs == (f.expr,)
+        assert f == ScalarField.parse("w/(w*x+z*y)", "second")
+        with pytest.raises(ValueError, match="evaluated at 'first' point"):
+            f.jet(point("first", 1, 2, 3, 4), 1)
+
+
+def _words(j):
+    """The stored numerators as ``float.hex`` text (so the sign of a zero and of an
+    infinity count) or as integers, and the denominator.  Every nan reads "nan":
+    which operand's sign and payload a product of two nans carries is not fixed
+    even between two runs of one Python expression (the interpreter's
+    specialised and generic float products may differ), so it is not compared."""
+    return j._den, [x.hex() if isinstance(x, float) else x for x in j._c]
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.7e308,
+                                  float("inf"), float("-inf"), float("nan")])
+
+
+@st.composite
+def constant_products(draw):
+    """A constant jet (value only, possibly zero) and a random jet at one point and
+    order, in exact or float mode; float values include signed zeros, values
+    whose products underflow or overflow to +-inf, infinities and nan."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    order = draw(st.integers(0, 3))
+    p = P(1, 2, 3, 4)
+    number = rationals
+    if mode == "float":
+        p = p.as_float()
+        number = st.one_of(st.floats(-4, 4), SPECIAL_FLOATS)
+    alphas = st.lists(st.integers(0, 3), max_size=order).map(
+        lambda axes: tuple(axes.count(i) for i in range(4)))
+    c = Jet.constant(draw(number), p, order)
+    j = Jet(p, order, draw(st.dictionaries(alphas, number, max_size=6)))
+    if draw(st.booleans()):
+        j = -j
+    return c, j
+
+
+class TestConstantFactor:
+    """A product with a constant factor is a scaling; the sum over rows of
+    tests/mul_oracle.py is the oracle, bit for bit."""
+
+    @given(constant_products())
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_matches_the_sum_over_rows(self, pair):
+        c, j = pair
+        for a, b in ((c, j), (j, c), (c, c), (j, j)):
+            assert _words(a * b) == _words(mul_oracle.product(a, b))
+
+    def test_signed_zeros_and_overflow(self):
+        p = P(1, 2, 3, 4).as_float()
+        big = Jet(p, 1, {(0, 0, 0, 0): 1e300, (1, 0, 0, 0): -1e300, (0, 1, 0, 0): 1e-300})
+        for value in (1e300, -1e-300, -0.0, float("inf"), float("nan")):
+            c = Jet.constant(value, p, 1)
+            for a, b in ((c, big), (big, c), (c, -big)):
+                assert _words(a * b) == _words(mul_oracle.product(a, b))
+        # -1e-300 * 1e-300 underflows to -0.0, which the product stores as 0.0
+        assert _words(Jet.constant(-1e-300, p, 1) * big)[1][2] == "0x0.0p+0"
 
 
 # ---------------------------------------------------------------------------

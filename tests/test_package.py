@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,8 @@ def test_the_poly_layout_check_sees_each_read(tmp_path):
 
 # The symbolic tetrad and metric trees, their Gauss-Jordan inverse and the curvature
 # wrappers fed from them live in tests/geometry_oracle.py (the integer full lowering
-# and full W were deleted): a field reaches curvature by one route, FieldGeometry
+# and full W were deleted): a field reaches curvature by one route, FieldGeometry.
+# So does the curved star operator on trees (hodge_star_d), which no subcommand reaches
 TREE_ROUTE_NAMES = {
     "Tetrad", "_row_values", "tetrad_from_theta", "tetrad_from_omega", "DegenerateHessianError",
     "plane_wave_tetrad", "MetricField", "metric_from_tetrad", "TwoForm", "_perm_sign",
@@ -130,7 +132,7 @@ TREE_ROUTE_NAMES = {
     "christoffel", "riemann", "ricci", "lowered_riemann", "weyl_tensor_values", "_lower",
     "_index_keys", "weyl_spinors", "verify_asd_vacuum", "slice_metric",
     "vector_to_spinor_level1", "flat_wave_poly", "formal_step_consistency",
-    "boundary_of_boundary_residual", "symplectic_pair_curved",
+    "boundary_of_boundary_residual", "symplectic_pair_curved", "hodge_star_d", "ThreeFormField",
 }
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -170,3 +172,33 @@ def test_the_tree_route_check_sees_each_way_in(tmp_path):
     assert _tree_route_names(module) == ["mod.py:1: weyl_spinors", "mod.py:2: SPIN_INDICES",
                                          "mod.py:5: tetrad", "mod.py:6: MetricField",
                                          "mod.py:7: riemann"]
+
+
+# ---------------------------------------------------------------------------
+# one tree evaluator: every fold of a tree is a run of a compiled Program
+
+def test_the_per_call_memo_is_gone():
+    from heavenly import jetcore
+    assert not hasattr(jetcore, "_folder")
+
+
+ROUTES = {
+    "fold": lambda jc, e, p: jc.fold(e, lambda leaf: Fraction(1)),
+    "jets_of": lambda jc, e, p: jc.jets_of([e], p, 2),
+    "field_jets": lambda jc, e, p: jc.field_jets([jc.ScalarField("second", e)], p, 2),
+    "field_values": lambda jc, e, p: jc.field_values([jc.ScalarField("second", e)], p),
+    "ScalarField.jet": lambda jc, e, p: jc.ScalarField("second", e).jet(p, 2),
+    "ScalarField.value": lambda jc, e, p: jc.ScalarField("second", e).value(p),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_route_runs_a_program(route, monkeypatch):
+    from heavenly import jetcore
+    runs = []
+    real = jetcore.Program.run
+    monkeypatch.setattr(jetcore.Program, "run",
+                        lambda program, leaf: runs.append(program.exprs) or real(program, leaf))
+    e = jetcore.parse_expression("w/(w*x+z*y)", "second")
+    ROUTES[route](jetcore, e, jetcore.point("second", 1, 2, 3, 4))
+    assert runs == [(e,)]

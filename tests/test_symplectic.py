@@ -16,7 +16,6 @@ from heavenly.symplectic import (
     ThreeForm,
     boundary_integral,
     first_order_flow_residual,
-    hodge_star_d,
     lagrangian_density_first,
     lagrangian_density_second,
     omega_k,
@@ -30,6 +29,7 @@ from heavenly.tetrads import FirstPotential, SecondPotential
 
 from geometry_oracle import (
     boundary_of_boundary_residual,
+    hodge_star_d,
     sigma_forms,
     symplectic_pair_curved,
     tetrad_from_theta,

@@ -119,6 +119,18 @@ class TestCurvedCurve:
                 table = res["interior"] if r <= c.order - 1 else res["top"]
                 assert table[(A, B)][r] == public[A]
 
+    def test_curve_compiled_once_for_every_point(self, monkeypatch):
+        c = st_twistor_curve(10)
+        theta = st_potential()
+        work = JetWork(monkeypatch)
+        for p in pts(seed=7, n=3):
+            lax_annihilation_residual(c, theta, p, SIGMA)
+        # the potential's program and the curve's, each kept from its first use
+        assert work.compiles == 2
+        assert work.fold_count == 3 * 23
+        assert work.most_folds_of_one_tree == 1
+        assert work.products <= 3 * 147
+
     def test_fault_injection_locates_order(self):
         c = st_twistor_curve(5)
         # corrupt the lam^3 coefficient of mu0 with a coordinate-dependent term
