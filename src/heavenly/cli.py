@@ -11,8 +11,10 @@ Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
 line naming the worst residual's item, label and value; 2 = bad input (an
 option out of range, an option the background does not read, an unparsable
 or off-chart expression, an unknown background, no admissible sample point,
-or a float evaluation that cannot meet --tol), with one `error:` line on
-stderr and nothing on stdout.
+or a float evaluation that cannot meet --tol: a parameter or a value met
+while evaluating that is too large for a float, or a residual that is not
+finite, named by its item and label), with one `error:` line on stderr and
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .jetcore import (
     PoleError,
     ScalarField,
     chart_coords,
-    field_jets,
     parse_expression,
 )
 from .polynomials import Poly
@@ -69,8 +70,12 @@ def _check(args, config: dict, items, evaluate) -> int:
         record, residuals = evaluate(item)
         records.append(record)
         for label, value in residuals.items():
-            # a zero residual is never the maximum, so it is not worth an abs
-            if value and abs(value) > worst:
+            # a zero residual is never the maximum, so it is not worth an abs; a nan
+            # is never <= worst, so it reaches the finiteness check as a new maximum does
+            if value and not abs(value) <= worst:
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise EvaluationError(f"{_label_text(label)} = {value} at {_item_text(record)}"
+                                          " is not finite in float mode")
                 worst, culprit = abs(value), (record, label, value)
     config = {**config, "seed": args.seed, "mode": args.mode}
     report = reports.build_report(args.command, config, records, worst, args.mode, args.tol)
@@ -133,7 +138,17 @@ def _params(entry, args) -> dict:
     sigma = _sigma(args, entry.name, "sigma" in params)
     if sigma is not None:
         params["sigma"] = sigma
-    return {k: float(v) for k, v in params.items()} if args.mode == "float" else params
+    if args.mode == "float":
+        return {k: _float(f"parameter {k!r}", v) for k, v in params.items()}
+    return params
+
+
+def _float(name: str, value) -> float:
+    """A parameter for float mode; one too large for a float is bad input."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for --mode float") from None
 
 
 def _sample(chart: str, args, exclusions=(), seed=None) -> list[Point]:
@@ -183,7 +198,7 @@ def _background(args, *exclusions):
     sigma = _sigma(args, args.background, args.background != "flat", Fraction(1))
     exclusions = ["q_nonzero", "w_nonzero", *exclusions]
     if args.mode == "float":
-        sigma = float(sigma)
+        sigma = _float("--sigma", sigma)
         exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
     pts = _sample(SECOND, args, exclusions)
     if args.background == "flat":
@@ -304,29 +319,16 @@ def cmd_hierarchy_check(args) -> int:
     if not 1 <= n <= 9:
         raise ConfigError(f"--n must be in 1..9, got {n}")
     chart = hierarchy.extended_chart(n)
-    coords = chart_coords(chart)
-    rng = random.Random(args.seed)
-    E = hierarchy.ExtendedPotential(n, _random_poly(chart, rng, 8, 3).to_field())
+    theta = _random_poly(chart, random.Random(args.seed), 8, 3).to_field()
+    E = hierarchy.ExtendedPotential(n, theta)
     pairs = [(0, i, 1, j) for i in range(n) for j in range(n)]
     zero = _zero(args)
 
     def evaluate(p):
-        residuals = {}
-        theta_jet = E.field.jet(p, 3)   # every compatibility and Sato check reads this one jet
-        for rec in hierarchy.lax_compat_from_jet(theta_jet, pairs)["pairs"]:
-            A, i, B, j = rec["pair"]
-            equiv = (a - b for a, b in
-                     zip(rec["dd_commutator"], rec["residual_hamiltonian_field"]))
-            for name, values in ((f"[delta_{A}{i}, delta_{B}{j}]", rec["delta_delta"]),
-                                 (f"mixed ({A}{i}, {B}{j})", rec["mixed"]),
-                                 (f"[D_{A}{i}, D_{B}{j}] - X_H", equiv)):
-                residuals.update({(f"{name}^{c}",): v for c, v in zip(coords, values)})
-        checks = [(A, j) for A in (0, 1) for j in range(1, n + 1)]
-        tests = [(_random_poly(chart, rng, 5, 2) + Poly.constant(1, chart)).to_field()
-                 for _ in checks]
-        for (A, j), test_jet in zip(checks, field_jets(tests, p, 1)):
-            r = hierarchy.summed_lax_from_jets(theta_jet, A, j, test_jet)
-            residuals.update({(f"Sato A={A} j={j}", m): v for m, v in r.items()})
+        # the compatibility and the Sato checks read one jet's flow fields
+        fields = hierarchy.FlowFields(E.field.jet(p, 3))
+        residuals = {**hierarchy.lax_compat_from_jet(fields, pairs),
+                     **hierarchy.summed_lax_from_jet(fields)}
         record = {"point": p,
                   "identity_max_abs": max([zero, *(abs(v) for v in residuals.values() if v)])}
         return record, residuals

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import comb
 from typing import Mapping, Sequence
 
 from .jetcore import (
@@ -186,47 +186,73 @@ def _bracket(u: dict, v: dict, nvars: int) -> list:
     return out
 
 
-def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int]]) -> dict:
-    """Compatibility commutators for the listed flow pairs (A, i, B, j) at the
-    center of an order-3 (or higher) jet of the potential.
+class FlowFields:
+    """The Lax distribution's vector fields at the center of one jet of the potential.
 
-    Returns, per pair: the [D, D] commutator components next to the matched
-    Hamiltonian field of the corresponding flow residual, the [delta, delta]
-    components, and the mixed-bracket combination (identically zero).
-
-    D_{Ai+1} has the components -Theta_{Ai,10} along x00, Theta_{Ai,00} along
-    x10 and 1 along x_{Ai+1}; delta_{Ai} is the unit field along x_{Ai}.  The
-    values and gradients of Theta_{Ai,00} and Theta_{Ai,10}, read off the one
-    jet by name, are all that the brackets and the Hamiltonian field of the
-    flow residual need.  They go over one denominator D, so each component is
-    an integer sum over D^2, divided once.
+    A field maps an axis to its component's numerators over ``den``: the
+    value, then its partials along each axis ([value, d_0, d_1, ...]) where a
+    bracket reads them; absent components are zero.  Every field is built
+    from the values and gradients of Theta_{Ai,00} and Theta_{Ai,10} for the
+    flows (A, i), i < n, which are read off the jet (order 3 or more) by name
+    once, over one denominator.
     """
-    ax = _axes(theta_jet.center.chart)
-    nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
-    flows = sorted({pair[:2] for pair in pairs} | {pair[2:] for pair in pairs})
-    if any(not 0 <= i < nvars // 2 - 1 for _, i in flows):
+
+    def __init__(self, theta_jet: Jet):
+        self.axes = ax = _axes(theta_jet.center.chart)
+        self.n, self.mode = len(ax) // 2 - 1, theta_jet.mode
+        flows = [(A, i) for A in (0, 1) for i in range(self.n)]
+        nums, self.den = common_denominator(
+            [theta_jet.d_numerators((f, c), *((f, c, e) for e in ax))
+             for f in (coord_name(*k) for k in flows) for c in ("x00", "x10")])
+        self.t00 = dict(zip(flows, nums[0::2]))   # Theta_{Ai,00}
+        self.t10 = dict(zip(flows, nums[1::2]))   # Theta_{Ai,10}
+        self.one = [self.den] + [0] * len(ax)
+
+    def hamiltonian(self, f00: list, f10: list) -> dict:
+        """X_f = {f, .}: components -f_10 along x00 and f_00 along x10."""
+        return {self.axes["x00"]: [-x for x in f10], self.axes["x10"]: f00}
+
+    def delta(self, A: int, i: int) -> dict:
+        """delta_{Ai}, the unit field along x_{Ai}."""
+        return {self.axes[coord_name(A, i)]: self.one}
+
+    def D(self, A: int, i: int) -> dict:
+        """D_{Ai+1} = d_{Ai+1} + {Theta_{Ai}, .}."""
+        return {**self.hamiltonian(self.t00[A, i], self.t10[A, i]), **self.delta(A, i + 1)}
+
+    def omega(self, A: int, j: int) -> list[dict]:
+        """X_c for the lam^m coefficient c of omega_{Aj}, m = 0..j (values only).
+
+        omega_{Aj} = eps_{BA} omega^B_j lowers omega^B_j = -x^{B0} + sum_{m=1..j}
+        lam^m d^{Bm-1} Theta, where d^{Bi} = eps^{BC} d_{Ci}.
+        """
+        # c = -eps_{BA} x^{B0} at m = 0, then eps_{BA} eps^{BC} Theta_{Cm-1}
+        out = [self.hamiltonian([-EPS[0, A] * self.den], [-EPS[1, A] * self.den])]
+        w = {C: sum(EPS[B, A] * EPS[B, C] for B in (0, 1)) for C in (0, 1)}
+        for m in range(1, j + 1):
+            out.append(self.hamiltonian([sum(w[C] * self.t00[C, m - 1][0] for C in (0, 1))],
+                                        [sum(w[C] * self.t10[C, m - 1][0] for C in (0, 1))]))
+        return out
+
+
+def lax_compat_from_jet(fields: FlowFields,
+                        pairs: Sequence[tuple[int, int, int, int]]) -> dict[tuple, Number]:
+    """Labelled compatibility residuals of the listed flow pairs (A, i, B, j).
+
+    Per pair and axis c: [delta_{Ai}, delta_{Bj}]^c, the mixed combination
+    ([D_{Ai+1}, delta_{Bj}] - [D_{Bj+1}, delta_{Ai}])^c, and
+    [D_{Ai+1}, D_{Bj+1}]^c minus the Hamiltonian field of the flow residual
+    of (A, i+1, B, j+1); each vanishes identically.  Each is an integer sum
+    over den^2, divided once.
+    """
+    ax, nvars, den = fields.axes, len(fields.axes), fields.den
+    if any(not 0 <= i < fields.n for pair in pairs for i in pair[1::2]):
         raise IndexError("flow index out of range")
-    nums, den = common_denominator([theta_jet.d_numerators((f, c), *((f, c, e) for e in ax))
-                                    for f in (coord_name(*k) for k in flows)
-                                    for c in ("x00", "x10")])
-    P = dict(zip(flows, nums[0::2]))   # Theta_{Ai,00}
-    Q = dict(zip(flows, nums[1::2]))   # Theta_{Ai,10}
-    one = [den] + [0] * nvars
+    P, Q = fields.t00, fields.t10
 
     def up(k):
         A, i = k
         return ax[coord_name(A, i + 1)]
-
-    def D(k):
-        return {x00: [-x for x in Q[k]], x10: P[k], up(k): one}
-
-    def delta(k):
-        return {ax[coord_name(*k)]: one}
-
-    q, den2 = divider(theta_jet.mode), den * den
-
-    def values(xs):
-        return tuple(q(x, den2) for x in xs)
 
     def d_residual(k, l, c, G):
         """d_c of the flow residual R = Theta_{k+,l} - Theta_{l+,k} + {Theta_k, Theta_l}, where
@@ -235,22 +261,21 @@ def lax_compat_from_jet(theta_jet: Jet, pairs: Sequence[tuple[int, int, int, int
                 + P[k][1 + c] * Q[l][0] + P[k][0] * Q[l][1 + c]
                 - Q[k][1 + c] * P[l][0] - Q[k][0] * P[l][1 + c])
 
-    out = []
+    q, den2 = divider(fields.mode), den * den
+    out = {}
     for (A, i, B, j) in pairs:
         k, l = (A, i), (B, j)
-        ham = [0] * nvars
-        ham[x00], ham[x10] = -d_residual(k, l, x10, Q), d_residual(k, l, x00, P)
-        dd, ham_vals = values(_bracket(D(k), D(l), nvars)), values(ham)
-        mixed = [a - b for a, b in zip(_bracket(D(k), delta(l), nvars),
-                                        _bracket(D(l), delta(k), nvars))]
-        out.append({
-            "pair": (A, i, B, j),
-            "dd_commutator": dd,
-            "residual_hamiltonian_field": ham_vals,
-            "delta_delta": values(_bracket(delta(k), delta(l), nvars)),
-            "mixed": values(mixed),
-        })
-    return {"pairs": out}
+        Dk, Dl, dk, dl = fields.D(*k), fields.D(*l), fields.delta(*k), fields.delta(*l)
+        equiv = _bracket(Dk, Dl, nvars)
+        ham = fields.hamiltonian([d_residual(k, l, ax["x00"], P)], [d_residual(k, l, ax["x10"], Q)])
+        for a, (x,) in ham.items():
+            equiv[a] -= x
+        mixed = [a - b for a, b in zip(_bracket(Dk, dl, nvars), _bracket(Dl, dk, nvars))]
+        for name, nums in ((f"[delta_{A}{i}, delta_{B}{j}]", _bracket(dk, dl, nvars)),
+                           (f"mixed ({A}{i}, {B}{j})", mixed),
+                           (f"[D_{A}{i}, D_{B}{j}] - X_H", equiv)):
+            out.update({(f"{name}^{c}",): q(x, den2) for c, x in zip(ax, nums)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,54 +302,32 @@ def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaS
     return series[0], series[1]
 
 
-def summed_lax_from_jets(theta_jet: Jet, A: int, j: int, test_jet: Jet) -> dict[int, Number]:
-    """Per-lam-order residual of  -sum_i lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}
-    from jets of the potential (order 2 or more) and the test field (order 1).
+def summed_lax_from_jet(fields: FlowFields) -> dict[tuple, Number]:
+    """Labelled residuals of  -sum_{i<j} lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}
+    for A = 0, 1 and j = 1..n, with L_{Ai} = delta_{Ai} - lam D_{Ai+1}.
 
-    Applied to an arbitrary test field; an operator identity, zero for every
-    potential.  omega_{Aj} is the eps-lowered series (omega_{0j} = -omega^1_j,
-    omega_{1j} = omega^0_j).
-
-    The values of D_{Ai+1} and the gradients of the omega coefficients are
-    second partials of Theta: the gradients of Theta_{Ci}, read off the one
-    jet by name.  Each side names the partials it reads by its own indices.
-    Those values and gradients and the test field's go over one denominator
-    D; each order is an integer sum over D^2, divided once.
+    An operator identity, zero for every potential.  Both sides are vector
+    fields polynomial in lam, compared order by order and axis by axis: a
+    test field enters the identity only through its gradient, so these
+    components are the whole identity at the point.  The label of order m
+    along axis c is ("Sato A={A} j={j}^{c}", m); each value is an integer sum
+    over den, divided once.
     """
-    ax = _axes(theta_jet.center.chart)
-    nvars, x00, x10 = len(ax), ax["x00"], ax["x10"]
-    if not (1 <= j <= nvars // 2 - 1):
-        raise IndexError("truncation level out of range")
-    # omega_{Aj} = eps_{AB} omega^B_j (omega_{0j} = -omega^1_j, omega_{1j} = omega^0_j), and
-    # omega^B_j = -x^{B0} + sum_m lam^m d^{Bm-1} Theta with d^{0i} = d_{1i}, d^{1i} = -d_{0i}
-    B, lower = (1, -1) if A == 0 else (0, 1)
-    C, dual = (1, 1) if B == 0 else (0, -1)
-    lhs_axes = [ax[coord_name(A, i)] for i in range(j)]
-    rhs_axes = [ax[coord_name(C, m - 1)] for m in range(1, j + 1)]
-    axes = sorted(set(lhs_axes + rhs_axes))
-    names = tuple(ax)
-    (*nums, t), den = common_denominator(
-        [theta_jet.d_numerators((names[a],), *((names[a], e) for e in names)) for a in axes]
-        + [test_jet.d_numerators((), *((e,) for e in names))])
-    first = dict(zip(axes, nums))   # axis a -> [Theta_a, d Theta_a] numerators
-
-    def dtest(*flow):
-        return t[1 + ax[coord_name(*flow)]]
-    # LHS per order: -sum_{i=0..j-1} lam^i (delta_{Ai} - lam D_{Ai+1}) (test)
-    lhs = [0] * (j + 1)
-    for i, a in enumerate(lhs_axes):
-        f = first[a]
-        lhs[i] -= den * dtest(A, i)
-        lhs[i + 1] += -f[1 + x10] * dtest(0, 0) + f[1 + x00] * dtest(1, 0) + den * dtest(A, i + 1)
-    # RHS per order: {c, test} = c_00 test_10 - c_10 test_00 for the lam^m coefficient c of
-    # omega_{Aj}, whose gradient is -lower e_{B0} at m = 0; then lam^j d_{Aj} test
-    grads = [(-lower * den if B == 0 else 0, -lower * den if B == 1 else 0)]
-    grads += [(lower * dual * first[a][1 + x00], lower * dual * first[a][1 + x10])
-              for a in rhs_axes]
-    rhs = [c00 * dtest(1, 0) - c10 * dtest(0, 0) for c00, c10 in grads]
-    rhs[j] += den * dtest(A, j)
-    q, den2 = divider(theta_jet.mode), den * den
-    return {m: q(a - b, den2) for m, (a, b) in enumerate(zip(lhs, rhs))}
+    q = divider(fields.mode)
+    out = {}
+    for A in (0, 1):
+        for j in range(1, fields.n + 1):
+            for m, X in enumerate(fields.omega(A, j)):
+                lhs = ([(1, fields.D(A, m - 1))] if m else []) \
+                    + ([(-1, fields.delta(A, m))] if m < j else [])
+                rhs = [(1, X)] + ([(1, fields.delta(A, j))] if m == j else [])
+                nums = [0] * len(fields.axes)
+                for sign, V in lhs + [(-s, V) for s, V in rhs]:
+                    for a, comp in V.items():
+                        nums[a] += sign * comp[0]
+                out.update({(f"Sato A={A} j={j}^{c}", m): q(x, fields.den)
+                            for c, x in zip(fields.axes, nums)})
+    return out
 
 
 def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
@@ -380,38 +383,18 @@ class SpinorVector:
     n: int
     components: dict[tuple[int, int], Number]
 
-    def component(self, A: int, primed: tuple[int, ...]) -> Number:
-        return self.components.get((A, sum(primed)), 0)
-
 
 def paraconformal_eval(U: SpinorVector, W: SpinorVector) -> Number:
     """Full eps contraction eps_AB eps_{A1'B1'} ... eps_{An'Bn'} U W.
 
-    Symmetric for odd n, antisymmetric for even n.
+    Each eps_{a'b'} pairs a primed 0 with a 1 (eps_{0'1'} = 1, eps_{1'0'} =
+    -1), so the C(n, k) index strings of U with k ones meet W's complements,
+    n - k ones, with the factor (-1)^k.  Symmetric for odd n, antisymmetric
+    for even n.
     """
     if U.n != W.n:
         raise ValueError("rank mismatch")
     n = U.n
-    total = 0
-    for A in (0, 1):
-        for B in (0, 1):
-            eab = EPS[(A, B)]
-            if eab == 0:
-                continue
-            for primedU in product((0, 1), repeat=n):
-                uval = U.component(A, primedU)
-                if uval == 0:
-                    continue
-                for primedW in product((0, 1), repeat=n):
-                    factor = eab
-                    for a, b in zip(primedU, primedW):
-                        factor *= EPS[(a, b)]
-                        if factor == 0:
-                            break
-                    if factor == 0:
-                        continue
-                    wval = W.component(B, primedW)
-                    if wval == 0:
-                        continue
-                    total += factor * uval * wval
-    return total
+    return sum(EPS[A, B] * comb(n, k) * (-1) ** k * U.components.get((A, k), 0)
+               * W.components.get((B, n - k), 0)
+               for A, B in ((0, 1), (1, 0)) for k in range(n + 1))

@@ -31,6 +31,7 @@ concurrently.
 from __future__ import annotations
 
 import operator
+import reprlib
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1028,6 +1029,10 @@ class Program:
             if op is operator.pow:
                 raise PoleError(to_text(self._nodes[a])) from None
             raise
+        except OverflowError:
+            # the failing instruction is the next one to push
+            text = reprlib.repr(to_text(self._nodes[len(r)]))
+            raise EvaluationError(f"{text} is too large for a float at the point") from None
         return [r[s] for s in self._outputs]
 
     def jets(self, p: Point, order: int = DEFAULT_ORDER,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .jetcore import (
@@ -105,59 +106,40 @@ def recursion_power_poly(phi: Poly, k: int) -> Poly:
 # ---------------------------------------------------------------------------
 # sigma-polynomial coefficient tables
 
-class CoeffTable:
-    """Triangular tables for the curved chain and the curve coefficients.
+@cache
+def _entry(shift: int, n: int, k: int) -> UniPoly:
+    """Entry (n, k), 0 <= k <= n, of the triangular table of the curved chain
+    (shift 1) or of the curve coefficients (shift 2): a polynomial in sigma.
 
-    Entries are polynomials in sigma (``UniPoly`` tuples); one table serves
-    every numeric sigma, and the sigma=0 specialisation is exact.  Seeds: row
-    1 is (1, 0) for both tables; out-of-range column indices mean zero.  Rows
-    are built on demand, so any row n >= 1 can be looked up.
+    Row 1 is (1, 0); entry (n + 1, k) is entry (n, k - 1) plus
+    -2 (k + 1) sigma / (n - k + shift) times entry (n, k + 1), an entry off
+    the triangle being zero.  One table serves every numeric sigma, and the
+    sigma = 0 specialisation is exact.
     """
-
-    def __init__(self):
-        self.rows = 1
-        self._a: dict[tuple[int, int], UniPoly] = {(1, 0): uni((1,)), (1, 1): ()}
-        self._b: dict[tuple[int, int], UniPoly] = {(1, 0): uni((1,)), (1, 1): ()}
-
-    def _extend(self, rows: int) -> None:
-        for n in range(self.rows, rows):
-            for k in range(0, n + 2):
-                self._a[(n + 1, k)] = self._step(self._a, n, k, shift=1)
-                self._b[(n + 1, k)] = self._step(self._b, n, k, shift=2)
-            self.rows = n + 1
-
-    @staticmethod
-    def _step(table, n: int, k: int, shift: int) -> UniPoly:
-        out = table.get((n, k - 1), ()) if k - 1 >= 0 else ()
-        if k + 1 <= n:
-            factor = Fraction(-2 * (k + 1), n - k + shift)
-            out = uni_add(out, uni_mul(table[(n, k + 1)], (Fraction(0), factor)))
-        return out
-
-    def _lookup(self, table, n: int, k: int) -> UniPoly:
-        if k == -1:
-            return ()
-        if n < 1 or k < 0 or k > n:
-            raise IndexError(f"table entry ({n}, {k}) out of range")
-        self._extend(n)
-        return table[(n, k)]
-
-    def coeff_A(self, n: int, k: int) -> UniPoly:
-        return self._lookup(self._a, n, k)
-
-    def coeff_B(self, n: int, k: int) -> UniPoly:
-        return self._lookup(self._b, n, k)
+    if n == 1:
+        return uni((1,)) if k == 0 else ()
+    m = n - 1
+    out = _entry(shift, m, k - 1) if k >= 1 else ()
+    if k + 1 <= m:
+        factor = Fraction(-2 * (k + 1), m - k + shift)
+        out = uni_add(out, uni_mul(_entry(shift, m, k + 1), (Fraction(0), factor)))
+    return out
 
 
-_TABLE = CoeffTable()
+def _lookup(shift: int, n: int, k: int) -> UniPoly:
+    if k == -1:
+        return ()
+    if n < 1 or k < 0 or k > n:
+        raise IndexError(f"table entry ({n}, {k}) out of range")
+    return _entry(shift, n, k)
 
 
 def coeff_A(n: int, k: int) -> UniPoly:
-    return _TABLE.coeff_A(n, k)
+    return _lookup(1, n, k)
 
 
 def coeff_B(n: int, k: int) -> UniPoly:
-    return _TABLE.coeff_B(n, k)
+    return _lookup(2, n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@ differentiated expression tree (``jetcore.diff``), folded into its own jet at
 the point.  It is slow and obviously correct, which is what an oracle should
 be.  It shares the tree-building functions that stay public in the package
 (``d_flow_field``, ``truncated_omega``) and ``tetrads.vector_commutator_values``.
-Nothing in ``src/`` imports it.
+The paraconformal pairing's sum over every primed index string, which the
+package replaced by its closed form, is here too.  Nothing in ``src/``
+imports it.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from heavenly.hierarchy import (
     _hamiltonian_vf,
@@ -20,7 +24,7 @@ from heavenly.hierarchy import (
     truncated_omega,
 )
 from heavenly.jetcore import ScalarField, add, chart_coords, diff, mul, neg
-from heavenly.tetrads import vector_commutator_values
+from heavenly.tetrads import EPS, vector_commutator_values
 
 
 def _pb_expr(f, g):
@@ -116,3 +120,34 @@ def sato_flow_residual(E, B, j, p, params=None):
         orders[0] = orders.get(0, 0) - (1 if A == B else 0)
         out[f"omega{A}"] = orders
     return out
+
+
+def paraconformal_eval(U, W):
+    """``hierarchy.paraconformal_eval`` as the sum over every primed index string of U
+    and of W, O(4^n)."""
+    if U.n != W.n:
+        raise ValueError("rank mismatch")
+    n = U.n
+    total = 0
+    for A in (0, 1):
+        for B in (0, 1):
+            eab = EPS[(A, B)]
+            if eab == 0:
+                continue
+            for primedU in product((0, 1), repeat=n):
+                uval = U.components.get((A, sum(primedU)), 0)
+                if uval == 0:
+                    continue
+                for primedW in product((0, 1), repeat=n):
+                    factor = eab
+                    for a, b in zip(primedU, primedW):
+                        factor *= EPS[(a, b)]
+                        if factor == 0:
+                            break
+                    if factor == 0:
+                        continue
+                    wval = W.components.get((B, sum(primedW)), 0)
+                    if wval == 0:
+                        continue
+                    total += factor * uval * wval
+    return total

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavenly.cli import build_parser, main
+from heavenly.hierarchy import FlowFields
 from heavenly.jetcore import ScalarField
 from heavenly.recursion import (
     flat_phi,
@@ -24,6 +25,7 @@ from heavenly.recursion import (
 )
 from heavenly.sampling import float_points, sample_points
 from heavenly.tetrads import (
+    EPS,
     FieldGeometry,
     SecondPotential,
     lax_step_residual,
@@ -153,6 +155,14 @@ class TestExitCodes:
          "--sigma sets the sigma parameter; 'flat' has none"),
         (["twistor-series", "--background", "flat", "--order", "2", "--sigma", "5"],
          "--sigma sets the sigma parameter; 'flat' has none"),
+        # values too large for a float: a constant met while evaluating, --sigma, and
+        # a catalog parameter
+        (["curvature-report", "--background", "plane-wave", "--f", "q^2/(q^400*7^400)",
+          "--mode", "float", "--seed", "1"], "is too large for a float at the point"),
+        (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "1e400",
+          "--mode", "float"], "error: --sigma is too large for --mode float"),
+        (["verify-solution", "--background", "sparling-tod", "--sigma", "1e400",
+          "--mode", "float"], "error: parameter 'sigma' is too large for --mode float"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -161,6 +171,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_nan_residuals_are_two(self, capsys):
+        # (7q)^400 overflows the float jets to inf, so every curvature residual is nan,
+        # which no comparison with the running maximum could catch
+        code, out = run(["curvature-report", "--background", "plane-wave", "--f", "(7*q)^400*z",
+                         "--mode", "float", "--points", "3", "--seed", "2"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ricci_max_abs = nan at point w=") and err.count("\n") == 1
+        assert err.endswith(" is not finite in float mode\n")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_residual_is_two(self, bad, monkeypatch, capsys):
+        from heavenly import hierarchy
+        real = hierarchy.summed_lax_from_jet
+        monkeypatch.setattr(hierarchy, "summed_lax_from_jet",
+                            lambda fields: {**real(fields), ("Sato A=1 j=2^x11", 1): bad})
+        code, out = run(["hierarchy-check", "--n", "2", "--points", "2", "--mode", "float"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: Sato A=1 j=2^x11 at lam^1 = {bad} at point x00=")
+        assert err.count("\n") == 1
 
     def test_float_duality_beyond_tol_is_two(self, monkeypatch, capsys):
         # the metric jets and the frame come from one jet of Theta, so a second-form
@@ -204,10 +238,10 @@ class TestExitCodes:
         from heavenly import hierarchy
         real = hierarchy.lax_compat_from_jet
 
-        def off_twice(theta_jet, pairs):
-            res = real(theta_jet, pairs)
-            res["pairs"][0]["mixed"] = (Fraction(-2),)
-            res["pairs"][1]["delta_delta"] = (Fraction(2),)
+        def off_twice(fields, pairs):
+            res = real(fields, pairs)
+            res[("mixed (00, 10)^x00",)] = Fraction(-2)   # pair 0
+            res[("[delta_00, delta_11]^x00",)] = Fraction(2)   # pair 1
             return res
         monkeypatch.setattr(hierarchy, "lax_compat_from_jet", off_twice)
         code, _ = run(["hierarchy-check", "--n", "2", "--points", "2"])
@@ -413,11 +447,11 @@ class TestOutputs:
         real = hierarchy.lax_compat_from_jet
         seen = []
 
-        def first_point_off(theta_jet, pairs):
-            res = real(theta_jet, pairs)
+        def first_point_off(fields, pairs):
+            res = real(fields, pairs)
             if not seen:
-                res["pairs"][0]["delta_delta"] = [Fraction(3)]
-            seen.append(theta_jet.center)
+                res[("[delta_00, delta_10]^x00",)] = Fraction(3)
+            seen.append(fields)
             return res
 
         monkeypatch.setattr(hierarchy, "lax_compat_from_jet", first_point_off)
@@ -589,15 +623,59 @@ class TestHierarchyCheckSharedJets:
         code, _ = run(["hierarchy-check", "--n", str(n), "--points", "1"])
         assert code == 0
         # the potential's order-3 jet, read by the compatibility and the Sato checks,
-        # and the order-1 jets of the 2n test fields in one fold; no derivative trees
-        assert work.fold_count <= 1 + 2 * n
+        # is the one fold; no test fields, no derivative trees
+        assert work.fold_count == 1
         assert work.most_folds_of_one_tree == 1
         assert work.diff_calls == 0
-        # the potential and the test fields are polynomials: no inversions.  With a
-        # second, order-2 fold of the potential and one fold per test field they took
-        # 32, 52 and 68 products, and 18, 38 and 47 with powers by the constant 1
-        assert work.products <= {1: 16, 3: 36, 4: 45}[n]
+        # the potential is a polynomial: no inversions.  With the order-1 jets of 2n
+        # test fields in a second fold they took 16, 36 and 45 products; with a second,
+        # order-2 fold of the potential and one fold per test field, 32, 52 and 68
+        assert work.products <= 12
         assert work.inversions == 0
+
+
+class TestHierarchyCheckMutations:
+    """A wrong flow field fails hierarchy-check: both identities have teeth.
+
+    D's x00 component is -Theta_{Ai,10}, so its sign shows only where the seed's
+    potential gives it weight: at --n 2 and one point, seed 11 does, in both
+    checks (seed 1 in neither, seed 4 in the Sato check only).
+    """
+
+    ARGV = ["hierarchy-check", "--n", "2", "--points", "1", "--seed", "11"]
+
+    def test_wrong_sign_in_the_x00_component_of_D(self, monkeypatch, capsys):
+        real = FlowFields.D
+
+        def flipped(self, A, i):
+            V = real(self, A, i)
+            x00 = self.axes["x00"]
+            return {**V, x00: [-x for x in V[x00]]}
+        monkeypatch.setattr(FlowFields, "D", flipped)
+        code, out = run(self.ARGV)
+        assert code == 1
+        assert json.loads(out)["verdict"] == "fail"
+        assert capsys.readouterr().err.startswith("verdict failed: Sato A=")
+        # the compatibility check alone catches it too
+        from heavenly import hierarchy
+        monkeypatch.setattr(hierarchy, "summed_lax_from_jet", lambda fields: {})
+        code, _ = run(self.ARGV)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("verdict failed: [D_0")
+
+    def test_omega_without_its_eps_lowering(self, monkeypatch, capsys):
+        real = FlowFields.omega
+
+        def unlowered(self, A, j):
+            # omega^A_j = eps^{AB} omega_{Bj} in place of omega_{Aj}
+            sign = EPS[A, 1 - A]
+            return [{a: [sign * x for x in comp] for a, comp in X.items()}
+                    for X in real(self, 1 - A, j)]
+        monkeypatch.setattr(FlowFields, "omega", unlowered)
+        code, out = run(self.ARGV)
+        assert code == 1
+        assert json.loads(out)["verdict"] == "fail"
+        assert capsys.readouterr().err.startswith("verdict failed: Sato A=")
 
 
 class TestCurvatureJetWork:

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from heavenly.hierarchy import (
     ExtendedPotential,
+    FlowFields,
     SpinorVector,
+    _bracket,
     coord_name,
     d_flow_field,
     embed_second_form,
@@ -19,10 +21,10 @@ from heavenly.hierarchy import (
     paraconformal_eval,
     poisson_yx,
     sato_flow_residual,
-    summed_lax_from_jets,
+    summed_lax_from_jet,
     truncated_omega,
 )
-from heavenly.jetcore import Point, ScalarField, extended_chart, jet_of, point
+from heavenly.jetcore import Point, ScalarField, Var, chart_coords, extended_chart, jet_of, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import float_points, sample_points
@@ -184,20 +186,20 @@ class TestCompatibility:
         pairs = [(A, i, B, j) for A in (0, 1) for B in (0, 1)
                  for i in range(n) for j in range(n) if (A, i) < (B, j)]
         for p in sample_points(E.chart, seed, 2):
-            out = lax_compat_from_jet(jet_of(E.field.expr, p, 3), pairs)
-            for rec in out["pairs"]:
-                assert all(v == 0 for v in rec["delta_delta"])
-                assert all(v == 0 for v in rec["mixed"])
-                assert rec["dd_commutator"] == rec["residual_hamiltonian_field"]
+            out = lax_compat_from_jet(FlowFields(jet_of(E.field.expr, p, 3)), pairs)
+            # [delta, delta], mixed and [D, D] - X_H along each axis, for each pair
+            assert len(out) == 3 * len(pairs) * len(chart_coords(E.chart))
+            assert all(v == 0 for v in out.values())
 
     def test_dd_commutator_nonzero_generically(self):
         chart = extended_chart(2)
         T = Poly(chart, {(2, 2, 0, 0, 0, 0): F(1)})  # (x00 x10)^2: bracket-active
         E = ExtendedPotential(2, T.to_field())
         p = point(chart, 1, 1, 1, 1, 1, 1)
-        out = lax_compat_from_jet(jet_of(E.field.expr, p, 3), [(0, 0, 1, 0)])
-        assert any(v != 0 for v in out["pairs"][0]["dd_commutator"])
-        assert out["pairs"][0]["dd_commutator"] == out["pairs"][0]["residual_hamiltonian_field"]
+        fields = FlowFields(jet_of(E.field.expr, p, 3))
+        assert any(_bracket(fields.D(0, 0), fields.D(1, 0), 6))
+        out = lax_compat_from_jet(fields, [(0, 0, 1, 0)])
+        assert all(v == 0 for v in out.values())
 
 
 def _st_or_random_potential(kind, n, seed, degree):
@@ -227,15 +229,9 @@ class TestJetRouteMatchesOracle:
     def test_compat_and_sato(self, kind, n, seed, degree, picks):
         E, params, p = _st_or_random_potential(kind, n, seed, degree)
         pairs = [(A, i % n, B, j % n) for A, i, B, j in picks]
-        rng = random.Random(seed)
-        test = Poly(E.chart, {tuple(rng.randint(0, 2) for _ in range(2 * n + 2)):
-                              F(rng.randint(-2, 2)) for _ in range(4)}).to_field()
-        checks = [(_compat_route, oracle.lax_compat_residual, (pairs,))]
-        checks += [(_sato_route, oracle.summed_lax_identity_residual, (A, j, test))
-                   for A in (0, 1) for j in range(1, n + 1)]
         # exact mode: the routes agree exactly
-        for jet_route, tree_route, args in checks:
-            assert jet_route(E, *args, p, params) == tree_route(E, *args, p, params)
+        for got, want in _routes(E, pairs, p, params):
+            assert got == want
         for A, i, B, j in pairs:
             assert hierarchy_residual(E, A, i + 1, B, j + 1, p, params) \
                 == oracle.hierarchy_residual(E, A, i + 1, B, j + 1, p, params)
@@ -243,30 +239,50 @@ class TestJetRouteMatchesOracle:
         # coefficients
         fp = float_points([p])[0]
         fparams = params and {k: float(v) for k, v in params.items()}
-        tol = 1e-12 * _scale(E.field.jet(p, 3, params), test.jet(p, 1)) ** 2
-        for jet_route, tree_route, args in checks:
-            got = _values(jet_route(E, *args, fp, fparams))
-            want = _values(tree_route(E, *args, fp, fparams))
-            assert len(got) == len(want) and all(type(x) is float for x in got)
-            assert all(abs(x - y) <= tol for x, y in zip(got, want))
+        tol = 1e-12 * _scale(E.field.jet(p, 3, params),
+                             *(t.jet(p, 1) for t in _coordinate_fields(E))) ** 2
+        for got, want in _routes(E, pairs, fp, fparams):
+            assert got.keys() == want.keys()
+            assert all(type(x) is float for x in got.values())
+            assert all(abs(got[k] - want[k]) <= tol for k in got)
 
 
-def _compat_route(E, pairs, p, params):
-    return lax_compat_from_jet(jet_of(E.field.expr, p, 3, params), pairs)
+def _coordinate_fields(E):
+    return [ScalarField(E.chart, Var(c)) for c in chart_coords(E.chart)]
 
 
-def _sato_route(E, A, j, test, p, params):
-    return summed_lax_from_jets(jet_of(E.field.expr, p, 2, params), A, j,
-                                jet_of(test.expr, p, 1, params))
+def _routes(E, pairs, p, params):
+    """(jet route, tree route) of the [D, D] brackets, of the labelled compatibility
+    residuals and of the labelled Sato residuals.
 
-
-def _values(node):
-    """The residual dict's float values in order: its pair labels left out."""
-    if isinstance(node, dict):
-        return [x for k, v in node.items() if k != "pair" for x in _values(v)]
-    if isinstance(node, (list, tuple)):
-        return [x for v in node for x in _values(v)]
-    return [node]
+    The Sato identity holds as vector fields, so its component along axis c is
+    the tree route's residual applied to the coordinate x_c as test field.
+    """
+    fields = FlowFields(jet_of(E.field.expr, p, 3, params))
+    tree = oracle.lax_compat_residual(E, pairs, p, params)["pairs"]
+    coords = chart_coords(E.chart)
+    q = 1 / F(fields.den) ** 2 if fields.mode == "exact" else 1.0
+    brackets, dd = {}, {}
+    for rec in tree:
+        A, i, B, j = rec["pair"]
+        nums = _bracket(fields.D(A, i), fields.D(B, j), len(coords))
+        brackets.update({(rec["pair"], c): x * q for c, x in zip(coords, nums)})
+        dd.update({(rec["pair"], c): v for c, v in zip(coords, rec["dd_commutator"])})
+    yield brackets, dd
+    compat = {}
+    for rec in tree:
+        A, i, B, j = rec["pair"]
+        equiv = [a - b for a, b in zip(rec["dd_commutator"], rec["residual_hamiltonian_field"])]
+        for name, values in ((f"[delta_{A}{i}, delta_{B}{j}]", rec["delta_delta"]),
+                             (f"mixed ({A}{i}, {B}{j})", rec["mixed"]),
+                             (f"[D_{A}{i}, D_{B}{j}] - X_H", equiv)):
+            compat.update({(f"{name}^{c}",): v for c, v in zip(coords, values)})
+    yield lax_compat_from_jet(fields, pairs), compat
+    sato = {(f"Sato A={A} j={j}^{c}", m): v
+            for A in (0, 1) for j in range(1, E.n + 1)
+            for c, test in zip(coords, _coordinate_fields(E))
+            for m, v in oracle.summed_lax_identity_residual(E, A, j, test, p, params).items()}
+    yield summed_lax_from_jet(fields), sato
 
 
 class TestSato:
@@ -285,18 +301,11 @@ class TestSato:
     @pytest.mark.parametrize("n,seed", [(1, 16), (2, 17), (3, 18)])
     def test_summed_lax_identity_any_potential(self, n, seed):
         E = random_potential(n, seed)
-        rng = random.Random(seed + 1)
-        chart = E.chart
-        ncoords = 2 * (n + 1)
-        for p in sample_points(chart, seed, 2):
-            test_terms = {tuple(rng.randint(0, 1) for _ in range(ncoords)): F(rng.randint(-2, 2))
-                          for _ in range(5)}
-            test = Poly(chart, test_terms).to_field()
-            for A in (0, 1):
-                for j in range(1, n + 1):
-                    res = summed_lax_from_jets(jet_of(E.field.expr, p, 2), A, j,
-                                               jet_of(test.expr, p, 1))
-                    assert all(v == 0 for v in res.values())
+        for p in sample_points(E.chart, seed, 2):
+            res = summed_lax_from_jet(FlowFields(jet_of(E.field.expr, p, 3)))
+            # orders 0..j along each axis, for A = 0, 1 and j = 1..n
+            assert len(res) == 2 * sum(j + 1 for j in range(1, n + 1)) * 2 * (n + 1)
+            assert all(v == 0 for v in res.values())
 
     def test_flow_form_folds_each_coefficient_once(self, monkeypatch):
         # the two curve components and the lowered coefficients are folded in one
@@ -417,6 +426,16 @@ class TestParaconformal:
             U = vector_to_spinor_level1(t, u, p, SIGMA)
             W = vector_to_spinor_level1(t, v, p, SIGMA)
             assert paraconformal_eval(U, W) == guv
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_closed_form_matches_the_index_sum(self, n, data):
+        # keys past rank n are never read by either; a zero is skipped by the sum only
+        spinor = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, n + 1)),
+                                 st.fractions(-9, 9, max_denominator=7) | st.integers(-9, 9))
+        U = SpinorVector(n, data.draw(spinor))
+        W = SpinorVector(n, data.draw(spinor))
+        assert paraconformal_eval(U, W) == oracle.paraconformal_eval(U, W)
 
     def test_rank_mismatch(self):
         U = SpinorVector(1, {})

@@ -1,5 +1,6 @@
 """Expression parsing and jet arithmetic against independent oracles."""
 
+import math
 import operator
 from fractions import Fraction as F
 from itertools import product
@@ -513,6 +514,23 @@ class TestProgram:
         with pytest.raises(PoleError) as got:
             Program([e]).jets(p, 1)
         assert str(got.value) == str(expect.value) == "denominator 'x' vanishes at the point"
+
+    def test_a_value_too_large_for_a_float(self):
+        # 7^400 is no float: a float run raises an EvaluationError naming it, which is
+        # no PoleError; the exact run is unaffected
+        program = Program([parse_expression("q^2/(q^400*7^400)", "plane-wave")])
+        p = point("plane-wave", 1, 2, 3, 4)
+        for run in (lambda p: program.jets(p, 1), program.values):
+            with pytest.raises(EvaluationError, match="^'[0-9.]+' is too large for a float") \
+                    as got:
+                run(p.as_float())
+            assert not isinstance(got.value, PoleError)
+            run(p)
+        # a float power past the float range raises where a float jet's goes to inf
+        program = Program([parse_expression("(7*q)^400*z", "plane-wave")])
+        with pytest.raises(EvaluationError, match="^'\\(7\\*q\\)\\^400' is too large"):
+            program.values(p.as_float())
+        assert program.jets(p.as_float(), 1)[0].value == math.inf
 
     def test_a_field_keeps_its_program(self):
         f = ScalarField.parse("w/(w*x+z*y)", "second")
