@@ -30,6 +30,8 @@ from pathlib import Path
 from . import curvature, hierarchy, recursion, reports, symplectic, twistor
 from .catalog import load_catalog
 from .jetcore import (
+    EXACT,
+    FLOAT,
     EvaluationError,
     ParseError,
     Point,
@@ -52,11 +54,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _zero(args):
-    """The mode's zero: maxima start here, so a float run whose residuals all vanish stays float."""
-    return 0.0 if args.mode == "float" else Fraction(0)
-
-
 def _check(args, config: dict, items, evaluate) -> int:
     """Evaluate every item, fold the largest |residual| and emit the report.
 
@@ -64,7 +61,8 @@ def _check(args, config: dict, items, evaluate) -> int:
     residual.  On a failing verdict one stderr line names the residual that
     first reached the maximum: its item, label and value.
     """
-    worst, culprit = _zero(args), None
+    # the maxima start at the domain's zero, so a float run whose residuals all vanish stays float
+    worst, culprit = args.domain.number(0), None
     records = []
     for item in items:
         record, residuals = evaluate(item)
@@ -78,7 +76,7 @@ def _check(args, config: dict, items, evaluate) -> int:
                                           " is not finite in float mode")
                 worst, culprit = abs(value), (record, label, value)
     config = {**config, "seed": args.seed, "mode": args.mode}
-    report = reports.build_report(args.command, config, records, worst, args.mode, args.tol)
+    report = reports.build_report(args.command, config, records, worst, args.domain, args.tol)
     text = reports.dumps(report)
     sys.stdout.write(text)
     if args.out:
@@ -138,15 +136,13 @@ def _params(entry, args) -> dict:
     sigma = _sigma(args, entry.name, "sigma" in params)
     if sigma is not None:
         params["sigma"] = sigma
-    if args.mode == "float":
-        return {k: _float(f"parameter {k!r}", v) for k, v in params.items()}
-    return params
+    return {k: _number(args, f"parameter {k!r}", v) for k, v in params.items()}
 
 
-def _float(name: str, value) -> float:
-    """A parameter for float mode; one too large for a float is bad input."""
+def _number(args, name: str, value):
+    """A parameter in the run's domain; one too large for a float is bad input."""
     try:
-        return float(value)
+        return args.domain.number(value)
     except OverflowError:
         raise ConfigError(f"{name} is too large for --mode float") from None
 
@@ -195,10 +191,10 @@ def _exact_only(args) -> None:
 
 def _background(args, *exclusions):
     """Potential, parameters, sigma and sample points of the flat or st background."""
-    sigma = _sigma(args, args.background, args.background != "flat", Fraction(1))
+    sigma = _number(args, "--sigma", _sigma(args, args.background, args.background != "flat",
+                                            Fraction(1)))
     exclusions = ["q_nonzero", "w_nonzero", *exclusions]
     if args.mode == "float":
-        sigma = _float("--sigma", sigma)
         exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
     pts = _sample(SECOND, args, exclusions)
     if args.background == "flat":
@@ -322,7 +318,7 @@ def cmd_hierarchy_check(args) -> int:
     theta = _random_poly(chart, random.Random(args.seed), 8, 3).to_field()
     E = hierarchy.ExtendedPotential(n, theta)
     pairs = [(0, i, 1, j) for i in range(n) for j in range(n)]
-    zero = _zero(args)
+    zero = args.domain.number(0)
 
     def evaluate(p):
         # the compatibility and the Sato checks read one jet's flow fields
@@ -451,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        args.domain = FLOAT if args.mode == "float" else EXACT
         for name, low in (("points", 1), ("pairs", 1), ("order", 1), ("degree", 0)):
             if getattr(args, name, low) < low:
                 raise ConfigError(f"--{name} must be at least {low}, got {getattr(args, name)}")

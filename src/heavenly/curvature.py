@@ -10,9 +10,9 @@ inverse in closed form).  ``tests/geometry_oracle.py`` builds the same three
 from the symbolic tetrad and metric trees, with a Gauss-Jordan inverse, as
 the test reference.  The connection first checks the inverse: g ginv = 1
 and d(g ginv) = 0.  Past the inverse every sum runs on integer numerators
-over one common denominator per quantity (float mode: floats over small
-integers), and each reported number is divided once, so in exact mode a
-vanishing component is exactly zero.  Christoffel
+over one common denominator per quantity (in the float domain: floats over
+small integers), and each reported number is divided once by the domain, so
+in the exact domain a vanishing component is exactly zero.  Christoffel
 sits over one D, Riemann over D^2, and Ricci and the scalar R come from it.
 
 The spinors come from Riemann's blocks on 2-forms, R(B, B') = B^ab R_abcd
@@ -40,13 +40,11 @@ from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
-    EvaluationError,
     Jet,
     Number,
     Point,
     chart_coords,
     common_denominator,
-    divider,
 )
 from .tetrads import EPS
 
@@ -63,7 +61,7 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     numerators; it is built for b <= c (the metric jets are symmetric: g_ab and
     g_ba are one jet) and mirrored onto ``G[a][c][b]``.
 
-    In float mode D is 2 and each operation is the one the order-1 jet
+    In the float domain D is 2 and each operation is the one the order-1 jet
     product g^ad * (2 Gamma_dbc) does, in the same order, a zero g^ad
     skipped as the product skips a zero factor, so the symbols, once divided
     by D, are bit for bit the jet route's.
@@ -89,20 +87,19 @@ def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
     inv, Di = common_denominator([x.d_numerators((), *first) for row in ginv for x in row])
     # ginv must be g's inverse through order 1 (g ginv = 1, d(g ginv) = 0) or the connection
     # is not g's.  r is [2 (g ginv)_ab, d_1 (g ginv)_ab, ...]; a float r may be 1e-9 of
-    # |g| |ginv|, their summed |values and gradients| (elimination leaves noise where 0 is due)
-    exact = gj[0][0].mode == "exact"
-    size = 0 if exact else (sum(abs(v) for x in nums for v in x[:1 + n])
-                            * sum(abs(v) for y in inv for v in y))
+    # |g| |ginv|, their summed |values and gradients| (elimination leaves noise where 0 is due);
+    # 10^9 r is compared, since 1e-9 times an exact size could overflow a float
+    domain = gj[0][0].domain
+    size = sum(abs(v) for x in nums for v in x[:1 + n]) * sum(abs(v) for y in inv for v in y)
     for a, b in product(range(n), repeat=2):
         r = [0] * (n + 1)
         for x, y in zip(g1[a], inv[b::n]):
             if any(x) and any(y):
                 r = [rk + xk * y[0] + x[0] * yk for rk, xk, yk in zip(r, x, y)]
         r[0] -= 2 * Dg * Di * (a == b)
-        if any(abs(rk) > 1e-9 * size for rk in r):
-            raise (ValueError if exact else EvaluationError)(
-                "ginv is not the metric's inverse through order 1 at this point")
-    zero = 0 if exact else 0.0
+        if any(r) and any(domain.verdict(10 ** 9 * abs(rk), size) is False for rk in r):
+            raise domain.error("ginv is not the metric's inverse through order 1 at this point")
+    zero = domain.zero
     G = [[[None] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         row = [(d, h) for d, h in enumerate(inv[a * n:(a + 1) * n]) if any(h)]   # g^ad != 0
@@ -225,7 +222,7 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
     ric, scalar = _ricci_values(rm, giv)
     ds = di * d2
     fv, df = _frame_numerators(frame)
-    q = divider(p.mode)
+    q = p.domain.divide
 
     # check the frame is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
     den = dg * df * df
@@ -233,11 +230,10 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
     worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
                 for ((A, Ap), (B, Bp)), got in gf.items())
     duality_max = q(worst, den)
-    if p.mode == "exact" and worst != 0:
-        raise ValueError("tetrad is not dual to the metric at this point")
-    if p.mode == "float" and duality_max > tol:
-        raise EvaluationError(f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
-                              "at this point")
+    if p.domain.verdict(duality_max, tol) is False:
+        raise p.domain.error("tetrad is not dual to the metric at this point" if p.domain.exact
+                             else f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
+                             "at this point")
 
     # R_abcd on the coordinate pairs a < b, c < d (over dg d2), and rb = R(B, B') =
     # B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij (over dg d2 df^4)
@@ -304,8 +300,7 @@ def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Jet]], 
         rep = spinors_from_jets(gj, ginv, frame, tol)
         p = rep.point
         ricci_max, sd_max = rep.ricci_max_abs, rep.sd_weyl_max_abs
-        point_ok = ((ricci_max == 0 and sd_max == 0) if p.mode == "exact"
-                    else (ricci_max < tol and sd_max < tol))
+        point_ok = all(p.domain.verdict(x, tol) for x in (ricci_max, sd_max))
         ok = ok and point_ok
         records.append({
             "point": p,

@@ -35,7 +35,6 @@ from .jetcore import (
     common_denominator,
     const,
     diff,
-    divider,
     extended_chart,
     field_jets,
     mul,
@@ -199,7 +198,7 @@ class FlowFields:
 
     def __init__(self, theta_jet: Jet):
         self.axes = ax = _axes(theta_jet.center.chart)
-        self.n, self.mode = len(ax) // 2 - 1, theta_jet.mode
+        self.n, self.domain = len(ax) // 2 - 1, theta_jet.domain
         flows = [(A, i) for A in (0, 1) for i in range(self.n)]
         nums, self.den = common_denominator(
             [theta_jet.d_numerators((f, c), *((f, c, e) for e in ax))
@@ -261,7 +260,7 @@ def lax_compat_from_jet(fields: FlowFields,
                 + P[k][1 + c] * Q[l][0] + P[k][0] * Q[l][1 + c]
                 - Q[k][1 + c] * P[l][0] - Q[k][0] * P[l][1 + c])
 
-    q, den2 = divider(fields.mode), den * den
+    q, den2 = fields.domain.divide, den * den
     out = {}
     for (A, i, B, j) in pairs:
         k, l = (A, i), (B, j)
@@ -313,7 +312,7 @@ def summed_lax_from_jet(fields: FlowFields) -> dict[tuple, Number]:
     along axis c is ("Sato A={A} j={j}^{c}", m); each value is an integer sum
     over den, divided once.
     """
-    q = divider(fields.mode)
+    q = fields.domain.divide
     out = {}
     for A in (0, 1):
         for j in range(1, fields.n + 1):

@@ -15,11 +15,11 @@ first use.  A second, independent route — symbolic differentiation of the
 expression tree followed by plain evaluation — is provided by
 :func:`partial` and is used to cross-check the jet route.
 
-Two numeric modes exist.  In exact mode all coefficients are
-:class:`fractions.Fraction`; a residual is zero iff it is *exactly* zero.
-Float mode runs the same algorithms in double precision and is only used for
-tolerance-based reporting.  A mode never changes silently inside one
-computation: it is fixed by the evaluation point.
+Coefficients live in one of two domains, fixed by the evaluation point: in
+:data:`EXACT` they are read out as :class:`fractions.Fraction` and a residual
+passes iff it is *exactly* zero; :data:`FLOAT` runs the same algorithms in
+double precision, and a residual passes below a tolerance.  The domain owns
+every step where the two differ, so :class:`Jet` has one code path.
 
 Expressions, points, fields, programs and jets are immutable after
 construction (what a field or a jet caches on first use, such as its program
@@ -93,7 +93,7 @@ class PoleError(EvaluationError):
 
 @dataclass(frozen=True)
 class Point:
-    """A chart point with rational (exact mode) or float coordinates."""
+    """A chart point with rational coordinates (in :data:`EXACT`) or float ones (:data:`FLOAT`)."""
 
     chart: str
     values: tuple[Number, ...]
@@ -104,14 +104,10 @@ class Point:
             raise ValueError(
                 f"chart {self.chart!r} needs {len(coords)} coordinates, got {len(self.values)}"
             )
-        mode = "float" if any(isinstance(v, float) for v in self.values) else "exact"
-        if mode == "float":
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        object.__setattr__(self, "_mode", mode)   # not a field: equality ignores it
-
-    @property
-    def mode(self) -> str:
-        return self._mode
+        domain = FLOAT if any(isinstance(v, float) for v in self.values) else EXACT
+        if domain is FLOAT:
+            object.__setattr__(self, "values", tuple(map(float, self.values)))
+        object.__setattr__(self, "domain", domain)   # not a field: equality ignores it
 
     def as_float(self) -> "Point":
         return Point(self.chart, tuple(float(v) for v in self.values))
@@ -277,17 +273,15 @@ def neg(a: Expr) -> Expr:
 
 
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.a) | free_vars(e.b)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, Neg):
-        return free_vars(e.a)
-    raise TypeError(type(e))
+    """The variable names in the tree, walking each distinct node (by identity) once."""
+    seen = {id(e): e}
+    todo = [e]
+    while todo:
+        for child in vars(todo.pop()).values():
+            if isinstance(child, Expr) and id(child) not in seen:
+                seen[id(child)] = child
+                todo.append(child)
+    return frozenset(node.name for node in seen.values() if isinstance(node, Var))
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -575,15 +569,106 @@ def _layout(nvars: int, order: int) -> _Layout:
     return layout
 
 
+def _recurrence(h: list, inv, terms: list, rows: list) -> list:
+    """The numerators h of 1/f by the recurrence of f * (1/f) = 1, in graded order: h_0 is
+    ``inv`` and h_g = -inv sum t_b h_(g-b) over the ``terms`` (b, t_b), b != 0.  Each h_m is
+    final once every lower position has been pushed through its row, then pushed on."""
+    for m in range(len(h)):
+        hm = h[m] = -h[m] * inv if m else inv
+        if not hm:
+            continue
+        row = rows[m]
+        end = len(row)
+        for k, x in terms:
+            if k >= end:
+                break
+            h[row[k]] += x * hm
+    return h
+
+
+class _Exact:
+    """Integer numerators over one positive denominator, coprime after every operation,
+    read out as ``Fraction``; the verdict on a residual is True (pass) at exactly 0."""
+
+    exact = True
+    zero = 0
+    number = Fraction
+    error = ValueError   # an exact check that fails means wrong inputs
+
+    def split(self, v) -> tuple[int, int]:
+        v = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        return v.numerator, v.denominator
+
+    def reduce(self, c: list, den: int) -> tuple[list, int]:
+        g = gcd(*c, den)
+        if g == 1:
+            return c, den
+        return [x // g for x in c], den // g
+
+    def scaled(self, x, c: list) -> list:
+        return [x * y for y in c]
+
+    def invert(self, c: list, den: int, layout: _Layout, order: int) -> tuple[list, int]:
+        # with f = c/D, write 1/c as H_g / c0^(|g|+1): then H_0 = 1 and
+        # H_g = -sum c_b c0^(|b|-1) H_(g-b) are integers, and 1/f = D/c
+        degree = layout.degree
+        powers = [c[0] ** k for k in range(order + 2)]
+        terms = [(k, x * powers[degree[k] - 1]) for k, x in enumerate(c) if k and x]
+        h = _recurrence([0] * len(c), 1, terms, layout.rows)
+        top = powers[order + 1]
+        scale = den if top > 0 else -den
+        return [x * scale * powers[order - degree[m]] for m, x in enumerate(h)], abs(top)
+
+    def divide(self, num: int, den: int) -> Fraction:
+        return Fraction(num, den) if num else _FRACTION_ZERO
+
+    def verdict(self, residual, tol) -> bool:
+        return residual == 0
+
+
+class _Float:
+    """Floats over denominator 1, read out as ``float``; a residual passes below ``tol``."""
+
+    exact = False
+    zero = 0.0
+    number = float
+    error = EvaluationError   # a float check may fail by rounding: bad input, not a bug
+    divide = operator.truediv
+
+    def split(self, v) -> tuple[float, int]:
+        return float(v), 1
+
+    def reduce(self, c: list, den: int) -> tuple[list, int]:
+        return c, den
+
+    def scaled(self, x, c: list) -> list:
+        # the sum over rows would add each x * y to a zero and leave zeros alone,
+        # which only turns a -0.0 into 0.0; so does this, without the rows
+        return [0.0 + x * y if y else 0.0 for y in c]
+
+    def invert(self, c: list, den: int, layout: _Layout, order: int) -> tuple[list, int]:
+        terms = [(k, x) for k, x in enumerate(c) if k and x]
+        return _recurrence([0.0] * len(c), 1.0 / c[0], terms, layout.rows), 1
+
+    def verdict(self, residual, tol) -> bool | None:
+        # None for a nan: neither a pass nor a residual shown to reach tol
+        return None if residual != residual else residual < tol
+
+
+# the coefficient domains; outside this module code asks ``point.domain`` or ``jet.domain``
+EXACT, FLOAT = _Exact(), _Float()
+_FRACTION_ZERO = Fraction(0)   # every exact zero read-out is this one object
+
+
 class Jet:
     """Truncated Taylor expansion of a scalar field at a point.
 
     The Taylor coefficients d^alpha f / alpha! are stored densely in the graded
-    order of :class:`_Layout`.  In exact mode they are integer numerators over
-    one positive integer denominator, kept coprime to them after every
-    operation; in float mode they are floats over denominator 1.  ``coeffs``
-    reads them back as a mapping from multi-index to ``Fraction`` (exact) or
-    ``float``, nonzero entries only; a derivative is read by coordinate names
+    order of :class:`_Layout`, as numerators over one denominator in the
+    center's ``domain`` (:data:`EXACT` or :data:`FLOAT`), which reduces them
+    after every operation.  ``coeffs`` reads them back as a mapping from
+    multi-index to the domain's number type (``Fraction`` or ``float``),
+    nonzero entries only; a derivative is read by coordinate names
     through :meth:`d_numerators` (or :meth:`d`), and the jet of a derivative
     by :meth:`d_jet`, so no other module knows the layout.  Mixed-partial
     symmetry is structural: there is one slot per multi-index.  A jet keeps
@@ -592,84 +677,62 @@ class Jet:
     use and live as long as it.
     """
 
-    __slots__ = ("center", "order", "mode", "_layout", "_c", "_den", "_map", "_inv", "_squares")
+    __slots__ = ("center", "order", "domain", "_layout", "_c", "_den", "_map", "_inv", "_squares")
 
     def __init__(self, center: Point, order: int, coeffs: Mapping[tuple[int, ...], Number]):
-        mode = center.mode
+        domain = center.domain
         layout = _layout(len(center.values), order)
         where = []
-        for alpha, c in coeffs.items():
+        for alpha, v in coeffs.items():
             i = layout.index.get(tuple(alpha))
             if i is None:
                 raise ValueError(f"multi-index {tuple(alpha)} is not in a jet of order {order} "
                                  f"in {len(center.values)} variables")
-            where.append((i, c))
-        if mode == "float":
-            c = [0.0] * len(layout.monomials)
-            for i, v in where:
-                c[i] = float(v)
-            den = 1
-        else:
-            where = [(i, Fraction(v)) for i, v in where]
-            den = lcm(*(v.denominator for _, v in where))
-            c = [0] * len(layout.monomials)
-            for i, v in where:
-                c[i] = v.numerator * (den // v.denominator)
-        self._set(center, order, mode, layout, c, den)
+            where.append((i, *domain.split(v)))
+        den = lcm(*(d for _, _, d in where))
+        c = [domain.zero] * len(layout.monomials)
+        for i, num, d in where:
+            c[i] = num * (den // d)
+        self._set(center, order, domain, layout, c, den)
 
-    def _set(self, center, order, mode, layout, c, den):
+    def _set(self, center, order, domain, layout, c, den):
         self.center = center
         self.order = order
-        self.mode = mode
+        self.domain = domain
         self._layout = layout
         self._c = c
         self._den = den
 
     def _like(self, c: list, den: int, layout: _Layout | None = None, order: int | None = None
               ) -> "Jet":
-        """A jet at the same center and mode; exact numerators are reduced against ``den``."""
-        if self.mode == "exact":
-            g = gcd(*c, den)
-            if g != 1:
-                c = [x // g for x in c]
-                den //= g
+        """A jet at the same center, its numerators ``c`` over ``den`` reduced by the domain."""
+        c, den = self.domain.reduce(c, den)
         out = object.__new__(Jet)
-        out._set(self.center, self.order if order is None else order, self.mode,
+        out._set(self.center, self.order if order is None else order, self.domain,
                  layout or self._layout, c, den)
         return out
 
     def _number(self, x) -> Number:
-        """A stored numerator as a readout: a ``Fraction`` in exact mode, a ``float`` otherwise."""
-        if self.mode == "exact":
-            return Fraction(x, self._den)
-        return x + 0.0   # also turns an int 0 or -0.0 into 0.0
+        """A stored numerator as a readout (adding the zero turns a float -0.0 into 0.0)."""
+        return self.domain.divide(x + self.domain.zero, self._den)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def constant(value: Number, center: Point, order: int) -> "Jet":
-        return Jet._affine(value, None, center, order)
+        domain = center.domain
+        layout = _layout(len(center.values), order)
+        num, den = domain.split(value)
+        c = [domain.zero] * len(layout.monomials)
+        c[0] = num
+        out = object.__new__(Jet)
+        out._set(center, order, domain, layout, c, den)
+        return out
 
     @staticmethod
     def coordinate(index: int, center: Point, order: int) -> "Jet":
-        return Jet._affine(center.values[index], index, center, order)
-
-    @staticmethod
-    def _affine(value: Number, index: int | None, center: Point, order: int) -> "Jet":
-        """The jet of ``value``, plus the coordinate offset x_index - center[index] if given."""
-        layout = _layout(len(center.values), order)
-        if center.mode == "float":
-            c = [0.0] * len(layout.monomials)
-            c[0] = float(value)
-            unit, den = 1.0, 1
-        else:
-            v = value if isinstance(value, (int, Fraction)) else Fraction(value)
-            c = [0] * len(layout.monomials)
-            c[0] = v.numerator
-            unit = den = v.denominator
-        if index is not None and order >= 1:
-            c[1 + index] = unit
-        out = object.__new__(Jet)
-        out._set(center, order, center.mode, layout, c, den)
+        out = Jet.constant(center.values[index], center, order)
+        if order >= 1:   # x - x0 has the coefficient 1, as den / den
+            out._c[1 + index] = out._den + out.domain.zero
         return out
 
     # -- access ------------------------------------------------------------
@@ -695,17 +758,17 @@ class Jet:
     def d(self, *names: str) -> Number:
         """The derivative by coordinate names of the chart: ``d("x", "w")`` is d_x d_w f."""
         (num,), den = self.d_numerators(names)
-        return divider(self.mode)(num, den)
+        return self.domain.divide(num, den)
 
     def d_numerators(self, *partials: tuple[str, ...]) -> tuple[list, int]:
         """Numerators of several named derivatives over the jet's denominator.
 
         ``d_numerators(("x", "x"), ("y",), ())`` gives ``([nxx, ny, n], den)``
         with d_x d_x f = nxx/den, d_y f = ny/den and f = n/den: integers in
-        exact mode, floats over 1 in float mode (a zero is 0.0, never -0.0).
-        Sums of products of them stay integers, and a result is divided once,
-        by :func:`divider`.  A partial of more names than the jet's order
-        raises ``ValueError``.
+        :data:`EXACT`, floats over 1 in :data:`FLOAT` (a zero is 0.0, never -0.0).
+        Sums of products of them stay integers, and a result is divided once, by
+        the domain's ``divide``.  A partial of more names than the order raises
+        ``ValueError``.
         """
         layout = self._layout
         key = (self.center.chart, partials)
@@ -722,8 +785,7 @@ class Jet:
                 i = layout.index[tuple(alpha)]
                 plan.append((i, layout.weights[i]))
             layout.named[key] = plan
-        c = self._c
-        zero = 0.0 if self.mode == "float" else 0
+        c, zero = self._c, self.domain.zero
         return [c[i] * w + zero for i, w in plan], self._den
 
     def d_jet(self, *names: str) -> "Jet":
@@ -769,9 +831,9 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Jet"):
-        if (self.order != other.order or self.mode != other.mode
+        if (self.order != other.order or self.domain is not other.domain
                 or (self.center is not other.center and self.center != other.center)):
-            raise ValueError("jet center/order/mode mismatch")
+            raise ValueError("jet center/order/domain mismatch")
 
     def __add__(self, other: "Jet") -> "Jet":
         self._check(other)
@@ -799,15 +861,16 @@ class Jet:
         a, b = self._c, other._c
         den = self._den * other._den
         outer = [(i, x) for i, x in enumerate(a) if x]
+        # a constant factor scales the other's numerators (see the domain's ``scaled``)
         if len(outer) == 1 and not outer[0][0]:
-            return self._like(self._scaled(outer[0][1], b), den)
+            return self._like(self.domain.scaled(outer[0][1], b), den)
         inner = [(k, y) for k, y in enumerate(b) if y]
         if len(inner) < len(outer):
             if len(inner) == 1 and not inner[0][0]:
-                return self._like(self._scaled(inner[0][1], a), den)
+                return self._like(self.domain.scaled(inner[0][1], a), den)
             outer, inner = inner, outer
         rows = self._layout.rows
-        out = [0.0 if self.mode == "float" else 0] * len(a)
+        out = [self.domain.zero] * len(a)
         # the sparser factor drives the outer loop; a row ends where the degrees exceed the order
         for i, x in outer:
             row = rows[i]
@@ -818,16 +881,6 @@ class Jet:
                 out[row[k]] += x * y
         return self._like(out, den)
 
-    def _scaled(self, x: Number, c: list) -> list:
-        """The numerators x * c of a product whose sparser factor is the constant x.
-
-        The sum over rows would add each x * y to a zero and leave zeros alone,
-        which only turns a float -0.0 into 0.0; so does this, without the rows.
-        """
-        if self.mode == "float":
-            return [0.0 + x * y if y else 0.0 for y in c]
-        return [x * y for y in c]
-
     def reciprocal(self) -> "Jet":
         """1/f, inverted once per jet (see :meth:`_invert`) and kept on it."""
         try:
@@ -837,44 +890,10 @@ class Jet:
             return self._inv
 
     def _invert(self) -> "Jet":
-        """1/f by the recurrence of f * (1/f) = 1, solved in graded order.
-
-        The coefficient h_g of 1/f is -(1/f_0) sum f_b h_(g-b) over b != 0.
-        Each h_m is final once every lower position has been pushed through
-        its row, so h_m is then pushed on to the positions m + b.
-        """
-        c, order, degree = self._c, self.order, self._layout.degree
-        c0 = c[0]
-        if not c0:
+        """1/f by the recurrence of f * (1/f) = 1 (see :func:`_recurrence`), in the domain."""
+        if not self._c[0]:
             raise ZeroDivisionError("division by zero-valued jet")
-        if self.mode == "float":
-            inv = 1.0 / c0
-            terms = [(k, x) for k, x in enumerate(c) if k and x]
-            h = [0.0] * len(c)
-        else:
-            # with f = c/D, write 1/c as H_g / c0^(|g|+1): then H_0 = 1 and
-            # H_g = -sum c_b c0^(|b|-1) H_(g-b) are integers, and 1/f = D/c
-            powers = [c0 ** k for k in range(order + 2)]
-            inv = 1
-            terms = [(k, x * powers[degree[k] - 1]) for k, x in enumerate(c) if k and x]
-            h = [0] * len(c)
-        rows = self._layout.rows
-        for m in range(len(c)):
-            hm = h[m] = -h[m] * inv if m else inv
-            if not hm:
-                continue
-            row = rows[m]
-            end = len(row)
-            for k, x in terms:
-                if k >= end:
-                    break
-                h[row[k]] += x * hm
-        if self.mode == "float":
-            return self._like(h, 1)
-        den = powers[order + 1]
-        scale = self._den if den > 0 else -self._den
-        return self._like([x * scale * powers[order - degree[m]] for m, x in enumerate(h)],
-                          abs(den))
+        return self._like(*self.domain.invert(self._c, self._den, self._layout, self.order))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         self._check(other)
@@ -920,9 +939,9 @@ def common_denominator(items: Sequence[Union[tuple[list, int], Number]]) -> tupl
 
     A read-out ``(numerators, den)`` (see :meth:`Jet.d_numerators`) contributes
     its list, a number its numerator; each is scaled to D, the lcm of the
-    items' denominators.  In float mode the values come back over 1.  Sums of
-    products of such numerators stay integers, and a result is divided once,
-    by :func:`divider`.
+    items' denominators.  Float values come back over 1.  Sums of products of
+    such numerators stay integers, and a result is divided once, by the
+    domain's ``divide``.
     """
     parts = [x if isinstance(x, tuple)
              else (x, 1) if isinstance(x, float) else (x.numerator, x.denominator)
@@ -935,12 +954,6 @@ def common_denominator(items: Sequence[Union[tuple[list, int], Number]]) -> tupl
             num = [x * m for x in num] if isinstance(num, list) else num * m
         out.append(num)
     return out, den
-
-
-def divider(mode: str) -> Callable[[Number, int], Number]:
-    """How a numerator over a common denominator is read out: ``Fraction(num, den)``
-    in exact mode, ``num / den`` (a float) in float mode."""
-    return Fraction if mode == "exact" else operator.truediv
 
 
 def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
@@ -1043,10 +1056,10 @@ class Program:
                                     lambda i: Jet.coordinate(i, p, order)))
 
     def values(self, p: Point, params: Mapping[str, Number] | None = None) -> list[Number]:
-        """The trees' values at ``p`` over plain numbers: ``Fraction`` in exact mode,
-        ``float`` in float mode (see :meth:`ScalarField.value`)."""
+        """The trees' values at ``p`` over the point's domain's numbers, ``Fraction``
+        or ``float`` (see :meth:`ScalarField.value`)."""
         self._require_chart(p)
-        number = float if p.mode == "float" else Fraction
+        number = p.domain.number
         coords = tuple(map(number, p.values))
         return self.run(_point_leaf(p, params, number, coords.__getitem__))
 
@@ -1134,8 +1147,8 @@ class ScalarField:
     def value(self, p: Point, params: Mapping[str, Number] | None = None) -> Number:
         """The field's value at ``p``, folded over plain numbers (no jets).
 
-        Equal to ``self.jet(p, 0, params).value`` in exact mode, and raises the
-        same errors; leaves are ``Fraction`` in exact mode and ``float`` in float mode.
+        Equal to ``self.jet(p, 0, params).value`` in :data:`EXACT`, and raises the
+        same errors; leaves are the point's domain's numbers (``Fraction`` or ``float``).
         """
         return self.program().values(p, params)[0]
 

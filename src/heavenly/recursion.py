@@ -223,8 +223,8 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
     (lax_step_residual), are read off those jets.
     Returns ``(wave, link, paired)``: wave[i] is max |box members[i]| and
     link[i] the max of |relation| over both relations for the pair (i, i+1),
-    each maximum over the points, or the points' zero (0.0 in float mode) when
-    there are none; ``paired`` maps ``(label, p)`` to the larger |relation| of
+    each maximum over the points, or the points' domain's zero when there are
+    none; ``paired`` maps ``(label, p)`` to the larger |relation| of
     that pair at p, by label and then point.
     """
     pairs = pairs or {}
@@ -242,7 +242,7 @@ def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField]
         for values, phi, r_phi in zip(paired.values(), pair_jets[::2], pair_jets[1::2]):
             r1, r2 = lax_step_from_jets(theta_jet, phi, r_phi)
             values.append(max(abs(r1), abs(r2)))
-    zero = 0.0 if points and points[0].mode == "float" else Fraction(0)
+    zero = points[0].domain.number(0) if points else Fraction(0)
     return ([max(v, default=zero) for v in waves], [max(v, default=zero) for v in links],
             {(label, p): r for label, values in paired.items() for p, r in zip(points, values)})
 

@@ -1,7 +1,7 @@
 """Machine-readable verification reports (schema 1).
 
 Rational scalars are serialised as exact strings "p/q"; floats only appear
-in float mode.  Serialisation is canonical (sorted keys, fixed separators)
+from the float domain.  Serialisation is canonical (sorted keys, fixed separators)
 so identical runs produce byte-identical documents.
 """
 
@@ -27,13 +27,10 @@ def encode_value(v: Any) -> Any:
 
 
 def build_report(op: str, config: dict, records: list, max_abs_residual,
-                 mode: str, tol: float | None = None) -> dict:
-    exact = mode == "exact"
-    exact_zero = exact and max_abs_residual == 0
-    if exact:
-        verdict = "pass" if exact_zero else "fail"
-    else:
-        verdict = "pass" if float(max_abs_residual) < (tol if tol is not None else 1e-9) else "fail"
+                 domain, tol: float = 1e-9) -> dict:
+    """The report; the residuals' domain (``jetcore.EXACT`` or ``FLOAT``) judges the largest."""
+    exact_zero = domain.exact and max_abs_residual == 0
+    verdict = "pass" if domain.verdict(max_abs_residual, tol) else "fail"
     return {
         "schema": SCHEMA,
         "op": op,

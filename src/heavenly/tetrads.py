@@ -90,7 +90,6 @@ from .jetcore import (
     common_denominator,
     const,
     diff,
-    divider,
     free_vars,
     mul,
     neg,
@@ -157,7 +156,7 @@ def linearized_from_jets(theta_jet: Jet, delta_jet: Jet) -> Number:
     """
     (tyy, txx, txy), dt = theta_jet.d_numerators(_YY, _XX, _XY)
     (dxw, dyz, dxx, dyy, dxy), dd = delta_jet.d_numerators(_XW, _YZ, _XX, _YY, _XY)
-    return divider(theta_jet.mode)(
+    return theta_jet.domain.divide(
         dxw * dt + dyz * dt + tyy * dxx + txx * dyy - 2 * txy * dxy, dt * dd)
 
 
@@ -201,8 +200,8 @@ class FieldGeometry(NamedTuple):
 
 
 def _numbers(jet: Jet):
-    """The mode's 0, 1 and -1 as frame values, and the constant order-2 jets 0 and 1."""
-    number = float if jet.mode == "float" else Fraction
+    """The domain's 0, 1 and -1 as frame values, and the constant order-2 jets 0 and 1."""
+    number = jet.domain.number
     zero, one = (Jet.constant(v, jet.center, 2) for v in (0, 1))
     return number(0), number(1), number(-1), zero, one
 
@@ -345,7 +344,7 @@ def lax_step_from_jets(theta_jet: Jet, phi_jet: Jet, r_phi_jet: Jet) -> tuple[Nu
     (txx, tyy, txy), dt = theta_jet.d_numerators(_XX, _YY, _XY)
     (fw, fz, fx, fy), df = phi_jet.d_numerators(_W, _Z, _X, _Y)
     (rx, ry), dr = r_phi_jet.d_numerators(_X, _Y)
-    q, tf = divider(theta_jet.mode), dt * df
+    q, tf = theta_jet.domain.divide, dt * df
     return (q(ry * tf - dr * (fw * dt - txy * fy + tyy * fx), dr * tf),
             q(rx * tf + dr * (fz * dt + txx * fy - txy * fx), dr * tf))
 
@@ -376,7 +375,7 @@ def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, .
     first = [(c,) for c in chart_coords(p.chart)]
     U, du = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in u])
     V, dv = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in v])
-    q = divider(p.mode)
+    q = p.domain.divide
     return tuple(q(sum(U[b][0] * V[a][1 + b] - V[b][0] * U[a][1 + b] for b in range(n)), du * dv)
                  for a in range(n))
 

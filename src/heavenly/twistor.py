@@ -165,7 +165,7 @@ def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Po
                 theta_jet, jets.get(r - 1, zero), jets.get(r, zero))
     interior = {k: {r: v for r, v in d.items() if r <= N - 1} for k, d in out.items()}
     top = {k: {r: v for r, v in d.items() if r > N - 1} for k, d in out.items()}
-    worst = max((abs(v) for d in interior.values() for v in d.values()), default=Fraction(0))
+    worst = max((abs(v) for d in interior.values() for v in d.values()), default=p.domain.number(0))
     return {"interior": interior, "top": top, "max_abs_interior": worst}
 
 

@@ -8,7 +8,6 @@ which is what an oracle should be.  Nothing in ``src/`` imports it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -35,33 +34,32 @@ class DictJet:
     Mixed-partial symmetry is structural: there is one slot per multi-index.
     """
 
-    __slots__ = ("center", "order", "coeffs", "mode")
+    __slots__ = ("center", "order", "coeffs", "domain")
 
     def __init__(self, center: Point, order: int, coeffs: dict[tuple[int, ...], Number],
-                 mode: str | None = None):
+                 domain=None):
         if order < 0 or order > MAX_ORDER:
             raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
         self.center = center
         self.order = order
         self.coeffs = {a: c for a, c in coeffs.items() if c != 0}
-        self.mode = mode if mode is not None else center.mode
+        self.domain = domain if domain is not None else center.domain
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def constant(value: Number, center: Point, order: int) -> "DictJet":
-        mode = center.mode
-        v = float(value) if mode == "float" else Fraction(value)
-        return DictJet(center, order, {(0,) * len(center.values): v} if v != 0 else {}, mode)
+        v = center.domain.number(value)
+        return DictJet(center, order, {(0,) * len(center.values): v} if v != 0 else {},
+                       center.domain)
 
     @staticmethod
     def coordinate(index: int, center: Point, order: int) -> "DictJet":
         n = len(center.values)
         coeffs: dict[tuple[int, ...], Number] = {(0,) * n: center.values[index]}
         if order >= 1:
-            one = 1.0 if center.mode == "float" else Fraction(1)
             unit = tuple(1 if i == index else 0 for i in range(n))
-            coeffs[unit] = one
-        return DictJet(center, order, coeffs, center.mode)
+            coeffs[unit] = center.domain.number(1)
+        return DictJet(center, order, coeffs, center.domain)
 
     # -- access ------------------------------------------------------------
     @property
@@ -70,11 +68,11 @@ class DictJet:
 
     @property
     def value(self) -> Number:
-        zero = 0.0 if self.mode == "float" else Fraction(0)
+        zero = self.domain.number(0)
         return self.coeffs.get((0,) * self.nvars, zero)
 
     def coefficient(self, alpha: tuple[int, ...]) -> Number:
-        zero = 0.0 if self.mode == "float" else Fraction(0)
+        zero = self.domain.number(0)
         return self.coeffs.get(tuple(alpha), zero)
 
     def derivative(self, alpha: tuple[int, ...]) -> Number:
@@ -112,29 +110,30 @@ class DictJet:
             gamma = tuple(a - b for a, b in zip(alpha, beta))
             if min(gamma) >= 0:
                 out[gamma] = c * (_alpha_factorial(alpha) // _alpha_factorial(gamma))
-        return DictJet(self.center, self.order - len(names), out, self.mode)
+        return DictJet(self.center, self.order - len(names), out, self.domain)
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "DictJet"):
-        if self.center != other.center or self.order != other.order or self.mode != other.mode:
-            raise ValueError("jet center/order/mode mismatch")
+        if (self.center != other.center or self.order != other.order
+                or self.domain is not other.domain):
+            raise ValueError("jet center/order/domain mismatch")
 
     def __add__(self, other: "DictJet") -> "DictJet":
         self._check(other)
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0) + c
-        return DictJet(self.center, self.order, out, self.mode)
+        return DictJet(self.center, self.order, out, self.domain)
 
     def __sub__(self, other: "DictJet") -> "DictJet":
         self._check(other)
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
             out[a] = out.get(a, 0) - c
-        return DictJet(self.center, self.order, out, self.mode)
+        return DictJet(self.center, self.order, out, self.domain)
 
     def __neg__(self) -> "DictJet":
-        return DictJet(self.center, self.order, {a: -c for a, c in self.coeffs.items()}, self.mode)
+        return DictJet(self.center, self.order, {a: -c for a, c in self.coeffs.items()}, self.domain)
 
     def __mul__(self, other: "DictJet") -> "DictJet":
         self._check(other)
@@ -147,16 +146,16 @@ class DictJet:
                     continue
                 g = tuple(i + j for i, j in zip(a, b))
                 out[g] = out.get(g, 0) + ca * cb
-        return DictJet(self.center, order, out, self.mode)
+        return DictJet(self.center, order, out, self.domain)
 
     def scale(self, k: Number) -> "DictJet":
-        return DictJet(self.center, self.order, {a: c * k for a, c in self.coeffs.items()}, self.mode)
+        return DictJet(self.center, self.order, {a: c * k for a, c in self.coeffs.items()}, self.domain)
 
     def reciprocal(self) -> "DictJet":
         v = self.value
         if v == 0:
             raise ZeroDivisionError("division by zero-valued jet")
-        inv = 1.0 / v if self.mode == "float" else Fraction(1) / v
+        inv = self.domain.number(1) / v
         # u = 1 - f/v is nilpotent to order+1; 1/f = (1/v) sum u^k
         u = DictJet.constant(1, self.center, self.order) - self.scale(inv)
         acc = DictJet.constant(1, self.center, self.order)

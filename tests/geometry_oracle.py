@@ -28,6 +28,7 @@ from heavenly.curvature import (
 )
 from heavenly.hierarchy import ExtendedPotential, SpinorVector, coord_name
 from heavenly.jetcore import (
+    EXACT,
     Expr,
     Jet,
     Number,
@@ -39,7 +40,6 @@ from heavenly.jetcore import (
     const,
     diff,
     div,
-    divider,
     field_jets,
     field_values,
     mul,
@@ -231,7 +231,7 @@ class TwoForm:
 
     def value(self, a: int, b: int, p: Point, params=None) -> Number:
         if a == b:
-            return Fraction(0) if p.mode == "exact" else 0.0
+            return p.domain.number(0)
         if a < b:
             return self.components[(a, b)].value(p, params)
         return -self.components[(b, a)].value(p, params)
@@ -348,7 +348,7 @@ def invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
     (``Jet.d_numerators``) gives every zero as 0.0.
     """
     n = len(m)
-    center, order, mode = m[0][0].center, m[0][0].order, m[0][0].mode
+    center, order, domain = m[0][0].center, m[0][0].order, m[0][0].domain
     a = [row[:] for row in m]
     inv = [[Jet.constant(1 if i == j else 0, center, order) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -356,7 +356,7 @@ def invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
         for r in range(col, n):
             v = a[r][col].value
             if v != 0:
-                if mode == "exact":
+                if domain is EXACT:
                     pivot = r
                     break
                 if best is None or abs(v) > best:
@@ -392,7 +392,7 @@ def curvature_at(g: MetricField, p: Point, params=None):
     G, D, _, (giv, di) = _christoffel_numerators(*tree_jets(g, p, params))
     rm, d2 = _riemann_values(G, D)
     ric, scalar = _ricci_values(rm, giv)
-    q = divider(p.mode)
+    q = p.domain.divide
     return ([[[q(x[0], D) for x in gb] for gb in ga] for ga in G],
             [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm],
             [[q(x, d2) for x in row] for row in ric], q(scalar, di * d2))

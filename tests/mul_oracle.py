@@ -22,7 +22,7 @@ def product(self: Jet, other: Jet) -> Jet:
     if len(inner) < len(outer):
         outer, inner = inner, outer
     rows = self._layout.rows
-    out = [0.0 if self.mode == "float" else 0] * len(a)
+    out = [self.domain.zero] * len(a)
     for i, x in outer:
         row = rows[i]
         end = len(row)

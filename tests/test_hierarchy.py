@@ -24,7 +24,9 @@ from heavenly.hierarchy import (
     summed_lax_from_jet,
     truncated_omega,
 )
-from heavenly.jetcore import Point, ScalarField, Var, chart_coords, extended_chart, jet_of, point
+from heavenly.jetcore import (
+    EXACT, Point, ScalarField, Var, chart_coords, extended_chart, jet_of, point,
+)
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import float_points, sample_points
@@ -261,7 +263,7 @@ def _routes(E, pairs, p, params):
     fields = FlowFields(jet_of(E.field.expr, p, 3, params))
     tree = oracle.lax_compat_residual(E, pairs, p, params)["pairs"]
     coords = chart_coords(E.chart)
-    q = 1 / F(fields.den) ** 2 if fields.mode == "exact" else 1.0
+    q = 1 / F(fields.den) ** 2 if fields.domain is EXACT else 1.0
     brackets, dd = {}, {}
     for rec in tree:
         A, i, B, j = rec["pair"]

@@ -15,8 +15,9 @@ from heavenly.jetcore import (
     ScalarField,
     chart_coords,
     common_denominator,
+    EXACT,
+    FLOAT,
     div,
-    divider,
     mul,
     parse_expression,
     point,
@@ -68,7 +69,7 @@ class TestReadout:
         j = ScalarField.parse("w^2*x/(3+y)", "second").jet(p, 1)
         nums, den = common_denominator([j.d_numerators((), *FIRST), 0.75])
         assert den == 1 and nums == [j.d_numerators((), *FIRST)[0], 0.75]
-        assert divider("float")(3, 4) == 0.75 and divider("exact")(3, 6) == F(1, 2)
+        assert FLOAT.divide(3, 4) == 0.75 and EXACT.divide(3, 6) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------

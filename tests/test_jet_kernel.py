@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import power_oracle
 from dict_jet import DictJet, partials
-from heavenly.jetcore import CHARTS, MAX_ORDER, Jet, Point, jet_of, parse_expression, point
+from heavenly.jetcore import (
+    CHARTS, EXACT, MAX_ORDER, Jet, Point, jet_of, parse_expression, point,
+)
 
 # charts of every size from 1 to 10 variables, so jets of any arity can be centred
 ORACLE_CHARTS = {n: f"oracle-{n}" for n in range(1, 11)}
@@ -41,8 +43,8 @@ def jet_pairs(draw, mode):
 
 
 def _agree(new, old):
-    assert (new.center, new.order, new.mode) == (old.center, old.order, old.mode)
-    if new.mode == "exact":
+    assert (new.center, new.order, new.domain) == (old.center, old.order, old.domain)
+    if new.domain is EXACT:
         assert new.coeffs == old.coeffs
         return
     scale = max((abs(c) for c in old.coeffs.values()), default=0.0)
@@ -72,7 +74,7 @@ def _check_kernels(data):
     _both(lambda j: j[0] / j[1], (a, b), (a0, b0))
     for n in (-2, -1, 0, 1, 2, 3):
         _both(lambda j: j ** n, a, a0)
-    close = (lambda x, y: x == y) if a.mode == "exact" else \
+    close = (lambda x, y: x == y) if a.domain is EXACT else \
         (lambda x, y: abs(x - y) <= 1e-12 * max(1.0, abs(y)))
     names = CHARTS[a.center.chart]
     assert close(a.d(*(n for n, k in zip(names, alpha) for _ in range(k))), a0.derivative(alpha))
@@ -150,7 +152,7 @@ class TestPowerOracle:
                 x ** n
             return
         got = x ** n
-        if x.mode == "exact":
+        if x.domain is EXACT:
             assert (got.coeffs, got.value) == (expect.coeffs, expect.value)
         else:
             assert _float_readouts(got) == _float_readouts(expect)
@@ -195,7 +197,7 @@ class TestReadoutTypes:
         yield jet_of(e, p, 2)
         yield jet_of(parse_expression("w-w", "second"), p, 2)   # the zero jet
         ones = point("second", 1, 1, 1, 1)   # integer coefficients: denominator 1
-        yield jet_of(parse_expression("2*x^2+y", "second"), ones if p.mode == "exact"
+        yield jet_of(parse_expression("2*x^2+y", "second"), ones if p.domain is EXACT
                      else ones.as_float(), 2)
         yield jet_of(parse_expression("7", "second"), p, 0)
         yield Jet(p, 1, {})

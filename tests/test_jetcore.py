@@ -16,6 +16,8 @@ from heavenly.jetcore import (
     Add,
     Const,
     Div,
+    EXACT,
+    FLOAT,
     EvaluationError,
     Jet,
     Mul,
@@ -31,6 +33,7 @@ from heavenly.jetcore import (
     _point_leaf,
     chart_coords,
     common_denominator,
+    free_vars,
     jet_of,
     jets_of,
     parse_expression,
@@ -93,6 +96,15 @@ class TestParser:
         assert parse_expression(to_text(e), "second") == e
 
 
+    def test_free_vars_walks_a_shared_subtree_once(self):
+        # 40 doublings by identity sharing: 41 distinct nodes, 2^40 paths from the root
+        e = Var("x")
+        for _ in range(40):
+            e = Add(e, e)
+        assert free_vars(e) == {"x"}
+        assert ScalarField("second", e).expr is e
+
+
 class TestJetOf:
     def test_linear_field_value_and_gradient(self):
         e = parse_expression("w*x+z*y", "second")
@@ -152,6 +164,13 @@ class TestJetArith:
         c = jet_of(Const(F(1)), P(1, 1, 1, 1), 3)
         with pytest.raises(ValueError):
             a + c
+
+    def test_exact_zero_readouts_are_one_shared_fraction(self):
+        a = jet_of(parse_expression("x^2/3", "second"), P(1, 2, 1, 1), 2)
+        b = jet_of(parse_expression("w/7+z", "second"), P(1, 2, 1, 1), 2)
+        zeros = [EXACT.divide(0, 3), EXACT.divide(0, 5), a.d("y"), b.d("x"), (a - a).value]
+        assert all(z is zeros[0] for z in zeros)
+        assert zeros[0] == F(0) and type(zeros[0]) is F
 
     def test_division_by_zero_valued_jet(self):
         a = jet_of(parse_expression("w", "second"), P(1, 1, 1, 1), 2)
@@ -262,7 +281,7 @@ class TestOracleConsistency:
         pf = pe.as_float()
         je = f.jet(pe, 3)
         jf = f.jet(pf, 3)
-        assert jf.mode == "float"
+        assert jf.domain is FLOAT
         for alpha, c in je.coeffs.items():
             assert abs(jf.coeffs.get(alpha, 0.0) - float(c)) <= 1e-12 * max(1.0, abs(float(c)))
 
@@ -629,14 +648,14 @@ def folded_jets(draw):
         reject()
 
 
-def reads(mode):
+def reads(domain):
     """Float values as hex text, so the sign of a zero counts; exact values as they are."""
-    return (lambda x: x) if mode == "exact" else (lambda x: x.hex())
+    return (lambda x: x) if domain is EXACT else (lambda x: x.hex())
 
 
 def oracle_d(oracle, names):
     """The oracle's derivative, a float zero read as 0.0 as the jet reads it."""
-    return oracle.d(*names) + (0.0 if oracle.mode == "float" else 0)
+    return oracle.d(*names) + oracle.domain.zero
 
 
 class TestOneReadout:
@@ -650,8 +669,8 @@ class TestOneReadout:
         wanted += data.draw(st.lists(st.sampled_from(wanted), max_size=3)) if wanted else []
         nums, den = jet.d_numerators(*wanted)
         assert len(nums) == len(wanted)
-        show = reads(jet.mode)
-        if jet.mode == "exact":
+        show = reads(jet.domain)
+        if jet.domain is EXACT:
             assert den > 0 and all(type(x) is int for x in nums)
             got = [F(x, den) for x in nums]
         else:
@@ -690,7 +709,7 @@ class TestOneReadout:
         names = sorted(set(chart_coords("second")) | set(chart_coords("first")))
         wanted = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=order).map(tuple),
                                     min_size=1, max_size=4))
-        show = reads(mode)
+        show = reads(p.domain)
         for chart in ("second", "first", "second"):
             jet, oracle = jets[chart]
             if all(n in chart_coords(chart) for names_ in wanted for n in names_):
@@ -708,11 +727,11 @@ class TestOneReadout:
         wanted = tuple(data.draw(st.lists(st.sampled_from(names), max_size=jet.order)))
         got, want = jet.d_jet(*wanted), oracle.partial(*wanted)
         assert got.order == want.order == jet.order - len(wanted)
-        assert got.center == jet.center and got.mode == jet.mode
-        show = reads(jet.mode)
+        assert got.center == jet.center and got.domain is jet.domain
+        show = reads(jet.domain)
         assert {k: show(v) for k, v in got.coeffs.items()} == {
             k: show(v) for k, v in want.coeffs.items()}
-        if jet.mode == "exact":
+        if jet.domain is EXACT:
             # a partial of the partial is the partial of the whole
             rest = tuple(data.draw(st.lists(st.sampled_from(names), max_size=got.order)))
             assert got.d(*rest) == jet.d(*wanted, *rest)
@@ -727,10 +746,10 @@ class TestOneReadout:
         wanted = data.draw(st.lists(st.lists(st.sampled_from(names), max_size=jet.order)
                                     .map(tuple), max_size=4))
         readout = jet.d_numerators(*wanted)
-        if jet.mode == "float":
+        if jet.domain is FLOAT:
             numbers = [float(x) for x in numbers]
         out, den = common_denominator([readout, *numbers, readout])
-        if jet.mode == "float":
+        if jet.domain is FLOAT:
             assert den == 1 and out == [readout[0], *numbers, readout[0]]
             return
         assert den > 0

@@ -1,6 +1,9 @@
 """The package as a whole: what importing it loads, and no stale imports in its modules."""
 
 import ast
+import contextlib
+import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted((SRC / "heavenly").glob("*.py"))
 
 
@@ -202,3 +206,109 @@ def test_every_route_runs_a_program(route, monkeypatch):
     e = jetcore.parse_expression("w/(w*x+z*y)", "second")
     ROUTES[route](jetcore, e, jetcore.point("second", 1, 2, 3, 4))
     assert runs == [(e,)]
+
+
+# ---------------------------------------------------------------------------
+# one coefficient domain per numeric mode: the exact/float decision stays in jetcore
+
+MODE_STRINGS = ("exact", "float")
+
+
+def _is_args_mode(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "mode"
+            and isinstance(node.value, ast.Name) and node.value.id == "args")
+
+
+def _mode_reads(path: Path) -> list[str]:
+    """Where a module reads a ``.mode`` attribute, compares something with "exact" or
+    "float", or imports ``divider``.  ``cli`` may read the option ``args.mode``."""
+    tree = ast.parse(path.read_text(), str(path))
+    cli = path.name == "cli.py"
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "mode":
+            if not (cli and _is_args_mode(node)):
+                out.append(f"{path.name}:{node.lineno}: .mode")
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            strings = [x.value for x in operands if isinstance(x, ast.Constant)
+                       and isinstance(x.value, str) and x.value in MODE_STRINGS]
+            if strings and not (cli and any(map(_is_args_mode, operands))):
+                out.append(f"{path.name}:{node.lineno}: compares with {strings[0]!r}")
+        elif isinstance(node, ast.ImportFrom):
+            out += [f"{path.name}:{node.lineno}: import divider"
+                    for alias in node.names if alias.name == "divider"]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "jetcore.py"],
+                         ids=[p.name for p in MODULES if p.name != "jetcore.py"])
+def test_only_jetcore_knows_the_numeric_modes(path):
+    assert _mode_reads(path) == []
+
+
+def test_the_mode_check_sees_each_read(tmp_path):
+    source = ("from .jetcore import divider\n"
+              "def f(args, p, fields):\n"
+              "    if args.mode == 'float' and 'exact' != p.mode:\n"
+              "        return fields.mode\n")
+    module = tmp_path / "mod.py"
+    module.write_text(source)
+    assert _mode_reads(module) == ["mod.py:1: import divider", "mod.py:3: .mode",
+                                   "mod.py:3: .mode", "mod.py:3: compares with 'exact'",
+                                   "mod.py:3: compares with 'float'", "mod.py:4: .mode"]
+    # the command line reads its own option, and nothing else
+    cli = tmp_path / "cli.py"
+    cli.write_text(source)
+    assert _mode_reads(cli) == ["cli.py:1: import divider", "cli.py:3: .mode",
+                                "cli.py:3: compares with 'exact'", "cli.py:4: .mode"]
+
+
+def test_points_jets_and_flow_fields_hold_a_domain():
+    from heavenly import hierarchy, jetcore
+    p = jetcore.point(hierarchy.extended_chart(1), 1, 2, 3, 4)
+    jet = jetcore.jet_of(jetcore.parse_expression("x00*x10^2+x01", p.chart), p, 3)
+    fields = hierarchy.FlowFields(jet)
+    assert p.domain is jet.domain is fields.domain is jetcore.EXACT
+    assert p.as_float().domain is jetcore.FLOAT
+    assert not any(hasattr(x, "mode") for x in (p, jet, fields))
+    assert not hasattr(jetcore, "divider")
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's traced runs: perfbench/tracer.py wraps the package from outside
+
+TRACED_JOBS = (["curvature-report", "--background", "sparling-tod", "--points", "1"],
+               ["recursion-chain", "--background", "st", "--n", "4", "--points", "1",
+                "--mode", "float"])
+
+
+def _outputs(cli) -> list[tuple[int, str]]:
+    """Each traced job's exit code and stdout, looking ``cli.main`` up at call time."""
+    out = []
+    for argv in TRACED_JOBS:
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        out.append((code, text.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("count_fractions", [False, True])
+def test_the_benchmark_tracer_leaves_every_output_as_it_was(count_fractions):
+    import heavenly
+    from heavenly import cli
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    plain = _outputs(cli)
+    tracer = tracing.Tracer(heavenly)
+    tracer.install(count_fractions=count_fractions)
+    try:
+        traced = _outputs(cli)
+    finally:
+        tracer.remove()
+    assert [code for code, _ in plain] == [0, 0]
+    assert traced == plain
+    assert tracer.calls["jetcore.Jet.__mul__"] > 0   # the wrappers ran
+    assert _outputs(cli) == plain

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from heavenly.catalog import load_catalog
-from heavenly.jetcore import ScalarField, point
+from heavenly.jetcore import EXACT, FLOAT, ScalarField, point
 from heavenly.polynomials import Poly
 from heavenly.reports import build_report, dumps, encode_value
 from heavenly.sampling import NAMED_EXCLUSIONS, SamplerExhausted, sample_points
@@ -108,17 +108,17 @@ class TestReports:
         assert encode_value(point("second", 1, 2, 3, 4))["values"] == ["1", "2", "3", "4"]
 
     def test_exact_verdicts(self):
-        rep = build_report("op", {}, [], F(0), "exact")
+        rep = build_report("op", {}, [], F(0), EXACT)
         assert rep["verdict"] == "pass" and rep["exact_zero"]
-        rep = build_report("op", {}, [], F(1, 10 ** 12), "exact")
+        rep = build_report("op", {}, [], F(1, 10 ** 12), EXACT)
         assert rep["verdict"] == "fail" and not rep["exact_zero"]
 
     def test_float_verdicts(self):
-        assert build_report("op", {}, [], 1e-12, "float", 1e-9)["verdict"] == "pass"
-        assert build_report("op", {}, [], 1e-6, "float", 1e-9)["verdict"] == "fail"
+        assert build_report("op", {}, [], 1e-12, FLOAT, 1e-9)["verdict"] == "pass"
+        assert build_report("op", {}, [], 1e-6, FLOAT, 1e-9)["verdict"] == "fail"
 
     def test_canonical_serialisation(self):
-        rep = build_report("op", {"b": F(1, 2), "a": 1}, [{"r": F(0)}], F(0), "exact")
+        rep = build_report("op", {"b": F(1, 2), "a": 1}, [{"r": F(0)}], F(0), EXACT)
         assert dumps(rep) == dumps(rep)
         assert dumps(rep).endswith("\n")
         assert '"schema":1' in dumps(rep)
