@@ -31,6 +31,7 @@ class JetWork:
         # trees in one program share its instructions, so they count once per run
         self.runs: list = []
         self.compiles = 0
+        self.program_runs = 0
         self.products = 0
         self.inversions = 0
         self.diff_calls = 0
@@ -42,6 +43,7 @@ class JetWork:
             real_init(program, exprs, chart)
 
         def jets(program, p, order=jetcore.DEFAULT_ORDER, params=None):
+            self.program_runs += 1
             self.runs += [(p, e, order) for e in dict.fromkeys(program.exprs)]
             return real_jets(program, p, order, params)
 

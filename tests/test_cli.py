@@ -616,6 +616,34 @@ class TestCompiledOncePerJob:
         assert work.most_folds_of_one_tree == 1
 
 
+class TestPinnedJetWork:
+    """The jet products and inversions of four chain-workload jobs, fixed.
+
+    However a job builds its program, from trees or straight from the
+    coefficient tables, it runs the same ring operations on the same jets, so
+    these counts do not move.  The float n=12 chain exits 1 (ROADMAP item 1's
+    absolute-tolerance defect) after the same work.
+    """
+
+    @pytest.mark.parametrize("argv, code, products, inversions", [
+        ("recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24", 0, 273, 6),
+        ("recursion-chain --background st --n 12 --points 2 --mode float --seed 17", 1, 256, 4),
+        ("twistor-series --background st --order 10 --points 3 --seed 3", 0, 441, 12),
+        ("twistor-series --background st --order 8 --sigma 2/3 --points 3 --mode float --seed 3",
+         0, 288, 12),
+    ])
+    def test_products_and_inversions(self, argv, code, products, inversions, monkeypatch):
+        work = JetWork(monkeypatch)
+        assert run(argv.split())[0] == code
+        assert (work.products, work.inversions) == (products, inversions)
+
+    def test_one_program_run_at_each_point(self, monkeypatch):
+        work = JetWork(monkeypatch)
+        run("recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24".split())
+        assert work.compiles == 1
+        assert work.program_runs == 3
+
+
 class TestHierarchyCheckSharedJets:
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_one_point_reads_jets_of_the_potential(self, n, monkeypatch):
