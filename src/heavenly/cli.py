@@ -38,6 +38,7 @@ from .jetcore import (
     PoleError,
     ScalarField,
     chart_coords,
+    field_program,
     parse_expression,
 )
 from .polynomials import Poly
@@ -257,20 +258,21 @@ def cmd_recursion_chain(args) -> int:
     if args.n < first:
         raise ConfigError(f"--n must be at least {first} on {args.background}, got {args.n}")
     theta, params, sigma, pts = _background(args)
+    # on st the formal monomial image is checked in the chain's fold; its residuals
+    # join the first member's
+    pairs = recursion.monomial_action_pairs() if first and args.n >= 2 else {}
     if args.background == "flat":
-        members = [recursion.flat_phi(n) for n in range(first, args.n + 1)]
+        program = field_program([theta.field, *(recursion.flat_phi(n) for n in range(args.n + 1))])
         key, offset = "link_max_abs", -1   # link (n-1, n) is reported on member n
-        pairs = {}
     else:
-        members = [recursion.st_psi(n) for n in range(first, args.n + 1)]
+        program = recursion.st_chain_program(args.n, pairs)
         key, offset = "step_max_abs", 0    # step (n, n+1) is reported on member n
-        # the formal monomial image, checked in the chain's fold; its residuals
-        # join the first member's
-        pairs = recursion.monomial_action_pairs() if args.n >= 2 else {}
-    waves, links, monomials = recursion.chain_residual_maxima(theta, members, pts, params, pairs)
+    count = args.n + 1 - first
+    waves, links, monomials = recursion.chain_residual_maxima(program, count, pts, params, pairs)
+    texts = program.texts()[1:]   # output 0 is the potential, output 1 + i member i
 
     def evaluate(i):
-        record = {"n": first + i, "expression": str(members[i]), "wave_max_abs": waves[i]}
+        record = {"n": first + i, "expression": texts[i], "wave_max_abs": waves[i]}
         residuals = {}
         if 0 <= i + offset < len(links):
             record[key] = residuals[(key,)] = links[i + offset]
@@ -279,13 +281,13 @@ def cmd_recursion_chain(args) -> int:
             residuals.update(monomials)
         return record, residuals
     config = {"background": args.background, "n": args.n, "sigma": sigma, "points": args.points}
-    return _check(args, config, range(len(members)), evaluate)
+    return _check(args, config, range(count), evaluate)
 
 
 def cmd_twistor_series(args) -> int:
     theta, params, sigma, pts = _background(args, "z_nonzero")
-    curve = (twistor.flat_twistor_curve if args.background == "flat"
-             else twistor.st_twistor_curve)(args.order)
+    curve = (twistor.flat_twistor_curve(args.order).program() if args.background == "flat"
+             else twistor.st_curve_program(args.order))
 
     def evaluate(p):
         res = twistor.lax_annihilation_residual(curve, theta, p, params)
@@ -305,9 +307,14 @@ def cmd_penrose(args) -> int:
     pole = parse_expression(args.pole, SECOND)
     pts = _sample(SECOND, args, ("q_nonzero", "w_nonzero", "y_nonzero"))
     config = {"f": args.f, "pole": args.pole, "points": args.points}
-    # the transform's value is reported, not checked: no residuals
-    return _check(args, config, pts, lambda p: (
-        {"point": p, "value": twistor.penrose_residue_transform(f, pole, p)}, {}))
+
+    def evaluate(p):   # the transform's value is reported, not checked: no residuals
+        try:
+            return {"point": p, "value": twistor.penrose_residue_transform(f, pole, p)}, {}
+        except twistor.NotAPoleError as exc:
+            raise ConfigError(f"--pole {args.pole} is not a pole of --f {args.f} at "
+                              f"{_point_text(p)}: {exc}") from None
+    return _check(args, config, pts, evaluate)
 
 
 def cmd_hierarchy_check(args) -> int:

@@ -5,15 +5,14 @@ their partial derivatives at rational points.  Fields are rational-function
 expression trees over the coordinates of a chart (plus the free parameter
 ``sigma``); evaluation propagates truncated multivariate Taylor polynomials
 ("jets") through the tree, so derivatives come out exact when the inputs are
-exact rationals.  Trees are evaluated by one :class:`Program`: the trees are
-compiled once into a program and replayed at each point, in any ring (jets
-here, rational functions of the fibre coordinate in the residue transform),
-with each structurally equal subtree evaluated once per point; :func:`fold`,
-:func:`jets_of`, :func:`field_jets` and :func:`field_values` are one
-program and one run, and a :class:`ScalarField` keeps its program from
-first use.  A second, independent route — symbolic differentiation of the
-expression tree followed by plain evaluation — is provided by
-:func:`partial` and is used to cross-check the jet route.
+exact rationals.  Trees, and outputs a coefficient table issues without one,
+are compiled once into a :class:`Program` and replayed at each point in any
+ring (jets here, rational functions of the fibre coordinate in the residue
+transform), each structurally equal subtree once per point; :func:`fold`,
+:func:`jets_of`, :func:`field_jets` and :func:`field_values` are one program
+and one run, and a :class:`ScalarField` keeps its program.  A second route,
+symbolic differentiation of the tree then plain evaluation (:func:`partial`),
+cross-checks the jet route.
 
 Coefficients live in one of two domains, fixed by the evaluation point: in
 :data:`EXACT` they are read out as :class:`fractions.Fraction` and a residual
@@ -22,10 +21,10 @@ double precision, and a residual passes below a tolerance.  The domain owns
 every step where the two differ, so :class:`Jet` has one code path.
 
 Expressions, points, fields, programs and jets are immutable after
-construction (what a field or a jet caches on first use, such as its program
-or its reciprocal, is a pure function of it, and no jet is shared between
-points) and evaluation is pure, so independent points may be evaluated
-concurrently.
+construction (what one caches on first use, such as a field's program, a
+program's text or a jet's reciprocal, is a pure function of it, and no jet is
+shared between points) and evaluation is pure, so independent points may be
+evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -468,41 +467,9 @@ def parse_expression(text: str, chart: str) -> Expr:
     return _Parser(text, names).parse()
 
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5}
-
-
 def to_text(e: Expr) -> str:
-    """Print an expression; output re-parses to an equal tree."""
-
-    def wrap(child: Expr, parent_prec: int, tight: bool = False) -> str:
-        text = to_text(child)
-        prec = _PREC[type(child)]
-        if isinstance(child, Const) and child.value.denominator != 1:
-            prec = 2  # rationals print with '/'
-        if isinstance(child, Const) and child.value < 0:
-            prec = 1
-        if prec < parent_prec or (tight and prec == parent_prec):
-            return f"({text})"
-        return text
-
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Add):
-        return f"{wrap(e.a, 1)}+{wrap(e.b, 1, tight=True)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.a, 1)}-{wrap(e.b, 1, tight=True)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.a, 2)}*{wrap(e.b, 2, tight=True)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.a, 2)}/{wrap(e.b, 2, tight=True)}"
-    if isinstance(e, Pow):
-        exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"
-        return f"{wrap(e.base, 4, tight=True)}^{exp}"
-    if isinstance(e, Neg):
-        return f"-{wrap(e.a, 3, tight=True)}"
-    raise TypeError(type(e))
+    """Print an expression; output re-parses to an equal tree (see :meth:`Program.texts`)."""
+    return Program([e]).texts()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -968,61 +935,111 @@ def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:
     return Program([e]).run(leaf)[0]
 
 
-class Program:
-    """Several expression trees compiled into one straight-line list of ring operations.
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+# how each binary operation prints, and how tightly it binds: a negative constant 1,
+# a fraction 2, a negation 3, a power 4, a name or an integer 5
+_INFIX = {operator.add: ("+", 1), operator.sub: ("-", 1), operator.mul: ("*", 2),
+          operator.truediv: ("/", 2)}
 
-    Compiling walks the trees once, in the order :func:`fold` evaluates them,
-    and records one instruction per distinct subtree: a leaf (``Const`` or
-    ``Var``), or a ring operation on earlier results.  A subtree structurally
-    equal to one already recorded reuses its result.  :meth:`run` replays the
-    list at one point, so a job compiles its trees once and runs them at each
-    of its points.  Every operation keeps its order and operands, so results
-    (float bits included) and the first error raised are those of walking
-    each tree anew.  ``chart``, if given, is the one chart whose points
-    :meth:`jets` and :meth:`values` accept.
-    """
 
-    __slots__ = ("exprs", "chart", "_code", "_nodes", "_outputs")
+class _Builder:
+    """A :class:`Program`'s instructions as its front ends issue them: a leaf ``(None,
+    node, None)`` (a ``Const`` or ``Var``), or a ring operation ``(op, a, b)`` on the
+    results of instructions ``a`` and ``b`` (a power's exponent; None for a negation).
+    An instruction equal to one issued before, by either front end, reuses its slot."""
 
-    def __init__(self, exprs: Sequence[Expr], chart: str | None = None):
-        self.exprs = tuple(exprs)
-        self.chart = chart
-        code: list[tuple] = []
-        nodes: list[Expr] = []
-        slot: dict[Expr, int] = {}
+    __slots__ = ("code", "_slots", "_trees")
 
-        def emit(e: Expr) -> int:
-            s = slot.get(e)
-            if s is not None:
-                return s
+    def __init__(self):
+        self.code, self._slots, self._trees = [], {}, {}   # _trees: the walk's memo
+
+    def issue(self, op, a, b=None) -> int:
+        s = self._slots.setdefault((op, a, b), len(self.code))
+        if s == len(self.code):
+            self.code.append((op, a, b))
+        return s
+
+    def tree(self, e: Expr) -> int:
+        """A tree's slot, walked as :func:`fold` evaluates it; an equal subtree is walked once."""
+        s = self._trees.get(e)
+        if s is None:
             if isinstance(e, (Const, Var)):
-                instr = (None, e, None)
-            elif isinstance(e, Add):
-                instr = (operator.add, emit(e.a), emit(e.b))
-            elif isinstance(e, Sub):
-                instr = (operator.sub, emit(e.a), emit(e.b))
-            elif isinstance(e, Mul):
-                instr = (operator.mul, emit(e.a), emit(e.b))
+                s = self.issue(None, e)
             elif isinstance(e, Div):
-                den = emit(e.b)
-                instr = (operator.truediv, emit(e.a), den)
+                den = self.tree(e.b)
+                s = self.issue(operator.truediv, self.tree(e.a), den)
             elif isinstance(e, Pow):
-                instr = (operator.pow, emit(e.base), e.exponent)
+                s = self.issue(operator.pow, self.tree(e.base), e.exponent)
             elif isinstance(e, Neg):
-                instr = (operator.neg, emit(e.a), None)
+                s = self.issue(operator.neg, self.tree(e.a))
+            elif type(e) in _BINARY:
+                s = self.issue(_BINARY[type(e)], self.tree(e.a), self.tree(e.b))
             else:
                 raise TypeError(type(e))
-            s = slot[e] = len(code)
-            code.append(instr)
-            nodes.append(e)
-            return s
+            self._trees[e] = s
+        return s
 
-        self._outputs = [emit(e) for e in self.exprs]
-        self._code = code
-        self._nodes = nodes
+    # a table front end's operations as mul, add and pow_ build them (None: a 1 or 0 dropped)
+    def times(self, a: int | None, b: int | None) -> int | None:
+        return b if a is None else a if b is None else self.issue(operator.mul, a, b)
+
+    def plus(self, a: int | None, b: int | None) -> int | None:
+        return b if a is None else a if b is None else self.issue(operator.add, a, b)
+
+    def power(self, a: int, k: int) -> int:
+        return a if k == 1 else self.issue(operator.pow, a, k)
+
+
+class Program:
+    """Outputs compiled once into one straight-line list of ring operations, which
+    :meth:`run` replays at a point.  An output is a tree, walked as :func:`fold`
+    evaluates it with one instruction per distinct subtree, or a table front end: a
+    function that issues through the :class:`_Builder` the instructions its tree
+    would give and returns its slot.  Every operation keeps its order and operands,
+    so results (float bits included) and the first error are those of walking each
+    tree anew; :meth:`texts` and errors print from the list.  ``chart``, if given,
+    is the one chart whose points :meth:`jets` and :meth:`values` accept."""
+
+    __slots__ = ("chart", "_code", "_outputs", "_texts")
+
+    def __init__(self, outputs: Sequence[Expr | Callable[[_Builder], int]],
+                 chart: str | None = None):
+        self.chart = chart
+        builder = _Builder()
+        self._outputs = [builder.tree(o) if isinstance(o, Expr) else o(builder) for o in outputs]
+        self._code = builder.code
+        self._texts: dict[int, tuple[str, int]] = {}   # slot -> printed, on first use
+
+    def texts(self) -> list[str]:
+        """The outputs printed; each re-parses to a tree equal to the output's."""
+        return [self._printed(s)[0] for s in self._outputs]
+
+    def _printed(self, s: int) -> tuple[str, int]:
+        """Slot ``s`` printed, and how tightly it binds (see _INFIX; 5 at most)."""
+        got = self._texts.get(s)
+        if got is None:
+            op, a, b = self._code[s]
+            if op is None:
+                got = ((a.name, 5) if isinstance(a, Var) else
+                       (str(a.value), 1 if a.value < 0 else 2 if a.value.denominator != 1 else 5))
+            elif op is operator.pow:
+                got = f"{self._operand(a, 4, True)}^{b if b >= 0 else f'(-{-b})'}", 4
+            elif op is operator.neg:
+                got = f"-{self._operand(a, 3, True)}", 3
+            else:
+                symbol, binds = _INFIX[op]
+                got = f"{self._operand(a, binds)}{symbol}{self._operand(b, binds, True)}", binds
+            self._texts[s] = got
+        return got
+
+    def _operand(self, s: int, parent: int, right: bool = False) -> str:
+        """Slot ``s`` in parentheses if it binds more loosely than its parent, or as loosely
+        on the right."""
+        text, binds = self._printed(s)
+        return f"({text})" if binds < parent or (right and binds == parent) else text
 
     def run(self, leaf: Callable[[Expr], _Ring]) -> list[_Ring]:
-        """The trees' values at one point, in the given order; ``leaf`` as for :func:`fold`."""
+        """The outputs' values at one point, in the given order; ``leaf`` as for :func:`fold`."""
         r: list = []   # r[s] is the result of instruction s
         push = r.append
         op = None
@@ -1038,13 +1055,13 @@ class Program:
                     push(op(r[a], r[b]))
         except ZeroDivisionError:
             if op is operator.truediv:
-                raise PoleError(to_text(self._nodes[b])) from None
+                raise PoleError(self._printed(b)[0]) from None
             if op is operator.pow:
-                raise PoleError(to_text(self._nodes[a])) from None
+                raise PoleError(self._printed(a)[0]) from None
             raise
         except OverflowError:
             # the failing instruction is the next one to push
-            text = reprlib.repr(to_text(self._nodes[len(r)]))
+            text = reprlib.repr(self._printed(len(r))[0])
             raise EvaluationError(f"{text} is too large for a float at the point") from None
         return [r[s] for s in self._outputs]
 

@@ -264,16 +264,3 @@ def uni_shift(a: UniPoly, c: Fraction) -> UniPoly:
         new[0] += coeff
         out = new
     return _trimmed(out)
-
-
-def uni_expr(a: UniPoly, var: str) -> Expr:
-    """The polynomial as an expression in the symbol ``var``."""
-    e: Expr = jetcore.ZERO
-    for k, c in enumerate(a):
-        if c == 0:
-            continue
-        term: Expr = jetcore.const(c)
-        if k:
-            term = jetcore.mul(term, jetcore.pow_(jetcore.Var(var), k))
-        e = jetcore.add(e, term)
-    return e

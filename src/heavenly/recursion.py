@@ -27,28 +27,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from typing import Mapping, Sequence
+from functools import cache, partial
+from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
     Expr,
     Number,
     Point,
+    Program,
     ScalarField,
     Var,
-    ZERO,
     add,
     const,
     diff,
     div,
-    field_program,
     free_vars,
     mul,
     neg,
     pow_,
     sub,
 )
-from .polynomials import Poly, UniPoly, uni, uni_add, uni_expr, uni_mul
+from .polynomials import Poly, UniPoly, uni, uni_add, uni_mul
 from .tetrads import (
     SECOND,
     SecondPotential,
@@ -146,35 +145,53 @@ def coeff_B(n: int, k: int) -> UniPoly:
 # the curved chain
 
 _Q = add(mul(W, X), mul(Z, Y))
-_MYW = neg(Var("y"))
+_MYW = div(neg(Y), W)
+SIGMA = Var("sigma")
 
 
 def st_potential() -> SecondPotential:
     """The quadratic-pole potential sigma/(wx+zy) with symbolic sigma."""
-    return SecondPotential(ScalarField(SECOND, div(Var("sigma"), _Q)))
+    return SecondPotential(ScalarField(SECOND, div(SIGMA, _Q)))
 
 
 def flat_phi(n: int) -> ScalarField:
     """(-y/w)^n / (wx+zy)."""
-    e = div(pow_(div(neg(Y), W), n), _Q) if n else div(const(1), _Q)
+    e = div(pow_(_MYW, n), _Q) if n else div(const(1), _Q)
     return ScalarField(SECOND, e)
 
 
-def st_psi(n: int) -> ScalarField:
-    """Chain member sum_k A(n,k) (-y/w)^k (wx+zy)^(k-n), sigma symbolic."""
+def table_sum(b, coeff, n: int, term) -> int:
+    """sum_k coeff(n, k) term(k) from row n of table A or B, issued through a Program's
+    builder ``b`` as the tree summing the terms left to right compiles: a zero entry
+    dropped, an entry c sigma^j (each is a monomial) as c (unless 1) times sigma^j."""
+    total = None
+    for k in range(n + 1):
+        a = coeff(n, k)
+        if a:
+            j = len(a) - 1
+            entry = b.times(None if a[j] == 1 else b.tree(const(a[j])),
+                            b.power(b.tree(SIGMA), j) if j else None)
+            total = b.plus(total, term(k, entry))
+    return total
+
+
+def _psi(b, n: int) -> int:
+    """Chain member psi_n = sum_k A(n,k) (-y/w)^k (wx+zy)^(k-n), sigma symbolic."""
+    def term(k: int, entry: int | None) -> int:
+        if k:
+            entry = b.times(entry, b.power(b.tree(_MYW), k))
+        return b.times(entry, b.power(b.tree(_Q), k - n)) if k < n else entry
+    return table_sum(b, coeff_A, n, term)
+
+
+def st_chain_program(n: int, pairs: Mapping[str, tuple[ScalarField, ScalarField]]) -> Program:
+    """The potential sigma/(wx+zy), psi_1..psi_n, then both fields of each pair, as one
+    program (see chain_residual_maxima); the members are issued from table A, no tree built."""
     if n < 1:
         raise IndexError("chain index starts at 1")
-    e: Expr = ZERO
-    for k in range(n + 1):
-        a = coeff_A(n, k)
-        if not a:
-            continue
-        term = uni_expr(a, "sigma")
-        if k:
-            term = mul(term, pow_(div(neg(Y), W), k))
-        term = mul(term, pow_(_Q, k - n))
-        e = add(e, term)
-    return ScalarField(SECOND, e)
+    members = [partial(_psi, n=m) for m in range(1, n + 1)]
+    return Program([st_potential().field.expr, *members,
+                    *(f.expr for pair in pairs.values() for f in pair)], SECOND)
 
 
 def monomial_recursion_image(k: int, j: int) -> ScalarField:
@@ -187,11 +204,10 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
     """
     if j == 2:
         raise ValueError("tail coefficient undefined at j = 2")
-    myw = div(neg(Y), W)
-    e = mul(pow_(myw, k + 1), pow_(_Q, j))
+    e = mul(pow_(_MYW, k + 1), pow_(_Q, j))
     if k:
-        correction = mul(mul(const(Fraction(2 * k, 2 - j)), Var("sigma")),
-                         mul(pow_(myw, k - 1), pow_(_Q, j - 2)))
+        correction = mul(mul(const(Fraction(2 * k, 2 - j)), SIGMA),
+                         mul(pow_(_MYW, k - 1), pow_(_Q, j - 2)))
         e = sub(e, correction)
     return ScalarField(SECOND, e)
 
@@ -202,43 +218,37 @@ def monomial_action_pairs() -> dict[str, tuple[ScalarField, ScalarField]]:
 
     Checked by chain_residual_maxima, at the chain's points and in its fold.
     """
-    myw = div(neg(Y), W)
     return {f"monomial k={k} j={j}": (
-        ScalarField(SECOND, mul(pow_(myw, k), pow_(_Q, j)) if k else pow_(_Q, j)),
+        ScalarField(SECOND, mul(pow_(_MYW, k), pow_(_Q, j)) if k else pow_(_Q, j)),
         monomial_recursion_image(k, j)) for (k, j) in ((0, -1), (1, -1))}
 
 
-def chain_residual_maxima(theta: SecondPotential, members: Sequence[ScalarField],
-                          points: Sequence[Point], params: Mapping[str, Number] | None = None,
-                          pairs: Mapping[str, tuple[ScalarField, ScalarField]] | None = None
+def chain_residual_maxima(program: Program, members: int, points: Sequence[Point],
+                          params: Mapping[str, Number] | None = None, pairs: Iterable[str] = ()
                           ) -> tuple[list, list, dict]:
     """Wave maxima of every chain member, link maxima of every consecutive pair,
     and the relation residuals of labelled extra pairs (phi, R phi) at each point.
 
-    The potential, every member and both fields of every pair are compiled
-    once into one program (field_program), so the subtrees they share (the
-    powers of -y/w and of wx+zy) are folded once, and each point runs it for
-    their order-2 jets; the wave residual (wave_residual) and both recursion
-    relations between members i and i+1, or between the fields of a pair
-    (lax_step_residual), are read off those jets.
-    Returns ``(wave, link, paired)``: wave[i] is max |box members[i]| and
-    link[i] the max of |relation| over both relations for the pair (i, i+1),
-    each maximum over the points, or the points' domain's zero when there are
-    none; ``paired`` maps ``(label, p)`` to the larger |relation| of
-    that pair at p, by label and then point.
+    ``program``'s outputs are the potential, ``members`` chain members, then both
+    fields of each pair labelled in ``pairs`` (st_chain_program, or a field_program).
+    The wave residual (wave_residual) and both recursion relations between members
+    i and i+1, or between the fields of a pair (lax_step_residual), are read off
+    the order-2 jets of one run at each point.  Returns ``(wave, link, paired)``:
+    wave[i] is max |box members[i]| and link[i] the max of |relation| over both
+    relations for the pair (i, i+1), each over the points (the points' domain's
+    zero when there are none); ``paired`` maps ``(label, p)`` to the larger
+    |relation| of that pair at p, by label and then point.
     """
-    pairs = pairs or {}
-    waves: list[list] = [[] for _ in members]
-    links: list[list] = [[] for _ in members[1:]]
+    waves: list[list] = [[] for _ in range(members)]
+    links: list[list] = [[] for _ in range(members - 1)]
     paired: dict[str, list] = {label: [] for label in pairs}
-    program = field_program([theta.field, *members, *(f for pair in pairs.values() for f in pair)])
     for p in points:
         theta_jet, *jets = program.jets(p, 2, params)
         for i, values in enumerate(waves):
             values.append(abs(2 * linearized_from_jets(theta_jet, jets[i])))
         for i, values in enumerate(links):
             values.extend(abs(r) for r in lax_step_from_jets(theta_jet, jets[i], jets[i + 1]))
-        pair_jets = jets[len(members):]
+        pair_jets = jets[members:]
         for values, phi, r_phi in zip(paired.values(), pair_jets[::2], pair_jets[1::2]):
             r1, r2 = lax_step_from_jets(theta_jet, phi, r_phi)
             values.append(max(abs(r1), abs(r2)))

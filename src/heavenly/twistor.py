@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping
 
 from .jetcore import (
@@ -38,14 +39,10 @@ from .jetcore import (
     fold,
     mul,
     neg,
-    pow_,
 )
-from .polynomials import Poly, uni, uni_add, uni_expr, uni_mul, uni_scale, uni_shift
-from .recursion import coeff_B, recursion_step_poly
+from .polynomials import Poly, uni, uni_add, uni_mul, uni_scale, uni_shift
+from .recursion import SIGMA, coeff_B, recursion_step_poly, table_sum
 from .tetrads import SECOND, SecondPotential, lax_step_from_jets
-
-TWISTOR_CHART = "twistor-function"
-
 
 @dataclass(frozen=True)
 class LambdaSeries:
@@ -64,9 +61,6 @@ class LambdaSeries:
             return self.coeffs[i - self.min_deg]
         return ScalarField(self.chart, ZERO)
 
-    def map_coeffs(self, fn) -> "LambdaSeries":
-        return LambdaSeries(self.chart, self.min_deg, tuple(fn(c) for c in self.coeffs))
-
 
 @dataclass(frozen=True)
 class TwistorCurve:
@@ -76,20 +70,10 @@ class TwistorCurve:
     mu0: LambdaSeries
     mu1: LambdaSeries
 
-    @property
-    def order(self) -> int:
-        return max(self.mu0.max_deg, self.mu1.max_deg)
-
     def program(self) -> Program:
-        """The coefficients of mu0 then mu1, compiled into one program on first use
-        and kept with the curve, so the powers of Q, -y/w and x/z they share are
-        folded once at each point."""
-        try:
-            return self._program
-        except AttributeError:
-            program = field_program(self.mu0.coeffs + self.mu1.coeffs)
-            object.__setattr__(self, "_program", program)   # not a field: equality ignores it
-            return program
+        """The coefficients of mu0 then mu1 (each series from lam^0, of one length) as
+        one program (see lax_annihilation_residual)."""
+        return field_program(self.mu0.coeffs + self.mu1.coeffs)
 
 
 def flat_twistor_curve(order: int = 1) -> TwistorCurve:
@@ -101,68 +85,53 @@ def flat_twistor_curve(order: int = 1) -> TwistorCurve:
     return TwistorCurve("flat", mu0, mu1)
 
 
-def st_twistor_curve(order: int) -> TwistorCurve:
-    """Curve for the quadratic-pole background, sigma symbolic.
-
-    lam^(n+1) tail coefficients (n >= 1):
+def st_curve_program(order: int) -> Program:
+    """The quadratic-pole curve's coefficients of lam^0..lam^order, mu0's then mu1's,
+    sigma symbolic, as one program.  Row n of table B gives the lam^(n+1) tails
+    (n >= 1), issued with no tree built (see table_sum):
       mu0: sigma sum_k B(n,k) w (-y/w)^k Q^(k-n-1)
       mu1: sigma sum_k B(n,k) z (x/z)^k  Q^(k-n-1)
     so the first tails are -lam^2 Theta_x and -lam^2 Theta_y respectively.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    Q = add(mul(Var("w"), Var("x")), mul(Var("z"), Var("y")))
-    sig = Var("sigma")
 
-    def tail(n: int, base: Expr, ratio: Expr) -> Expr:
-        e: Expr = ZERO
-        for k in range(n + 1):
-            b = coeff_B(n, k)
-            if not b:
-                continue
-            term = mul(uni_expr(b, "sigma"), mul(base, pow_(Q, k - n - 1)))
-            if k:
-                term = mul(term, pow_(ratio, k))
-            e = add(e, term)
-        return mul(sig, e)
+    def tail(b, n: int, base: Expr, ratio: Expr) -> int:
+        def term(k: int, entry: int | None) -> int:
+            t = b.times(entry, b.times(b.tree(base), b.power(b.tree(Q), k - n - 1)))
+            return b.times(t, b.power(b.tree(ratio), k)) if k else t
+        return b.times(b.tree(SIGMA), table_sum(b, coeff_B, n, term))
 
-    w_, z_, x_, y_ = Var("w"), Var("z"), Var("x"), Var("y")
-    c0: list[Expr] = [w_, y_]
-    c1: list[Expr] = [z_, neg(x_)]
-    for n in range(1, order):
-        c0.append(tail(n, w_, div(neg(y_), w_)))
-        c1.append(tail(n, z_, div(x_, z_)))
-    mu0 = LambdaSeries(SECOND, 0, tuple(ScalarField(SECOND, e) for e in c0))
-    mu1 = LambdaSeries(SECOND, 0, tuple(ScalarField(SECOND, e) for e in c1))
-    return TwistorCurve("st", mu0, mu1)
+    w, z, x, y = Var("w"), Var("z"), Var("x"), Var("y")
+    Q = add(mul(w, x), mul(z, y))
+    mu0 = [w, y, *(partial(tail, n=n, base=w, ratio=div(neg(y), w)) for n in range(1, order))]
+    mu1 = [z, neg(x), *(partial(tail, n=n, base=z, ratio=div(x, z)) for n in range(1, order))]
+    return Program(mu0 + mu1, SECOND)
 
 
-def lax_annihilation_residual(curve: TwistorCurve, theta: SecondPotential, p: Point,
+def lax_annihilation_residual(curve: Program, theta: SecondPotential, p: Point,
                               params: Mapping[str, Number] | None = None) -> dict:
     """Expand L_A(mu^B) in powers of lam at p.
 
-    The lam^r coefficient of L_A(mu^B) is recursion relation A of
-    tetrads.lax_step_residual between the curve coefficients r-1 and r, computed
-    by tetrads.lax_step_from_jets from one jet of the potential and one of each
-    coefficient; the coefficients' jets come from one run of the curve's
-    program (TwistorCurve.program), compiled once per curve.
+    ``curve``'s outputs are mu0's coefficients of lam^0..lam^N, then mu1's
+    (st_curve_program, TwistorCurve.program).  The lam^r coefficient of
+    L_A(mu^B) is recursion relation A of tetrads.lax_step_residual between the
+    curve coefficients r-1 and r, computed by tetrads.lax_step_from_jets from one
+    jet of the potential and, from one run of ``curve``, one of each coefficient.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
     out: dict[tuple[int, str], dict[int, Number]] = {
         (A, B): {} for A in (0, 1) for B in ("mu0", "mu1")}
-    N = curve.order
     theta_jet = theta.field.jet(p, 2, params)
     zero = Jet.constant(0, p, 1)
-    coeff_jets = curve.program().jets(p, 1, params)
-    split = len(curve.mu0.coeffs)
-    for B, series, own in (("mu0", curve.mu0, coeff_jets[:split]),
-                           ("mu1", curve.mu1, coeff_jets[split:])):
+    coeff_jets = curve.jets(p, 1, params)
+    N = len(coeff_jets) // 2 - 1
+    for B, own in (("mu0", coeff_jets[:N + 1]), ("mu1", coeff_jets[N + 1:])):
         # each coefficient's jet serves orders r and r + 1
-        jets = dict(enumerate(own, series.min_deg))
-        for r in range(series.min_deg, series.max_deg + 2):
-            out[(0, B)][r], out[(1, B)][r] = lax_step_from_jets(
-                theta_jet, jets.get(r - 1, zero), jets.get(r, zero))
+        jets = [zero, *own, zero]
+        for r in range(N + 2):
+            out[(0, B)][r], out[(1, B)][r] = lax_step_from_jets(theta_jet, jets[r], jets[r + 1])
     interior = {k: {r: v for r, v in d.items() if r <= N - 1} for k, d in out.items()}
     top = {k: {r: v for r, v in d.items() if r > N - 1} for k, d in out.items()}
     worst = max((abs(v) for d in interior.values() for v in d.values()), default=p.domain.number(0))
@@ -277,13 +246,12 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     return res
 
 
-def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
-                              params: Mapping[str, Number] | None = None) -> Fraction:
-    """Residue of f(lam, mu0, mu1) at the declared pole, on the flat curve at p.
+class NotAPoleError(EvaluationError):
+    """The declared pole is a regular point of f on the curve."""
 
-    ``f`` is an expression over the chart (lam, mu0, mu1); ``pole`` is an
-    expression over the second-form chart giving the pole location at p.
-    """
+
+def on_flat_curve(f: Expr, p: Point, params: Mapping[str, Number] | None = None) -> RatLambda:
+    """f(lam, mu0, mu1) on the flat curve (w + lam y, z - lam x) at p, a function of lam."""
     if p.chart != SECOND:
         raise ValueError("evaluation point must live on the second-form chart")
     wv, zv, xv, yv = (Fraction(v) for v in p.values)
@@ -298,8 +266,19 @@ def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
             raise EvaluationError(f"unbound symbol {e.name!r}")
         return env[e.name]
 
-    rat = fold(f, leaf)
+    return fold(f, leaf)
+
+
+def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
+                              params: Mapping[str, Number] | None = None) -> Fraction:
+    """Residue of f(lam, mu0, mu1) at the declared pole, an expression over the
+    second-form chart, on the flat curve at p (on_flat_curve).  A pole that cancels
+    at p has residue 0; a regular point raises NotAPoleError (0 is no evidence)."""
+    rat = on_flat_curve(f, p, params)
     pole_value = Fraction(ScalarField(SECOND, pole).value(p, params))
+    den = uni_shift(rat.den, pole_value)[0]
+    if den:
+        raise NotAPoleError(f"f's denominator is {den} at lam = {pole_value}, not 0")
     return residue_at(rat, pole_value)
 
 

@@ -1,9 +1,12 @@
-"""The memo-free tree walk, kept as a test oracle for ``heavenly.jetcore.fold``.
+"""The memo-free tree walk and the tree printer, kept as test oracles for
+``heavenly.jetcore.fold`` and ``heavenly.jetcore.Program.text``.
 
-This is the walk the package used before it memoised subtrees: every node is
-evaluated once per occurrence, so a subtree that occurs twice is folded twice.
-The memoised walk must give the same ring elements (the same float bits in
-float mode) and raise the same first error.  Nothing in ``src/`` imports it.
+The walk is the one the package used before it memoised subtrees: every node
+is evaluated once per occurrence, so a subtree that occurs twice is folded
+twice.  The memoised walk must give the same ring elements (the same float
+bits in float mode) and raise the same first error.  The printer walks the
+tree as the package did before it printed a program's instructions; the text
+must be the same.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -26,10 +29,45 @@ from heavenly.jetcore import (
     Sub,
     Var,
     _point_leaf,
-    to_text,
 )
 
 _Ring = TypeVar("_Ring")
+
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 3, Pow: 4, Const: 5, Var: 5}
+
+
+def to_text(e: Expr) -> str:
+    """Print an expression; output re-parses to an equal tree."""
+
+    def wrap(child: Expr, parent_prec: int, tight: bool = False) -> str:
+        text = to_text(child)
+        prec = _PREC[type(child)]
+        if isinstance(child, Const) and child.value.denominator != 1:
+            prec = 2  # rationals print with '/'
+        if isinstance(child, Const) and child.value < 0:
+            prec = 1
+        if prec < parent_prec or (tight and prec == parent_prec):
+            return f"({text})"
+        return text
+
+    if isinstance(e, Const):
+        return str(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Add):
+        return f"{wrap(e.a, 1)}+{wrap(e.b, 1, tight=True)}"
+    if isinstance(e, Sub):
+        return f"{wrap(e.a, 1)}-{wrap(e.b, 1, tight=True)}"
+    if isinstance(e, Mul):
+        return f"{wrap(e.a, 2)}*{wrap(e.b, 2, tight=True)}"
+    if isinstance(e, Div):
+        return f"{wrap(e.a, 2)}/{wrap(e.b, 2, tight=True)}"
+    if isinstance(e, Pow):
+        exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"
+        return f"{wrap(e.base, 4, tight=True)}^{exp}"
+    if isinstance(e, Neg):
+        return f"-{wrap(e.a, 3, tight=True)}"
+    raise TypeError(type(e))
 
 
 def fold(e: Expr, leaf: Callable[[Expr], _Ring]) -> _Ring:

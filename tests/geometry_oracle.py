@@ -47,7 +47,7 @@ from heavenly.jetcore import (
     sub,
 )
 from heavenly.polynomials import Poly
-from heavenly.recursion import coeff_A, monomial_recursion_image, st_psi
+from heavenly.recursion import coeff_A, monomial_recursion_image, st_chain_program
 from heavenly.symplectic import COORDS, ThreeForm, boundary_integral
 from heavenly.tetrads import SECOND, FirstPotential, SecondPotential, _require_profile
 
@@ -462,10 +462,11 @@ def formal_step_consistency(n: int, sigma, points) -> Fraction:
     """Max |termwise formal image of psi_n minus psi_{n+1}| over the points."""
     params = {"sigma": Fraction(sigma)}
     terms = [(a, monomial_recursion_image(k, k - n)) for k in range(n + 1) if (a := coeff_A(n, k))]
+    chain = st_chain_program(n + 1, {})   # outputs: the potential, psi_1..psi_(n+1)
     worst = Fraction(0)
     for p in points:
         total = sum(uni_eval(a, params["sigma"]) * img.value(p, params) for a, img in terms)
-        worst = max(worst, abs(total - st_psi(n + 1).value(p, params)))
+        worst = max(worst, abs(total - chain.values(p, params)[n + 1]))
     return worst
 
 

@@ -25,6 +25,7 @@ from heavenly.hierarchy import (
 )
 from heavenly.jetcore import ScalarField, add, chart_coords, diff, mul, neg
 from heavenly.tetrads import EPS, vector_commutator_values
+from heavenly.twistor import LambdaSeries
 
 
 def _pb_expr(f, g):
@@ -84,7 +85,9 @@ def summed_lax_identity_residual(E, A, j, test, p, params=None) -> dict:
         lhs[i] = lhs.get(i, 0) - delv
         lhs[i + 1] = lhs.get(i + 1, 0) + dval
     om0, om1 = truncated_omega(E, j)
-    lowered = om1.map_coeffs(lambda f: ScalarField(E.chart, neg(f.expr))) if A == 0 else om0
+    lowered = (LambdaSeries(om1.chart, om1.min_deg,
+                            tuple(ScalarField(E.chart, neg(f.expr)) for f in om1.coeffs))
+               if A == 0 else om0)
     rhs = {}
     i00, i10 = coords.index("x00"), coords.index("x10")
     for m in range(0, j + 1):

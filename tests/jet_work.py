@@ -1,12 +1,14 @@
-"""Count the jet work a call does: programs compiled, trees folded, jet products,
+"""Count the jet work a call does: programs built, outputs folded, jet products,
 inversions, diff calls.
 
 The jet-count guards bound these counts for one point, or for one job.  Every
-jet the package builds from a tree comes from a run of a compiled
-``heavenly.jetcore.Program`` (``jet_of``, ``jets_of``, ``ScalarField.jet``,
-``field_jets`` and the callers that compile once per job all call
+jet the package builds from a tree or a coefficient table comes from a run of
+a ``heavenly.jetcore.Program`` (``jet_of``, ``jets_of``, ``ScalarField.jet``,
+``field_jets`` and the callers that build one program per job all call
 ``Program.jets``), so wrapping that method on the class sees every fold,
-whoever holds the program.  Compiling is counted on ``Program.__init__``.
+whoever holds the program.  An output is known by its printed text, which is
+the same for equal trees in any program and for a table-emitted output and
+its tree.  Building a program is counted on ``Program.__init__``.
 Products and inversions are counted on ``Jet`` itself, so they include the
 ring operations of the folds and of everything done with the jets afterwards.
 A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
@@ -27,8 +29,8 @@ from heavenly.jetcore import Jet, Program
 
 class JetWork:
     def __init__(self, monkeypatch):
-        # (point, tree, order) of every tree of every program run to jets; equal
-        # trees in one program share its instructions, so they count once per run
+        # (point, output text, order) of every output of every program run to jets;
+        # equal outputs of one program share its instructions, so they count once per run
         self.runs: list = []
         self.compiles = 0
         self.program_runs = 0
@@ -38,13 +40,13 @@ class JetWork:
         real_init, real_jets = Program.__init__, Program.jets
         real_mul, real_invert, real_diff = Jet.__mul__, Jet._invert, jetcore.diff
 
-        def init(program, exprs, chart=None):
+        def init(program, outputs, chart=None):
             self.compiles += 1
-            real_init(program, exprs, chart)
+            real_init(program, outputs, chart)
 
         def jets(program, p, order=jetcore.DEFAULT_ORDER, params=None):
             self.program_runs += 1
-            self.runs += [(p, e, order) for e in dict.fromkeys(program.exprs)]
+            self.runs += [(p, text, order) for text in dict.fromkeys(program.texts())]
             return real_jets(program, p, order, params)
 
         def mul(a, b):
@@ -69,19 +71,19 @@ class JetWork:
 
     @property
     def folds(self) -> Counter:
-        """(point, tree) -> the number of program runs that folded it, at any order."""
+        """(point, output text) -> the number of program runs that folded it, at any order."""
         return Counter((p, e) for p, e, _ in self.runs)
 
     @property
     def fold_count(self) -> int:
-        """Distinct trees folded, summed over the program runs."""
+        """Distinct outputs folded, summed over the program runs."""
         return len(self.runs)
 
     @property
     def most_folds_of_one_tree(self) -> int:
-        """The largest number of program runs that folded one tree at one point.
+        """The largest number of program runs that folded one output at one point.
 
-        The order is not part of the key: a tree folded at order 3 and again at
+        The order is not part of the key: an output folded at order 3 and again at
         order 2 counts twice, though the order-3 jet holds the order-2 one.
         """
         return max(self.folds.values(), default=0)

@@ -31,8 +31,8 @@ from heavenly.recursion import (
     killing_chain_flat,
     monomial_action_pairs,
     recursion_step_poly,
+    st_chain_program,
     st_potential,
-    st_psi,
     wave_residual,
 )
 from heavenly.sampling import sample_points
@@ -48,7 +48,7 @@ from heavenly.twistor import (
     lax_annihilation_residual,
     penrose_residue_transform,
     recursion_on_twistor,
-    st_twistor_curve,
+    st_curve_program,
 )
 
 from geometry_oracle import (
@@ -149,20 +149,19 @@ def test_criterion_05_curved_chain():
     p0 = point("second", 1, 1, 1, 1)
     for sigma in (F(1), F(7, 5)):
         q = F(2)
-        assert st_psi(2).value(p0, {"sigma": sigma}) == -1 / q
-        assert st_psi(3).value(p0, {"sigma": sigma}) == -F(2, 3) * sigma / q ** 3 + 1 / q
+        _, _, psi2, psi3 = st_chain_program(3, {}).values(p0, {"sigma": sigma})
+        assert psi2 == -1 / q
+        assert psi3 == -F(2, 3) * sigma / q ** 3 + 1 / q
     sample = spts(107, 5, ("q_nonzero", "w_nonzero", "y_nonzero"))
-    waves, links, monomials = chain_residual_maxima(
-        st_potential(), [st_psi(n) for n in range(1, 9)], sample, {"sigma": F(1)},
-        monomial_action_pairs())
+    pairs = monomial_action_pairs()
+    chain = st_chain_program(8, pairs)
+    waves, links, monomials = chain_residual_maxima(chain, 8, sample, {"sigma": F(1)}, pairs)
     assert waves == [0] * 8
     assert links == [0] * 7
     assert all(r == 0 for r in monomials.values())
-    for n in range(1, 9):
-        psi = st_psi(n)
-        phi = flat_phi(n - 1)
-        for p in sample:
-            assert psi.value(p, {"sigma": F(0)}) == phi.value(p)
+    for p in sample:
+        members = chain.values(p, {"sigma": F(0)})[1:9]
+        assert members == [flat_phi(n).value(p) for n in range(8)]
     report(5, "curved chain matches displays, solves its wave equation, steps exactly")
 
 
@@ -192,7 +191,7 @@ def test_criterion_07_lax_integrability():
 
 def test_criterion_08_twistor_series():
     theta, params = st()
-    curve = st_twistor_curve(6)
+    curve = st_curve_program(6)
     for p in spts(110, 10, ("q_nonzero", "w_nonzero", "z_nonzero")):
         res = lax_annihilation_residual(curve, theta, p, params)
         assert res["max_abs_interior"] == 0

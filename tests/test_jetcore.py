@@ -375,14 +375,12 @@ class TestFoldOracles:
            rationals)
     @settings(max_examples=60, deadline=None)
     def test_residue_transform_folds_the_flat_curve(self, f, values, t):
+        # the transform takes its residue of this rational function of lam
         w, z, x, y = values
-        seen = []
-        with mock.patch.object(twistor, "residue_at", lambda rat, pole: seen.append(rat) or F(0)):
-            try:
-                twistor.penrose_residue_transform(f, Const(F(0)), Point("second", values))
-            except PoleError:
-                assume(False)
-        (rat,) = seen
+        try:
+            rat = twistor.on_flat_curve(f, Point("second", values))
+        except PoleError:
+            assume(False)
         den = uni_eval(rat.den, t)
         assume(den != 0)
         try:
@@ -513,13 +511,13 @@ class TestProgram:
             assert [_bits(j) for j in program.jets(p, order)] == [_bits(j) for j in expect]
 
     def test_a_later_point_on_the_pole(self):
-        q = parse_expression("w/(w*x+z*y)", "second")
-        program = Program([q, parse_expression("1/(w*x+z*y)", "second")])
+        exprs = [parse_expression(text, "second") for text in ("w/(w*x+z*y)", "1/(w*x+z*y)")]
+        program = Program(exprs)
         for p in (P(1, 2, 3, 4), P(1, 1, 1, -1), P(2, 1, 3, 4).as_float(), P(1, -1, 1, 1)):
             if p.values[0] * p.values[2] + p.values[1] * p.values[3]:
                 got = program.jets(p, 2)
                 assert [_bits(j) for j in got] == [_bits(fold_oracle.jet_of(e, p, 2))
-                                                   for e in program.exprs]
+                                                   for e in exprs]
             else:
                 with pytest.raises(PoleError, match="'w\\*x\\+z\\*y'"):
                     program.jets(p, 2)
@@ -554,10 +552,40 @@ class TestProgram:
     def test_a_field_keeps_its_program(self):
         f = ScalarField.parse("w/(w*x+z*y)", "second")
         assert f.program() is f.program()
-        assert f.program().exprs == (f.expr,)
+        assert f.program().texts() == ["w/(w*x+z*y)"]
         assert f == ScalarField.parse("w/(w*x+z*y)", "second")
         with pytest.raises(ValueError, match="evaluated at 'first' point"):
             f.jet(point("first", 1, 2, 3, 4), 1)
+
+
+@st.composite
+def printed_trees(draw):
+    """Trees as in trees_sharing_subtrees, some of them with fractional and negative
+    constants, which print with '/' or a sign."""
+    constant = st.fractions(-3, 3, max_denominator=3).map(Const)
+    exprs = draw(trees_sharing_subtrees())
+    extra = draw(st.lists(st.tuples(st.sampled_from(list(_BINARY)), constant), max_size=2))
+    return [op(c, e) if i % 2 else op(e, c) for i, (e, (op, c)) in enumerate(zip(exprs, extra))
+            ] + exprs[len(extra):]
+
+
+class TestProgramText:
+    """A program prints its outputs from its instructions; the tree printer of
+    tests/fold_oracle.py is the oracle."""
+
+    @given(printed_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_tree_printer(self, exprs):
+        program = Program(exprs)
+        assert program.texts() == [fold_oracle.to_text(e) for e in exprs]
+        assert [to_text(e) for e in exprs] == [fold_oracle.to_text(e) for e in exprs]
+
+    def test_a_shared_subtree_prints_once(self):
+        e = parse_expression("(w*x+z*y)^(-1)+(w*x+z*y)^(-2)", "second")
+        program = Program([e, e])
+        assert program.texts() == ["(w*x+z*y)^(-1)+(w*x+z*y)^(-2)"] * 2
+        # one entry per distinct instruction: w, x, w*x, z, y, z*y, the sum, two powers, +
+        assert len(program._texts) == 10
 
 
 def _words(j):

@@ -126,8 +126,11 @@ def test_the_poly_layout_check_sees_each_read(tmp_path):
 # The symbolic tetrad and metric trees, their Gauss-Jordan inverse and the curvature
 # wrappers fed from them live in tests/geometry_oracle.py (the integer full lowering
 # and full W were deleted): a field reaches curvature by one route, FieldGeometry.
-# So does the curved star operator on trees (hodge_star_d), which no subcommand reaches
+# So does the curved star operator on trees (hodge_star_d), which no subcommand reaches.
+# The st chain members, the st curve's tails and the table entries they sum are
+# issued straight from the coefficient tables; their trees live in tests/chain_oracle.py
 TREE_ROUTE_NAMES = {
+    "st_psi", "st_twistor_curve", "uni_expr",
     "Tetrad", "_row_values", "tetrad_from_theta", "tetrad_from_omega", "DegenerateHessianError",
     "plane_wave_tetrad", "MetricField", "metric_from_tetrad", "TwoForm", "_perm_sign",
     "_PERMUTATIONS4", "_wedge", "SigmaForms", "sigma_forms", "SPIN_INDICES", "tetrad",
@@ -202,10 +205,10 @@ def test_every_route_runs_a_program(route, monkeypatch):
     runs = []
     real = jetcore.Program.run
     monkeypatch.setattr(jetcore.Program, "run",
-                        lambda program, leaf: runs.append(program.exprs) or real(program, leaf))
+                        lambda program, leaf: runs.append(program.texts()) or real(program, leaf))
     e = jetcore.parse_expression("w/(w*x+z*y)", "second")
     ROUTES[route](jetcore, e, jetcore.point("second", 1, 2, 3, 4))
-    assert runs == [(e,)]
+    assert runs == [["w/(w*x+z*y)"]]
 
 
 # ---------------------------------------------------------------------------

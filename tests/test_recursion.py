@@ -1,15 +1,17 @@
 """Recursion operator: flat chains, coefficient tables, symmetries, Killing data."""
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heavenly.jetcore import ScalarField, point
+from heavenly.jetcore import PoleError, Program, ScalarField, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import (
     IntegrabilityError,
     TerminationError,
+    _psi,
     chain_residual_maxima,
     coeff_A,
     coeff_B,
@@ -18,8 +20,8 @@ from heavenly.recursion import (
     killing_chain_flat,
     monomial_action_pairs,
     recursion_step_poly,
+    st_chain_program,
     st_potential,
-    st_psi,
     wave_residual,
     zrm_recursion,
     DependencyError,
@@ -27,6 +29,9 @@ from heavenly.recursion import (
 from heavenly.sampling import sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual, linearized_second_residual
 
+import chain_oracle
+import fold_oracle
+from chain_oracle import st_psi
 from geometry_oracle import flat_wave_poly, formal_step_consistency
 from poly_oracle import uni_eval
 
@@ -150,25 +155,23 @@ class TestCurvedChain:
         p = point("second", 1, 1, 1, 1)
         sig = {"sigma": F(2)}
         q = F(2)  # Q at the point
-        psi1 = st_psi(1)
-        assert psi1.value(p, sig) == 1 / q
-        psi2 = st_psi(2)
-        assert psi2.value(p, sig) == (-1) / q  # (-y/w) = -1 here
-        psi3 = st_psi(3)
-        assert psi3.value(p, sig) == F(-2, 3) * 2 / q ** 3 + 1 / q
+        _, psi1, psi2, psi3 = st_chain_program(3, {}).values(p, sig)
+        assert psi1 == 1 / q
+        assert psi2 == (-1) / q  # (-y/w) = -1 here
+        assert psi3 == F(-2, 3) * 2 / q ** 3 + 1 / q
 
     def test_wave_equation_through_eight(self):
         sample = pts(seed=8, n=4)
-        members = [st_psi(n) for n in range(1, 9)]
+        chain = st_chain_program(8, {})
         for sigma in (F(1), F(-3)):
-            waves, _, _ = chain_residual_maxima(st_potential(), members, sample, {"sigma": sigma})
+            waves, _, _ = chain_residual_maxima(chain, 8, sample, {"sigma": sigma})
             assert waves == [0] * 8
 
     def test_differential_steps_through_eight(self):
         sample = pts(seed=9, n=3)
-        members = [st_psi(n) for n in range(1, 9)]
-        _, links, monomials = chain_residual_maxima(st_potential(), members, sample,
-                                                    {"sigma": F(1, 2)}, monomial_action_pairs())
+        pairs = monomial_action_pairs()
+        _, links, monomials = chain_residual_maxima(st_chain_program(8, pairs), 8, sample,
+                                                    {"sigma": F(1, 2)}, pairs)
         assert links == [0] * 7
         assert len(monomials) == 2 * len(sample)
         assert [label for label, r in monomials.items() if r != 0] == []
@@ -179,22 +182,86 @@ class TestCurvedChain:
             assert formal_step_consistency(n, F(1, 2), sample) == 0
 
     def test_sigma_zero_collapses_to_flat_chain(self):
-        for n in range(1, 9):
-            psi = st_psi(n)
-            phi = flat_phi(n - 1)
-            for p in pts(seed=11, n=4):
-                assert psi.value(p, {"sigma": F(0)}) == phi.value(p)
+        chain = st_chain_program(8, {})
+        for p in pts(seed=11, n=4):
+            members = chain.values(p, {"sigma": F(0)})[1:]
+            assert members == [flat_phi(n - 1).value(p) for n in range(1, 9)]
 
     def test_chain_index_starts_at_one(self):
         with pytest.raises(IndexError):
-            st_psi(0)
+            st_chain_program(0, {})
 
     def test_members_past_twelve_solve_the_wave_equation(self):
         # rows past the first twelve are built on demand by the same recurrence
         sample = pts(seed=12, n=1)
-        waves, _, _ = chain_residual_maxima(st_potential(), [st_psi(13)], sample,
+        waves, _, _ = chain_residual_maxima(st_chain_program(13, {}), 13, sample,
                                             {"sigma": F(1, 2)})
-        assert waves == [0]
+        assert waves == [0] * 13
+
+
+class TestChainFromTheTable:
+    """psi_1..psi_16 issued straight from table A against the trees of
+    tests/chain_oracle.py compiled into one program with the potential and the
+    monomial pairs: the same instructions, so the same text, jets and errors."""
+
+    N = 16
+    SIGMAS = (F(1), F(1, 2), F(-7, 3))
+
+    def programs(self, n=N):
+        pairs = monomial_action_pairs()
+        return (st_chain_program(n, pairs),
+                chain_oracle.chain_program([st_psi(m) for m in range(1, n + 1)], pairs))
+
+    def test_the_instructions_of_the_trees(self):
+        for n in range(1, self.N + 1):
+            emitted, oracle = self.programs(n)
+            assert emitted._code == oracle._code, n
+            assert emitted._outputs == oracle._outputs, n
+
+    def test_each_member_prints_as_its_tree(self):
+        emitted, _ = self.programs()
+        assert emitted.texts()[1:self.N + 1] \
+            == [fold_oracle.to_text(st_psi(n).expr) for n in range(1, self.N + 1)]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_jets_at_random_points(self, mode):
+        emitted, oracle = self.programs()
+        for i, p in enumerate(pts(seed=23, n=3)):
+            sigma = self.SIGMAS[i]
+            if mode == "float":
+                p, sigma = p.as_float(), float(sigma)
+            got, want = (prog.jets(p, 2, {"sigma": sigma}) for prog in (emitted, oracle))
+            assert [chain_oracle.bits(j) for j in got] == [chain_oracle.bits(j) for j in want]
+
+    @pytest.mark.parametrize("values, divisor", [
+        ((0, 2, 3, 5), "w"),                # w = 0
+        ((1, 1, 1, -1), "w*x+z*y"),         # wx + zy = 0
+        ((0, 1, 3, 0), "w*x+z*y"),          # both: (wx+zy)^(-1) fails first
+    ])
+    def test_a_pole_names_the_divisor_of_the_trees(self, values, divisor):
+        # the whole chain program, whose potential divides by wx+zy first, and the
+        # members alone, whose first pole is that of (wx+zy)^(-1) or of -y/w
+        members = Program([partial(_psi, n=n) for n in range(1, self.N + 1)], "second")
+        tree_members = Program([st_psi(n).expr for n in range(1, self.N + 1)], "second")
+        p = point("second", *values)
+        for q in (p, p.as_float()):
+            for run in (lambda prog: prog.jets(q, 2, {"sigma": F(1, 2)}),
+                        lambda prog: prog.values(q, {"sigma": F(1, 2)})):
+                for ours, theirs in (self.programs(), (members, tree_members)):
+                    got = chain_oracle.outcome(ours, run)
+                    assert got == chain_oracle.outcome(theirs, run)
+                    assert got == f"PoleError: denominator {divisor!r} vanishes at the point"
+
+    @pytest.mark.parametrize("values, text", [
+        ((1.0, 1.0, 1.0, 1e200), "'(-y/w)^2'"),
+        ((1.0, 1.0, 1e-200, 1e-200), "'(w*x+z*y)^(-3)'"),
+    ])
+    def test_a_float_overflow_names_the_instruction_of_the_trees(self, values, text):
+        emitted, oracle = self.programs()
+        p = point("second", *values)
+        run = lambda prog: prog.values(p, {"sigma": 0.5})
+        assert chain_oracle.outcome(emitted, run) == chain_oracle.outcome(oracle, run) \
+            == f"EvaluationError: {text} is too large for a float at the point"
 
 
 def symbolic_step_residual(theta, phi, r_phi, p, params):

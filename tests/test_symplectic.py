@@ -113,7 +113,7 @@ class TestHodgeStar:
         assert coeff == (not_sol.diff("x").diff("w") + not_sol.diff("y").diff("z")).scale(2)
 
     def test_d_star_d_iff_wave_curved(self):
-        from heavenly.recursion import st_psi
+        from chain_oracle import st_psi
         theta = st_potential()
         good = st_psi(3)  # curved wave solution
         bad = ScalarField.parse("x^2*w", "second")
@@ -313,7 +313,7 @@ class TestCurvedQuadraturePairing:
     def test_curved_solution_pair_near_zero(self):
         # closed-boundary value vanishes for wave-space pairs; the box keeps
         # clear of the background's singular locus
-        from heavenly.recursion import st_psi
+        from chain_oracle import st_psi
         theta = st_potential()
         box = BoundaryBox(F(1), F(2))
         v = symplectic_pair_curved(theta, st_psi(1), st_psi(2), box, SIGMA)

@@ -2,12 +2,15 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from heavenly.jetcore import ScalarField, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import sample_points
 from heavenly.tetrads import SecondPotential, lax_step_residual
 from heavenly.twistor import (
+    NotAPoleError,
     RatLambda,
     flat_twistor_curve,
     lax_annihilation_residual,
@@ -15,9 +18,12 @@ from heavenly.twistor import (
     recursion_on_twistor,
     residue_at,
     series_solve_omega,
-    st_twistor_curve,
+    st_curve_program,
 )
 
+import chain_oracle
+import fold_oracle
+from chain_oracle import st_twistor_curve
 from jet_work import JetWork
 
 SIGMA = {"sigma": F(1)}
@@ -50,47 +56,43 @@ class TestFlatCurve:
     def test_annihilated_identically(self):
         c = flat_twistor_curve(4)
         for p in pts(seed=2, n=4):
-            res = lax_annihilation_residual(c, flat(), p)
+            res = lax_annihilation_residual(c.program(), flat(), p)
             assert res["max_abs_interior"] == 0
             assert all(v == 0 for d in res["top"].values() for v in d.values())
 
 
 class TestCurvedCurve:
     def test_leading_and_quadratic_coefficients(self):
-        c = st_twistor_curve(4)
+        c = st_curve_program(4)
         theta = st_potential()
         tx = theta.field.diff("x")
         ty = theta.field.diff("y")
         for p in pts(seed=3, n=5):
-            assert c.mu0.coefficient(0).value(p, SIGMA) == p.values[0]
-            assert c.mu0.coefficient(1).value(p, SIGMA) == p.values[3]
-            assert c.mu1.coefficient(0).value(p, SIGMA) == p.values[1]
-            assert c.mu1.coefficient(1).value(p, SIGMA) == -p.values[2]
+            values = c.values(p, SIGMA)
+            mu0, mu1 = values[:5], values[5:]
+            assert mu0[:2] == [p.values[0], p.values[3]]
+            assert mu1[:2] == [p.values[1], -p.values[2]]
             # lam^2 tails are -Theta_x and -Theta_y
-            assert c.mu0.coefficient(2).value(p, SIGMA) == -tx.value(p, SIGMA)
-            assert c.mu1.coefficient(2).value(p, SIGMA) == -ty.value(p, SIGMA)
+            assert mu0[2] == -tx.value(p, SIGMA)
+            assert mu1[2] == -ty.value(p, SIGMA)
 
     def test_sigma_zero_is_flat(self):
-        c = st_twistor_curve(5)
-        flat_c = flat_twistor_curve(5)
+        c = st_curve_program(5)
+        flat_c = flat_twistor_curve(5).program()
         for p in pts(seed=4, n=3):
-            for i in range(6):
-                assert c.mu0.coefficient(i).value(p, {"sigma": F(0)}) \
-                    == flat_c.mu0.coefficient(i).value(p)
-                assert c.mu1.coefficient(i).value(p, {"sigma": F(0)}) \
-                    == flat_c.mu1.coefficient(i).value(p)
+            assert c.values(p, {"sigma": F(0)}) == flat_c.values(p)
 
     def test_order_starts_at_one(self):
         import pytest
         with pytest.raises(ValueError):
-            st_twistor_curve(0)
+            st_curve_program(0)
 
     def test_order_past_table_seed_rows(self):
         # the B table grows on demand: order 14 needs rows up to 13
-        assert st_twistor_curve(14).order == 14
+        assert len(st_curve_program(14).texts()) == 2 * 15
 
     def test_annihilation_through_order_five(self):
-        c = st_twistor_curve(6)
+        c = st_curve_program(6)
         theta = st_potential()
         for p in pts(seed=5, n=10):
             res = lax_annihilation_residual(c, theta, p, SIGMA)
@@ -98,10 +100,11 @@ class TestCurvedCurve:
 
     def test_each_jet_evaluated_once_per_point(self, monkeypatch):
         c = st_twistor_curve(10)
+        program = st_curve_program(10)
         theta = st_potential()
         p = pts(seed=7)[0]
         work = JetWork(monkeypatch)
-        res = lax_annihilation_residual(c, theta, p, SIGMA)
+        res = lax_annihilation_residual(program, theta, p, SIGMA)
         # the potential's jet plus one per curve coefficient (11 in each of mu0, mu1)
         assert work.fold_count == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
         assert work.most_folds_of_one_tree == 1
@@ -111,21 +114,22 @@ class TestCurvedCurve:
         assert work.products <= 147
         assert work.inversions <= 4
         monkeypatch.undo()
+        # each residual is the relation between two coefficient trees of the oracle
         for A, B in res["interior"]:
             series = getattr(c, B)
             for r in range(series.min_deg, series.max_deg + 2):
                 public = lax_step_residual(theta, series.coefficient(r - 1),
                                            series.coefficient(r), p, SIGMA)
-                table = res["interior"] if r <= c.order - 1 else res["top"]
+                table = res["interior"] if r <= series.max_deg - 1 else res["top"]
                 assert table[(A, B)][r] == public[A]
 
     def test_curve_compiled_once_for_every_point(self, monkeypatch):
-        c = st_twistor_curve(10)
         theta = st_potential()
         work = JetWork(monkeypatch)
+        c = st_curve_program(10)
         for p in pts(seed=7, n=3):
             lax_annihilation_residual(c, theta, p, SIGMA)
-        # the potential's program and the curve's, each kept from its first use
+        # the potential's program, kept from its first use, and the curve's
         assert work.compiles == 2
         assert work.fold_count == 3 * 23
         assert work.most_folds_of_one_tree == 1
@@ -141,10 +145,55 @@ class TestCurvedCurve:
         bad = TwistorCurve("st", LambdaSeries("second", 0, tuple(bad_coeffs)), c.mu1)
         theta = st_potential()
         p = pts(seed=6)[0]
-        res = lax_annihilation_residual(bad, theta, p, SIGMA)
+        res = lax_annihilation_residual(bad.program(), theta, p, SIGMA)
         assert res["max_abs_interior"] != 0
         nonzero_orders = {r for d in res["interior"].values() for r, v in d.items() if v != 0}
         assert nonzero_orders and min(nonzero_orders) >= 2
+
+
+class TestCurveFromTheTable:
+    """The st curve of orders 1..12 issued straight from table B against the
+    trees of tests/chain_oracle.py: the same instructions, so the same text,
+    jets and errors."""
+
+    ORDERS = range(1, 13)
+
+    def test_the_instructions_of_the_trees(self):
+        for order in self.ORDERS:
+            emitted, oracle = st_curve_program(order), st_twistor_curve(order).program()
+            assert emitted._code == oracle._code, order
+            assert emitted._outputs == oracle._outputs, order
+
+    def test_each_coefficient_prints_as_its_tree(self):
+        for order in self.ORDERS:
+            c = st_twistor_curve(order)
+            emitted = st_curve_program(order)
+            assert emitted.texts() \
+                == [fold_oracle.to_text(f.expr) for f in c.mu0.coeffs + c.mu1.coeffs]
+
+    def test_jets_at_random_points(self):
+        emitted, oracle = st_curve_program(12), st_twistor_curve(12).program()
+        for p, sigma in zip(pts(seed=24, n=3), (F(1), F(2, 3), F(-5, 2))):
+            for q, s in ((p, sigma), (p.as_float(), float(sigma))):
+                got, want = (prog.jets(q, 1, {"sigma": s}) for prog in (emitted, oracle))
+                assert [chain_oracle.bits(j) for j in got] == [chain_oracle.bits(j) for j in want]
+
+    @pytest.mark.parametrize("values, text", [
+        ((0, 2, 3, 5), "PoleError: denominator 'w' vanishes at the point"),
+        ((1, 1, 1, -1), "PoleError: denominator 'w*x+z*y' vanishes at the point"),
+        ((1.0, 1.0, 1.0, 1e200), "EvaluationError: '(-y/w)^2' is too large for a float at the point"),
+        ((1.0, 1.0, 1e-200, 1e-200),
+         "EvaluationError: '(w*x+z*y)^(-2)' is too large for a float at the point"),
+    ])
+    def test_an_error_names_the_instruction_of_the_trees(self, values, text):
+        emitted, oracle = st_curve_program(12), st_twistor_curve(12).program()
+        p = point("second", *values)
+        runs = [lambda prog: prog.values(p, {"sigma": 0.5})]
+        if "Pole" in text:   # a jet never overflows: it holds an inf
+            runs += [lambda prog: prog.jets(p, 1, {"sigma": F(1, 2)}),
+                     lambda prog: prog.jets(p.as_float(), 1, {"sigma": 0.5})]
+        for run in runs:
+            assert chain_oracle.outcome(emitted, run) == chain_oracle.outcome(oracle, run) == text
 
 
 class TestSeriesSolve:
@@ -170,16 +219,25 @@ class TestSeriesSolve:
         c = series_solve_omega(theta, 4)
         background = SecondPotential(theta.to_field())
         for p in pts(seed=8, n=5):
-            res = lax_annihilation_residual(c, background, p)
+            res = lax_annihilation_residual(c.program(), background, p)
             assert res["max_abs_interior"] == 0
 
 
 class TestResidueTransform:
-    def test_pole_free_region_gives_zero(self):
+    def test_pole_free_region_is_refused(self):
+        # a declared pole where f's denominator does not vanish is no pole: no value
         f = parse_expression("1/(mu0*mu1)", "twistor-function")
         pole = parse_expression("1+w^2+y^2", "second")  # never a zero of mu0 mu1... generically
         p = point("second", 1, 1, 1, 1)
-        assert penrose_residue_transform(f, pole, p) == 0
+        with pytest.raises(NotAPoleError, match="^f's denominator is -8 at lam = 3, not 0$"):
+            penrose_residue_transform(f, pole, p)
+
+    def test_a_removable_singularity_is_zero(self):
+        # mu0 cancels: the pole -w/y of 1/(mu0 mu1) is removable in mu0/(mu0 mu1)
+        f = parse_expression("mu0/(mu0*mu1)", "twistor-function")
+        pole = parse_expression("-w/y", "second")
+        for p in pts(seed=15, n=3):
+            assert penrose_residue_transform(f, pole, p) == 0
 
     def test_flat_chain_values(self):
         pole = parse_expression("-w/y", "second")
