@@ -10,11 +10,11 @@ folds the largest |residual| into the schema-1 report and writes it.
 Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
 line naming the worst residual's item, label and value; 2 = bad input (an
 option out of range, an option the background does not read, an unparsable
-or off-chart expression, an unknown background, no admissible sample point,
-or a float evaluation that cannot meet --tol: a parameter or a value met
-while evaluating that is too large for a float, or a residual that is not
-finite, named by its item and label), with one `error:` line on stderr and
-nothing on stdout.
+or off-chart expression, an unknown background, no admissible sample point, a
+penrose --pole that is no pole of --f at a point, or a float evaluation that
+cannot meet --tol: a parameter or a value met while evaluating that is too
+large for a float, or a residual that is not finite, named by its item and
+label), with one `error:` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations

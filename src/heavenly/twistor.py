@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Mapping
 
 from .jetcore import (
@@ -276,10 +276,10 @@ def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
     at p has residue 0; a regular point raises NotAPoleError (0 is no evidence)."""
     rat = on_flat_curve(f, p, params)
     pole_value = Fraction(ScalarField(SECOND, pole).value(p, params))
-    den = uni_shift(rat.den, pole_value)[0]
-    if den:
+    value = residue_at(rat, pole_value)   # a nonzero residue needs a pole: check only a 0
+    if not value and (den := reduce(lambda acc, c: acc * pole_value + c, reversed(rat.den), 0)):
         raise NotAPoleError(f"f's denominator is {den} at lam = {pole_value}, not 0")
-    return residue_at(rat, pole_value)
+    return value
 
 
 def recursion_on_twistor(f: Expr) -> Expr:

@@ -97,12 +97,11 @@ def st_twistor_curve(order: int) -> TwistorCurve:
     return TwistorCurve("st", mu0, mu1)
 
 
-def chain_program(members, pairs=None, theta=None) -> jetcore.Program:
-    """The tree program ``chain_residual_maxima`` reads: the potential (the st one
-    unless ``theta`` is given), the member fields, then both fields of each pair."""
-    theta = theta or st_potential()
-    pairs = pairs or {}
-    return field_program([theta.field, *members, *(f for pair in pairs.values() for f in pair)])
+def chain_program(members, pairs) -> jetcore.Program:
+    """The tree program ``chain_residual_maxima`` reads: the st potential, the member
+    fields, then both fields of each pair."""
+    return field_program([st_potential().field, *members,
+                          *(f for pair in pairs.values() for f in pair)])
 
 
 def bits(jet: jetcore.Jet) -> tuple:
