@@ -16,8 +16,8 @@ stdout and stderr.  It reads ``perfbench/`` and never writes to it.
     python3 tests/pool_outputs.py compare OUT_DIR OTHER_DIR
 
 Each command prints one summary line and exits 1 when a check fails, naming
-the first jobs that differ.  It is a tool, not a test: a recording of the
-whole pool takes minutes.
+the first jobs that differ.  It is a tool, not a test: a recording runs every
+one of the pool's jobs.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ def check(out: Path, root: Path) -> int:
 
 def compare(out: Path, other: Path) -> int:
     a, b = _recording(out), _recording(other)
-    bad = sorted(set(a) ^ set(b))
-    bad += [name for name in sorted(set(a) & set(b)) if a[name] != b[name]]
-    print(f"{len(set(a) & set(b)) - len(bad) + len(set(a) ^ set(b))} of {len(set(a) | set(b))} "
+    differ = [name for name in sorted(set(a) & set(b)) if a[name] != b[name]]
+    bad = sorted(set(a) ^ set(b)) + differ   # a job in one recording only, or changed
+    print(f"{len(set(a) & set(b)) - len(differ)} of {len(set(a) | set(b))} "
           "jobs identical (exit code, stdout, stderr)")
     for name in bad[:SHOWN]:
         print(f"  differs: {name}: {' '.join((a.get(name) or b[name])['argv'])}")

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from heavenly.jetcore import PoleError, Program, ScalarField, point
+from heavenly.jetcore import Program, ScalarField, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import (
     IntegrabilityError,
