@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .jetcore import ScalarField
@@ -17,6 +16,9 @@ from .tetrads import (
     geometry_from_theta,
     plane_wave_geometry,
 )
+
+# read by path: the data directory ships beside this module, and is no package to import
+SHIPPED = Path(__file__).with_name("data") / "catalog.json"
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,7 @@ def _parse_entry(raw: dict) -> CatalogEntry:
 
 def load_catalog(path: str | Path | None = None) -> dict[str, CatalogEntry]:
     """Load the shipped catalog, or a user file with the same schema."""
-    if path is None:
-        text = resources.files("heavenly.data").joinpath("catalog.json").read_text()
-    else:
-        text = Path(path).read_text()
-    raw = json.loads(text)
+    raw = json.loads(Path(SHIPPED if path is None else path).read_text())
     if raw.get("schema") != 1:
         raise ValueError("unsupported catalog schema")
     entries = [_parse_entry(r) for r in raw["entries"]]

@@ -10,8 +10,9 @@ folds the largest |residual| into the schema-1 report and writes it.
 Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
 line naming the worst residual's item, label and value; 2 = bad input (an
 option out of range, an option the background does not read, an unparsable
-or off-chart expression, an unknown background, no admissible sample point, a
-penrose --pole that is no pole of --f at a point, or a float evaluation that
+or off-chart expression, an expression nested too deeply to compile, an
+unknown background, no admissible sample point, a penrose --pole that is no
+pole of --f at a point, or a float evaluation that
 cannot meet --tol: a parameter or a value met while evaluating that is too
 large for a float, or a residual that is not finite, named by its item and
 label), with one `error:` line on stderr and nothing on stdout.
@@ -33,6 +34,7 @@ from .jetcore import (
     EXACT,
     FLOAT,
     EvaluationError,
+    Expr,
     ParseError,
     Point,
     PoleError,
@@ -451,7 +453,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _deepest_expression(args) -> str | None:
+    """The expression option (--f, --pole) of the run whose tree nests deepest, or
+    None when it has none.  Read only after the run exceeded the recursion limit."""
+    def depth(text: str, chart: str) -> float:
+        try:
+            stack, deepest = [(parse_expression(text, chart), 1)], 0
+        except RecursionError:   # too deep even to parse
+            return math.inf
+        while stack:
+            e, d = stack.pop()
+            deepest = max(deepest, d)
+            stack += [(x, d + 1) for x in vars(e).values() if isinstance(x, Expr)]
+        return deepest
+    f_chart = "twistor-function" if args.command == "penrose" else "plane-wave"
+    options = [(depth(text, chart), option) for option, text, chart in (
+        ("--f", getattr(args, "f", None), f_chart), ("--pole", getattr(args, "pole", None), SECOND))
+        if text is not None]
+    return max(options)[1] if options else None
+
+
 def main(argv=None) -> int:
+    args = None
     try:
         args = build_parser().parse_args(argv)
         args.domain = FLOAT if args.mode == "float" else EXACT
@@ -465,6 +488,13 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, ParseError, EvaluationError, SamplerExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # compiling and printing a tree recurse once per level; deeper input is bad input
+        option = args and _deepest_expression(args)
+        if option is None:
+            raise
+        print(f"error: {option} is nested too deeply to evaluate", file=sys.stderr)
         return 2
 
 

@@ -1,22 +1,31 @@
 """Metric to curvature pipeline with spinor decomposition.
 
-Curvature is computed from metric components by the coordinate method
-(Levi-Civita connection, then the Riemann tensor from its values and
-gradients).  A point's inputs are its order-2 metric jets, their inverse
-through order 1 (the connection reads only its values and gradients) and the
-null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
+Curvature is computed from metric components by the coordinate method.  A
+point's inputs are its order-2 metric jets, the values of their inverse and
+the null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
 off one jet of the metric's primary field (``tetrads.FieldGeometry``, the
 inverse in closed form).  ``tests/geometry_oracle.py`` builds the same three
 from the symbolic tetrad and metric trees, with a Gauss-Jordan inverse, as
-the test reference.  The connection first checks the inverse: g ginv = 1
-and d(g ginv) = 0.  Past the inverse every sum runs on integer numerators
-over one common denominator per quantity (in the float domain: floats over
-small integers), and each reported number is divided once by the domain, so
-in the exact domain a vanishing component is exactly zero.  Christoffel
-sits over one D, Riemann over D^2, and Ricci and the scalar R come from it.
+the test reference.  The core first checks the inverse: g ginv = 1 at the
+point.  Past it every sum runs on integer numerators over one common
+denominator per quantity (in the float domain: floats over small integers),
+and each reported number is divided once by the domain, so in the exact
+domain a vanishing component is exactly zero.
+
+Riemann is lowered from the start and read on the coordinate pairs a < b,
+c < d only (Misner, Thorne & Wheeler, Gravitation, 1973):
+
+    R_abcd = (g_ad,bc + g_bc,ad - g_bd,ac - g_ac,bd) / 2
+             + Gamma_{e,cb} Gamma^e_{da} - Gamma_{e,db} Gamma^e_{ca}
+
+with 2 Gamma_{e,bc} = g_eb,c + g_ec,b - g_bc,e over the metric's
+denominator Dg, 2 Gamma^e_bc = g^ef 2 Gamma_{f,bc} over Di Dg (Di the
+inverse's) and R_abcd over 4 Di Dg^2.  It needs no gradient of the inverse
+and no gradient of Gamma, and its antisymmetry in a, b and in c, d holds by
+construction.  Ricci is R_bd = g^ae R_ebad and the scalar g^bd R_bd.
 
 The spinors come from Riemann's blocks on 2-forms, R(B, B') = B^ab R_abcd
-B'^cd, lowered on the pairs a < b, c < d only.  Take the bivectors X_ij =
+B'^cd, summed over the pairs a < b, c < d.  Take the bivectors X_ij =
 V_0i ^ V_1j - V_1i ^ V_0j (SD, primed i j) and Y_ij (ASD, the same with the
 unprimed index).  In a frame dual to g, g(V_AA', V_BB') = eps_AB eps_A'B'
 (checked at each point), G_abcd = g_ac g_bd - g_ad g_bc has G(X_i1i2, X_i3i4)
@@ -26,10 +35,10 @@ like bivectors W = R - (R/12) G, so psi_i1i2i3i4 = (R(X_i1i2, X_i3i4) -
 4 Phi_klij (Penrose & Rindler, Spinors and Space-Time I, 4.6).
 
 Conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-+ Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb};  Ricci R_{bd} =
-R^a_{bad};  the spinors are those of W_{abcd} = eps_{A'B'} eps_{C'D'} C_{ABCD}
-+ eps_{AB} eps_{CD} C_{A'B'C'D'}: C_ABCD (``weyl_asd``) on Y, C_A'B'C'D'
-(``weyl_sd``) on X.
++ Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, R_abcd = g_ae R^e_bcd;
+Ricci R_{bd} = R^a_{bad};  the spinors are those of W_{abcd} = eps_{A'B'}
+eps_{C'D'} C_{ABCD} + eps_{AB} eps_{CD} C_{A'B'C'D'}: C_ABCD (``weyl_asd``)
+on Y, C_A'B'C'D' (``weyl_sd``) on X.
 """
 
 from __future__ import annotations
@@ -49,106 +58,73 @@ from .jetcore import (
 from .tetrads import EPS
 
 
-def _christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
-    """Gamma^a_{bc} and its first partials as numerators over one common D, and
-    the metric's and the inverse's values, ``(G, D, (gv, Dg), (giv, Di))``.
+# index tables of a 4-dimensional metric: the ten (a, b) with a <= b (g is symmetric), where
+# g_ab sits among them, and the six coordinate pairs a < b on which Riemann is held
+_UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
+_AT = [[_UPPER.index((min(a, b), max(a, b))) for b in range(4)] for a in range(4)]
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+# R_abcd for the i-th pair (a, b) and the j-th (c, d) reads g_ad, g_bc, g_bd, g_ac there
+_BLOCK = [[(_AT[a][d], _AT[b][c], _AT[b][d], _AT[a][c]) for c, d in _PAIRS] for a, b in _PAIRS]
+# (a, b) -> the index of its pair and the sign R_ab.. takes from R on that pair (None: a = b)
+_SIGNED = [[None if a == b else (_PAIRS.index((min(a, b), max(a, b))), 1 if a < b else -1)
+            for b in range(4)] for a in range(4)]
 
-    ``gj`` are the order-2 metric jets and ``ginv`` their inverse through
-    order 1.  The metric's values and first and second partials go over one
-    denominator Dg, the inverse's values and gradients over one Di, and
-    D = 2 Di Dg.
-    ``G[a][b][c]`` is one list, the value numerator then the n gradient
-    numerators; it is built for b <= c (the metric jets are symmetric: g_ab and
-    g_ba are one jet) and mirrored onto ``G[a][c][b]``.
 
-    In the float domain D is 2 and each operation is the one the order-1 jet
-    product g^ad * (2 Gamma_dbc) does, in the same order, a zero g^ad
-    skipped as the product skips a zero factor, so the symbols, once divided
-    by D, are bit for bit the jet route's.
+def _riemann_block(gj: list[list[Jet]], ginv: list[list[Number]]):
+    """R_abcd on the coordinate pairs a < b, c < d, the metric's values and the
+    inverse's, each as numerators over one denominator:
+    ``(M, DM), (gv, Dg), (iv, Di)``.
+
+    ``gj`` are the order-2 metric jets at a point and ``ginv`` the values of
+    their inverse there.  The metric's values and first and second partials go
+    over one Dg and the inverse's values over one Di; ``M[i][j]`` is R_abcd
+    for the i-th pair (a, b) and the j-th pair (c, d) of ``_PAIRS``, over
+    DM = 4 Di Dg^2 (the module docstring's formula).
     """
-    n = len(gj)
-    upper = [(b, c) for b in range(n) for c in range(b, n)]
     coords = chart_coords(gj[0][0].center.chart)
-    first = [(c,) for c in coords]
-    second = [(coords[c], coords[e]) for c, e in upper]   # d_c d_e = d_e d_c: read once
-    at = {}   # (c, e) -> where d_c d_e sits in a component's read-out
-    for k, (c, e) in enumerate(upper):
-        at[(c, e)] = at[(e, c)] = 1 + n + k
-    nums, Dg = common_denominator([gj[a][b].d_numerators((), *first, *second) for a, b in upper])
-    # g1[a][b]: g_ab, then its gradient; dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
-    g1 = [[None] * n for _ in range(n)]
-    dg = [[None] * n for _ in range(n)]
-    for (a, b), num in zip(upper, nums):
-        g1[a][b] = g1[b][a] = num[:1 + n]
-        dg[a][b] = dg[b][a] = [[num[1 + c], *(num[at[(c, e)]] for e in range(n))] for c in range(n)]
-    # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
-    low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
-                    for d in range(n)] for b, c in upper}
-    inv, Di = common_denominator([x.d_numerators((), *first) for row in ginv for x in row])
-    # ginv must be g's inverse through order 1 (g ginv = 1, d(g ginv) = 0) or the connection
-    # is not g's.  r is [2 (g ginv)_ab, d_1 (g ginv)_ab, ...]; a float r may be 1e-9 of
-    # |g| |ginv|, their summed |values and gradients| (elimination leaves noise where 0 is due);
-    # 10^9 r is compared, since 1e-9 times an exact size could overflow a float
-    domain = gj[0][0].domain
-    size = sum(abs(v) for x in nums for v in x[:1 + n]) * sum(abs(v) for y in inv for v in y)
-    for a, b in product(range(n), repeat=2):
-        r = [0] * (n + 1)
-        for x, y in zip(g1[a], inv[b::n]):
-            if any(x) and any(y):
-                r = [rk + xk * y[0] + x[0] * yk for rk, xk, yk in zip(r, x, y)]
-        r[0] -= 2 * Dg * Di * (a == b)
-        if any(r) and any(domain.verdict(10 ** 9 * abs(rk), size) is False for rk in r):
-            raise domain.error("ginv is not the metric's inverse through order 1 at this point")
-    zero = domain.zero
-    G = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        row = [(d, h) for d, h in enumerate(inv[a * n:(a + 1) * n]) if any(h)]   # g^ad != 0
-        for b, c in upper:
-            val, grad, lbc = zero, [zero] * n, low[(b, c)]
-            for d, h in row:   # g^ad and 2 Gamma_dbc, each with its gradient
-                t = lbc[d]
-                h0, t0 = h[0], t[0]
-                val += h0 * t0
-                grad = [s + (h0 * te + he * t0) for s, te, he in zip(grad, t[1:], h[1:])]
-            G[a][b][c] = G[a][c][b] = [val, *grad]
-    return (G, 2 * Di * Dg, ([[x[0] for x in row] for row in g1], Dg),
-            ([[inv[a * n + b][0] for b in range(n)] for a in range(n)], Di))
+    partials = [(), *((c,) for c in coords), *((coords[c], coords[e]) for c, e in _UPPER)]
+    nums, Dg = common_denominator([gj[a][b].d_numerators(*partials) for a, b in _UPPER])
+    gv = [[nums[k][0] for k in row] for row in _AT]
+    flat, Di = common_denominator([x for row in ginv for x in row])
+    iv = [flat[:4], flat[4:8], flat[8:12], flat[12:]]
+    # ginv must be g's inverse at the point or the connection is not g's.  A float
+    # g ginv - 1 may be 1e-9 of |g| |ginv|, their summed |values|; 10^9 r is compared,
+    # since 1e-9 times an exact size could overflow a float
+    domain, unit = gj[0][0].domain, Dg * Di
+    size, cols = sum(abs(x[0]) for x in nums) * sum(map(abs, flat)), list(zip(*iv))
+    for a, row in enumerate(gv):
+        for b, col in enumerate(cols):
+            r = sum(map(mul, row, col)) - unit * (a == b)
+            if r and domain.verdict(10 ** 9 * abs(r), size) is False:
+                raise domain.error("ginv is not the metric's inverse at this point")
+    # low[k][e] = 2 Gamma_{e,bc} = d_c g_eb + d_b g_ec - d_e g_bc and up[k][e] = g^ef low[k][f]
+    # = 2 Gamma^e_bc for the k-th (b, c) of _UPPER; d2[k][l] is the l-th second partial of g's
+    # k-th component
+    d1, d2 = [x[1:5] for x in nums], [x[5:] for x in nums]
+    low = [[d1[_AT[e][b]][c] + d1[_AT[e][c]][b] - d1[k][e] for e in range(4)]
+           for k, (b, c) in enumerate(_UPPER)]
+    up = [[sum(map(mul, row, lk)) for row in iv] for lk in low]
+    m = 2 * Di * Dg
+    M = [[m * (d2[ad][bc] + d2[bc][ad] - d2[bd][ac] - d2[ac][bd])
+          + sum(map(mul, low[bc], up[ad])) - sum(map(mul, low[bd], up[ac]))
+          for ad, bc, bd, ac in row] for row in _BLOCK]
+    return (M, 2 * m * Dg), (gv, Dg), (iv, Di)
 
 
-def _riemann_values(G, D):
-    """R^a_{bcd} numerators over D^2 from the Christoffel numerators over D."""
-    n = len(G)
-    gv = [[[x[0] for x in gb] for gb in ga] for ga in G]
-    out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        Ga, gva = G[a], gv[a]
-        for b in range(n):
-            rb = out[a][b]
-            for c in range(n):
-                for d in range(c + 1, n):   # antisymmetric in c, d
-                    s = D * (Ga[d][b][1 + c] - Ga[c][b][1 + d])
-                    for e in range(n):
-                        s += gva[c][e] * gv[e][d][b] - gva[d][e] * gv[e][c][b]
-                    rb[c][d] = s
-                    rb[d][c] = -s
-    return out, D * D
-
-
-def _riemann_at(gj: list[list[Jet]], ginv: list[list[Jet]]):
-    """From the order-2 metric jets at a point and their inverse through order 1:
-    R^a_{bcd}, the metric values and the inverse metric values, each as
-    numerators with their own common denominator."""
-    G, D, gv, giv = _christoffel_numerators(gj, ginv)
-    return _riemann_values(G, D), gv, giv
-
-
-def _ricci_values(rm, ginv_values):
-    """Ricci numerators over Riemann's denominator; the scalar's over the inverse
-    metric's denominator times Riemann's."""
-    n = len(rm)
-    ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
-    scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
-    return ric, scalar
+def _ricci_numerators(M, iv):
+    """R_bd = g^ae R_ebad from the block (over Di DM), and the scalar g^bd R_bd
+    (over Di^2 DM), with R_ebad = -R_bead = -R_ebda read off a < b, c < d."""
+    ric = [[0] * 4 for _ in range(4)]
+    for a, irow in enumerate(iv):
+        ad = [(d, *s) for d, s in enumerate(_SIGNED[a]) if s]
+        for e, h in enumerate(irow):
+            if h:
+                for b, s in enumerate(_SIGNED[e]):
+                    if s:
+                        row, out = M[s[0]], ric[b]
+                        for d, j, t in ad:
+                            out[d] += (h if s[1] == t else -h) * row[j]
+    return ric, sum(x * y for row, irow in zip(ric, iv) for x, y in zip(row, irow) if y)
 
 
 def _frame_components(tensor: Sequence[Number], rank: int,
@@ -183,7 +159,10 @@ def _frame_numerators(fv: Mapping[tuple[int, int], Sequence[Number]]):
 
 @dataclass
 class CurvatureReport:
-    """Curvature invariants at one point, in the tetrad's spin frame."""
+    """Curvature invariants at one point, in the tetrad's spin frame.
+
+    The three maxima are each taken over numerators that share one denominator
+    and divided once, so they equal the maxima of the divided values."""
 
     point: Point
     ricci: list[list[Number]]
@@ -193,34 +172,25 @@ class CurvatureReport:
     phi: dict[tuple[int, int, int, int], Number]
     reassembly_max_abs: Number
     duality_max_abs: Number
-
-    @property
-    def ricci_max_abs(self):
-        return max(abs(v) for row in self.ricci for v in row)
-
-    @property
-    def sd_weyl_max_abs(self):
-        return max(abs(v) for v in self.weyl_sd.values())
-
-    @property
-    def asd_weyl_max_abs(self):
-        return max(abs(v) for v in self.weyl_asd.values())
+    ricci_max_abs: Number
+    sd_weyl_max_abs: Number
+    asd_weyl_max_abs: Number
 
 
-def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
+def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Number]],
                       frame: Mapping[tuple[int, int], Sequence[Number]],
                       tol: float = 1e-9) -> CurvatureReport:
     """Split the Riemann tensor's bivector blocks into the two Weyl spinors and Phi.
 
     ``gj`` are the order-2 metric jets at a point (their center), ``ginv``
-    their inverse through order 1 and ``frame`` the null frame's values there,
+    the values of their inverse there and ``frame`` the null frame's values,
     keyed by (A, A').  Every sum runs on numerators, each over its own
     denominator, and each reported number is divided once.
     """
     p = gj[0][0].center
-    (rm, d2), (gv, dg), (giv, di) = _riemann_at(gj, ginv)
-    ric, scalar = _ricci_values(rm, giv)
-    ds = di * d2
+    (M, dm), (gv, dg), (iv, di) = _riemann_block(gj, ginv)
+    ric, scalar = _ricci_numerators(M, iv)
+    d_ric, ds = di * dm, di * di * dm
     fv, df = _frame_numerators(frame)
     q = p.domain.divide
 
@@ -235,15 +205,10 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
                              else f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
                              "at this point")
 
-    # R_abcd on the coordinate pairs a < b, c < d (over dg d2), and rb = R(B, B') =
-    # B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij (over dg d2 df^4)
-    n = len(gv)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    rows = [[(e, x) for e, x in enumerate(row) if x] for row in gv]
-    M = [[sum(x * rm[e][b][c][d] for e, x in rows[a]) for c, d in pairs] for a, b in pairs]
-
+    # rb = R(B, B') = B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij
+    # (over dm df^4)
     def bivector(u0, u1, v0, v1):   # u0 ^ v1 - u1 ^ v0
-        return [u0[a] * v1[b] - u0[b] * v1[a] - u1[a] * v0[b] + u1[b] * v0[a] for a, b in pairs]
+        return [u0[a] * v1[b] - u0[b] * v1[a] - u1[a] * v0[b] + u1[b] * v0[a] for a, b in _PAIRS]
     sym = ((0, 0), (0, 1), (1, 1))
     bivectors = ([bivector(fv[(0, i)], fv[(1, i)], fv[(0, j)], fv[(1, j)]) for i, j in sym]
                  + [bivector(fv[(i, 0)], fv[(i, 1)], fv[(j, 0)], fv[(j, 1)]) for i, j in sym])
@@ -254,7 +219,7 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
     # on like bivectors (X: the SD spinor, Y: the ASD one), over d_spin
     keys = list(product(range(2), repeat=4))
     slot = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-    m_b, m_s, d_spin = 6 * di, dg * df ** 4, 24 * dg * di * d2 * df ** 4
+    m_b, m_s, d_spin = 6 * di * di, df ** 4, 24 * ds * df ** 4
 
     def spinor(off):
         return {(i1, i2, i3, i4): m_b * rb[off + slot[i1, i2]][off + slot[i3, i4]]
@@ -263,36 +228,40 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Jet]],
     sd_num, asd_num = spinor(0), spinor(3)
 
     # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
-    # is over d2 df^2 and R over ds (a multiple of d2), so Phi is over 8 ds df^2
+    # is over d_ric df^2 and R over ds = di d_ric, so Phi is over 8 ds df^2
     rf = _frame_components([x for row in ric for x in row], 2, fv)
     m_rf, m_r, d_phi = 4 * di, df * df, 8 * ds * df * df
     phi_num = {(A, B, Ap, Bp): -(m_rf * rf[((A, Ap), (B, Bp))]
                                  - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)])
                for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
 
-    # reassembly, over d_spin: each spinor is symmetric in i2, i3 (the first Bianchi
-    # identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl) is 4 Phi_klij
+    # reassembly, over d_spin = 3 df^2 d_phi: each spinor is symmetric in i2, i3 (the
+    # first Bianchi identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl)
+    # is 4 Phi_klij
     re_err = max(
         *(abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)])
           for s in (sd_num, asd_num) for i1, i2, i3, i4 in keys),
         *(4 * m_b * abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)),
-        *(abs(4 * m_b * rb[k][3 + l] - 12 * dg * df * df * phi_num[(*sym[l], *sym[k])])
+        *(abs(4 * m_b * rb[k][3 + l] - 12 * df * df * phi_num[(*sym[l], *sym[k])])
           for k in range(3) for l in range(3)))
 
-    return CurvatureReport(p, [[q(x, d2) for x in row] for row in ric], q(scalar, ds),
+    return CurvatureReport(p, [[q(x, d_ric) for x in row] for row in ric], q(scalar, ds),
                            {k: q(x, d_spin) for k, x in asd_num.items()},
                            {k: q(x, d_spin) for k, x in sd_num.items()},
                            {k: q(x, d_phi) for k, x in phi_num.items()},
-                           q(re_err, d_spin), duality_max)
+                           q(re_err, d_spin), duality_max,
+                           q(max(abs(x) for row in ric for x in row), d_ric),
+                           q(max(map(abs, sd_num.values())), d_spin),
+                           q(max(map(abs, asd_num.values())), d_spin))
 
 
-def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Jet]], Mapping]],
+def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Number]], Mapping]],
                        tol: float = 1e-9) -> dict:
     """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points.
 
-    ``inputs`` gives each point's order-2 metric jets, their inverse through
-    order 1 and the frame values (see :func:`spinors_from_jets`); it is read
-    one point at a time.
+    ``inputs`` gives each point's order-2 metric jets, their inverse's values
+    and the frame values (see :func:`spinors_from_jets`); it is read one point
+    at a time.
     """
     records = []
     ok = True

@@ -174,6 +174,7 @@ def _require_profile(f: ScalarField) -> None:
 
 FrameValues = dict[tuple[int, int], tuple[Number, ...]]
 JetMatrix = list[list[Jet]]
+NumberMatrix = list[list[Number]]
 
 
 class FieldGeometry(NamedTuple):
@@ -184,7 +185,7 @@ class FieldGeometry(NamedTuple):
     for a potential, whose metric and frame components are its second
     partials, 2 for a profile, which is a metric component itself.  ``read``
     maps that jet to the order-2 metric jets g_ab (nested lists, a symmetric
-    pair sharing one jet), their inverse through order 1 in closed form, and
+    pair sharing one jet), the values of their inverse in closed form, and
     the frame values keyed by (A, A').  All three equal exactly those of the
     symbolic tetrad and metric trees and their Gauss-Jordan inverse, the test
     reference in ``tests/geometry_oracle.py``, with no symbolic derivative
@@ -193,9 +194,9 @@ class FieldGeometry(NamedTuple):
 
     field: ScalarField
     order: int
-    read: Callable[[Jet], tuple[JetMatrix, JetMatrix, FrameValues]]
+    read: Callable[[Jet], tuple[JetMatrix, NumberMatrix, FrameValues]]
 
-    def at(self, p: Point, params=None) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+    def at(self, p: Point, params=None) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
         return self.read(self.field.jet(p, self.order, params))
 
 
@@ -206,16 +207,16 @@ def _numbers(jet: Jet):
     return number(0), number(1), number(-1), zero, one
 
 
-def _paired_form(ww: Jet, wz: Jet, zz: Jet, zero: Jet, one: Jet) -> tuple[JetMatrix, JetMatrix]:
-    """g = [[P, I], [I, 0]] in (w, z | x, y) with P = [[ww, wz], [wz, zz]], and its
-    inverse [[0, I], [I, -P]] through order 1: linear in P, with no product."""
+def _paired_form(ww: Jet, wz: Jet, zz: Jet, zero: Jet, one: Jet) -> tuple[JetMatrix, NumberMatrix]:
+    """g = [[P, I], [I, 0]] in (w, z | x, y) with P = [[ww, wz], [wz, zz]], and the
+    values of its inverse [[0, I], [I, -P]]: linear in P, with no product."""
     g = [[ww, wz, one, zero], [wz, zz, zero, one], [one, zero, zero, zero], [zero, one, zero, zero]]
-    o, i = zero.truncate(1), one.truncate(1)
-    mww, mwz, mzz = (-x.truncate(1) for x in (ww, wz, zz))
+    o, i = zero.value, one.value
+    mww, mwz, mzz = (-x.value for x in (ww, wz, zz))
     return g, [[o, o, i, o], [o, o, o, i], [i, o, mww, mwz], [o, i, mwz, mzz]]
 
 
-def _second_form_geometry(theta_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+def _second_form_geometry(theta_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
     """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz,
     its inverse and the frame of the module docstring, from an order-4 jet of Theta."""
     txx, txy, tyy = (theta_jet.d_jet(*names) for names in (_XX, _XY, _YY))
@@ -227,9 +228,9 @@ def _second_form_geometry(theta_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameVa
     return g, ginv, frame
 
 
-def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
-    """The metric, its inverse and the frame of the module docstring from an
-    order-4 jet of Omega.
+def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
+    """The metric, its inverse's values and the frame of the module docstring from
+    an order-4 jet of Omega.
 
     With H the mixed Hessian block Omega_{w^A wt^B} and s = -1/det H (one
     inversion), g = [[0, M], [M^T, 0]] with M = s H; on a solution det H = -1,
@@ -246,17 +247,14 @@ def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameVal
          [zero, zero, z_wt, z_zt],
          [w_wt, z_wt, zero, zero],
          [w_zt, z_zt, zero, zero]]
-    o = zero.truncate(1)
-    h00, h01, h10, h11 = (x.truncate(1) for x in h.values())
-    ginv = [[o, o, -h11, h10], [o, o, h01, -h00], [-h11, h01, o, o], [h10, -h00, o, o]]
-    v = {k: x.value for k, x in h.items()}
-    frame = {(0, 0): (n0, n0, v[("w", "zt")], -v[("w", "wt")]),
-             (1, 0): (n0, n0, v[("z", "zt")], -v[("z", "wt")]),
+    h00, h01, h10, h11 = (x.value for x in h.values())   # Omega_{w wt}, _{w zt}, _{z wt}, _{z zt}
+    ginv = [[n0, n0, -h11, h10], [n0, n0, h01, -h00], [-h11, h01, n0, n0], [h10, -h00, n0, n0]]
+    frame = {(0, 0): (n0, n0, h01, -h00), (1, 0): (n0, n0, h11, -h10),
              (0, 1): (n1, n0, n0, n0), (1, 1): (n0, n1, n0, n0)}
     return g, ginv, frame
 
 
-def _plane_wave_geometry(f_jet: Jet) -> tuple[JetMatrix, JetMatrix, FrameValues]:
+def _plane_wave_geometry(f_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
     """2 dw dq + 2 dz dp + f dz^2, its inverse and the frame V_{00'} = d/dq,
     V_{01'} = -d/dz + (f/2) d/dp, V_{10'} = d/dp, V_{11'} = d/dw, from an
     order-2 jet of f."""

@@ -7,14 +7,15 @@ gradients, its lowering, Ricci, the scalar curvature, W_abcd, the frame
 contractions and the spinor split, each a sum of ``Fraction`` (exact) or
 ``float`` values read off the jets one at a time.  The spinors come from the
 full W projected onto the frame, and the reassembly residual compares W with
-its spinors.  The package reads both off Riemann's bivector blocks instead;
-:func:`blocks` is that route summed value by value, the float reference for
-its integer sums, and equal to the full-W route in exact mode.  It is slow
-and obviously correct, which is what an oracle should be.  It takes the
-metric's tree jets and their Gauss-Jordan inverse from
-``tests/geometry_oracle.py``, the inputs the package's curvature core is
-compared on there, and inverts the full order-2 jets where the core stops at
-order 1.  Nothing in ``src/`` imports it.
+its spinors.  The package lowers Riemann straight from the metric's second
+partials and the Christoffel values, and reads the spinors off its bivector
+blocks; :func:`riemann_lowered` and :func:`blocks` are that route summed value
+by value, the float reference for its integer sums, and equal to the full-W
+route in exact mode.  It is slow and obviously correct, which is what an
+oracle should be.  It takes the metric's tree jets and their Gauss-Jordan
+inverse from ``tests/geometry_oracle.py``, the inputs the package's
+curvature core is compared on there, and inverts the full order-2 jets.
+Nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -93,6 +94,34 @@ def riemann(g, p, params):
     return out, _values(gj), _values(ginv), gval
 
 
+def riemann_lowered(gj, ginv_values):
+    """R_abcd for every a, b, c, d by the package's formula, value by value:
+    (g_ad,bc + g_bc,ad - g_bd,ac - g_ac,bd)/2 + Gamma_{e,cb} Gamma^e_da
+    - Gamma_{e,db} Gamma^e_ca, with Gamma_{e,bc} = (g_eb,c + g_ec,b - g_bc,e)/2
+    and Gamma^e_bc = g^ef Gamma_{f,bc}, each partial read off the metric's jets."""
+    n = len(gj)
+    coords = chart_coords(gj[0][0].center.chart)
+    half = Fraction(1, 2)
+
+    def dg(a, b, *k):
+        return gj[a][b].d(*(coords[i] for i in k))
+    low = {(e, b, c): half * (dg(e, b, c) + dg(e, c, b) - dg(b, c, e))
+           for e, b, c in product(range(n), repeat=3)}
+    up = {(e, b, c): sum(ginv_values[e][f] * low[(f, b, c)] for f in range(n))
+          for e, b, c in product(range(n), repeat=3)}
+    return {(a, b, c, d): half * (dg(a, d, b, c) + dg(b, c, a, d) - dg(b, d, a, c) - dg(a, c, b, d))
+            + sum(low[(e, c, b)] * up[(e, d, a)] - low[(e, d, b)] * up[(e, c, a)] for e in range(n))
+            for a, b, c, d in product(range(n), repeat=4)}
+
+
+def ricci_lowered(rl, ginv_values):
+    """R_bd = g^ae R_ebad and the scalar g^bd R_bd from the lowered Riemann tensor."""
+    n = len(ginv_values)
+    ric = [[sum(ginv_values[a][e] * rl[(e, b, a, d)] for a in range(n) for e in range(n))
+            for d in range(n)] for b in range(n)]
+    return ric, sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
+
+
 def _values(m):
     return [[x.value for x in row] for row in m]
 
@@ -139,8 +168,17 @@ SYM = ((0, 0), (0, 1), (1, 1))
 SLOT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 
 
-def blocks(rl, fv, scalar, phi):
-    """``weyl_asd``, ``weyl_sd`` and ``reassembly_max_abs`` from Riemann's blocks.
+def trace_free_ricci(ric, scalar, fv):
+    """Phi_{ABA'B'} = -(R(V_AA', V_BB') - (R/4) eps_AB eps_A'B') / 2."""
+    n = len(ric)
+    rf = frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
+    return {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
+            for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+
+
+def blocks(rl, fv, ric, scalar):
+    """``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs``, ``ricci`` and
+    ``scalar`` from Riemann's blocks and the Ricci tensor it gives.
 
     R(B, B') sums B^ab R_abcd B'^cd over a < b, c < d, on the SD bivectors
     X_ij = V_0i ^ V_1j - V_1i ^ V_0j (primed i, j) and the ASD Y_ij (the
@@ -149,6 +187,7 @@ def blocks(rl, fv, scalar, phi):
     largest of each spinor's asymmetry in i2, i3, the asymmetry of R(B, B')
     and |R(X_ij, Y_kl) - 4 Phi_klij|.
     """
+    phi = trace_free_ricci(ric, scalar, fv)
     n = len(next(iter(fv.values())))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
@@ -174,7 +213,8 @@ def blocks(rl, fv, scalar, phi):
               for (i1, i2, i3, i4) in s]
     errors += [abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)]
     errors += [abs(rb[k][3 + l] - 4 * phi[(*SYM[l], *SYM[k])]) for k in range(3) for l in range(3)]
-    return {"weyl_asd": asd, "weyl_sd": sd, "reassembly_max_abs": max(errors)}
+    return {"weyl_asd": asd, "weyl_sd": sd, "phi": phi, "reassembly_max_abs": max(errors),
+            "ricci": ric, "scalar": scalar}
 
 
 def curvature(g, t, p, params):
@@ -184,9 +224,11 @@ def curvature(g, t, p, params):
     ``lowered``, ``W``, the :class:`heavenly.curvature.CurvatureReport`
     fields ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
     ``duality_max_abs`` of the full-W route, and ``blocks``, the :func:`blocks`
-    route's spinors and residual.
+    route's spinors, Phi, residual, Ricci and scalar on :func:`riemann_lowered`,
+    the package's route.
     """
     rm, gv, ginv, gamma = riemann(g, p, params)
+    block = riemann_lowered(metric_jets(g, p, 2, params), ginv)
     ric, scalar = ricci(rm, ginv)
     rl = lower(gv, rm)
     W = weyl(gv, rl, ric, scalar)
@@ -207,9 +249,7 @@ def curvature(g, t, p, params):
     sd = spinor(lambda u, i: tuple(zip(u, i)))    # eps on the unprimed indices: V_{A i1}, ...
     asd = spinor(lambda u, i: tuple(zip(i, u)))   # eps on the primed indices: V_{i1 A}, ...
 
-    rf = frame_components({(a, b): ric[a][b] for a in range(n) for b in range(n)}, fv)
-    phi = {(A, B, Ap, Bp): -(rf[((A, Ap), (B, Bp))] - scalar * EPS[(A, B)] * EPS[(Ap, Bp)] / 4) / 2
-           for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+    phi = trace_free_ricci(ric, scalar, fv)
 
     re_err = []
     for ((A, Ap), (B, Bp), (C, Cp), (D, Dp)), val in w_frame.items():
@@ -219,4 +259,4 @@ def curvature(g, t, p, params):
     return {"christoffel": gamma, "riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl,
             "W": W, "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
             "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max,
-            "blocks": blocks(rl, fv, scalar, phi)}
+            "blocks": blocks(block, fv, *ricci_lowered(block, ginv))}

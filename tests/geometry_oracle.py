@@ -5,8 +5,11 @@ one jet of the primary field: the null tetrad as trees of the potential's
 symbolic second derivatives, g_ab = eps_AB eps_A'B' e^AA'_a e^BB'_b expanded
 from the coframe, the self-dual two-forms wedged from it, and the inverse by
 Gauss-Jordan elimination on jets (conventions: the ``heavenly.tetrads``
-docstring).  :func:`tree_jets` hands the curvature core what
-``FieldGeometry.at`` hands it, from these trees.  The test-only helpers of
+docstring).  :func:`tree_inputs` hands the curvature core what
+``FieldGeometry.at`` hands it, from these trees.  The Christoffel route to
+Riemann, which the package used before it lowered Riemann straight from the
+metric's second partials, is kept here as the curvature core's independent
+reference (:func:`curvature_at`).  The test-only helpers of
 ``hierarchy``, ``recursion`` and ``symplectic`` live here too.  Nothing in
 ``src/`` imports it.
 """
@@ -19,13 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from heavenly.catalog import CatalogEntry
-from heavenly.curvature import (
-    _christoffel_numerators,
-    _ricci_values,
-    _riemann_values,
-    asd_vacuum_verdict,
-    spinors_from_jets,
-)
+from heavenly.curvature import asd_vacuum_verdict, spinors_from_jets
 from heavenly.hierarchy import ExtendedPotential, SpinorVector, coord_name
 from heavenly.jetcore import (
     EXACT,
@@ -37,6 +34,7 @@ from heavenly.jetcore import (
     ZERO,
     add,
     chart_coords,
+    common_denominator,
     const,
     diff,
     div,
@@ -381,17 +379,125 @@ def invert_jet_matrix(m: list[list[Jet]]) -> list[list[Jet]]:
 
 def tree_jets(g: MetricField, p: Point, params=None) -> tuple[list[list[Jet]], list[list[Jet]]]:
     """g's order-2 jets at p and their Gauss-Jordan inverse through order 1: the
-    pair ``FieldGeometry.at`` gives with the inverse in closed form."""
+    inputs of the Christoffel route below."""
     gj = metric_jets(g, p, 2, params)
     return gj, invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
 
 
+def tree_inputs(g: MetricField, p: Point, params=None) -> tuple[list[list[Jet]], list[list[Number]]]:
+    """g's order-2 jets at p and the values of their Gauss-Jordan inverse: the pair
+    ``FieldGeometry.at`` gives with the inverse in closed form."""
+    gj = metric_jets(g, p, 2, params)
+    return gj, [[x.value for x in row]
+                for row in invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])]
+
+
+# the Christoffel route: Gamma^a_bc with its gradients, R^a_bcd from them, and Ricci.
+# The package lowers Riemann straight from the metric's second partials instead
+# (``curvature._riemann_block``); this route stays as its independent reference
+
+def christoffel_numerators(gj: list[list[Jet]], ginv: list[list[Jet]]):
+    """Gamma^a_{bc} and its first partials as numerators over one common D, and
+    the metric's and the inverse's values, ``(G, D, (gv, Dg), (giv, Di))``.
+
+    ``gj`` are the order-2 metric jets and ``ginv`` their inverse through
+    order 1.  The metric's values and first and second partials go over one
+    denominator Dg, the inverse's values and gradients over one Di, and
+    D = 2 Di Dg.
+    ``G[a][b][c]`` is one list, the value numerator then the n gradient
+    numerators; it is built for b <= c (the metric jets are symmetric: g_ab and
+    g_ba are one jet) and mirrored onto ``G[a][c][b]``.
+
+    In the float domain D is 2 and each operation is the one the order-1 jet
+    product g^ad * (2 Gamma_dbc) does, in the same order, a zero g^ad
+    skipped as the product skips a zero factor, so the symbols, once divided
+    by D, are bit for bit the jet route's.  This is the package's connection
+    before it lowered Riemann from the metric's second partials; it checks its
+    inverse through order 1 (g ginv = 1 and d(g ginv) = 0).
+    """
+    n = len(gj)
+    upper = [(b, c) for b in range(n) for c in range(b, n)]
+    coords = chart_coords(gj[0][0].center.chart)
+    first = [(c,) for c in coords]
+    second = [(coords[c], coords[e]) for c, e in upper]   # d_c d_e = d_e d_c: read once
+    at = {}   # (c, e) -> where d_c d_e sits in a component's read-out
+    for k, (c, e) in enumerate(upper):
+        at[(c, e)] = at[(e, c)] = 1 + n + k
+    nums, Dg = common_denominator([gj[a][b].d_numerators((), *first, *second) for a, b in upper])
+    # g1[a][b]: g_ab, then its gradient; dg[a][b][c]: d_c g_ab, then d_e d_c g_ab for each e
+    g1 = [[None] * n for _ in range(n)]
+    dg = [[None] * n for _ in range(n)]
+    for (a, b), num in zip(upper, nums):
+        g1[a][b] = g1[b][a] = num[:1 + n]
+        dg[a][b] = dg[b][a] = [[num[1 + c], *(num[at[(c, e)]] for e in range(n))] for c in range(n)]
+    # 2 Gamma_{dbc} = d_c g_db + d_b g_dc - d_d g_bc, raised below by g^ad
+    low = {(b, c): [[x + y - z for x, y, z in zip(dg[d][c][b], dg[d][b][c], dg[b][c][d])]
+                    for d in range(n)] for b, c in upper}
+    inv, Di = common_denominator([x.d_numerators((), *first) for row in ginv for x in row])
+    # ginv must be g's inverse through order 1 (g ginv = 1, d(g ginv) = 0) or the connection
+    # is not g's.  r is [2 (g ginv)_ab, d_1 (g ginv)_ab, ...]; a float r may be 1e-9 of
+    # |g| |ginv|, their summed |values and gradients| (elimination leaves noise where 0 is due);
+    # 10^9 r is compared, since 1e-9 times an exact size could overflow a float
+    domain = gj[0][0].domain
+    size = sum(abs(v) for x in nums for v in x[:1 + n]) * sum(abs(v) for y in inv for v in y)
+    for a, b in itertools.product(range(n), repeat=2):
+        r = [0] * (n + 1)
+        for x, y in zip(g1[a], inv[b::n]):
+            if any(x) and any(y):
+                r = [rk + xk * y[0] + x[0] * yk for rk, xk, yk in zip(r, x, y)]
+        r[0] -= 2 * Dg * Di * (a == b)
+        if any(r) and any(domain.verdict(10 ** 9 * abs(rk), size) is False for rk in r):
+            raise domain.error("ginv is not the metric's inverse through order 1 at this point")
+    zero = domain.zero
+    G = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        row = [(d, h) for d, h in enumerate(inv[a * n:(a + 1) * n]) if any(h)]   # g^ad != 0
+        for b, c in upper:
+            val, grad, lbc = zero, [zero] * n, low[(b, c)]
+            for d, h in row:   # g^ad and 2 Gamma_dbc, each with its gradient
+                t = lbc[d]
+                h0, t0 = h[0], t[0]
+                val += h0 * t0
+                grad = [s + (h0 * te + he * t0) for s, te, he in zip(grad, t[1:], h[1:])]
+            G[a][b][c] = G[a][c][b] = [val, *grad]
+    return (G, 2 * Di * Dg, ([[x[0] for x in row] for row in g1], Dg),
+            ([[inv[a * n + b][0] for b in range(n)] for a in range(n)], Di))
+
+
+def riemann_values(G, D):
+    """R^a_{bcd} numerators over D^2 from the Christoffel numerators over D."""
+    n = len(G)
+    gv = [[[x[0] for x in gb] for gb in ga] for ga in G]
+    out = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        Ga, gva = G[a], gv[a]
+        for b in range(n):
+            rb = out[a][b]
+            for c in range(n):
+                for d in range(c + 1, n):   # antisymmetric in c, d
+                    s = D * (Ga[d][b][1 + c] - Ga[c][b][1 + d])
+                    for e in range(n):
+                        s += gva[c][e] * gv[e][d][b] - gva[d][e] * gv[e][c][b]
+                    rb[c][d] = s
+                    rb[d][c] = -s
+    return out, D * D
+
+
+def ricci_values(rm, ginv_values):
+    """Ricci numerators over Riemann's denominator; the scalar's over the inverse
+    metric's denominator times Riemann's."""
+    n = len(rm)
+    ric = [[sum(rm[a][b][a][d] for a in range(n)) for d in range(n)] for b in range(n)]
+    scalar = sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
+    return ric, scalar
+
+
 def curvature_at(g: MetricField, p: Point, params=None):
     """(Gamma^a_{bc} [a][b][c], R^a_{bcd} [a][b][c][d], Ricci [b][d], scalar R) at p:
-    the package's integer sums on g's tree jets, each number divided once."""
-    G, D, _, (giv, di) = _christoffel_numerators(*tree_jets(g, p, params))
-    rm, d2 = _riemann_values(G, D)
-    ric, scalar = _ricci_values(rm, giv)
+    the Christoffel route's integer sums on g's tree jets, each number divided once."""
+    G, D, _, (giv, di) = christoffel_numerators(*tree_jets(g, p, params))
+    rm, d2 = riemann_values(G, D)
+    ric, scalar = ricci_values(rm, giv)
     q = p.domain.divide
     return ([[[q(x[0], D) for x in gb] for gb in ga] for ga in G],
             [[[[q(x, d2) for x in rc] for rc in rb] for rb in ra] for ra in rm],
@@ -400,12 +506,12 @@ def curvature_at(g: MetricField, p: Point, params=None):
 
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point, params=None, tol: float = 1e-9):
     """``spinors_from_jets`` of g's tree jets and t's frame values at p."""
-    return spinors_from_jets(*tree_jets(g, p, params), t.frame_values(p, params), tol)
+    return spinors_from_jets(*tree_inputs(g, p, params), t.frame_values(p, params), tol)
 
 
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points, params=None, tol: float = 1e-9) -> dict:
     """``asd_vacuum_verdict`` of g's tree jets and t's frame values at each point."""
-    return asd_vacuum_verdict(((*tree_jets(g, p, params), t.frame_values(p, params))
+    return asd_vacuum_verdict(((*tree_inputs(g, p, params), t.frame_values(p, params))
                                for p in points), tol)
 
 

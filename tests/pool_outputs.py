@@ -15,9 +15,18 @@ stdout and stderr.  It reads ``perfbench/`` and never writes to it.
     # every job's exit code, stdout and stderr equal in two recordings
     python3 tests/pool_outputs.py compare OUT_DIR OTHER_DIR
 
-Each command prints one summary line and exits 1 when a check fails, naming
-the first jobs that differ.  It is a tool, not a test: a recording runs every
-one of the pool's jobs.
+``--workload curvature-sweep`` records a named extra set instead, which no
+benchmark workload covers: curvature in float mode.  It runs
+``curvature-report`` on every catalog background and ``verify-solution`` on
+its metric entries, a background with a sigma also at ``--sigma 1/2`` and a
+metric entry also with each of ``SWEEP_PROFILES`` as ``--f``, at seeds 1-12
+with ``--points 3``, in exact and float mode.  ``check`` passes over it (the
+reference holds benchmark jobs only).
+
+Each command prints a summary and exits 1 when a check fails, naming the
+first jobs that differ; ``compare`` counts changed exit codes apart from
+output that changed under the same exit code.  It is a tool, not a test: a
+recording runs every one of the pool's jobs.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ from pathlib import Path
 
 HERE_ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("curvature", "chain", "flows")
+SWEEP = "curvature-sweep"
+SWEEP_PROFILES = ("q^2", "q^3", "q^4-2*q", "1/q")
 SHOWN = 10
 
 
@@ -42,6 +53,26 @@ def _file_name(workload: str, index: int) -> str:
     return f"{workload}-{index:03d}.json"
 
 
+def _sweep_jobs(jobs) -> list:
+    """The curvature sweep's jobs (see the module docstring), on the recorded
+    checkout's catalog."""
+    from heavenly.catalog import load_catalog
+    out = []
+    for entry in load_catalog().values():
+        variants = [()]
+        if "sigma" in entry.params:
+            variants.append(("--sigma", "1/2"))
+        commands = ["curvature-report"]
+        if entry.kind == "metric":
+            variants += [("--f", f) for f in SWEEP_PROFILES]
+            commands.append("verify-solution")
+        out += [jobs.Job((command, "--background", entry.name, *variant, "--points", "3",
+                          "--seed", str(seed), "--mode", mode), "")
+                for command in commands for variant in variants
+                for seed in range(1, 13) for mode in ("exact", "float")]
+    return out
+
+
 def record(out: Path, root: Path, workloads) -> int:
     sys.path.insert(0, str(root / "src"))
     from heavenly.cli import main
@@ -49,7 +80,8 @@ def record(out: Path, root: Path, workloads) -> int:
     out.mkdir(parents=True, exist_ok=True)
     count = 0
     for workload in workloads:
-        for i, job in enumerate(jobs.pool_jobs(workload)):
+        pool = _sweep_jobs(jobs) if workload == SWEEP else jobs.pool_jobs(workload)
+        for i, job in enumerate(pool):
             outcome = jobs.run_job(main, job)
             entry = {"argv": list(job.argv), "code": outcome.code, "stdout": outcome.stdout,
                      "stderr": outcome.error}
@@ -69,7 +101,7 @@ def check(out: Path, root: Path) -> int:
     exact, bad = 0, []
     for name, entry in _recording(out).items():
         job = jobs.Job(tuple(entry["argv"]), "")
-        if not job.exact:
+        if not job.exact or name.startswith(SWEEP + "-"):
             continue
         exact += 1
         ref = reference.get(job.key)
@@ -83,13 +115,19 @@ def check(out: Path, root: Path) -> int:
 
 def compare(out: Path, other: Path) -> int:
     a, b = _recording(out), _recording(other)
-    differ = [name for name in sorted(set(a) & set(b)) if a[name] != b[name]]
-    bad = sorted(set(a) ^ set(b)) + differ   # a job in one recording only, or changed
-    print(f"{len(set(a) & set(b)) - len(differ)} of {len(set(a) | set(b))} "
+    both = sorted(set(a) & set(b))
+    codes = [name for name in both if a[name]["code"] != b[name]["code"]]
+    output = [name for name in both if a[name]["code"] == b[name]["code"] and a[name] != b[name]]
+    alone = sorted(set(a) ^ set(b))   # a job in one recording only
+    print(f"{len(both) - len(codes) - len(output)} of {len(set(a) | set(b))} "
           "jobs identical (exit code, stdout, stderr)")
-    for name in bad[:SHOWN]:
+    print(f"{len(codes)} exit codes changed; {len(output)} outputs changed under the same "
+          f"exit code; {len(alone)} jobs in one recording only")
+    for name in codes[:SHOWN]:
+        print(f"  exit {a[name]['code']} -> {b[name]['code']}: {name}: {' '.join(a[name]['argv'])}")
+    for name in (output + alone)[:SHOWN]:
         print(f"  differs: {name}: {' '.join((a.get(name) or b[name])['argv'])}")
-    return 1 if bad else 0
+    return 1 if codes or output or alone else 0
 
 
 def main(argv=None) -> int:
@@ -98,7 +136,7 @@ def main(argv=None) -> int:
     rec = sub.add_parser("record", help="run every pool job and write its outputs")
     rec.add_argument("out", type=Path)
     rec.add_argument("--root", type=Path, default=HERE_ROOT, help="checkout to run")
-    rec.add_argument("--workload", choices=WORKLOADS, action="append")
+    rec.add_argument("--workload", choices=(*WORKLOADS, SWEEP), action="append")
     chk = sub.add_parser("check", help="exact reports against perfbench/reference.json")
     chk.add_argument("out", type=Path)
     chk.add_argument("--root", type=Path, default=HERE_ROOT, help="checkout whose reference")

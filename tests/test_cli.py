@@ -175,6 +175,13 @@ class TestExitCodes:
           "--mode", "float"], "error: --sigma is too large for --mode float"),
         (["verify-solution", "--background", "sparling-tod", "--sigma", "1e400",
           "--mode", "float"], "error: parameter 'sigma' is too large for --mode float"),
+        # trees deeper than the recursion limit: compiling one recurses once per level
+        (["penrose", "--f", "1/(mu0*mu1)" + "+lam" * 1200, "--pole=-w/y"],
+         "error: --f is nested too deeply to evaluate"),
+        (["curvature-report", "--background", "plane-wave", "--f", "q" + "+q" * 1200],
+         "error: --f is nested too deeply to evaluate"),
+        (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y" + "+w-w" * 700],
+         "error: --pole is nested too deeply to evaluate"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])

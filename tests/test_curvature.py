@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from heavenly import curvature
 from heavenly.catalog import load_catalog
 from heavenly.curvature import _frame_components, spinors_from_jets
-from heavenly.jetcore import EvaluationError, Jet, Point, PoleError, ScalarField, point
+from heavenly.jetcore import EvaluationError, Point, PoleError, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
     EPS,
@@ -26,18 +27,22 @@ from geometry_oracle import (
     MetricField,
     SingularMetricError,
     catalog_tetrad,
+    christoffel_numerators,
     curvature_at,
     invert_jet_matrix,
     metric_from_tetrad,
     metric_jets,
     plane_wave_tetrad,
+    ricci_values,
+    riemann_values,
     tetrad_from_omega,
     tetrad_from_theta,
+    tree_inputs,
     verify_asd_vacuum,
     weyl_spinors,
 )
 from jet_work import JetWork
-from test_integer_sums import profiles
+from test_integer_sums import SETUPS, profiles
 
 SIGMA1 = {"sigma": F(1)}
 
@@ -323,9 +328,10 @@ class TestSinglePass:
         # products and 10 inversions), and each jet keeps its reciprocal and
         # squarings (117 products and 7 inversions without).  Past the folds,
         # only the tree adapter's Gauss-Jordan inverse multiplies jets, on
-        # order-1 truncations, and it takes no product by a zero jet (113
-        # products with them); Christoffel and every sum after it run on
-        # numerators (its order-1 jets took 160 products)
+        # order-0 truncations (the core reads the inverse's values), and it
+        # takes no product by a zero jet (113 products with them); Riemann and
+        # every sum after it run on numerators (order-1 Christoffel jets took
+        # 160 products)
         g, t, params, points = catalog_setup("sparling-tod")
         work = JetWork(monkeypatch)
         weyl_spinors(g, t, points[0], params)
@@ -393,7 +399,46 @@ def geometry_routes(draw):
     return t, geometry, Point(geometry.field.chart, values)
 
 
+@st.composite
+def block_inputs(draw):
+    """A way to a point's order-2 metric jets and inverse values: a random
+    ``geometry_routes`` field's jet route, or the tree jets of the x^2 y^2 witness
+    or the conformally flat s^2 g_flat, the non-solutions whose Ricci and scalar
+    terms are nonzero, at a random point."""
+    if draw(st.booleans()):
+        _, geometry, p = draw(geometry_routes())
+        return lambda: geometry.at(p)[:2]
+    g, _, params, chart = SETUPS[draw(st.sampled_from(["witness", "conformally-flat"]))]()
+    p = Point(chart, draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 4)))
+    return lambda: tree_inputs(g, p, params)
+
+
 class TestJetRoute:
+    @given(block_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_block_is_the_christoffel_routes_lowered_riemann(self, inputs):
+        # R_abcd straight from the metric's second partials and the Christoffel
+        # values equals R^a_bcd from the Christoffel gradients (which read the
+        # inverse's gradient) lowered on the pairs a < b, c < d, and so do the
+        # Ricci tensor and the scalar read off each
+        try:
+            gj, ginv = inputs()
+            G, D, _, (giv, di) = christoffel_numerators(
+                gj, invert_jet_matrix([[x.truncate(1) for x in row] for row in gj]))
+        except (EvaluationError, SingularMetricError):
+            reject()
+        (M, dm), (gv, dg), (iv, di_block) = curvature._riemann_block(gj, ginv)
+        rm, d2 = riemann_values(G, D)
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        assert [[F(x, dm) for x in row] for row in M] == [
+            [F(sum(gv[a][e] * rm[e][b][c][d] for e in range(4)), dg * d2) for c, d in pairs]
+            for a, b in pairs]
+        ric, scalar = curvature._ricci_numerators(M, iv)
+        want_ric, want_scalar = ricci_values(rm, giv)
+        assert [[F(x, di_block * dm) for x in row] for row in ric] == [
+            [F(x, d2) for x in row] for row in want_ric]
+        assert F(scalar, di_block ** 2 * dm) == F(want_scalar, di * d2)
+
     @given(geometry_routes())
     @settings(max_examples=60, deadline=None)
     def test_jet_route_equals_tree_route(self, routes):
@@ -420,45 +465,39 @@ class TestJetRoute:
     @given(geometry_routes())
     @settings(max_examples=60, deadline=None)
     def test_inverse_in_closed_form(self, routes):
-        # the geometry's inverse is the Gauss-Jordan inverse of the order-1
-        # truncated metric jets, coefficient for coefficient in exact mode.  In
-        # float mode it is within a relative 1e-12 (of its largest coefficient) of
-        # the exact inverse at the same point; Gauss-Jordan need not be, as it
-        # eliminates through the rounded s H on the first form
+        # the geometry's inverse is the values of the Gauss-Jordan inverse of the
+        # metric jets, exactly in exact mode.  In float mode it is within a relative
+        # 1e-12 (of its largest entry) of the exact inverse at the same point;
+        # Gauss-Jordan need not be, as it eliminates through the rounded s H on the
+        # first form
         _, geometry, p = routes
         fp = p.as_float()
         try:
             gj, ginv, _ = geometry.at(p)
-            want = invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
+            want = invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])
             exact_at_fp = geometry.at(Point(p.chart, tuple(map(F, fp.values))))[1]
             float_ginv = geometry.at(fp)[1]
         except (EvaluationError, SingularMetricError):
             reject()
-        assert [[x.order for x in row] for row in ginv] == [[1] * 4] * 4
-        assert [[x.coeffs for x in row] for row in ginv] == [[x.coeffs for x in row]
-                                                             for row in want]
-        exact_c = [x.coeffs for row in exact_at_fp for x in row]
-        scale = max(abs(v) for c in exact_c for v in c.values())
-        for got, wanted in zip((x.coeffs for row in float_ginv for x in row), exact_c):
-            assert all(type(v) is float for v in got.values())
-            for k in {*got, *wanted}:
-                assert abs(got.get(k, 0.0) - wanted.get(k, 0)) <= 1e-12 * scale
+        assert ginv == [[x.value for x in row] for row in want]
+        assert all(type(v) is F for row in ginv for v in row)
+        scale = max(abs(v) for row in exact_at_fp for v in row)
+        for got, wanted in zip((v for row in float_ginv for v in row),
+                               (v for row in exact_at_fp for v in row)):
+            assert type(got) is float
+            assert abs(got - wanted) <= 1e-12 * scale
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
-    @pytest.mark.parametrize("part", ["value", "gradient"])
-    def test_an_inverse_that_is_not_gs_is_refused(self, mode, part):
-        # the caller's inverse is checked through order 1: g^{w x} off by 1/10 in
-        # its value, or by x - x0 in its gradient only, would give a connection
-        # that is not g's
+    def test_an_inverse_that_is_not_gs_is_refused(self, mode):
+        # the caller's inverse is checked at the point: g^{w x} off by 1/10 would
+        # give a connection that is not g's
         entry = load_catalog()["sparling-tod"]
         p = sample_points(entry.chart, 3, 1, entry.exclusions)[0]
         p = p.as_float() if mode == "float" else p
         gj, ginv, frame = entry.geometry().at(p, dict(entry.params))
         spinors_from_jets(gj, ginv, frame)
-        off = (Jet.constant(F(1, 10), p, 1) if part == "value"
-               else Jet.coordinate(2, p, 1) - Jet.constant(p.values[2], p, 1))
         ginv = [row[:] for row in ginv]
-        ginv[0][2] = ginv[0][2] + off
+        ginv[0][2] = ginv[0][2] + p.domain.number(F(1, 10))
         with pytest.raises(ValueError if mode == "exact" else EvaluationError,
                            match="not the metric's inverse"):
             spinors_from_jets(gj, ginv, frame)
@@ -470,9 +509,8 @@ class TestJetRoute:
             gj, ginv, _ = geometry_from_omega(omega).at(p)
             h = [[omega.field.jet(p, 2).d(a, b) for b in ("wt", "zt")] for a in ("w", "z")]
             assert h[0][0] * h[1][1] - h[0][1] * h[1][0] != -1
-            want = invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
-            assert [[x.coeffs for x in row] for row in ginv] == [[x.coeffs for x in row]
-                                                                 for row in want]
+            want = invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])
+            assert ginv == [[x.value for x in row] for row in want]
 
     def test_cli_route_is_the_catalog_entrys(self):
         # the per-point inputs of curvature-report equal those of the entry's tetrad

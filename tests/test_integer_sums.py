@@ -137,13 +137,12 @@ def curvature_inputs(draw):
 
 
 def _package_quantities(g, t, p, params):
-    """The curvature core's coordinate and report quantities on g's tree jets, and
-    its Christoffel symbols."""
+    """The curvature core's report quantities on g's tree jets, and the Christoffel
+    route's symbols, R^a_bcd, Ricci and scalar (``geometry_oracle.curvature_at``)."""
     christoffel, rm, ric, scalar = curvature_at(g, p, params)
     rep = weyl_spinors(g, t, p, params)
-    got = {"riemann": rm, "ricci": ric, "scalar": scalar}
-    got.update({name: getattr(rep, name) for name in REPORT_FIELDS})
-    return got, christoffel, (rep.ricci, rep.scalar)
+    got = {name: getattr(rep, name) for name in ("ricci", "scalar", *REPORT_FIELDS)}
+    return got, {"christoffel": christoffel, "riemann": rm, "ricci": ric, "scalar": scalar}
 
 
 def _leaves(x):
@@ -171,27 +170,28 @@ class TestCurvatureAgainstOracle:
             want = curvature_oracle.curvature(g, t, p, params)
         except (EvaluationError, SingularMetricError, ZeroDivisionError):
             reject()
-        got, christoffel, report_ricci = _package_quantities(g, t, p, params)
-        assert report_ricci == (got["ricci"], got["scalar"]) == (want["ricci"], want["scalar"])
+        got, christoffel_route = _package_quantities(g, t, p, params)
         for name, value in got.items():
             assert value == want[name], name
             assert all(type(v) is F for v in _leaves(value)), name
-        # the bivector blocks summed value by value are the full W's spinors
+        assert christoffel_route == {name: want[name] for name in christoffel_route}
+        # the package's formula and bivector blocks summed value by value are the
+        # full W's spinors, Phi and Ricci
         assert want["blocks"] == {name: want[name] for name in want["blocks"]}
-        assert christoffel == want["christoffel"]
 
         fp = p.as_float()
         want = curvature_oracle.curvature(g, t, fp, params)
-        got, christoffel, _ = _package_quantities(g, t, fp, params)
-        assert (got["ricci"], got["scalar"]) == (want["ricci"], want["scalar"])
-        # the connection and Riemann do the jet route's float operations in its order
-        assert _hexes(christoffel) == _hexes(want["christoffel"])
-        assert _hexes(got["riemann"]) == _hexes(want["riemann"])
+        got, christoffel_route = _package_quantities(g, t, fp, params)
+        # the Christoffel route does the jet route's float operations in its order
+        assert all(_hexes(christoffel_route[name]) == _hexes(want[name])
+                   for name in ("christoffel", "riemann"))
+        assert (christoffel_route["ricci"], christoffel_route["scalar"]) == (want["ricci"],
+                                                                            want["scalar"])
         # relative to the size of the summed terms: the largest coordinate entry,
         # and for frame quantities the largest contraction of |W| or |Ricci| with
-        # the |frame| (a spinor can cancel far below the terms it sums).  The
-        # spinors and their residual are compared with the bivector-block route
-        # summed value by value, the route the package sums in integers
+        # the |frame| (a spinor can cancel far below the terms it sums).  Ricci, the
+        # spinors, Phi and the residual are compared with the package's formula
+        # and bivector blocks summed value by value, the route it sums in integers
         frame = {k: tuple(map(abs, u)) for k, u in t.frame_values(fp, params).items()}
         terms = [curvature_oracle.frame_components({k: abs(v) for k, v in tensor.items()}, frame)
                  for tensor in (want["W"], {(a, b): abs(v) for a, row in enumerate(want["ricci"])
@@ -226,35 +226,29 @@ class TestCurvatureAgainstOracle:
         assert 0 < count[0] <= 100
 
 
-def _raised(change):
-    """A mutation of R^e_bcd that adds ``change`` (a dict over lowered (a, b, c, d))
-    to R_abcd, raised by the inverse metric values; ``unit`` is 1 in rm's scale."""
-    def mutate(rm, unit, ginv):
-        out = copy.deepcopy(rm)
-        for (a, b, c, d), v in change.items():
-            for e in range(4):
-                out[e][b][c][d] += unit * v * ginv[e][a]
-        return out
-    return mutate
+# each mutation maps the metric's values g to a change of R_abcd, a dict over
+# lowered (a, b, c, d)
+
+def _pair_asymmetric(g):
+    """R_0123 one unit up, with its partners under a <-> b and c <-> d but not R_2301:
+    pair symmetry and so the first Bianchi identity break."""
+    return {(0, 1, 2, 3): 1, (1, 0, 2, 3): -1, (0, 1, 3, 2): -1, (1, 0, 3, 2): 1}
 
 
-# R_0123 one unit up, with its partners under a <-> b and c <-> d but not R_2301:
-# pair symmetry and so the first Bianchi identity break
-PAIR_ASYMMETRIC = _raised({(0, 1, 2, 3): 1, (1, 0, 2, 3): -1, (0, 1, 3, 2): -1, (1, 0, 3, 2): 1})
-# plus eps_abcd: pair symmetric, but the first Bianchi identity breaks
-TOTALLY_ANTISYMMETRIC = _raised({p: perm_sign(p) for p in itertools.permutations(range(4))})
+def _totally_antisymmetric(g):
+    """Plus eps_abcd: pair symmetric, but the first Bianchi identity breaks."""
+    return {p: perm_sign(p) for p in itertools.permutations(range(4))}
 
 
-def _not_metric(rm, unit, ginv):
-    """R^0_{123} one unit up (R^0_{132} down): R_abcd loses its antisymmetry in a, b.
+def _not_metric(g):
+    """R^0_{123} one unit up (R^0_{132} down), lowered: R_abcd loses its antisymmetry
+    in a, b.
 
-    The bivector blocks read R_abcd on a < b only, so they see this only where
-    it also breaks pair symmetry there (not on the conformally flat and
-    plane-wave setups below, whose g_a0 is nonzero only for a > 1)."""
-    out = copy.deepcopy(rm)
-    out[0][1][2][3] += unit
-    out[0][1][3][2] -= unit
-    return out
+    The package's block holds R_abcd for a < b only, antisymmetric by
+    construction, so there this is R_0123 up by g_00: a break of pair symmetry
+    where g_00 is nonzero (not on the conformally flat and plane-wave setups
+    below, whose g_a0 is nonzero only for a > 1)."""
+    return {k: v for e in range(4) for k, v in (((e, 1, 2, 3), g[e][0]), ((e, 1, 3, 2), -g[e][0]))}
 
 
 SETUPS = {"sparling-tod": lambda: _theta_setup("sigma/(w*x+z*y)", {"sigma": F(2, 3)}),
@@ -263,9 +257,10 @@ SETUPS = {"sparling-tod": lambda: _theta_setup("sigma/(w*x+z*y)", {"sigma": F(2,
           "plane-wave": lambda: _plane_wave_setup("q^3*z-2*q")}
 
 
-def _reassembly_before_and_after(name, mutate, monkeypatch):
+def _reassembly_before_and_after(name, change, monkeypatch):
     """The package's and the oracle's reassembly residuals on a setup, before and
-    after a mutation of R^a_bcd."""
+    after a change to R_abcd: on the package's block where a < b and c < d, the
+    entries it holds, and on the oracle's R^e_bcd raised by the inverse metric."""
     g, t, params, chart = SETUPS[name]()
     p = point(chart, F(1, 2), 2, F(-1, 3), 5)
 
@@ -275,23 +270,33 @@ def _reassembly_before_and_after(name, mutate, monkeypatch):
     before = residuals()
     ginv = [[F(x.value) for x in row] for row in
             invert_jet_matrix(metric_jets(g, p, 0, params))]
-    real, real_oracle = curvature._riemann_values, curvature_oracle.riemann
+    delta = change(g.matrix_values(p, params))
+    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    real, real_oracle = curvature._riemann_block, curvature_oracle.riemann
 
-    def broken(G, D):
-        rm, d2 = real(G, D)
-        return mutate(rm, d2, ginv), d2
+    def broken(*args):
+        (M, dm), *rest = real(*args)
+        M = [row[:] for row in M]
+        for (a, b, c, d), v in delta.items():
+            if a < b and c < d:
+                M[pairs.index((a, b))][pairs.index((c, d))] += dm * v
+        return ((M, dm), *rest)
 
     def broken_oracle(*args):
         rm, *rest = real_oracle(*args)
-        return (mutate(rm, 1, ginv), *rest)
-    monkeypatch.setattr(curvature, "_riemann_values", broken)
+        rm = copy.deepcopy(rm)
+        for (a, b, c, d), v in delta.items():
+            for e in range(4):
+                rm[e][b][c][d] += v * ginv[e][a]
+        return (rm, *rest)
+    monkeypatch.setattr(curvature, "_riemann_block", broken)
     monkeypatch.setattr(curvature_oracle, "riemann", broken_oracle)
     return before, residuals()
 
 
 class TestReassemblyCatchesBrokenRiemann:
     @pytest.mark.parametrize("name,mutate", [
-        *(pytest.param(name, PAIR_ASYMMETRIC, id=f"{name}-pair-asymmetric")
+        *(pytest.param(name, _pair_asymmetric, id=f"{name}-pair-asymmetric")
           for name in ("sparling-tod", "witness", "plane-wave")),
         *(pytest.param(name, _not_metric, id=f"{name}-not-metric")
           for name in ("sparling-tod", "witness")),
@@ -302,8 +307,8 @@ class TestReassemblyCatchesBrokenRiemann:
         assert after[0] != 0 and after[1] != 0
 
     @pytest.mark.parametrize("name,mutate", [
-        pytest.param("conformally-flat", PAIR_ASYMMETRIC, id="conformally-flat-pair-asymmetric"),
-        *(pytest.param(name, TOTALLY_ANTISYMMETRIC, id=f"{name}-eps") for name in SETUPS),
+        pytest.param("conformally-flat", _pair_asymmetric, id="conformally-flat-pair-asymmetric"),
+        *(pytest.param(name, _totally_antisymmetric, id=f"{name}-eps") for name in SETUPS),
     ])
     def test_blocks_see_what_the_full_w_rebuilds(self, name, mutate, monkeypatch):
         # the full-W reassembly compares W with eps eps C + eps eps C', C and C' its

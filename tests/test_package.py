@@ -28,8 +28,8 @@ def test_loading_the_catalog_imports_only_what_it_needs():
                           check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     where, loaded = proc.stdout.splitlines()
     assert Path(where).resolve().parent == SRC / "heavenly"
-    assert loaded.split() == ["heavenly", "heavenly.catalog", "heavenly.data",
-                              "heavenly.jetcore", "heavenly.tetrads"]
+    assert loaded.split() == ["heavenly", "heavenly.catalog", "heavenly.jetcore",
+                              "heavenly.tetrads"]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -128,8 +128,12 @@ def test_the_poly_layout_check_sees_each_read(tmp_path):
 # and full W were deleted): a field reaches curvature by one route, FieldGeometry.
 # So does the curved star operator on trees (hodge_star_d), which no subcommand reaches.
 # The st chain members, the st curve's tails and the table entries they sum are
-# issued straight from the coefficient tables; their trees live in tests/chain_oracle.py
+# issued straight from the coefficient tables; their trees live in tests/chain_oracle.py.
+# Riemann's block is lowered straight from the metric's second partials; the
+# Christoffel route (Gamma's gradients, R^a_bcd, Ricci from it) lives in geometry_oracle
 TREE_ROUTE_NAMES = {
+    "_christoffel_numerators", "christoffel_numerators", "_riemann_values", "riemann_values",
+    "_riemann_at", "_ricci_values", "ricci_values", "tree_inputs",
     "st_psi", "st_twistor_curve", "uni_expr",
     "Tetrad", "_row_values", "tetrad_from_theta", "tetrad_from_omega", "DegenerateHessianError",
     "plane_wave_tetrad", "MetricField", "metric_from_tetrad", "TwoForm", "_perm_sign",
