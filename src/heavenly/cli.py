@@ -155,8 +155,9 @@ def _sample(chart: str, args, exclusions=(), seed=None) -> list[Point]:
     return float_points(pts) if args.mode == "float" else pts
 
 
-def _entry_points(entry, profile: str | None, args, params) -> list[Point]:
-    """Sample off the entry's exclusions and, for a metric entry, off its profile's own poles.
+def _entry_points(entry, args, params, profile=None, f=None) -> list[Point]:
+    """Sample off the entry's exclusions and, for a metric entry, off the poles of its
+    profile ``f`` (parsed from the text ``profile``).
 
     A jet fails only where a divisor is zero-valued, so a point where the
     profile's value evaluates is regular at every order.
@@ -164,7 +165,6 @@ def _entry_points(entry, profile: str | None, args, params) -> list[Point]:
     exclusions = list(entry.exclusions)
     if entry.kind != "metric":
         return _sample(entry.chart, args, exclusions)
-    f = ScalarField.parse(profile, entry.chart)
     tried, found = 0, False
 
     def regular(p: Point) -> bool:
@@ -222,7 +222,7 @@ def cmd_verify_solution(args) -> int:
         r = residual(potential, p, params)
         return {"point": p, "residual": r}, {("residual",): r}
     config = {"background": entry.name, "params": params, "points": args.points}
-    return _check(args, config, _entry_points(entry, None, args, params), evaluate)
+    return _check(args, config, _entry_points(entry, args, params), evaluate)
 
 
 def cmd_curvature_report(args) -> int:
@@ -241,13 +241,12 @@ def _curvature_check(args, entry) -> int:
         geometry = entry.geometry(profile)
     except ValueError as exc:  # a profile that is not a function of (q, z)
         raise ConfigError(str(exc)) from exc
-    pts = _entry_points(entry, profile, args, params)
+    pts = _entry_points(entry, args, params, profile, geometry.field)
     config = {"background": entry.name, "params": params, "points": args.points}
     if profile:
         config["f"] = profile
-    # each point's metric jets, their inverse and the frame values come from one jet
-    # of the primary field
-    inputs = (geometry.at(p, params) for p in pts)
+    # each point's metric table, inverse and frame values come from one jet of the primary field
+    inputs = ((p, *geometry.at(p, params)) for p in pts)
     records = curvature.asd_vacuum_verdict(inputs, args.tol)["records"]
     if args.command == "curvature-report":
         records = [{k: v for k, v in r.items() if k != "pass"} for r in records]
@@ -305,8 +304,8 @@ def cmd_twistor_series(args) -> int:
 
 def cmd_penrose(args) -> int:
     _exact_only(args)
-    f = parse_expression(args.f, "twistor-function")
-    pole = parse_expression(args.pole, SECOND)
+    f = ScalarField.parse(args.f, "twistor-function").program()   # compiled once per job
+    pole = ScalarField.parse(args.pole, SECOND)
     pts = _sample(SECOND, args, ("q_nonzero", "w_nonzero", "y_nonzero"))
     config = {"f": args.f, "pole": args.pole, "points": args.points}
 

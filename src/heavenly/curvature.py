@@ -1,16 +1,18 @@
 """Metric to curvature pipeline with spinor decomposition.
 
 Curvature is computed from metric components by the coordinate method.  A
-point's inputs are its order-2 metric jets, the values of their inverse and
-the null frame's values (:func:`spinors_from_jets`).  The CLI reads all three
-off one jet of the metric's primary field (``tetrads.FieldGeometry``, the
-inverse in closed form).  ``tests/geometry_oracle.py`` builds the same three
-from the symbolic tetrad and metric trees, with a Gauss-Jordan inverse, as
-the test reference.  The core first checks the inverse: g ginv = 1 at the
-point.  Past it every sum runs on integer numerators over one common
-denominator per quantity (in the float domain: floats over small integers),
-and each reported number is divided once by the domain, so in the exact
-domain a vanishing component is exactly zero.
+point's inputs are the metric's table (``tetrads.MetricTable``: each g_ab,
+a <= b, with its first and second partials as numerators over one Dg), its
+inverse's values and the null frame's values (:func:`spinors_at`), read off
+one jet of the primary field (``tetrads.FieldGeometry``) or, as the test
+reference, off the symbolic trees (``tests/geometry_oracle.py``).  The core
+checks the inverse (g ginv = 1) and the frame's duality at every point.
+Sums run on integer numerators over one denominator per quantity (floats
+over small integers in the float domain), each reported number divided once,
+so an exact vanishing component is exactly zero.  Up front the core computes
+only what the verdict reads, the scalar and the Ricci, SD and ASD Weyl
+maxima; Phi, the reassembly residual and the divided tables are computed on
+first read (:class:`CurvatureReport`).
 
 Riemann is lowered from the start and read on the coordinate pairs a < b,
 c < d only (Misner, Thorne & Wheeler, Gravitation, 1973):
@@ -43,54 +45,50 @@ on Y, C_A'B'C'D' (``weyl_sd``) on X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .jetcore import (
-    Jet,
-    Number,
-    Point,
-    chart_coords,
-    common_denominator,
-)
-from .tetrads import EPS
+from .jetcore import Number, Point, common_denominator
+from .tetrads import EPS, UPPER, MetricTable
 
 
-# index tables of a 4-dimensional metric: the ten (a, b) with a <= b (g is symmetric), where
-# g_ab sits among them, and the six coordinate pairs a < b on which Riemann is held
-_UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
-_AT = [[_UPPER.index((min(a, b), max(a, b))) for b in range(4)] for a in range(4)]
+# index tables of a 4-dimensional metric: where g_ab sits among the table's rows (UPPER, a <= b),
+# and the six coordinate pairs a < b on which Riemann is held
+_AT = [[UPPER.index((min(a, b), max(a, b))) for b in range(4)] for a in range(4)]
 _PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
 # R_abcd for the i-th pair (a, b) and the j-th (c, d) reads g_ad, g_bc, g_bd, g_ac there
 _BLOCK = [[(_AT[a][d], _AT[b][c], _AT[b][d], _AT[a][c]) for c, d in _PAIRS] for a, b in _PAIRS]
 # (a, b) -> the index of its pair and the sign R_ab.. takes from R on that pair (None: a = b)
 _SIGNED = [[None if a == b else (_PAIRS.index((min(a, b), max(a, b))), 1 if a < b else -1)
             for b in range(4)] for a in range(4)]
+# psi_i1i2i3i4 reads R on like bivectors at (s(i1 i2), s(i3 i4)) of their 3x3 block (s = _SLOT)
+# and the scalar with eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3, both symmetric in i1 i2 and in i3 i4:
+# so the 16 components take the 9 values of _SPINOR, the i-th key's at _SPINOR_AT[i]
+_KEYS, _SLOT = list(product(range(2), repeat=4)), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+_SPINOR = {(_SLOT[k[:2]], _SLOT[k[2:]]): EPS[k[0], k[2]] * EPS[k[1], k[3]]
+           + EPS[k[0], k[3]] * EPS[k[1], k[2]] for k in _KEYS}
+_SPINOR_AT = [list(_SPINOR).index((_SLOT[k[:2]], _SLOT[k[2:]])) for k in _KEYS]
 
 
-def _riemann_block(gj: list[list[Jet]], ginv: list[list[Number]]):
-    """R_abcd on the coordinate pairs a < b, c < d, the metric's values and the
-    inverse's, each as numerators over one denominator:
+def _riemann_block(metric: MetricTable, ginv: list[list[Number]], domain):
+    """R_abcd on the coordinate pairs a < b, c < d, and the metric's and the
+    inverse's values, each as numerators over one denominator:
     ``(M, DM), (gv, Dg), (iv, Di)``.
 
-    ``gj`` are the order-2 metric jets at a point and ``ginv`` the values of
-    their inverse there.  The metric's values and first and second partials go
-    over one Dg and the inverse's values over one Di; ``M[i][j]`` is R_abcd
-    for the i-th pair (a, b) and the j-th pair (c, d) of ``_PAIRS``, over
-    DM = 4 Di Dg^2 (the module docstring's formula).
+    ``metric`` is the point's table and ``ginv`` its inverse's values there;
+    ``M[i][j]`` is R_abcd for the i-th pair (a, b) and the j-th (c, d) of
+    ``_PAIRS``, over DM = 4 Di Dg^2 (the module docstring's formula).
     """
-    coords = chart_coords(gj[0][0].center.chart)
-    partials = [(), *((c,) for c in coords), *((coords[c], coords[e]) for c, e in _UPPER)]
-    nums, Dg = common_denominator([gj[a][b].d_numerators(*partials) for a, b in _UPPER])
+    nums, Dg = metric
     gv = [[nums[k][0] for k in row] for row in _AT]
     flat, Di = common_denominator([x for row in ginv for x in row])
     iv = [flat[:4], flat[4:8], flat[8:12], flat[12:]]
     # ginv must be g's inverse at the point or the connection is not g's.  A float
     # g ginv - 1 may be 1e-9 of |g| |ginv|, their summed |values|; 10^9 r is compared,
     # since 1e-9 times an exact size could overflow a float
-    domain, unit = gj[0][0].domain, Dg * Di
+    unit = Dg * Di
     size, cols = sum(abs(x[0]) for x in nums) * sum(map(abs, flat)), list(zip(*iv))
     for a, row in enumerate(gv):
         for b, col in enumerate(cols):
@@ -98,11 +96,11 @@ def _riemann_block(gj: list[list[Jet]], ginv: list[list[Number]]):
             if r and domain.verdict(10 ** 9 * abs(r), size) is False:
                 raise domain.error("ginv is not the metric's inverse at this point")
     # low[k][e] = 2 Gamma_{e,bc} = d_c g_eb + d_b g_ec - d_e g_bc and up[k][e] = g^ef low[k][f]
-    # = 2 Gamma^e_bc for the k-th (b, c) of _UPPER; d2[k][l] is the l-th second partial of g's
+    # = 2 Gamma^e_bc for the k-th (b, c) of UPPER; d2[k][l] is the l-th second partial of g's
     # k-th component
     d1, d2 = [x[1:5] for x in nums], [x[5:] for x in nums]
     low = [[d1[_AT[e][b]][c] + d1[_AT[e][c]][b] - d1[k][e] for e in range(4)]
-           for k, (b, c) in enumerate(_UPPER)]
+           for k, (b, c) in enumerate(UPPER)]
     up = [[sum(map(mul, row, lk)) for row in iv] for lk in low]
     m = 2 * Di * Dg
     M = [[m * (d2[ad][bc] + d2[bc][ad] - d2[bd][ac] - d2[ac][bd])
@@ -150,48 +148,58 @@ def _frame_components(tensor: Sequence[Number], rank: int,
     return dict(zip(product(frame, repeat=rank), t))
 
 
-def _frame_numerators(fv: Mapping[tuple[int, int], Sequence[Number]]):
-    """The frame vectors' components as numerators over one common denominator."""
-    n = len(next(iter(fv.values())))
-    flat, den = common_denominator([x for u in fv.values() for x in u])
-    return {k: tuple(flat[i * n:(i + 1) * n]) for i, k in enumerate(fv)}, den
+# the read-outs two reports compare, and those of them computed on first read
+_TABLES = ("ricci", "weyl_asd", "weyl_sd", "phi", "reassembly_max_abs")
+_READ_OUTS = ("point", "scalar", "duality_max_abs", "ricci_max_abs", "sd_weyl_max_abs",
+              "asd_weyl_max_abs", *_TABLES)
 
 
-@dataclass
+@dataclass(eq=False)
 class CurvatureReport:
     """Curvature invariants at one point, in the tetrad's spin frame.
 
-    The three maxima are each taken over numerators that share one denominator
-    and divided once, so they equal the maxima of the divided values."""
+    The fields are what the verdict reads; each maximum is taken over
+    numerators that share one denominator and divided once, so it equals the
+    maximum of the divided values.  The ``_TABLES`` (``ricci``, ``weyl_asd``,
+    ``weyl_sd``, ``phi`` and ``reassembly_max_abs``) are computed from the
+    kept numerators on the first read of any of them, and kept."""
 
     point: Point
-    ricci: list[list[Number]]
     scalar: Number
-    weyl_asd: dict[tuple[int, int, int, int], Number]
-    weyl_sd: dict[tuple[int, int, int, int], Number]
-    phi: dict[tuple[int, int, int, int], Number]
-    reassembly_max_abs: Number
     duality_max_abs: Number
     ricci_max_abs: Number
     sd_weyl_max_abs: Number
     asd_weyl_max_abs: Number
+    _tables: Callable[[], tuple] = field(repr=False)
+
+    def __getattr__(self, name):
+        if name not in _TABLES:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_TABLES, self._tables()))
+        return self.__dict__[name]
+
+    def __eq__(self, other):   # equal read-outs
+        return isinstance(other, CurvatureReport) and all(
+            getattr(self, k) == getattr(other, k) for k in _READ_OUTS)
 
 
-def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Number]],
-                      frame: Mapping[tuple[int, int], Sequence[Number]],
-                      tol: float = 1e-9) -> CurvatureReport:
+def spinors_at(p: Point, metric: MetricTable, ginv: list[list[Number]],
+               frame: Mapping[tuple[int, int], Sequence[Number]],
+               tol: float = 1e-9) -> CurvatureReport:
     """Split the Riemann tensor's bivector blocks into the two Weyl spinors and Phi.
 
-    ``gj`` are the order-2 metric jets at a point (their center), ``ginv``
-    the values of their inverse there and ``frame`` the null frame's values,
-    keyed by (A, A').  Every sum runs on numerators, each over its own
-    denominator, and each reported number is divided once.
+    ``metric`` is the metric's table at ``p`` (``tetrads.MetricTable``),
+    ``ginv`` the values of its inverse there and ``frame`` the null frame's
+    values, keyed by (A, A').  Every sum runs on numerators, each over its own
+    denominator, and each reported number is divided once.  The inverse and
+    the frame's duality are checked here; what the verdict does not read is
+    computed on first read (see :class:`CurvatureReport`).
     """
-    p = gj[0][0].center
-    (M, dm), (gv, dg), (iv, di) = _riemann_block(gj, ginv)
+    (M, dm), (gv, dg), (iv, di) = _riemann_block(metric, ginv, p.domain)
     ric, scalar = _ricci_numerators(M, iv)
     d_ric, ds = di * dm, di * di * dm
-    fv, df = _frame_numerators(frame)
+    flat, df = common_denominator([x for u in frame.values() for x in u])   # the frame over df
+    fv = {k: tuple(flat[4 * i:4 * i + 4]) for i, k in enumerate(frame)}
     q = p.domain.divide
 
     # check the frame is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
@@ -205,78 +213,66 @@ def spinors_from_jets(gj: list[list[Jet]], ginv: list[list[Number]],
                              else f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
                              "at this point")
 
-    # rb = R(B, B') = B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij
-    # (over dm df^4)
+    # R(B, B') = B^ab R_abcd B'^cd on the SD bivectors X_ij and the ASD Y_ij (over dm df^4);
+    # the verdict reads it on like bivectors only, the 3x3 blocks X X and Y Y
     def bivector(u0, u1, v0, v1):   # u0 ^ v1 - u1 ^ v0
         return [u0[a] * v1[b] - u0[b] * v1[a] - u1[a] * v0[b] + u1[b] * v0[a] for a, b in _PAIRS]
     sym = ((0, 0), (0, 1), (1, 1))
     bivectors = ([bivector(fv[(0, i)], fv[(1, i)], fv[(0, j)], fv[(1, j)]) for i, j in sym]
                  + [bivector(fv[(i, 0)], fv[(i, 1)], fv[(j, 0)], fv[(j, 1)]) for i, j in sym])
     Mb = [[sum(map(mul, row, b)) for row in M] for b in bivectors]
-    rb = [[sum(map(mul, u, v)) for v in Mb] for u in bivectors]
 
     # psi_{i1i2i3i4} = (R(B_i1i2, B_i3i4) - (scalar/6)(eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3)) / 4
-    # on like bivectors (X: the SD spinor, Y: the ASD one), over d_spin
-    keys = list(product(range(2), repeat=4))
-    slot = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    # on like bivectors (X: the SD spinor, Y: the ASD one), over d_spin: its values on _SPINOR
     m_b, m_s, d_spin = 6 * di * di, df ** 4, 24 * ds * df ** 4
+    sd, asd = ([m_b * sum(map(mul, bivectors[off + k], Mb[off + l])) - m_s * scalar * e
+                for (k, l), e in _SPINOR.items()] for off in (0, 3))
 
-    def spinor(off):
-        return {(i1, i2, i3, i4): m_b * rb[off + slot[i1, i2]][off + slot[i3, i4]]
-                - m_s * scalar * (EPS[(i1, i3)] * EPS[(i2, i4)] + EPS[(i1, i4)] * EPS[(i2, i3)])
-                for i1, i2, i3, i4 in keys}
-    sd_num, asd_num = spinor(0), spinor(3)
+    def tables():
+        rb = [[sum(map(mul, u, v)) for v in Mb] for u in bivectors]
+        sd_num, asd_num = ({k: s[i] for k, i in zip(_KEYS, _SPINOR_AT)} for s in (sd, asd))
+        # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
+        # is over d_ric df^2 and R over ds = di d_ric, so Phi is over 8 ds df^2
+        rf = _frame_components([x for row in ric for x in row], 2, fv)
+        m_rf, m_r, d_phi = 4 * di, df * df, 8 * ds * df * df
+        phi_num = {(A, B, Ap, Bp): -(m_rf * rf[((A, Ap), (B, Bp))]
+                                     - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)])
+                   for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
+        # reassembly, over d_spin = 3 df^2 d_phi: each spinor is symmetric in i2, i3 (the
+        # first Bianchi identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl)
+        # is 4 Phi_klij
+        re_err = max(
+            *(abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)])
+              for s in (sd_num, asd_num) for i1, i2, i3, i4 in _KEYS),
+            *(4 * m_b * abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)),
+            *(abs(4 * m_b * rb[k][3 + l] - 12 * df * df * phi_num[(*sym[l], *sym[k])])
+              for k in range(3) for l in range(3)))
+        return ([[q(x, d_ric) for x in row] for row in ric],
+                {k: q(x, d_spin) for k, x in asd_num.items()},
+                {k: q(x, d_spin) for k, x in sd_num.items()},
+                {k: q(x, d_phi) for k, x in phi_num.items()}, q(re_err, d_spin))
 
-    # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
-    # is over d_ric df^2 and R over ds = di d_ric, so Phi is over 8 ds df^2
-    rf = _frame_components([x for row in ric for x in row], 2, fv)
-    m_rf, m_r, d_phi = 4 * di, df * df, 8 * ds * df * df
-    phi_num = {(A, B, Ap, Bp): -(m_rf * rf[((A, Ap), (B, Bp))]
-                                 - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)])
-               for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
-
-    # reassembly, over d_spin = 3 df^2 d_phi: each spinor is symmetric in i2, i3 (the
-    # first Bianchi identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl)
-    # is 4 Phi_klij
-    re_err = max(
-        *(abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)])
-          for s in (sd_num, asd_num) for i1, i2, i3, i4 in keys),
-        *(4 * m_b * abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)),
-        *(abs(4 * m_b * rb[k][3 + l] - 12 * df * df * phi_num[(*sym[l], *sym[k])])
-          for k in range(3) for l in range(3)))
-
-    return CurvatureReport(p, [[q(x, d_ric) for x in row] for row in ric], q(scalar, ds),
-                           {k: q(x, d_spin) for k, x in asd_num.items()},
-                           {k: q(x, d_spin) for k, x in sd_num.items()},
-                           {k: q(x, d_phi) for k, x in phi_num.items()},
-                           q(re_err, d_spin), duality_max,
+    return CurvatureReport(p, q(scalar, ds), duality_max,
                            q(max(abs(x) for row in ric for x in row), d_ric),
-                           q(max(map(abs, sd_num.values())), d_spin),
-                           q(max(map(abs, asd_num.values())), d_spin))
+                           q(max(map(abs, sd)), d_spin), q(max(map(abs, asd)), d_spin), tables)
 
 
-def asd_vacuum_verdict(inputs: Iterable[tuple[list[list[Jet]], list[list[Number]], Mapping]],
+def asd_vacuum_verdict(inputs: Iterable[tuple[Point, MetricTable, list[list[Number]], Mapping]],
                        tol: float = 1e-9) -> dict:
     """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points.
 
-    ``inputs`` gives each point's order-2 metric jets, their inverse's values
-    and the frame values (see :func:`spinors_from_jets`); it is read one point
-    at a time.
+    ``inputs`` gives each point with its metric table, its inverse's values
+    and the frame values (see :func:`spinors_at`); it is read one point at a
+    time.
     """
     records = []
     ok = True
-    for gj, ginv, frame in inputs:
-        rep = spinors_from_jets(gj, ginv, frame, tol)
-        p = rep.point
+    for p, metric, ginv, frame in inputs:
+        rep = spinors_at(p, metric, ginv, frame, tol)
         ricci_max, sd_max = rep.ricci_max_abs, rep.sd_weyl_max_abs
         point_ok = all(p.domain.verdict(x, tol) for x in (ricci_max, sd_max))
         ok = ok and point_ok
-        records.append({
-            "point": p,
-            "ricci_max_abs": ricci_max,
-            "sd_weyl_max_abs": sd_max,
-            "asd_weyl_max_abs": rep.asd_weyl_max_abs,
-            "scalar_R": rep.scalar,
-            "pass": point_ok,
-        })
+        records.append({"point": p, "ricci_max_abs": ricci_max, "sd_weyl_max_abs": sd_max,
+                        "asd_weyl_max_abs": rep.asd_weyl_max_abs, "scalar_R": rep.scalar,
+                        "pass": point_ok})
     return {"verdict": "pass" if ok else "fail", "records": records}

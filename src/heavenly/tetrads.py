@@ -170,67 +170,71 @@ def _require_profile(f: ScalarField) -> None:
 
 
 # ---------------------------------------------------------------------------
-# metric jets and frame values from one jet of the primary field
+# metric tables and frame values from one jet of the primary field
 
 FrameValues = dict[tuple[int, int], tuple[Number, ...]]
-JetMatrix = list[list[Jet]]
 NumberMatrix = list[list[Number]]
+# a metric table (rows, Dg): the row of g_ab, a <= b in UPPER order, holds over Dg the numerators
+# of g_ab's value, its first partials and its second partials d_c d_e, c <= e in UPPER order
+MetricTable = tuple[list[list[Number]], int]
+UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
+_COLUMNS = {chart: [(), *((c,) for c in x), *((x[c], x[e]) for c, e in UPPER)]
+            for chart in (SECOND, FIRST, PLANE_WAVE) for x in [chart_coords(chart)]}
+# the rows of Theta_yy, Theta_xy and Theta_xx, read off Theta in one read-out
+_THETA_ROWS = tuple(n + d for n in (_YY, _XY, _XX) for d in _COLUMNS[SECOND])
 
 
 class FieldGeometry(NamedTuple):
     """A metric and its null frame, read off one jet of one scalar field per point.
 
     ``field`` is the primary field (Theta, Omega or a plane-wave profile) and
-    ``order`` the order of its jet that holds the metric's order-2 jets: 4
-    for a potential, whose metric and frame components are its second
-    partials, 2 for a profile, which is a metric component itself.  ``read``
-    maps that jet to the order-2 metric jets g_ab (nested lists, a symmetric
-    pair sharing one jet), the values of their inverse in closed form, and
-    the frame values keyed by (A, A').  All three equal exactly those of the
-    symbolic tetrad and metric trees and their Gauss-Jordan inverse, the test
-    reference in ``tests/geometry_oracle.py``, with no symbolic derivative
-    and no elimination.
+    ``order`` the order of its jet that holds the metric through its second
+    partials: 4 for a potential, whose metric and frame components are its
+    second partials, 2 for a profile, which is a metric component itself.
+    ``read`` maps that jet to the metric's ``MetricTable`` (each row read off
+    the jet by name with ``Jet.d_numerators``, or a constant Dg or 0), the
+    values of its inverse in closed form, and the frame values keyed by
+    (A, A').  All three equal exactly those of the symbolic tetrad and metric
+    trees and their Gauss-Jordan inverse, the test reference in
+    ``tests/geometry_oracle.py``, with no symbolic derivative, no elimination
+    and no jet product but the first form's det H and s H.
     """
 
     field: ScalarField
     order: int
-    read: Callable[[Jet], tuple[JetMatrix, NumberMatrix, FrameValues]]
+    read: Callable[[Jet], tuple[MetricTable, NumberMatrix, FrameValues]]
 
-    def at(self, p: Point, params=None) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
+    def at(self, p: Point, params=None) -> tuple[MetricTable, NumberMatrix, FrameValues]:
         return self.read(self.field.jet(p, self.order, params))
 
 
-def _numbers(jet: Jet):
-    """The domain's 0, 1 and -1 as frame values, and the constant order-2 jets 0 and 1."""
-    number = jet.domain.number
-    zero, one = (Jet.constant(v, jet.center, 2) for v in (0, 1))
-    return number(0), number(1), number(-1), zero, one
+def _paired_form(ww: list, wz: list, zz: list, dg: int, domain) -> tuple[MetricTable, NumberMatrix]:
+    """The table of g = [[P, I], [I, 0]] in (w, z | x, y), P = [[ww, wz], [wz, zz]] as rows
+    over dg, and the values of its inverse [[0, I], [I, -P]]: linear in P, with no product."""
+    zero, o, i = domain.zero, domain.number(0), domain.number(1)
+    nil, one = [zero] * 15, [dg + zero, *[zero] * 14]
+    mww, mwz, mzz = (-domain.divide(x[0], dg) for x in (ww, wz, zz))
+    return (([ww, wz, one, nil, zz, nil, one, nil, nil, nil], dg),
+            [[o, o, i, o], [o, o, o, i], [i, o, mww, mwz], [o, i, mwz, mzz]])
 
 
-def _paired_form(ww: Jet, wz: Jet, zz: Jet, zero: Jet, one: Jet) -> tuple[JetMatrix, NumberMatrix]:
-    """g = [[P, I], [I, 0]] in (w, z | x, y) with P = [[ww, wz], [wz, zz]], and the
-    values of its inverse [[0, I], [I, -P]]: linear in P, with no product."""
-    g = [[ww, wz, one, zero], [wz, zz, zero, one], [one, zero, zero, zero], [zero, one, zero, zero]]
-    o, i = zero.value, one.value
-    mww, mwz, mzz = (-x.value for x in (ww, wz, zz))
-    return g, [[o, o, i, o], [o, o, o, i], [i, o, mww, mwz], [o, i, mwz, mzz]]
-
-
-def _second_form_geometry(theta_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
+def _second_form_geometry(theta_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
     """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz,
     its inverse and the frame of the module docstring, from an order-4 jet of Theta."""
-    txx, txy, tyy = (theta_jet.d_jet(*names) for names in (_XX, _XY, _YY))
-    n0, n1, m1, zero, one = _numbers(theta_jet)
-    g, ginv = _paired_form(tyy + tyy, -(txy + txy), txx + txx, zero, one)
-    xx, xy, yy = txx.value, txy.value, tyy.value
-    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, -xy, xx),
+    nums, dg = theta_jet.d_numerators(*_THETA_ROWS)
+    domain, tyy, txy, txx = theta_jet.domain, nums[:15], nums[15:30], nums[30:]
+    table, ginv = _paired_form([2 * x for x in tyy], [-2 * x + domain.zero for x in txy],
+                               [2 * x for x in txx], dg, domain)
+    n0, n1 = domain.number(0), domain.number(1)
+    xx, xy, yy = (domain.divide(x[0], dg) for x in (txx, txy, tyy))
+    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, -n1, -xy, xx),
              (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, -yy, xy)}
-    return g, ginv, frame
+    return table, ginv, frame
 
 
-def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
-    """The metric, its inverse's values and the frame of the module docstring from
-    an order-4 jet of Omega.
+def _first_form_geometry(omega_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
+    """The metric's table, its inverse's values and the frame of the module docstring
+    from an order-4 jet of Omega.
 
     With H the mixed Hessian block Omega_{w^A wt^B} and s = -1/det H (one
     inversion), g = [[0, M], [M^T, 0]] with M = s H; on a solution det H = -1,
@@ -241,28 +245,28 @@ def _first_form_geometry(omega_jet: Jet) -> tuple[JetMatrix, NumberMatrix, Frame
     if not det.value:
         raise PoleError("det of the mixed Hessian block")
     s = -det.reciprocal()
-    n0, n1, _, zero, _ = _numbers(omega_jet)
-    w_wt, w_zt, z_wt, z_zt = (x * s for x in h.values())
-    g = [[zero, zero, w_wt, w_zt],
-         [zero, zero, z_wt, z_zt],
-         [w_wt, z_wt, zero, zero],
-         [w_zt, z_zt, zero, zero]]
+    (w_wt, w_zt, z_wt, z_zt), dg = common_denominator(
+        [(x * s).d_numerators(*_COLUMNS[FIRST]) for x in h.values()])
+    domain = omega_jet.domain
+    n0, n1, nil = domain.number(0), domain.number(1), [domain.zero] * 15
+    table = ([nil, nil, w_wt, w_zt, nil, z_wt, z_zt, nil, nil, nil], dg)
     h00, h01, h10, h11 = (x.value for x in h.values())   # Omega_{w wt}, _{w zt}, _{z wt}, _{z zt}
     ginv = [[n0, n0, -h11, h10], [n0, n0, h01, -h00], [-h11, h01, n0, n0], [h10, -h00, n0, n0]]
     frame = {(0, 0): (n0, n0, h01, -h00), (1, 0): (n0, n0, h11, -h10),
              (0, 1): (n1, n0, n0, n0), (1, 1): (n0, n1, n0, n0)}
-    return g, ginv, frame
+    return table, ginv, frame
 
 
-def _plane_wave_geometry(f_jet: Jet) -> tuple[JetMatrix, NumberMatrix, FrameValues]:
+def _plane_wave_geometry(f_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
     """2 dw dq + 2 dz dp + f dz^2, its inverse and the frame V_{00'} = d/dq,
     V_{01'} = -d/dz + (f/2) d/dp, V_{10'} = d/dp, V_{11'} = d/dw, from an
     order-2 jet of f."""
-    n0, n1, m1, zero, one = _numbers(f_jet)
-    g, ginv = _paired_form(zero, zero, f_jet, zero, one)
-    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, m1, n0, f_jet.value / 2),
+    (f, dg), domain = f_jet.d_numerators(*_COLUMNS[PLANE_WAVE]), f_jet.domain
+    nil, n0, n1 = [domain.zero] * 15, domain.number(0), domain.number(1)
+    table, ginv = _paired_form(nil, nil, f, dg, domain)
+    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, -n1, n0, domain.divide(f[0], dg) / 2),
              (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, n0, n0)}
-    return g, ginv, frame
+    return table, ginv, frame
 
 
 def geometry_from_theta(theta: SecondPotential) -> FieldGeometry:

@@ -36,7 +36,6 @@ from .jetcore import (
     add,
     div,
     field_program,
-    fold,
     mul,
     neg,
 )
@@ -250,8 +249,8 @@ class NotAPoleError(EvaluationError):
     """The declared pole is a regular point of f on the curve."""
 
 
-def on_flat_curve(f: Expr, p: Point, params: Mapping[str, Number] | None = None) -> RatLambda:
-    """f(lam, mu0, mu1) on the flat curve (w + lam y, z - lam x) at p, a function of lam."""
+def on_flat_curve(f: Expr | Program, p: Point, params: Mapping | None = None) -> RatLambda:
+    """f(lam, mu0, mu1), a tree or its program, on the flat curve (w + lam y, z - lam x) at p."""
     if p.chart != SECOND:
         raise ValueError("evaluation point must live on the second-form chart")
     wv, zv, xv, yv = (Fraction(v) for v in p.values)
@@ -266,16 +265,18 @@ def on_flat_curve(f: Expr, p: Point, params: Mapping[str, Number] | None = None)
             raise EvaluationError(f"unbound symbol {e.name!r}")
         return env[e.name]
 
-    return fold(f, leaf)
+    return (f if isinstance(f, Program) else Program([f])).run(leaf)[0]
 
 
-def penrose_residue_transform(f: Expr, pole: Expr, p: Point,
+def penrose_residue_transform(f: Expr | Program, pole: Expr | ScalarField, p: Point,
                               params: Mapping[str, Number] | None = None) -> Fraction:
-    """Residue of f(lam, mu0, mu1) at the declared pole, an expression over the
-    second-form chart, on the flat curve at p (on_flat_curve).  A pole that cancels
-    at p has residue 0; a regular point raises NotAPoleError (0 is no evidence)."""
+    """Residue of f(lam, mu0, mu1) at the declared pole, a tree or field over the
+    second-form chart, on the flat curve at p (on_flat_curve; f's program or tree).  A
+    pole that cancels at p has residue 0; a regular point raises NotAPoleError (0 is no
+    evidence).  A caller at many points passes a program and a field, compiled once."""
     rat = on_flat_curve(f, p, params)
-    pole_value = Fraction(ScalarField(SECOND, pole).value(p, params))
+    pole = pole if isinstance(pole, ScalarField) else ScalarField(SECOND, pole)
+    pole_value = Fraction(pole.value(p, params))
     value = residue_at(rat, pole_value)   # a nonzero residue needs a pole: check only a 0
     if not value and (den := reduce(lambda acc, c: acc * pole_value + c, reversed(rat.den), 0)):
         raise NotAPoleError(f"f's denominator is {den} at lam = {pole_value}, not 0")

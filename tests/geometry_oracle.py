@@ -6,7 +6,10 @@ symbolic second derivatives, g_ab = eps_AB eps_A'B' e^AA'_a e^BB'_b expanded
 from the coframe, the self-dual two-forms wedged from it, and the inverse by
 Gauss-Jordan elimination on jets (conventions: the ``heavenly.tetrads``
 docstring).  :func:`tree_inputs` hands the curvature core what
-``FieldGeometry.at`` hands it, from these trees.  The Christoffel route to
+``FieldGeometry.at`` hands it, from these trees: the metric table read off
+the trees' jets (:func:`table_of_jets`, the read-out the package made of its
+own metric jets before it read the table off the primary field's jet by
+name) and the inverse's values.  The Christoffel route to
 Riemann, which the package used before it lowered Riemann straight from the
 metric's second partials, is kept here as the curvature core's independent
 reference (:func:`curvature_at`).  The test-only helpers of
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from heavenly.catalog import CatalogEntry
-from heavenly.curvature import asd_vacuum_verdict, spinors_from_jets
+from heavenly.curvature import asd_vacuum_verdict, spinors_at
 from heavenly.hierarchy import ExtendedPotential, SpinorVector, coord_name
 from heavenly.jetcore import (
     EXACT,
@@ -47,7 +50,16 @@ from heavenly.jetcore import (
 from heavenly.polynomials import Poly
 from heavenly.recursion import coeff_A, monomial_recursion_image, st_chain_program
 from heavenly.symplectic import COORDS, ThreeForm, boundary_integral
-from heavenly.tetrads import SECOND, FirstPotential, SecondPotential, _require_profile
+from heavenly.tetrads import (
+    FIRST,
+    SECOND,
+    UPPER,
+    FieldGeometry,
+    FirstPotential,
+    MetricTable,
+    SecondPotential,
+    _require_profile,
+)
 
 from poly_oracle import uni_eval
 
@@ -384,12 +396,41 @@ def tree_jets(g: MetricField, p: Point, params=None) -> tuple[list[list[Jet]], l
     return gj, invert_jet_matrix([[x.truncate(1) for x in row] for row in gj])
 
 
-def tree_inputs(g: MetricField, p: Point, params=None) -> tuple[list[list[Jet]], list[list[Number]]]:
-    """g's order-2 jets at p and the values of their Gauss-Jordan inverse: the pair
-    ``FieldGeometry.at`` gives with the inverse in closed form."""
+def table_of_jets(gj: list[list[Jet]]) -> MetricTable:
+    """The metric table (``heavenly.tetrads.MetricTable``) read off order-2 metric jets:
+    each g_ab, a <= b, read out with its first and second partials, all over their lcm."""
+    coords = chart_coords(gj[0][0].center.chart)
+    partials = [(), *((c,) for c in coords), *((coords[c], coords[e]) for c, e in UPPER)]
+    return common_denominator([gj[a][b].d_numerators(*partials) for a, b in UPPER])
+
+
+def derived_metric_jets(geometry: FieldGeometry, p: Point, params=None) -> list[list[Jet]]:
+    """g's order-2 jets formed from one jet of the geometry's field by ``Jet.d_jet`` and
+    jet sums and products, as the package formed them before it read its table off that
+    jet by name.  Their table (:func:`table_of_jets`) is the float reference for the
+    geometry's table bit for bit: the tree jets round differently on a rational field."""
+    jet = geometry.field.jet(p, geometry.order, params)
+    zero, one = (Jet.constant(v, p, 2) for v in (0, 1))
+    if geometry.field.chart == FIRST:
+        h = [jet.d_jet(a, b) for a in ("w", "z") for b in ("wt", "zt")]
+        s = -(h[0] * h[3] - h[1] * h[2]).reciprocal()
+        w_wt, w_zt, z_wt, z_zt = (x * s for x in h)
+        return [[zero, zero, w_wt, w_zt], [zero, zero, z_wt, z_zt],
+                [w_wt, z_wt, zero, zero], [w_zt, z_zt, zero, zero]]
+    if geometry.field.chart == SECOND:
+        txx, txy, tyy = (jet.d_jet(*names) for names in (("x", "x"), ("x", "y"), ("y", "y")))
+        ww, wz, zz = tyy + tyy, -(txy + txy), txx + txx
+    else:   # a plane-wave profile is g_zz itself
+        ww, wz, zz = zero, zero, jet
+    return [[ww, wz, one, zero], [wz, zz, zero, one], [one, zero, zero, zero], [zero, one, zero, zero]]
+
+
+def tree_inputs(g: MetricField, p: Point, params=None) -> tuple[MetricTable, list[list[Number]]]:
+    """The table of g's order-2 tree jets at p and the values of their Gauss-Jordan
+    inverse: the pair ``FieldGeometry.at`` gives with the inverse in closed form."""
     gj = metric_jets(g, p, 2, params)
-    return gj, [[x.value for x in row]
-                for row in invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])]
+    return table_of_jets(gj), [[x.value for x in row] for row in
+                               invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])]
 
 
 # the Christoffel route: Gamma^a_bc with its gradients, R^a_bcd from them, and Ricci.
@@ -505,13 +546,13 @@ def curvature_at(g: MetricField, p: Point, params=None):
 
 
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point, params=None, tol: float = 1e-9):
-    """``spinors_from_jets`` of g's tree jets and t's frame values at p."""
-    return spinors_from_jets(*tree_inputs(g, p, params), t.frame_values(p, params), tol)
+    """``spinors_at`` on the table of g's tree jets and t's frame values at p."""
+    return spinors_at(p, *tree_inputs(g, p, params), t.frame_values(p, params), tol)
 
 
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points, params=None, tol: float = 1e-9) -> dict:
-    """``asd_vacuum_verdict`` of g's tree jets and t's frame values at each point."""
-    return asd_vacuum_verdict(((*tree_inputs(g, p, params), t.frame_values(p, params))
+    """``asd_vacuum_verdict`` on the table of g's tree jets and t's frame values at each point."""
+    return asd_vacuum_verdict(((p, *tree_inputs(g, p, params), t.frame_values(p, params))
                                for p in points), tol)
 
 

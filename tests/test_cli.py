@@ -216,15 +216,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_float_duality_beyond_tol_is_two(self, monkeypatch, capsys):
-        # the metric jets and the frame come from one jet of Theta, so a second-form
+        # the metric table and the frame come from one jet of Theta, so a second-form
         # frame is dual to its metric to the last bit; a frame component one ulp
         # off stands for a float frame that misses its metric
         real = FieldGeometry.at
 
         def one_ulp_off(self, p, params=None):
-            gj, ginv, frame = real(self, p, params)
+            table, ginv, frame = real(self, p, params)
             w, z, x, y = frame[(0, 0)]
-            return gj, ginv, {**frame, (0, 0): (w, z, math.nextafter(x, math.inf), y)}
+            return table, ginv, {**frame, (0, 0): (w, z, math.nextafter(x, math.inf), y)}
         monkeypatch.setattr(FieldGeometry, "at", one_ulp_off)
         code, out = run(["curvature-report", "--background", "sparling-tod", "--points", "1",
                          "--mode", "float", "--tol", "1e-300"])
@@ -634,6 +634,20 @@ class TestCompiledOncePerJob:
         assert work.points == points
         assert work.most_folds_of_one_tree == 1
 
+    @pytest.mark.parametrize("argv, compiles", [
+        # the profile the geometry parsed also gives the sampler its pole predicate
+        (["curvature-report", "--background", "plane-wave", "--f", "q^3", "--points", "2"], 1),
+        (["verify-solution", "--background", "plane-wave"], 1),
+        # penrose's --f and --pole, each compiled once whatever the number of points
+        (["penrose", "--f", "1/(mu0*mu1*lam^2)", "--pole=-w/y", "--points", "1"], 2),
+        (["penrose", "--f", "1/(mu0*mu1*lam^2)", "--pole=-w/y", "--points", "5"], 2),
+    ])
+    def test_an_option_is_compiled_once(self, argv, compiles, monkeypatch):
+        work = JetWork(monkeypatch)
+        code, _ = run(argv)
+        assert code == 0
+        assert work.compiles == compiles
+
 
 class TestPinnedJetWork:
     """The jet products and inversions of four chain-workload jobs, fixed.
@@ -752,17 +766,32 @@ class TestCurvatureJetWork:
         assert work.products <= products
         assert work.inversions <= inversions
 
+    @pytest.mark.parametrize("background, d_jets", [
+        ("sparling-tod", 0), ("phi2-eguchi-hanson", 0), ("plane-wave", 0), ("flat-first", 4)])
+    def test_the_table_is_read_by_name(self, background, d_jets, monkeypatch):
+        # a second-form or plane-wave table row is a read-out of the primary field's
+        # jet, so no jet of a derivative is formed; the first form forms its four
+        # Omega_{w^A wt^B} jets, for det H and s H
+        from heavenly.jetcore import Jet
+        real, calls = Jet.d_jet, []
+        monkeypatch.setattr(Jet, "d_jet", lambda jet, *names: calls.append(names)
+                            or real(jet, *names))
+        code, _ = run(["curvature-report", "--background", background, "--points", "1"])
+        assert code == 0
+        assert len(calls) == d_jets
+
     @pytest.mark.parametrize("background", sorted(BOUNDS))
     def test_no_elimination_on_the_cli_route(self, background, monkeypatch):
         # the curvature core is handed the very inverse the geometry read in closed
         # form at each point: nothing inverts the metric between them
         from heavenly import curvature
         handed, used = [], []
-        at, core = FieldGeometry.at, curvature.spinors_from_jets
+        at, core = FieldGeometry.at, curvature.spinors_at
         monkeypatch.setattr(FieldGeometry, "at",
                             lambda *args: handed.append(at(*args)) or handed[-1])
-        monkeypatch.setattr(curvature, "spinors_from_jets",
-                            lambda gj, ginv, *rest: used.append(ginv) or core(gj, ginv, *rest))
+        monkeypatch.setattr(curvature, "spinors_at",
+                            lambda p, table, ginv, *rest: used.append(ginv)
+                            or core(p, table, ginv, *rest))
         code, _ = run(["curvature-report", "--background", background, "--points", "2"])
         assert code == 0
         assert len(used) == len(handed) == 2

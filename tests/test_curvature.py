@@ -8,8 +8,8 @@ from hypothesis import given, reject, settings, strategies as st
 
 from heavenly import curvature
 from heavenly.catalog import load_catalog
-from heavenly.curvature import _frame_components, spinors_from_jets
-from heavenly.jetcore import EvaluationError, Point, PoleError, ScalarField, point
+from heavenly.curvature import _frame_components, spinors_at
+from heavenly.jetcore import EvaluationError, Jet, Point, PoleError, ScalarField, point
 from heavenly.sampling import sample_points
 from heavenly.tetrads import (
     EPS,
@@ -29,6 +29,7 @@ from geometry_oracle import (
     catalog_tetrad,
     christoffel_numerators,
     curvature_at,
+    derived_metric_jets,
     invert_jet_matrix,
     metric_from_tetrad,
     metric_jets,
@@ -36,6 +37,7 @@ from geometry_oracle import (
     ricci_values,
     riemann_values,
     tetrad_from_omega,
+    table_of_jets,
     tetrad_from_theta,
     tree_inputs,
     verify_asd_vacuum,
@@ -344,7 +346,7 @@ class TestSinglePass:
         # form: 3 products and 1 inversion, all in Theta's fold (51 and 5 with
         # the Gauss-Jordan inverse)
         work = JetWork(monkeypatch)
-        rep = spinors_from_jets(*load_catalog()["sparling-tod"].geometry().at(points[0], params))
+        rep = spinors_at(points[0], *load_catalog()["sparling-tod"].geometry().at(points[0], params))
         monkeypatch.undo()
         assert rep == weyl_spinors(g, t, points[0], params)
         assert work.fold_count == 1
@@ -399,35 +401,101 @@ def geometry_routes(draw):
     return t, geometry, Point(geometry.field.chart, values)
 
 
+def _values(table) -> list[list[F]]:
+    """g_ab's values, divided, off a metric table."""
+    rows, den = table
+    return [[F(rows[curvature._AT[a][b]][0], den) for b in range(4)] for a in range(4)]
+
+
+def _value_jets(table, p: Point) -> list[list[Jet]]:
+    """g_ab's values off a metric table as order-0 jets at p, for the Gauss-Jordan inverse."""
+    return [[Jet.constant(v, p, 0) for v in row] for row in _values(table)]
+
+
+def _divided(table) -> list[list[F]]:
+    rows, den = table
+    return [[F(x, den) for x in row] for row in rows]
+
+
 @st.composite
 def block_inputs(draw):
-    """A way to a point's order-2 metric jets and inverse values: a random
-    ``geometry_routes`` field's jet route, or the tree jets of the x^2 y^2 witness
-    or the conformally flat s^2 g_flat, the non-solutions whose Ricci and scalar
-    terms are nonzero, at a random point."""
+    """A way to a point's order-2 tree metric jets, and to a metric table and inverse
+    values there: a random ``geometry_routes`` field's table and inverse, or those the
+    tree route reads off the jets of the x^2 y^2 witness or the conformally flat
+    s^2 g_flat, the non-solutions whose Ricci and scalar terms are nonzero, at a
+    random point."""
     if draw(st.booleans()):
-        _, geometry, p = draw(geometry_routes())
-        return lambda: geometry.at(p)[:2]
+        t, geometry, p = draw(geometry_routes())
+        if t is None:
+            reject()
+        return lambda: (metric_jets(metric_from_tetrad(t), p, 2, None), *geometry.at(p)[:2])
     g, _, params, chart = SETUPS[draw(st.sampled_from(["witness", "conformally-flat"]))]()
     p = Point(chart, draw(st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 4)))
-    return lambda: tree_inputs(g, p, params)
+    return lambda: (metric_jets(g, p, 2, params), *tree_inputs(g, p, params))
+
+
+@st.composite
+def table_routes(draw):
+    """A primary field's geometry with its tetrad (the tree route) and parameters:
+    sparling-tod at a random sigma, phi2-eguchi-hanson, flat-first, a random
+    first-form non-solution, or the plane wave with a random polynomial or rational
+    profile."""
+    kind = draw(st.sampled_from(["sparling-tod", "phi2-eguchi-hanson", "flat-first", "first",
+                                 "polynomial", "rational"]))
+    if kind in ("polynomial", "rational"):
+        f = ScalarField.parse(draw(profiles().filter(lambda t: ("/(q-" in t) == (kind == "rational"))),
+                              "plane-wave")
+        return plane_wave_tetrad(f), plane_wave_geometry(f), {}
+    if kind == "first":
+        text = _poly_text(draw(st.lists(MONOMIAL, min_size=1, max_size=4)), ("w", "z", "wt", "zt"))
+        omega = FirstPotential(ScalarField.parse(f"w*zt+z*wt+{text}", "first"))
+        try:
+            return tetrad_from_omega(omega), geometry_from_omega(omega), {}
+        except DegenerateHessianError:
+            reject()
+    entry = load_catalog()[kind]
+    params = dict(entry.params)
+    if kind == "sparling-tod":
+        params["sigma"] = draw(st.fractions(-3, 3, max_denominator=5).filter(bool))
+    return catalog_tetrad(entry), entry.geometry(), params
 
 
 class TestJetRoute:
+    @given(table_routes(), st.tuples(*[st.fractions(-3, 3, max_denominator=5)] * 4))
+    @settings(max_examples=80, deadline=None)
+    def test_table_is_the_tree_jets_read_out(self, route, values):
+        # the geometry's table is, exactly, the one read off the tree route's order-2
+        # metric jets; in float mode it is, bit for bit, the one read off the metric
+        # jets formed from the same field's jet by d_jet and jet sums (the tree jets'
+        # own rounding differs on a rational field)
+        t, geometry, params = route
+        p = Point(geometry.field.chart, values)
+        try:
+            table = geometry.at(p, params)[0]
+            tree_table = table_of_jets(metric_jets(metric_from_tetrad(t), p, 2, params))
+            float_table = geometry.at(p.as_float(), params)[0]
+            jet_table = table_of_jets(derived_metric_jets(geometry, p.as_float(), params))
+        except EvaluationError:
+            reject()
+        assert _divided(table) == _divided(tree_table)
+        assert float_table[1] == jet_table[1] == 1
+        assert [[x.hex() for x in row] for row in float_table[0]] == [
+            [x.hex() for x in row] for row in jet_table[0]]
+
     @given(block_inputs())
     @settings(max_examples=60, deadline=None)
     def test_block_is_the_christoffel_routes_lowered_riemann(self, inputs):
-        # R_abcd straight from the metric's second partials and the Christoffel
+        # R_abcd straight from the metric table's second partials and the Christoffel
         # values equals R^a_bcd from the Christoffel gradients (which read the
-        # inverse's gradient) lowered on the pairs a < b, c < d, and so do the
-        # Ricci tensor and the scalar read off each
+        # inverse's gradient) of the tree jets, lowered on the pairs a < b, c < d, and
+        # so do the Ricci tensor and the scalar read off each
         try:
-            gj, ginv = inputs()
+            gj, table, ginv = inputs()
             G, D, _, (giv, di) = christoffel_numerators(
                 gj, invert_jet_matrix([[x.truncate(1) for x in row] for row in gj]))
         except (EvaluationError, SingularMetricError):
             reject()
-        (M, dm), (gv, dg), (iv, di_block) = curvature._riemann_block(gj, ginv)
+        (M, dm), (gv, dg), (iv, di_block) = curvature._riemann_block(table, ginv, gj[0][0].domain)
         rm, d2 = riemann_values(G, D)
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         assert [[F(x, dm) for x in row] for row in M] == [
@@ -449,18 +517,17 @@ class TestJetRoute:
                 geometry.at(p)
             return
         try:
-            gj, ginv, frame = geometry.at(p)
+            table, ginv, frame = geometry.at(p)
             g = metric_from_tetrad(t)
-            tree_jets, tree_frame = metric_jets(g, p, 2, None), t.frame_values(p)
+            tree_table, tree_frame = table_of_jets(metric_jets(g, p, 2, None)), t.frame_values(p)
         except EvaluationError:
             reject()
-        assert [[x.order for x in row] for row in gj] == [[2] * 4] * 4
-        assert [[x.coeffs for x in row] for row in gj] == [[x.coeffs for x in row]
-                                                           for row in tree_jets]
+        assert [len(row) for row in table[0]] == [15] * 10
+        assert _divided(table) == _divided(tree_table)
         assert list(frame) == list(tree_frame)
         assert frame == tree_frame
         assert all(type(v) is F for u in frame.values() for v in u)
-        assert spinors_from_jets(gj, ginv, frame) == weyl_spinors(g, t, p)
+        assert spinors_at(p, table, ginv, frame) == weyl_spinors(g, t, p)
 
     @given(geometry_routes())
     @settings(max_examples=60, deadline=None)
@@ -473,8 +540,8 @@ class TestJetRoute:
         _, geometry, p = routes
         fp = p.as_float()
         try:
-            gj, ginv, _ = geometry.at(p)
-            want = invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])
+            table, ginv, _ = geometry.at(p)
+            want = invert_jet_matrix(_value_jets(table, p))
             exact_at_fp = geometry.at(Point(p.chart, tuple(map(F, fp.values))))[1]
             float_ginv = geometry.at(fp)[1]
         except (EvaluationError, SingularMetricError):
@@ -494,22 +561,22 @@ class TestJetRoute:
         entry = load_catalog()["sparling-tod"]
         p = sample_points(entry.chart, 3, 1, entry.exclusions)[0]
         p = p.as_float() if mode == "float" else p
-        gj, ginv, frame = entry.geometry().at(p, dict(entry.params))
-        spinors_from_jets(gj, ginv, frame)
+        table, ginv, frame = entry.geometry().at(p, dict(entry.params))
+        spinors_at(p, table, ginv, frame)
         ginv = [row[:] for row in ginv]
         ginv[0][2] = ginv[0][2] + p.domain.number(F(1, 10))
         with pytest.raises(ValueError if mode == "exact" else EvaluationError,
                            match="not the metric's inverse"):
-            spinors_from_jets(gj, ginv, frame)
+            spinors_at(p, table, ginv, frame)
 
     def test_first_form_inverse_off_the_solutions(self):
         # det H = -1 on a solution, where g = H; here det H is not constant
         omega = FirstPotential(ScalarField.parse("2*w*zt+z*wt+w^2*wt^2-z*zt^3/3", "first"))
         for p in sample_points("first", 5, 3):
-            gj, ginv, _ = geometry_from_omega(omega).at(p)
+            table, ginv, _ = geometry_from_omega(omega).at(p)
             h = [[omega.field.jet(p, 2).d(a, b) for b in ("wt", "zt")] for a in ("w", "z")]
             assert h[0][0] * h[1][1] - h[0][1] * h[1][0] != -1
-            want = invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])
+            want = invert_jet_matrix(_value_jets(table, p))
             assert ginv == [[x.value for x in row] for row in want]
 
     def test_cli_route_is_the_catalog_entrys(self):
@@ -520,9 +587,8 @@ class TestJetRoute:
             g = metric_from_tetrad(t)
             params = dict(entry.params)
             for p in sample_points(entry.chart, 4, 2, entry.exclusions):
-                gj, _, frame = entry.geometry().at(p, params)
-                assert [[x.coeffs for x in row] for row in gj] == [
-                    [x.coeffs for x in row] for row in metric_jets(g, p, 2, params)]
+                table, _, frame = entry.geometry().at(p, params)
+                assert _divided(table) == _divided(table_of_jets(metric_jets(g, p, 2, params)))
                 assert frame == t.frame_values(p, params)
 
     def test_profile_is_checked_as_the_tetrad_checks_it(self):
@@ -549,5 +615,5 @@ class TestJetRoute:
         omega = FirstPotential(ScalarField.parse("wt*(w*zt+z*wt)", "first"))
         with pytest.raises(PoleError):
             geometry_from_omega(omega).at(point("first", 1, 2, 0, 0))
-        gj, _, _ = geometry_from_omega(omega).at(point("first", 1, 2, 3, 4))
-        assert all(x.order == 2 for row in gj for x in row)
+        (rows, _), _, _ = geometry_from_omega(omega).at(point("first", 1, 2, 3, 4))
+        assert [len(row) for row in rows] == [15] * 10
