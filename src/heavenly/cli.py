@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
+import reprlib
 import sys
 from fractions import Fraction
 from functools import cache
@@ -79,7 +81,11 @@ def _check(args, config: dict, items, evaluate) -> int:
                                           " is not finite in float mode")
                 worst, culprit = abs(value), (record, label, value)
     config = {**config, "seed": args.seed, "mode": args.mode}
-    report = reports.build_report(args.command, config, records, worst, args.domain, args.tol)
+    try:
+        report = reports.build_report(args.command, config, records, worst, args.domain, args.tol)
+    except ValueError:   # str() of a rational whose integers exceed the digit limit
+        raise EvaluationError(f"a value of the report has more than {sys.get_int_max_str_digits()}"
+                              " digits, Python's limit for integer text") from None
     text = reports.dumps(report)
     sys.stdout.write(text)
     if args.out:
@@ -131,7 +137,11 @@ def _sigma(args, background: str, used: bool, default=None):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"--sigma must be a rational p/q with q != 0, got {text!r}") from exc
+        limit = sys.get_int_max_str_digits()
+        too_long = limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit
+        what = (f"a rational with at most {limit} digits in each number (Python's limit for "
+                "integer text)" if too_long else "a rational p/q with q != 0")
+        raise ConfigError(f"--sigma must be {what}, got {reprlib.repr(text)}") from exc
 
 
 def _params(entry, args) -> dict:

@@ -34,7 +34,7 @@ import reprlib
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isfinite, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
@@ -503,7 +503,8 @@ class _Layout:
     arithmetic.
     """
 
-    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named", "shifted")
+    __slots__ = ("monomials", "index", "degree", "weights", "rows", "named", "shifted", "small",
+                 "kernel")
 
     def __init__(self, nvars: int, order: int):
         monomials: list[tuple[int, ...]] = []
@@ -522,6 +523,29 @@ class _Layout:
         self.named: dict[tuple[str, tuple[tuple[str, ...], ...]], list[tuple[int, int]]] = {}
         # (chart, names) -> the (position, multiplier) of each coefficient of that partial's jet
         self.shifted: dict[tuple[str, tuple[str, ...]], list[tuple[int, int]]] = {}
+        self.small = sum(map(len, self.rows)) <= 100   # see ``_product_kernel``
+        self.kernel: Callable[[list, list, Number], list] | None = None
+
+
+def _product_kernel(layout: _Layout) -> Callable[[list, list, Number], list]:
+    """``product(a, b, zero)``, a times b as straight-line code from ``layout.rows``: position p
+    is ``zero`` plus a_i * b_k over rows[i][k] == p in ascending i (the loop's order, ``a`` outer).
+
+    Layouts of at most 100 pairs (i, k) take it.  Loop against kernel per product on the
+    benchmark's operands: (4,1), 9 pairs, 3.1/0.8 us; (4,2), 45, 7.7/3.5 us; (4,4), 495, 13/14 us;
+    (6,3)-(10,3), 455-1771 with 2 nonzeros a factor, 10-17/11-59 us.  On random operands it won
+    at every density to 91 pairs, lost on sparse ones from 165.  Compiles: 0.3-0.8 ms to 91 pairs.
+    """
+    n = len(layout.monomials)
+    sums = [["zero"] for _ in range(n)]
+    for i, row in enumerate(layout.rows):
+        for k, p in enumerate(row):
+            sums[p].append(f"a{i}*b{k}")
+    names = [", ".join(f"{x}{i}" for i in range(n)) + "," for x in "ab"]
+    scope: dict = {}
+    exec(compile(f"def product(a, b, zero):\n {names[0]} = a\n {names[1]} = b\n return ["
+                 + ", ".join(" + ".join(s) for s in sums) + "]\n", "<jet product>", "exec"), scope)
+    return scope["product"]
 
 
 _LAYOUTS: dict[tuple[int, int], _Layout] = {}
@@ -575,6 +599,9 @@ class _Exact:
     def scaled(self, x, c: list) -> list:
         return [x * y for y in c]
 
+    def zeros_inert(self, a: list, b: list) -> bool:
+        return True
+
     def invert(self, c: list, den: int, layout: _Layout, order: int) -> tuple[list, int]:
         # with f = c/D, write 1/c as H_g / c0^(|g|+1): then H_0 = 1 and
         # H_g = -sum c_b c0^(|b|-1) H_(g-b) are integers, and 1/f = D/c
@@ -612,6 +639,10 @@ class _Float:
         # the sum over rows would add each x * y to a zero and leave zeros alone,
         # which only turns a -0.0 into 0.0; so does this, without the rows
         return [0.0 + x * y if y else 0.0 for y in c]
+
+    def zeros_inert(self, a: list, b: list) -> bool:
+        # whether every x * 0 adds nothing: a +-0.0 leaves a sum's bits, an inf or nan does not
+        return isfinite(sum(a) + sum(b))
 
     def invert(self, c: list, den: int, layout: _Layout, order: int) -> tuple[list, int]:
         terms = [(k, x) for k, x in enumerate(c) if k and x]
@@ -825,20 +856,27 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         self._check(other)
-        a, b = self._c, other._c
+        a, b, domain, layout = self._c, other._c, self.domain, self._layout
         den = self._den * other._den
-        outer = [(i, x) for i, x in enumerate(a) if x]
+        na, nb = len(a) - a.count(0), len(b) - b.count(0)
         # a constant factor scales the other's numerators (see the domain's ``scaled``)
-        if len(outer) == 1 and not outer[0][0]:
-            return self._like(self.domain.scaled(outer[0][1], b), den)
+        if na == 1 and a[0]:
+            return self._like(domain.scaled(a[0], b), den)
+        if nb < na:
+            if nb == 1 and b[0]:
+                return self._like(domain.scaled(b[0], a), den)
+            a, b = b, a
+        # the sparser factor is the outer one; a small layout's compiled kernel adds the loop's
+        # terms in its order, and its zero products where the domain says they add nothing
+        if layout.small and domain.zeros_inert(a, b):
+            if layout.kernel is None:
+                layout.kernel = _product_kernel(layout)
+            return self._like(layout.kernel(a, b, domain.zero), den)
+        outer = [(i, x) for i, x in enumerate(a) if x]
         inner = [(k, y) for k, y in enumerate(b) if y]
-        if len(inner) < len(outer):
-            if len(inner) == 1 and not inner[0][0]:
-                return self._like(self.domain.scaled(inner[0][1], a), den)
-            outer, inner = inner, outer
-        rows = self._layout.rows
-        out = [self.domain.zero] * len(a)
-        # the sparser factor drives the outer loop; a row ends where the degrees exceed the order
+        rows = layout.rows
+        out = [domain.zero] * len(a)
+        # a row ends where the degrees exceed the order
         for i, x in outer:
             row = rows[i]
             end = len(row)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .jetcore import Point, chart_coords
@@ -14,16 +15,25 @@ _MAX_TRIES = 10_000
 Predicate = Callable[[Point], bool]
 
 
+_index = cache(lambda chart, name: chart_coords(chart).index(name))
+
+
 def _coord(p: Point, name: str) -> Fraction:
-    return Fraction(p.values[chart_coords(p.chart).index(name)])
+    return p.values[_index(p.chart, name)]
+
+
+def _quadratic(p: Point) -> tuple[int, int]:
+    """wx + zy at a rational point, as an integer over a positive one."""
+    w, z, x, y = (_coord(p, name) for name in "wzxy")
+    wx, zy = w.denominator * x.denominator, z.denominator * y.denominator
+    return w.numerator * x.numerator * zy + z.numerator * y.numerator * wx, wx * zy
 
 
 NAMED_EXCLUSIONS: dict[str, Predicate] = {
     # quadratic pole locus of the catalog potentials
-    "q_nonzero": lambda p: _coord(p, "w") * _coord(p, "x") + _coord(p, "z") * _coord(p, "y") != 0,
+    "q_nonzero": lambda p: _quadratic(p)[0] != 0,
     # well-conditioned for float-mode tolerances near the quadratic pole
-    "q_unit_scale": lambda p: abs(_coord(p, "w") * _coord(p, "x")
-                                  + _coord(p, "z") * _coord(p, "y")) >= 1,
+    "q_unit_scale": lambda p: abs((q := _quadratic(p))[0]) >= q[1],
     "w_nonzero": lambda p: _coord(p, "w") != 0,
     "z_nonzero": lambda p: _coord(p, "z") != 0,
     "y_nonzero": lambda p: _coord(p, "y") != 0,

@@ -122,6 +122,28 @@ def ricci_lowered(rl, ginv_values):
     return ric, sum(ginv_values[b][d] * ric[b][d] for b in range(n) for d in range(n))
 
 
+def lowered_sizes(gj, ginv_values):
+    """Each R_abcd of :func:`riemann_lowered` and each Ricci entry and the scalar of
+    :func:`ricci_lowered` on them as the sum of the sizes of their terms: every
+    partial, inverse entry and Christoffel symbol by its absolute value and every
+    difference a sum.  A float sum rounds relative to this size, which can be far
+    above the sum's own size: the Gamma.Gamma products of R_abcd near a pole."""
+    n = len(gj)
+    coords = chart_coords(gj[0][0].center.chart)
+
+    def dg(a, b, *k):
+        return abs(gj[a][b].d(*(coords[i] for i in k)))
+    low = {(e, b, c): (dg(e, b, c) + dg(e, c, b) + dg(b, c, e)) / 2
+           for e, b, c in product(range(n), repeat=3)}
+    up = {(e, b, c): sum(abs(ginv_values[e][f]) * low[(f, b, c)] for f in range(n))
+          for e, b, c in product(range(n), repeat=3)}
+    rl = {(a, b, c, d): (dg(a, d, b, c) + dg(b, c, a, d) + dg(b, d, a, c) + dg(a, c, b, d)) / 2
+          + sum(low[(e, c, b)] * up[(e, d, a)] + low[(e, d, b)] * up[(e, c, a)] for e in range(n))
+          for a, b, c, d in product(range(n), repeat=4)}
+    ric, scalar = ricci_lowered(rl, [[abs(x) for x in row] for row in ginv_values])
+    return {"lowered": rl, "ricci": ric, "scalar": scalar}
+
+
 def _values(m):
     return [[x.value for x in row] for row in m]
 
@@ -225,10 +247,11 @@ def curvature(g, t, p, params):
     fields ``weyl_asd``, ``weyl_sd``, ``phi``, ``reassembly_max_abs`` and
     ``duality_max_abs`` of the full-W route, and ``blocks``, the :func:`blocks`
     route's spinors, Phi, residual, Ricci and scalar on :func:`riemann_lowered`,
-    the package's route.
+    the package's route, and ``sizes``, that route's :func:`lowered_sizes`.
     """
     rm, gv, ginv, gamma = riemann(g, p, params)
-    block = riemann_lowered(metric_jets(g, p, 2, params), ginv)
+    gj = metric_jets(g, p, 2, params)
+    block = riemann_lowered(gj, ginv)
     ric, scalar = ricci(rm, ginv)
     rl = lower(gv, rm)
     W = weyl(gv, rl, ric, scalar)
@@ -259,4 +282,5 @@ def curvature(g, t, p, params):
     return {"christoffel": gamma, "riemann": rm, "ricci": ric, "scalar": scalar, "lowered": rl,
             "W": W, "weyl_asd": asd, "weyl_sd": sd, "phi": phi,
             "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max,
-            "blocks": blocks(block, fv, *ricci_lowered(block, ginv))}
+            "blocks": blocks(block, fv, *ricci_lowered(block, ginv)),
+            "sizes": lowered_sizes(gj, ginv)}

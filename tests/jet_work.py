@@ -1,5 +1,5 @@
 """Count the jet work a call does: programs built, outputs folded, jet products,
-inversions, diff calls.
+inversions, product kernels compiled, diff calls.
 
 The jet-count guards bound these counts for one point, or for one job.  Every
 jet the package builds from a tree or a coefficient table comes from a run of
@@ -12,7 +12,10 @@ its tree.  Building a program is counted on ``Program.__init__``.
 Products and inversions are counted on ``Jet`` itself, so they include the
 ring operations of the folds and of everything done with the jets afterwards.
 A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
-the inversions counted are those computed (``Jet._invert``).  Symbolic
+the inversions counted are those computed (``Jet._invert``).  A small layout
+compiles its product kernel once per process, so the layouts are rebuilt for
+the call: every kernel it needs is compiled inside it, and each compile is
+recorded as the layout's (nvars, order).  Symbolic
 differentiation is counted as ``jetcore.diff`` calls, wrapped at every
 binding site; ``diff`` recurses through its module's name, so each node it
 differentiates counts.
@@ -36,8 +39,10 @@ class JetWork:
         self.program_runs = 0
         self.products = 0
         self.inversions = 0
+        self.kernels: list[tuple[int, int]] = []
         self.diff_calls = 0
         real_init, real_jets = Program.__init__, Program.jets
+        real_kernel = jetcore._product_kernel
         real_mul, real_invert, real_diff = Jet.__mul__, Jet._invert, jetcore.diff
 
         def init(program, outputs, chart=None):
@@ -57,6 +62,10 @@ class JetWork:
             self.inversions += 1
             return real_invert(a)
 
+        def kernel(layout):
+            self.kernels.append((len(layout.monomials[0]), layout.degree[-1]))
+            return real_kernel(layout)
+
         def diff(e, var):
             self.diff_calls += 1
             return real_diff(e, var)
@@ -68,6 +77,8 @@ class JetWork:
         monkeypatch.setattr(Program, "jets", jets)
         monkeypatch.setattr(Jet, "__mul__", mul)
         monkeypatch.setattr(Jet, "_invert", invert)
+        monkeypatch.setattr(jetcore, "_LAYOUTS", {})
+        monkeypatch.setattr(jetcore, "_product_kernel", kernel)
 
     @property
     def folds(self) -> Counter:

@@ -182,6 +182,15 @@ class TestExitCodes:
          "error: --f is nested too deeply to evaluate"),
         (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y" + "+w-w" * 700],
          "error: --pole is nested too deeply to evaluate"),
+        # integers past Python's 4300-digit limit for integer text: in a report, and in
+        # --sigma, whose echo is shortened
+        (["curvature-report", "--background", "plane-wave", "--f", "q^99999"],
+         "error: a value of the report has more than 4300 digits"),
+        (["verify-solution", "--background", "plane-wave", "--f", "q^99999"],
+         "error: a value of the report has more than 4300 digits"),
+        (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "7" * 5000],
+         "error: --sigma must be a rational with at most 4300 digits in each number (Python's "
+         "limit for integer text), got '777777777777...7777777777777'"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -675,6 +684,13 @@ class TestPinnedJetWork:
         run("recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24".split())
         assert work.compiles == 1
         assert work.program_runs == 3
+
+    def test_kernels_compiled_once_per_small_layout(self, monkeypatch):
+        work = JetWork(monkeypatch)
+        run("recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24".split())
+        # the chain's products are on the 4-variable layouts of order 2, and of order 1 by a
+        # constant only (a scaling, no kernel); each kernel is compiled once
+        assert work.kernels == [(4, 2)]
 
 
 class TestHierarchyCheckSharedJets:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 from heavenly import twistor
 from heavenly.jetcore import (
@@ -30,6 +30,7 @@ from heavenly.jetcore import (
     ScalarField,
     Sub,
     Var,
+    _layout,
     _point_leaf,
     chart_coords,
     common_denominator,
@@ -642,6 +643,70 @@ class TestConstantFactor:
                 assert _words(a * b) == _words(mul_oracle.product(a, b))
         # -1e-300 * 1e-300 underflows to -0.0, which the product stores as 0.0
         assert _words(Jet.constant(-1e-300, p, 1) * big)[1][2] == "0x0.0p+0"
+
+
+# subnormals as well: their products with anything finite and small underflow to +-0.0
+KERNEL_FLOATS = st.one_of(SPECIAL_FLOATS, st.sampled_from([5e-324, -5e-324, 2.5e-310]))
+
+
+@st.composite
+def small_layout_jets(draw, p, order, number):
+    """A jet at ``p`` through ``order``: dense, sparse, constant or zero, maybe negated
+    (which stores a float zero as -0.0)."""
+    monomials = _layout(4, order).monomials
+    shape = draw(st.sampled_from(["dense", "sparse", "constant", "zero"]))
+    if shape == "dense":
+        coeffs = {alpha: draw(number) for alpha in monomials}
+    elif shape == "sparse":
+        coeffs = draw(st.dictionaries(st.sampled_from(monomials), number, max_size=3))
+    else:
+        coeffs = {monomials[0]: draw(number)} if shape == "constant" else {}
+    j = Jet(p, order, coeffs)
+    return -j if draw(st.booleans()) else j
+
+
+@st.composite
+def small_layout_products(draw):
+    """Two jets at one point and order 0-2, in exact or float mode; float values
+    include signed zeros, subnormals, +-1e300, 1.7e308, infinities and nan."""
+    order = draw(st.integers(0, 2))
+    p, number = P(1, 2, 3, 4), rationals
+    if draw(st.booleans()):
+        p, number = p.as_float(), st.one_of(st.floats(-4, 4), KERNEL_FLOATS)
+    return (draw(small_layout_jets(p, order, number)), draw(small_layout_jets(p, order, number)))
+
+
+def _dense_float_jet(value):
+    p = P(1, 2, 3, 4).as_float()
+    return Jet(p, 2, {alpha: value(i) for i, alpha in enumerate(_layout(4, 2).monomials)})
+
+
+class TestProductKernel:
+    """On a small layout a product runs one compiled straight-line kernel; the sum
+    over rows of tests/mul_oracle.py is the oracle, word for word."""
+
+    @given(small_layout_products())
+    # two dense float jets whose terms, summed in the other factor's order, round otherwise
+    @example((_dense_float_jet(lambda i: 0.1 * (i + 1)), _dense_float_jet(lambda i: 1 / (i + 3))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_sum_over_rows(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert _words(x * y) == _words(mul_oracle.product(x, y))
+
+    def test_compiled_once_per_small_layout(self):
+        p = P(1, 2, 3, 4)
+        for order in (1, 2):
+            x, y = Jet.coordinate(0, p, order), Jet.coordinate(1, p, order)
+            x * y
+            kernel = x._layout.kernel
+            assert kernel is not None
+            (x + y) * (x - y)
+            assert x._layout.kernel is kernel
+        # the order-4 layout (495 pairs) keeps the loop over rows
+        x, y = Jet.coordinate(0, p, 4), Jet.coordinate(1, p, 4)
+        (x + y) * (x - y)
+        assert x._layout.kernel is None
 
 
 # ---------------------------------------------------------------------------
