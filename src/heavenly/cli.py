@@ -11,7 +11,8 @@ Exit codes: 0 = every check passed; 1 = a verdict failed, and stderr has one
 line naming the worst residual's item, label and value; 2 = bad input (an
 option out of range, an option the background does not read, an unparsable
 or off-chart expression, an expression nested too deeply to compile, an
-unknown background, no admissible sample point, a penrose --pole that is no
+unknown background, no admissible sample point, a penrose --f whose
+lam-degree on the flat curve exceeds its budget, a penrose --pole that is no
 pole of --f at a point, or a float evaluation that
 cannot meet --tol: a parameter or a value met while evaluating that is too
 large for a float, or a residual that is not finite, named by its item and
@@ -312,9 +313,19 @@ def cmd_twistor_series(args) -> int:
     return _check(args, config, pts, evaluate)
 
 
+# the largest lam-degree a penrose --f may form on the flat curve (twistor.lam_degree): a
+# point of lam^200/(mu0*mu1) took 0.25 s in exact arithmetic, of lam^400 1.1 s, and the
+# work grows about as the degree squared
+PENROSE_LAM_DEGREE = 200
+
+
 def cmd_penrose(args) -> int:
     _exact_only(args)
     f = ScalarField.parse(args.f, "twistor-function").program()   # compiled once per job
+    degree = twistor.lam_degree(f)
+    if degree > PENROSE_LAM_DEGREE:
+        raise ConfigError(f"--f forms lam-degree {degree} on the flat curve, above the "
+                          f"budget of {PENROSE_LAM_DEGREE}")
     pole = ScalarField.parse(args.pole, SECOND)
     pts = _sample(SECOND, args, ("q_nonzero", "w_nonzero", "y_nonzero"))
     config = {"f": args.f, "pole": args.pole, "points": args.points}

@@ -1,18 +1,19 @@
 """Metric to curvature pipeline with spinor decomposition.
 
 Curvature is computed from metric components by the coordinate method.  A
-point's inputs are the metric's table (``tetrads.MetricTable``: each g_ab,
-a <= b, with its first and second partials as numerators over one Dg), its
-inverse's values and the null frame's values (:func:`spinors_at`), read off
-one jet of the primary field (``tetrads.FieldGeometry``) or, as the test
-reference, off the symbolic trees (``tests/geometry_oracle.py``).  The core
-checks the inverse (g ginv = 1) and the frame's duality at every point.
-Sums run on integer numerators over one denominator per quantity (floats
-over small integers in the float domain), each reported number divided once,
-so an exact vanishing component is exactly zero.  Up front the core computes
-only what the verdict reads, the scalar and the Ricci, SD and ASD Weyl
-maxima; Phi, the reassembly residual and the divided tables are computed on
-first read (:class:`CurvatureReport`).
+point's inputs (:func:`spinors_at`) are the metric's table
+(``tetrads.MetricTable``: each g_ab, a <= b, with its first and second
+partials), its inverse's values and the null frame's values, each as
+numerators over one denominator, as ``tetrads.FieldGeometry`` reads them off
+one jet of the primary field (the test reference feeds the same core off the
+symbolic trees, ``tests/geometry_oracle.py``).  The core checks the inverse
+(g ginv = 1) and the frame's duality at every point.  Sums run on the
+numerators as handed (floats over small integers in the float domain), each
+reported number divided once, so an exact vanishing component is exactly
+zero.  The core computes only what the verdict reads, the scalar and the
+Ricci, SD and ASD Weyl maxima, and the duality residual; Phi, the divided
+spinors and the reassembly residual are the test oracle's
+(``tests/curvature_oracle.py``).
 
 Riemann is lowered from the start and read on the coordinate pairs a < b,
 c < d only (Misner, Thorne & Wheeler, Gravitation, 1973):
@@ -39,19 +40,19 @@ like bivectors W = R - (R/12) G, so psi_i1i2i3i4 = (R(X_i1i2, X_i3i4) -
 Conventions: R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
 + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb}, R_abcd = g_ae R^e_bcd;
 Ricci R_{bd} = R^a_{bad};  the spinors are those of W_{abcd} = eps_{A'B'}
-eps_{C'D'} C_{ABCD} + eps_{AB} eps_{CD} C_{A'B'C'D'}: C_ABCD (``weyl_asd``)
-on Y, C_A'B'C'D' (``weyl_sd``) on X.
+eps_{C'D'} C_{ABCD} + eps_{AB} eps_{CD} C_{A'B'C'D'}: C_ABCD (the ASD spinor)
+on Y, C_A'B'C'D' (the SD spinor) on X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .jetcore import Number, Point, common_denominator
-from .tetrads import EPS, UPPER, MetricTable
+from .jetcore import Number, Point
+from .tetrads import EPS, UPPER, FrameTable, InverseTable, MetricTable
 
 
 # index tables of a 4-dimensional metric: where g_ab sits among the table's rows (UPPER, a <= b),
@@ -65,31 +66,28 @@ _SIGNED = [[None if a == b else (_PAIRS.index((min(a, b), max(a, b))), 1 if a < 
             for b in range(4)] for a in range(4)]
 # psi_i1i2i3i4 reads R on like bivectors at (s(i1 i2), s(i3 i4)) of their 3x3 block (s = _SLOT)
 # and the scalar with eps_i1i3 eps_i2i4 + eps_i1i4 eps_i2i3, both symmetric in i1 i2 and in i3 i4:
-# so the 16 components take the 9 values of _SPINOR, the i-th key's at _SPINOR_AT[i]
-_KEYS, _SLOT = list(product(range(2), repeat=4)), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+# so the 16 components take the 9 values of _SPINOR
+_SLOT = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
 _SPINOR = {(_SLOT[k[:2]], _SLOT[k[2:]]): EPS[k[0], k[2]] * EPS[k[1], k[3]]
-           + EPS[k[0], k[3]] * EPS[k[1], k[2]] for k in _KEYS}
-_SPINOR_AT = [list(_SPINOR).index((_SLOT[k[:2]], _SLOT[k[2:]])) for k in _KEYS]
+           + EPS[k[0], k[3]] * EPS[k[1], k[2]] for k in product(range(2), repeat=4)}
 
 
-def _riemann_block(metric: MetricTable, ginv: list[list[Number]], domain):
-    """R_abcd on the coordinate pairs a < b, c < d, and the metric's and the
-    inverse's values, each as numerators over one denominator:
-    ``(M, DM), (gv, Dg), (iv, Di)``.
+def _riemann_block(metric: MetricTable, inverse: InverseTable, domain):
+    """R_abcd on the coordinate pairs a < b, c < d, and the metric's values, each as
+    numerators over one denominator: ``(M, DM), (gv, Dg)``.
 
-    ``metric`` is the point's table and ``ginv`` its inverse's values there;
-    ``M[i][j]`` is R_abcd for the i-th pair (a, b) and the j-th (c, d) of
-    ``_PAIRS``, over DM = 4 Di Dg^2 (the module docstring's formula).
+    ``metric`` is the point's table and ``inverse`` its inverse's values there
+    over Di; ``M[i][j]`` is R_abcd for the i-th pair (a, b) and the j-th (c, d)
+    of ``_PAIRS``, over DM = 4 Di Dg^2 (the module docstring's formula).
     """
-    nums, Dg = metric
+    (nums, Dg), (iv, Di) = metric, inverse
     gv = [[nums[k][0] for k in row] for row in _AT]
-    flat, Di = common_denominator([x for row in ginv for x in row])
-    iv = [flat[:4], flat[4:8], flat[8:12], flat[12:]]
     # ginv must be g's inverse at the point or the connection is not g's.  A float
     # g ginv - 1 may be 1e-9 of |g| |ginv|, their summed |values|; 10^9 r is compared,
     # since 1e-9 times an exact size could overflow a float
     unit = Dg * Di
-    size, cols = sum(abs(x[0]) for x in nums) * sum(map(abs, flat)), list(zip(*iv))
+    size = sum(abs(x[0]) for x in nums) * sum(abs(x) for row in iv for x in row)
+    cols = list(zip(*iv))
     for a, row in enumerate(gv):
         for b, col in enumerate(cols):
             r = sum(map(mul, row, col)) - unit * (a == b)
@@ -106,7 +104,7 @@ def _riemann_block(metric: MetricTable, ginv: list[list[Number]], domain):
     M = [[m * (d2[ad][bc] + d2[bc][ad] - d2[bd][ac] - d2[ac][bd])
           + sum(map(mul, low[bc], up[ad])) - sum(map(mul, low[bd], up[ac]))
           for ad, bc, bd, ac in row] for row in _BLOCK]
-    return (M, 2 * m * Dg), (gv, Dg), (iv, Di)
+    return (M, 2 * m * Dg), (gv, Dg)
 
 
 def _ricci_numerators(M, iv):
@@ -125,44 +123,12 @@ def _ricci_numerators(M, iv):
     return ric, sum(x * y for row, irow in zip(ric, iv) for x, y in zip(row, irow) if y)
 
 
-def _frame_components(tensor: Sequence[Number], rank: int,
-                      frame: Mapping[tuple[int, int], Sequence[Number]]) -> dict:
-    """T(u_k1, ..., u_kr) for every tuple of frame keys, from T's n^r coordinate
-    components in row-major order.
-
-    Contracts the leading coordinate index one at a time (O(r n^(r+1))
-    products rather than the n^(2r) of the direct r-fold sum) and appends the
-    frame index, so after r steps the list is row-major in the frame keys.
-    Each sum runs over a ascending and skips zero factors: a frame vector is
-    read as its nonzero (index, component) pairs, and a zero component of T
-    is passed over.
-    """
-    n = len(next(iter(frame.values())))
-    vectors = [[(a, x) for a, x in enumerate(u) if x] for u in frame.values()]
-    zero = type(tensor[0])(0)
-    t = tensor
-    for _ in range(rank):
-        stride = len(t) // n
-        t = [sum([c * x for a, x in u if (c := col[a])], zero)
-             for col in (t[rest::stride] for rest in range(stride)) for u in vectors]
-    return dict(zip(product(frame, repeat=rank), t))
-
-
-# the read-outs two reports compare, and those of them computed on first read
-_TABLES = ("ricci", "weyl_asd", "weyl_sd", "phi", "reassembly_max_abs")
-_READ_OUTS = ("point", "scalar", "duality_max_abs", "ricci_max_abs", "sd_weyl_max_abs",
-              "asd_weyl_max_abs", *_TABLES)
-
-
-@dataclass(eq=False)
+@dataclass
 class CurvatureReport:
-    """Curvature invariants at one point, in the tetrad's spin frame.
-
-    The fields are what the verdict reads; each maximum is taken over
+    """Curvature invariants at one point, in the tetrad's spin frame: what the
+    verdict reads and the frame's duality residual.  Each maximum is taken over
     numerators that share one denominator and divided once, so it equals the
-    maximum of the divided values.  The ``_TABLES`` (``ricci``, ``weyl_asd``,
-    ``weyl_sd``, ``phi`` and ``reassembly_max_abs``) are computed from the
-    kept numerators on the first read of any of them, and kept."""
+    maximum of the divided values."""
 
     point: Point
     scalar: Number
@@ -170,43 +136,33 @@ class CurvatureReport:
     ricci_max_abs: Number
     sd_weyl_max_abs: Number
     asd_weyl_max_abs: Number
-    _tables: Callable[[], tuple] = field(repr=False)
-
-    def __getattr__(self, name):
-        if name not in _TABLES:
-            raise AttributeError(name)
-        self.__dict__.update(zip(_TABLES, self._tables()))
-        return self.__dict__[name]
-
-    def __eq__(self, other):   # equal read-outs
-        return isinstance(other, CurvatureReport) and all(
-            getattr(self, k) == getattr(other, k) for k in _READ_OUTS)
 
 
-def spinors_at(p: Point, metric: MetricTable, ginv: list[list[Number]],
-               frame: Mapping[tuple[int, int], Sequence[Number]],
+def spinors_at(p: Point, metric: MetricTable, inverse: InverseTable, frame: FrameTable,
                tol: float = 1e-9) -> CurvatureReport:
-    """Split the Riemann tensor's bivector blocks into the two Weyl spinors and Phi.
+    """The scalar curvature and the Ricci, SD and ASD Weyl maxima at ``p``.
 
-    ``metric`` is the metric's table at ``p`` (``tetrads.MetricTable``),
-    ``ginv`` the values of its inverse there and ``frame`` the null frame's
-    values, keyed by (A, A').  Every sum runs on numerators, each over its own
-    denominator, and each reported number is divided once.  The inverse and
-    the frame's duality are checked here; what the verdict does not read is
-    computed on first read (see :class:`CurvatureReport`).
+    ``metric``, ``inverse`` and ``frame`` are the metric's table at ``p``
+    (``tetrads.MetricTable``), its inverse's and the null frame's values there
+    (the frame keyed by (A, A')), each as numerators over one denominator.
+    Every sum runs on numerators and each reported number is divided once.  The
+    inverse and the frame's duality are checked here.
     """
-    (M, dm), (gv, dg), (iv, di) = _riemann_block(metric, ginv, p.domain)
+    (M, dm), (gv, dg) = _riemann_block(metric, inverse, p.domain)
+    (iv, di), (fv, df) = inverse, frame
     ric, scalar = _ricci_numerators(M, iv)
     d_ric, ds = di * dm, di * di * dm
-    flat, df = common_denominator([x for u in frame.values() for x in u])   # the frame over df
-    fv = {k: tuple(flat[4 * i:4 * i + 4]) for i, k in enumerate(frame)}
     q = p.domain.divide
 
-    # check the frame is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B'
-    den = dg * df * df
-    gf = _frame_components([x for row in gv for x in row], 2, fv)
-    worst = max(abs(got - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
-                for ((A, Ap), (B, Bp)), got in gf.items())
+    # check the frame is dual to g: g(V_AA', V_BB') = eps_AB eps_A'B', over dg df^2, summed
+    # over the nonzero components, first of V_AA' then of V_BB'
+    den, zero = dg * df * df, p.domain.zero
+    vectors = {k: [(a, x) for a, x in enumerate(u) if x] for k, u in fv.items()}
+    gu = {k: [sum([c * x for a, x in u if (c := gv[a][b])], zero) for b in range(4)]
+          for k, u in vectors.items()}
+    worst = max(abs(sum([c * x for b, x in v if (c := row[b])], zero)
+                    - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
+                for (A, Ap), row in gu.items() for (B, Bp), v in vectors.items())
     duality_max = q(worst, den)
     if p.domain.verdict(duality_max, tol) is False:
         raise p.domain.error("tetrad is not dual to the metric at this point" if p.domain.exact
@@ -227,48 +183,22 @@ def spinors_at(p: Point, metric: MetricTable, ginv: list[list[Number]],
     m_b, m_s, d_spin = 6 * di * di, df ** 4, 24 * ds * df ** 4
     sd, asd = ([m_b * sum(map(mul, bivectors[off + k], Mb[off + l])) - m_s * scalar * e
                 for (k, l), e in _SPINOR.items()] for off in (0, 3))
-
-    def tables():
-        rb = [[sum(map(mul, u, v)) for v in Mb] for u in bivectors]
-        sd_num, asd_num = ({k: s[i] for k, i in zip(_KEYS, _SPINOR_AT)} for s in (sd, asd))
-        # trace-free Ricci spinor Phi_{ABA'B'} = -(R_frame - (R/4) eps eps)/2: R_frame
-        # is over d_ric df^2 and R over ds = di d_ric, so Phi is over 8 ds df^2
-        rf = _frame_components([x for row in ric for x in row], 2, fv)
-        m_rf, m_r, d_phi = 4 * di, df * df, 8 * ds * df * df
-        phi_num = {(A, B, Ap, Bp): -(m_rf * rf[((A, Ap), (B, Bp))]
-                                     - m_r * scalar * EPS[(A, B)] * EPS[(Ap, Bp)])
-                   for A in range(2) for B in range(2) for Ap in range(2) for Bp in range(2)}
-        # reassembly, over d_spin = 3 df^2 d_phi: each spinor is symmetric in i2, i3 (the
-        # first Bianchi identity), R(B, B') is symmetric, and the mixed block R(X_ij, Y_kl)
-        # is 4 Phi_klij
-        re_err = max(
-            *(abs(s[(i1, i2, i3, i4)] - s[(i1, i3, i2, i4)])
-              for s in (sd_num, asd_num) for i1, i2, i3, i4 in _KEYS),
-            *(4 * m_b * abs(rb[k][l] - rb[l][k]) for k in range(6) for l in range(k)),
-            *(abs(4 * m_b * rb[k][3 + l] - 12 * df * df * phi_num[(*sym[l], *sym[k])])
-              for k in range(3) for l in range(3)))
-        return ([[q(x, d_ric) for x in row] for row in ric],
-                {k: q(x, d_spin) for k, x in asd_num.items()},
-                {k: q(x, d_spin) for k, x in sd_num.items()},
-                {k: q(x, d_phi) for k, x in phi_num.items()}, q(re_err, d_spin))
-
     return CurvatureReport(p, q(scalar, ds), duality_max,
                            q(max(abs(x) for row in ric for x in row), d_ric),
-                           q(max(map(abs, sd)), d_spin), q(max(map(abs, asd)), d_spin), tables)
+                           q(max(map(abs, sd)), d_spin), q(max(map(abs, asd)), d_spin))
 
 
-def asd_vacuum_verdict(inputs: Iterable[tuple[Point, MetricTable, list[list[Number]], Mapping]],
+def asd_vacuum_verdict(inputs: Iterable[tuple[Point, MetricTable, InverseTable, FrameTable]],
                        tol: float = 1e-9) -> dict:
     """Aggregate Ricci-flatness and self-dual-Weyl vanishing over sample points.
 
-    ``inputs`` gives each point with its metric table, its inverse's values
-    and the frame values (see :func:`spinors_at`); it is read one point at a
-    time.
+    ``inputs`` gives each point with its metric table, its inverse and the frame
+    (see :func:`spinors_at`); it is read one point at a time.
     """
     records = []
     ok = True
-    for p, metric, ginv, frame in inputs:
-        rep = spinors_at(p, metric, ginv, frame, tol)
+    for p, metric, inverse, frame in inputs:
+        rep = spinors_at(p, metric, inverse, frame, tol)
         ricci_max, sd_max = rep.ricci_max_abs, rep.sd_weyl_max_abs
         point_ok = all(p.domain.verdict(x, tol) for x in (ricci_max, sd_max))
         ok = ok and point_ok

@@ -36,7 +36,7 @@ from .jetcore import (
     const,
     diff,
     extended_chart,
-    field_jets,
+    field_program,
     mul,
     neg,
     substitute,
@@ -348,9 +348,9 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
     else:
         lowered_coeffs = list(truncated_omega(E, j)[0].coeffs)
     flow = coord_name(B, j)
-    # d_00, d_10 and d_{Bj} of every coefficient at p, all folded in one call
+    # d_00, d_10 and d_{Bj} of every coefficient at p, all folded in one program run
     n0, n1 = len(om[0].coeffs), len(om[0].coeffs) + len(om[1].coeffs)
-    jets = field_jets([*om[0].coeffs, *om[1].coeffs, *lowered_coeffs], p, 1, params)
+    jets = field_program([*om[0].coeffs, *om[1].coeffs, *lowered_coeffs]).jets(p, 1, params)
     all_grads = [(x.d("x00"), x.d("x10"), x.d(flow)) for x in jets]
     low_grads = all_grads[n1:]
 

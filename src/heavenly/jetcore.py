@@ -8,11 +8,11 @@ expression trees over the coordinates of a chart (plus the free parameter
 exact rationals.  Trees, and outputs a coefficient table issues without one,
 are compiled once into a :class:`Program` and replayed at each point in any
 ring (jets here, rational functions of the fibre coordinate in the residue
-transform), each structurally equal subtree once per point; :func:`fold`,
-:func:`jets_of`, :func:`field_jets` and :func:`field_values` are one program
-and one run, and a :class:`ScalarField` keeps its program.  A second route,
-symbolic differentiation of the tree then plain evaluation (:func:`partial`),
-cross-checks the jet route.
+transform), each structurally equal subtree once per point; :func:`fold` and
+:func:`jets_of` are one program and one run, :func:`field_program` compiles
+several fields of one chart, and a :class:`ScalarField` keeps its program.  A
+second route, symbolic differentiation of the tree then plain evaluation
+(:func:`partial`), cross-checks the jet route.
 
 Coefficients live in one of two domains, fixed by the evaluation point: in
 :data:`EXACT` they are read out as :class:`fractions.Fraction` and a residual
@@ -1226,18 +1226,6 @@ def field_program(fields: Sequence[ScalarField]) -> Program:
     if len(charts) > 1:
         raise ValueError(f"fields on several charts {sorted(charts)} in one program")
     return Program([f.expr for f in fields], charts.pop() if charts else None)
-
-
-def field_jets(fields: Sequence[ScalarField], p: Point, order: int = DEFAULT_ORDER,
-               params: Mapping[str, Number] | None = None) -> list[Jet]:
-    """``[f.jet(p, order, params) for f in fields]`` through one :func:`field_program`."""
-    return field_program(fields).jets(p, order, params)
-
-
-def field_values(fields: Sequence[ScalarField], p: Point,
-                 params: Mapping[str, Number] | None = None) -> list[Number]:
-    """``[f.value(p, params) for f in fields]`` through one :func:`field_program`."""
-    return field_program(fields).values(p, params)
 
 
 def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:

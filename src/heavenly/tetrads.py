@@ -172,16 +172,20 @@ def _require_profile(f: ScalarField) -> None:
 # ---------------------------------------------------------------------------
 # metric tables and frame values from one jet of the primary field
 
-FrameValues = dict[tuple[int, int], tuple[Number, ...]]
-NumberMatrix = list[list[Number]]
 # a metric table (rows, Dg): the row of g_ab, a <= b in UPPER order, holds over Dg the numerators
 # of g_ab's value, its first partials and its second partials d_c d_e, c <= e in UPPER order
 MetricTable = tuple[list[list[Number]], int]
+# the inverse's values g^ab as a 4x4 matrix of numerators over one Di
+InverseTable = tuple[list[list[Number]], int]
+# the null frame's components V_AA'^a, keyed by (A, A'), as numerators over one Df
+FrameTable = tuple[dict[tuple[int, int], tuple[Number, ...]], int]
 UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
 _COLUMNS = {chart: [(), *((c,) for c in x), *((x[c], x[e]) for c, e in UPPER)]
             for chart in (SECOND, FIRST, PLANE_WAVE) for x in [chart_coords(chart)]}
 # the rows of Theta_yy, Theta_xy and Theta_xx, read off Theta in one read-out
 _THETA_ROWS = tuple(n + d for n in (_YY, _XY, _XX) for d in _COLUMNS[SECOND])
+# Omega's mixed Hessian block Omega_{w^A wt^B}: _{w wt}, _{w zt}, _{z wt}, _{z zt}
+_MIXED = tuple((a, b) for a in ("w", "z") for b in ("wt", "zt"))
 
 
 class FieldGeometry(NamedTuple):
@@ -192,81 +196,83 @@ class FieldGeometry(NamedTuple):
     partials: 4 for a potential, whose metric and frame components are its
     second partials, 2 for a profile, which is a metric component itself.
     ``read`` maps that jet to the metric's ``MetricTable`` (each row read off
-    the jet by name with ``Jet.d_numerators``, or a constant Dg or 0), the
-    values of its inverse in closed form, and the frame values keyed by
-    (A, A').  All three equal exactly those of the symbolic tetrad and metric
-    trees and their Gauss-Jordan inverse, the test reference in
-    ``tests/geometry_oracle.py``, with no symbolic derivative, no elimination
-    and no jet product but the first form's det H and s H.
+    the jet by name with ``Jet.d_numerators``, or a constant Dg or 0), its
+    inverse's ``InverseTable`` in closed form and the frame's ``FrameTable``,
+    all numerators of the jet's read-outs with nothing divided.  Their values
+    equal exactly those of the symbolic tetrad and metric trees and their
+    Gauss-Jordan inverse, the test reference in ``tests/geometry_oracle.py``,
+    with no symbolic derivative, no elimination and no jet product but the
+    first form's det H and s H.
     """
 
     field: ScalarField
     order: int
-    read: Callable[[Jet], tuple[MetricTable, NumberMatrix, FrameValues]]
+    read: Callable[[Jet], tuple[MetricTable, InverseTable, FrameTable]]
 
-    def at(self, p: Point, params=None) -> tuple[MetricTable, NumberMatrix, FrameValues]:
+    def at(self, p: Point, params=None) -> tuple[MetricTable, InverseTable, FrameTable]:
         return self.read(self.field.jet(p, self.order, params))
 
 
-def _paired_form(ww: list, wz: list, zz: list, dg: int, domain) -> tuple[MetricTable, NumberMatrix]:
+def _paired_form(ww: list, wz: list, zz: list, dg: int, domain) -> tuple[MetricTable, InverseTable]:
     """The table of g = [[P, I], [I, 0]] in (w, z | x, y), P = [[ww, wz], [wz, zz]] as rows
-    over dg, and the values of its inverse [[0, I], [I, -P]]: linear in P, with no product."""
-    zero, o, i = domain.zero, domain.number(0), domain.number(1)
-    nil, one = [zero] * 15, [dg + zero, *[zero] * 14]
-    mww, mwz, mzz = (-domain.divide(x[0], dg) for x in (ww, wz, zz))
+    over dg, and its inverse [[0, I], [I, -P]] over dg: linear in P, with no product."""
+    o, i = domain.zero, dg + domain.zero
+    nil, one = [o] * 15, [i, *[o] * 14]
     return (([ww, wz, one, nil, zz, nil, one, nil, nil, nil], dg),
-            [[o, o, i, o], [o, o, o, i], [i, o, mww, mwz], [o, i, mwz, mzz]])
+            ([[o, o, i, o], [o, o, o, i], [i, o, -ww[0], -wz[0]], [o, i, -wz[0], -zz[0]]], dg))
 
 
-def _second_form_geometry(theta_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
+def _second_form_geometry(theta_jet: Jet) -> tuple[MetricTable, InverseTable, FrameTable]:
     """g = 2 dw dx + 2 dz dy + 2 Theta_yy dw^2 + 2 Theta_xx dz^2 - 4 Theta_xy dw dz,
     its inverse and the frame of the module docstring, from an order-4 jet of Theta."""
     nums, dg = theta_jet.d_numerators(*_THETA_ROWS)
     domain, tyy, txy, txx = theta_jet.domain, nums[:15], nums[15:30], nums[30:]
     table, ginv = _paired_form([2 * x for x in tyy], [-2 * x + domain.zero for x in txy],
                                [2 * x for x in txx], dg, domain)
-    n0, n1 = domain.number(0), domain.number(1)
-    xx, xy, yy = (domain.divide(x[0], dg) for x in (txx, txy, tyy))
-    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, -n1, -xy, xx),
-             (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, -yy, xy)}
-    return table, ginv, frame
+    o, i, xx, xy, yy = domain.zero, dg + domain.zero, txx[0], txy[0], tyy[0]
+    frame = {(0, 0): (o, o, i, o), (0, 1): (o, -i, -xy, xx),
+             (1, 0): (o, o, o, i), (1, 1): (i, o, -yy, xy)}
+    return table, ginv, (frame, dg)
 
 
-def _first_form_geometry(omega_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
-    """The metric's table, its inverse's values and the frame of the module docstring
-    from an order-4 jet of Omega.
+def _first_form_geometry(omega_jet: Jet) -> tuple[MetricTable, InverseTable, FrameTable]:
+    """The metric's table, its inverse and the frame of the module docstring from an
+    order-4 jet of Omega.
 
     With H the mixed Hessian block Omega_{w^A wt^B} and s = -1/det H (one
     inversion), g = [[0, M], [M^T, 0]] with M = s H; on a solution det H = -1,
-    so g = H.  Its inverse is [[0, M^-T], [M^-1, 0]] with M^-1 = -adj H.
+    so g = H.  Its inverse is [[0, M^-T], [M^-1, 0]] with M^-1 = -adj H, and it
+    and the frame are H's values over Omega's denominator.
     """
-    h = {(a, b): omega_jet.d_jet(a, b) for a in ("w", "z") for b in ("wt", "zt")}
-    det = h[("w", "wt")] * h[("z", "zt")] - h[("w", "zt")] * h[("z", "wt")]
+    h = [omega_jet.d_jet(*names) for names in _MIXED]
+    det = h[0] * h[3] - h[1] * h[2]
     if not det.value:
         raise PoleError("det of the mixed Hessian block")
     s = -det.reciprocal()
     (w_wt, w_zt, z_wt, z_zt), dg = common_denominator(
-        [(x * s).d_numerators(*_COLUMNS[FIRST]) for x in h.values()])
-    domain = omega_jet.domain
-    n0, n1, nil = domain.number(0), domain.number(1), [domain.zero] * 15
+        [(x * s).d_numerators(*_COLUMNS[FIRST]) for x in h])
+    o = omega_jet.domain.zero
+    nil = [o] * 15
     table = ([nil, nil, w_wt, w_zt, nil, z_wt, z_zt, nil, nil, nil], dg)
-    h00, h01, h10, h11 = (x.value for x in h.values())   # Omega_{w wt}, _{w zt}, _{z wt}, _{z zt}
-    ginv = [[n0, n0, -h11, h10], [n0, n0, h01, -h00], [-h11, h01, n0, n0], [h10, -h00, n0, n0]]
-    frame = {(0, 0): (n0, n0, h01, -h00), (1, 0): (n0, n0, h11, -h10),
-             (0, 1): (n1, n0, n0, n0), (1, 1): (n0, n1, n0, n0)}
-    return table, ginv, frame
+    (h00, h01, h10, h11), dh = omega_jet.d_numerators(*_MIXED)
+    i = dh + o
+    ginv = [[o, o, -h11, h10], [o, o, h01, -h00], [-h11, h01, o, o], [h10, -h00, o, o]]
+    frame = {(0, 0): (o, o, h01, -h00), (1, 0): (o, o, h11, -h10),
+             (0, 1): (i, o, o, o), (1, 1): (o, i, o, o)}
+    return table, (ginv, dh), (frame, dh)
 
 
-def _plane_wave_geometry(f_jet: Jet) -> tuple[MetricTable, NumberMatrix, FrameValues]:
+def _plane_wave_geometry(f_jet: Jet) -> tuple[MetricTable, InverseTable, FrameTable]:
     """2 dw dq + 2 dz dp + f dz^2, its inverse and the frame V_{00'} = d/dq,
-    V_{01'} = -d/dz + (f/2) d/dp, V_{10'} = d/dp, V_{11'} = d/dw, from an
-    order-2 jet of f."""
+    V_{01'} = -d/dz + (f/2) d/dp, V_{10'} = d/dp, V_{11'} = d/dw (over 2 Dg), from
+    an order-2 jet of f."""
     (f, dg), domain = f_jet.d_numerators(*_COLUMNS[PLANE_WAVE]), f_jet.domain
-    nil, n0, n1 = [domain.zero] * 15, domain.number(0), domain.number(1)
+    o, nil = domain.zero, [domain.zero] * 15
     table, ginv = _paired_form(nil, nil, f, dg, domain)
-    frame = {(0, 0): (n0, n0, n1, n0), (0, 1): (n0, -n1, n0, domain.divide(f[0], dg) / 2),
-             (1, 0): (n0, n0, n0, n1), (1, 1): (n1, n0, n0, n0)}
-    return table, ginv, frame
+    i = 2 * dg + o
+    frame = {(0, 0): (o, o, i, o), (0, 1): (o, -i, o, f[0]),
+             (1, 0): (o, o, o, i), (1, 1): (i, o, o, o)}
+    return table, ginv, (frame, 2 * dg)
 
 
 def geometry_from_theta(theta: SecondPotential) -> FieldGeometry:

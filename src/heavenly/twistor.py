@@ -249,8 +249,8 @@ class NotAPoleError(EvaluationError):
     """The declared pole is a regular point of f on the curve."""
 
 
-def on_flat_curve(f: Expr | Program, p: Point, params: Mapping | None = None) -> RatLambda:
-    """f(lam, mu0, mu1), a tree or its program, on the flat curve (w + lam y, z - lam x) at p."""
+def on_flat_curve(f: Program, p: Point, params: Mapping | None = None) -> RatLambda:
+    """f(lam, mu0, mu1), compiled, on the flat curve (w + lam y, z - lam x) at p."""
     if p.chart != SECOND:
         raise ValueError("evaluation point must live on the second-form chart")
     wv, zv, xv, yv = (Fraction(v) for v in p.values)
@@ -265,17 +265,57 @@ def on_flat_curve(f: Expr | Program, p: Point, params: Mapping | None = None) ->
             raise EvaluationError(f"unbound symbol {e.name!r}")
         return env[e.name]
 
-    return (f if isinstance(f, Program) else Program([f])).run(leaf)[0]
+    return f.run(leaf)[0]
 
 
-def penrose_residue_transform(f: Expr | Program, pole: Expr | ScalarField, p: Point,
+class _Degrees:
+    """Bounds on the lam-degrees of a :class:`RatLambda`'s numerator and denominator, as
+    its operations form them (none cancels a factor).  Each operation forms degrees at
+    least its operands', so a fold's result bounds every degree met on the way (x^0,
+    which a parsed tree never holds, keeps x's degrees)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __add__(self, o):
+        return _Degrees(max(self.num + o.den, o.num + self.den), self.den + o.den)
+
+    __sub__ = __add__
+
+    def __mul__(self, o):
+        return _Degrees(self.num + o.num, self.den + o.den)
+
+    def __truediv__(self, o):
+        return _Degrees(self.num + o.den, self.den + o.num)
+
+    def __pow__(self, k: int):
+        num, den = (self.num, self.den) if k >= 0 else (self.den, self.num)
+        n = abs(k) or 1
+        return _Degrees(n * num, n * den)
+
+    def __neg__(self):
+        return self
+
+
+def lam_degree(f: Program) -> int:
+    """A bound on every lam-degree of a numerator or denominator that
+    :func:`on_flat_curve` forms while folding f, from one run of f's program over
+    degrees (lam, mu0 and mu1 of degree 1, every other leaf 0): the work a transform
+    of f asks for."""
+    one, zero = _Degrees(1, 0), _Degrees(0, 0)
+    out = f.run(lambda e: one if isinstance(e, Var) and e.name in ("lam", "mu0", "mu1")
+                else zero)[0]
+    return max(out.num, out.den)
+
+
+def penrose_residue_transform(f: Program, pole: ScalarField, p: Point,
                               params: Mapping[str, Number] | None = None) -> Fraction:
-    """Residue of f(lam, mu0, mu1) at the declared pole, a tree or field over the
-    second-form chart, on the flat curve at p (on_flat_curve; f's program or tree).  A
-    pole that cancels at p has residue 0; a regular point raises NotAPoleError (0 is no
-    evidence).  A caller at many points passes a program and a field, compiled once."""
+    """Residue of f(lam, mu0, mu1), compiled, at the declared pole, a field over the
+    second-form chart, on the flat curve at p (on_flat_curve).  A pole that cancels at p
+    has residue 0; a regular point raises NotAPoleError (0 is no evidence)."""
     rat = on_flat_curve(f, p, params)
-    pole = pole if isinstance(pole, ScalarField) else ScalarField(SECOND, pole)
     pole_value = Fraction(pole.value(p, params))
     value = residue_at(rat, pole_value)   # a nonzero residue needs a pole: check only a 0
     if not value and (den := reduce(lambda acc, c: acc * pole_value + c, reversed(rat.den), 0)):

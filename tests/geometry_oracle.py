@@ -9,7 +9,9 @@ docstring).  :func:`tree_inputs` hands the curvature core what
 ``FieldGeometry.at`` hands it, from these trees: the metric table read off
 the trees' jets (:func:`table_of_jets`, the read-out the package made of its
 own metric jets before it read the table off the primary field's jet by
-name) and the inverse's values.  The Christoffel route to
+name) and the inverse's values, put over one denominator here
+(:func:`numerator_matrix`; :func:`frame_table` does the same for a tetrad's
+frame values), as the package's geometry hands them.  The Christoffel route to
 Riemann, which the package used before it lowered Riemann straight from the
 metric's second partials, is kept here as the curvature core's independent
 reference (:func:`curvature_at`).  The test-only helpers of
@@ -41,8 +43,7 @@ from heavenly.jetcore import (
     const,
     diff,
     div,
-    field_jets,
-    field_values,
+    field_program,
     mul,
     neg,
     sub,
@@ -56,6 +57,8 @@ from heavenly.tetrads import (
     UPPER,
     FieldGeometry,
     FirstPotential,
+    FrameTable,
+    InverseTable,
     MetricTable,
     SecondPotential,
     _require_profile,
@@ -102,7 +105,7 @@ class Tetrad:
 
 def _row_values(rows, p: Point, params) -> list[tuple[Number, ...]]:
     """The values at p of every row of fields, folded by one program run."""
-    values = iter(field_values([f for row in rows for f in row], p, params))
+    values = iter(field_program([f for row in rows for f in row]).values(p, params))
     return [tuple(next(values) for _ in row) for row in rows]
 
 
@@ -337,14 +340,15 @@ class SingularMetricError(ValueError):
 def metric_jets(g: MetricField, p: Point, order: int, params) -> list[list[Jet]]:
     """Jets of g_ab for a <= b, mirrored onto g_ba (the metric is symmetric).
 
-    The components are folded in one field_jets call, so subtrees they share
+    The components are folded in one program run, so subtrees they share
     (the potential's derivatives, a common denominator) are evaluated once.
     """
     rows = g.components
     n = len(rows)
     upper = [(a, b) for a in range(n) for b in range(a, n)]
     out = [[None] * n for _ in range(n)]
-    for (a, b), jet in zip(upper, field_jets([rows[a][b] for a, b in upper], p, order, params)):
+    jets = field_program([rows[a][b] for a, b in upper]).jets(p, order, params)
+    for (a, b), jet in zip(upper, jets):
         out[a][b] = out[b][a] = jet
     return out
 
@@ -425,12 +429,27 @@ def derived_metric_jets(geometry: FieldGeometry, p: Point, params=None) -> list[
     return [[ww, wz, one, zero], [wz, zz, zero, one], [one, zero, zero, zero], [zero, one, zero, zero]]
 
 
-def tree_inputs(g: MetricField, p: Point, params=None) -> tuple[MetricTable, list[list[Number]]]:
-    """The table of g's order-2 tree jets at p and the values of their Gauss-Jordan
-    inverse: the pair ``FieldGeometry.at`` gives with the inverse in closed form."""
+def numerator_matrix(values: list[list[Number]]) -> InverseTable:
+    """A matrix of values as numerators over one denominator (``InverseTable``)."""
+    flat, den = common_denominator([x for row in values for x in row])
+    n = len(values)
+    return [flat[n * a:n * (a + 1)] for a in range(n)], den
+
+
+def frame_table(frame: Mapping[tuple[int, int], tuple[Number, ...]]) -> FrameTable:
+    """Frame values keyed by (A, A') as numerators over one denominator (``FrameTable``)."""
+    flat, den = common_denominator([x for u in frame.values() for x in u])
+    return {k: tuple(flat[4 * i:4 * i + 4]) for i, k in enumerate(frame)}, den
+
+
+def tree_inputs(g: MetricField, p: Point, params=None) -> tuple[MetricTable, InverseTable]:
+    """The table of g's order-2 tree jets at p and their Gauss-Jordan inverse's
+    values over one denominator: the pair ``FieldGeometry.at`` gives with the
+    inverse in closed form."""
     gj = metric_jets(g, p, 2, params)
-    return table_of_jets(gj), [[x.value for x in row] for row in
-                               invert_jet_matrix([[x.truncate(0) for x in row] for row in gj])]
+    return table_of_jets(gj), numerator_matrix(
+        [[x.value for x in row] for row in invert_jet_matrix([[x.truncate(0) for x in row]
+                                                              for row in gj])])
 
 
 # the Christoffel route: Gamma^a_bc with its gradients, R^a_bcd from them, and Ricci.
@@ -547,13 +566,13 @@ def curvature_at(g: MetricField, p: Point, params=None):
 
 def weyl_spinors(g: MetricField, t: Tetrad, p: Point, params=None, tol: float = 1e-9):
     """``spinors_at`` on the table of g's tree jets and t's frame values at p."""
-    return spinors_at(p, *tree_inputs(g, p, params), t.frame_values(p, params), tol)
+    return spinors_at(p, *tree_inputs(g, p, params), frame_table(t.frame_values(p, params)), tol)
 
 
 def verify_asd_vacuum(g: MetricField, t: Tetrad, points, params=None, tol: float = 1e-9) -> dict:
     """``asd_vacuum_verdict`` on the table of g's tree jets and t's frame values at each point."""
-    return asd_vacuum_verdict(((p, *tree_inputs(g, p, params), t.frame_values(p, params))
-                               for p in points), tol)
+    return asd_vacuum_verdict(((p, *tree_inputs(g, p, params),
+                                frame_table(t.frame_values(p, params))) for p in points), tol)
 
 
 # ---------------------------------------------------------------------------

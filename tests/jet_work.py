@@ -4,7 +4,7 @@ inversions, product kernels compiled, diff calls.
 The jet-count guards bound these counts for one point, or for one job.  Every
 jet the package builds from a tree or a coefficient table comes from a run of
 a ``heavenly.jetcore.Program`` (``jet_of``, ``jets_of``, ``ScalarField.jet``,
-``field_jets`` and the callers that build one program per job all call
+``field_program`` and the callers that build one program per job all call
 ``Program.jets``), so wrapping that method on the class sees every fold,
 whoever holds the program.  An output is known by its printed text, which is
 the same for equal trees in any program and for a table-emitted output and

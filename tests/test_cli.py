@@ -91,6 +91,10 @@ class TestExitCodes:
         assert code == 0
         assert [r["value"] for r in json.loads(out)["records"]] == ["0", "0"]
 
+    def test_penrose_runs_up_to_its_lam_degree_budget(self):
+        code, out = run(["penrose", "--f", "lam^200/(mu0*mu1)", "--pole=-w/y", "--points", "1"])
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+
     @pytest.mark.parametrize("f", ["1/(lam-lam)", "(lam-lam)^(-1)", "1/(mu0-mu0)"])
     def test_identically_zero_denominator_is_two(self, f, capsys):
         code, out = run(["penrose", "--f", f, "--pole=-w/y"])
@@ -191,6 +195,11 @@ class TestExitCodes:
         (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "7" * 5000],
          "error: --sigma must be a rational with at most 4300 digits in each number (Python's "
          "limit for integer text), got '777777777777...7777777777777'"),
+        # a penrose --f past the lam-degree budget, in a numerator or a denominator
+        (["penrose", "--f", "lam^99999/(mu0*mu1)", "--pole=-w/y"],
+         "error: --f forms lam-degree 99999 on the flat curve, above the budget of 200"),
+        (["penrose", "--f", "1/(mu0^200*mu1)", "--pole=-w/y"],
+         "error: --f forms lam-degree 201 on the flat curve, above the budget of 200"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -231,9 +240,9 @@ class TestExitCodes:
         real = FieldGeometry.at
 
         def one_ulp_off(self, p, params=None):
-            table, ginv, frame = real(self, p, params)
+            table, ginv, (frame, den) = real(self, p, params)
             w, z, x, y = frame[(0, 0)]
-            return table, ginv, {**frame, (0, 0): (w, z, math.nextafter(x, math.inf), y)}
+            return table, ginv, ({**frame, (0, 0): (w, z, math.nextafter(x, math.inf), y)}, den)
         monkeypatch.setattr(FieldGeometry, "at", one_ulp_off)
         code, out = run(["curvature-report", "--background", "sparling-tod", "--points", "1",
                          "--mode", "float", "--tol", "1e-300"])

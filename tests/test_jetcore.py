@@ -379,9 +379,11 @@ class TestFoldOracles:
         # the transform takes its residue of this rational function of lam
         w, z, x, y = values
         try:
-            rat = twistor.on_flat_curve(f, Point("second", values))
+            rat = twistor.on_flat_curve(Program([f]), Point("second", values))
         except PoleError:
             assume(False)
+        # penrose's budget reads a bound on every degree the fold forms
+        assert max(len(rat.num), len(rat.den)) - 1 <= twistor.lam_degree(Program([f]))
         den = uni_eval(rat.den, t)
         assume(den != 0)
         try:

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -185,6 +186,39 @@ def test_the_tree_route_check_sees_each_way_in(tmp_path):
                                          "mod.py:7: riemann"]
 
 
+# The curvature core computes only what the verdict reads; Phi, the divided spinors,
+# the reassembly residual and the rank-r frame projection are the oracle's, in
+# tests/curvature_oracle.py.  A name of the tables the core once built on first read
+# may not come back to src/, in code, a string or a comment
+CURVATURE_TABLE_NAMES = ("_TABLES", "_READ_OUTS", "_frame_components", "reassembly_max_abs",
+                         "weyl_asd", "weyl_sd")
+_CURVATURE_TABLE = re.compile(r"\b(" + "|".join(CURVATURE_TABLE_NAMES) + r")\b")
+
+
+def _curvature_table_names(path: Path) -> list[str]:
+    """Where a module's text names one of ``CURVATURE_TABLE_NAMES`` as a whole word."""
+    return [f"{path.name}:{line}: {name}"
+            for line, text in enumerate(path.read_text().splitlines(), 1)
+            for name in _CURVATURE_TABLE.findall(text)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_the_curvature_tables_stay_out_of_the_package(path):
+    assert _curvature_table_names(path) == []
+
+
+def test_the_curvature_table_check_sees_each_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .curvature import _TABLES as t\n"
+                      "_READ_OUTS = ('sd_weyl_max_abs', 'weyl_asd')\n"
+                      "def _frame_components(rep):\n"
+                      "    return rep.reassembly_max_abs   # and weyl_sd\n"
+                      "MY_TABLES, weyl_sd_max = (), 0\n")
+    assert _curvature_table_names(module) == [
+        "mod.py:1: _TABLES", "mod.py:2: _READ_OUTS", "mod.py:2: weyl_asd",
+        "mod.py:3: _frame_components", "mod.py:4: reassembly_max_abs", "mod.py:4: weyl_sd"]
+
+
 # ---------------------------------------------------------------------------
 # one tree evaluator: every fold of a tree is a run of a compiled Program
 
@@ -196,8 +230,10 @@ def test_the_per_call_memo_is_gone():
 ROUTES = {
     "fold": lambda jc, e, p: jc.fold(e, lambda leaf: Fraction(1)),
     "jets_of": lambda jc, e, p: jc.jets_of([e], p, 2),
-    "field_jets": lambda jc, e, p: jc.field_jets([jc.ScalarField("second", e)], p, 2),
-    "field_values": lambda jc, e, p: jc.field_values([jc.ScalarField("second", e)], p),
+    "field_program.jets":
+        lambda jc, e, p: jc.field_program([jc.ScalarField("second", e)]).jets(p, 2),
+    "field_program.values":
+        lambda jc, e, p: jc.field_program([jc.ScalarField("second", e)]).values(p),
     "ScalarField.jet": lambda jc, e, p: jc.ScalarField("second", e).jet(p, 2),
     "ScalarField.value": lambda jc, e, p: jc.ScalarField("second", e).value(p),
 }

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from heavenly.jetcore import ScalarField, parse_expression, point
+from heavenly.jetcore import Mul, Pow, Program, ScalarField, Var, parse_expression, point
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import sample_points
@@ -13,7 +13,9 @@ from heavenly.twistor import (
     NotAPoleError,
     RatLambda,
     flat_twistor_curve,
+    lam_degree,
     lax_annihilation_residual,
+    on_flat_curve,
     penrose_residue_transform,
     recursion_on_twistor,
     residue_at,
@@ -31,6 +33,11 @@ SIGMA = {"sigma": F(1)}
 
 def flat():
     return SecondPotential(ScalarField.constant(0, "second"))
+
+
+def transform(f, pole, p):
+    """``penrose_residue_transform`` of the trees f and pole, each compiled first."""
+    return penrose_residue_transform(Program([f]), ScalarField("second", pole), p)
 
 
 def pts(seed=1, n=10):
@@ -230,14 +237,14 @@ class TestResidueTransform:
         pole = parse_expression("1+w^2+y^2", "second")  # never a zero of mu0 mu1... generically
         p = point("second", 1, 1, 1, 1)
         with pytest.raises(NotAPoleError, match="^f's denominator is -8 at lam = 3, not 0$"):
-            penrose_residue_transform(f, pole, p)
+            transform(f, pole, p)
 
     def test_a_removable_singularity_is_zero(self):
         # mu0 cancels: the pole -w/y of 1/(mu0 mu1) is removable in mu0/(mu0 mu1)
         f = parse_expression("mu0/(mu0*mu1)", "twistor-function")
         pole = parse_expression("-w/y", "second")
         for p in pts(seed=15, n=3):
-            assert penrose_residue_transform(f, pole, p) == 0
+            assert transform(f, pole, p) == 0
 
     def test_flat_chain_values(self):
         pole = parse_expression("-w/y", "second")
@@ -247,7 +254,7 @@ class TestResidueTransform:
             for p in pts(seed=9, n=6):
                 w, z, x, y = (F(v) for v in p.values)
                 expect = (-y / w) ** n / (w * x + z * y)
-                assert penrose_residue_transform(f, pole, p) == expect
+                assert transform(f, pole, p) == expect
 
     def test_transform_linear(self):
         pole = parse_expression("-w/y", "second")
@@ -255,9 +262,9 @@ class TestResidueTransform:
         f2 = parse_expression("lam/(mu0*mu1)", "twistor-function")
         combo = parse_expression("3/(mu0*mu1)-2*lam/(mu0*mu1)", "twistor-function")
         for p in pts(seed=10, n=4):
-            v = 3 * penrose_residue_transform(f1, pole, p) \
-                - 2 * penrose_residue_transform(f2, pole, p)
-            assert penrose_residue_transform(combo, pole, p) == v
+            v = 3 * transform(f1, pole, p) \
+                - 2 * transform(f2, pole, p)
+            assert transform(combo, pole, p) == v
 
     def test_intertwines_with_spacetime_recursion(self):
         # both sides independently: the transform of lam^-1 F against the known
@@ -270,7 +277,7 @@ class TestResidueTransform:
             for p in pts(seed=11, n=4):
                 w, z, x, y = (F(v) for v in p.values)
                 phi_n = (-y / w) ** n / (w * x + z * y)
-                lhs = penrose_residue_transform(rf, pole, p)
+                lhs = transform(rf, pole, p)
                 assert lhs == (-y / w) * phi_n
 
     def test_one_step_image_satisfies_flat_relations(self):
@@ -288,8 +295,8 @@ class TestResidueTransform:
         pole = parse_expression("-w/y", "second")
         f0 = parse_expression("1/(mu0*mu1)", "twistor-function")
         for p in pts(seed=13, n=3):
-            assert penrose_residue_transform(g, pole, p) \
-                == penrose_residue_transform(f0, pole, p)
+            assert transform(g, pole, p) \
+                == transform(f0, pole, p)
 
     def test_applied_n_times(self):
         f = parse_expression("1/(mu0*mu1)", "twistor-function")
@@ -299,7 +306,26 @@ class TestResidueTransform:
         pole = parse_expression("-w/y", "second")
         p = pts(seed=14)[0]
         h = parse_expression("1/(mu0*mu1*lam^3)", "twistor-function")
-        assert penrose_residue_transform(g, pole, p) == penrose_residue_transform(h, pole, p)
+        assert transform(g, pole, p) == transform(h, pole, p)
+
+
+class TestLamDegree:
+    @pytest.mark.parametrize("text,degree", [
+        ("lam^7/(mu0*mu1)", 7), ("1/(mu0^7*mu1)", 8), ("(lam+mu0)^7/(mu0*mu1)", 7),
+        ("1/(mu0*mu1)-2*lam/(mu0*mu1)", 4), ("(lam/mu0+mu1/lam)^3", 6), ("lam^(-3)", 3),
+    ])
+    def test_the_degree_the_fold_forms(self, text, degree):
+        # with no cancellation the bound is the degree the fold on the flat curve forms
+        f = ScalarField.parse(text, "twistor-function").program()
+        assert lam_degree(f) == degree
+        rat = on_flat_curve(f, pts(seed=16, n=1)[0])
+        assert max(len(rat.num), len(rat.den)) - 1 == degree
+
+    def test_a_degree_on_the_way_counts(self):
+        # (lam^9)^0 is 1, but the fold forms lam^9 first (the parser folds x^0 to 1,
+        # so only a tree built by hand holds it)
+        f = Program([Mul(Pow(Pow(Var("lam"), 9), 0), Var("mu0"))])
+        assert lam_degree(f) >= 9
 
 
 class TestRatLambda:
