@@ -18,31 +18,22 @@ so {x00, x10} = 1 ({y, x} = 1 after identification).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
 from .jetcore import (
-    Expr,
     Jet,
     Number,
     Point,
     ScalarField,
     Var,
-    ZERO,
-    add,
     chart_coords,
     common_denominator,
-    const,
-    diff,
     extended_chart,
-    field_program,
-    mul,
     neg,
     substitute,
 )
-from .tetrads import EPS
-from .twistor import LambdaSeries
+from .tetrads import EPS, _bracket
 
 
 @dataclass(frozen=True)
@@ -86,24 +77,6 @@ def extended1_point_of_second(p: Point) -> Point:
     return Point(extended_chart(1), (y, x, w, -z))
 
 
-@dataclass(frozen=True)
-class ExtendedVectorField:
-    """Vector field on the extended chart, affine in the spectral parameter."""
-
-    chart: str
-    constant: tuple[ScalarField, ...]
-    linear: tuple[ScalarField, ...]
-
-    def at_lambda(self, lam) -> tuple[ScalarField, ...]:
-        lam = Fraction(lam)
-        return tuple(ScalarField(self.chart, add(c.expr, mul(const(lam), l.expr)))
-                     for c, l in zip(self.constant, self.linear))
-
-
-def _zero_fields(chart: str) -> list[Expr]:
-    return [ZERO for _ in chart_coords(chart)]
-
-
 def poisson_yx(f: ScalarField, g: ScalarField, p: Point,
                params: Mapping[str, Number] | None = None) -> Number:
     """{f, g} = d00 f d10 g - d10 f d00 g at p."""
@@ -127,62 +100,8 @@ def hierarchy_residual(E: ExtendedPotential, A: int, i: int, B: int, j: int,
             + d(a, "x00") * d(b, "x10") - d(a, "x10") * d(b, "x00"))
 
 
-def _hamiltonian_vf(E: ExtendedPotential, f: Expr) -> list[Expr]:
-    """{f, .} as a vector field: components -d10 f along x00 and d00 f along x10."""
-    comps = _zero_fields(E.chart)
-    coords = chart_coords(E.chart)
-    comps[coords.index("x00")] = neg(diff(f, coord_name(1, 0)))
-    comps[coords.index("x10")] = diff(f, coord_name(0, 0))
-    return comps
-
-
-def d_flow_field(E: ExtendedPotential, A: int, i: int) -> tuple[ScalarField, ...]:
-    """D_{Ai+1} = d_{Ai+1} + [d_{Ai}, V] with V the Hamiltonian field of d-potential data.
-
-    [d_{Ai}, V] is the Hamiltonian vector field of d_{Ai} Theta.
-    """
-    if not (0 <= i <= E.n - 1):
-        raise IndexError("flow index out of range")
-    coords = chart_coords(E.chart)
-    comps = _hamiltonian_vf(E, diff(E.field.expr, coord_name(A, i)))
-    comps[coords.index(coord_name(A, i + 1))] = add(comps[coords.index(coord_name(A, i + 1))], const(1))
-    return tuple(ScalarField(E.chart, e) for e in comps)
-
-
-def delta_flow_field(E: ExtendedPotential, A: int, i: int) -> tuple[ScalarField, ...]:
-    coords = chart_coords(E.chart)
-    comps = _zero_fields(E.chart)
-    comps[coords.index(coord_name(A, i))] = const(1)
-    return tuple(ScalarField(E.chart, e) for e in comps)
-
-
-def lax_field(E: ExtendedPotential, A: int, i: int) -> ExtendedVectorField:
-    """L_{Ai} = delta_{Ai} - lam D_{Ai+1}, affine in the spectral parameter."""
-    dpart = d_flow_field(E, A, i)
-    deltapart = delta_flow_field(E, A, i)
-    linear = tuple(ScalarField(E.chart, neg(f.expr)) for f in dpart)
-    return ExtendedVectorField(E.chart, deltapart, linear)
-
-
 def _axes(chart: str) -> dict[str, int]:
     return {name: k for k, name in enumerate(chart_coords(chart))}
-
-
-def _bracket(u: dict, v: dict, nvars: int) -> list:
-    """[U, V]^a = U^b d_b V^a - V^b d_b U^a as numerators over D^2.
-
-    A field maps an axis to its component's numerators [value, d_0, d_1, ...]
-    over one denominator D; absent components are zero.
-    """
-    out = [0] * nvars
-    for a in {**u, **v}:
-        s = 0
-        if a in v:
-            s += sum(ub[0] * v[a][1 + b] for b, ub in u.items())
-        if a in u:
-            s -= sum(vb[0] * u[a][1 + b] for b, vb in v.items())
-        out[a] = s
-    return out
 
 
 class FlowFields:
@@ -280,27 +199,6 @@ def lax_compat_from_jet(fields: FlowFields,
 # ---------------------------------------------------------------------------
 # Sato form
 
-def dual_partial(A: int, i: int, e: Expr) -> Expr:
-    """d^{Ai} = eps^{AB} d_{Bi}: d^{0i} = d_{1i}, d^{1i} = -d_{0i}."""
-    if A == 0:
-        return diff(e, coord_name(1, i))
-    return neg(diff(e, coord_name(0, i)))
-
-
-def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaSeries]:
-    """omega^A_j = -x^{A0} + sum_{m=1..j} lam^m d^{A m-1} Theta, for A = 0, 1."""
-    if not (1 <= j <= E.n):
-        raise IndexError("truncation level out of range")
-    T = E.field.expr
-    series = []
-    for A in (0, 1):
-        coeffs = [ScalarField(E.chart, neg(Var(coord_name(A, 0))))]
-        for m in range(1, j + 1):
-            coeffs.append(ScalarField(E.chart, dual_partial(A, m - 1, T)))
-        series.append(LambdaSeries(E.chart, 0, tuple(coeffs)))
-    return series[0], series[1]
-
-
 def summed_lax_from_jet(fields: FlowFields) -> dict[tuple, Number]:
     """Labelled residuals of  -sum_{i<j} lam^i L_{Ai}  ==  lam^j d_{Aj} + {omega_{Aj}, .}
     for A = 0, 1 and j = 1..n, with L_{Ai} = delta_{Ai} - lam D_{Ai+1}.
@@ -336,39 +234,48 @@ def sato_flow_residual(E: ExtendedPotential, B: int, j: int, p: Point,
     Computes  lam^j d_{Bj} omega^A(lam) + {omega_{Bj}(lam), omega^A(lam)}
     order by order, minus the potential-independent constant delta_AB at
     order zero contributed by the bracket of the two leading coordinate
-    terms (the inessential lower-end truncation).  By the summed-Lax
-    identity this equals -sum_i lam^i L_{Bi} omega^A up to the same
-    constant; interior orders (below the truncation-sensing top order)
-    vanish exactly on solutions of the truncated flows.
+    terms (the inessential lower-end truncation).  Here omega^A_j = -x^{A0} +
+    sum_{m=1..j} lam^m d^{Am-1} Theta with d^{Ai} = eps^{AC} d_{Ci}, and
+    omega_{Bj} = eps_{AB} omega^A_j.  By the summed-Lax identity this equals
+    -sum_i lam^i L_{Bi} omega^A up to the same constant; interior orders
+    (below the truncation-sensing top order) vanish exactly on solutions of
+    the truncated flows.  Every coefficient's gradient along x00, x10 and
+    x_{Bj} is a pair of second partials of Theta, read off one order-2 jet
+    at p; each order is an integer sum over the jet's denominator squared,
+    divided once.
     """
-    om = truncated_omega(E, E.n)
-    if B == 0:
-        src = truncated_omega(E, j)[1]
-        lowered_coeffs = [ScalarField(E.chart, neg(c.expr)) for c in src.coeffs]
-    else:
-        lowered_coeffs = list(truncated_omega(E, j)[0].coeffs)
-    flow = coord_name(B, j)
-    # d_00, d_10 and d_{Bj} of every coefficient at p, all folded in one program run
-    n0, n1 = len(om[0].coeffs), len(om[0].coeffs) + len(om[1].coeffs)
-    jets = field_program([*om[0].coeffs, *om[1].coeffs, *lowered_coeffs]).jets(p, 1, params)
-    all_grads = [(x.d("x00"), x.d("x10"), x.d(flow)) for x in jets]
-    low_grads = all_grads[n1:]
+    if not (1 <= j <= E.n):
+        raise IndexError("truncation level out of range")
+    axes = ("x00", "x10", coord_name(B, j))
+    # d^{Am} Theta = eps^{AC} Theta_{Cm} with C = 1 - A
+    flows = [(1 - A, m) for A in (0, 1) for m in range(E.n)]
+    nums, den = E.field.jet(p, 2, params).d_numerators(
+        *((coord_name(*k), a) for k in flows for a in axes))
+    rows = {k: nums[3 * i:3 * i + 3] for i, k in enumerate(flows)}
 
+    def grads(A: int, top: int, sign: int = 1) -> list[list]:
+        """sign times the gradients along ``axes`` of omega^A's coefficients of orders
+        0..top over den: of -x^{A0}, then of each d^{Am-1} Theta."""
+        s = sign * EPS[A, 1 - A]
+        return [[-sign * den * (A == 0), -sign * den * (A == 1), 0],
+                *([s * x for x in rows[1 - A, m]] for m in range(top))]
+
+    # omega_{Bj} = eps_{AB} omega^A_j: -omega^1_j for B = 0 and omega^0_j for B = 1
+    low = grads(1, j, -1) if B == 0 else grads(0, j)
     out = {}
-    for Aname, grads in (("omega0", all_grads[:n0]), ("omega1", all_grads[n0:n1])):
-        orders: dict[int, Number] = {}
+    for A in (0, 1):
+        orders = {}
+        g_a = grads(A, E.n)
         # term lam^j d_{Bj} omega^A: order r+j from coefficient r
-        for r, g in enumerate(grads):
-            orders[r + j] = orders.get(r + j, 0) + g[2]
+        for r, g in enumerate(g_a):
+            orders[r + j] = orders.get(r + j, 0) + den * g[2]
         # term {omega_{Bj}, omega^A}: order r+m from (m, r)
-        for m, lg in enumerate(low_grads):
-            for r, g in enumerate(grads):
-                val = lg[0] * g[1] - lg[1] * g[0]
-                orders[m + r] = orders.get(m + r, 0) + val
+        for m, lg in enumerate(low):
+            for r, g in enumerate(g_a):
+                orders[m + r] = orders.get(m + r, 0) + lg[0] * g[1] - lg[1] * g[0]
         # remove the inessential constant {-x_{B0}, -x^{A0}} at order zero
-        A = 0 if Aname == "omega0" else 1
-        orders[0] = orders.get(0, 0) - (1 if A == B else 0)
-        out[Aname] = orders
+        orders[0] -= den * den * (A == B)
+        out[f"omega{A}"] = {r: p.domain.divide(x, den * den) for r, x in orders.items()}
     return out
 
 

@@ -10,9 +10,11 @@ are compiled once into a :class:`Program` and replayed at each point in any
 ring (jets here, rational functions of the fibre coordinate in the residue
 transform), each structurally equal subtree once per point; :func:`fold` and
 :func:`jets_of` are one program and one run, :func:`field_program` compiles
-several fields of one chart, and a :class:`ScalarField` keeps its program.  A
-second route, symbolic differentiation of the tree then plain evaluation
-(:func:`partial`), cross-checks the jet route.
+several fields of one chart, and a :class:`ScalarField` keeps its program.
+Every partial derivative is read off a jet (:meth:`Jet.d_numerators`,
+:meth:`Jet.d_jet`); the package differentiates no tree.  Symbolic
+differentiation of a tree, the independent route that cross-checks the jets,
+is a test oracle (``tests/diff_oracle.py``).
 
 Coefficients live in one of two domains, fixed by the evaluation point: in
 :data:`EXACT` they are read out as :class:`fractions.Fraction` and a residual
@@ -301,28 +303,6 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return pow_(substitute(e.base, mapping), e.exponent)
     if isinstance(e, Neg):
         return neg(substitute(e.a, mapping))
-    raise TypeError(type(e))
-
-
-def diff(e: Expr, var: str) -> Expr:
-    """Symbolic derivative of the expression tree (quotient rule, no expansion)."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == var else ZERO
-    if isinstance(e, Add):
-        return add(diff(e.a, var), diff(e.b, var))
-    if isinstance(e, Sub):
-        return sub(diff(e.a, var), diff(e.b, var))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.a, var), e.b), mul(e.a, diff(e.b, var)))
-    if isinstance(e, Div):
-        da, db = diff(e.a, var), diff(e.b, var)
-        return div(sub(mul(da, e.b), mul(e.a, db)), pow_(e.b, 2))
-    if isinstance(e, Pow):
-        return mul(mul(const(e.exponent), pow_(e.base, e.exponent - 1)), diff(e.base, var))
-    if isinstance(e, Neg):
-        return neg(diff(e.a, var))
     raise TypeError(type(e))
 
 
@@ -1207,11 +1187,6 @@ class ScalarField:
         """
         return self.program().values(p, params)[0]
 
-    def diff(self, var: str) -> "ScalarField":
-        if var not in chart_coords(self.chart):
-            raise ValueError(f"{var!r} is not a coordinate of chart {self.chart!r}")
-        return ScalarField(self.chart, diff(self.expr, var))
-
     def is_zero(self) -> bool:
         return self.expr == ZERO
 
@@ -1227,14 +1202,3 @@ def field_program(fields: Sequence[ScalarField]) -> Program:
         raise ValueError(f"fields on several charts {sorted(charts)} in one program")
     return Program([f.expr for f in fields], charts.pop() if charts else None)
 
-
-def partial(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:
-    """Symbolic partial derivative d^alpha of the field (the non-jet route)."""
-    coords = chart_coords(field.chart)
-    if len(alpha) != len(coords):
-        raise ValueError("multi-index arity does not match chart")
-    e = field.expr
-    for var, k in zip(coords, alpha):
-        for _ in range(k):
-            e = diff(e, var)
-    return ScalarField(field.chart, e)

@@ -31,7 +31,7 @@ from functools import cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
-    Expr,
+    Jet,
     Number,
     Point,
     Program,
@@ -39,7 +39,6 @@ from .jetcore import (
     Var,
     add,
     const,
-    diff,
     div,
     free_vars,
     mul,
@@ -271,44 +270,43 @@ def _require_wz_only(name: str, f: ScalarField):
 
 
 def gauge_symmetry_perturbation(F: ScalarField, G0: ScalarField, G1: ScalarField,
-                                g: ScalarField, h: ScalarField,
-                                theta: SecondPotential) -> ScalarField:
-    """Symmetry perturbation generated by area-preserving data (F, G^A, g, h).
+                                g: ScalarField, h: ScalarField, theta: SecondPotential,
+                                p: Point, params: Mapping[str, Number] | None = None) -> Jet:
+    """The order-2 jet at p of the symmetry perturbation generated by area-preserving
+    data (F, G^A, g, h).
 
-    All five inputs are functions of (w, z) only.  The output solves the
+    All five inputs are functions of (w, z) only.  The perturbation solves the
     linearised equation around any solution background provided the pair
     (G0, G1) satisfies d_w G0 + d_z G1 = 0 (automatic when it is the
-    symplectic gradient (m_z, -m_w) of a single function m).
+    symplectic gradient (m_z, -m_w) of a single function m).  It is
+
+        F + x G0 + y G1 + g_zz x^2/2 - g_wz x y + g_ww y^2/2 - g_w T_x - g_z T_y
+        - h_zzz x^3/6 + h_wzz x^2 y/2 - h_wwz x y^2/2 + h_www y^3/6 + h_w T_z - h_z T_w
+        + (h_wz x - h_ww y) T_x + (h_zz x - h_wz y) T_y,
+
+    built in jets from jets of the inputs (F and G^A of order 2, g of 4, h of
+    5 and Theta of 3), each derivative read off one of them with ``Jet.d_jet``.
     """
     for name, f in (("F", F), ("G0", G0), ("G1", G1), ("g", g), ("h", h)):
         _require_wz_only(name, f)
-    T = theta.field.expr
-    gw, gz = diff(g.expr, "w"), diff(g.expr, "z")
-    gww, gwz, gzz = diff(gw, "w"), diff(gw, "z"), diff(gz, "z")
-    hw, hz = diff(h.expr, "w"), diff(h.expr, "z")
-    hww, hwz, hzz = diff(hw, "w"), diff(hw, "z"), diff(hz, "z")
-    hwww, hwwz, hwzz, hzzz = diff(hww, "w"), diff(hww, "z"), diff(hwz, "z"), diff(hzz, "z")
-    Tx, Ty, Tw, Tz = diff(T, "x"), diff(T, "y"), diff(T, "w"), diff(T, "z")
-    half = const(Fraction(1, 2))
-    sixth = const(Fraction(1, 6))
+    F, G0, G1 = (f.jet(p, 2, params) for f in (F, G0, G1))
+    g, h, T = g.jet(p, 4, params), h.jet(p, 5, params), theta.field.jet(p, 3, params)
 
-    e: Expr = F.expr
-    e = add(e, add(mul(X, G0.expr), mul(Y, G1.expr)))
-    # quadratic tail and transport of the lower generator
-    e = add(e, mul(half, mul(gzz, pow_(X, 2))))
-    e = sub(e, mul(gwz, mul(X, Y)))
-    e = add(e, mul(half, mul(gww, pow_(Y, 2))))
-    e = sub(e, mul(gw, Tx))
-    e = sub(e, mul(gz, Ty))
-    # cubic tail and transport of the upper generator
-    e = sub(e, mul(sixth, mul(hzzz, pow_(X, 3))))
-    e = add(e, mul(half, mul(hwzz, mul(pow_(X, 2), Y))))
-    e = sub(e, mul(half, mul(hwwz, mul(X, pow_(Y, 2)))))
-    e = add(e, mul(sixth, mul(hwww, pow_(Y, 3))))
-    e = add(e, sub(mul(hw, Tz), mul(hz, Tw)))
-    e = add(e, mul(sub(mul(hwz, X), mul(hww, Y)), Tx))
-    e = add(e, mul(sub(mul(hzz, X), mul(hwz, Y)), Ty))
-    return ScalarField(SECOND, e)
+    def d(f: Jet, *names: str) -> Jet:
+        return f.d_jet(*names).truncate(2)
+
+    x, y = Jet.coordinate(2, p, 2), Jet.coordinate(3, p, 2)
+    half, sixth = Jet.constant(Fraction(1, 2), p, 2), Jet.constant(Fraction(1, 6), p, 2)
+    hw, hz, hww, hwz, hzz = d(h, "w"), d(h, "z"), d(h, "w", "w"), d(h, "w", "z"), d(h, "z", "z")
+    tx, ty = d(T, "x"), d(T, "y")
+    # the generator's linear part, then the quadratic tail and transport of the lower
+    # generator, then the cubic tail and transport of the upper one
+    return (F + x * G0 + y * G1
+            + half * (d(g, "z", "z") * x * x + d(g, "w", "w") * y * y) - d(g, "w", "z") * x * y
+            - d(g, "w") * tx - d(g, "z") * ty
+            + sixth * (d(h, "w", "w", "w") * y * y * y - d(h, "z", "z", "z") * x * x * x)
+            + half * (d(h, "w", "z", "z") * x * x * y - d(h, "w", "w", "z") * x * y * y)
+            + hw * d(T, "z") - hz * d(T, "w") + (hwz * x - hww * y) * tx + (hzz * x - hwz * y) * ty)
 
 
 # ---------------------------------------------------------------------------

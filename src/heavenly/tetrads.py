@@ -40,13 +40,13 @@ The displayed Lax pair for the second equation,
     L_0 = d/dy - lam (d/dw - Theta_xy d/dy + Theta_yy d/dx)
     L_1 = d/dx + lam (d/dz + Theta_xx d/dy - Theta_xy d/dx),
 
-is returned literally by lax_pair_theta.  Its span equals the span of the
-frame-contracted fields V_{A0'} - lam V_{A1'} of the tetrad built from
--Theta: the metric display above and the displayed Lax/wave operators sit on
-opposite sides of the involution Theta -> -Theta, which is invisible on the
-quadratic-pole family (sigma -> -sigma maps solutions to solutions) but not
-in general.  Consequently the wave operator paired with the displayed Lax
-pair and recursion relations is
+is what lax_pair_theta reads off Theta's jet at a point.  Its span equals
+the span of the frame-contracted fields V_{A0'} - lam V_{A1'} of the tetrad
+built from -Theta: the metric display above and the displayed Lax/wave
+operators sit on opposite sides of the involution Theta -> -Theta, which is
+invisible on the quadratic-pole family (sigma -> -sigma maps solutions to
+solutions) but not in general.  Consequently the wave operator paired with
+the displayed Lax pair and recursion relations is
 
     box_Theta = 2 (d_x d_w + d_y d_z
                    + Theta_xx d_y^2 + Theta_yy d_x^2 - 2 Theta_xy d_x d_y)
@@ -75,7 +75,6 @@ Self-dual two-form triple, normalised so that omega ^ omega = -2 nu:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .jetcore import (
@@ -84,15 +83,9 @@ from .jetcore import (
     Point,
     PoleError,
     ScalarField,
-    ZERO,
-    add,
     chart_coords,
     common_denominator,
-    const,
-    diff,
     free_vars,
-    mul,
-    neg,
 )
 
 SECOND = "second"
@@ -297,37 +290,60 @@ def plane_wave_geometry(f: ScalarField) -> FieldGeometry:
 # ---------------------------------------------------------------------------
 # Lax pairs
 
-@dataclass(frozen=True)
-class LaxPair:
-    """Two vector fields affine in the spectral parameter, at a fixed value of it."""
+def _bracket(u: dict, v: dict, nvars: int) -> list:
+    """[U, V]^a = U^b d_b V^a - V^b d_b U^a as numerators over D^2.
 
-    chart: str
-    lam: Fraction
-    constant: tuple[tuple[ScalarField, ...], tuple[ScalarField, ...]]
-    linear: tuple[tuple[ScalarField, ...], tuple[ScalarField, ...]]
+    A field maps an axis to its component's numerators [value, d_0, d_1, ...]
+    over one denominator D; absent components are zero.
+    """
+    out = [0] * nvars
+    for a in {**u, **v}:
+        s = 0
+        if a in v:
+            s += sum(ub[0] * v[a][1 + b] for b, ub in u.items())
+        if a in u:
+            s -= sum(vb[0] * u[a][1 + b] for b, vb in v.items())
+        out[a] = s
+    return out
 
-    def components(self, A: int) -> tuple[ScalarField, ...]:
-        out = []
-        for c, l in zip(self.constant[A], self.linear[A]):
-            out.append(ScalarField(self.chart, add(c.expr, mul(const(self.lam), l.expr))))
-        return tuple(out)
+
+class LaxFields(NamedTuple):
+    """A Lax pair at one point and one value of the spectral parameter: L_0 and L_1 as
+    vector fields of numerators (see :func:`_bracket`) over ``den``."""
+
+    l0: dict
+    l1: dict
+    den: int
+    domain: object
 
 
-def lax_pair_theta(theta: SecondPotential, lam) -> LaxPair:
-    """L_0 = d_y - lam(d_w - T_xy d_y + T_yy d_x), L_1 = d_x + lam(d_z + T_xx d_y - T_xy d_x)."""
-    T = theta.field.expr
-    txx = diff(diff(T, "x"), "x")
-    tyy = diff(diff(T, "y"), "y")
-    txy = diff(diff(T, "x"), "y")
-    zero, one = ZERO, const(1)
-    c = SECOND
-    const0 = (zero, zero, zero, one)           # d_y
-    lin0 = (const(-1), zero, neg(tyy), txy)    # -(d_w - T_xy d_y + T_yy d_x)
-    const1 = (zero, zero, one, zero)           # d_x
-    lin1 = (zero, one, neg(txy), txx)          # +(d_z + T_xx d_y - T_xy d_x)
-    const0, const1, lin0, lin1 = (tuple(ScalarField(c, e) for e in comps)
-                                  for comps in (const0, const1, lin0, lin1))
-    return LaxPair(c, Fraction(lam), (const0, const1), (lin0, lin1))
+def _lax_fields(jet: Jet, lam, rows: tuple[tuple[str, str], ...], shape) -> LaxFields:
+    """L_0 and L_1 from the values and gradients of the named second partials of ``jet``
+    (order 3 or more).  ``shape(unit, nil, *rows)`` gives each field's components as
+    (constant part, part linear in lam) pairs of rows over the jet's denominator."""
+    first = [(c,) for c in chart_coords(jet.center.chart)]
+    nums, dt = jet.d_numerators(*(r + c for r in rows for c in ((), *first)))
+    k = 1 + len(first)
+    ln, ld = jet.domain.split(lam)
+    unit, nil = [dt, *[0] * len(first)], [0] * k
+    fields = [{a: [ld * c + ln * x for c, x in zip(const, linear)]
+               for a, (const, linear) in field.items()}
+              for field in shape(unit, nil, *(nums[i:i + k] for i in range(0, len(nums), k)))]
+    return LaxFields(*fields, ld * dt, jet.domain)
+
+
+def _neg(row: list) -> list:
+    return [-x for x in row]
+
+
+def lax_pair_theta(theta: SecondPotential, lam, p: Point,
+                   params: Mapping[str, Number] | None = None) -> LaxFields:
+    """L_0 = d_y - lam(d_w - T_xy d_y + T_yy d_x), L_1 = d_x + lam(d_z + T_xx d_y - T_xy d_x)
+    at p, read off an order-3 jet of Theta."""
+    return _lax_fields(theta.field.jet(p, 3, params), lam, (_XX, _YY, _XY),
+                       lambda unit, nil, txx, tyy, txy: (
+                           {0: (nil, _neg(unit)), 2: (nil, _neg(tyy)), 3: (unit, txy)},
+                           {1: (nil, unit), 2: (unit, _neg(txy)), 3: (nil, txx)}))
 
 
 def lax_step_residual(theta: SecondPotential, phi: ScalarField, r_phi: ScalarField, p: Point,
@@ -357,38 +373,18 @@ def lax_step_from_jets(theta_jet: Jet, phi_jet: Jet, r_phi_jet: Jet) -> tuple[Nu
             q(rx * tf + dr * (fz * dt + txx * fy - txy * fx), dr * tf))
 
 
-def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:
-    """L_0 = O_wwt d_zt - O_wzt d_wt - lam d_w, L_1 = O_zwt d_zt - O_zzt d_wt - lam d_z."""
-    O = omega.field.expr
-    h = {(a, b): diff(diff(O, a), b) for a in ("w", "z") for b in ("wt", "zt")}
-    zero = ZERO
-    c = FIRST
-    const0 = (zero, zero, neg(h[("w", "zt")]), h[("w", "wt")])
-    lin0 = (const(-1), zero, zero, zero)
-    const1 = (zero, zero, neg(h[("z", "zt")]), h[("z", "wt")])
-    lin1 = (zero, const(-1), zero, zero)
-    const0, const1, lin0, lin1 = (tuple(ScalarField(c, e) for e in comps)
-                                  for comps in (const0, const1, lin0, lin1))
-    return LaxPair(c, Fraction(lam), (const0, const1), (lin0, lin1))
+def lax_pair_omega(omega: FirstPotential, lam, p: Point,
+                   params: Mapping[str, Number] | None = None) -> LaxFields:
+    """L_0 = O_wwt d_zt - O_wzt d_wt - lam d_w, L_1 = O_zwt d_zt - O_zzt d_wt - lam d_z at p,
+    read off an order-3 jet of Omega."""
+    return _lax_fields(omega.field.jet(p, 3, params), lam, _MIXED,
+                       lambda unit, nil, w_wt, w_zt, z_wt, z_zt: (
+                           {0: (nil, _neg(unit)), 2: (_neg(w_zt), nil), 3: (w_wt, nil)},
+                           {1: (nil, _neg(unit)), 2: (_neg(z_zt), nil), 3: (z_wt, nil)}))
 
 
-def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, ...],
-                             p: Point, params=None) -> tuple[Number, ...]:
-    """[U, V]^a = U^b d_b V^a - V^b d_b U^a evaluated at p (order-1 jets).
-
-    U's values and gradients go over one common denominator Du and V's over
-    Dv, so each component is an integer sum over Du Dv, divided once.
-    """
-    n = len(u)
-    first = [(c,) for c in chart_coords(p.chart)]
-    U, du = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in u])
-    V, dv = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in v])
-    q = p.domain.divide
-    return tuple(q(sum(U[b][0] * V[a][1 + b] - V[b][0] * U[a][1 + b] for b in range(n)), du * dv)
-                 for a in range(n))
-
-
-def lax_commutator_residual(lp: LaxPair, p: Point,
-                            params: Mapping[str, Number] | None = None) -> tuple[Number, ...]:
-    """The four components of [L_0, L_1] at p for the pair's fixed parameter value."""
-    return vector_commutator_values(lp.components(0), lp.components(1), p, params)
+def lax_commutator_residual(pair: LaxFields) -> tuple[Number, ...]:
+    """The four components of [L_0, L_1] at the pair's point and parameter value: one
+    bracket of the numerator fields, each component divided once."""
+    q, den2 = pair.domain.divide, pair.den * pair.den
+    return tuple(q(x, den2) for x in _bracket(pair.l0, pair.l1, 4))

@@ -14,9 +14,14 @@ name) and the inverse's values, put over one denominator here
 frame values), as the package's geometry hands them.  The Christoffel route to
 Riemann, which the package used before it lowered Riemann straight from the
 metric's second partials, is kept here as the curvature core's independent
-reference (:func:`curvature_at`).  The test-only helpers of
-``hierarchy``, ``recursion`` and ``symplectic`` live here too.  Nothing in
-``src/`` imports it.
+reference (:func:`curvature_at`).  The displayed Lax pairs as trees of the
+potential's symbolic second derivatives, with the bracket of tree vector
+fields (:func:`lax_commutator_residual`), and the gauge perturbation as one
+tree are the references of the jet-read ``tetrads.lax_pair_theta``,
+``lax_pair_omega`` and ``recursion.gauge_symmetry_perturbation``.  The
+test-only helpers of ``hierarchy``, ``recursion`` and ``symplectic`` live here
+too; every symbolic derivative is ``diff_oracle.diff``.  Nothing in ``src/``
+imports it.
 """
 
 from __future__ import annotations
@@ -41,15 +46,22 @@ from heavenly.jetcore import (
     chart_coords,
     common_denominator,
     const,
-    diff,
     div,
     field_program,
     mul,
     neg,
+    pow_,
     sub,
 )
 from heavenly.polynomials import Poly
-from heavenly.recursion import coeff_A, monomial_recursion_image, st_chain_program
+from heavenly.recursion import (
+    X,
+    Y,
+    _require_wz_only,
+    coeff_A,
+    monomial_recursion_image,
+    st_chain_program,
+)
 from heavenly.symplectic import COORDS, ThreeForm, boundary_integral
 from heavenly.tetrads import (
     FIRST,
@@ -64,6 +76,7 @@ from heavenly.tetrads import (
     _require_profile,
 )
 
+from diff_oracle import diff
 from poly_oracle import uni_eval
 
 
@@ -328,6 +341,86 @@ def sigma_forms(t: Tetrad) -> SigmaForms:
     alpha_tilde = TwoForm(t.chart, {k: ScalarField(t.chart, neg(f.expr))
                                     for k, f in alpha_tilde_neg.components.items()})
     return SigmaForms(t.chart, alpha_tilde, omega, alpha)
+
+
+# ---------------------------------------------------------------------------
+# the displayed Lax pairs as trees, and the bracket of tree vector fields
+
+@dataclass(frozen=True)
+class LaxPair:
+    """Two vector fields affine in the spectral parameter, at a fixed value of it."""
+
+    chart: str
+    lam: Fraction
+    constant: tuple[tuple[ScalarField, ...], tuple[ScalarField, ...]]
+    linear: tuple[tuple[ScalarField, ...], tuple[ScalarField, ...]]
+
+    def components(self, A: int) -> tuple[ScalarField, ...]:
+        out = []
+        for c, l in zip(self.constant[A], self.linear[A]):
+            out.append(ScalarField(self.chart, add(c.expr, mul(const(self.lam), l.expr))))
+        return tuple(out)
+
+
+def lax_pair_theta(theta: SecondPotential, lam) -> LaxPair:
+    """L_0 = d_y - lam(d_w - T_xy d_y + T_yy d_x), L_1 = d_x + lam(d_z + T_xx d_y - T_xy d_x)."""
+    T = theta.field.expr
+    txx = diff(diff(T, "x"), "x")
+    tyy = diff(diff(T, "y"), "y")
+    txy = diff(diff(T, "x"), "y")
+    zero, one = ZERO, const(1)
+    c = SECOND
+    const0 = (zero, zero, zero, one)           # d_y
+    lin0 = (const(-1), zero, neg(tyy), txy)    # -(d_w - T_xy d_y + T_yy d_x)
+    const1 = (zero, zero, one, zero)           # d_x
+    lin1 = (zero, one, neg(txy), txx)          # +(d_z + T_xx d_y - T_xy d_x)
+    const0, const1, lin0, lin1 = (tuple(ScalarField(c, e) for e in comps)
+                                  for comps in (const0, const1, lin0, lin1))
+    return LaxPair(c, Fraction(lam), (const0, const1), (lin0, lin1))
+
+
+def lax_pair_omega(omega: FirstPotential, lam) -> LaxPair:
+    """L_0 = O_wwt d_zt - O_wzt d_wt - lam d_w, L_1 = O_zwt d_zt - O_zzt d_wt - lam d_z."""
+    O = omega.field.expr
+    h = {(a, b): diff(diff(O, a), b) for a in ("w", "z") for b in ("wt", "zt")}
+    zero = ZERO
+    c = FIRST
+    const0 = (zero, zero, neg(h[("w", "zt")]), h[("w", "wt")])
+    lin0 = (const(-1), zero, zero, zero)
+    const1 = (zero, zero, neg(h[("z", "zt")]), h[("z", "wt")])
+    lin1 = (zero, const(-1), zero, zero)
+    const0, const1, lin0, lin1 = (tuple(ScalarField(c, e) for e in comps)
+                                  for comps in (const0, const1, lin0, lin1))
+    return LaxPair(c, Fraction(lam), (const0, const1), (lin0, lin1))
+
+
+def vector_commutator_values(u: tuple[ScalarField, ...], v: tuple[ScalarField, ...],
+                             p: Point, params=None) -> tuple[Number, ...]:
+    """[U, V]^a = U^b d_b V^a - V^b d_b U^a evaluated at p (order-1 jets).
+
+    U's values and gradients go over one common denominator Du and V's over
+    Dv, so each component is an integer sum over Du Dv, divided once.
+    """
+    n = len(u)
+    first = [(c,) for c in chart_coords(p.chart)]
+    U, du = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in u])
+    V, dv = common_denominator([f.jet(p, 1, params).d_numerators((), *first) for f in v])
+    q = p.domain.divide
+    return tuple(q(sum(U[b][0] * V[a][1 + b] - V[b][0] * U[a][1 + b] for b in range(n)), du * dv)
+                 for a in range(n))
+
+
+def lax_commutator_residual(lp: LaxPair, p: Point,
+                            params: Mapping[str, Number] | None = None) -> tuple[Number, ...]:
+    """The four components of [L_0, L_1] at p for the pair's fixed parameter value."""
+    return vector_commutator_values(lp.components(0), lp.components(1), p, params)
+
+
+def lax_components(pair) -> list[list[list[Number]]]:
+    """The value and the gradient of each component of L_0 and of L_1 in a pair read off
+    a jet (``tetrads.LaxFields``), divided; a component the pair omits is zeros."""
+    return [[[pair.domain.divide(x, pair.den) for x in field[a]] if a in field else [0] * 5
+             for a in range(4)] for field in (pair.l0, pair.l1)]
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +727,42 @@ def formal_step_consistency(n: int, sigma, points) -> Fraction:
         total = sum(uni_eval(a, params["sigma"]) * img.value(p, params) for a, img in terms)
         worst = max(worst, abs(total - chain.values(p, params)[n + 1]))
     return worst
+
+
+def gauge_symmetry_perturbation(F: ScalarField, G0: ScalarField, G1: ScalarField,
+                                g: ScalarField, h: ScalarField,
+                                theta: SecondPotential) -> ScalarField:
+    """``heavenly.recursion.gauge_symmetry_perturbation`` as one tree of the inputs'
+    symbolic derivatives."""
+    for name, f in (("F", F), ("G0", G0), ("G1", G1), ("g", g), ("h", h)):
+        _require_wz_only(name, f)
+    T = theta.field.expr
+    gw, gz = diff(g.expr, "w"), diff(g.expr, "z")
+    gww, gwz, gzz = diff(gw, "w"), diff(gw, "z"), diff(gz, "z")
+    hw, hz = diff(h.expr, "w"), diff(h.expr, "z")
+    hww, hwz, hzz = diff(hw, "w"), diff(hw, "z"), diff(hz, "z")
+    hwww, hwwz, hwzz, hzzz = diff(hww, "w"), diff(hww, "z"), diff(hwz, "z"), diff(hzz, "z")
+    Tx, Ty, Tw, Tz = diff(T, "x"), diff(T, "y"), diff(T, "w"), diff(T, "z")
+    half = const(Fraction(1, 2))
+    sixth = const(Fraction(1, 6))
+
+    e: Expr = F.expr
+    e = add(e, add(mul(X, G0.expr), mul(Y, G1.expr)))
+    # quadratic tail and transport of the lower generator
+    e = add(e, mul(half, mul(gzz, pow_(X, 2))))
+    e = sub(e, mul(gwz, mul(X, Y)))
+    e = add(e, mul(half, mul(gww, pow_(Y, 2))))
+    e = sub(e, mul(gw, Tx))
+    e = sub(e, mul(gz, Ty))
+    # cubic tail and transport of the upper generator
+    e = sub(e, mul(sixth, mul(hzzz, pow_(X, 3))))
+    e = add(e, mul(half, mul(hwzz, mul(pow_(X, 2), Y))))
+    e = sub(e, mul(half, mul(hwwz, mul(X, pow_(Y, 2)))))
+    e = add(e, mul(sixth, mul(hwww, pow_(Y, 3))))
+    e = add(e, sub(mul(hw, Tz), mul(hz, Tw)))
+    e = add(e, mul(sub(mul(hwz, X), mul(hww, Y)), Tx))
+    e = add(e, mul(sub(mul(hzz, X), mul(hwz, Y)), Ty))
+    return ScalarField(SECOND, e)
 
 
 # ---------------------------------------------------------------------------

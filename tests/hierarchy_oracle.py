@@ -1,32 +1,125 @@
 """The symbolic route through the flow hierarchy, kept as a test oracle for ``heavenly.hierarchy``.
 
-This is how the package evaluated the compatibility commutators and the
-summed-Lax identity before it read them off one jet of the potential: every
-vector field component and every flow residual is a symbolically
-differentiated expression tree (``jetcore.diff``), folded into its own jet at
-the point.  It is slow and obviously correct, which is what an oracle should
-be.  It shares the tree-building functions that stay public in the package
-(``d_flow_field``, ``truncated_omega``) and ``tetrads.vector_commutator_values``.
-The paraconformal pairing's sum over every primed index string, which the
-package replaced by its closed form, is here too.  Nothing in ``src/``
-imports it.
+This is how the package evaluated the compatibility commutators, the
+summed-Lax identity and the Sato flow form before it read them off one jet
+of the potential: every vector field component and every flow residual is a
+symbolically differentiated expression tree (``diff_oracle.diff``), folded
+into its own jet at the point.  It is slow and obviously correct, which is
+what an oracle should be.  The tree builders the package once kept public
+live here: the Lax fields L_{Ai} (``lax_field``), D_{Ai+1}
+(``d_flow_field``), delta_{Ai} and the truncated series omega^A_j
+(``truncated_omega``); so do the tree Lax pairs' bracket
+(``geometry_oracle.vector_commutator_values``) and the paraconformal
+pairing's sum over every primed index string, which the package replaced by
+its closed form.  Nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from heavenly.hierarchy import (
-    _hamiltonian_vf,
-    coord_name,
-    d_flow_field,
-    delta_flow_field,
-    truncated_omega,
-)
-from heavenly.jetcore import ScalarField, add, chart_coords, diff, mul, neg
-from heavenly.tetrads import EPS, vector_commutator_values
+from heavenly.hierarchy import ExtendedPotential, coord_name
+from heavenly.jetcore import ZERO, Expr, ScalarField, Var, add, chart_coords, const, mul, neg
+from heavenly.tetrads import EPS
 from heavenly.twistor import LambdaSeries
 
+from diff_oracle import diff
+from geometry_oracle import vector_commutator_values
+
+
+# ---------------------------------------------------------------------------
+# the tree Lax fields and truncated series
+
+@dataclass(frozen=True)
+class ExtendedVectorField:
+    """Vector field on the extended chart, affine in the spectral parameter."""
+
+    chart: str
+    constant: tuple[ScalarField, ...]
+    linear: tuple[ScalarField, ...]
+
+    def at_lambda(self, lam) -> tuple[ScalarField, ...]:
+        lam = Fraction(lam)
+        return tuple(ScalarField(self.chart, add(c.expr, mul(const(lam), l.expr)))
+                     for c, l in zip(self.constant, self.linear))
+
+
+def _zero_fields(chart: str) -> list[Expr]:
+    return [ZERO for _ in chart_coords(chart)]
+
+
+def _hamiltonian_vf(E: ExtendedPotential, f: Expr) -> list[Expr]:
+    """{f, .} as a vector field: components -d10 f along x00 and d00 f along x10."""
+    comps = _zero_fields(E.chart)
+    coords = chart_coords(E.chart)
+    comps[coords.index("x00")] = neg(diff(f, coord_name(1, 0)))
+    comps[coords.index("x10")] = diff(f, coord_name(0, 0))
+    return comps
+
+
+def d_flow_field(E: ExtendedPotential, A: int, i: int) -> tuple[ScalarField, ...]:
+    """D_{Ai+1} = d_{Ai+1} + [d_{Ai}, V] with V the Hamiltonian field of d-potential data.
+
+    [d_{Ai}, V] is the Hamiltonian vector field of d_{Ai} Theta.
+    """
+    if not (0 <= i <= E.n - 1):
+        raise IndexError("flow index out of range")
+    coords = chart_coords(E.chart)
+    comps = _hamiltonian_vf(E, diff(E.field.expr, coord_name(A, i)))
+    comps[coords.index(coord_name(A, i + 1))] = add(comps[coords.index(coord_name(A, i + 1))], const(1))
+    return tuple(ScalarField(E.chart, e) for e in comps)
+
+
+def delta_flow_field(E: ExtendedPotential, A: int, i: int) -> tuple[ScalarField, ...]:
+    coords = chart_coords(E.chart)
+    comps = _zero_fields(E.chart)
+    comps[coords.index(coord_name(A, i))] = const(1)
+    return tuple(ScalarField(E.chart, e) for e in comps)
+
+
+def lax_field(E: ExtendedPotential, A: int, i: int) -> ExtendedVectorField:
+    """L_{Ai} = delta_{Ai} - lam D_{Ai+1}, affine in the spectral parameter."""
+    dpart = d_flow_field(E, A, i)
+    deltapart = delta_flow_field(E, A, i)
+    linear = tuple(ScalarField(E.chart, neg(f.expr)) for f in dpart)
+    return ExtendedVectorField(E.chart, deltapart, linear)
+
+
+def dual_partial(A: int, i: int, e: Expr) -> Expr:
+    """d^{Ai} = eps^{AB} d_{Bi}: d^{0i} = d_{1i}, d^{1i} = -d_{0i}."""
+    if A == 0:
+        return diff(e, coord_name(1, i))
+    return neg(diff(e, coord_name(0, i)))
+
+
+def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaSeries]:
+    """omega^A_j = -x^{A0} + sum_{m=1..j} lam^m d^{A m-1} Theta, for A = 0, 1."""
+    if not (1 <= j <= E.n):
+        raise IndexError("truncation level out of range")
+    T = E.field.expr
+    series = []
+    for A in (0, 1):
+        coeffs = [ScalarField(E.chart, neg(Var(coord_name(A, 0))))]
+        for m in range(1, j + 1):
+            coeffs.append(ScalarField(E.chart, dual_partial(A, m - 1, T)))
+        series.append(LambdaSeries(E.chart, 0, tuple(coeffs)))
+    return series[0], series[1]
+
+
+def flow_lax_values(fields, A: int, i: int, lam) -> list:
+    """The values of L_{Ai} = delta_{Ai} - lam D_{Ai+1} off the package's ``FlowFields``
+    (exact), to compare with :func:`lax_field`'s."""
+    out = [Fraction(0)] * len(fields.axes)
+    for sign, V in ((1, fields.delta(A, i)), (-lam, fields.D(A, i))):
+        for a, comp in V.items():
+            out[a] += sign * Fraction(comp[0], fields.den)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# residuals on the trees
 
 def _pb_expr(f, g):
     a00, a10 = coord_name(0, 0), coord_name(1, 0)

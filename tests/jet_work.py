@@ -16,8 +16,9 @@ the inversions counted are those computed (``Jet._invert``).  A small layout
 compiles its product kernel once per process, so the layouts are rebuilt for
 the call: every kernel it needs is compiled inside it, and each compile is
 recorded as the layout's (nvars, order).  Symbolic
-differentiation is counted as ``jetcore.diff`` calls, wrapped at every
-binding site; ``diff`` recurses through its module's name, so each node it
+differentiation, which only the test oracles do, is counted as
+``diff_oracle.diff`` calls, wrapped at every binding site of any loaded
+module; ``diff`` recurses through its module's name, so each node it
 differentiates counts.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
+import diff_oracle
 from heavenly import jetcore
 from heavenly.jetcore import Jet, Program
 
@@ -43,7 +45,7 @@ class JetWork:
         self.diff_calls = 0
         real_init, real_jets = Program.__init__, Program.jets
         real_kernel = jetcore._product_kernel
-        real_mul, real_invert, real_diff = Jet.__mul__, Jet._invert, jetcore.diff
+        real_mul, real_invert, real_diff = Jet.__mul__, Jet._invert, diff_oracle.diff
 
         def init(program, outputs, chart=None):
             self.compiles += 1
@@ -70,8 +72,8 @@ class JetWork:
             self.diff_calls += 1
             return real_diff(e, var)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "heavenly" and getattr(module, "diff", None) is real_diff:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("diff") is real_diff:
                 monkeypatch.setattr(module, "diff", diff)
         monkeypatch.setattr(Program, "__init__", init)
         monkeypatch.setattr(Program, "jets", jets)

@@ -17,7 +17,6 @@ from heavenly.hierarchy import (
     embed_second_form,
     extended1_point_of_second,
     lax_compat_from_jet,
-    lax_field,
     sato_flow_residual,
     summed_lax_from_jet,
 )
@@ -41,7 +40,7 @@ from heavenly.tetrads import (
     SecondPotential,
     lax_commutator_residual,
     lax_pair_theta,
-    linearized_second_residual,
+    linearized_from_jets,
     second_heavenly_residual,
 )
 from heavenly.twistor import (
@@ -50,6 +49,9 @@ from heavenly.twistor import (
     st_curve_program,
 )
 
+import geometry_oracle
+import hierarchy_oracle
+from diff_oracle import field_diff
 from geometry_oracle import (
     curvature_at,
     metric_from_tetrad,
@@ -137,8 +139,8 @@ def test_criterion_04_flat_chain():
         if n:
             prev = flat_phi(n - 1)
             for p in sample:
-                assert phi.diff("y").value(p) == prev.diff("w").value(p)
-                assert phi.diff("x").value(p) == -prev.diff("z").value(p)
+                assert field_diff(phi, "y").value(p) == field_diff(prev, "w").value(p)
+                assert field_diff(phi, "x").value(p) == -field_diff(prev, "z").value(p)
     report(4, "flat chain solves the wave equation with exact recursion links, n <= 6")
 
 
@@ -180,12 +182,13 @@ def test_criterion_07_lax_integrability():
     theta, params = st()
     sample = spts(109, 10)
     for lam in (F(0), F(1), F(-1), F(2), F(1, 3)):
-        lp = lax_pair_theta(theta, lam)
         for p in sample:
-            assert lax_commutator_residual(lp, p, params) == (0, 0, 0, 0)
+            assert lax_commutator_residual(lax_pair_theta(theta, lam, p, params)) == (0, 0, 0, 0)
     witness = SecondPotential(ScalarField.parse("x*w*y*z", "second"))
-    res = lax_commutator_residual(lax_pair_theta(witness, F(1)), point("second", 1, 1, 1, 1))
+    res = lax_commutator_residual(lax_pair_theta(witness, F(1), point("second", 1, 1, 1, 1)))
     assert any(v != 0 for v in res)
+    assert res == geometry_oracle.lax_commutator_residual(
+        geometry_oracle.lax_pair_theta(witness, F(1)), point("second", 1, 1, 1, 1))
     report(7, "pair commutes exactly on the solution at five parameter values")
 
 
@@ -247,16 +250,24 @@ def test_criterion_10_hierarchy_identities():
     E1 = embed_second_form(theta)
     base = SecondPotential(theta)
     lam = F(2, 3)
-    lp = lax_pair_theta(base, lam)
+    lp = geometry_oracle.lax_pair_theta(base, lam)
     from heavenly.hierarchy import hierarchy_residual
     for p in spts(114, 5):
         pe = extended1_point_of_second(p)
         assert hierarchy_residual(E1, 0, 1, 1, 1, pe, {"sigma": F(1)}) \
             == second_heavenly_residual(base, p, {"sigma": F(1)})
+        fields = FlowFields(jet_of(E1.field.expr, pe, 3, {"sigma": F(1)}))
+        pair = lax_pair_theta(base, lam, p, {"sigma": F(1)})
         for A in (0, 1):
-            ext = [f.value(pe, {"sigma": F(1)}) for f in lax_field(E1, A, 0).at_lambda(lam)]
+            ext = [f.value(pe, {"sigma": F(1)})
+                   for f in hierarchy_oracle.lax_field(E1, A, 0).at_lambda(lam)]
             sec = [f.value(p, {"sigma": F(1)}) for f in lp.components(A)]
             assert [ext[2], -ext[3], ext[1], ext[0]] == sec
+            # the jet route: L_{A0} = delta_{A0} - lam D_{A1} off the potential's jet, and
+            # the displayed pair read off Theta's jet, component by component
+            flow = hierarchy_oracle.flow_lax_values(fields, A, 0, lam)
+            read = [c[0] for c in geometry_oracle.lax_components(pair)[A]]
+            assert [flow[2], -flow[3], flow[1], flow[0]] == read == sec
     report(10, "compatibility identities, residual equivalence and level-1 reduction exact")
 
 
@@ -348,11 +359,14 @@ def test_criterion_14_gauge_symmetries():
     from heavenly.jetcore import neg
     for _ in range(10):
         m = rpoly()
-        G0 = m.diff("z")
-        G1 = ScalarField("second", neg(m.diff("w").expr))
-        delta = gauge_symmetry_perturbation(rpoly(), G0, G1, rpoly(), rpoly(), theta)
+        G0 = field_diff(m, "z")
+        G1 = ScalarField("second", neg(field_diff(m, "w").expr))
+        args = (rpoly(), G0, G1, rpoly(), rpoly())
+        tree = geometry_oracle.gauge_symmetry_perturbation(*args, theta)
         for p in sample:
-            assert linearized_second_residual(theta, delta, p, params) == 0
+            delta = gauge_symmetry_perturbation(*args, theta, p, params)
+            assert dict(delta.coeffs) == dict(tree.jet(p, 2, params).coeffs)
+            assert linearized_from_jets(theta.field.jet(p, 2, params), delta) == 0
     report(14, "ten seeded generator tuples give exactly-zero linearised residuals")
 
 

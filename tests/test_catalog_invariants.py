@@ -12,6 +12,7 @@ from heavenly.tetrads import (
     second_heavenly_residual,
 )
 
+import geometry_oracle as tree
 from geometry_oracle import catalog_tetrad, metric_from_tetrad, verify_asd_vacuum
 
 LAMBDAS = (F(0), F(1), F(-1), F(2))
@@ -30,13 +31,16 @@ def test_commutator_iff_residual_across_catalog():
         if entry.kind == "potential-second":
             pot = entry.second_potential()
             residuals = [second_heavenly_residual(pot, p, entry.params) for p in pts]
-            pairs = [lax_pair_theta(pot, lam) for lam in LAMBDAS]
+            pair_at, tree_pair = lax_pair_theta, tree.lax_pair_theta
         else:
             pot = entry.first_potential()
             residuals = [first_heavenly_residual(pot, p, entry.params) for p in pts]
-            pairs = [lax_pair_omega(pot, lam) for lam in LAMBDAS]
-        commutators = [lax_commutator_residual(lp, p, entry.params)
-                       for lp in pairs for p in pts]
+            pair_at, tree_pair = lax_pair_omega, tree.lax_pair_omega
+        commutators = [lax_commutator_residual(pair_at(pot, lam, p, entry.params))
+                       for lam in LAMBDAS for p in pts]
+        # the jet route brackets the pairs the tree route builds, value for value
+        assert commutators == [tree.lax_commutator_residual(tree_pair(pot, lam), p, entry.params)
+                               for lam in LAMBDAS for p in pts], entry.name
         if entry.solution:
             assert all(v == 0 for v in residuals), entry.name
             assert all(all(c == 0 for c in row) for row in commutators), entry.name

@@ -10,19 +10,15 @@ from heavenly.hierarchy import (
     ExtendedPotential,
     FlowFields,
     SpinorVector,
-    _bracket,
     coord_name,
-    d_flow_field,
     embed_second_form,
     extended1_point_of_second,
     hierarchy_residual,
     lax_compat_from_jet,
-    lax_field,
     paraconformal_eval,
     poisson_yx,
     sato_flow_residual,
     summed_lax_from_jet,
-    truncated_omega,
 )
 from heavenly.jetcore import (
     EXACT, Point, ScalarField, Var, chart_coords, extended_chart, jet_of, point,
@@ -30,9 +26,11 @@ from heavenly.jetcore import (
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import float_points, sample_points
-from heavenly.tetrads import SecondPotential, lax_pair_theta, second_heavenly_residual
+from heavenly.tetrads import SecondPotential, _bracket, lax_pair_theta, second_heavenly_residual
 
+import geometry_oracle
 import hierarchy_oracle as oracle
+from diff_oracle import field_diff
 from geometry_oracle import (
     metric_from_tetrad,
     slice_metric,
@@ -121,8 +119,8 @@ class TestResidual:
         E = ExtendedPotential(2, T)
         for p in sample_points(chart, 6, 3):
             for (A, i, B, j) in ((0, 1, 1, 1), (0, 2, 1, 2)):
-                ti = T.diff(coord_name(A, i)).diff(coord_name(B, j - 1)).value(p)
-                tj = T.diff(coord_name(B, j)).diff(coord_name(A, i - 1)).value(p)
+                ti = field_diff(field_diff(T, coord_name(A, i)), coord_name(B, j - 1)).value(p)
+                tj = field_diff(field_diff(T, coord_name(B, j)), coord_name(A, i - 1)).value(p)
                 assert hierarchy_residual(E, A, i, B, j, p) == ti - tj
 
     def test_index_range(self):
@@ -135,43 +133,49 @@ class TestResidual:
 
 
 class TestLaxFields:
+    """The Lax fields of the jet route (FlowFields) and of the tree route
+    (hierarchy_oracle.lax_field), value by value."""
+
     def test_zero_potential_translations(self):
         E = ExtendedPotential(2, ScalarField.constant(0, extended_chart(2)))
         p = sample_points(E.chart, 8, 1)[0]
-        coords = list(range(6))
+        fields = FlowFields(jet_of(E.field.expr, p, 3))
         lam = F(2)
+        names = chart_coords(E.chart)
         for A in (0, 1):
             for i in (0, 1):
-                vals = [f.value(p) for f in lax_field(E, A, i).at_lambda(lam)]
+                vals = [f.value(p) for f in oracle.lax_field(E, A, i).at_lambda(lam)]
                 expect = [F(0)] * 6
-                from heavenly.jetcore import chart_coords
-                names = chart_coords(E.chart)
                 expect[names.index(coord_name(A, i))] = F(1)
                 expect[names.index(coord_name(A, i + 1))] = -lam
-                assert vals == expect
+                assert vals == oracle.flow_lax_values(fields, A, i, lam) == expect
 
     def test_level_one_reduces_to_displayed_pair(self):
         theta = ScalarField.parse("sigma/(w*x+z*y)", "second")
         E = embed_second_form(theta)
         base = SecondPotential(theta)
         lam = F(1, 3)
-        lp = lax_pair_theta(base, lam)
+        lp = geometry_oracle.lax_pair_theta(base, lam)
         for p in sample_points("second", 9, 5, ("q_nonzero",)):
             pe = extended1_point_of_second(p)
+            fields = FlowFields(jet_of(E.field.expr, pe, 3, SIGMA))
+            pair = lax_pair_theta(base, lam, p, SIGMA)
             for A in (0, 1):
-                ext = [f.value(pe, SIGMA) for f in lax_field(E, A, 0).at_lambda(lam)]
+                ext = [f.value(pe, SIGMA) for f in oracle.lax_field(E, A, 0).at_lambda(lam)]
                 sec = [f.value(p, SIGMA) for f in lp.components(A)]
+                read = [c[0] for c in geometry_oracle.lax_components(pair)[A]]
                 # chart map: V^w = V^{x01}, V^z = -V^{x11}, V^x = V^{x10}, V^y = V^{x00}
-                assert [ext[2], -ext[3], ext[1], ext[0]] == sec
+                assert ext == oracle.flow_lax_values(fields, A, 0, lam)
+                assert [ext[2], -ext[3], ext[1], ext[0]] == sec == read
 
     def test_hamiltonian_field_pattern(self):
         # the commutator part of D only points along the x^{A0} plane
         E = random_potential(2, 10)
-        from heavenly.jetcore import chart_coords
         names = chart_coords(E.chart)
+        fields = FlowFields(jet_of(E.field.expr, sample_points(E.chart, 10, 1)[0], 3))
         for A in (0, 1):
             for i in (0, 1):
-                comps = d_flow_field(E, A, i)
+                comps = oracle.d_flow_field(E, A, i)
                 for k, f in enumerate(comps):
                     if names[k] in ("x00", "x10"):
                         continue
@@ -179,6 +183,10 @@ class TestLaxFields:
                         assert str(f) == "1"
                     else:
                         assert f.is_zero()
+                D = fields.D(A, i)
+                up = fields.axes[coord_name(A, i + 1)]
+                assert set(D) == {fields.axes["x00"], fields.axes["x10"], up}
+                assert D[up] == fields.one
 
 
 class TestCompatibility:
@@ -290,7 +298,7 @@ def _routes(E, pairs, p, params):
 class TestSato:
     def test_truncated_series_zero_potential(self):
         E = ExtendedPotential(2, ScalarField.constant(0, extended_chart(2)))
-        om0, om1 = truncated_omega(E, 2)
+        om0, om1 = oracle.truncated_omega(E, 2)
         p = sample_points(E.chart, 15, 1)[0]
         from heavenly.jetcore import chart_coords
         names = chart_coords(E.chart)
@@ -310,10 +318,11 @@ class TestSato:
             assert all(v == 0 for v in res.values())
 
     def test_flow_form_folds_each_coefficient_once(self, monkeypatch):
-        # the two curve components and the lowered coefficients are folded in one
-        # call, so no coefficient tree is folded twice (the lowered ones were folded
-        # once per curve component), and every order's value is the one of folding
-        # each coefficient on its own
+        # every coefficient's gradient is a pair of second partials read off one order-2
+        # jet of the potential: the potential is the one tree folded, and no coefficient
+        # tree is built.  Every order's value is the one of folding each coefficient on
+        # its own (the tree route): exactly in exact mode, to rounding in float mode,
+        # where the jet route divides each order once
         embedded = embed_second_form(ScalarField.parse("sigma/(w*x+z*y)", "second"))
         pe = extended1_point_of_second(sample_points("second", 19, 1, ("q_nonzero",))[0])
         level2 = random_potential(2, 17)
@@ -327,7 +336,16 @@ class TestSato:
                     res = sato_flow_residual(E, B, j, p, params)
                     monkeypatch.undo()
                     assert work.most_folds_of_one_tree == 1
-                    assert res == oracle.sato_flow_residual(E, B, j, p, params)
+                    assert work.fold_count == 1
+                    want = oracle.sato_flow_residual(E, B, j, p, params)
+                    if p.domain is EXACT:
+                        assert res == want
+                        continue
+                    tol = 1e-12 * _scale(E.field.jet(p, 2, params)) ** 2
+                    assert {A: orders.keys() for A, orders in res.items()} \
+                        == {A: orders.keys() for A, orders in want.items()}
+                    assert all(type(x) is float and abs(x - want[A][r]) <= tol
+                               for A, orders in res.items() for r, x in orders.items())
 
     def test_flow_form_on_embedded_solution(self):
         # level-1 embedding of the quadratic-pole solution: interior orders of

@@ -23,9 +23,10 @@ from heavenly.jetcore import (
     point,
 )
 from heavenly.sampling import sample_points
-from heavenly.tetrads import SecondPotential, vector_commutator_values
+from heavenly.tetrads import SecondPotential, _bracket
 
 import curvature_oracle
+from diff_oracle import field_diff
 from geometry_oracle import (
     SingularMetricError,
     Tetrad,
@@ -37,6 +38,7 @@ from geometry_oracle import (
     perm_sign,
     plane_wave_tetrad,
     tetrad_from_theta,
+    vector_commutator_values,
     weyl_spinors,
 )
 
@@ -390,20 +392,35 @@ def direct_bracket(u, v, p):
     """U^b d_b V^a - V^b d_b U^a summed in Fractions, derivatives by symbolic diff."""
     uv = [f.value(p) for f in u]
     vv = [f.value(p) for f in v]
-    return tuple(sum(uv[b] * v[a].diff(COORDS[b]).value(p) - vv[b] * u[a].diff(COORDS[b]).value(p)
+    return tuple(sum(uv[b] * field_diff(v[a], COORDS[b]).value(p)
+                     - vv[b] * field_diff(u[a], COORDS[b]).value(p)
                      for b in range(4)) for a in range(4))
 
 
+def package_bracket(u, v, p):
+    """[U, V] by the package's bracket of numerator fields, each field's values and
+    gradients over one denominator, divided once."""
+    first = [(c,) for c in COORDS]
+    (U, du), (V, dv) = (common_denominator([f.jet(p, 1).d_numerators((), *first) for f in w])
+                        for w in (u, v))
+    return tuple(p.domain.divide(x, du * dv)
+                 for x in _bracket(dict(enumerate(U)), dict(enumerate(V)), 4))
+
+
 class TestVectorCommutatorSums:
+    """The tree route's bracket (geometry_oracle) and the package's against a sum of
+    Fraction products of symbolic derivatives."""
+
     @given(vector_fields(), vector_fields(), st.tuples(*[SMALL] * 4))
     @settings(max_examples=40, deadline=None)
     def test_matches_direct_sum_and_is_antisymmetric(self, u, v, values):
         p = Point("second", values)
         got = vector_commutator_values(u, v, p)
-        assert got == direct_bracket(u, v, p)
+        assert got == direct_bracket(u, v, p) == package_bracket(u, v, p)
         assert all(type(x) is F for x in got)
         assert vector_commutator_values(v, u, p) == tuple(-x for x in got)
         fp = p.as_float()
         got = vector_commutator_values(u, v, fp)
         assert all(type(x) is float for x in got)
         assert vector_commutator_values(v, u, fp) == tuple(-x for x in got)
+        assert package_bracket(v, u, fp) == tuple(-x for x in package_bracket(u, v, fp))

@@ -38,13 +38,13 @@ from heavenly.jetcore import (
     jet_of,
     jets_of,
     parse_expression,
-    partial,
     point,
     to_text,
 )
 
 import fold_oracle
 import mul_oracle
+from diff_oracle import partial
 from dict_jet import DictJet, partials
 from jet_work import JetWork
 from poly_oracle import uni_eval

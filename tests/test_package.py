@@ -18,19 +18,33 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted((SRC / "heavenly").glob("*.py"))
 
 
-def test_loading_the_catalog_imports_only_what_it_needs():
+def _loaded(statements: str) -> list[str]:
+    """The package's modules loaded in a fresh interpreter by ``statements``, after
+    checking that it imports the package from this checkout's ``src/``."""
     code = ("import sys\n"
+            + statements +
             "import heavenly\n"
-            "from heavenly.catalog import load_catalog\n"
-            "load_catalog()\n"
             "print(heavenly.__file__)\n"
             "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'heavenly')))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     where, loaded = proc.stdout.splitlines()
     assert Path(where).resolve().parent == SRC / "heavenly"
-    assert loaded.split() == ["heavenly", "heavenly.catalog", "heavenly.jetcore",
-                              "heavenly.tetrads"]
+    return loaded.split()
+
+
+def test_loading_the_catalog_imports_only_what_it_needs():
+    loaded = _loaded("import heavenly\n"
+                     "from heavenly.catalog import load_catalog\n"
+                     "load_catalog()\n")
+    assert loaded == ["heavenly", "heavenly.catalog", "heavenly.jetcore", "heavenly.tetrads"]
+
+
+def test_the_hierarchy_imports_only_the_jet_kernel_and_the_tetrads():
+    # the flow hierarchy reads every derivative off a jet: no twistor series, no
+    # recursion operator and no polynomials behind it
+    assert _loaded("import heavenly.hierarchy\n") == [
+        "heavenly", "heavenly.hierarchy", "heavenly.jetcore", "heavenly.tetrads"]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -145,6 +159,11 @@ TREE_ROUTE_NAMES = {
     "_index_keys", "weyl_spinors", "verify_asd_vacuum", "slice_metric",
     "vector_to_spinor_level1", "flat_wave_poly", "formal_step_consistency",
     "boundary_of_boundary_residual", "symplectic_pair_curved", "hodge_star_d", "ThreeFormField",
+    # the tree Lax pairs and tree flow fields, whose partials are jetcore.diff trees, live in
+    # tests/geometry_oracle.py and tests/hierarchy_oracle.py; the package reads them off jets
+    "LaxPair", "vector_commutator_values", "ExtendedVectorField", "d_flow_field",
+    "delta_flow_field", "lax_field", "_hamiltonian_vf", "_zero_fields", "dual_partial",
+    "truncated_omega",
 }
 DEFINITIONS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -173,7 +192,7 @@ def test_the_tree_route_stays_out_of_the_package(path):
 
 def test_the_tree_route_check_sees_each_way_in(tmp_path):
     module = tmp_path / "mod.py"
-    module.write_text("from .curvature import spinors_from_jets as weyl_spinors\n"
+    module.write_text("from .curvature import spinors_at as weyl_spinors\n"
                       "SPIN_INDICES = ()\n"
                       "class Entry:\n"
                       "    ricci: int = 0\n"
@@ -184,6 +203,59 @@ def test_the_tree_route_check_sees_each_way_in(tmp_path):
     assert _tree_route_names(module) == ["mod.py:1: weyl_spinors", "mod.py:2: SPIN_INDICES",
                                          "mod.py:5: tetrad", "mod.py:6: MetricField",
                                          "mod.py:7: riemann"]
+
+
+# Every partial derivative in src/ is read off a jet.  Symbolic differentiation of a tree
+# (diff, partial and ScalarField.diff) is tests/diff_oracle.py's: no module defines a
+# function or method named diff or partial, imports one from the package or calls
+# jetcore.diff or jetcore.partial.  The polynomial type's own derivative, Poly.diff, stays,
+# and functools.partial is no derivative
+SYMBOLIC_DIFF_NAMES = {"diff", "partial"}
+ALLOWED_DIFF_METHODS = {("Poly", "diff")}
+
+
+def _symbolic_diffs(path: Path) -> list[str]:
+    """Where a module defines, imports from the package or calls a symbolic derivative."""
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = {id(method) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for method in node.body if (node.name, getattr(method, "name", None))
+               in ALLOWED_DIFF_METHODS}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS[1:]) and node.name in SYMBOLIC_DIFF_NAMES \
+                and id(node) not in allowed:
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "heavenly"):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name in SYMBOLIC_DIFF_NAMES]
+        elif (isinstance(node, ast.Attribute) and node.attr in SYMBOLIC_DIFF_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id == "jetcore"):
+            found.append((node.lineno, f"jetcore.{node.attr}"))
+    return sorted(f"{path.name}:{line}: {what}" for line, what in found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_symbolic_derivative_in_the_package(path):
+    assert _symbolic_diffs(path) == []
+
+
+def test_the_symbolic_derivative_check_sees_each_way_in(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from functools import partial\n"
+                      "from .jetcore import diff, partial as d\n"
+                      "from . import jetcore\n"
+                      "class Poly:\n"
+                      "    def diff(self, name):\n"
+                      "        return jetcore.partial(self, name)\n"
+                      "class ScalarField:\n"
+                      "    def diff(self, var):\n"
+                      "        return jetcore.diff(self.expr, var)\n"
+                      "def partial(f, alpha):\n"
+                      "    return f.diff(alpha)\n")
+    assert _symbolic_diffs(module) == [
+        "mod.py:10: def partial", "mod.py:2: import diff", "mod.py:2: import partial",
+        "mod.py:6: jetcore.partial", "mod.py:8: def diff", "mod.py:9: jetcore.diff"]
 
 
 # The curvature core computes only what the verdict reads; Phi, the divided spinors,

@@ -27,11 +27,18 @@ from heavenly.recursion import (
     DependencyError,
 )
 from heavenly.sampling import sample_points
-from heavenly.tetrads import SecondPotential, lax_step_residual, linearized_second_residual
+from heavenly.tetrads import (
+    SecondPotential,
+    lax_step_residual,
+    linearized_from_jets,
+    linearized_second_residual,
+)
 
 import chain_oracle
 import fold_oracle
+import geometry_oracle
 from chain_oracle import st_psi
+from diff_oracle import field_diff
 from geometry_oracle import flat_wave_poly, formal_step_consistency
 from poly_oracle import uni_eval
 
@@ -266,14 +273,15 @@ class TestChainFromTheTable:
 
 def symbolic_step_residual(theta, phi, r_phi, p, params):
     """The recursion relation by symbolic derivatives of the background and both fields."""
-    t, f, r = theta.field, phi, r_phi
-    txx, tyy, txy = t.diff("x").diff("x"), t.diff("y").diff("y"), t.diff("x").diff("y")
-
-    def v(field):
+    def v(field, *names):
+        for name in names:
+            field = field_diff(field, name)
         return field.value(p, params)
 
-    return (v(r.diff("y")) - (v(f.diff("w")) - v(txy) * v(f.diff("y")) + v(tyy) * v(f.diff("x"))),
-            v(r.diff("x")) + (v(f.diff("z")) + v(txx) * v(f.diff("y")) - v(txy) * v(f.diff("x"))))
+    t, f, r = theta.field, phi, r_phi
+    txx, tyy, txy = v(t, "x", "x"), v(t, "y", "y"), v(t, "x", "y")
+    return (v(r, "y") - (v(f, "w") - txy * v(f, "y") + tyy * v(f, "x")),
+            v(r, "x") + (v(f, "z") + txx * v(f, "y") - txy * v(f, "x")))
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -300,6 +308,15 @@ class TestLaxStepResidual:
             assert lax_step_residual(theta, st_psi(2), st_psi(3), p, {"sigma": F(1, 3)}) == (0, 0)
 
 
+def gauge_residual(args, theta, p, params):
+    """The linearised residual at p of the gauge perturbation's jet, whose every
+    coefficient is asserted equal to the tree oracle's jet of its perturbation."""
+    jet = gauge_symmetry_perturbation(*args, theta, p, params)
+    tree = geometry_oracle.gauge_symmetry_perturbation(*args, theta)
+    assert dict(jet.coeffs) == dict(tree.jet(p, 2, params).coeffs)
+    return linearized_from_jets(theta.field.jet(p, 2, params), jet)
+
+
 class TestGauge:
     def make(self, F_txt, G0_txt, G1_txt, g_txt, h_txt):
         sf = lambda t: ScalarField.parse(t, "second")
@@ -307,22 +324,25 @@ class TestGauge:
 
     def test_f_only_passes_through(self):
         theta = st_potential()
-        d = gauge_symmetry_perturbation(*self.make("w", "0", "0", "0", "0"), theta)
-        assert str(d) == "w"
+        args = self.make("w", "0", "0", "0", "0")
+        assert str(geometry_oracle.gauge_symmetry_perturbation(*args, theta)) == "w"
+        w = ScalarField.parse("w", "second")
         for p in pts(seed=12, n=3):
-            assert linearized_second_residual(theta, d, p, SIGMA) == 0
+            jet = gauge_symmetry_perturbation(*args, theta, p, SIGMA)
+            assert dict(jet.coeffs) == dict(w.jet(p, 2).coeffs)
+            assert gauge_residual(args, theta, p, SIGMA) == 0
 
     def test_h_w_gives_z_translation(self):
         theta = st_potential()
-        d = gauge_symmetry_perturbation(*self.make("0", "0", "0", "0", "w"), theta)
+        args = self.make("0", "0", "0", "0", "w")
         for p in pts(seed=13, n=10):
-            assert linearized_second_residual(theta, d, p, SIGMA) == 0
+            assert gauge_residual(args, theta, p, SIGMA) == 0
 
     def test_g_z_gives_y_translation(self):
         theta = st_potential()
-        d = gauge_symmetry_perturbation(*self.make("0", "0", "0", "z", "0"), theta)
+        args = self.make("0", "0", "0", "z", "0")
         for p in pts(seed=14, n=10):
-            assert linearized_second_residual(theta, d, p, SIGMA) == 0
+            assert gauge_residual(args, theta, p, SIGMA) == 0
 
     def test_seeded_generators_around_curved_background(self):
         import random
@@ -335,20 +355,22 @@ class TestGauge:
                                   for i in range(3) for j in range(2))
             from heavenly.jetcore import neg
             m = ScalarField.parse(rpoly(), "second")
-            G0 = m.diff("z")
-            G1 = ScalarField("second", neg(m.diff("w").expr))
+            G0 = field_diff(m, "z")
+            G1 = ScalarField("second", neg(field_diff(m, "w").expr))
             args = (ScalarField.parse(rpoly(), "second"), G0, G1,
                     ScalarField.parse(rpoly(), "second"), ScalarField.parse(rpoly(), "second"))
-            d = gauge_symmetry_perturbation(*args, theta)
             for p in sample:
-                assert linearized_second_residual(theta, d, p, SIGMA) == 0
+                assert gauge_residual(args, theta, p, SIGMA) == 0
 
     def test_dependency_violation(self):
         theta = flat()
         bad = ScalarField.parse("x*w", "second")
         zero = ScalarField.constant(0, "second")
         with pytest.raises(DependencyError):
-            gauge_symmetry_perturbation(bad, zero, zero, zero, zero, theta)
+            gauge_symmetry_perturbation(bad, zero, zero, zero, zero, theta,
+                                        point("second", 1, 2, 3, 4))
+        with pytest.raises(DependencyError):
+            geometry_oracle.gauge_symmetry_perturbation(bad, zero, zero, zero, zero, theta)
 
 
 class TestKilling:

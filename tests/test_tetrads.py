@@ -11,6 +11,7 @@ from heavenly.sampling import sample_points
 from heavenly.tetrads import (
     FirstPotential,
     SecondPotential,
+    _bracket,
     first_heavenly_residual,
     lax_commutator_residual,
     lax_pair_omega,
@@ -19,9 +20,10 @@ from heavenly.tetrads import (
     linearized_from_jets,
     linearized_second_residual,
     second_heavenly_residual,
-    vector_commutator_values,
 )
 
+import geometry_oracle as tree
+from diff_oracle import field_diff
 from geometry_oracle import (
     DegenerateHessianError,
     metric_from_tetrad,
@@ -170,7 +172,7 @@ class TestTetradOmega:
             for p in sample_points("first", 21, 4):
                 for a in ("w", "z"):
                     for b in ("wt", "zt"):
-                        hess = field.diff(a).diff(b).value(p)
+                        hess = field_diff(field_diff(field, a), b).value(p)
                         assert forms.omega.value(coords[a], coords[b], p) == -hess
                 assert forms.omega.value(coords["w"], coords["z"], p) == 0
                 assert forms.omega.value(coords["wt"], coords["zt"], p) == 0
@@ -179,10 +181,10 @@ class TestTetradOmega:
 
     def test_hessian_determinant_equals_residual_plus_one(self):
         omega = FirstPotential(ScalarField.parse("w*zt+z*wt+w^2*zt^2", "first"))
-        d = omega.field
         for p in sample_points("first", 9, 5):
-            det = (d.diff("w").diff("zt").value(p) * d.diff("z").diff("wt").value(p)
-                   - d.diff("w").diff("wt").value(p) * d.diff("z").diff("zt").value(p))
+            def d(a, b):
+                return field_diff(field_diff(omega.field, a), b).value(p)
+            det = d("w", "zt") * d("z", "wt") - d("w", "wt") * d("z", "zt")
             assert det == first_heavenly_residual(omega, p) + 1
 
     def test_identically_degenerate_hessian_raises(self):
@@ -243,37 +245,52 @@ class TestSigmaForms:
                     assert all(v == 0 for v in pencil.contract_vector(comps, p, SIGMA1))
 
 
+def lax_values(pair, A):
+    """The values of the four components of L_A in a jet-read pair."""
+    return [c[0] for c in tree.lax_components(pair)[A]]
+
+
+def commutator(pair_of, potential, lam, p, params=None):
+    """[L_0, L_1] at p by the jet route, asserted equal to the tree route's."""
+    got = lax_commutator_residual(pair_of(potential, lam, p, params))
+    oracle = {lax_pair_theta: tree.lax_pair_theta, lax_pair_omega: tree.lax_pair_omega}[pair_of]
+    assert got == tree.lax_commutator_residual(oracle(potential, lam), p, params)
+    return got
+
+
 class TestLaxPairs:
     def test_displayed_components_on_quadratic_pole(self):
         # L_0 = (1 + 2 lam sigma w z Q^-3) d_y - lam d_w - 2 lam sigma z^2 Q^-3 d_x
         # L_1 = lam d_z + (1 - 2 lam sigma w z Q^-3) d_x + 2 lam sigma w^2 Q^-3 d_y
         lam = F(1, 2)
-        lp = lax_pair_theta(st_theta(), lam)
+        lp = tree.lax_pair_theta(st_theta(), lam)
         for p in pts(seed=13, n=4):
             w, z, x, y = (F(v) for v in p.values)
             q3 = (w * x + z * y) ** 3
+            pair = lax_pair_theta(st_theta(), lam, p, SIGMA1)
             c0 = [f.value(p, SIGMA1) for f in lp.components(0)]
             c1 = [f.value(p, SIGMA1) for f in lp.components(1)]
-            assert c0 == [-lam, 0, -2 * lam * z * z / q3, 1 + 2 * lam * w * z / q3]
-            assert c1 == [0, lam, 1 - 2 * lam * w * z / q3, 2 * lam * w * w / q3]
+            assert c0 == lax_values(pair, 0) == [-lam, 0, -2 * lam * z * z / q3,
+                                                 1 + 2 * lam * w * z / q3]
+            assert c1 == lax_values(pair, 1) == [0, lam, 1 - 2 * lam * w * z / q3,
+                                                 2 * lam * w * w / q3]
 
     def test_flat_lambda_zero(self):
-        lp = lax_pair_theta(flat_theta(), 0)
+        lp = tree.lax_pair_theta(flat_theta(), 0)
         p = point("second", 1, 1, 1, 1)
-        assert [f.value(p) for f in lp.components(0)] == [0, 0, 0, 1]
-        assert [f.value(p) for f in lp.components(1)] == [0, 0, 1, 0]
+        pair = lax_pair_theta(flat_theta(), 0, p)
+        assert [f.value(p) for f in lp.components(0)] == lax_values(pair, 0) == [0, 0, 0, 1]
+        assert [f.value(p) for f in lp.components(1)] == lax_values(pair, 1) == [0, 0, 1, 0]
 
     def test_commutator_zero_on_solution_many_lambdas(self):
         theta = st_theta()
         for lam in (F(0), F(1), F(-1), F(2), F(1, 3)):
-            lp = lax_pair_theta(theta, lam)
             for p in pts(seed=14, n=10):
-                assert lax_commutator_residual(lp, p, SIGMA1) == (0, 0, 0, 0)
+                assert commutator(lax_pair_theta, theta, lam, p, SIGMA1) == (0, 0, 0, 0)
 
     def test_commutator_nonzero_on_witness(self):
         bad = SecondPotential(ScalarField.parse("x*w*y*z", "second"))
-        lp = lax_pair_theta(bad, 1)
-        res = lax_commutator_residual(lp, point("second", 1, 1, 1, 1))
+        res = commutator(lax_pair_theta, bad, 1, point("second", 1, 1, 1, 1))
         assert any(v != 0 for v in res)
 
     def test_commutator_iff_residual_both_directions(self):
@@ -282,40 +299,49 @@ class TestLaxPairs:
         sol = SecondPotential(ScalarField.parse("x^2*z+x*z^2", "second"))
         assert all(second_heavenly_residual(sol, p) == 0 for p in pts(seed=15, n=5))
         for lam in (F(1), F(-2)):
-            lp = lax_pair_theta(sol, lam)
             for p in pts(seed=15, n=5):
-                assert lax_commutator_residual(lp, p) == (0, 0, 0, 0)
+                assert commutator(lax_pair_theta, sol, lam, p) == (0, 0, 0, 0)
         bad = SecondPotential(ScalarField.parse("x*w*y*z", "second"))
         p0 = point("second", 1, 1, 1, 1)
         assert second_heavenly_residual(bad, p0) != 0
-        assert any(v != 0 for v in lax_commutator_residual(lax_pair_theta(bad, 1), p0))
+        assert any(v != 0 for v in commutator(lax_pair_theta, bad, 1, p0))
 
     def test_omega_pair_flat_constant_components(self):
         omega = FirstPotential(ScalarField.parse("w*zt+z*wt", "first"))
-        lp = lax_pair_omega(omega, 0)
+        lp = tree.lax_pair_omega(omega, 0)
         p = point("first", 1, 2, 3, 4)
+        pair = lax_pair_omega(omega, 0, p)
         # L_0 = O_wwt d_zt - O_wzt d_wt = -d_wt at lam = 0
-        assert [f.value(p) for f in lp.components(0)] == [0, 0, -1, 0]
-        assert [f.value(p) for f in lp.components(1)] == [0, 0, 0, 1]
+        assert [f.value(p) for f in lp.components(0)] == lax_values(pair, 0) == [0, 0, -1, 0]
+        assert [f.value(p) for f in lp.components(1)] == lax_values(pair, 1) == [0, 0, 0, 1]
 
     def test_omega_pair_flat_commutes_any_lambda(self):
         omega = FirstPotential(ScalarField.parse("w*zt+z*wt", "first"))
         for lam in (F(0), F(2), F(-1, 3)):
-            lp = lax_pair_omega(omega, lam)
             for p in sample_points("first", 16, 4):
-                assert lax_commutator_residual(lp, p) == (0, 0, 0, 0)
+                assert commutator(lax_pair_omega, omega, lam, p) == (0, 0, 0, 0)
 
     def test_omega_pair_perturbed_commutes_iff_solution(self):
         # w*zt + z*wt + zt^2 still solves; w*zt + z*wt + w*wt^2*zt does not
         good = FirstPotential(ScalarField.parse("w*zt+z*wt+zt^2", "first"))
         for p in sample_points("first", 17, 4):
-            assert lax_commutator_residual(lax_pair_omega(good, F(1)), p) == (0, 0, 0, 0)
+            assert commutator(lax_pair_omega, good, F(1), p) == (0, 0, 0, 0)
         bad = FirstPotential(ScalarField.parse("w*zt+z*wt+w*wt^2*zt", "first"))
         vals = []
         for p in sample_points("first", 17, 4):
             assert first_heavenly_residual(bad, p) != 0
-            vals.append(lax_commutator_residual(lax_pair_omega(bad, F(1)), p))
+            vals.append(commutator(lax_pair_omega, bad, F(1), p))
         assert any(any(v != 0 for v in row) for row in vals)
+
+    def test_float_commutator_close_to_exact(self):
+        # a float point reads the same pair to rounding, divided once per component
+        theta = st_theta()
+        for p in pts(seed=18, n=3):
+            exact = lax_commutator_residual(lax_pair_theta(theta, F(1, 3), p, SIGMA1))
+            got = lax_commutator_residual(lax_pair_theta(theta, F(1, 3), p.as_float(),
+                                                         {"sigma": 1.0}))
+            assert all(type(x) is float for x in got)
+            assert exact == (0, 0, 0, 0) and all(abs(x) < 1e-9 for x in got)
 
 
 class TestPlaneWaveTetrad:
@@ -336,10 +362,14 @@ class TestPlaneWaveTetrad:
 
 
 class TestVectorCommutator:
+    """The tree route's bracket (the oracle) and the package's bracket of numerator fields
+    [value, d_w, d_z, d_x, d_y] over one denominator, on the same fields."""
+
     def test_coordinate_fields_commute(self):
         a = tuple(ScalarField.constant(c, "second") for c in (1, 0, 0, 0))
         b = tuple(ScalarField.constant(c, "second") for c in (0, 0, 1, 0))
-        assert vector_commutator_values(a, b, point("second", 1, 1, 1, 1)) == (0, 0, 0, 0)
+        assert tree.vector_commutator_values(a, b, point("second", 1, 1, 1, 1)) == (0, 0, 0, 0)
+        assert _bracket({0: [1, 0, 0, 0, 0]}, {2: [1, 0, 0, 0, 0]}, 4) == [0, 0, 0, 0]
 
     def test_textbook_bracket(self):
         # [w d_x, x d_y] = w d_y
@@ -347,7 +377,8 @@ class TestVectorCommutator:
         u = (zero, zero, ScalarField.parse("w", "second"), zero)
         v = (zero, zero, zero, ScalarField.parse("x", "second"))
         p = point("second", 3, 1, 5, 1)
-        assert vector_commutator_values(u, v, p) == (0, 0, 0, 3)
+        assert tree.vector_commutator_values(u, v, p) == (0, 0, 0, 3)
+        assert _bracket({2: [3, 1, 0, 0, 0]}, {3: [5, 0, 0, 1, 0]}, 4) == [0, 0, 0, 3]
 
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
