@@ -11,10 +11,10 @@ Every operation works on integers and divides by one gcd per result.
 ``Poly.numerators`` reads the integers out, for callers that sum in integers
 and divide once; ``Poly.terms`` reads the coefficients back as ``Fraction``s.
 
-Univariate polynomials (the sigma-coefficient tables of the curved chain and
-the numerators and denominators of the residue transform) are plain tuples of
-rationals in ascending powers, trimmed of trailing zeros, with the ``uni_*``
-functions below as their arithmetic.
+``Poly`` is the package's only polynomial type over a chart.  The one
+univariate kind, a rational function of lam, is ``twistor.RatLambda``'s, with
+its arithmetic private to ``heavenly.twistor``; the sigma tables of the curved
+chain hold numbers (``recursion.coeff_A``).
 """
 
 from __future__ import annotations
@@ -213,54 +213,3 @@ class Poly:
     def __str__(self):
         return str(self.to_field())
 
-
-# ---------------------------------------------------------------------------
-# univariate polynomials
-
-UniPoly = tuple[Fraction, ...]  # coefficient of t^k at index k; the zero polynomial is ()
-
-
-def _trimmed(coeffs: list) -> UniPoly:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def uni(coeffs) -> UniPoly:
-    """A univariate polynomial from any coefficient sequence in ascending powers."""
-    return _trimmed([Fraction(c) for c in coeffs])
-
-
-def uni_add(a: UniPoly, b: UniPoly) -> UniPoly:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trimmed(out)
-
-
-def uni_mul(a: UniPoly, b: UniPoly) -> UniPoly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trimmed(out)
-
-
-def uni_scale(a: UniPoly, c: Fraction) -> UniPoly:
-    return _trimmed([c * x for x in a])
-
-
-def uni_shift(a: UniPoly, c: Fraction) -> UniPoly:
-    """Coefficients of a(c + t) as a polynomial in t (Horner-style Taylor shift)."""
-    out: list[Fraction] = []
-    for coeff in reversed(a):
-        # out <- out * (c + t) + coeff
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, v in enumerate(out):
-            new[i] += c * v
-            new[i + 1] += v
-        new[0] += coeff
-        out = new
-    return _trimmed(out)

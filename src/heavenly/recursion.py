@@ -12,9 +12,10 @@ the flat limit of the tetrad frame in :mod:`heavenly.tetrads`, under which
 the defining relation N_{A1'} phi = N_{A0'} R phi is exactly the pair above.
 
 Curved background sigma/(wx+zy): the chain psi_n is generated algebraically
-by a triangular table of sigma-polynomials and differentially by the
-recursion relations with the generic second-form coefficients; both routes
-agree and every member is annihilated by the background wave operator
+by a triangular table of sigma-monomials c sigma^j, stored as the numbers c
+(``coeff_A``), and differentially by the recursion relations with the generic
+second-form coefficients; both routes agree and every member is annihilated
+by the background wave operator
 
     box = 2 (d_x d_w + d_y d_z + T_xx d_y^2 + T_yy d_x^2 - 2 T_xy d_x d_y),
 
@@ -46,7 +47,7 @@ from .jetcore import (
     pow_,
     sub,
 )
-from .polynomials import Poly, UniPoly, uni, uni_add, uni_mul
+from .polynomials import Poly
 from .tetrads import (
     SECOND,
     SecondPotential,
@@ -102,41 +103,44 @@ def recursion_power_poly(phi: Poly, k: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# sigma-polynomial coefficient tables
+# sigma-monomial coefficient tables
 
 @cache
-def _entry(shift: int, n: int, k: int) -> UniPoly:
-    """Entry (n, k), 0 <= k <= n, of the triangular table of the curved chain
-    (shift 1) or of the curve coefficients (shift 2): a polynomial in sigma.
+def _entry(shift: int, n: int, k: int) -> Fraction:
+    """The number c of entry (n, k) = c sigma^((n-1-k)/2), 0 <= k <= n, of the
+    triangular table of the curved chain (shift 1) or of the curve coefficients
+    (shift 2); c is 0 when n-1-k is odd.
 
     Row 1 is (1, 0); entry (n + 1, k) is entry (n, k - 1) plus
     -2 (k + 1) sigma / (n - k + shift) times entry (n, k + 1), an entry off
-    the triangle being zero.  One table serves every numeric sigma, and the
-    sigma = 0 specialisation is exact.
+    the triangle being zero.  Both terms carry the same power of sigma, so the
+    recurrence runs on the numbers alone; one table serves every numeric sigma,
+    and the sigma = 0 specialisation is exact.
     """
     if n == 1:
-        return uni((1,)) if k == 0 else ()
+        return Fraction(1 if k == 0 else 0)
     m = n - 1
-    out = _entry(shift, m, k - 1) if k >= 1 else ()
+    out = _entry(shift, m, k - 1) if k >= 1 else Fraction(0)
     if k + 1 <= m:
-        factor = Fraction(-2 * (k + 1), m - k + shift)
-        out = uni_add(out, uni_mul(_entry(shift, m, k + 1), (Fraction(0), factor)))
+        out += Fraction(-2 * (k + 1), m - k + shift) * _entry(shift, m, k + 1)
     return out
 
 
-def _lookup(shift: int, n: int, k: int) -> UniPoly:
+def _lookup(shift: int, n: int, k: int) -> tuple[Fraction, int]:
     if k == -1:
-        return ()
+        return Fraction(0), n // 2
     if n < 1 or k < 0 or k > n:
         raise IndexError(f"table entry ({n}, {k}) out of range")
-    return _entry(shift, n, k)
+    return _entry(shift, n, k), (n - 1 - k) // 2
 
 
-def coeff_A(n: int, k: int) -> UniPoly:
+def coeff_A(n: int, k: int) -> tuple[Fraction, int]:
+    """Entry (n, k) of the chain's table as (c, j): the monomial c sigma^j."""
     return _lookup(1, n, k)
 
 
-def coeff_B(n: int, k: int) -> UniPoly:
+def coeff_B(n: int, k: int) -> tuple[Fraction, int]:
+    """Entry (n, k) of the curve's table as (c, j): the monomial c sigma^j."""
     return _lookup(2, n, k)
 
 
@@ -162,13 +166,12 @@ def flat_phi(n: int) -> ScalarField:
 def table_sum(b, coeff, n: int, term) -> int:
     """sum_k coeff(n, k) term(k) from row n of table A or B, issued through a Program's
     builder ``b`` as the tree summing the terms left to right compiles: a zero entry
-    dropped, an entry c sigma^j (each is a monomial) as c (unless 1) times sigma^j."""
+    dropped, an entry c sigma^j as c (unless 1) times sigma^j."""
     total = None
     for k in range(n + 1):
-        a = coeff(n, k)
-        if a:
-            j = len(a) - 1
-            entry = b.times(None if a[j] == 1 else b.tree(const(a[j])),
+        c, j = coeff(n, k)
+        if c:
+            entry = b.times(None if c == 1 else b.tree(const(c)),
                             b.power(b.tree(SIGMA), j) if j else None)
             total = b.plus(total, term(k, entry))
     return total

@@ -1,10 +1,13 @@
-"""Spectral-parameter series, twistor curves and the residue transform.
+"""Twistor curves, their annihilation by the Lax pair and the residue transform.
 
-A curve is a pair of truncated series in the fibre coordinate lam whose
-coefficients are scalar fields on the second-form chart.  The flat curve is
-(w + lam y, z - lam x); the curved quadratic-pole curve carries tails built
-from the B coefficient table.  Order-by-order annihilation by the background
-Lax fields is the verification criterion: orders below the truncation must
+A curve is a pair of truncated series in the fibre coordinate lam, held as
+one compiled ``Program`` on the second-form chart whose outputs are mu0's
+coefficients of lam^0..lam^N, then mu1's.  The flat curve is
+(w + lam y, z - lam x) (``flat_curve_program``); the curved quadratic-pole
+curve carries tails issued from the B coefficient table
+(``st_curve_program``), and ``series_solve_omega`` iterates the polynomial
+recursion operator.  Order-by-order annihilation by the background Lax
+fields is the verification criterion: orders below the truncation must
 vanish identically, the top two orders are truncation debris and reported
 separately.
 
@@ -12,14 +15,17 @@ The residue transform maps rational functions of (lam, mu0, mu1) to scalar
 fields by taking the residue in lam at a caller-declared pole after
 substituting the flat curve.  Normalisation is fixed by
 transform(1/(mu0 mu1)) at the pole lam = -w/y being 1/(wx+zy); on twistor
-data the recursion operator is multiplication by 1/lam.
+data the recursion operator is multiplication by 1/lam.  A rational
+function of lam (``RatLambda``) is the package's one univariate kind: its
+numerator and denominator are tuples of ``Fraction``s in ascending powers of
+lam, trimmed of trailing zeros, with the arithmetic private to this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import zip_longest
 from typing import Mapping
 
 from .jetcore import (
@@ -39,49 +45,16 @@ from .jetcore import (
     mul,
     neg,
 )
-from .polynomials import Poly, uni, uni_add, uni_mul, uni_scale, uni_shift
+from .polynomials import Poly
 from .recursion import SIGMA, coeff_B, recursion_step_poly, table_sum
 from .tetrads import SECOND, SecondPotential, lax_step_from_jets
 
-@dataclass(frozen=True)
-class LambdaSeries:
-    """Truncated series sum_{i=min_deg}^{max_deg} c_i lam^i with field coefficients."""
 
-    chart: str
-    min_deg: int
-    coeffs: tuple[ScalarField, ...]
-
-    @property
-    def max_deg(self) -> int:
-        return self.min_deg + len(self.coeffs) - 1
-
-    def coefficient(self, i: int) -> ScalarField:
-        if self.min_deg <= i <= self.max_deg:
-            return self.coeffs[i - self.min_deg]
-        return ScalarField(self.chart, ZERO)
-
-
-@dataclass(frozen=True)
-class TwistorCurve:
-    """Pair (mu0, mu1) of series attached to a background tag."""
-
-    background: str
-    mu0: LambdaSeries
-    mu1: LambdaSeries
-
-    def program(self) -> Program:
-        """The coefficients of mu0 then mu1 (each series from lam^0, of one length) as
-        one program (see lax_annihilation_residual)."""
-        return field_program(self.mu0.coeffs + self.mu1.coeffs)
-
-
-def flat_twistor_curve(order: int = 1) -> TwistorCurve:
-    pad = tuple(ScalarField(SECOND, ZERO) for _ in range(max(0, order - 1)))
-    mu0 = LambdaSeries(SECOND, 0, (ScalarField(SECOND, Var("w")),
-                                   ScalarField(SECOND, Var("y"))) + pad)
-    mu1 = LambdaSeries(SECOND, 0, (ScalarField(SECOND, Var("z")),
-                                   ScalarField(SECOND, neg(Var("x")))) + pad)
-    return TwistorCurve("flat", mu0, mu1)
+def flat_curve_program(order: int) -> Program:
+    """The flat curve's coefficients of lam^0..lam^order, mu0's (w, y, 0, ...) then
+    mu1's (z, -x, 0, ...), as one program."""
+    pad = [ZERO] * max(0, order - 1)
+    return Program([Var("w"), Var("y"), *pad, Var("z"), neg(Var("x")), *pad], SECOND)
 
 
 def st_curve_program(order: int) -> Program:
@@ -113,10 +86,11 @@ def lax_annihilation_residual(curve: Program, theta: SecondPotential, p: Point,
     """Expand L_A(mu^B) in powers of lam at p.
 
     ``curve``'s outputs are mu0's coefficients of lam^0..lam^N, then mu1's
-    (st_curve_program, TwistorCurve.program).  The lam^r coefficient of
-    L_A(mu^B) is recursion relation A of tetrads.lax_step_residual between the
-    curve coefficients r-1 and r, computed by tetrads.lax_step_from_jets from one
-    jet of the potential and, from one run of ``curve``, one of each coefficient.
+    (flat_curve_program, st_curve_program, series_solve_omega).  The lam^r
+    coefficient of L_A(mu^B) is recursion relation A of tetrads.lax_step_residual
+    between the curve coefficients r-1 and r, computed by tetrads.lax_step_from_jets
+    from one jet of the potential and, from one run of ``curve``, one of each
+    coefficient.
     Returns per-order values; 'interior' orders (0..N-1 for a curve truncated
     at lam^N) must vanish, the top two orders are reported separately.
     """
@@ -137,35 +111,67 @@ def lax_annihilation_residual(curve: Program, theta: SecondPotential, p: Point,
     return {"interior": interior, "top": top, "max_abs_interior": worst}
 
 
-def series_solve_omega(theta_poly: Poly, order: int) -> TwistorCurve:
+def series_solve_omega(theta_poly: Poly, order: int) -> Program:
     """Generate curve coefficients by iterating the curved recursion operator.
 
     Works for polynomial solutions of the second equation; coefficients are
-    fixed by the zero-(w,z)-part convention, seeded with (w, z).
+    fixed by the zero-(w,z)-part convention, seeded with (w, z).  Returns the
+    coefficients of lam^0..lam^order, mu0's then mu1's, as one program.
     """
     if theta_poly.chart != SECOND:
         raise ValueError("potential must live on the second-form chart")
-    rows = []
+    fields = []
     for seed_name in ("w", "z"):
-        coeffs = [Poly.coordinate(seed_name, SECOND)]
+        c = Poly.coordinate(seed_name, SECOND)
+        fields.append(c.to_field())
         for _ in range(order):
-            coeffs.append(recursion_step_poly(coeffs[-1], theta_poly))
-        rows.append(tuple(c.to_field() for c in coeffs))
-    return TwistorCurve("series", LambdaSeries(SECOND, 0, rows[0]),
-                        LambdaSeries(SECOND, 0, rows[1]))
+            c = recursion_step_poly(c, theta_poly)
+            fields.append(c.to_field())
+    return field_program(fields)
 
 
 # ---------------------------------------------------------------------------
 # residue transform
 
+def _trimmed(coeffs) -> tuple[Fraction, ...]:
+    """Coefficients in ascending powers of lam as ``Fraction``s, trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _times(a: tuple, b: tuple) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:   # lam^k is mostly zeros
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shifted(a: tuple, c: Fraction, m: int | None = None) -> list[Fraction]:
+    """The coefficients of a(c + t) in ascending powers of t (Horner-style Taylor
+    shift), only the first m of them if m is given."""
+    out: list[Fraction] = []
+    for coeff in reversed(a):
+        # out <- out * (c + t) + coeff, cut after m terms
+        new = [c * v for v in out]
+        new.append(Fraction(0))
+        for i, v in enumerate(out):
+            new[i + 1] += v
+        new[0] += coeff
+        out = new[:m]
+    return out
+
+
 class RatLambda:
-    """Univariate rational function in lam over exact rationals."""
+    """Univariate rational function in lam over exact rationals: no factor is cancelled."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        self.num = uni(num)
-        self.den = uni(den)
+        self.num, self.den = _trimmed(num), _trimmed(den)
         if not self.den:
             raise ZeroDivisionError("zero denominator")
 
@@ -178,33 +184,35 @@ class RatLambda:
         return RatLambda((0, 1), (1,))
 
     def __add__(self, o):
-        return RatLambda(uni_add(uni_mul(self.num, o.den), uni_mul(o.num, self.den)),
-                         uni_mul(self.den, o.den))
+        terms = zip_longest(_times(self.num, o.den), _times(o.num, self.den), fillvalue=0)
+        return RatLambda([x + y for x, y in terms], _times(self.den, o.den))
 
     def __sub__(self, o):
-        return self + o.scale(-1)
+        return self + -o
 
     def __mul__(self, o):
-        return RatLambda(uni_mul(self.num, o.num), uni_mul(self.den, o.den))
+        return RatLambda(_times(self.num, o.num), _times(self.den, o.den))
 
     def __truediv__(self, o):
         if not o.num:
             raise ZeroDivisionError("division by identically zero rational function")
-        return RatLambda(uni_mul(self.num, o.den), uni_mul(self.den, o.num))
-
-    def scale(self, c) -> "RatLambda":
-        return RatLambda(uni_scale(self.num, Fraction(c)), self.den)
+        return RatLambda(_times(self.num, o.den), _times(self.den, o.num))
 
     def __pow__(self, k: int):
+        """f^k by square-and-multiply, f^-k as (1/f)^k."""
         if k < 0:
             return RatLambda(self.den, self.num) ** (-k)
-        out = RatLambda.constant(1)
-        for _ in range(k):
-            out = out * self
+        out, base = RatLambda.constant(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __neg__(self):
-        return self.scale(-1)
+        return RatLambda([-c for c in self.num], self.den)
 
 
 def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
@@ -213,22 +221,14 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     A regular point has residue zero (a small contour around it encloses
     nothing); callers that require an actual pole should check separately.
     """
-    num = uni_shift(f.num, pole)
-    den = uni_shift(f.den, pole)
-    m = 0
-    while m < len(den) and den[m] == 0:
-        m += 1
+    den = _shifted(f.den, pole)
+    m = next(i for i, c in enumerate(den) if c)   # the pole order; den is not zero
     if m == 0:
         return Fraction(0)
-    if m >= len(den):
-        raise ZeroDivisionError("denominator is identically zero")
+    # the residue is the coefficient of t^(m-1) in num(t) / den_red(t), t = lam - pole,
+    # which reads the first m coefficients of num: series-invert den_red to order m-1
+    num = _shifted(f.num, pole, m)
     den_red = den[m:]
-    k = 0
-    while k < len(num) and num[k] == 0:
-        k += 1
-    if k >= m:
-        return Fraction(0)  # removable singularity after cancellation
-    # need the coefficient of t^(m-1) in num(t) / den_red(t): series-invert den_red
     order = m - 1
     inv = [Fraction(0)] * (order + 1)
     inv[0] = 1 / den_red[0]
@@ -239,9 +239,8 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
                 s += den_red[j] * inv[i - j]
         inv[i] = -s / den_red[0]
     res = Fraction(0)
-    for i in range(order + 1):
-        if i < len(num):
-            res += num[i] * inv[order - i]
+    for i, c in enumerate(num):
+        res += c * inv[order - i]
     return res
 
 

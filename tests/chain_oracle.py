@@ -4,11 +4,17 @@ The package emits the members psi_n and the curve's tails straight from the
 coefficient tables A and B into a ``Program`` (``recursion.st_chain_program``,
 ``twistor.st_curve_program``), building no tree.  These are the trees it built
 before: compiled into a program, each gives the same instructions, so the same
-printed text, jets (float bits included) and first error.  Nothing in ``src/``
-imports this module.
+printed text, jets (float bits included) and first error.  The package's
+tables hold each entry as the number c of its monomial c sigma^j
+(``recursion.coeff_A``); the tables here run the old recurrence on
+polynomials in sigma (``sigma_entry``), and the trees are built from them.
+Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
 
 from heavenly import jetcore
 from heavenly.jetcore import (
@@ -24,16 +30,58 @@ from heavenly.jetcore import (
     neg,
     pow_,
 )
-from heavenly.polynomials import UniPoly
-from heavenly.recursion import coeff_A, coeff_B, st_potential
-from heavenly.twistor import LambdaSeries, TwistorCurve
+from heavenly.recursion import st_potential
 
 SECOND = "second"
 W, Z, X, Y = Var("w"), Var("z"), Var("x"), Var("y")
 Q = add(mul(W, X), mul(Z, Y))
 
+SigmaPoly = tuple[Fraction, ...]  # coefficient of sigma^k at index k; the zero polynomial is ()
 
-def uni_expr(a: UniPoly, var: str) -> Expr:
+
+def _trimmed(coeffs: list) -> SigmaPoly:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@cache
+def sigma_entry(shift: int, n: int, k: int) -> SigmaPoly:
+    """Entry (n, k), 0 <= k <= n, of table A (shift 1) or B (shift 2) as a polynomial in
+    sigma: row 1 is (1, 0); entry (n + 1, k) is entry (n, k - 1) plus
+    -2 (k + 1) sigma / (n - k + shift) times entry (n, k + 1), off the triangle zero."""
+    if n == 1:
+        return (Fraction(1),) if k == 0 else ()
+    m = n - 1
+    out = list(sigma_entry(shift, m, k - 1)) if k >= 1 else []
+    if k + 1 <= m:
+        factor = Fraction(-2 * (k + 1), m - k + shift)
+        times_sigma = [Fraction(0)] + [factor * c for c in sigma_entry(shift, m, k + 1)]
+        out += [Fraction(0)] * (len(times_sigma) - len(out))
+        for i, c in enumerate(times_sigma):
+            out[i] += c
+    return _trimmed(out)
+
+
+def _lookup(shift: int, n: int, k: int) -> SigmaPoly:
+    if k == -1:
+        return ()
+    if n < 1 or k < 0 or k > n:
+        raise IndexError(f"table entry ({n}, {k}) out of range")
+    return sigma_entry(shift, n, k)
+
+
+def poly_A(n: int, k: int) -> SigmaPoly:
+    """Entry (n, k) of table A as a sigma polynomial; k = -1 is zero."""
+    return _lookup(1, n, k)
+
+
+def poly_B(n: int, k: int) -> SigmaPoly:
+    """Entry (n, k) of table B as a sigma polynomial; k = -1 is zero."""
+    return _lookup(2, n, k)
+
+
+def uni_expr(a: SigmaPoly, var: str) -> Expr:
     """The polynomial as an expression in the symbol ``var``."""
     e: Expr = ZERO
     for k, c in enumerate(a):
@@ -52,7 +100,7 @@ def st_psi(n: int) -> ScalarField:
         raise IndexError("chain index starts at 1")
     e: Expr = ZERO
     for k in range(n + 1):
-        a = coeff_A(n, k)
+        a = poly_A(n, k)
         if not a:
             continue
         term = uni_expr(a, "sigma")
@@ -63,8 +111,9 @@ def st_psi(n: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def st_twistor_curve(order: int) -> TwistorCurve:
-    """Curve for the quadratic-pole background, sigma symbolic.
+def st_twistor_curve(order: int) -> tuple[tuple[ScalarField, ...], tuple[ScalarField, ...]]:
+    """Curve for the quadratic-pole background, sigma symbolic: mu0's coefficients of
+    lam^0..lam^order and mu1's (their ``field_program(mu0 + mu1)`` is the curve's program).
 
     lam^(n+1) tail coefficients (n >= 1):
       mu0: sigma sum_k B(n,k) w (-y/w)^k Q^(k-n-1)
@@ -78,7 +127,7 @@ def st_twistor_curve(order: int) -> TwistorCurve:
     def tail(n: int, base: Expr, ratio: Expr) -> Expr:
         e: Expr = ZERO
         for k in range(n + 1):
-            b = coeff_B(n, k)
+            b = poly_B(n, k)
             if not b:
                 continue
             term = mul(uni_expr(b, "sigma"), mul(base, pow_(Q, k - n - 1)))
@@ -92,9 +141,8 @@ def st_twistor_curve(order: int) -> TwistorCurve:
     for n in range(1, order):
         c0.append(tail(n, W, div(neg(Y), W)))
         c1.append(tail(n, Z, div(X, Z)))
-    mu0 = LambdaSeries(SECOND, 0, tuple(ScalarField(SECOND, e) for e in c0))
-    mu1 = LambdaSeries(SECOND, 0, tuple(ScalarField(SECOND, e) for e in c1))
-    return TwistorCurve("st", mu0, mu1)
+    return (tuple(ScalarField(SECOND, e) for e in c0),
+            tuple(ScalarField(SECOND, e) for e in c1))
 
 
 def chain_program(members, pairs) -> jetcore.Program:

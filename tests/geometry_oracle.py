@@ -77,7 +77,6 @@ from heavenly.tetrads import (
 )
 
 from diff_oracle import diff
-from poly_oracle import uni_eval
 
 
 # ---------------------------------------------------------------------------
@@ -720,11 +719,12 @@ def flat_wave_poly(phi: Poly) -> Poly:
 def formal_step_consistency(n: int, sigma, points) -> Fraction:
     """Max |termwise formal image of psi_n minus psi_{n+1}| over the points."""
     params = {"sigma": Fraction(sigma)}
-    terms = [(a, monomial_recursion_image(k, k - n)) for k in range(n + 1) if (a := coeff_A(n, k))]
+    terms = [(coeff_A(n, k), monomial_recursion_image(k, k - n)) for k in range(n + 1)
+             if coeff_A(n, k)[0]]
     chain = st_chain_program(n + 1, {})   # outputs: the potential, psi_1..psi_(n+1)
     worst = Fraction(0)
     for p in points:
-        total = sum(uni_eval(a, params["sigma"]) * img.value(p, params) for a, img in terms)
+        total = sum(c * params["sigma"] ** j * img.value(p, params) for (c, j), img in terms)
         worst = max(worst, abs(total - chain.values(p, params)[n + 1]))
     return worst
 

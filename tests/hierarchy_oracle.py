@@ -23,7 +23,6 @@ from itertools import product
 from heavenly.hierarchy import ExtendedPotential, coord_name
 from heavenly.jetcore import ZERO, Expr, ScalarField, Var, add, chart_coords, const, mul, neg
 from heavenly.tetrads import EPS
-from heavenly.twistor import LambdaSeries
 
 from diff_oracle import diff
 from geometry_oracle import vector_commutator_values
@@ -94,8 +93,9 @@ def dual_partial(A: int, i: int, e: Expr) -> Expr:
     return neg(diff(e, coord_name(0, i)))
 
 
-def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaSeries]:
-    """omega^A_j = -x^{A0} + sum_{m=1..j} lam^m d^{A m-1} Theta, for A = 0, 1."""
+def truncated_omega(E: ExtendedPotential, j: int) -> tuple[tuple[ScalarField, ...], ...]:
+    """omega^A_j = -x^{A0} + sum_{m=1..j} lam^m d^{A m-1} Theta, for A = 0, 1: each
+    series as its coefficients of lam^0..lam^j."""
     if not (1 <= j <= E.n):
         raise IndexError("truncation level out of range")
     T = E.field.expr
@@ -104,7 +104,7 @@ def truncated_omega(E: ExtendedPotential, j: int) -> tuple[LambdaSeries, LambdaS
         coeffs = [ScalarField(E.chart, neg(Var(coord_name(A, 0))))]
         for m in range(1, j + 1):
             coeffs.append(ScalarField(E.chart, dual_partial(A, m - 1, T)))
-        series.append(LambdaSeries(E.chart, 0, tuple(coeffs)))
+        series.append(tuple(coeffs))
     return series[0], series[1]
 
 
@@ -178,13 +178,11 @@ def summed_lax_identity_residual(E, A, j, test, p, params=None) -> dict:
         lhs[i] = lhs.get(i, 0) - delv
         lhs[i + 1] = lhs.get(i + 1, 0) + dval
     om0, om1 = truncated_omega(E, j)
-    lowered = (LambdaSeries(om1.chart, om1.min_deg,
-                            tuple(ScalarField(E.chart, neg(f.expr)) for f in om1.coeffs))
-               if A == 0 else om0)
+    lowered = [ScalarField(E.chart, neg(f.expr)) for f in om1] if A == 0 else om0
     rhs = {}
     i00, i10 = coords.index("x00"), coords.index("x10")
     for m in range(0, j + 1):
-        cj = lowered.coefficient(m).jet(p, 1, params)
+        cj = lowered[m].jet(p, 1, params)
         rhs[m] = rhs.get(m, 0) + cj.d("x00") * dtest[i10] - cj.d("x10") * dtest[i00]
     rhs[j] = rhs.get(j, 0) + dtest[coords.index(coord_name(A, j))]
     return {m: lhs.get(m, 0) - rhs.get(m, 0) for m in range(0, j + 1)}
@@ -195,9 +193,9 @@ def sato_flow_residual(E, B, j, p, params=None):
     the lowered coefficients once per curve component."""
     om = truncated_omega(E, E.n)
     if B == 0:
-        lowered = [ScalarField(E.chart, neg(c.expr)) for c in truncated_omega(E, j)[1].coeffs]
+        lowered = [ScalarField(E.chart, neg(c.expr)) for c in truncated_omega(E, j)[1]]
     else:
-        lowered = list(truncated_omega(E, j)[0].coeffs)
+        lowered = list(truncated_omega(E, j)[0])
     flow = coord_name(B, j)
 
     def grad(c):
@@ -206,7 +204,7 @@ def sato_flow_residual(E, B, j, p, params=None):
 
     out = {}
     for A, series in enumerate(om):
-        grads = [grad(c) for c in series.coeffs]
+        grads = [grad(c) for c in series]
         orders = {}
         for r, g in enumerate(grads):
             orders[r + j] = orders.get(r + j, 0) + g[2]

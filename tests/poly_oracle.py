@@ -4,7 +4,8 @@ This is the polynomial the package used before it stored integer numerators
 over one denominator: one ``Fraction`` per monomial, every operation term by
 term in ``Fraction`` arithmetic.  It is slow and obviously correct, which is
 what an oracle should be.  ``uni_eval``, Horner evaluation of a univariate
-coefficient tuple, lives here too: no subcommand evaluates one.  Nothing in
+coefficient tuple (a ``twistor.RatLambda``'s numerator or denominator), lives
+here too: no subcommand evaluates one.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -15,7 +16,6 @@ from fractions import Fraction
 
 from heavenly import jetcore
 from heavenly.jetcore import Expr, Point, chart_coords
-from heavenly.polynomials import UniPoly
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,8 @@ class DictPoly:
         return str(self.to_field())
 
 
-def uni_eval(a: UniPoly, x: Fraction) -> Fraction:
-    """Horner evaluation."""
+def uni_eval(a: tuple[Fraction, ...], x: Fraction) -> Fraction:
+    """Horner evaluation of coefficients in ascending powers."""
     v = Fraction(0)
     for c in reversed(a):
         v = v * x + c

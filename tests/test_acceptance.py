@@ -147,7 +147,7 @@ def test_criterion_04_flat_chain():
 def test_criterion_05_curved_chain():
     # displayed members, table coefficient, wave equation, differential steps,
     # flat collapse
-    assert coeff_A(3, 0) == (F(0), F(-2, 3))  # -2/3 sigma from the recurrence
+    assert coeff_A(3, 0) == (F(-2, 3), 1)  # -2/3 sigma from the recurrence
     p0 = point("second", 1, 1, 1, 1)
     for sigma in (F(1), F(7, 5)):
         q = F(2)

@@ -95,6 +95,17 @@ class TestExitCodes:
         code, out = run(["penrose", "--f", "lam^200/(mu0*mu1)", "--pole=-w/y", "--points", "1"])
         assert code == 0 and json.loads(out)["verdict"] == "pass"
 
+    def test_penrose_of_a_sum(self):
+        # no golden or pool job adds two rational functions of lam: the residue of
+        # (lam+1)/(mu0 mu1) at -w/y is (y-w)/(y(wx+zy))
+        code, out = run(["penrose", "--f", "(lam+1)/(mu0*mu1)", "--pole=-w/y", "--points", "3"])
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert len(records) == 3
+        for r in records:
+            w, z, x, y = map(Fraction, r["point"]["values"])
+            assert Fraction(r["value"]) == (y - w) / (y * (w * x + z * y))
+
     @pytest.mark.parametrize("f", ["1/(lam-lam)", "(lam-lam)^(-1)", "1/(mu0-mu0)"])
     def test_identically_zero_denominator_is_two(self, f, capsys):
         code, out = run(["penrose", "--f", f, "--pole=-w/y"])

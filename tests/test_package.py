@@ -264,14 +264,26 @@ def test_the_symbolic_derivative_check_sees_each_way_in(tmp_path):
 # may not come back to src/, in code, a string or a comment
 CURVATURE_TABLE_NAMES = ("_TABLES", "_READ_OUTS", "_frame_components", "reassembly_max_abs",
                          "weyl_asd", "weyl_sd")
-_CURVATURE_TABLE = re.compile(r"\b(" + "|".join(CURVATURE_TABLE_NAMES) + r")\b")
+# One univariate polynomial kind: twistor.RatLambda's numerator and denominator, with
+# their arithmetic private to twistor.  The sigma tables hold numbers, and every twistor
+# curve is a Program; the retired univariate helpers and curve types stay out of src/ too
+UNIVARIATE_NAMES = ("UniPoly", "uni_add", "uni_mul", "uni_scale", "uni_shift", "LambdaSeries",
+                    "TwistorCurve")
 
 
-def _curvature_table_names(path: Path) -> list[str]:
-    """Where a module's text names one of ``CURVATURE_TABLE_NAMES`` as a whole word."""
-    return [f"{path.name}:{line}: {name}"
-            for line, text in enumerate(path.read_text().splitlines(), 1)
-            for name in _CURVATURE_TABLE.findall(text)]
+def _whole_words(names):
+    pattern = re.compile(r"\b(" + "|".join(names) + r")\b")
+
+    def found(path: Path) -> list[str]:
+        """Where a module's text names one of ``names`` as a whole word."""
+        return [f"{path.name}:{line}: {name}"
+                for line, text in enumerate(path.read_text().splitlines(), 1)
+                for name in pattern.findall(text)]
+    return found
+
+
+_curvature_table_names = _whole_words(CURVATURE_TABLE_NAMES)
+_univariate_names = _whole_words(UNIVARIATE_NAMES)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -289,6 +301,34 @@ def test_the_curvature_table_check_sees_each_name(tmp_path):
     assert _curvature_table_names(module) == [
         "mod.py:1: _TABLES", "mod.py:2: _READ_OUTS", "mod.py:2: weyl_asd",
         "mod.py:3: _frame_components", "mod.py:4: reassembly_max_abs", "mod.py:4: weyl_sd"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_one_univariate_polynomial_kind(path):
+    assert _univariate_names(path) == []
+
+
+def test_the_univariate_check_sees_each_name(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from .polynomials import UniPoly, uni_add as plus\n"
+                      "def f(a):\n"
+                      "    return uni_mul(uni_scale(a, 2), uni_shift(a, 1))  # a UniPoly\n"
+                      "@dataclass\n"
+                      "class TwistorCurve:\n"
+                      "    mu0: 'LambdaSeries'\n"
+                      "uni, uni_eval, MyLambdaSeries = (), 0, 1\n")
+    assert _univariate_names(module) == [
+        "mod.py:1: UniPoly", "mod.py:1: uni_add", "mod.py:3: uni_mul", "mod.py:3: uni_scale",
+        "mod.py:3: uni_shift", "mod.py:3: UniPoly", "mod.py:5: TwistorCurve",
+        "mod.py:6: LambdaSeries"]
+
+
+def test_the_package_keeps_one_univariate_type():
+    from heavenly import polynomials, twistor
+    # beside the names above: the coefficient-tuple constructor, the tree curve, and
+    # RatLambda's scaling, which negation does
+    assert not hasattr(polynomials, "uni") and not hasattr(twistor, "flat_twistor_curve")
+    assert not hasattr(twistor.RatLambda, "scale")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ import geometry_oracle
 from chain_oracle import st_psi
 from diff_oracle import field_diff
 from geometry_oracle import flat_wave_poly, formal_step_consistency
-from poly_oracle import uni_eval
 
 SIGMA = {"sigma": F(1)}
 
@@ -131,24 +130,37 @@ class TestFlatRecursion:
 
 class TestCoeffTables:
     def test_seeds(self):
-        assert uni_eval(coeff_A(1, 0), 1) == 1
-        assert uni_eval(coeff_A(1, 1), 1) == 0
-        assert coeff_A(2, -1) == ()
+        assert coeff_A(1, 0) == (1, 0)
+        assert coeff_A(1, 1)[0] == 0
+        assert coeff_A(2, -1)[0] == 0
 
     def test_displayed_third_member_coefficient(self):
         # A(3, 0) = -2 sigma / 3
-        a = coeff_A(3, 0)
-        assert uni_eval(a, F(1)) == F(-2, 3)
-        assert uni_eval(a, F(3, 2)) == -1
+        c, j = coeff_A(3, 0)
+        assert (c, j) == (F(-2, 3), 1)
+        assert c * F(3, 2) ** j == -1
 
     def test_one_step_by_hand(self):
         # A(2,1) = A(1,0) - 2 sigma (2/1) A(1,2) = 1
-        assert uni_eval(coeff_A(2, 1), F(5)) == 1
+        assert coeff_A(2, 1) == (1, 0)
 
     def test_b_table_seeds_and_step(self):
-        assert uni_eval(coeff_B(1, 0), F(2)) == 1
+        assert coeff_B(1, 0) == (1, 0)
         # B(3,0) = -2 sigma (1/4) B(2,1), B(2,1) = 1
-        assert uni_eval(coeff_B(3, 0), F(1)) == F(-1, 2)
+        assert coeff_B(3, 0) == (F(-1, 2), 1)
+
+    @pytest.mark.parametrize("coeff, poly", [(coeff_A, chain_oracle.poly_A),
+                                             (coeff_B, chain_oracle.poly_B)],
+                             ids=["A", "B"])
+    def test_each_entry_is_its_sigma_polynomial(self, coeff, poly):
+        # the table's (c, j) against the oracle's recurrence on polynomials in sigma:
+        # c sigma^j, with j = (n - 1 - k)/2, and zero where n - 1 - k is odd
+        for n in range(1, 17):
+            for k in range(-1, n + 1):
+                c, j = coeff(n, k)
+                assert type(c) is F and type(j) is int
+                assert (((F(0),) * j + (c,)) if c else ()) == poly(n, k), (n, k)
+                assert c == 0 or (n - 1 - k) % 2 == 0, (n, k)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

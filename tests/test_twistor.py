@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from heavenly.jetcore import Mul, Pow, Program, ScalarField, Var, parse_expression, point
+from heavenly.jetcore import (
+    Mul, Pow, Program, ScalarField, Var, field_program, parse_expression, point)
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import sample_points
@@ -12,7 +13,7 @@ from heavenly.tetrads import SecondPotential, lax_step_residual
 from heavenly.twistor import (
     NotAPoleError,
     RatLambda,
-    flat_twistor_curve,
+    flat_curve_program,
     lam_degree,
     lax_annihilation_residual,
     on_flat_curve,
@@ -41,6 +42,12 @@ def transform(f, pole, p):
     return penrose_residue_transform(Program([f]), ScalarField("second", pole), p)
 
 
+def curve_program(order):
+    """The oracle's st curve trees, mu0's coefficients then mu1's, as one program."""
+    mu0, mu1 = st_twistor_curve(order)
+    return field_program(mu0 + mu1)
+
+
 def pts(seed=1, n=10):
     return sample_points("second", seed, n,
                          ("q_nonzero", "w_nonzero", "z_nonzero", "y_nonzero"))
@@ -48,23 +55,19 @@ def pts(seed=1, n=10):
 
 class TestFlatCurve:
     def test_leading_coefficients(self):
-        c = flat_twistor_curve(3)
+        c = flat_curve_program(3)
         p = point("second", 2, 3, 5, 7)
-        assert c.mu0.coefficient(0).value(p) == 2
-        assert c.mu0.coefficient(1).value(p) == 7
-        assert c.mu1.coefficient(0).value(p) == 3
-        assert c.mu1.coefficient(1).value(p) == -5
+        assert c.chart == "second"
+        assert c.values(p) == [2, 7, 0, 0, 3, -5, 0, 0]
 
     def test_higher_coefficients_vanish(self):
-        c = flat_twistor_curve(4)
-        for i in range(2, 5):
-            assert c.mu0.coefficient(i).is_zero()
-            assert c.mu1.coefficient(i).is_zero()
+        c = flat_curve_program(4)
+        assert c.texts() == ["w", "y", "0", "0", "0", "z", "-x", "0", "0", "0"]
 
     def test_annihilated_identically(self):
-        c = flat_twistor_curve(4)
+        c = flat_curve_program(4)
         for p in pts(seed=2, n=4):
-            res = lax_annihilation_residual(c.program(), flat(), p)
+            res = lax_annihilation_residual(c, flat(), p)
             assert res["max_abs_interior"] == 0
             assert all(v == 0 for d in res["top"].values() for v in d.values())
 
@@ -86,7 +89,7 @@ class TestCurvedCurve:
 
     def test_sigma_zero_is_flat(self):
         c = st_curve_program(5)
-        flat_c = flat_twistor_curve(5).program()
+        flat_c = flat_curve_program(5)
         for p in pts(seed=4, n=3):
             assert c.values(p, {"sigma": F(0)}) == flat_c.values(p)
 
@@ -107,14 +110,14 @@ class TestCurvedCurve:
             assert res["max_abs_interior"] == 0
 
     def test_each_jet_evaluated_once_per_point(self, monkeypatch):
-        c = st_twistor_curve(10)
+        mu0, mu1 = st_twistor_curve(10)
         program = st_curve_program(10)
         theta = st_potential()
         p = pts(seed=7)[0]
         work = JetWork(monkeypatch)
         res = lax_annihilation_residual(program, theta, p, SIGMA)
         # the potential's jet plus one per curve coefficient (11 in each of mu0, mu1)
-        assert work.fold_count == 1 + len(c.mu0.coeffs) + len(c.mu1.coeffs) == 23
+        assert work.fold_count == 1 + len(mu0) + len(mu1) == 23
         assert work.most_folds_of_one_tree == 1
         # the coefficients share their powers of Q, -y/w and x/z, and each jet keeps
         # its reciprocal and squarings: folded one at a time they took 713 products
@@ -123,12 +126,13 @@ class TestCurvedCurve:
         assert work.inversions <= 4
         monkeypatch.undo()
         # each residual is the relation between two coefficient trees of the oracle
+        zero = ScalarField.constant(0, "second")
         for A, B in res["interior"]:
-            series = getattr(c, B)
-            for r in range(series.min_deg, series.max_deg + 2):
-                public = lax_step_residual(theta, series.coefficient(r - 1),
-                                           series.coefficient(r), p, SIGMA)
-                table = res["interior"] if r <= series.max_deg - 1 else res["top"]
+            series = [zero, *(mu0 if B == "mu0" else mu1), zero]   # lam^-1 .. lam^11
+            top = len(series) - 3
+            for r in range(top + 2):
+                public = lax_step_residual(theta, series[r], series[r + 1], p, SIGMA)
+                table = res["interior"] if r <= top - 1 else res["top"]
                 assert table[(A, B)][r] == public[A]
 
     def test_curve_compiled_once_for_every_point(self, monkeypatch):
@@ -144,16 +148,14 @@ class TestCurvedCurve:
         assert work.products <= 3 * 147
 
     def test_fault_injection_locates_order(self):
-        c = st_twistor_curve(5)
+        mu0, mu1 = st_twistor_curve(5)
         # corrupt the lam^3 coefficient of mu0 with a coordinate-dependent term
         from heavenly.jetcore import Var, add, mul
-        from heavenly.twistor import LambdaSeries, TwistorCurve
-        bad_coeffs = list(c.mu0.coeffs)
-        bad_coeffs[3] = ScalarField("second", add(bad_coeffs[3].expr, mul(Var("x"), Var("w"))))
-        bad = TwistorCurve("st", LambdaSeries("second", 0, tuple(bad_coeffs)), c.mu1)
+        bad = list(mu0)
+        bad[3] = ScalarField("second", add(bad[3].expr, mul(Var("x"), Var("w"))))
         theta = st_potential()
         p = pts(seed=6)[0]
-        res = lax_annihilation_residual(bad.program(), theta, p, SIGMA)
+        res = lax_annihilation_residual(field_program(bad + list(mu1)), theta, p, SIGMA)
         assert res["max_abs_interior"] != 0
         nonzero_orders = {r for d in res["interior"].values() for r, v in d.items() if v != 0}
         assert nonzero_orders and min(nonzero_orders) >= 2
@@ -168,19 +170,18 @@ class TestCurveFromTheTable:
 
     def test_the_instructions_of_the_trees(self):
         for order in self.ORDERS:
-            emitted, oracle = st_curve_program(order), st_twistor_curve(order).program()
+            emitted, oracle = st_curve_program(order), curve_program(order)
             assert emitted._code == oracle._code, order
             assert emitted._outputs == oracle._outputs, order
 
     def test_each_coefficient_prints_as_its_tree(self):
         for order in self.ORDERS:
-            c = st_twistor_curve(order)
+            mu0, mu1 = st_twistor_curve(order)
             emitted = st_curve_program(order)
-            assert emitted.texts() \
-                == [fold_oracle.to_text(f.expr) for f in c.mu0.coeffs + c.mu1.coeffs]
+            assert emitted.texts() == [fold_oracle.to_text(f.expr) for f in mu0 + mu1]
 
     def test_jets_at_random_points(self):
-        emitted, oracle = st_curve_program(12), st_twistor_curve(12).program()
+        emitted, oracle = st_curve_program(12), curve_program(12)
         for p, sigma in zip(pts(seed=24, n=3), (F(1), F(2, 3), F(-5, 2))):
             for q, s in ((p, sigma), (p.as_float(), float(sigma))):
                 got, want = (prog.jets(q, 1, {"sigma": s}) for prog in (emitted, oracle))
@@ -194,7 +195,7 @@ class TestCurveFromTheTable:
          "EvaluationError: '(w*x+z*y)^(-2)' is too large for a float at the point"),
     ])
     def test_an_error_names_the_instruction_of_the_trees(self, values, text):
-        emitted, oracle = st_curve_program(12), st_twistor_curve(12).program()
+        emitted, oracle = st_curve_program(12), curve_program(12)
         p = point("second", *values)
         runs = [lambda prog: prog.values(p, {"sigma": 0.5})]
         if "Pole" in text:   # a jet never overflows: it holds an inf
@@ -207,11 +208,9 @@ class TestCurveFromTheTable:
 class TestSeriesSolve:
     def test_flat_background_gives_flat_curve(self):
         c = series_solve_omega(Poly.zero("second"), 4)
-        flat_c = flat_twistor_curve(4)
         p = point("second", 1, 2, 3, 4)
-        for i in range(5):
-            assert c.mu0.coefficient(i).value(p) == flat_c.mu0.coefficient(i).value(p)
-            assert c.mu1.coefficient(i).value(p) == flat_c.mu1.coefficient(i).value(p)
+        assert c.chart == "second"
+        assert c.values(p) == flat_curve_program(4).values(p) == [1, 4, 0, 0, 0, 2, -3, 0, 0, 0]
 
     def test_polynomial_background_quadratic_tail(self):
         # background x^2 z: the lam^2 coefficient of the first component is the
@@ -220,14 +219,14 @@ class TestSeriesSolve:
         c = series_solve_omega(theta, 3)
         tx = theta.diff("x")
         for p in pts(seed=7, n=4):
-            assert c.mu0.coefficient(2).value(p) == -tx.eval(p)
+            assert c.values(p)[2] == -tx.eval(p)
 
     def test_generated_curve_annihilated(self):
         theta = Poly("second", {(0, 1, 2, 0): F(1), (0, 2, 1, 0): F(1)})  # x^2 z + x z^2
         c = series_solve_omega(theta, 4)
         background = SecondPotential(theta.to_field())
         for p in pts(seed=8, n=5):
-            res = lax_annihilation_residual(c.program(), background, p)
+            res = lax_annihilation_residual(c, background, p)
             assert res["max_abs_interior"] == 0
 
 
