@@ -258,7 +258,7 @@ def _curvature_check(args, entry) -> int:
         config["f"] = profile
     # each point's metric table, inverse and frame values come from one jet of the primary field
     inputs = ((p, *geometry.at(p, params)) for p in pts)
-    records = curvature.asd_vacuum_verdict(inputs, args.tol)["records"]
+    records = curvature.asd_vacuum_verdict(inputs, args.tol, geometry.sparsity)["records"]
     if args.command == "curvature-report":
         records = [{k: v for k, v in r.items() if k != "pass"} for r in records]
     return _check(args, config, records, lambda r: (r, {

@@ -179,6 +179,10 @@ _COLUMNS = {chart: [(), *((c,) for c in x), *((x[c], x[e]) for c, e in UPPER)]
 _THETA_ROWS = tuple(n + d for n in (_YY, _XY, _XX) for d in _COLUMNS[SECOND])
 # Omega's mixed Hessian block Omega_{w^A wt^B}: _{w wt}, _{w zt}, _{z wt}, _{z zt}
 _MIXED = tuple((a, b) for a in ("w", "z") for b in ("wt", "zt"))
+# each geometry kind's sparsity (see FieldGeometry)
+_SECOND_SPARSITY = ("vvc0v0c000", "0010000110110111", "0010011100011011")
+_FIRST_SPARSITY = ("00vv0vv000", "0011001111001100", "0011001110000100")
+_PLANE_WAVE_SPARSITY = ("00c0v0c000", "0010000110000101", "0010010100011000")
 
 
 class FieldGeometry(NamedTuple):
@@ -195,12 +199,15 @@ class FieldGeometry(NamedTuple):
     equal exactly those of the symbolic tetrad and metric trees and their
     Gauss-Jordan inverse, the test reference in ``tests/geometry_oracle.py``,
     with no symbolic derivative, no elimination and no jet product but the
-    first form's det H and s H.
+    first form's det H and s H.  ``sparsity`` is the zeros ``read`` puts in them at every
+    point: a letter per table row, 0 (all zero), c (a constant) or v, and a digit per
+    inverse entry, row by row, and frame component, in the frame's order, 0 or 1.
     """
 
     field: ScalarField
     order: int
     read: Callable[[Jet], tuple[MetricTable, InverseTable, FrameTable]]
+    sparsity: tuple[str, str, str]
 
     def at(self, p: Point, params=None) -> tuple[MetricTable, InverseTable, FrameTable]:
         return self.read(self.field.jet(p, self.order, params))
@@ -270,7 +277,7 @@ def _plane_wave_geometry(f_jet: Jet) -> tuple[MetricTable, InverseTable, FrameTa
 
 def geometry_from_theta(theta: SecondPotential) -> FieldGeometry:
     """The second-form metric and frame of the module docstring off Theta's order-4 jet."""
-    return FieldGeometry(theta.field, 4, _second_form_geometry)
+    return FieldGeometry(theta.field, 4, _second_form_geometry, _SECOND_SPARSITY)
 
 
 def geometry_from_omega(omega: FirstPotential) -> FieldGeometry:
@@ -278,13 +285,13 @@ def geometry_from_omega(omega: FirstPotential) -> FieldGeometry:
 
     A point where the mixed Hessian block is singular raises ``PoleError``.
     """
-    return FieldGeometry(omega.field, 4, _first_form_geometry)
+    return FieldGeometry(omega.field, 4, _first_form_geometry, _FIRST_SPARSITY)
 
 
 def plane_wave_geometry(f: ScalarField) -> FieldGeometry:
     """The plane-wave metric and frame off f's order-2 jet."""
     _require_profile(f)
-    return FieldGeometry(f, 2, _plane_wave_geometry)
+    return FieldGeometry(f, 2, _plane_wave_geometry, _PLANE_WAVE_SPARSITY)
 
 
 # ---------------------------------------------------------------------------

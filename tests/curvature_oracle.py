@@ -16,15 +16,23 @@ oracle should be.  It takes the metric's tree jets and their Gauss-Jordan
 inverse from ``tests/geometry_oracle.py``, the inputs the package's
 curvature core is compared on there, and inverts the full order-2 jets.
 Nothing in ``src/`` imports it.
+
+:func:`riemann_block`, :func:`ricci_numerators` and :func:`loop_spinors_at` are
+the package's curvature core as loops over every table row and every term:
+the package compiles the same sums, in the same order and association, with
+the terms its tables' sparsity makes zero left out, and must equal them word
+for word (``tests/test_curvature_kernels.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
+from heavenly.curvature import _AT, _BLOCK, _PAIRS, _SIGNED, _SPINOR, CurvatureReport
 from heavenly.jetcore import Jet, chart_coords
-from heavenly.tetrads import EPS
+from heavenly.tetrads import EPS, UPPER
 
 from geometry_oracle import invert_jet_matrix, metric_jets
 
@@ -284,3 +292,84 @@ def curvature(g, t, p, params):
             "reassembly_max_abs": max(re_err), "duality_max_abs": duality_max,
             "blocks": blocks(block, fv, *ricci_lowered(block, ginv)),
             "sizes": lowered_sizes(gj, ginv)}
+
+
+# ---------------------------------------------------------------------------
+# the package's curvature core as loops: the reference for its compiled sums
+
+
+def riemann_block(metric, inverse, domain):
+    """R_abcd on the coordinate pairs a < b, c < d, and the metric's values, each as
+    numerators over one denominator: ``(M, DM), (gv, Dg)``, summed over every row
+    of the table (``heavenly.curvature._riemann_block``'s sums and checks)."""
+    (nums, Dg), (iv, Di) = metric, inverse
+    gv = [[nums[k][0] for k in row] for row in _AT]
+    unit = Dg * Di
+    size = sum(abs(x[0]) for x in nums) * sum(abs(x) for row in iv for x in row)
+    cols = list(zip(*iv))
+    for a, row in enumerate(gv):
+        for b, col in enumerate(cols):
+            r = sum(map(mul, row, col)) - unit * (a == b)
+            if r and domain.verdict(10 ** 9 * abs(r), size) is False:
+                raise domain.error("ginv is not the metric's inverse at this point")
+    d1, d2 = [x[1:5] for x in nums], [x[5:] for x in nums]
+    low = [[d1[_AT[e][b]][c] + d1[_AT[e][c]][b] - d1[k][e] for e in range(4)]
+           for k, (b, c) in enumerate(UPPER)]
+    up = [[sum(map(mul, row, lk)) for row in iv] for lk in low]
+    m = 2 * Di * Dg
+    M = [[m * (d2[ad][bc] + d2[bc][ad] - d2[bd][ac] - d2[ac][bd])
+          + sum(map(mul, low[bc], up[ad])) - sum(map(mul, low[bd], up[ac]))
+          for ad, bc, bd, ac in row] for row in _BLOCK]
+    return (M, 2 * m * Dg), (gv, Dg)
+
+
+def ricci_numerators(M, iv):
+    """R_bd = g^ae R_ebad from the block (over Di DM), and the scalar g^bd R_bd
+    (over Di^2 DM), with R_ebad = -R_bead = -R_ebda read off a < b, c < d."""
+    ric = [[0] * 4 for _ in range(4)]
+    for a, irow in enumerate(iv):
+        ad = [(d, *s) for d, s in enumerate(_SIGNED[a]) if s]
+        for e, h in enumerate(irow):
+            if h:
+                for b, s in enumerate(_SIGNED[e]):
+                    if s:
+                        row, out = M[s[0]], ric[b]
+                        for d, j, t in ad:
+                            out[d] += (h if s[1] == t else -h) * row[j]
+    return ric, sum(x * y for row, irow in zip(ric, iv) for x, y in zip(row, irow) if y)
+
+
+def loop_spinors_at(p, metric, inverse, frame, tol: float = 1e-9) -> CurvatureReport:
+    """``heavenly.curvature.spinors_at`` by the loops: the scalar curvature and the
+    Ricci, SD and ASD Weyl maxima at ``p``, with the inverse and the frame's duality
+    checked."""
+    (M, dm), (gv, dg) = riemann_block(metric, inverse, p.domain)
+    (iv, di), (fv, df) = inverse, frame
+    ric, scalar = ricci_numerators(M, iv)
+    d_ric, ds = di * dm, di * di * dm
+    q = p.domain.divide
+    den, zero = dg * df * df, p.domain.zero
+    vectors = {k: [(a, x) for a, x in enumerate(u) if x] for k, u in fv.items()}
+    gu = {k: [sum([c * x for a, x in u if (c := gv[a][b])], zero) for b in range(4)]
+          for k, u in vectors.items()}
+    worst = max(abs(sum([c * x for b, x in v if (c := row[b])], zero)
+                    - EPS[(A, B)] * EPS[(Ap, Bp)] * den)
+                for (A, Ap), row in gu.items() for (B, Bp), v in vectors.items())
+    duality_max = q(worst, den)
+    if p.domain.verdict(duality_max, tol) is False:
+        raise p.domain.error("tetrad is not dual to the metric at this point" if p.domain.exact
+                             else f"tetrad duality residual {duality_max:.3g} exceeds tol {tol:g} "
+                             "at this point")
+
+    def bivector(u0, u1, v0, v1):   # u0 ^ v1 - u1 ^ v0
+        return [u0[a] * v1[b] - u0[b] * v1[a] - u1[a] * v0[b] + u1[b] * v0[a] for a, b in _PAIRS]
+    sym = ((0, 0), (0, 1), (1, 1))
+    bivectors = ([bivector(fv[(0, i)], fv[(1, i)], fv[(0, j)], fv[(1, j)]) for i, j in sym]
+                 + [bivector(fv[(i, 0)], fv[(i, 1)], fv[(j, 0)], fv[(j, 1)]) for i, j in sym])
+    Mb = [[sum(map(mul, row, b)) for row in M] for b in bivectors]
+    m_b, m_s, d_spin = 6 * di * di, df ** 4, 24 * ds * df ** 4
+    sd, asd = ([m_b * sum(map(mul, bivectors[off + k], Mb[off + l])) - m_s * scalar * e
+                for (k, l), e in _SPINOR.items()] for off in (0, 3))
+    return CurvatureReport(p, q(scalar, ds), duality_max,
+                           q(max(abs(x) for row in ric for x in row), d_ric),
+                           q(max(map(abs, sd)), d_spin), q(max(map(abs, asd)), d_spin))

@@ -1,5 +1,6 @@
 """Count the jet work a call does: programs built, outputs folded, jet products,
-inversions, product kernels compiled, diff calls.
+inversions, product kernels compiled, and the curvature core's kernels and
+multiplications.
 
 The jet-count guards bound these counts for one point, or for one job.  Every
 jet the package builds from a tree or a coefficient table comes from a run of
@@ -15,20 +16,18 @@ A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
 the inversions counted are those computed (``Jet._invert``).  A small layout
 compiles its product kernel once per process, so the layouts are rebuilt for
 the call: every kernel it needs is compiled inside it, and each compile is
-recorded as the layout's (nvars, order).  Symbolic
-differentiation, which only the test oracles do, is counted as
-``diff_oracle.diff`` calls, wrapped at every binding site of any loaded
-module; ``diff`` recurses through its module's name, so each node it
-differentiates counts.
+recorded as the layout's (nvars, order).  The curvature core's kernels are
+compiled once per process too, so its kernel cache is emptied for the call:
+each source compiled is recorded by its key, and each call of a kernel adds
+the multiplications its code holds (no kernel a finite table takes branches).
 """
 
 from __future__ import annotations
 
-import sys
+import ast
 from collections import Counter
 
-import diff_oracle
-from heavenly import jetcore
+from heavenly import curvature, jetcore
 from heavenly.jetcore import Jet, Program
 
 
@@ -42,10 +41,12 @@ class JetWork:
         self.products = 0
         self.inversions = 0
         self.kernels: list[tuple[int, int]] = []
-        self.diff_calls = 0
+        self.core_kernels: list[tuple] = []
+        self.core_products = 0
         real_init, real_jets = Program.__init__, Program.jets
         real_kernel = jetcore._product_kernel
-        real_mul, real_invert, real_diff = Jet.__mul__, Jet._invert, diff_oracle.diff
+        real_source, real_kernels, core_products = curvature._source, curvature._kernels, {}
+        real_mul, real_invert = Jet.__mul__, Jet._invert
 
         def init(program, outputs, chart=None):
             self.compiles += 1
@@ -68,19 +69,30 @@ class JetWork:
             self.kernels.append((len(layout.monomials[0]), layout.degree[-1]))
             return real_kernel(layout)
 
-        def diff(e, var):
-            self.diff_calls += 1
-            return real_diff(e, var)
+        def source(*key):
+            text = real_source(*key)
+            self.core_kernels.append(key)
+            for fn in ast.parse(text).body:
+                core_products[key, fn.name] = sum(isinstance(x, ast.Mult) for x in ast.walk(fn))
+            return text
 
-        for module in list(sys.modules.values()):
-            if getattr(module, "__dict__", {}).get("diff") is real_diff:
-                monkeypatch.setattr(module, "diff", diff)
+        def kernels(*key):
+            def counted(fn):
+                def call(*args):
+                    self.core_products += core_products[key, fn.__name__]
+                    return fn(*args)
+                return call
+            return tuple(map(counted, real_kernels(*key)))
+
         monkeypatch.setattr(Program, "__init__", init)
         monkeypatch.setattr(Program, "jets", jets)
         monkeypatch.setattr(Jet, "__mul__", mul)
         monkeypatch.setattr(Jet, "_invert", invert)
         monkeypatch.setattr(jetcore, "_LAYOUTS", {})
         monkeypatch.setattr(jetcore, "_product_kernel", kernel)
+        monkeypatch.setattr(curvature, "_KERNELS", {})
+        monkeypatch.setattr(curvature, "_source", source)
+        monkeypatch.setattr(curvature, "_kernels", kernels)
 
     @property
     def folds(self) -> Counter:

@@ -211,6 +211,12 @@ class TestExitCodes:
          "error: --f forms lam-degree 99999 on the flat curve, above the budget of 200"),
         (["penrose", "--f", "1/(mu0^200*mu1)", "--pole=-w/y"],
          "error: --f forms lam-degree 201 on the flat curve, above the budget of 200"),
+        # a float profile whose table holds an inf: the curvature core keeps every term
+        # there, and the residual that turns nan first is named (leaving out the products
+        # by a zero the metric always has there, this point passed)
+        (["curvature-report", "--background", "plane-wave", "--f", "(7*q)^400*z", "--mode",
+          "float", "--seed", "5"], "error: sd_weyl_max_abs = nan at point w=0.6666666666666666,"
+         " z=1.3333333333333333, q=0.8333333333333334, p=1.0 is not finite in float mode"),
     ])
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
@@ -723,7 +729,6 @@ class TestHierarchyCheckSharedJets:
         # is the one fold; no test fields, no derivative trees
         assert work.fold_count == 1
         assert work.most_folds_of_one_tree == 1
-        assert work.diff_calls == 0
         # the potential is a polynomial: no inversions.  With the order-1 jets of 2n
         # test fields in a second fold they took 16, 36 and 45 products; with a second,
         # order-2 fold of the potential and one fold per test field, 32, 52 and 68
@@ -785,6 +790,11 @@ class TestCurvatureJetWork:
     # and 40/5 with every product by a zero jet taken)
     BOUNDS = {"sparling-tod": (3, 1), "phi2-eguchi-hanson": (5, 2), "plane-wave": (1, 0),
               "flat-first": (8, 1)}
+    # background -> the curvature core's multiplications at one point: its two kernels,
+    # compiled once for the geometry kind's sparsity.  Summed over every table row and
+    # every term, the loops took 1333 on each kind (548 of them in the block)
+    CORE_PRODUCTS = {"sparling-tod": 427, "phi2-eguchi-hanson": 427, "plane-wave": 220,
+                     "flat-first": 563}
 
     @pytest.mark.parametrize("background", sorted(BOUNDS))
     def test_one_point_folds_only_the_primary_field(self, background, monkeypatch):
@@ -797,10 +807,20 @@ class TestCurvatureJetWork:
         # metric jet and frame value; no derivative tree is built
         assert {text for _, text in work.folds} == {str(entry.geometry().field)}
         assert work.fold_count == 1
-        assert work.diff_calls == 0
         products, inversions = self.BOUNDS[background]
         assert work.products <= products
         assert work.inversions <= inversions
+
+    @pytest.mark.parametrize("background", sorted(CORE_PRODUCTS))
+    def test_core_multiplies_only_what_the_sparsity_leaves(self, background, monkeypatch):
+        from heavenly.catalog import load_catalog
+        work = JetWork(monkeypatch)
+        code, _ = run(["curvature-report", "--background", background, "--points", "3"])
+        assert code == 0
+        # the kind's block and spinor kernels, compiled from one source at the first point
+        assert [key[0] for key in work.core_kernels] == [load_catalog()[background].geometry(
+            ).sparsity]
+        assert work.core_products == 3 * self.CORE_PRODUCTS[background]
 
     @pytest.mark.parametrize("background, d_jets", [
         ("sparling-tod", 0), ("phi2-eguchi-hanson", 0), ("plane-wave", 0), ("flat-first", 4)])
