@@ -6,8 +6,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
-from .jetcore import ScalarField
+from .jetcore import ScalarField, kept
 from .tetrads import (
     FieldGeometry,
     FirstPotential,
@@ -23,13 +25,19 @@ SHIPPED = Path(__file__).with_name("data") / "catalog.json"
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog entry.  Entries are shared by every load of the same bytes, so
+    ``params`` is a read-only copy of the mapping it is given."""
+
     name: str
     chart: str
     kind: str  # potential-second | potential-first | metric
     expression: str
-    params: dict[str, Fraction] = field(default_factory=dict)
+    params: Mapping[str, Fraction] = field(default_factory=dict)
     exclusions: tuple[str, ...] = ()
     solution: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def second_potential(self) -> SecondPotential:
         if self.kind != "potential-second":
@@ -66,8 +74,16 @@ def _parse_entry(raw: dict) -> CatalogEntry:
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, CatalogEntry]:
-    """Load the shipped catalog, or a user file with the same schema."""
-    raw = json.loads(Path(SHIPPED if path is None else path).read_text())
+    """Load the shipped catalog, or a user file with the same schema.
+
+    The file is read on every call and parsed once per distinct contents, so
+    a file rewritten between two calls gives its new entries."""
+    return dict(_entries((SHIPPED if path is None else Path(path)).read_bytes()))
+
+
+@kept(limit=8)
+def _entries(data: bytes) -> dict[str, CatalogEntry]:
+    raw = json.loads(data)
     if raw.get("schema") != 1:
         raise ValueError("unsupported catalog schema")
     entries = [_parse_entry(r) for r in raw["entries"]]

@@ -43,14 +43,12 @@ from .jetcore import (
     PoleError,
     ScalarField,
     chart_coords,
-    field_program,
     parse_expression,
 )
 from .polynomials import Poly
 from .sampling import SamplerExhausted, float_points, sample_points
 from .tetrads import (
     SECOND,
-    SecondPotential,
     first_heavenly_residual,
     second_heavenly_residual,
 )
@@ -212,7 +210,7 @@ def _background(args, *exclusions):
         exclusions.append("q_unit_scale")  # absolute tolerances assume unit scale
     pts = _sample(SECOND, args, exclusions)
     if args.background == "flat":
-        return SecondPotential(ScalarField.constant(0, SECOND)), None, sigma, pts
+        return recursion.flat_potential(), None, sigma, pts
     return recursion.st_potential(), {"sigma": sigma}, sigma, pts
 
 
@@ -269,12 +267,12 @@ def cmd_recursion_chain(args) -> int:
     first = 1 if args.background == "st" else 0
     if args.n < first:
         raise ConfigError(f"--n must be at least {first} on {args.background}, got {args.n}")
-    theta, params, sigma, pts = _background(args)
+    _, params, sigma, pts = _background(args)
     # on st the formal monomial image is checked in the chain's fold; its residuals
     # join the first member's
     pairs = recursion.monomial_action_pairs() if first and args.n >= 2 else {}
     if args.background == "flat":
-        program = field_program([theta.field, *(recursion.flat_phi(n) for n in range(args.n + 1))])
+        program = recursion.flat_chain_program(args.n)
         key, offset = "link_max_abs", -1   # link (n-1, n) is reported on member n
     else:
         program = recursion.st_chain_program(args.n, pairs)

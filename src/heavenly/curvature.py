@@ -55,11 +55,12 @@ on Y, C_A'B'C'D' (the SD spinor) on X.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
-from .jetcore import Number, Point
+from .jetcore import Number, Point, kept
 from .tetrads import EPS, UPPER, FrameTable, InverseTable, MetricTable
 
 
@@ -96,10 +97,18 @@ def _times(x, y, guard=None, sign=""):
 
 
 def _function(head: str, tables, code: list, *out) -> str:
+    """The function ``head`` that unpacks its ``tables``, runs ``code`` and returns ``out``,
+    less each line that sets a name no later line and no output reads."""
+    ret = ", ".join(x if isinstance(x, str) else f"[{', '.join(x)}]" for x in out)
+    live, lines = set(re.findall(r"\w+", ret)), []
+    for line in reversed(code):
+        name, value = line.split(" = ", 1)
+        if name in live or not name.isidentifier():   # an unpacking line stays
+            lines.append(line)
+            live.update(re.findall(r"\w+", value))
     code = [", ".join(f"({', '.join(f'{x}{r}{c}' for c in range(n))})" for r in range(n))
-            + " = " + table for x, n, table in tables] + code
-    return f"def {head}:\n " + "\n ".join(code) + "\n return " + ", ".join(
-        x if isinstance(x, str) else f"[{', '.join(x)}]" for x in out) + "\n"
+            + " = " + table for x, n, table in tables] + lines[::-1]
+    return f"def {head}:\n " + "\n ".join(code) + "\n return " + ret + "\n"
 
 
 def _source(sparsity: tuple[str, str, str], keys: tuple, guarded: bool) -> str:
@@ -165,16 +174,15 @@ def _source(sparsity: tuple[str, str, str], keys: tuple, guarded: bool) -> str:
         [x or "zero" for row in r for x in row], "scalar", dual, *spinors)
 
 
-_KERNELS: dict = {}   # (sparsity, frame keys, guarded) -> the block and spinor kernels
 _DENSE = ("v" * 10, "1" * 16, "1" * 16)   # the sparsity of a table without one
 
 
+@kept()
 def _kernels(*key):
-    if key not in _KERNELS:
-        scope: dict = {}
-        exec(compile(_source(*key), "<curvature kernels>", "exec"), scope)
-        _KERNELS[key] = scope["block"], scope["spinors"]
-    return _KERNELS[key]
+    """(sparsity, frame keys, guarded) -> the block and spinor kernels, compiled on first use."""
+    scope: dict = {}
+    exec(compile(_source(*key), "<curvature kernels>", "exec"), scope)
+    return scope["block"], scope["spinors"]
 
 
 def _riemann_block(metric: MetricTable, inverse: InverseTable, domain, block=None):

@@ -26,7 +26,9 @@ Expressions, points, fields, programs and jets are immutable after
 construction (what one caches on first use, such as a field's program, a
 program's text or a jet's reciprocal, is a pure function of it, and no jet is
 shared between points) and evaluation is pure, so independent points may be
-evaluated concurrently.
+evaluated concurrently.  What derives from fixed inputs alone, such as a jet
+layout or a parsed field with its program, is kept for the process by
+:func:`kept`, keyed by everything it reads.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import reprlib
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import factorial, gcd, isfinite, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, TypeVar, Union
@@ -453,6 +456,40 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# per-process caches
+
+KEPT: list[Callable] = []   # every function :func:`kept` made, in definition order
+
+
+def kept(limit: int | None = None) -> Callable[[Callable], Callable]:
+    """Keep a builder's results for the life of the process, keyed by its arguments.
+
+    The package's one cache rule: a value derived only from fixed inputs may
+    live for the whole process, keyed by everything it reads.  So a kept
+    builder reads nothing but its (hashable) arguments, and no caller changes
+    what it returns.  A call that raises keeps nothing.  With ``limit``, the
+    oldest entry makes room for a new one.  The entries are the kept
+    function's ``store``, and it calls its ``build`` on a miss, so a test can
+    swap in an empty store and count the builds of a fresh process.
+    """
+    def wrap(build: Callable) -> Callable:
+        @wraps(build)
+        def cached(*key):
+            store = cached.store
+            value = store.get(key, store)   # the store itself: no entry
+            if value is store:
+                value = cached.build(*key)
+                if len(store) == limit:
+                    del store[next(iter(store))]
+                store[key] = value
+            return value
+        cached.store, cached.build = {}, build
+        KEPT.append(cached)
+        return cached
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # jets
 
 def _alpha_factorial(alpha: tuple[int, ...]) -> int:
@@ -528,16 +565,11 @@ def _product_kernel(layout: _Layout) -> Callable[[list, list, Number], list]:
     return scope["product"]
 
 
-_LAYOUTS: dict[tuple[int, int], _Layout] = {}
-
-
+@kept()
 def _layout(nvars: int, order: int) -> _Layout:
-    layout = _LAYOUTS.get((nvars, order))
-    if layout is None:
-        if order < 0 or order > MAX_ORDER:
-            raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-        layout = _LAYOUTS[(nvars, order)] = _Layout(nvars, order)
-    return layout
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+    return _Layout(nvars, order)
 
 
 def _recurrence(h: list, inv, terms: list, rows: list) -> list:
@@ -1160,7 +1192,9 @@ class ScalarField:
 
     @staticmethod
     def parse(text: str, chart: str) -> "ScalarField":
-        return ScalarField(chart, parse_expression(text, chart))
+        """The field of ``text`` on ``chart``: one per (text, chart) and process, with the
+        program it compiles on first use."""
+        return _parsed(text, chart)
 
     @staticmethod
     def constant(v, chart: str) -> "ScalarField":
@@ -1192,6 +1226,11 @@ class ScalarField:
 
     def __str__(self):
         return to_text(self.expr)
+
+
+@kept(limit=256)
+def _parsed(text: str, chart: str) -> ScalarField:
+    return ScalarField(chart, parse_expression(text, chart))
 
 
 def field_program(fields: Sequence[ScalarField]) -> Program:

@@ -29,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .jetcore import (
+    Expr,
     Jet,
     Number,
     Point,
@@ -41,7 +43,9 @@ from .jetcore import (
     add,
     const,
     div,
+    field_program,
     free_vars,
+    kept,
     mul,
     neg,
     pow_,
@@ -152,9 +156,16 @@ _MYW = div(neg(Y), W)
 SIGMA = Var("sigma")
 
 
+@kept()
 def st_potential() -> SecondPotential:
-    """The quadratic-pole potential sigma/(wx+zy) with symbolic sigma."""
+    """The quadratic-pole potential sigma/(wx+zy) with symbolic sigma, one per process."""
     return SecondPotential(ScalarField(SECOND, div(SIGMA, _Q)))
+
+
+@kept()
+def flat_potential() -> SecondPotential:
+    """The zero potential of the flat background, one per process."""
+    return SecondPotential(ScalarField.constant(0, SECOND))
 
 
 def flat_phi(n: int) -> ScalarField:
@@ -186,14 +197,26 @@ def _psi(b, n: int) -> int:
     return table_sum(b, coeff_A, n, term)
 
 
+@kept(limit=16)
+def flat_chain_program(n: int) -> Program:
+    """The zero potential, then phi_0..phi_n, as one program (see chain_residual_maxima),
+    one per n and process."""
+    return field_program([flat_potential().field, *map(flat_phi, range(n + 1))])
+
+
 def st_chain_program(n: int, pairs: Mapping[str, tuple[ScalarField, ScalarField]]) -> Program:
     """The potential sigma/(wx+zy), psi_1..psi_n, then both fields of each pair, as one
-    program (see chain_residual_maxima); the members are issued from table A, no tree built."""
+    program (see chain_residual_maxima); the members are issued from table A, no tree built.
+    One program per n and pair trees in the process."""
+    return _st_chain_program(n, tuple(f.expr for pair in pairs.values() for f in pair))
+
+
+@kept(limit=16)
+def _st_chain_program(n: int, extra: tuple[Expr, ...]) -> Program:
     if n < 1:
         raise IndexError("chain index starts at 1")
     members = [partial(_psi, n=m) for m in range(1, n + 1)]
-    return Program([st_potential().field.expr, *members,
-                    *(f.expr for pair in pairs.values() for f in pair)], SECOND)
+    return Program([st_potential().field.expr, *members, *extra], SECOND)
 
 
 def monomial_recursion_image(k: int, j: int) -> ScalarField:
@@ -214,15 +237,17 @@ def monomial_recursion_image(k: int, j: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def monomial_action_pairs() -> dict[str, tuple[ScalarField, ScalarField]]:
+@kept()
+def monomial_action_pairs() -> Mapping[str, tuple[ScalarField, ScalarField]]:
     """The integrable cases of the formal monomial image, labelled: each maps to
-    the pair (f, image of f) that the recursion relations must link.
+    the pair (f, image of f) that the recursion relations must link.  One
+    read-only mapping per process.
 
     Checked by chain_residual_maxima, at the chain's points and in its fold.
     """
-    return {f"monomial k={k} j={j}": (
+    return MappingProxyType({f"monomial k={k} j={j}": (
         ScalarField(SECOND, mul(pow_(_MYW, k), pow_(_Q, j)) if k else pow_(_Q, j)),
-        monomial_recursion_image(k, j)) for (k, j) in ((0, -1), (1, -1))}
+        monomial_recursion_image(k, j)) for (k, j) in ((0, -1), (1, -1))})
 
 
 def chain_residual_maxima(program: Program, members: int, points: Sequence[Point],

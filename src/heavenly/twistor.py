@@ -42,6 +42,7 @@ from .jetcore import (
     add,
     div,
     field_program,
+    kept,
     mul,
     neg,
 )
@@ -50,17 +51,19 @@ from .recursion import SIGMA, coeff_B, recursion_step_poly, table_sum
 from .tetrads import SECOND, SecondPotential, lax_step_from_jets
 
 
+@kept(limit=16)
 def flat_curve_program(order: int) -> Program:
     """The flat curve's coefficients of lam^0..lam^order, mu0's (w, y, 0, ...) then
-    mu1's (z, -x, 0, ...), as one program."""
+    mu1's (z, -x, 0, ...), as one program, one per order and process."""
     pad = [ZERO] * max(0, order - 1)
     return Program([Var("w"), Var("y"), *pad, Var("z"), neg(Var("x")), *pad], SECOND)
 
 
+@kept(limit=16)
 def st_curve_program(order: int) -> Program:
     """The quadratic-pole curve's coefficients of lam^0..lam^order, mu0's then mu1's,
-    sigma symbolic, as one program.  Row n of table B gives the lam^(n+1) tails
-    (n >= 1), issued with no tree built (see table_sum):
+    sigma symbolic, as one program, one per order and process.  Row n of table B gives
+    the lam^(n+1) tails (n >= 1), issued with no tree built (see table_sum):
       mu0: sigma sum_k B(n,k) w (-y/w)^k Q^(k-n-1)
       mu1: sigma sum_k B(n,k) z (x/z)^k  Q^(k-n-1)
     so the first tails are -lam^2 Theta_x and -lam^2 Theta_y respectively.

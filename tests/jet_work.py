@@ -13,13 +13,18 @@ its tree.  Building a program is counted on ``Program.__init__``.
 Products and inversions are counted on ``Jet`` itself, so they include the
 ring operations of the folds and of everything done with the jets afterwards.
 A jet keeps its reciprocal, so ``Jet.reciprocal`` calls include cache hits;
-the inversions counted are those computed (``Jet._invert``).  A small layout
-compiles its product kernel once per process, so the layouts are rebuilt for
-the call: every kernel it needs is compiled inside it, and each compile is
-recorded as the layout's (nvars, order).  The curvature core's kernels are
-compiled once per process too, so its kernel cache is emptied for the call:
-each source compiled is recorded by its key, and each call of a kernel adds
-the multiplications its code holds (no kernel a finite table takes branches).
+the inversions counted are those computed (``Jet._invert``).
+
+What the package keeps for the process (``heavenly.jetcore.kept``: layouts
+and their product kernels, the curvature core's kernels, parsed catalogs,
+parsed fields with their programs, the st and flat programs) starts empty
+for the call, as in a fresh process, and the process's entries come back
+after it (:func:`fresh_caches`): every program, layout and kernel a job
+needs is built inside the call.  Each build is counted by the kept function's name
+(``builds``), a product kernel's compile is recorded as its layout's (nvars,
+order), a curvature source compiled by its key, and each call of a curvature
+kernel adds the multiplications its code holds (no kernel a finite table
+takes branches).
 """
 
 from __future__ import annotations
@@ -27,8 +32,22 @@ from __future__ import annotations
 import ast
 from collections import Counter
 
+import heavenly.cli  # noqa: F401 - loads every module that keeps something, so KEPT lists all
 from heavenly import curvature, jetcore
 from heavenly.jetcore import Jet, Program
+
+
+def fresh_caches(monkeypatch, builds: Counter | None = None) -> None:
+    """Give every kept function an empty store until ``monkeypatch`` undoes it, so what
+    is built meanwhile (a monkeypatched builder's result too) is dropped afterwards;
+    with ``builds``, count each build by the function's module and name."""
+    for fn in jetcore.KEPT:
+        monkeypatch.setattr(fn, "store", {})
+        if builds is not None:
+            def build(*key, real=fn.build, name=f"{fn.__module__}.{fn.__name__}"):
+                builds[name] += 1
+                return real(*key)
+            monkeypatch.setattr(fn, "build", build)
 
 
 class JetWork:
@@ -43,6 +62,8 @@ class JetWork:
         self.kernels: list[tuple[int, int]] = []
         self.core_kernels: list[tuple] = []
         self.core_products = 0
+        self.builds: Counter = Counter()   # module.name of each kept function -> its builds
+        fresh_caches(monkeypatch, self.builds)
         real_init, real_jets = Program.__init__, Program.jets
         real_kernel = jetcore._product_kernel
         real_source, real_kernels, core_products = curvature._source, curvature._kernels, {}
@@ -88,9 +109,7 @@ class JetWork:
         monkeypatch.setattr(Program, "jets", jets)
         monkeypatch.setattr(Jet, "__mul__", mul)
         monkeypatch.setattr(Jet, "_invert", invert)
-        monkeypatch.setattr(jetcore, "_LAYOUTS", {})
         monkeypatch.setattr(jetcore, "_product_kernel", kernel)
-        monkeypatch.setattr(curvature, "_KERNELS", {})
         monkeypatch.setattr(curvature, "_source", source)
         monkeypatch.setattr(curvature, "_kernels", kernels)
 

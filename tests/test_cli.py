@@ -32,7 +32,7 @@ from heavenly.tetrads import (
 )
 
 from chain_oracle import st_psi
-from jet_work import JetWork
+from jet_work import JetWork, fresh_caches
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,6 +43,81 @@ def run(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+# argv, and a part of its one error line: bad input that exits 2
+BAD_INPUT = [
+    (["hierarchy-check", "--n", "10"], "--n must be in 1..9"),
+    (["hierarchy-check", "--n", "0"], "--n must be in 1..9"),
+    (["symplectic-check", "--degree", "-1"], "--degree must be at least 0"),
+    (["twistor-series", "--background", "st", "--order", "0"], "--order must be at least 1"),
+    (["twistor-series", "--background", "flat", "--order", "0"], "--order must be at least 1"),
+    (["verify-solution", "--background", "plane-wave", "--f", "w"],
+     "profile must depend on (q, z) only"),
+    (["curvature-report", "--background", "plane-wave", "--f", "sigma*q"],
+     "profile must depend on (q, z) only"),
+    (["curvature-report", "--background", "sparling-tod", "--mode", "float", "--tol", "0"],
+     "--tol must be positive and finite"),
+    (["recursion-chain", "--background", "st", "--n", "2", "--tol=-1e-9"],
+     "--tol must be positive and finite"),
+    (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--tol", "nan"],
+     "--tol must be positive and finite"),
+    (["curvature-report", "--background", "sparling-tod", "--tol", "inf"],
+     "--tol must be positive and finite"),
+    (["recursion-chain", "--background", "bogus", "--n", "2"], "invalid choice: 'bogus'"),
+    (["hierarchy-check"], "required: --n"),
+    (["verify-solution", "--background", "sparling-tod", "--f", "zz^"],
+     "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
+    (["curvature-report", "--background", "sparling-tod", "--f", "q"],
+     "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
+    (["verify-solution", "--background", "flat-second", "--sigma", "1/2"],
+     "--sigma sets the sigma parameter; 'flat-second' has none"),
+    (["verify-solution", "--background", "plane-wave", "--sigma", "1/2"],
+     "--sigma sets the sigma parameter; 'plane-wave' has none"),
+    (["curvature-report", "--background", "plane-wave", "--sigma", "1/2"],
+     "--sigma sets the sigma parameter; 'plane-wave' has none"),
+    (["curvature-report", "--background", "phi2-eguchi-hanson", "--sigma", "abc"],
+     "--sigma sets the sigma parameter; 'phi2-eguchi-hanson' has none"),
+    (["recursion-chain", "--background", "flat", "--n", "2", "--sigma", "5"],
+     "--sigma sets the sigma parameter; 'flat' has none"),
+    (["twistor-series", "--background", "flat", "--order", "2", "--sigma", "5"],
+     "--sigma sets the sigma parameter; 'flat' has none"),
+    # values too large for a float: a constant met while evaluating, --sigma, and
+    # a catalog parameter
+    (["curvature-report", "--background", "plane-wave", "--f", "q^2/(q^400*7^400)",
+      "--mode", "float", "--seed", "1"], "is too large for a float at the point"),
+    (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "1e400",
+      "--mode", "float"], "error: --sigma is too large for --mode float"),
+    (["verify-solution", "--background", "sparling-tod", "--sigma", "1e400",
+      "--mode", "float"], "error: parameter 'sigma' is too large for --mode float"),
+    # trees deeper than the recursion limit: compiling one recurses once per level
+    (["penrose", "--f", "1/(mu0*mu1)" + "+lam" * 1200, "--pole=-w/y"],
+     "error: --f is nested too deeply to evaluate"),
+    (["curvature-report", "--background", "plane-wave", "--f", "q" + "+q" * 1200],
+     "error: --f is nested too deeply to evaluate"),
+    (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y" + "+w-w" * 700],
+     "error: --pole is nested too deeply to evaluate"),
+    # integers past Python's 4300-digit limit for integer text: in a report, and in
+    # --sigma, whose echo is shortened
+    (["curvature-report", "--background", "plane-wave", "--f", "q^99999"],
+     "error: a value of the report has more than 4300 digits"),
+    (["verify-solution", "--background", "plane-wave", "--f", "q^99999"],
+     "error: a value of the report has more than 4300 digits"),
+    (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "7" * 5000],
+     "error: --sigma must be a rational with at most 4300 digits in each number (Python's "
+     "limit for integer text), got '777777777777...7777777777777'"),
+    # a penrose --f past the lam-degree budget, in a numerator or a denominator
+    (["penrose", "--f", "lam^99999/(mu0*mu1)", "--pole=-w/y"],
+     "error: --f forms lam-degree 99999 on the flat curve, above the budget of 200"),
+    (["penrose", "--f", "1/(mu0^200*mu1)", "--pole=-w/y"],
+     "error: --f forms lam-degree 201 on the flat curve, above the budget of 200"),
+    # a float profile whose table holds an inf: the curvature core keeps every term
+    # there, and the residual that turns nan first is named (leaving out the products
+    # by a zero the metric always has there, this point passed)
+    (["curvature-report", "--background", "plane-wave", "--f", "(7*q)^400*z", "--mode",
+      "float", "--seed", "5"], "error: sd_weyl_max_abs = nan at point w=0.6666666666666666,"
+     " z=1.3333333333333333, q=0.8333333333333334, p=1.0 is not finite in float mode"),
+]
 
 
 class TestExitCodes:
@@ -146,78 +221,7 @@ class TestExitCodes:
             assert code == 2, cmd
             assert capsys.readouterr().err.startswith("error: --sigma")
 
-    @pytest.mark.parametrize("argv,message", [
-        (["hierarchy-check", "--n", "10"], "--n must be in 1..9"),
-        (["hierarchy-check", "--n", "0"], "--n must be in 1..9"),
-        (["symplectic-check", "--degree", "-1"], "--degree must be at least 0"),
-        (["twistor-series", "--background", "st", "--order", "0"], "--order must be at least 1"),
-        (["twistor-series", "--background", "flat", "--order", "0"], "--order must be at least 1"),
-        (["verify-solution", "--background", "plane-wave", "--f", "w"],
-         "profile must depend on (q, z) only"),
-        (["curvature-report", "--background", "plane-wave", "--f", "sigma*q"],
-         "profile must depend on (q, z) only"),
-        (["curvature-report", "--background", "sparling-tod", "--mode", "float", "--tol", "0"],
-         "--tol must be positive and finite"),
-        (["recursion-chain", "--background", "st", "--n", "2", "--tol=-1e-9"],
-         "--tol must be positive and finite"),
-        (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y", "--tol", "nan"],
-         "--tol must be positive and finite"),
-        (["curvature-report", "--background", "sparling-tod", "--tol", "inf"],
-         "--tol must be positive and finite"),
-        (["recursion-chain", "--background", "bogus", "--n", "2"], "invalid choice: 'bogus'"),
-        (["hierarchy-check"], "required: --n"),
-        (["verify-solution", "--background", "sparling-tod", "--f", "zz^"],
-         "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
-        (["curvature-report", "--background", "sparling-tod", "--f", "q"],
-         "--f sets a metric entry's profile; 'sparling-tod' is a potential-second entry"),
-        (["verify-solution", "--background", "flat-second", "--sigma", "1/2"],
-         "--sigma sets the sigma parameter; 'flat-second' has none"),
-        (["verify-solution", "--background", "plane-wave", "--sigma", "1/2"],
-         "--sigma sets the sigma parameter; 'plane-wave' has none"),
-        (["curvature-report", "--background", "plane-wave", "--sigma", "1/2"],
-         "--sigma sets the sigma parameter; 'plane-wave' has none"),
-        (["curvature-report", "--background", "phi2-eguchi-hanson", "--sigma", "abc"],
-         "--sigma sets the sigma parameter; 'phi2-eguchi-hanson' has none"),
-        (["recursion-chain", "--background", "flat", "--n", "2", "--sigma", "5"],
-         "--sigma sets the sigma parameter; 'flat' has none"),
-        (["twistor-series", "--background", "flat", "--order", "2", "--sigma", "5"],
-         "--sigma sets the sigma parameter; 'flat' has none"),
-        # values too large for a float: a constant met while evaluating, --sigma, and
-        # a catalog parameter
-        (["curvature-report", "--background", "plane-wave", "--f", "q^2/(q^400*7^400)",
-          "--mode", "float", "--seed", "1"], "is too large for a float at the point"),
-        (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "1e400",
-          "--mode", "float"], "error: --sigma is too large for --mode float"),
-        (["verify-solution", "--background", "sparling-tod", "--sigma", "1e400",
-          "--mode", "float"], "error: parameter 'sigma' is too large for --mode float"),
-        # trees deeper than the recursion limit: compiling one recurses once per level
-        (["penrose", "--f", "1/(mu0*mu1)" + "+lam" * 1200, "--pole=-w/y"],
-         "error: --f is nested too deeply to evaluate"),
-        (["curvature-report", "--background", "plane-wave", "--f", "q" + "+q" * 1200],
-         "error: --f is nested too deeply to evaluate"),
-        (["penrose", "--f", "1/(mu0*mu1)", "--pole=-w/y" + "+w-w" * 700],
-         "error: --pole is nested too deeply to evaluate"),
-        # integers past Python's 4300-digit limit for integer text: in a report, and in
-        # --sigma, whose echo is shortened
-        (["curvature-report", "--background", "plane-wave", "--f", "q^99999"],
-         "error: a value of the report has more than 4300 digits"),
-        (["verify-solution", "--background", "plane-wave", "--f", "q^99999"],
-         "error: a value of the report has more than 4300 digits"),
-        (["recursion-chain", "--background", "st", "--n", "2", "--sigma", "7" * 5000],
-         "error: --sigma must be a rational with at most 4300 digits in each number (Python's "
-         "limit for integer text), got '777777777777...7777777777777'"),
-        # a penrose --f past the lam-degree budget, in a numerator or a denominator
-        (["penrose", "--f", "lam^99999/(mu0*mu1)", "--pole=-w/y"],
-         "error: --f forms lam-degree 99999 on the flat curve, above the budget of 200"),
-        (["penrose", "--f", "1/(mu0^200*mu1)", "--pole=-w/y"],
-         "error: --f forms lam-degree 201 on the flat curve, above the budget of 200"),
-        # a float profile whose table holds an inf: the curvature core keeps every term
-        # there, and the residual that turns nan first is named (leaving out the products
-        # by a zero the metric always has there, this point passed)
-        (["curvature-report", "--background", "plane-wave", "--f", "(7*q)^400*z", "--mode",
-          "float", "--seed", "5"], "error: sd_weyl_max_abs = nan at point w=0.6666666666666666,"
-         " z=1.3333333333333333, q=0.8333333333333334, p=1.0 is not finite in float mode"),
-    ])
+    @pytest.mark.parametrize("argv,message", BAD_INPUT)
     def test_bad_input_is_one_error_line(self, argv, message, capsys):
         code, out = run(argv + ["--points", "1"])
         assert code == 2
@@ -225,6 +229,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv,message", BAD_INPUT)
+    def test_bad_input_repeats_byte_for_byte(self, argv, message, monkeypatch, capsys):
+        # from a fresh process's caches: a run that fails keeps nothing (no field
+        # whose parse failed) that would make the same run fail otherwise
+        fresh_caches(monkeypatch)
+        outputs = []
+        for _ in range(2):
+            code, out = run(argv + ["--points", "1"])
+            outputs.append((code, out, capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 2 and message in outputs[0][2]
 
     def test_nan_residuals_are_two(self, capsys):
         # (7q)^400 overflows the float jets to inf, so every curvature residual is nan,
@@ -303,8 +319,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(
             "verdict failed: mixed (00, 10)^x00 = -2 at point x00=")
 
+    def test_a_job_cannot_change_the_next_ones_params(self, monkeypatch):
+        # every job reads the process's one entry: it gets its params as its own copy
+        from heavenly import cli
+        argv = ["verify-solution", "--background", "sparling-tod", "--points", "1"]
+        before, real = run(argv), cli._params
+
+        def mutating(entry, args):
+            params = real(entry, args)
+            params["sigma"] = Fraction(7)   # the job's own copy
+            with pytest.raises(TypeError):
+                entry.params["sigma"] = Fraction(7)   # the shared entry's, read-only
+            return params
+        monkeypatch.setattr(cli, "_params", mutating)
+        changed = run(argv)
+        monkeypatch.undo()
+        assert changed != before
+        assert run(argv) == before
+
     def test_monomial_check_reaches_the_verdict(self, monkeypatch, capsys):
         from heavenly import recursion
+        # the monomial pairs and the chain program are kept for the process: start from
+        # empty caches, so the mutant builds them, and drop what it built afterwards
+        fresh_caches(monkeypatch)
         real = recursion.monomial_recursion_image
         monkeypatch.setattr(recursion, "monomial_recursion_image",
                             lambda k, j: real(k, j - 1))  # the image of the wrong monomial
@@ -683,6 +720,30 @@ class TestCompiledOncePerJob:
         assert code == 0
         assert work.compiles == compiles
 
+    @pytest.mark.parametrize("argv", [
+        "recursion-chain --background st --n 10 --sigma 1/2 --points 3",
+        "recursion-chain --background flat --n 6 --points 3",
+        "twistor-series --background st --order 10 --points 3",
+        "curvature-report --background plane-wave --f q^3 --points 2",
+        "verify-solution --background plane-wave",
+        "penrose --f 1/(mu0*mu1*lam^2) --pole=-w/y --points 1",
+        "penrose --f 1/(mu0*mu1*lam^2) --pole=-w/y --points 5",
+    ])
+    def test_a_second_job_compiles_nothing(self, argv, monkeypatch, capsys):
+        work = JetWork(monkeypatch)
+        _rerun_builds_nothing(work, argv.split(), capsys)
+
+
+def _rerun_builds_nothing(work, argv, capsys):
+    """Run ``argv`` twice in one process: the second run prints the first one's bytes, and
+    compiles no program and builds nothing kept (no catalog or field parse)."""
+    first = run(argv), capsys.readouterr().err
+    compiles, builds = work.compiles, +work.builds
+    assert ("heavenly.catalog._entries" in builds) == (argv[0] in ("verify-solution",
+                                                                   "curvature-report"))
+    assert (run(argv), capsys.readouterr().err) == first
+    assert (work.compiles, +work.builds) == (compiles, builds)
+
 
 class TestPinnedJetWork:
     """The jet products and inversions of four chain-workload jobs, fixed.
@@ -710,6 +771,12 @@ class TestPinnedJetWork:
         run("recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24".split())
         assert work.compiles == 1
         assert work.program_runs == 3
+
+    def test_a_second_job_runs_the_kept_program(self, monkeypatch, capsys):
+        work = JetWork(monkeypatch)
+        argv = "recursion-chain --background st --n 10 --sigma 1/2 --points 3 --seed 24".split()
+        _rerun_builds_nothing(work, argv, capsys)
+        assert (work.compiles, work.program_runs) == (1, 6)
 
     def test_kernels_compiled_once_per_small_layout(self, monkeypatch):
         work = JetWork(monkeypatch)
@@ -792,9 +859,10 @@ class TestCurvatureJetWork:
               "flat-first": (8, 1)}
     # background -> the curvature core's multiplications at one point: its two kernels,
     # compiled once for the geometry kind's sparsity.  Summed over every table row and
-    # every term, the loops took 1333 on each kind (548 of them in the block)
-    CORE_PRODUCTS = {"sparling-tod": 427, "phi2-eguchi-hanson": 427, "plane-wave": 220,
-                     "flat-first": 563}
+    # every term, the loops took 1333 on each kind (548 of them in the block); the
+    # kernels took 427, 427, 220 and 563 while they kept the sums that nothing reads
+    CORE_PRODUCTS = {"sparling-tod": 410, "phi2-eguchi-hanson": 410, "plane-wave": 202,
+                     "flat-first": 543}
 
     @pytest.mark.parametrize("background", sorted(BOUNDS))
     def test_one_point_folds_only_the_primary_field(self, background, monkeypatch):

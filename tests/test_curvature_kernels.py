@@ -216,21 +216,22 @@ class TestCompiledCore:
 
     def test_a_sparsity_compiles_its_kernels_once(self, monkeypatch):
         compiled, real = [], curvature._source
-        monkeypatch.setattr(curvature, "_KERNELS", {})
+        monkeypatch.setattr(curvature._kernels, "store", {})
         monkeypatch.setattr(curvature, "_source", lambda *key: compiled.append(key) or real(*key))
         entry = load_catalog()["sparling-tod"]
         geometry, params, kernels = entry.geometry(), dict(entry.params), []
         for values in [(F(1, 2), 2, F(-1, 3), 5), (3, F(2, 7), 1, F(-5, 2))]:
             p = Point("second", values)
             curvature.spinors_at(p, *geometry.at(p, params), 1e-9, geometry.sparsity)
-            kernels.append(dict(curvature._KERNELS))
+            kernels.append(dict(curvature._kernels.store))
         # one source, compiled at the first point; the second point runs the same functions
         assert compiled == [(geometry.sparsity, ((0, 0), (0, 1), (1, 0), (1, 1)), False)]
         assert kernels[0].keys() == kernels[1].keys()
         assert all(kernels[1][key] is fn for key, fn in kernels[0].items())
 
     def test_no_kernel_is_compiled_at_import(self):
-        code = "import heavenly.cli, heavenly.curvature as c; print(c.__file__, len(c._KERNELS))"
+        code = ("import heavenly.cli, heavenly.curvature as c; "
+                "print(c.__file__, len(c._kernels.store))")
         src = Path(curvature.__file__).parents[1]
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})

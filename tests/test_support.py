@@ -69,6 +69,24 @@ class TestCatalog:
         cat = load_catalog(path)
         assert "mine" in cat
 
+    def test_a_rewritten_file_is_read_again(self, tmp_path):
+        # entries are kept per file contents, not per path
+        import json
+        path = tmp_path / "cat.json"
+        for potential in ("x^2*z", "y^3"):
+            path.write_text(json.dumps({"schema": 1, "entries": [{
+                "name": "mine", "chart": "second", "kind": "potential-second",
+                "potential": potential}]}))
+            assert load_catalog(path)["mine"].expression == potential
+
+    def test_shared_entries_are_read_only(self):
+        entry = load_catalog()["sparling-tod"]
+        with pytest.raises(TypeError):
+            entry.params["sigma"] = F(5)
+        load_catalog().clear()   # the mapping returned is the caller's own
+        assert load_catalog()["sparling-tod"] is entry
+        assert entry.params == {"sigma": F(1)}
+
 
 class TestSampling:
     def test_deterministic_golden_list(self):

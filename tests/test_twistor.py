@@ -136,8 +136,8 @@ class TestCurvedCurve:
                 assert table[(A, B)][r] == public[A]
 
     def test_curve_compiled_once_for_every_point(self, monkeypatch):
-        theta = st_potential()
         work = JetWork(monkeypatch)
+        theta = st_potential()
         c = st_curve_program(10)
         for p in pts(seed=7, n=3):
             lax_annihilation_residual(c, theta, p, SIGMA)
@@ -146,6 +146,17 @@ class TestCurvedCurve:
         assert work.fold_count == 3 * 23
         assert work.most_folds_of_one_tree == 1
         assert work.products <= 3 * 147
+
+    def test_a_second_pass_compiles_nothing(self, monkeypatch):
+        work = JetWork(monkeypatch)
+        passes = [[lax_annihilation_residual(st_curve_program(10), st_potential(), p, SIGMA)
+                   for p in pts(seed=7, n=3)] for _ in range(2)]
+        # the potential and the curve are kept for the process, each with its program
+        assert st_curve_program(10) is st_curve_program(10)
+        assert st_potential() is st_potential()
+        assert work.compiles == 2
+        assert work.fold_count == 2 * 3 * 23
+        assert passes[0] == passes[1]
 
     def test_fault_injection_locates_order(self):
         mu0, mu1 = st_twistor_curve(5)
