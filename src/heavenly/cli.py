@@ -312,8 +312,8 @@ def cmd_twistor_series(args) -> int:
 
 
 # the largest lam-degree a penrose --f may form on the flat curve (twistor.lam_degree).
-# One point in exact arithmetic (CPython 3.11, one Xeon core) took 0.003 s for
-# lam^200/(mu0*mu1), 0.045 s for (1+lam)^200/(mu0*mu1) and 0.62 s for
+# One point in exact arithmetic (CPython 3.11, one Xeon core) took 0.002 s for
+# lam^200/(mu0*mu1), 0.02 s for (1+lam)^200/(mu0*mu1) and 0.10-0.17 s for
 # (lam+123456789/987654321)^200/(mu0*mu1); a dense numerator's work grows about as the
 # degree squared
 PENROSE_LAM_DEGREE = 200

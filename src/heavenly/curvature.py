@@ -185,13 +185,13 @@ def _kernels(*key):
     return scope["block"], scope["spinors"]
 
 
-def _riemann_block(metric: MetricTable, inverse: InverseTable, domain, block=None):
+def _riemann_block(metric: MetricTable, inverse: InverseTable, domain, block):
     """R_abcd on the coordinate pairs a < b, c < d, and the metric's values, each as
     numerators over one denominator: ``(M, DM), (gv, Dg)``, from the point's table and its
-    inverse's values over Di by ``block`` (None: the dense one).  ``M[i][j]`` is R_abcd for
-    the i-th pair (a, b) and the j-th (c, d) of ``_PAIRS``, over DM = 4 Di Dg^2."""
+    inverse's values over Di by the compiled ``block`` (:func:`_kernels`).  ``M[i][j]`` is
+    R_abcd for the i-th pair (a, b) and the j-th (c, d) of ``_PAIRS``, over DM = 4 Di Dg^2."""
     (nums, Dg), (iv, Di), m = metric, inverse, 2 * inverse[1] * metric[1]
-    rs, M, gv = (block or _kernels(_DENSE, tuple(EPS), False)[0])(nums, iv, m, Dg * Di, domain.zero)
+    rs, M, gv = block(nums, iv, m, Dg * Di, domain.zero)
     # ginv must be g's inverse at the point or the connection is not g's.  A float
     # g ginv - 1 may be 1e-9 of |g| |ginv|, their summed |values|; 10^9 r is compared,
     # since 1e-9 times an exact size could overflow a float

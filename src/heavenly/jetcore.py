@@ -61,6 +61,8 @@ CHARTS: dict[str, tuple[str, ...]] = {
     "plane-wave": ("w", "z", "q", "p"),
     # rational functions of a twistor fibre coordinate and the two curve components
     "twistor-function": ("lam", "mu0", "mu1"),
+    # the fibre coordinate alone: a twistor.RatLambda's numerator and denominator
+    "lam": ("lam",),
 }
 
 

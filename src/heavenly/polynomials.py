@@ -11,10 +11,11 @@ Every operation works on integers and divides by one gcd per result.
 ``Poly.numerators`` reads the integers out, for callers that sum in integers
 and divide once; ``Poly.terms`` reads the coefficients back as ``Fraction``s.
 
-``Poly`` is the package's only polynomial type over a chart.  The one
-univariate kind, a rational function of lam, is ``twistor.RatLambda``'s, with
-its arithmetic private to ``heavenly.twistor``; the sigma tables of the curved
-chain hold numbers (``recursion.coeff_A``).
+``Poly`` is the package's only polynomial type.  A rational function of lam,
+``twistor.RatLambda``, holds its numerator and denominator as ``Poly``s on the
+one-coordinate chart ``lam``, so the package has one polynomial product, one
+power and one normal form; the sigma tables of the curved chain hold numbers
+(``recursion.coeff_A``).
 """
 
 from __future__ import annotations
@@ -137,11 +138,16 @@ class Poly:
                              self._denom * other._denom)
 
     def __pow__(self, n: int) -> "Poly":
+        """self^n by square-and-multiply on the numerators, divided once."""
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = {(0,) * len(chart_coords(self.chart)): 1}
-        for _ in range(n):
-            acc = _times(acc, self._nums)
+        acc, base, k = {(0,) * len(chart_coords(self.chart)): 1}, self._nums, n
+        while k:
+            if k & 1:
+                acc = _times(acc, base)
+            k >>= 1
+            if k:
+                base = _times(base, base)
         return Poly._reduced(self.chart, acc, self._denom ** n)
 
     def scale(self, k) -> "Poly":

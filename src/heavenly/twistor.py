@@ -16,16 +16,16 @@ fields by taking the residue in lam at a caller-declared pole after
 substituting the flat curve.  Normalisation is fixed by
 transform(1/(mu0 mu1)) at the pole lam = -w/y being 1/(wx+zy); on twistor
 data the recursion operator is multiplication by 1/lam.  A rational
-function of lam (``RatLambda``) is the package's one univariate kind: its
-numerator and denominator are tuples of ``Fraction``s in ascending powers of
-lam, trimmed of trailing zeros, with the arithmetic private to this module.
+function of lam (``RatLambda``) holds its numerator and denominator as
+``polynomials.Poly``s on the one-coordinate chart ``lam``, so each of its
+ring operations is one line of ``Poly`` arithmetic: ``Poly`` is the
+package's only polynomial type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import zip_longest
+from functools import partial
 from typing import Mapping
 
 from .jetcore import (
@@ -136,86 +136,63 @@ def series_solve_omega(theta_poly: Poly, order: int) -> Program:
 # ---------------------------------------------------------------------------
 # residue transform
 
-def _trimmed(coeffs) -> tuple[Fraction, ...]:
-    """Coefficients in ascending powers of lam as ``Fraction``s, trailing zeros dropped."""
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _times(a: tuple, b: tuple) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:   # lam^k is mostly zeros
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _shifted(a: tuple, c: Fraction, m: int | None = None) -> list[Fraction]:
-    """The coefficients of a(c + t) in ascending powers of t (Horner-style Taylor
-    shift), only the first m of them if m is given."""
+def _shifted(a: Mapping[tuple[int], int], c: Fraction, m: int | None = None) -> list[Fraction]:
+    """The coefficients of a(c + t) in ascending powers of t, a's numerators keyed by
+    (power,) as ``Poly.numerators`` gives them (Horner-style Taylor shift), only the
+    first m of them if m is given."""
     out: list[Fraction] = []
-    for coeff in reversed(a):
-        # out <- out * (c + t) + coeff, cut after m terms
+    for k in range(max(a, default=(-1,))[0], -1, -1):
+        # out <- out * (c + t) + a_k, cut after m terms
         new = [c * v for v in out]
         new.append(Fraction(0))
         for i, v in enumerate(out):
             new[i + 1] += v
-        new[0] += coeff
+        new[0] += a.get((k,), 0)
         out = new[:m]
     return out
 
 
 class RatLambda:
-    """Univariate rational function in lam over exact rationals: no factor is cancelled."""
+    """Univariate rational function in lam over exact rationals, its numerator and
+    denominator ``Poly``s on the chart ``lam``: no factor is cancelled."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        self.num, self.den = _trimmed(num), _trimmed(den)
-        if not self.den:
+    def __init__(self, num: Poly, den: Poly):
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self.num, self.den = num, den
 
     @staticmethod
     def constant(c) -> "RatLambda":
-        return RatLambda((c,), (1,))
+        return RatLambda(Poly.constant(c, "lam"), Poly.constant(1, "lam"))
 
     @staticmethod
     def lam() -> "RatLambda":
-        return RatLambda((0, 1), (1,))
+        return RatLambda(Poly.coordinate("lam", "lam"), Poly.constant(1, "lam"))
 
     def __add__(self, o):
-        terms = zip_longest(_times(self.num, o.den), _times(o.num, self.den), fillvalue=0)
-        return RatLambda([x + y for x, y in terms], _times(self.den, o.den))
+        return RatLambda(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __sub__(self, o):
-        return self + -o
+        return RatLambda(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, o):
-        return RatLambda(_times(self.num, o.num), _times(self.den, o.den))
+        return RatLambda(self.num * o.num, self.den * o.den)
 
     def __truediv__(self, o):
-        if not o.num:
+        if o.num.is_zero():
             raise ZeroDivisionError("division by identically zero rational function")
-        return RatLambda(_times(self.num, o.den), _times(self.den, o.num))
+        return RatLambda(self.num * o.den, self.den * o.num)
 
     def __pow__(self, k: int):
-        """f^k by square-and-multiply, f^-k as (1/f)^k."""
+        """f^k, f^-k as (1/f)^k."""
         if k < 0:
             return RatLambda(self.den, self.num) ** (-k)
-        out, base = RatLambda.constant(1), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return RatLambda(self.num ** k, self.den ** k)
 
     def __neg__(self):
-        return RatLambda([-c for c in self.num], self.den)
+        return RatLambda(-self.num, self.den)
 
 
 def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
@@ -224,13 +201,15 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     A regular point has residue zero (a small contour around it encloses
     nothing); callers that require an actual pole should check separately.
     """
-    den = _shifted(f.den, pole)
+    (num_nums, dn), (den_nums, dd) = f.num.numerators(), f.den.numerators()
+    den = _shifted(den_nums, pole)
     m = next(i for i, c in enumerate(den) if c)   # the pole order; den is not zero
     if m == 0:
         return Fraction(0)
     # the residue is the coefficient of t^(m-1) in num(t) / den_red(t), t = lam - pole,
-    # which reads the first m coefficients of num: series-invert den_red to order m-1
-    num = _shifted(f.num, pole, m)
+    # which reads the first m coefficients of num: series-invert den_red to order m-1.
+    # Both are the integer numerators, so the sum is scaled by dd / dn once
+    num = _shifted(num_nums, pole, m)
     den_red = den[m:]
     order = m - 1
     inv = [Fraction(0)] * (order + 1)
@@ -244,7 +223,7 @@ def residue_at(f: RatLambda, pole: Fraction) -> Fraction:
     res = Fraction(0)
     for i, c in enumerate(num):
         res += c * inv[order - i]
-    return res
+    return res * dd / dn
 
 
 class NotAPoleError(EvaluationError):
@@ -255,9 +234,9 @@ def on_flat_curve(f: Program, p: Point, params: Mapping | None = None) -> RatLam
     """f(lam, mu0, mu1), compiled, on the flat curve (w + lam y, z - lam x) at p."""
     if p.chart != SECOND:
         raise ValueError("evaluation point must live on the second-form chart")
-    wv, zv, xv, yv = (Fraction(v) for v in p.values)
-    env = {"lam": RatLambda.lam(), "mu0": RatLambda((wv, yv), (1,)),
-           "mu1": RatLambda((zv, -xv), (1,))}
+    w, z, x, y = map(RatLambda.constant, p.values)
+    lam = RatLambda.lam()
+    env = {"lam": lam, "mu0": w + lam * y, "mu1": z - lam * x}
     env.update({k: RatLambda.constant(v) for k, v in (params or {}).items()})
 
     def leaf(e: Expr) -> RatLambda:
@@ -320,7 +299,7 @@ def penrose_residue_transform(f: Program, pole: ScalarField, p: Point,
     rat = on_flat_curve(f, p, params)
     pole_value = Fraction(pole.value(p, params))
     value = residue_at(rat, pole_value)   # a nonzero residue needs a pole: check only a 0
-    if not value and (den := reduce(lambda acc, c: acc * pole_value + c, reversed(rat.den), 0)):
+    if not value and (den := rat.den.eval(Point("lam", (pole_value,)))):
         raise NotAPoleError(f"f's denominator is {den} at lam = {pole_value}, not 0")
     return value
 

@@ -1,11 +1,13 @@
-"""The dictionary-of-Fractions polynomial, kept as a test oracle for ``heavenly.polynomials.Poly``.
+"""Polynomials over ``Fraction`` coefficients, kept as test oracles for ``heavenly.polynomials.Poly``.
 
-This is the polynomial the package used before it stored integer numerators
-over one denominator: one ``Fraction`` per monomial, every operation term by
-term in ``Fraction`` arithmetic.  It is slow and obviously correct, which is
-what an oracle should be.  ``uni_eval``, Horner evaluation of a univariate
-coefficient tuple (a ``twistor.RatLambda``'s numerator or denominator), lives
-here too: no subcommand evaluates one.  Nothing in
+``DictPoly`` is the polynomial the package used before it stored integer
+numerators over one denominator: one ``Fraction`` per monomial, every
+operation term by term in ``Fraction`` arithmetic.  ``TupleRatLambda`` is
+the rational function of lam that ``twistor.RatLambda`` was before its
+numerator and denominator became ``Poly``s: ``Fraction`` tuples in ascending
+powers of lam, trimmed of trailing zeros, multiplied coefficient by
+coefficient, with its residue and its fold on the flat curve.  Both are slow
+and obviously correct, which is what an oracle should be.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -13,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from heavenly import jetcore
-from heavenly.jetcore import Expr, Point, chart_coords
+from heavenly.jetcore import Const, Expr, Point, Program, chart_coords
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,129 @@ class DictPoly:
         return str(self.to_field())
 
 
-def uni_eval(a: tuple[Fraction, ...], x: Fraction) -> Fraction:
-    """Horner evaluation of coefficients in ascending powers."""
-    v = Fraction(0)
-    for c in reversed(a):
-        v = v * x + c
-    return v
+# ---------------------------------------------------------------------------
+# rational functions of lam as Fraction tuples
+
+def _trimmed(coeffs) -> tuple[Fraction, ...]:
+    """Coefficients in ascending powers of lam as ``Fraction``s, trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _times(a: tuple, b: tuple) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:   # lam^k is mostly zeros
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _shifted(a: tuple, c: Fraction, m: int | None = None) -> list[Fraction]:
+    """The coefficients of a(c + t) in ascending powers of t (Horner-style Taylor
+    shift), only the first m of them if m is given."""
+    out: list[Fraction] = []
+    for coeff in reversed(a):
+        new = [c * v for v in out]
+        new.append(Fraction(0))
+        for i, v in enumerate(out):
+            new[i + 1] += v
+        new[0] += coeff
+        out = new[:m]
+    return out
+
+
+class TupleRatLambda:
+    """Univariate rational function in lam, numerator and denominator ``Fraction`` tuples."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = _trimmed(num), _trimmed(den)
+        if not self.den:
+            raise ZeroDivisionError("zero denominator")
+
+    @staticmethod
+    def constant(c) -> "TupleRatLambda":
+        return TupleRatLambda((c,), (1,))
+
+    @staticmethod
+    def lam() -> "TupleRatLambda":
+        return TupleRatLambda((0, 1), (1,))
+
+    def __add__(self, o):
+        terms = zip_longest(_times(self.num, o.den), _times(o.num, self.den), fillvalue=0)
+        return TupleRatLambda([x + y for x, y in terms], _times(self.den, o.den))
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        return TupleRatLambda(_times(self.num, o.num), _times(self.den, o.den))
+
+    def __truediv__(self, o):
+        if not o.num:
+            raise ZeroDivisionError("division by identically zero rational function")
+        return TupleRatLambda(_times(self.num, o.den), _times(self.den, o.num))
+
+    def __pow__(self, k: int):
+        """f^k by square-and-multiply, f^-k as (1/f)^k."""
+        if k < 0:
+            return TupleRatLambda(self.den, self.num) ** (-k)
+        out, base = TupleRatLambda.constant(1), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def __neg__(self):
+        return TupleRatLambda([-c for c in self.num], self.den)
+
+
+def tuple_residue_at(f: TupleRatLambda, pole: Fraction) -> Fraction:
+    """Residue of f dlam at lam = pole; 0 at a regular point."""
+    den = _shifted(f.den, pole)
+    m = next(i for i, c in enumerate(den) if c)
+    if m == 0:
+        return Fraction(0)
+    num = _shifted(f.num, pole, m)
+    den_red = den[m:]
+    order = m - 1
+    inv = [Fraction(0)] * (order + 1)
+    inv[0] = 1 / den_red[0]
+    for i in range(1, order + 1):
+        s = Fraction(0)
+        for j in range(1, i + 1):
+            if j < len(den_red):
+                s += den_red[j] * inv[i - j]
+        inv[i] = -s / den_red[0]
+    res = Fraction(0)
+    for i, c in enumerate(num):
+        res += c * inv[order - i]
+    return res
+
+
+def tuple_on_flat_curve(f: Program, p: Point) -> TupleRatLambda:
+    """f(lam, mu0, mu1), compiled, on the flat curve (w + lam y, z - lam x) at p."""
+    wv, zv, xv, yv = (Fraction(v) for v in p.values)
+    env = {"lam": TupleRatLambda.lam(), "mu0": TupleRatLambda((wv, yv), (1,)),
+           "mu1": TupleRatLambda((zv, -xv), (1,))}
+    return f.run(lambda e: TupleRatLambda.constant(e.value) if isinstance(e, Const)
+                 else env[e.name])[0]
+
+
+def lam_coefficients(p) -> tuple[Fraction, ...]:
+    """A ``Poly`` on the chart ``lam``'s coefficients in ascending powers, as a
+    ``TupleRatLambda`` holds them."""
+    terms = p.terms
+    return tuple(terms.get((k,), Fraction(0)) for k in range(degree_of(p) + 1))
+
+
+def degree_of(p) -> int:
+    """The degree of a ``Poly`` on the chart ``lam`` (-1 for zero)."""
+    return max((k for (k,) in p.terms), default=-1)

@@ -514,7 +514,8 @@ class TestJetRoute:
                 gj, invert_jet_matrix([[x.truncate(1) for x in row] for row in gj]))
         except (EvaluationError, SingularMetricError):
             reject()
-        (M, dm), (gv, dg) = curvature._riemann_block(table, ginv, gj[0][0].domain)
+        dense = curvature._kernels(curvature._DENSE, tuple(EPS), False)[0]
+        (M, dm), (gv, dg) = curvature._riemann_block(table, ginv, gj[0][0].domain, dense)
         iv, di_block = ginv
         rm, d2 = riemann_values(G, D)
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]

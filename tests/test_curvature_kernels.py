@@ -180,7 +180,7 @@ def _same_as_the_loops(inputs):
     assert got == _outcome(lambda: curvature_oracle.loop_spinors_at(p, metric, inverse, frame,
                                                                     1e-9))
     # the block alone, by the kernel the core gave it, and by the dense one
-    for block in (*blocks, None):
+    for block in (*blocks, curvature._kernels(curvature._DENSE, tuple(tetrads.EPS), False)[0]):
         assert _block(lambda: real(metric, inverse, p.domain, block)) \
             == _block(lambda: curvature_oracle.riemann_block(metric, inverse, p.domain))
 

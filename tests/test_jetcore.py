@@ -47,7 +47,7 @@ import mul_oracle
 from diff_oracle import partial
 from dict_jet import DictJet, partials
 from jet_work import JetWork
-from poly_oracle import uni_eval
+from poly_oracle import degree_of
 
 
 def P(*vals):
@@ -383,14 +383,14 @@ class TestFoldOracles:
         except PoleError:
             assume(False)
         # penrose's budget reads a bound on every degree the fold forms
-        assert max(len(rat.num), len(rat.den)) - 1 <= twistor.lam_degree(Program([f]))
-        den = uni_eval(rat.den, t)
+        assert max(degree_of(rat.num), degree_of(rat.den)) <= twistor.lam_degree(Program([f]))
+        den = rat.den.eval(Point("lam", (t,)))
         assume(den != 0)
         try:
             expect = jet_of(f, Point("twistor-function", (t, w + t * y, z - t * x)), 0).value
         except PoleError:
             assume(False)
-        assert uni_eval(rat.num, t) / den == expect
+        assert rat.num.eval(Point("lam", (t,))) / den == expect
 
 
 def rebuilt(e):

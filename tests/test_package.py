@@ -264,9 +264,9 @@ def test_the_symbolic_derivative_check_sees_each_way_in(tmp_path):
 # may not come back to src/, in code, a string or a comment
 CURVATURE_TABLE_NAMES = ("_TABLES", "_READ_OUTS", "_frame_components", "reassembly_max_abs",
                          "weyl_asd", "weyl_sd")
-# One univariate polynomial kind: twistor.RatLambda's numerator and denominator, with
-# their arithmetic private to twistor.  The sigma tables hold numbers, and every twistor
-# curve is a Program; the retired univariate helpers and curve types stay out of src/ too
+# One polynomial type: twistor.RatLambda's numerator and denominator are Polys on the
+# chart lam.  The sigma tables hold numbers, and every twistor curve is a Program; the
+# retired univariate helpers and curve types stay out of src/ too
 UNIVARIATE_NAMES = ("UniPoly", "uni_add", "uni_mul", "uni_scale", "uni_shift", "LambdaSeries",
                     "TwistorCurve")
 
@@ -325,10 +325,17 @@ def test_the_univariate_check_sees_each_name(tmp_path):
 
 def test_the_package_keeps_one_univariate_type():
     from heavenly import polynomials, twistor
+    from heavenly.jetcore import Point, Program, parse_expression
     # beside the names above: the coefficient-tuple constructor, the tree curve, and
     # RatLambda's scaling, which negation does
     assert not hasattr(polynomials, "uni") and not hasattr(twistor, "flat_twistor_curve")
     assert not hasattr(twistor.RatLambda, "scale")
+    # RatLambda's arithmetic is Poly's: twistor keeps no coefficient-tuple helpers
+    assert not hasattr(twistor, "_trimmed") and not hasattr(twistor, "_times")
+    f = Program([parse_expression("(lam+1)^3/(mu0*mu1)", "twistor-function")])
+    rat = twistor.on_flat_curve(f, Point("second", (1, 2, 3, 4)))
+    assert type(rat.num) is polynomials.Poly and type(rat.den) is polynomials.Poly
+    assert rat.num.chart == rat.den.chart == "lam"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Spectral series, curve annihilation and the residue transform."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from heavenly.jetcore import (
-    Mul, Pow, Program, ScalarField, Var, field_program, parse_expression, point)
+    Mul, ParseError, PoleError, Pow, Program, ScalarField, Var, field_program, parse_expression, point)
 from heavenly.polynomials import Poly
 from heavenly.recursion import st_potential
 from heavenly.sampling import sample_points
@@ -26,9 +28,11 @@ from heavenly.twistor import (
 
 import chain_oracle
 import fold_oracle
+import poly_oracle
 from chain_oracle import st_twistor_curve
 from diff_oracle import field_diff
 from jet_work import JetWork
+from poly_oracle import degree_of, lam_coefficients
 
 SIGMA = {"sigma": F(1)}
 
@@ -330,7 +334,7 @@ class TestLamDegree:
         f = ScalarField.parse(text, "twistor-function").program()
         assert lam_degree(f) == degree
         rat = on_flat_curve(f, pts(seed=16, n=1)[0])
-        assert max(len(rat.num), len(rat.den)) - 1 == degree
+        assert max(degree_of(rat.num), degree_of(rat.den)) == degree
 
     def test_a_degree_on_the_way_counts(self):
         # (lam^9)^0 is 1, but the fold forms lam^9 first (the parser folds x^0 to 1,
@@ -358,3 +362,84 @@ class TestRatLambda:
         f = RatLambda.constant(1) / (RatLambda.lam() - RatLambda.constant(2))
         assert residue_at(f, F(0)) == 0
         assert residue_at(f, F(2)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Poly-backed RatLambda against the Fraction-tuple arithmetic it replaced
+
+RATIONAL = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# numerators up to degree 40, dense (every coefficient drawn) or sparse (a few powers)
+NUMERATORS = st.one_of(
+    st.lists(RATIONAL, max_size=41),
+    st.dictionaries(st.integers(0, 40), RATIONAL, max_size=4).map(
+        lambda d: [d.get(k, F(0)) for k in range(max(d, default=-1) + 1)]))
+# a nonzero constant times (lam - r)^e over 1-3 distinct roots r, each of order 1-4
+POLES = st.tuples(RATIONAL.filter(bool), st.lists(st.tuples(RATIONAL, st.integers(1, 4)),
+                                                  min_size=1, max_size=3, unique_by=lambda t: t[0]))
+TEXTS = st.recursive(
+    st.sampled_from(["lam", "mu0", "mu1", "1", "2", "3", "1/2"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(sub, st.integers(-3, 4)).map(lambda t: f"({t[0]})^({t[1]})")),
+    max_leaves=8)
+
+
+def _lam_poly(coeffs):
+    return Poly("lam", {(k,): c for k, c in enumerate(coeffs)})
+
+
+def _pair(num, poles):
+    """The rational function num / (c prod (lam - r)^e) as a RatLambda and as the oracle's."""
+    c, roots = poles
+    den = (c,)
+    for r, e in roots:
+        for _ in range(e):
+            den = poly_oracle._times(den, (-r, 1))
+    return RatLambda(_lam_poly(num), _lam_poly(den)), poly_oracle.TupleRatLambda(num, den)
+
+
+def _coefficients(rat):
+    """(numerator, denominator) coefficients of either kind, or the error it raised."""
+    try:
+        f = rat()
+    except (ZeroDivisionError, PoleError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(f, RatLambda):
+        return lam_coefficients(f.num), lam_coefficients(f.den)
+    return f.num, f.den
+
+
+class TestRatLambdaAgainstTuples:
+    @given(NUMERATORS, POLES, NUMERATORS, POLES, st.integers(-2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_ring_operations(self, na, pa, nb, pb, k):
+        (a, ta), (b, tb) = _pair(na, pa), _pair(nb, pb)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            assert _coefficients(lambda: op(a, b)) == _coefficients(lambda: op(ta, tb))
+        assert _coefficients(lambda: -a) == _coefficients(lambda: -ta)
+        assert _coefficients(lambda: a ** k) == _coefficients(lambda: ta ** k)
+
+    @given(NUMERATORS, POLES, NUMERATORS, POLES, RATIONAL)
+    @settings(max_examples=60, deadline=None)
+    def test_residues_at_poles_and_regular_points(self, na, pa, nb, pb, t):
+        (a, ta), (b, tb) = _pair(na, pa), _pair(nb, pb)
+        for f, tf in ((a, ta), (a * b, ta * tb), (a + b, ta + tb)):
+            for at in (*(r for r, _ in pa[1] + pb[1]), t):
+                assert residue_at(f, at) == poly_oracle.tuple_residue_at(tf, at)
+
+    @given(TEXTS, st.integers(0, 9), RATIONAL)
+    @settings(max_examples=80, deadline=None)
+    def test_on_flat_curve_of_parsed_texts(self, text, index, t):
+        try:
+            f = Program([parse_expression(text, "twistor-function")])
+        except ParseError:   # a constant divided by zero, say (1-1)
+            reject()
+        p = pts(seed=21)[index]
+        new = _coefficients(lambda: on_flat_curve(f, p))
+        assert new == _coefficients(lambda: poly_oracle.tuple_on_flat_curve(f, p))
+        if isinstance(new[0], str):   # both raised the same error
+            return
+        w, z, x, y = p.values
+        rat, old = on_flat_curve(f, p), poly_oracle.tuple_on_flat_curve(f, p)
+        for at in (-w / y, *([z / x] if x else []), t):   # mu0's root, mu1's, any
+            assert residue_at(rat, at) == poly_oracle.tuple_residue_at(old, at)
