@@ -21,8 +21,8 @@ and the rest, which reads M densely: the test oracle's loops' terms in order and
 association, each sum from the domain's zero, less those with a factor the
 sparsity makes zero.  A float table with an inf, a nan or values whose products
 could overflow takes the dense kernels, with the loops' skips of a product by a
-zero value.  Writing and compiling takes 3-6 ms; a point then takes 427 products
-on the second form, 563 on the first and 220 on the plane wave (loops: 1333).
+zero value.  Writing and compiling takes 3-6 ms; a point then takes 410 products
+on the second form, 543 on the first and 202 on the plane wave (loops: 1333).
 
 Riemann is lowered from the start and read on the coordinate pairs a < b,
 c < d only (Misner, Thorne & Wheeler, Gravitation, 1973):

@@ -5,12 +5,12 @@ their partial derivatives at rational points.  Fields are rational-function
 expression trees over the coordinates of a chart (plus the free parameter
 ``sigma``); evaluation propagates truncated multivariate Taylor polynomials
 ("jets") through the tree, so derivatives come out exact when the inputs are
-exact rationals.  Trees, and outputs a coefficient table issues without one,
-are compiled once into a :class:`Program` and replayed at each point in any
-ring (jets here, rational functions of the fibre coordinate in the residue
-transform), each structurally equal subtree once per point; :func:`fold` and
-:func:`jets_of` are one program and one run, :func:`field_program` compiles
-several fields of one chart, and a :class:`ScalarField` keeps its program.
+exact rationals.  Trees are compiled once into a :class:`Program` and
+replayed at each point in any ring (jets here, rational functions of the
+fibre coordinate in the residue transform), each structurally equal subtree
+once per point; :func:`fold` and :func:`jets_of` are one program and one
+run, :func:`field_program` compiles several fields of one chart, and a
+:class:`ScalarField` keeps its program.
 Every partial derivative is read off a jet (:meth:`Jet.d_numerators`,
 :meth:`Jet.d_jet`); the package differentiates no tree.  Symbolic
 differentiation of a tree, the independent route that cross-checks the jets,
@@ -994,72 +994,46 @@ _INFIX = {operator.add: ("+", 1), operator.sub: ("-", 1), operator.mul: ("*", 2)
           operator.truediv: ("/", 2)}
 
 
-class _Builder:
-    """A :class:`Program`'s instructions as its front ends issue them: a leaf ``(None,
-    node, None)`` (a ``Const`` or ``Var``), or a ring operation ``(op, a, b)`` on the
-    results of instructions ``a`` and ``b`` (a power's exponent; None for a negation).
-    An instruction equal to one issued before, by either front end, reuses its slot."""
-
-    __slots__ = ("code", "_slots", "_trees")
-
-    def __init__(self):
-        self.code, self._slots, self._trees = [], {}, {}   # _trees: the walk's memo
-
-    def issue(self, op, a, b=None) -> int:
-        s = self._slots.setdefault((op, a, b), len(self.code))
-        if s == len(self.code):
-            self.code.append((op, a, b))
-        return s
-
-    def tree(self, e: Expr) -> int:
-        """A tree's slot, walked as :func:`fold` evaluates it; an equal subtree is walked once."""
-        s = self._trees.get(e)
-        if s is None:
-            if isinstance(e, (Const, Var)):
-                s = self.issue(None, e)
-            elif isinstance(e, Div):
-                den = self.tree(e.b)
-                s = self.issue(operator.truediv, self.tree(e.a), den)
-            elif isinstance(e, Pow):
-                s = self.issue(operator.pow, self.tree(e.base), e.exponent)
-            elif isinstance(e, Neg):
-                s = self.issue(operator.neg, self.tree(e.a))
-            elif type(e) in _BINARY:
-                s = self.issue(_BINARY[type(e)], self.tree(e.a), self.tree(e.b))
-            else:
-                raise TypeError(type(e))
-            self._trees[e] = s
-        return s
-
-    # a table front end's operations as mul, add and pow_ build them (None: a 1 or 0 dropped)
-    def times(self, a: int | None, b: int | None) -> int | None:
-        return b if a is None else a if b is None else self.issue(operator.mul, a, b)
-
-    def plus(self, a: int | None, b: int | None) -> int | None:
-        return b if a is None else a if b is None else self.issue(operator.add, a, b)
-
-    def power(self, a: int, k: int) -> int:
-        return a if k == 1 else self.issue(operator.pow, a, k)
-
-
 class Program:
-    """Outputs compiled once into one straight-line list of ring operations, which
-    :meth:`run` replays at a point.  An output is a tree, walked as :func:`fold`
-    evaluates it with one instruction per distinct subtree, or a table front end: a
-    function that issues through the :class:`_Builder` the instructions its tree
-    would give and returns its slot.  Every operation keeps its order and operands,
-    so results (float bits included) and the first error are those of walking each
-    tree anew; :meth:`texts` and errors print from the list.  ``chart``, if given,
-    is the one chart whose points :meth:`jets` and :meth:`values` accept."""
+    """Trees compiled once into one straight-line list of ring operations, which
+    :meth:`run` replays at a point.  Each tree is walked as :func:`fold` evaluates
+    it, a divisor before its dividend, with one memo for all of them, so a
+    structurally equal subtree gives one instruction: a leaf ``(None, node, None)``
+    (a ``Const`` or ``Var``), or a ring operation ``(op, a, b)`` on the results of
+    instructions ``a`` and ``b`` (a power's exponent; None for a negation).  Every
+    operation keeps its order and operands, so results (float bits included) and
+    the first error are those of walking each tree anew; :meth:`texts` and errors
+    print from the list.  ``chart``, if given, is the one chart whose points
+    :meth:`jets` and :meth:`values` accept."""
 
     __slots__ = ("chart", "_code", "_outputs", "_texts")
 
-    def __init__(self, outputs: Sequence[Expr | Callable[[_Builder], int]],
-                 chart: str | None = None):
+    def __init__(self, outputs: Sequence[Expr], chart: str | None = None):
         self.chart = chart
-        builder = _Builder()
-        self._outputs = [builder.tree(o) if isinstance(o, Expr) else o(builder) for o in outputs]
-        self._code = builder.code
+        self._code: list[tuple] = []
+        slots: dict[Expr, int] = {}   # subtree -> its instruction
+
+        def walk(e: Expr) -> int:
+            s = slots.get(e)
+            if s is None:
+                if isinstance(e, (Const, Var)):
+                    step = (None, e, None)
+                elif isinstance(e, Div):
+                    den = walk(e.b)
+                    step = (operator.truediv, walk(e.a), den)
+                elif isinstance(e, Pow):
+                    step = (operator.pow, walk(e.base), e.exponent)
+                elif isinstance(e, Neg):
+                    step = (operator.neg, walk(e.a), None)
+                elif type(e) in _BINARY:
+                    step = (_BINARY[type(e)], walk(e.a), walk(e.b))
+                else:
+                    raise TypeError(f"a Program compiles expression trees, not {type(e).__name__}")
+                s = slots[e] = len(self._code)
+                self._code.append(step)
+            return s
+
+        self._outputs = [walk(o) for o in outputs]
         self._texts: dict[int, tuple[str, int]] = {}   # slot -> printed, on first use
 
     def texts(self) -> list[str]:

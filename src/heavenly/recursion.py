@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +40,7 @@ from .jetcore import (
     Program,
     ScalarField,
     Var,
+    ZERO,
     add,
     const,
     div,
@@ -174,27 +175,21 @@ def flat_phi(n: int) -> ScalarField:
     return ScalarField(SECOND, e)
 
 
-def table_sum(b, coeff, n: int, term) -> int:
-    """sum_k coeff(n, k) term(k) from row n of table A or B, issued through a Program's
-    builder ``b`` as the tree summing the terms left to right compiles: a zero entry
-    dropped, an entry c sigma^j as c (unless 1) times sigma^j."""
-    total = None
+def table_sum(coeff, n: int, term) -> Expr:
+    """sum_k coeff(n, k) term(k) from row n of table A or B, the terms added left to
+    right: each entry c sigma^j of the row enters term(k, entry) as the tree
+    mul(const(c), pow_(SIGMA, j)), and a zero entry is left out."""
+    total = ZERO
     for k in range(n + 1):
         c, j = coeff(n, k)
         if c:
-            entry = b.times(None if c == 1 else b.tree(const(c)),
-                            b.power(b.tree(SIGMA), j) if j else None)
-            total = b.plus(total, term(k, entry))
+            total = add(total, term(k, mul(const(c), pow_(SIGMA, j))))
     return total
 
 
-def _psi(b, n: int) -> int:
+def _psi(n: int) -> Expr:
     """Chain member psi_n = sum_k A(n,k) (-y/w)^k (wx+zy)^(k-n), sigma symbolic."""
-    def term(k: int, entry: int | None) -> int:
-        if k:
-            entry = b.times(entry, b.power(b.tree(_MYW), k))
-        return b.times(entry, b.power(b.tree(_Q), k - n)) if k < n else entry
-    return table_sum(b, coeff_A, n, term)
+    return table_sum(coeff_A, n, lambda k, entry: mul(mul(entry, pow_(_MYW, k)), pow_(_Q, k - n)))
 
 
 @kept(limit=16)
@@ -206,7 +201,7 @@ def flat_chain_program(n: int) -> Program:
 
 def st_chain_program(n: int, pairs: Mapping[str, tuple[ScalarField, ScalarField]]) -> Program:
     """The potential sigma/(wx+zy), psi_1..psi_n, then both fields of each pair, as one
-    program (see chain_residual_maxima); the members are issued from table A, no tree built.
+    program (see chain_residual_maxima); the members' trees are built from table A.
     One program per n and pair trees in the process."""
     return _st_chain_program(n, tuple(f.expr for pair in pairs.values() for f in pair))
 
@@ -215,7 +210,7 @@ def st_chain_program(n: int, pairs: Mapping[str, tuple[ScalarField, ScalarField]
 def _st_chain_program(n: int, extra: tuple[Expr, ...]) -> Program:
     if n < 1:
         raise IndexError("chain index starts at 1")
-    members = [partial(_psi, n=m) for m in range(1, n + 1)]
+    members = [_psi(m) for m in range(1, n + 1)]
     return Program([st_potential().field.expr, *members, *extra], SECOND)
 
 

@@ -4,7 +4,7 @@ A curve is a pair of truncated series in the fibre coordinate lam, held as
 one compiled ``Program`` on the second-form chart whose outputs are mu0's
 coefficients of lam^0..lam^N, then mu1's.  The flat curve is
 (w + lam y, z - lam x) (``flat_curve_program``); the curved quadratic-pole
-curve carries tails issued from the B coefficient table
+curve carries tails built from the B coefficient table
 (``st_curve_program``), and ``series_solve_omega`` iterates the polynomial
 recursion operator.  Order-by-order annihilation by the background Lax
 fields is the verification criterion: orders below the truncation must
@@ -25,7 +25,6 @@ package's only polynomial type.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Mapping
 
 from .jetcore import (
@@ -45,6 +44,7 @@ from .jetcore import (
     kept,
     mul,
     neg,
+    pow_,
 )
 from .polynomials import Poly
 from .recursion import SIGMA, coeff_B, recursion_step_poly, table_sum
@@ -63,7 +63,7 @@ def flat_curve_program(order: int) -> Program:
 def st_curve_program(order: int) -> Program:
     """The quadratic-pole curve's coefficients of lam^0..lam^order, mu0's then mu1's,
     sigma symbolic, as one program, one per order and process.  Row n of table B gives
-    the lam^(n+1) tails (n >= 1), issued with no tree built (see table_sum):
+    the lam^(n+1) tails (n >= 1) as trees (see table_sum):
       mu0: sigma sum_k B(n,k) w (-y/w)^k Q^(k-n-1)
       mu1: sigma sum_k B(n,k) z (x/z)^k  Q^(k-n-1)
     so the first tails are -lam^2 Theta_x and -lam^2 Theta_y respectively.
@@ -71,16 +71,15 @@ def st_curve_program(order: int) -> Program:
     if order < 1:
         raise ValueError("order must be at least 1")
 
-    def tail(b, n: int, base: Expr, ratio: Expr) -> int:
-        def term(k: int, entry: int | None) -> int:
-            t = b.times(entry, b.times(b.tree(base), b.power(b.tree(Q), k - n - 1)))
-            return b.times(t, b.power(b.tree(ratio), k)) if k else t
-        return b.times(b.tree(SIGMA), table_sum(b, coeff_B, n, term))
+    def tail(n: int, base: Expr, ratio: Expr) -> Expr:
+        def term(k: int, entry: Expr) -> Expr:
+            return mul(mul(entry, mul(base, pow_(Q, k - n - 1))), pow_(ratio, k))
+        return mul(SIGMA, table_sum(coeff_B, n, term))
 
     w, z, x, y = Var("w"), Var("z"), Var("x"), Var("y")
     Q = add(mul(w, x), mul(z, y))
-    mu0 = [w, y, *(partial(tail, n=n, base=w, ratio=div(neg(y), w)) for n in range(1, order))]
-    mu1 = [z, neg(x), *(partial(tail, n=n, base=z, ratio=div(x, z)) for n in range(1, order))]
+    mu0 = [w, y, *(tail(n, w, div(neg(y), w)) for n in range(1, order))]
+    mu1 = [z, neg(x), *(tail(n, z, div(x, z)) for n in range(1, order))]
     return Program(mu0 + mu1, SECOND)
 
 

@@ -1,14 +1,14 @@
 """The st chain members and curve tails as expression trees, kept as a test oracle.
 
-The package emits the members psi_n and the curve's tails straight from the
-coefficient tables A and B into a ``Program`` (``recursion.st_chain_program``,
-``twistor.st_curve_program``), building no tree.  These are the trees it built
-before: compiled into a program, each gives the same instructions, so the same
-printed text, jets (float bits included) and first error.  The package's
-tables hold each entry as the number c of its monomial c sigma^j
-(``recursion.coeff_A``); the tables here run the old recurrence on
-polynomials in sigma (``sigma_entry``), and the trees are built from them.
-Nothing in ``src/`` imports this module.
+The package builds the members psi_n and the curve's tails as trees from the
+numbers c of tables A and B, each entry the monomial c sigma^j
+(``recursion.coeff_A``, ``coeff_B`` and ``table_sum``), and compiles them into
+a ``Program`` (``recursion.st_chain_program``, ``twistor.st_curve_program``).
+The tables here run the old recurrence on polynomials in sigma
+(``sigma_entry``), an independent route, and the trees are built from them:
+compiled into a program, each gives the package's instructions, so the same
+printed text, jets (float bits included) and first error.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations

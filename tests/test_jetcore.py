@@ -1,5 +1,6 @@
 """Expression parsing and jet arithmetic against independent oracles."""
 
+import functools
 import math
 import operator
 from fractions import Fraction as F
@@ -512,6 +513,13 @@ class TestProgram:
                 assert str(got.value) == str(err)
                 continue
             assert [_bits(j) for j in program.jets(p, order)] == [_bits(j) for j in expect]
+
+    def test_an_output_is_a_tree(self):
+        # an output that is no tree is refused, not called
+        calls = []
+        with pytest.raises(TypeError, match="compiles expression trees, not partial$"):
+            Program([Var("w"), functools.partial(calls.append)], "second")
+        assert calls == []
 
     def test_a_later_point_on_the_pole(self):
         exprs = [parse_expression(text, "second") for text in ("w/(w*x+z*y)", "1/(w*x+z*y)")]

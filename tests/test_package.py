@@ -142,8 +142,9 @@ def test_the_poly_layout_check_sees_each_read(tmp_path):
 # wrappers fed from them live in tests/geometry_oracle.py (the integer full lowering
 # and full W were deleted): a field reaches curvature by one route, FieldGeometry.
 # So does the curved star operator on trees (hodge_star_d), which no subcommand reaches.
-# The st chain members, the st curve's tails and the table entries they sum are
-# issued straight from the coefficient tables; their trees live in tests/chain_oracle.py.
+# The package builds the st chain members' and curve tails' trees from the numbers c
+# of tables A and B; tests/chain_oracle.py builds them from sigma-polynomial tables,
+# an independent route, and its names stay out of src/.
 # Riemann's block is lowered straight from the metric's second partials; the
 # Christoffel route (Gamma's gradients, R^a_bcd, Ricci from it) lives in geometry_oracle
 TREE_ROUTE_NAMES = {

@@ -1,7 +1,6 @@
 """Recursion operator: flat chains, coefficient tables, symmetries, Killing data."""
 
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -219,9 +218,10 @@ class TestCurvedChain:
 
 
 class TestChainFromTheTable:
-    """psi_1..psi_16 issued straight from table A against the trees of
-    tests/chain_oracle.py compiled into one program with the potential and the
-    monomial pairs: the same instructions, so the same text, jets and errors."""
+    """psi_1..psi_16 built from the numbers c of table A against the trees of
+    tests/chain_oracle.py, built from its sigma-polynomial tables, compiled into one
+    program with the potential and the monomial pairs: the same instructions, so the
+    same text, jets and errors."""
 
     N = 16
     SIGMAS = (F(1), F(1, 2), F(-7, 3))
@@ -260,7 +260,7 @@ class TestChainFromTheTable:
     def test_a_pole_names_the_divisor_of_the_trees(self, values, divisor):
         # the whole chain program, whose potential divides by wx+zy first, and the
         # members alone, whose first pole is that of (wx+zy)^(-1) or of -y/w
-        members = Program([partial(_psi, n=n) for n in range(1, self.N + 1)], "second")
+        members = Program([_psi(n) for n in range(1, self.N + 1)], "second")
         tree_members = Program([st_psi(n).expr for n in range(1, self.N + 1)], "second")
         p = point("second", *values)
         for q in (p, p.as_float()):

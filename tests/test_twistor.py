@@ -177,9 +177,9 @@ class TestCurvedCurve:
 
 
 class TestCurveFromTheTable:
-    """The st curve of orders 1..12 issued straight from table B against the
-    trees of tests/chain_oracle.py: the same instructions, so the same text,
-    jets and errors."""
+    """The st curve of orders 1..12, built from the numbers c of table B, against the
+    trees of tests/chain_oracle.py, built from its sigma-polynomial tables: the same
+    instructions, so the same text, jets and errors."""
 
     ORDERS = range(1, 13)
 
